@@ -1,36 +1,20 @@
-// Command lodbench is the benchmark front end, with two modes.
-//
-// Cluster mode drives a load-generation scenario (internal/loadgen) —
-// a swarm of virtual clients against an in-process origin + registry +
-// edge cluster — and writes a machine-readable benchmark record whose
-// schema is documented in BENCHMARKS.md:
-//
-//	lodbench -scenario mixed -clients 1000 -edges 3     # writes BENCH_cluster.json
-//	lodbench -scenario smoke -out BENCH_smoke.json      # the seconds-long CI variant
-//	lodbench -scenario churn -clients 400 -edges 3      # kill/restart edges mid-run (BENCH_churn.json)
-//	lodbench -scenario scale -clients 10000 -edges 16 -shards 8   # sharded drivers (BENCH_scale.json)
-//	lodbench -scenario 'mixed?assets=12&rate=400'       # query-style overrides
-//	lodbench -scenarios                                 # list scenarios
-//
-// Experiment mode regenerates the paper's tables and figures
+// Command lodbench regenerates the paper's tables and figures
 // (experiments E1–E16 of DESIGN.md) and prints them to stdout:
 //
 //	lodbench            # run every experiment
 //	lodbench -exp E7    # run one experiment
 //	lodbench -list      # list experiment IDs and titles
+//
+// It measures nothing about the serving cluster; the benchmark of
+// record is BENCHMARK.json + benchmark/ (bash benchmark/run.sh).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/loadgen"
 )
 
 func main() {
@@ -44,34 +28,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("lodbench", flag.ContinueOnError)
 	exp := fs.String("exp", "", "experiment ID to run (E1..E16); empty runs all")
 	list := fs.Bool("list", false, "list experiments and exit")
-	scenario := fs.String("scenario", "", "load scenario to run (see -scenarios); switches to cluster mode")
-	scenarios := fs.Bool("scenarios", false, "list load scenarios and exit")
-	clients := fs.Int("clients", 1000, "virtual clients to run (cluster mode)")
-	edges := fs.Int("edges", 3, "edge nodes in the cluster (cluster mode)")
-	shards := fs.Int("shards", 0, "shard drivers to split the client population across (cluster mode); 0 uses GOMAXPROCS")
-	out := fs.String("out", "", "benchmark record path (cluster mode); default BENCH_cluster.json for the mixed scenario, BENCH_<scenario>.json otherwise")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the scenario run to this file (cluster mode)")
-	memprofile := fs.String("memprofile", "", "write a post-run heap profile to this file (cluster mode)")
-	assertPerf := fs.Bool("assert-perf", false, "fail unless the record's perf block is populated (packetsPerSec, bytesPerSec, allocsPerPacket, nsPerPacket all nonzero)")
-	assertStartupP99 := fs.Duration("assert-startup-p99", 0, "fail when the record's startup p99 exceeds this bound (cluster mode); 0 disables the gate")
-	assertHotPulls := fs.Int("assert-hot-pulls", 0, "fail when the hottest asset's worst-edge origin-pull count (cache.perAsset maxEdgePulls) exceeds this bound (cluster mode); 0 disables the gate")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *scenarios {
-		for _, s := range loadgen.Scenarios() {
-			fmt.Printf("%-8s %s\n", s.Name, s.Description)
-		}
-		return nil
-	}
-	if *scenario != "" {
-		return runScenario(scenarioOpts{
-			spec: *scenario, clients: *clients, edges: *edges, shards: *shards,
-			out: *out, cpuprofile: *cpuprofile, memprofile: *memprofile,
-			assertPerf: *assertPerf, assertStartupP99: *assertStartupP99,
-			assertHotPulls: *assertHotPulls,
-		})
 	}
 
 	if *list {
@@ -105,115 +63,6 @@ func run(args []string) error {
 	}
 	for _, res := range results {
 		printResult(res)
-	}
-	return nil
-}
-
-// scenarioOpts is the cluster-mode flag bundle.
-type scenarioOpts struct {
-	spec                        string
-	clients, edges, shards      int
-	out, cpuprofile, memprofile string
-	assertPerf                  bool
-	assertStartupP99            time.Duration
-	assertHotPulls              int
-}
-
-// runScenario executes one load scenario and writes the record to out.
-// An empty out derives the path from the scenario name, so running a
-// side scenario can never clobber the committed benchmark of record.
-// cpuprofile/memprofile capture pprof profiles of exactly the scenario
-// run; assertPerf fails the command when the record's perf block came
-// out empty (the CI guard behind `make bench-profile`), and
-// assertStartupP99 fails it when startup latency regressed past the
-// bound (the guard behind `make bench-scale-smoke`).
-func runScenario(o scenarioOpts) error {
-	s, err := loadgen.ParseScenario(o.spec)
-	if err != nil {
-		return err
-	}
-	out := o.out
-	if out == "" {
-		if s.Name == "mixed" {
-			out = "BENCH_cluster.json" // the benchmark of record
-		} else {
-			out = "BENCH_" + s.Name + ".json"
-		}
-	}
-	shards := o.shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if o.cpuprofile != "" {
-		f, err := os.Create(o.cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpu profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	fmt.Printf("running scenario %s: %d clients, %d edges, %d shards...\n", s.Name, o.clients, o.edges, shards)
-	rep, err := loadgen.RunSharded(context.Background(), s, o.clients, o.edges, shards)
-	if err != nil {
-		return err
-	}
-	if o.memprofile != "" {
-		f, err := os.Create(o.memprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC() // surface live retention, not transient garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return fmt.Errorf("heap profile: %w", err)
-		}
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Print(rep.Summary())
-	fmt.Printf("record written to %s\n", out)
-	// The record is written either way, but failed sessions must fail
-	// the command so CI's bench-smoke actually guards the harness.
-	if rep.Sessions.Failed > 0 {
-		return fmt.Errorf("%d/%d sessions failed: %v",
-			rep.Sessions.Failed, rep.Sessions.Requested, rep.Sessions.Errors)
-	}
-	if o.assertPerf {
-		p := rep.Perf
-		if p.PacketsPerSec <= 0 || p.BytesPerSec <= 0 || p.AllocsPerPacket <= 0 || p.NsPerPacket <= 0 {
-			return fmt.Errorf("perf block not populated: %+v", p)
-		}
-	}
-	if o.assertStartupP99 > 0 {
-		bound := float64(o.assertStartupP99) / float64(time.Millisecond)
-		if rep.StartupMs.P99 > bound {
-			return fmt.Errorf("startup p99 %.1fms exceeds the %.0fms bound", rep.StartupMs.P99, bound)
-		}
-	}
-	// The flashcrowd smoke gate: under miss coalescing and admission, no
-	// single edge should re-pull the hot asset from the origin — each
-	// flash-crowd demand either hits the mirror or attaches to the one
-	// in-flight pull.
-	if o.assertHotPulls > 0 {
-		if rep.Cache == nil || len(rep.Cache.PerAsset) == 0 {
-			return fmt.Errorf("assert-hot-pulls: record has no cache.perAsset block")
-		}
-		if top := rep.Cache.PerAsset[0]; top.MaxEdgePulls > int64(o.assertHotPulls) {
-			return fmt.Errorf("hot asset %s pulled %d× by one edge, bound is %d (duplicate origin pulls)",
-				top.Name, top.MaxEdgePulls, o.assertHotPulls)
-		}
 	}
 	return nil
 }

@@ -1,11 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunSingleExperiment(t *testing.T) {
 	if err := run([]string{"-exp", "E2"}); err != nil {
@@ -22,45 +17,5 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("bad flag accepted")
-	}
-}
-
-func TestRunListScenarios(t *testing.T) {
-	if err := run([]string{"-scenarios"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunUnknownScenario(t *testing.T) {
-	if err := run([]string{"-scenario", "nope"}); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-}
-
-// TestRunScenarioWritesRecord runs a tiny cluster-mode benchmark and
-// checks the BENCH record lands on disk as valid JSON.
-func TestRunScenarioWritesRecord(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_test.json")
-	err := run([]string{"-scenario", "smoke?rate=80", "-clients", "10", "-edges", "2", "-out", out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep map[string]interface{}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("record is not JSON: %v", err)
-	}
-	if rep["schema"] != "lod-bench/1" {
-		t.Fatalf("schema = %v", rep["schema"])
-	}
-	if rep["scenario"] != "smoke" {
-		t.Fatalf("scenario = %v", rep["scenario"])
-	}
-	sessions, ok := rep["sessions"].(map[string]interface{})
-	if !ok || sessions["requested"].(float64) != 10 {
-		t.Fatalf("sessions = %v", rep["sessions"])
 	}
 }

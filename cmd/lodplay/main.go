@@ -25,7 +25,7 @@
 // or drops the stream mid-play, the session reports the failure to the
 // registry, asks for another edge — excluding the one it escaped — and
 // resumes a VOD stream at the last media offset it received, up to N
-// times. The same SDK internal/loadgen's virtual clients run.
+// times. The same SDK the benchmark's sessions run.
 package main
 
 import (

@@ -15,7 +15,7 @@
 //	lodserver -addr :8080 -demo -registry :9090
 //
 //	# edge pulling through from the origin, registered with the registry,
-//	# mirroring at most 256 MiB of assets (LRU eviction beyond that)
+//	# mirroring at most 256 MiB of assets (frequency-gated eviction beyond that)
 //	lodserver -addr :8081 -origin http://origin:8080 \
 //	    -edge http://edge1:8081 -registry http://origin:9090 \
 //	    -cache-bytes 268435456
@@ -51,7 +51,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/catalog"
 	"repro/internal/codec"
-	"repro/internal/edgecache"
 	"repro/internal/encoder"
 	"repro/internal/relay"
 	"repro/internal/streaming"
@@ -73,22 +72,20 @@ func (a assetFlags) Set(v string) error {
 
 // config is the parsed, validated command line.
 type config struct {
-	addr         string
-	demo         bool
-	pacing       bool
-	assets       assetFlags
-	capacity     int64
-	origin       string // non-empty: run as an edge of this origin
-	edgeURL      string // advertised URL for registry registration
-	registry     string // URL → register with it; listen address → host it
-	stateDir     string // non-empty: hosted registry persists its state here
-	heartbeat    time.Duration
-	metricsOn    bool
-	pprofOn      bool
-	cacheBytes   int64
-	cachePolicy  string
-	cachePrewarm int
-	drain        time.Duration
+	addr       string
+	demo       bool
+	pacing     bool
+	assets     assetFlags
+	capacity   int64
+	origin     string // non-empty: run as an edge of this origin
+	edgeURL    string // advertised URL for registry registration
+	registry   string // URL → register with it; listen address → host it
+	stateDir   string // non-empty: hosted registry persists its state here
+	heartbeat  time.Duration
+	metricsOn  bool
+	pprofOn    bool
+	cacheBytes int64
+	drain      time.Duration
 }
 
 // hostsRegistry reports whether -registry names a listen address to serve
@@ -113,8 +110,6 @@ func parseConfig(args []string) (*config, error) {
 	fs.BoolVar(&c.metricsOn, "metrics", true, "serve GET /metrics and GET /status on every role's listener")
 	fs.BoolVar(&c.pprofOn, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the main listener (profile a live node without restarting it)")
 	fs.Int64Var(&c.cacheBytes, "cache-bytes", 0, "edge mirror cache capacity in payload bytes (0 = unbounded; requires -origin)")
-	fs.StringVar(&c.cachePolicy, "cache-policy", "tinylfu", `edge mirror cache policy: "tinylfu" (frequency-gated admission) or "lru" (recency only; requires -origin)`)
-	fs.IntVar(&c.cachePrewarm, "cache-prewarm", 12, "sketch-frequency threshold (1-15) at which an edge prefetches a hot asset's rate-group siblings; 0 disables prewarm (requires -origin)")
 	fs.DurationVar(&c.drain, "drain", 10*time.Second, "how long to let in-flight sessions finish on SIGINT/SIGTERM before exiting")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -133,14 +128,6 @@ func parseConfig(args []string) (*config, error) {
 	}
 	if c.cacheBytes > 0 && c.origin == "" {
 		return nil, fmt.Errorf("-cache-bytes bounds the edge mirror cache; it requires -origin")
-	}
-	switch c.cachePolicy {
-	case "tinylfu", "lru":
-	default:
-		return nil, fmt.Errorf(`-cache-policy must be "tinylfu" or "lru", got %q`, c.cachePolicy)
-	}
-	if c.cachePrewarm < 0 || c.cachePrewarm > 15 {
-		return nil, fmt.Errorf("-cache-prewarm is a 4-bit sketch frequency (0-15), got %d", c.cachePrewarm)
 	}
 	if c.stateDir != "" && !c.hostsRegistry() {
 		return nil, fmt.Errorf(`-state-dir persists registry state; it requires -registry with a listen address (":9090")`)
@@ -194,14 +181,10 @@ func run(args []string) error {
 	if c.origin != "" {
 		edge = relay.NewEdge(c.origin, srv)
 		edge.CacheBytes = c.cacheBytes
-		edge.ConfigureCache(edgecache.Config{
-			Policy:           edgecache.Policy(c.cachePolicy),
-			PrewarmThreshold: c.cachePrewarm,
-		})
 		handler = edge.Handler()
 		fmt.Printf("edge mode: pulling through from origin %s\n", c.origin)
 		if c.cacheBytes > 0 {
-			fmt.Printf("edge mirror cache bounded at %d bytes (%s admission)\n", c.cacheBytes, c.cachePolicy)
+			fmt.Printf("edge mirror cache bounded at %d bytes\n", c.cacheBytes)
 		}
 	} else {
 		handler = srv.Handler()

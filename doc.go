@@ -12,12 +12,12 @@
 // -origin/-edge/-registry flags).
 //
 // Edge mirroring is bounded: with -cache-bytes set, mirrored assets live
-// in a byte-capacity LRU that evicts least-recently-demanded mirrors
-// while pinning anything actively streaming, so an edge serves an
-// unbounded catalog in bounded memory. The whole serving stack is
-// observable through internal/metrics — a dependency-free
-// counter/gauge/histogram registry every role exposes as Prometheus text
-// at GET /metrics and as a JSON snapshot at GET /status.
+// in a byte-budgeted, frequency-gated cache (internal/edgecache) that
+// drops cold mirrors while pinning anything actively streaming, so an
+// edge serves an unbounded catalog in bounded memory. The whole serving
+// stack is observable through internal/metrics — a dependency-free
+// counter/gauge/histogram registry every role exposes as Prometheus
+// text at GET /metrics and as a JSON snapshot at GET /status.
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 // paper-vs-measured record, and README.md for a quickstart. The root

@@ -573,7 +573,7 @@ func TestRelayCluster(t *testing.T) {
 
 // TestClusterEdgeCacheBounded runs an origin+edge cluster whose edge
 // cache budget holds only two of the origin's three assets: concurrent
-// cluster traffic must all play intact while the LRU evicts over-budget
+// cluster traffic must all play intact while the cache drops over-budget
 // mirrors, and the eviction counter must show on GET /metrics.
 func TestClusterEdgeCacheBounded(t *testing.T) {
 	profile, err := codec.ByName("modem-56k")

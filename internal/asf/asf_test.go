@@ -216,6 +216,69 @@ func TestLiveStreamOmitsIndex(t *testing.T) {
 	}
 }
 
+// A live writer never emits an index, so it must not accumulate one for
+// the length of the broadcast; a stored writer fed the same keyframes
+// through both write paths still ends with every one of them indexed.
+func TestLiveWriterKeepsNoIndex(t *testing.T) {
+	const keyframes = 200
+	write := func(t *testing.T, h Header) (*Writer, *bytes.Buffer) {
+		t.Helper()
+		buf := new(bytes.Buffer)
+		w, err := NewWriter(buf, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < keyframes; i++ {
+			p := Packet{Stream: 1, Kind: media.KindVideo, Flags: PacketKeyframe,
+				PTS: time.Duration(i) * time.Second, Seq: uint32(i), Payload: []byte("key")}
+			if i%2 == 0 {
+				_, err = w.WritePacket(p)
+			} else {
+				var sp *Shared
+				if sp, err = NewShared(p); err == nil {
+					err = w.WriteShared(sp)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w, buf
+	}
+
+	live := sampleHeader()
+	live.Flags |= FlagLive
+	w, _ := write(t, live)
+	if len(w.index) != 0 || cap(w.index) != 0 {
+		t.Fatalf("live writer retains an index: len %d cap %d after %d keyframes", len(w.index), cap(w.index), keyframes)
+	}
+
+	w, buf := write(t, sampleHeader())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(buf)
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := r.ReadPacket(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix := r.Index()
+	if len(ix) != keyframes {
+		t.Fatalf("stored index has %d entries, want %d", len(ix), keyframes)
+	}
+	for i, e := range ix {
+		if e.Seq != uint32(i) || e.PTS != time.Duration(i)*time.Second {
+			t.Fatalf("index[%d] = %+v, want seq %d pts %ds", i, e, i, i)
+		}
+	}
+}
+
 func TestWriterClosedRejectsWrites(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, sampleHeader())

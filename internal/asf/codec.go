@@ -377,8 +377,9 @@ func (w *Writer) WriteHeader() error {
 	return w.ensureHeader()
 }
 
-// WritePacket assigns the packet its sequence number, records keyframes in
-// the index, and writes it out. The packet's Seq field is overwritten.
+// WritePacket assigns the packet its sequence number, records keyframes
+// of stored content in the index, and writes it out. The packet's Seq
+// field is overwritten.
 func (w *Writer) WritePacket(p Packet) (uint32, error) {
 	if w.closed {
 		return 0, ErrClosed
@@ -394,11 +395,18 @@ func (w *Writer) WritePacket(p Packet) (uint32, error) {
 	if _, err := w.w.Write(b); err != nil {
 		return 0, fmt.Errorf("asf: write packet %d: %w", p.Seq, err)
 	}
-	if p.Keyframe() {
-		w.index = append(w.index, IndexEntry{PTS: p.PTS, Seq: p.Seq})
-	}
+	w.indexKeyframe(p)
 	w.seq++
 	return p.Seq, nil
+}
+
+// indexKeyframe records a keyframe as a seek point for the trailing
+// index. A live stream never writes an index (Close), so it keeps none:
+// the slice would grow for as long as the broadcast runs.
+func (w *Writer) indexKeyframe(p Packet) {
+	if p.Keyframe() && !w.header.Live() {
+		w.index = append(w.index, IndexEntry{PTS: p.PTS, Seq: p.Seq})
+	}
 }
 
 // PacketCount returns the number of packets written so far.

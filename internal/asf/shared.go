@@ -55,9 +55,6 @@ func (s *Shared) Packet() Packet { return s.pkt }
 // The buffer is shared with every other consumer: never modify it.
 func (s *Shared) Wire() []byte { return s.wire }
 
-// WireLen is the full on-the-wire size in bytes.
-func (s *Shared) WireLen() int { return len(s.wire) }
-
 // PayloadLen is the payload size in bytes.
 func (s *Shared) PayloadLen() int { return len(s.pkt.Payload) }
 
@@ -81,10 +78,10 @@ func (s *Shared) Last() bool { return s.pkt.Last() }
 
 // WriteShared writes a pre-encoded packet: the shared wire image goes
 // out as-is — no re-encode, no CRC pass, no re-sequencing — so every
-// consumer of the same Shared receives identical bytes. Keyframes still
-// land in the writer's index for the trailing seek table, and the
-// writer's own sequence counter follows the shared packet's, so
-// WritePacket and WriteShared may interleave on one stream.
+// consumer of the same Shared receives identical bytes. Keyframes of
+// stored content still land in the writer's index for the trailing seek
+// table, and the writer's own sequence counter follows the shared
+// packet's, so WritePacket and WriteShared may interleave on one stream.
 func (w *Writer) WriteShared(sp *Shared) error {
 	if w.closed {
 		return ErrClosed
@@ -95,9 +92,7 @@ func (w *Writer) WriteShared(sp *Shared) error {
 	if _, err := w.w.Write(sp.wire); err != nil {
 		return fmt.Errorf("asf: write packet %d: %w", sp.pkt.Seq, err)
 	}
-	if sp.pkt.Keyframe() {
-		w.index = append(w.index, IndexEntry{PTS: sp.pkt.PTS, Seq: sp.pkt.Seq})
-	}
+	w.indexKeyframe(sp.pkt)
 	w.seq = sp.pkt.Seq + 1
 	return nil
 }

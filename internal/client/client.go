@@ -1,5 +1,5 @@
 // Package client is the Lecture-on-Demand session SDK: the one way
-// every consumer — loadgen's virtual clients, cmd/lodplay, integration
+// every consumer — cmd/lodplay, the benchmark's sessions, integration
 // tests, the next workload someone invents — opens a stream through a
 // cluster registry.
 //
@@ -57,14 +57,13 @@ const (
 type Client struct {
 	registry string
 	http     *http.Client
-	backoff  time.Duration
 }
 
 // Option configures a Client.
 type Option func(*Client)
 
 // WithHTTPClient supplies the transport for registry and edge requests
-// (loadgen passes its in-process MemNet client). Nil keeps
+// (an in-process netsim.MemNet client, say). Nil keeps
 // http.DefaultClient.
 func WithHTTPClient(h *http.Client) Option {
 	return func(c *Client) {
@@ -72,13 +71,6 @@ func WithHTTPClient(h *http.Client) Option {
 			c.http = h
 		}
 	}
-}
-
-// WithBackoff sets the base of the bounded exponential delay between
-// failover attempts (relay.FailoverBackoff); zero keeps the 50ms
-// default.
-func WithBackoff(base time.Duration) Option {
-	return func(c *Client) { c.backoff = base }
 }
 
 // New creates a client resolving streams through the registry at
@@ -120,7 +112,7 @@ type Spec struct {
 	// Player configures scripted playback (Session.Play).
 	Player player.Options
 	// WrapBody, when set, wraps each attempt's response body before it
-	// reaches the player — loadgen's link shaping and first-byte stamp.
+	// reaches the player — link shaping, a first-byte stamp.
 	WrapBody func(r io.Reader) io.Reader
 	// OnRetry, when set, observes each failure that will be retried:
 	// edge names the failed edge host, empty when the registry leg

@@ -45,6 +45,7 @@ type cluster struct {
 	origin   *streaming.Server
 	registry *relay.Registry
 	regTS    *httptest.Server
+	edgeSrv  []*streaming.Server
 	edgeTS   []*httptest.Server
 }
 
@@ -58,16 +59,16 @@ func newCluster(t *testing.T, asset string) *cluster {
 	}
 	originTS := httptest.NewServer(c.origin.Handler())
 	t.Cleanup(originTS.Close)
-	for i, id := range []string{"edge-a", "edge-b"} {
+	for _, id := range []string{"edge-a", "edge-b"} {
 		srv := streaming.NewServer(nil)
 		srv.Pacing = false
 		ts := httptest.NewServer(relay.NewEdge(originTS.URL, srv).Handler())
 		t.Cleanup(ts.Close)
+		c.edgeSrv = append(c.edgeSrv, srv)
 		c.edgeTS = append(c.edgeTS, ts)
 		if err := c.registry.Register(relay.NodeInfo{ID: id, URL: ts.URL}); err != nil {
 			t.Fatal(err)
 		}
-		_ = i
 	}
 	c.regTS = httptest.NewServer(c.registry.Handler())
 	t.Cleanup(c.regTS.Close)
@@ -144,7 +145,7 @@ func TestPlayThroughCluster(t *testing.T) {
 // TestEscapedNameEndToEnd is the client half of the escaping bugfix: an
 // asset whose name carries spaces, a slash, a percent sign, and query
 // metacharacters must round-trip registry→edge→origin through the SDK,
-// byte-identical to a direct play. Before proto.StreamPath, loadgen
+// byte-identical to a direct play. Before proto.StreamPath, callers
 // built this path by concatenation and the request shattered.
 func TestEscapedNameEndToEnd(t *testing.T) {
 	const name = "week 1/lec 50% ?&#"
@@ -262,7 +263,7 @@ func TestFailsOverToLiveEdge(t *testing.T) {
 			c.edgeTS[i].Close()
 		}
 	}
-	cl := New(c.regTS.URL, WithBackoff(5*time.Millisecond))
+	cl := New(c.regTS.URL)
 	sess, err := cl.Open(context.Background(), Spec{Kind: VOD, Name: "lec", Failover: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/player"
 	"repro/internal/relay"
+	"repro/internal/vclock"
 )
 
 // Session is one logical stream through the cluster, opened from a
@@ -56,21 +56,27 @@ type Stats struct {
 type session struct {
 	ctx     context.Context
 	spec    Spec
-	backoff time.Duration
 	fetcher *relay.StreamFetcher
 	target  string
+	// clock times failover backoff: the spec's player clock, so a
+	// session waits on the same clock it plays on.
+	clock vclock.Clock
 
 	mu    sync.Mutex
 	stats Stats
 }
 
 func newSession(ctx context.Context, c *Client, spec Spec) *session {
+	clock := spec.Player.Clock
+	if clock == nil {
+		clock = vclock.Real{}
+	}
 	return &session{
 		ctx:     ctx,
 		spec:    spec,
-		backoff: c.backoff,
 		fetcher: relay.NewStreamFetcher(c.registry, c.http),
 		target:  spec.Target(),
+		clock:   clock,
 	}
 }
 
@@ -111,10 +117,10 @@ func (s *session) Play() (*player.Metrics, error) {
 		Target:   s.target,
 		Live:     s.spec.Kind == Live,
 		Attempts: s.spec.Failover,
-		Backoff:  s.backoff,
 		Player:   s.spec.Player,
 		WrapBody: s.spec.WrapBody,
 		OnRetry:  s.onRetry,
+		Clock:    s.clock,
 	}
 	m, edge, err := fs.Run(s.ctx)
 	s.setEdge(edge)
@@ -137,25 +143,9 @@ func (s *session) Fetch() (io.ReadCloser, error) {
 		var fe *relay.FetchError
 		errors.As(err, &fe)
 		s.onRetry(fe.Edge, err)
-		if !sleepCtx(s.ctx, relay.FailoverBackoff(s.backoff, attempt)) {
+		if !vclock.SleepCtx(s.ctx, s.clock, relay.FailoverBackoff(0, attempt)) {
 			break
 		}
 	}
 	return nil, lastErr
-}
-
-// sleepCtx waits for d or until ctx is cancelled, reporting whether the
-// full wait elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

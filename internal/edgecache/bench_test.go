@@ -21,8 +21,8 @@ func TestSketchOpsAllocFree(t *testing.T) {
 	}
 }
 
-// Steady-state Touch (resident asset, ledger already open) is the
-// common case under a hot workload; it must not allocate either.
+// Steady-state Touch of a resident asset is the common case under a
+// hot workload; it must not allocate either.
 func TestTouchSteadyStateAllocFree(t *testing.T) {
 	c := New(Config{})
 	c.Add("lec-0", 1024)

@@ -1,21 +1,6 @@
 package edgecache
 
-import (
-	"sort"
-	"sync"
-)
-
-// Policy selects the cache's replacement strategy.
-type Policy string
-
-// Policies. TinyLFU is the default: a small recency window in front of
-// a frequency-gated main segment. LRU is the pre-admission behaviour —
-// one recency list, evict the tail — kept so before/after benchmarks
-// can run both policies over identical traffic.
-const (
-	TinyLFU Policy = "tinylfu"
-	LRU     Policy = "lru"
-)
+import "sync"
 
 // Default tuning. The window gets a small slice of the byte budget —
 // enough for the newest mirrors to prove themselves — and the sketch
@@ -25,25 +10,15 @@ const (
 	defaultSketchCounters = 1024
 )
 
-// Config parameterizes a Cache. The zero value is a TinyLFU cache with
-// default window fraction and sketch size and no prewarm hook.
+// Config parameterizes a Cache. The zero value takes the default window
+// fraction and sketch size.
 type Config struct {
-	// Policy is TinyLFU (default) or LRU.
-	Policy Policy
 	// WindowFrac is the fraction of the byte budget held by the
-	// admission window (TinyLFU only); defaults to 0.10.
+	// admission window; defaults to 0.10.
 	WindowFrac float64
 	// SketchCounters sizes the frequency sketch (rounded up to a power
 	// of two); defaults to 1024.
 	SketchCounters int
-	// PrewarmThreshold is the sketch frequency estimate (1–15) at which
-	// OnHot fires, once per asset. Zero disables the hook.
-	PrewarmThreshold int
-	// OnHot is called — outside the cache's lock, at most once per
-	// asset — when an asset's estimated frequency crosses
-	// PrewarmThreshold. The edge uses it to prewarm rate-group
-	// siblings.
-	OnHot func(name string)
 }
 
 // entry is one resident asset. Entries are their own typed list nodes
@@ -99,42 +74,21 @@ func (l *entryList) moveToFront(e *entry) {
 	l.pushFront(e)
 }
 
-// assetStat is the per-asset demand ledger. It outlives residency —
-// hits and pulls accumulate across evictions and re-mirrors — which is
-// exactly what the bench report's per-asset block and the duplicate-
-// pull count need.
-type assetStat struct {
-	hits, pulls uint64
-	hot         bool // OnHot already fired for this asset
-}
-
-// AssetStats is one asset's cumulative cache traffic.
-type AssetStats struct {
-	Name  string
-	Hits  uint64 // demands served from resident content
-	Pulls uint64 // origin pulls performed (first mirror + every re-mirror)
-}
-
 // Cache is the admission-controlled mirror cache. All methods are safe
 // for concurrent use. The cache tracks names and sizes; the caller owns
 // the actual bytes and removes them when Enforce names victims.
 type Cache struct {
 	cfg Config
 
-	mu         sync.Mutex
-	sketch     *sketch
-	entries    map[string]*entry
-	window     entryList
-	main       entryList
-	stats      map[string]*assetStat
-	pendingHot []string
+	mu      sync.Mutex
+	sketch  *sketch
+	entries map[string]*entry
+	window  entryList
+	main    entryList
 }
 
-// New builds a cache from cfg (zero value: TinyLFU defaults).
+// New builds a cache from cfg (zero value: defaults).
 func New(cfg Config) *Cache {
-	if cfg.Policy == "" {
-		cfg.Policy = TinyLFU
-	}
 	if cfg.WindowFrac <= 0 || cfg.WindowFrac > 1 {
 		cfg.WindowFrac = defaultWindowFrac
 	}
@@ -145,18 +99,14 @@ func New(cfg Config) *Cache {
 		cfg:     cfg,
 		sketch:  newSketch(cfg.SketchCounters),
 		entries: make(map[string]*entry),
-		stats:   make(map[string]*assetStat),
 	}
 }
 
-// Policy returns the cache's replacement policy.
-func (c *Cache) Policy() Policy { return c.cfg.Policy }
-
 // Add books an asset as resident (insert or size refresh). New entries
-// land in the recency window (TinyLFU) or the single list (LRU);
-// re-added entries refresh their size and recency in place. Add does
-// not count demand — Touch and RecordPull do — so reinstating a
-// pin-rescued victim never skews the frequency sketch.
+// land in the recency window; re-added entries refresh their size and
+// recency in place. Add does not count demand — Touch and RecordPull
+// do — so reinstating a pin-rescued victim never skews the frequency
+// sketch.
 func (c *Cache) Add(name string, size int64) {
 	c.mu.Lock()
 	if e, ok := c.entries[name]; ok {
@@ -167,42 +117,34 @@ func (c *Cache) Add(name string, size int64) {
 		c.mu.Unlock()
 		return
 	}
-	e := &entry{name: name, size: size, hash: hashString(name), window: c.cfg.Policy == TinyLFU}
+	e := &entry{name: name, size: size, hash: hashString(name), window: true}
 	c.entries[name] = e
-	c.list(e).pushFront(e)
+	c.window.pushFront(e)
 	c.mu.Unlock()
 }
 
 // Touch records a demand served from resident content: a frequency
-// observation, a recency bump, and a per-asset hit.
+// observation and a recency bump.
 func (c *Cache) Touch(name string) {
 	c.mu.Lock()
-	h := hashString(name)
-	c.sketch.increment(h)
-	c.stat(name).hits++
+	c.sketch.increment(hashString(name))
 	if e, ok := c.entries[name]; ok {
 		c.list(e).moveToFront(e)
 	}
-	c.checkHot(name, h)
 	c.mu.Unlock()
-	c.fireHot()
 }
 
 // RecordPull records a demand that went to the origin: a frequency
-// observation and a per-asset pull. Call it once per completed origin
-// fetch, before or after Add.
+// observation. Call it once per completed origin fetch, before or
+// after Add.
 func (c *Cache) RecordPull(name string) {
 	c.mu.Lock()
-	h := hashString(name)
-	c.sketch.increment(h)
-	c.stat(name).pulls++
-	c.checkHot(name, h)
+	c.sketch.increment(hashString(name))
 	c.mu.Unlock()
-	c.fireHot()
 }
 
 // Remove drops an asset from residency accounting, reporting whether it
-// was tracked. Its demand ledger survives.
+// was tracked.
 func (c *Cache) Remove(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -252,33 +194,6 @@ func (c *Cache) Names() []string {
 	return out
 }
 
-// Frequency returns the sketch's current estimate for an asset.
-func (c *Cache) Frequency(name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sketch.estimate(hashString(name))
-}
-
-// Stats returns the cumulative per-asset demand ledger, sorted by
-// hits+pulls descending (name ascending on ties, so output is
-// deterministic).
-func (c *Cache) Stats() []AssetStats {
-	c.mu.Lock()
-	out := make([]AssetStats, 0, len(c.stats))
-	for name, st := range c.stats {
-		out = append(out, AssetStats{Name: name, Hits: st.hits, Pulls: st.pulls})
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := out[i].Hits+out[i].Pulls, out[j].Hits+out[j].Pulls
-		if di != dj {
-			return di > dj
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // Enforce brings the cache toward the byte budget and returns the names
 // the caller must drop: evicted (lost to capacity pressure or a lost
 // frequency duel while resident in main) and rejected (window
@@ -295,24 +210,12 @@ func (c *Cache) Enforce(budget int64, except string, pinned func(string) bool) (
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	if c.cfg.Policy != TinyLFU {
-		// LRU: evict strictly by recency until the budget holds.
-		for c.window.bytes+c.main.bytes > budget {
-			victim := c.evictable(&c.main, except, pinned)
-			if victim == nil {
-				break // everything left is pinned or mid-demand
-			}
-			c.drop(victim)
-			evicted = append(evicted, victim.name)
-		}
-		return evicted, rejected
-	}
 	evicted, rejected = c.reclaim(budget, except, pinned)
 	c.drainWindow(budget, except, pinned)
 	return evicted, rejected
 }
 
-// reclaim is the TinyLFU capacity loop: while over budget, the window's
+// reclaim is the capacity loop: while over budget, the window's
 // coldest unpinned entry duels the main segment's lowest-frequency
 // unpinned entry. Strictly greater estimated frequency wins the
 // newcomer a seat (the main victim is evicted, the candidate promoted);
@@ -414,43 +317,4 @@ func (c *Cache) list(e *entry) *entryList {
 		return &c.window
 	}
 	return &c.main
-}
-
-func (c *Cache) stat(name string) *assetStat {
-	st, ok := c.stats[name]
-	if !ok {
-		st = &assetStat{}
-		c.stats[name] = st
-	}
-	return st
-}
-
-// checkHot queues the OnHot callback when an asset's estimate crosses
-// the prewarm threshold for the first time. Runs under c.mu; the
-// callback itself fires from fireHot after the lock is released.
-func (c *Cache) checkHot(name string, h uint64) {
-	if c.cfg.PrewarmThreshold <= 0 || c.cfg.OnHot == nil {
-		return
-	}
-	st := c.stat(name)
-	if st.hot || c.sketch.estimate(h) < c.cfg.PrewarmThreshold {
-		return
-	}
-	st.hot = true
-	c.pendingHot = append(c.pendingHot, name)
-}
-
-// fireHot delivers queued OnHot callbacks outside the lock, so a
-// callback may re-enter the cache (mirror a sibling, say) freely.
-func (c *Cache) fireHot() {
-	if c.cfg.OnHot == nil {
-		return
-	}
-	c.mu.Lock()
-	pending := c.pendingHot
-	c.pendingHot = nil
-	c.mu.Unlock()
-	for _, name := range pending {
-		c.cfg.OnHot(name)
-	}
 }

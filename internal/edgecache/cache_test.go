@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-func lruCache() *Cache { return New(Config{Policy: LRU}) }
-
-func TestLRUOrdering(t *testing.T) {
-	c := lruCache()
+// With nothing promoted yet the window gives ground in recency order.
+func TestWindowEvictsByRecency(t *testing.T) {
+	c := New(Config{})
 	c.Add("a", 1)
 	c.Add("b", 1)
 	c.Add("c", 1)
@@ -16,7 +15,7 @@ func TestLRUOrdering(t *testing.T) {
 
 	evicted, rejected := c.Enforce(2, "", nil)
 	if len(rejected) != 0 {
-		t.Fatalf("LRU rejected %v, want none", rejected)
+		t.Fatalf("rejected %v, want none", rejected)
 	}
 	if len(evicted) != 1 || evicted[0] != "b" {
 		t.Fatalf("evicted %v, want [b]", evicted)
@@ -26,8 +25,8 @@ func TestLRUOrdering(t *testing.T) {
 	}
 }
 
-func TestLRUReAddRefreshesSize(t *testing.T) {
-	c := lruCache()
+func TestReAddRefreshesSize(t *testing.T) {
+	c := New(Config{})
 	c.Add("a", 10)
 	c.Add("b", 1)
 	c.Add("a", 4) // size shrinks, recency bumps
@@ -42,8 +41,8 @@ func TestLRUReAddRefreshesSize(t *testing.T) {
 	}
 }
 
-func TestLRUPinnedSurvival(t *testing.T) {
-	c := lruCache()
+func TestPinnedSurvival(t *testing.T) {
+	c := New(Config{})
 	c.Add("a", 1)
 	c.Add("b", 1)
 	c.Add("c", 1)
@@ -165,113 +164,50 @@ func TestAdmissionLeavesPinnedWindowEntries(t *testing.T) {
 	}
 }
 
-func TestStatsLedgerSurvivesEviction(t *testing.T) {
-	c := New(Config{})
-	c.Add("a", 4)
-	c.RecordPull("a")
-	c.Touch("a")
-	c.Touch("a")
-	c.Remove("a")
-	c.Add("a", 4)
-	c.RecordPull("a")
-
-	stats := c.Stats()
-	if len(stats) != 1 {
-		t.Fatalf("stats = %v, want one asset", stats)
-	}
-	if st := stats[0]; st.Name != "a" || st.Hits != 2 || st.Pulls != 2 {
-		t.Fatalf("stats[0] = %+v, want a hits=2 pulls=2", st)
-	}
-}
-
-func TestStatsSortedByDemand(t *testing.T) {
-	c := New(Config{})
-	for i := 0; i < 3; i++ {
-		c.Touch("busy")
-	}
-	c.RecordPull("quiet")
-	c.RecordPull("also-quiet")
-	stats := c.Stats()
-	if len(stats) != 3 || stats[0].Name != "busy" {
-		t.Fatalf("stats = %v, want busy first", stats)
-	}
-	if stats[1].Name != "also-quiet" || stats[2].Name != "quiet" {
-		t.Fatalf("ties not name-ordered: %v", stats)
-	}
-}
-
-func TestOnHotFiresOnce(t *testing.T) {
-	var fired []string
-	c := New(Config{PrewarmThreshold: 3, OnHot: func(name string) { fired = append(fired, name) }})
-	for i := 0; i < 6; i++ {
-		c.Touch("hot")
-	}
-	c.RecordPull("hot")
-	if len(fired) != 1 || fired[0] != "hot" {
-		t.Fatalf("OnHot fired %v, want exactly [hot]", fired)
-	}
-}
-
-func TestOnHotReentrant(t *testing.T) {
-	var c *Cache
-	c = New(Config{PrewarmThreshold: 2, OnHot: func(name string) {
-		// A prewarm callback mirrors a sibling: must not deadlock.
-		c.Add(name+"-sibling", 1)
-		c.RecordPull(name + "-sibling")
-	}})
-	c.Touch("hot")
-	c.Touch("hot")
-	if !c.Contains("hot-sibling") {
-		t.Fatal("re-entrant OnHot did not take effect")
-	}
-}
-
 // Property check: under random traffic the byte ledger always matches
 // the resident set, and an unpinned Enforce always lands on budget.
 func TestCacheInvariantsUnderRandomOps(t *testing.T) {
-	for _, policy := range []Policy{TinyLFU, LRU} {
-		rng := rand.New(rand.NewSource(7))
-		c := New(Config{Policy: policy})
-		sizes := map[string]int64{}
-		names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-		for step := 0; step < 4000; step++ {
-			name := names[rng.Intn(len(names))]
-			switch rng.Intn(5) {
-			case 0:
-				size := int64(1 + rng.Intn(9))
-				c.Add(name, size)
-				sizes[name] = size
-			case 1:
-				c.Touch(name)
-			case 2:
-				c.RecordPull(name)
-			case 3:
-				if c.Remove(name) {
-					delete(sizes, name)
-				}
-			case 4:
-				budget := int64(5 + rng.Intn(30))
-				evicted, rejected := c.Enforce(budget, "", nil)
-				for _, n := range append(append([]string{}, evicted...), rejected...) {
-					delete(sizes, n)
-				}
-				if got := c.Bytes(); got > budget {
-					t.Fatalf("[%s] step %d: bytes %d over budget %d with no pins", policy, step, got, budget)
-				}
+	rng := rand.New(rand.NewSource(7))
+	c := New(Config{})
+	sizes := map[string]int64{}
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for step := 0; step < 4000; step++ {
+		name := names[rng.Intn(len(names))]
+		switch rng.Intn(5) {
+		case 0:
+			size := int64(1 + rng.Intn(9))
+			c.Add(name, size)
+			sizes[name] = size
+		case 1:
+			c.Touch(name)
+		case 2:
+			c.RecordPull(name)
+		case 3:
+			if c.Remove(name) {
+				delete(sizes, name)
 			}
-			var want int64
-			for _, s := range sizes {
-				want += s
+		case 4:
+			budget := int64(5 + rng.Intn(30))
+			evicted, rejected := c.Enforce(budget, "", nil)
+			for _, n := range append(append([]string{}, evicted...), rejected...) {
+				delete(sizes, n)
 			}
-			if got := c.Bytes(); got != want {
-				t.Fatalf("[%s] step %d: bytes = %d, want %d", policy, step, got, want)
+			if got := c.Bytes(); got > budget {
+				t.Fatalf("step %d: bytes %d over budget %d with no pins", step, got, budget)
 			}
-			if got := c.Len(); got != len(sizes) {
-				t.Fatalf("[%s] step %d: len = %d, want %d", policy, step, got, len(sizes))
-			}
-			if got := len(c.Names()); got != len(sizes) {
-				t.Fatalf("[%s] step %d: names = %d entries, want %d", policy, step, got, len(sizes))
-			}
+		}
+		var want int64
+		for _, s := range sizes {
+			want += s
+		}
+		if got := c.Bytes(); got != want {
+			t.Fatalf("step %d: bytes = %d, want %d", step, got, want)
+		}
+		if got := c.Len(); got != len(sizes) {
+			t.Fatalf("step %d: len = %d, want %d", step, got, len(sizes))
+		}
+		if got := len(c.Names()); got != len(sizes) {
+			t.Fatalf("step %d: names = %d entries, want %d", step, got, len(sizes))
 		}
 	}
 }

@@ -10,9 +10,7 @@
 // recency window, and overflowing the window into the main segment
 // requires beating the main segment's eviction candidate on estimated
 // demand frequency. A one-hit wonder therefore churns through the
-// window without ever displacing a hot asset. The plain-LRU behaviour
-// remains available as a policy (Config.Policy) so benchmarks can run
-// the old cache against the new one on identical traffic.
+// window without ever displacing a hot asset.
 //
 // Nothing in this package touches the wall clock: aging is count-based
 // (the sketch halves itself every sampleFactor×counters observations),

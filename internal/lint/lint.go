@@ -13,9 +13,9 @@
 //     and it cannot false-positive on comments, because it only looks
 //     at string literals.
 //   - vclocktime: packages that participate in the virtual clock
-//     (streaming, player, relay, netsim, loadgen) must take time from a
-//     vclock.Clock, never from time.Now/Sleep/After/... directly —
-//     otherwise MemNet benchmarks silently lose determinism.
+//     (streaming, player, relay, netsim, catalog, edgecache) must take
+//     time from a vclock.Clock, never from time.Now/Sleep/After/...
+//     directly — otherwise MemNet benchmarks silently lose determinism.
 //   - ctxhttp: HTTP requests are built with NewRequestWithContext and
 //     internal packages derive contexts from their callers, so drain
 //     and failover can actually cancel in-flight work.

@@ -28,7 +28,6 @@ var vclockPackages = []string{
 	"internal/player",
 	"internal/relay",
 	"internal/netsim",
-	"internal/loadgen",
 	"internal/catalog",
 	"internal/edgecache",
 }

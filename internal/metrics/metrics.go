@@ -31,7 +31,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one constant name=value pair attached to a series at
@@ -110,12 +109,17 @@ var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // different kind — both programmer errors caught on first scrape or
 // first update in any test.
 func (r *Registry) lookup(name, help string, k kind, buckets []float64, labels []Label) *series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lookupLocked(name, help, k, buckets, labels)
+}
+
+// lookupLocked is lookup with r.mu already held.
+func (r *Registry) lookupLocked(name, help string, k kind, buckets []float64, labels []Label) *series {
 	if !nameRE.MatchString(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
 	key := labelKey(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: k, buckets: buckets, series: make(map[string]*series)}
@@ -158,10 +162,11 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // evaluated at scrape time. Re-registering the same series replaces the
 // function (so a component can refresh its closure after a restart).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.lookup(name, help, gaugeFuncKind, nil, labels)
+	// One critical section: a scrape must never see the series before
+	// its function is set.
 	r.mu.Lock()
-	s.gaugeFn = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.lookupLocked(name, help, gaugeFuncKind, nil, labels).gaugeFn = fn
 }
 
 // Histogram returns the histogram for name+labels, creating it on first
@@ -234,12 +239,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// ObserveSince records the seconds elapsed since t0 on the wall clock —
-// the idiom for latency histograms.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	h.Observe(time.Since(t0).Seconds())
 }
 
 // Count returns the number of observations.

@@ -4,7 +4,7 @@ package metrics
 // keyed by name{labels} exactly as /status renders them (histograms
 // contribute their _count and _sum). Snapshots are plain values: take
 // one before and one after a workload and Delta them to isolate what
-// the workload did — the measurement idiom of internal/loadgen.
+// the workload did.
 type Snapshot map[string]float64
 
 // Snapshot captures the current value of every series. It is

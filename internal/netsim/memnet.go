@@ -11,7 +11,7 @@ import (
 // MemNet is an in-process network of named listeners. Every connection
 // is a net.Pipe, so a whole origin + registry + N-edge cluster plus
 // thousands of HTTP clients runs inside one process without consuming
-// a single TCP port — the transport internal/loadgen drives its swarms
+// a single TCP port — the transport the benchmark drives its sessions
 // over, where real sockets would exhaust the ephemeral port range.
 //
 // Hosts are arbitrary names ("origin.lod", "edge-1.lod"); the port part

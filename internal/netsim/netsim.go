@@ -14,8 +14,8 @@
 //     each chunk by a Link's modeled transit time, shaping a client's
 //     download the way ThrottledWriter shapes a server's upload.
 //   - MemNet: an in-process network of named net.Listeners over net.Pipe,
-//     so cluster-scale load generation (internal/loadgen) runs thousands
-//     of concurrent HTTP sessions without consuming TCP ports.
+//     so cluster-scale load generation (benchmark/) runs thousands of
+//     concurrent HTTP sessions without consuming TCP ports.
 //
 // Concurrency: ThrottledWriter and MemNet are safe for concurrent use.
 // Link is NOT — it carries serialization-queue and RNG state, so each
@@ -41,8 +41,7 @@ import (
 // serialization queue (busyUntil) and the random streams, so two
 // goroutines sharing one Link race and corrupt each other's delivery
 // times. Each simulated flow must own a private Link — derive one per
-// flow from a shared prototype with Clone, which is how
-// internal/loadgen gives every virtual client its own shaped link.
+// flow from a shared prototype with Clone.
 type Link struct {
 	// BitsPerSecond is the serialization rate; zero means infinite.
 	BitsPerSecond int64

@@ -31,8 +31,8 @@ const maxRetransmits = 64
 // LinkReader takes exclusive ownership of its Link: Link is not safe
 // for concurrent use, so the link must not be shared with any other
 // reader or Transmit caller (clone a prototype with Link.Clone for
-// each flow, as internal/loadgen does per virtual client). The reader
-// itself must also be confined to one goroutine, like any io.Reader.
+// each flow). The reader itself must also be confined to one goroutine,
+// like any io.Reader.
 type LinkReader struct {
 	r     io.Reader
 	link  *Link

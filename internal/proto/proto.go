@@ -4,7 +4,7 @@
 // exchanges, and the JSON error body all /v1 endpoints return.
 //
 // Before this package the contract existed only as string literals
-// scattered across streaming, relay, loadgen, and the cmds; every new
+// scattered across streaming, relay, and the cmds; every new
 // consumer re-derived it by reading handlers. Now servers mount routes
 // through Handle/HandleFunc (which registers the legacy unversioned path
 // and its /v1 alias together), clients build paths through StreamPath,

@@ -25,20 +25,17 @@ import (
 // one session per edge instead of one per viewer.
 //
 // The mirror cache is bounded when CacheBytes is set. Residency is
-// decided by edgecache: under the default TinyLFU policy a freshly
-// pulled asset sits in a small recency window and must beat the main
-// segment's coldest resident on sketch-estimated frequency to displace
-// it, so one-hit wonders churn through the window without evicting hot
-// mirrors; ConfigureCache selects plain LRU instead. Assets with active
+// decided by edgecache: a freshly pulled asset sits in a small recency
+// window and must beat the main segment's coldest resident on
+// sketch-estimated frequency to displace it, so one-hit wonders churn
+// through the window without evicting hot mirrors. Assets with active
 // sessions, an in-flight demand, or a rate-group membership are pinned
 // and never dropped, so capacity pressure cannot fail an in-flight
 // stream; a dropped asset is simply re-mirrored on its next demand.
 // Concurrent demands for the same uncached asset coalesce onto a single
-// origin pull, and an asset whose estimated frequency crosses the
-// prewarm threshold has its rate-group siblings fetched ahead of
-// demand. Cache traffic (hits, misses, evictions, admission rejects,
-// coalesced pulls, prewarm fetches, resident bytes, origin bytes
-// pulled, pulls in flight) is counted on the server's metrics registry.
+// origin pull. Cache traffic (hits, misses, evictions, admission
+// rejects, coalesced pulls, resident bytes, origin bytes pulled, pulls
+// in flight) is counted on the server's metrics registry.
 type Edge struct {
 	// Origin is the origin server's base URL, without a trailing slash.
 	Origin string
@@ -77,11 +74,6 @@ type catGroupRec struct {
 	variants []string
 }
 
-// defaultPrewarmThreshold is the sketch frequency estimate (out of a
-// saturating 15) at which an asset counts as hot and its rate-group
-// siblings are prewarmed.
-const defaultPrewarmThreshold = 12
-
 // edgeInstruments are the edge's metric handles on its server's
 // registry.
 type edgeInstruments struct {
@@ -90,7 +82,6 @@ type edgeInstruments struct {
 	evictions     *metrics.Counter
 	rejects       *metrics.Counter
 	coalesced     *metrics.Counter
-	prewarms      *metrics.Counter
 	originBytes   *metrics.Counter
 	invalidations *metrics.Counter
 	pulls         *metrics.Gauge
@@ -98,9 +89,7 @@ type edgeInstruments struct {
 }
 
 // NewEdge creates an edge pulling through from the origin base URL. A nil
-// server gets a fresh streaming.Server on the real clock. The mirror
-// cache starts on the default TinyLFU policy with prewarm enabled; use
-// ConfigureCache before serving to change policy or tuning.
+// server gets a fresh streaming.Server on the real clock.
 func NewEdge(origin string, srv *streaming.Server) *Edge {
 	if srv == nil {
 		srv = streaming.NewServer(nil)
@@ -109,6 +98,7 @@ func NewEdge(origin string, srv *streaming.Server) *Edge {
 	e := &Edge{
 		Origin: strings.TrimSuffix(origin, "/"),
 		Server: srv,
+		cache:  edgecache.New(edgecache.Config{}),
 		demand: make(map[string]int),
 		inst: edgeInstruments{
 			hits:          reg.Counter("lod_edge_cache_hits_total", "Mirror demands served from already-cached content."),
@@ -116,34 +106,13 @@ func NewEdge(origin string, srv *streaming.Server) *Edge {
 			evictions:     reg.Counter("lod_edge_cache_evictions_total", "Mirrored assets dropped by byte-capacity pressure."),
 			rejects:       reg.Counter("lod_edge_admission_rejects_total", "Window candidates dropped by the TinyLFU admission duel instead of displacing a hotter resident."),
 			coalesced:     reg.Counter("lod_edge_coalesced_pulls_total", "Demands that attached to another demand's in-flight origin pull instead of issuing their own."),
-			prewarms:      reg.Counter("lod_edge_prewarm_fetches_total", "Rate-group sibling assets fetched ahead of demand after an asset turned hot."),
 			originBytes:   reg.Counter("lod_edge_origin_bytes_total", "Bytes pulled from the origin (mirrors, groups, live relays)."),
 			invalidations: reg.Counter("lod_edge_catalog_invalidations_total", "Mirrored copies dropped because their catalog entry changed or vanished."),
 			pulls:         reg.Gauge("lod_edge_pulls_in_flight", "Origin pulls currently in progress."),
 			cacheBytes:    reg.Gauge("lod_edge_cache_bytes", "Payload bytes of mirrored assets resident in the cache."),
 		},
 	}
-	e.ConfigureCache(edgecache.Config{PrewarmThreshold: defaultPrewarmThreshold})
 	return e
-}
-
-// ConfigureCache replaces the edge's mirror cache with a fresh one
-// built from cfg (policy, window fraction, sketch size, prewarm
-// threshold). The edge wires its own prewarm hook unless cfg carries
-// one. Call before serving traffic: booked residency does not carry
-// over.
-func (e *Edge) ConfigureCache(cfg edgecache.Config) {
-	if cfg.OnHot == nil && cfg.PrewarmThreshold > 0 {
-		cfg.OnHot = e.onHot
-	}
-	e.cache = edgecache.New(cfg)
-}
-
-// CacheStats returns the per-asset cache ledger — demands served
-// locally and origin pulls performed, per asset, cumulative across
-// evictions — sorted by total demand.
-func (e *Edge) CacheStats() []edgecache.AssetStats {
-	return e.cache.Stats()
 }
 
 func (e *Edge) client() *http.Client {
@@ -276,61 +245,6 @@ func (e *Edge) dropVictims(victims []string, counter *metrics.Counter) {
 			counter.Inc()
 		}
 	}
-}
-
-// onHot is the cache's prewarm hook: when an asset turns hot, fetch its
-// rate-group siblings ahead of demand in the background. Siblings come
-// from the synced cluster catalog and from locally mirrored groups.
-func (e *Edge) onHot(name string) {
-	siblings := e.groupSiblings(name)
-	if len(siblings) == 0 {
-		return
-	}
-	go func() {
-		for _, sib := range siblings {
-			if _, ok := e.Server.Asset(sib); ok {
-				continue
-			}
-			present := func() bool { _, ok := e.Server.Asset(sib); return ok }
-			if err := e.ensure(nil, "asset/"+sib, present, func() error { return e.fetchAsset(sib) }); err == nil {
-				e.inst.prewarms.Inc()
-			}
-		}
-	}()
-}
-
-// groupSiblings returns the other variants of every rate group that
-// contains the named asset, deduplicated.
-func (e *Edge) groupSiblings(name string) []string {
-	seen := map[string]bool{name: true}
-	var out []string
-	collect := func(variants []string) {
-		found := false
-		for _, v := range variants {
-			if v == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return
-		}
-		for _, v := range variants {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	e.catMu.Lock()
-	for _, rec := range e.catGroups {
-		collect(rec.variants)
-	}
-	e.catMu.Unlock()
-	for _, g := range e.Server.Groups() {
-		collect(g.Variants)
-	}
-	return out
 }
 
 // pinDemand pins an asset for the duration of one demand; the returned

@@ -23,8 +23,8 @@ import (
 // registry so the next client is spared the corpse.
 //
 // A fetcher serves one client session at a time; it is not safe for
-// concurrent use. Both internal/loadgen's virtual clients and
-// cmd/lodplay -failover run their retry loops on top of it.
+// concurrent use. internal/client sessions run their retry loops on
+// top of it.
 type StreamFetcher struct {
 	// Registry is the registry's base URL, without a trailing slash.
 	Registry string
@@ -220,7 +220,8 @@ func StartOf(target string) time.Duration {
 
 // FailoverBackoff returns the delay before retry attempt n (1-based):
 // bounded exponential, base·2^(n-1), capped at 2s so a failing-over
-// client rejoins within human reaction time rather than minutes.
+// client rejoins within human reaction time rather than minutes. A
+// base <= 0 takes the 50ms default — what client sessions use.
 func FailoverBackoff(base time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond

@@ -222,8 +222,9 @@ func TestRejoinAfterRegistryRestartHeartbeatsImmediately(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		_ = RunHeartbeats(ctx, nil, ts.URL, NodeInfo{ID: "e1", URL: "http://edge1:8081"},
-			func() NodeStats { return NodeStats{ActiveClients: 7} }, interval, nil)
+		h := &Heartbeats{Registry: ts.URL, Info: NodeInfo{ID: "e1", URL: "http://edge1:8081"},
+			Snapshot: func() NodeStats { return NodeStats{ActiveClients: 7} }, Interval: interval}
+		_ = h.Run(ctx)
 	}()
 
 	waitStats := func(g *Registry, timeout time.Duration) time.Duration {

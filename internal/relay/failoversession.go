@@ -1,8 +1,8 @@
 package relay
 
 // This file is the failover half of the client: one churn-tolerant
-// session shared by internal/loadgen's virtual clients and cmd/lodplay
-// -failover, so the retry/resume protocol exists exactly once. It
+// session behind internal/client (cmd/lodplay -failover, the
+// benchmark), so the retry/resume protocol exists exactly once. It
 // lives in relay (not player) because the streaming package's tests
 // import player, and player importing relay would close an import
 // cycle through relay's streaming dependency.
@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"time"
 
 	"repro/internal/player"
 	"repro/internal/vclock"
@@ -38,13 +37,10 @@ type FailoverSession struct {
 	// Attempts is how many extra registry round trips are made after a
 	// failure; zero means the first failure ends the session.
 	Attempts int
-	// Backoff is the base of the bounded exponential delay between
-	// attempts (FailoverBackoff).
-	Backoff time.Duration
 	// Player configures each segment's playback.
 	Player player.Options
 	// WrapBody, when set, wraps each attempt's response body before it
-	// reaches the player — loadgen's link shaping and first-byte stamp.
+	// reaches the player — link shaping, a first-byte stamp.
 	WrapBody func(io.Reader) io.Reader
 	// OnRetry, when set, observes each failure that will be retried:
 	// edge names the failed edge host, empty when the registry leg
@@ -90,7 +86,7 @@ func (s *FailoverSession) Run(ctx context.Context) (*player.Metrics, string, err
 				errors.As(err, &fe)
 				s.OnRetry(fe.Edge, err)
 			}
-			if !sleepCtx(ctx, clock, FailoverBackoff(s.Backoff, attempt)) {
+			if !vclock.SleepCtx(ctx, clock, FailoverBackoff(0, attempt)) {
 				break
 			}
 			continue
@@ -125,23 +121,9 @@ func (s *FailoverSession) Run(ctx context.Context) (*player.Metrics, string, err
 			s.OnRetry(edge, err)
 		}
 		resuming = true
-		if !sleepCtx(ctx, clock, FailoverBackoff(s.Backoff, attempt)) {
+		if !vclock.SleepCtx(ctx, clock, FailoverBackoff(0, attempt)) {
 			break
 		}
 	}
 	return agg, lastEdge, lastErr
-}
-
-// sleepCtx waits for d or until ctx is cancelled, reporting whether the
-// full wait elapsed.
-func sleepCtx(ctx context.Context, clock vclock.Clock, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	select {
-	case <-clock.After(d):
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

@@ -59,8 +59,8 @@ type Heartbeats struct {
 //
 // Run does not deregister on cancellation: a draining caller that wants
 // the registry told right away calls Deregister itself (cmd/lodserver
-// does on SIGTERM), while a crash-simulation harness (loadgen churn)
-// cancels silently and lets death detection do its job.
+// does on SIGTERM), while a crash simulation cancels silently and lets
+// death detection do its job.
 func (h *Heartbeats) Run(ctx context.Context) error {
 	clock := h.Clock
 	if clock == nil {
@@ -116,10 +116,8 @@ func (h *Heartbeats) register(ctx context.Context, clock vclock.Clock) error {
 		if errors.As(err, &he) && he.Status >= 400 && he.Status < 500 {
 			return err
 		}
-		select {
-		case <-ctx.Done():
+		if !vclock.SleepCtx(ctx, clock, FailoverBackoff(backoff, attempt)) {
 			return ctx.Err()
-		case <-clock.After(FailoverBackoff(backoff, attempt)):
 		}
 	}
 }
@@ -138,13 +136,4 @@ func (h *Heartbeats) beat(lastCatalog *uint64) error {
 		}
 	}
 	return nil
-}
-
-// RunHeartbeats registers the node, posts one snapshot from snap
-// immediately, and then posts a fresh snapshot every interval until ctx
-// is cancelled — the plain-function form of Heartbeats.Run, kept for
-// callers that need no catalog sync.
-func RunHeartbeats(ctx context.Context, client *http.Client, base string, info NodeInfo, snap func() NodeStats, interval time.Duration, clock vclock.Clock) error {
-	h := &Heartbeats{Client: client, Registry: base, Info: info, Snapshot: snap, Interval: interval, Clock: clock}
-	return h.Run(ctx)
 }

@@ -403,7 +403,7 @@ func (g *Registry) addNode(info NodeInfo, draining, restored bool) error {
 // A heartbeat revives a node marked dead — the node is demonstrably
 // back — but never a draining one: draining was the node's own
 // deliberate exit, and a heartbeat racing the deregistration must not
-// undo it. A drained node that restarts re-registers (RunHeartbeats
+// undo it. A drained node that restarts re-registers (Heartbeats.Run
 // always registers first), which clears the mark.
 func (g *Registry) Heartbeat(id string, stats NodeStats) error {
 	g.mu.Lock()

@@ -21,9 +21,9 @@ func benchRegistry(b *testing.B, n int) *Registry {
 
 // BenchmarkRegistryPickFor measures the raw redirect decision — the
 // consistent-hash lookup plus validation and load accounting — across
-// fleet sizes. This is the number BENCH_scale.json's redirectsPerSec
-// is bounded by; b.ReportAllocs keeps the alloc/op regression visible
-// next to the ns/op one.
+// fleet sizes. This is the ceiling on redirects per second (the
+// benchmark's registry.pick_ns probes the same call); b.ReportAllocs
+// keeps the alloc/op regression visible next to the ns/op one.
 func BenchmarkRegistryPickFor(b *testing.B) {
 	for _, edges := range []int{3, 16, 64} {
 		b.Run(fmt.Sprintf("%dedges", edges), func(b *testing.B) {

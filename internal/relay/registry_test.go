@@ -328,8 +328,9 @@ func TestHeartbeatsSurviveRegistryRestart(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- RunHeartbeats(ctx, nil, ts.URL, NodeInfo{ID: "e1", URL: "http://edge1:8081"},
-			func() NodeStats { return NodeStats{} }, 2*time.Millisecond, nil)
+		h := &Heartbeats{Registry: ts.URL, Info: NodeInfo{ID: "e1", URL: "http://edge1:8081"},
+			Snapshot: func() NodeStats { return NodeStats{} }, Interval: 2 * time.Millisecond}
+		done <- h.Run(ctx)
 	}()
 
 	waitRegistered := func(g *Registry) {
@@ -348,7 +349,7 @@ func TestHeartbeatsSurviveRegistryRestart(t *testing.T) {
 
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunHeartbeats returned %v", err)
+		t.Fatalf("Heartbeats.Run returned %v", err)
 	}
 }
 

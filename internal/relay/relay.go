@@ -32,12 +32,12 @@
 // incrementally as edges die, restart, and rejoin.
 //
 // Both roles are observable: an Edge counts its mirror cache (hits,
-// misses, LRU evictions, resident and origin-pulled bytes) on its
-// server's metrics registry, and the Registry counts redirects and
-// exposes per-node heartbeat ages on its own (Registry.Metrics). When
-// Edge.CacheBytes is set, mirrored assets are evicted
-// least-recently-demanded-first once the budget is exceeded, with
-// in-use and grouped assets pinned — see Edge.
+// misses, evictions, admission rejects, resident and origin-pulled
+// bytes) on its server's metrics registry, and the Registry counts
+// redirects and exposes per-node heartbeat ages on its own
+// (Registry.Metrics). When Edge.CacheBytes is set, internal/edgecache
+// decides which mirrors go once the budget is exceeded, with in-use and
+// grouped assets pinned — see Edge.
 package relay
 
 import (

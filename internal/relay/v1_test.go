@@ -159,7 +159,7 @@ func TestRegistryPrunesLongGoneNodes(t *testing.T) {
 		t.Fatalf("nodes after prune = %+v, want only the live one", nodes)
 	}
 	// A pruned node is unknown again: its next heartbeat 404s and the
-	// RunHeartbeats loop re-registers, exactly like after a registry
+	// Heartbeats.Run loop re-registers, exactly like after a registry
 	// restart.
 	if err := g.Heartbeat("crashed", NodeStats{}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("heartbeat for pruned node = %v, want ErrUnknownNode", err)

@@ -19,6 +19,7 @@ package vclock
 
 import (
 	"container/heap"
+	"context"
 	"sync"
 	"time"
 )
@@ -47,6 +48,21 @@ func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+
+// SleepCtx waits for d on clock or until ctx is cancelled, reporting
+// whether the full wait elapsed — the one cancellable wait every retry
+// and backoff loop uses, so each rides whatever clock it was handed.
+func SleepCtx(ctx context.Context, clock Clock, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	select {
+	case <-clock.After(d):
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
 
 // Virtual is a deterministic, manually advanced clock: Now stands still
 // until Advance or AdvanceTo moves it, and sleepers wake exactly at their

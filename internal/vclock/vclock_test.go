@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -91,6 +92,38 @@ func TestVirtualSleepWakesOnAdvance(t *testing.T) {
 		t.Fatal("Sleep did not wake after Advance")
 	}
 	wg.Wait()
+}
+
+func TestSleepCtx(t *testing.T) {
+	v := NewVirtual()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	if !SleepCtx(ctx, v, 0) {
+		t.Fatal("zero wait on a live context reported cancelled")
+	}
+
+	done := make(chan bool, 1)
+	go func() { done <- SleepCtx(ctx, v, time.Second) }()
+	for v.PendingWaiters() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	v.Advance(time.Second)
+	if !<-done {
+		t.Fatal("wait that elapsed on the clock reported cancelled")
+	}
+
+	go func() { done <- SleepCtx(ctx, v, time.Hour) }()
+	for v.PendingWaiters() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if <-done {
+		t.Fatal("cancelled wait reported elapsed")
+	}
+	if SleepCtx(ctx, v, 0) {
+		t.Fatal("zero wait on a cancelled context reported elapsed")
+	}
 }
 
 func TestVirtualNextDeadline(t *testing.T) {
