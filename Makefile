@@ -2,7 +2,7 @@ GO ?= go
 
 RACE_PKGS := ./...
 
-.PHONY: all build test vet fmt-check lint fuzz-smoke race bench benchmark-check benchmark-smoke
+.PHONY: all build test vet fmt-check lint fuzz-smoke race bench benchmark-check benchmark-smoke lines
 
 all: build test vet fmt-check lint benchmark-check
 
@@ -68,3 +68,12 @@ benchmark-smoke:
 		echo "$$line"; \
 		case "$$line" in '{"correct":true,'*) ;; *) echo "$$w: operations failed"; exit 1 ;; esac; \
 	done
+
+# Non-test Go lines per internal package and for the root module (the
+# nested benchmark module and its build directory excluded): the size
+# figure ROADMAP.md and CHANGES.md quote.
+lines:
+	@for d in internal/*/; do \
+		printf '%-22s %6d\n' "$${d%/}" "$$(find "$$d" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
+	done
+	@printf '%-22s %6d\n' "root module" "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sort"
 	"time"
 
@@ -231,12 +230,3 @@ func (ix Index) Locate(pts time.Duration) (uint32, bool) {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func payloadCRC(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
-
-func durToI64(d time.Duration) int64 { return int64(d) }
-
-func i64ToDur(v int64) (time.Duration, error) {
-	if v < 0 || v > math.MaxInt64 {
-		return 0, fmt.Errorf("%w: negative duration", ErrCorrupt)
-	}
-	return time.Duration(v), nil
-}

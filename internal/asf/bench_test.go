@@ -84,3 +84,44 @@ func TestWriteSharedAllocFree(t *testing.T) {
 		t.Fatalf("WriteShared allocates %.2f times per packet; want 0", avg)
 	}
 }
+
+// TestReadAllocs pins the reading half: a packet costs one allocation to
+// read — the buffer its wire image lands in, which the Packet's Payload
+// aliases — and one more for the Shared that carries it onward. Nothing
+// is allocated per field, and nothing is re-encoded.
+func TestReadAllocs(t *testing.T) {
+	const runs = 200
+	p := benchPacket(t, 0)
+	p.Payload = bytes.Repeat([]byte{0xCD}, 1200)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Title: "allocs", PacketAlign: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < runs+1; i++ { // AllocsPerRun makes one warm-up call
+		if _, err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		read func(*Reader) error
+	}{
+		{"ReadPacket", 1, func(r *Reader) error { _, err := r.ReadPacket(); return err }},
+		{"ReadShared", 2, func(r *Reader) error { _, err := r.ReadShared(); return err }},
+	} {
+		r := NewReader(bytes.NewReader(buf.Bytes()))
+		if _, err := r.ReadHeader(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(runs, func() {
+			if err := tc.read(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > tc.max {
+			t.Errorf("%s allocates %.2f times per packet; want at most %.0f", tc.name, avg, tc.max)
+		}
+	}
+}

@@ -7,194 +7,140 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/media"
 )
 
-// --- low-level encode helpers ---
-
-type cursor struct {
-	buf *bytes.Buffer
-}
-
-func (c *cursor) u8(v uint8) { c.buf.WriteByte(v) }
-func (c *cursor) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	c.buf.Write(b[:])
-}
-func (c *cursor) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	c.buf.Write(b[:])
-}
-func (c *cursor) i64(v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	c.buf.Write(b[:])
-}
-
-func (c *cursor) str16(s string) error {
+// appendStr16 appends a length-prefixed string, refusing one the u16
+// prefix (and MaxStrings) cannot carry.
+func appendStr16(dst []byte, s string) ([]byte, error) {
 	if len(s) >= MaxStrings {
-		return fmt.Errorf("%w: string of %d bytes", ErrLimit, len(s))
+		return nil, fmt.Errorf("%w: string of %d bytes", ErrLimit, len(s))
 	}
-	c.u16(uint16(len(s)))
-	c.buf.WriteString(s)
-	return nil
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...), nil
 }
 
-// --- low-level decode helpers ---
+func appendDur(dst []byte, d time.Duration) []byte {
+	return binary.LittleEndian.AppendUint64(dst, uint64(d))
+}
 
+// scanner walks bytes already in memory — a header body, an
+// index entry, a packet's fixed header, a script payload. It allocates
+// nothing: fields are decoded in place and the first short read or bad
+// duration sticks in err, so callers check once after a run of fields.
 type scanner struct {
-	r   *bufio.Reader
+	b   []byte
 	err error
 }
 
-func (s *scanner) bytes(n int) []byte {
+// take returns the next n bytes, or nil once the scanner has failed.
+func (s *scanner) take(n int) []byte {
 	if s.err != nil {
 		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(s.r, b); err != nil {
-		s.err = err
+	if n > len(s.b) {
+		s.err = io.ErrUnexpectedEOF
 		return nil
 	}
+	b := s.b[:n]
+	s.b = s.b[n:]
 	return b
 }
 
 func (s *scanner) u8() uint8 {
-	b := s.bytes(1)
-	if s.err != nil {
-		return 0
+	if b := s.take(1); b != nil {
+		return b[0]
 	}
-	return b[0]
+	return 0
 }
 
 func (s *scanner) u16() uint16 {
-	b := s.bytes(2)
-	if s.err != nil {
-		return 0
+	if b := s.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
 	}
-	return binary.LittleEndian.Uint16(b)
+	return 0
 }
 
 func (s *scanner) u32() uint32 {
-	b := s.bytes(4)
-	if s.err != nil {
-		return 0
+	if b := s.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	return 0
 }
 
 func (s *scanner) i64() int64 {
-	b := s.bytes(8)
-	if s.err != nil {
-		return 0
+	if b := s.take(8); b != nil {
+		return int64(binary.LittleEndian.Uint64(b))
 	}
-	return int64(binary.LittleEndian.Uint64(b))
+	return 0
 }
 
 func (s *scanner) str16() string {
-	n := s.u16()
-	if s.err != nil {
-		return ""
-	}
-	return string(s.bytes(int(n)))
+	return string(s.take(int(s.u16())))
 }
 
+// dur reads a duration; the wire carries none below zero.
 func (s *scanner) dur() time.Duration {
 	v := s.i64()
-	if s.err != nil {
+	if v < 0 {
+		s.err = fmt.Errorf("%w: negative duration", ErrCorrupt)
 		return 0
 	}
-	d, err := i64ToDur(v)
-	if err != nil {
-		s.err = err
-		return 0
-	}
-	return d
+	return time.Duration(v)
 }
-
-// scratchPool recycles the encode scratch buffers: header and index
-// objects are encoded once per session (or per seek), and the payload
-// is length-prefixed so it must be staged before the final copy. The
-// pool keeps those stagings from costing a fresh buffer per session.
-var scratchPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // EncodeHeader serializes the header object.
 func EncodeHeader(h Header) ([]byte, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
-	buf := scratchPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer scratchPool.Put(buf)
-	payload := &cursor{buf: buf}
-	payload.u16(Version)
-	payload.u16(h.Flags)
-	payload.u32(h.PacketAlign)
-	payload.i64(durToI64(h.Duration))
-	if err := payload.str16(h.Title); err != nil {
+	// The body is length-prefixed: reserve the prefix, append the body
+	// behind it, then fill the size in. The capacity is a guess that fits
+	// ordinary headers in one allocation; append grows it for long strings.
+	out := make([]byte, 0, 64+len(h.Title)+48*len(h.Streams)+48*len(h.Scripts))
+	out = append(out, headerMagic[:]...)
+	out = append(out, 0, 0, 0, 0)
+	out = binary.LittleEndian.AppendUint16(out, Version)
+	out = binary.LittleEndian.AppendUint16(out, h.Flags)
+	out = binary.LittleEndian.AppendUint32(out, h.PacketAlign)
+	out = appendDur(out, h.Duration)
+	var err error
+	if out, err = appendStr16(out, h.Title); err != nil {
 		return nil, err
 	}
-	payload.u16(uint16(len(h.Streams)))
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(h.Streams)))
 	for _, st := range h.Streams {
-		payload.u16(uint16(st.ID))
-		payload.u8(uint8(st.Kind))
-		if err := payload.str16(st.Codec); err != nil {
+		out = binary.LittleEndian.AppendUint16(out, uint16(st.ID))
+		out = append(out, uint8(st.Kind))
+		if out, err = appendStr16(out, st.Codec); err != nil {
 			return nil, err
 		}
-		payload.i64(st.BitsPerSecond)
-		payload.i64(durToI64(st.MaxSkew))
-		payload.i64(durToI64(st.MaxJitter))
+		out = binary.LittleEndian.AppendUint64(out, uint64(st.BitsPerSecond))
+		out = appendDur(out, st.MaxSkew)
+		out = appendDur(out, st.MaxJitter)
 	}
-	payload.u32(uint32(len(h.Scripts)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(h.Scripts)))
 	for _, sc := range h.Scripts {
-		payload.i64(durToI64(sc.At))
-		if err := payload.str16(sc.Type); err != nil {
+		out = appendDur(out, sc.At)
+		if out, err = appendStr16(out, sc.Type); err != nil {
 			return nil, err
 		}
-		if err := payload.str16(sc.Param); err != nil {
+		if out, err = appendStr16(out, sc.Param); err != nil {
 			return nil, err
 		}
 	}
-
-	out := make([]byte, 0, len(headerMagic)+4+buf.Len())
-	out = append(out, headerMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(buf.Len()))
-	return append(out, buf.Bytes()...), nil
+	binary.LittleEndian.PutUint32(out[len(headerMagic):], uint32(len(out)-headerPrefixSize))
+	return out, nil
 }
 
-// DecodeHeader reads and parses a header object from r.
-func DecodeHeader(r *bufio.Reader) (Header, error) {
+// decodeHeaderBody parses the header object's length-prefixed body.
+func decodeHeaderBody(body []byte) (Header, error) {
 	var h Header
-	s := &scanner{r: r}
-	magic := s.bytes(4)
-	if s.err != nil {
-		return h, fmt.Errorf("asf: read header magic: %w", s.err)
-	}
-	if !bytes.Equal(magic, headerMagic[:]) {
-		return h, fmt.Errorf("%w: header %q", ErrBadMagic, magic)
-	}
-	size := s.u32()
-	if s.err != nil {
-		return h, fmt.Errorf("asf: read header size: %w", s.err)
-	}
-	if size > MaxPayload {
-		return h, fmt.Errorf("%w: header %d bytes", ErrLimit, size)
-	}
-	body := s.bytes(int(size))
-	if s.err != nil {
-		return h, fmt.Errorf("asf: read header body: %w", s.err)
-	}
-	bs := &scanner{r: bufio.NewReader(bytes.NewReader(body))}
-
-	if v := bs.u16(); v != Version {
-		if bs.err == nil {
-			return h, fmt.Errorf("%w: %d", ErrBadVersion, v)
-		}
+	bs := &scanner{b: body}
+	if v := bs.u16(); v != Version && bs.err == nil {
+		return h, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	h.Flags = bs.u16()
 	h.PacketAlign = bs.u32()
@@ -228,10 +174,7 @@ func DecodeHeader(r *bufio.Reader) (Header, error) {
 	if bs.err != nil {
 		return h, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, bs.err)
 	}
-	if err := h.Validate(); err != nil {
-		return h, err
-	}
-	return h, nil
+	return h, h.Validate()
 }
 
 // appendPacket appends p's complete wire encoding (fixed header, CRC,
@@ -242,9 +185,9 @@ func appendPacket(dst []byte, p Packet) []byte {
 	dst = append(dst, packetMagic[:]...)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(p.Stream))
 	dst = append(dst, uint8(p.Kind), p.Flags)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(durToI64(p.PTS)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(durToI64(p.Dur)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(durToI64(p.SendAt)))
+	dst = appendDur(dst, p.PTS)
+	dst = appendDur(dst, p.Dur)
+	dst = appendDur(dst, p.SendAt)
 	dst = binary.LittleEndian.AppendUint32(dst, p.Seq)
 	dst = binary.LittleEndian.AppendUint32(dst, payloadCRC(p.Payload))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Payload)))
@@ -260,73 +203,20 @@ func EncodePacket(p Packet) ([]byte, error) {
 	return appendPacket(make([]byte, 0, packetWireSize+len(p.Payload)), p), nil
 }
 
-// decodePacketAfterMagic parses a packet body once the "PK" magic has been
-// consumed.
-func decodePacketAfterMagic(s *scanner) (Packet, error) {
-	var p Packet
-	p.Stream = media.StreamID(s.u16())
-	p.Kind = media.Kind(s.u8())
-	p.Flags = s.u8()
-	p.PTS = s.dur()
-	p.Dur = s.dur()
-	p.SendAt = s.dur()
-	p.Seq = s.u32()
-	crc := s.u32()
-	n := s.u32()
-	if s.err != nil {
-		return p, fmt.Errorf("%w: truncated packet: %v", ErrCorrupt, s.err)
-	}
-	if n > MaxPayload {
-		return p, fmt.Errorf("%w: payload %d bytes", ErrLimit, n)
-	}
-	p.Payload = s.bytes(int(n))
-	if s.err != nil {
-		return p, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, s.err)
-	}
-	if payloadCRC(p.Payload) != crc {
-		return p, ErrChecksum
-	}
-	if err := p.Validate(); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
 // EncodeIndex serializes the index object. One allocation, exactly
 // sized.
 func EncodeIndex(ix Index) ([]byte, error) {
 	if len(ix) > MaxIndexEntries {
 		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, len(ix))
 	}
-	out := make([]byte, 0, len(indexMagic)+4+len(ix)*(8+4))
+	out := make([]byte, 0, len(indexMagic)+4+len(ix)*indexEntrySize)
 	out = append(out, indexMagic[:]...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(ix)))
 	for _, e := range ix {
-		out = binary.LittleEndian.AppendUint64(out, uint64(durToI64(e.PTS)))
+		out = appendDur(out, e.PTS)
 		out = binary.LittleEndian.AppendUint32(out, e.Seq)
 	}
 	return out, nil
-}
-
-// decodeIndexAfterMagic parses an index body once "IX" has been consumed.
-func decodeIndexAfterMagic(s *scanner) (Index, error) {
-	n := s.u32()
-	if s.err != nil {
-		return nil, fmt.Errorf("%w: truncated index: %v", ErrCorrupt, s.err)
-	}
-	if n > MaxIndexEntries {
-		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, n)
-	}
-	ix := make(Index, 0, n)
-	for i := uint32(0); i < n; i++ {
-		e := IndexEntry{PTS: s.dur()}
-		e.Seq = s.u32()
-		if s.err != nil {
-			return nil, fmt.Errorf("%w: truncated index entry: %v", ErrCorrupt, s.err)
-		}
-		ix = append(ix, e)
-	}
-	return ix, nil
 }
 
 // Writer emits a container to an io.Writer: header first, then packets,
@@ -436,13 +326,18 @@ func (w *Writer) Close() error {
 }
 
 // Reader parses a container from an io.Reader incrementally, suitable for
-// both stored files and live HTTP streams.
+// both stored files and live HTTP streams. It is where bytes from outside
+// are checked — magic, size limits, CRC, Validate — once; what it hands
+// out needs no second look downstream.
 type Reader struct {
 	r         *bufio.Reader
 	header    Header
 	hasHeader bool
 	index     Index
 	done      bool
+	// fixed is the scratch every packet's fixed header (and the header
+	// and index objects' prefixes) is read into.
+	fixed [packetWireSize]byte
 }
 
 // NewReader wraps r; call ReadHeader before ReadPacket.
@@ -455,7 +350,25 @@ func (r *Reader) ReadHeader() (Header, error) {
 	if r.hasHeader {
 		return r.header, nil
 	}
-	h, err := DecodeHeader(r.r)
+	magic, sizeField := r.fixed[:len(headerMagic)], r.fixed[len(headerMagic):headerPrefixSize]
+	if _, err := io.ReadFull(r.r, magic); err != nil {
+		return Header{}, fmt.Errorf("asf: read header magic: %w", err)
+	}
+	if !bytes.Equal(magic, headerMagic[:]) {
+		return Header{}, fmt.Errorf("%w: header %q", ErrBadMagic, magic)
+	}
+	if _, err := io.ReadFull(r.r, sizeField); err != nil {
+		return Header{}, fmt.Errorf("asf: read header size: %w", err)
+	}
+	size := binary.LittleEndian.Uint32(sizeField)
+	if size > MaxPayload {
+		return Header{}, fmt.Errorf("%w: header %d bytes", ErrLimit, size)
+	}
+	body := make([]byte, size)
+	if _, err := io.ReadFull(r.r, body); err != nil {
+		return Header{}, fmt.Errorf("asf: read header body: %w", err)
+	}
+	h, err := decodeHeaderBody(body)
 	if err != nil {
 		return h, err
 	}
@@ -465,44 +378,125 @@ func (r *Reader) ReadHeader() (Header, error) {
 }
 
 // ReadPacket returns the next packet, or io.EOF after the last packet (and
-// after parsing a trailing index object, if present).
+// after parsing a trailing index object, if present). The packet's
+// Payload is the tail of a buffer allocated for this packet alone, so
+// the caller owns it.
 func (r *Reader) ReadPacket() (Packet, error) {
+	p, _, err := r.next()
+	return p, err
+}
+
+// ReadShared is ReadPacket for a caller that will send the packet on:
+// the validated wire image goes into the Shared as it arrived — no
+// re-encode, no second CRC pass, no second copy of the payload.
+func (r *Reader) ReadShared() (*Shared, error) {
+	p, wire, err := r.next()
+	if err != nil {
+		return nil, err
+	}
+	return &Shared{wire: wire, pkt: p}, nil
+}
+
+// next reads and validates one packet into a fresh buffer holding its
+// complete wire image; the returned packet's Payload aliases the
+// buffer's tail.
+func (r *Reader) next() (Packet, []byte, error) {
 	if !r.hasHeader {
-		return Packet{}, ErrNoHeader
+		return Packet{}, nil, ErrNoHeader
 	}
 	if r.done {
-		return Packet{}, io.EOF
+		return Packet{}, nil, io.EOF
 	}
-	s := &scanner{r: r.r}
-	magic := s.bytes(2)
-	if s.err != nil {
+	magic := r.fixed[:len(packetMagic)]
+	if _, err := io.ReadFull(r.r, magic); err != nil {
 		r.done = true
 		// Only a pure EOF — zero bytes exactly on a frame boundary — is a
 		// clean end of stream. An ErrUnexpectedEOF means the transport was
 		// severed (a dying edge mid-stream): it must surface as an error,
 		// or a failover-capable client would mistake the truncation for a
 		// complete session and never resume.
-		if errors.Is(s.err, io.EOF) && !errors.Is(s.err, io.ErrUnexpectedEOF) {
-			return Packet{}, io.EOF
+		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			return Packet{}, nil, io.EOF
 		}
-		return Packet{}, fmt.Errorf("asf: read packet magic: %w", s.err)
+		return Packet{}, nil, fmt.Errorf("asf: read packet magic: %w", err)
 	}
 	switch {
 	case bytes.Equal(magic, packetMagic[:]):
-		return decodePacketAfterMagic(s)
+		return r.readPacketBody()
 	case bytes.Equal(magic, indexMagic[:]):
-		ix, err := decodeIndexAfterMagic(s)
+		r.done = true
+		ix, err := r.readIndexBody()
 		if err != nil {
-			r.done = true
-			return Packet{}, err
+			return Packet{}, nil, err
 		}
 		r.index = ix
-		r.done = true
-		return Packet{}, io.EOF
+		return Packet{}, nil, io.EOF
 	default:
 		r.done = true
-		return Packet{}, fmt.Errorf("%w: packet %q", ErrBadMagic, magic)
+		return Packet{}, nil, fmt.Errorf("%w: packet %q", ErrBadMagic, magic)
 	}
+}
+
+// readPacketBody reads the rest of a packet whose magic is already in
+// r.fixed.
+func (r *Reader) readPacketBody() (Packet, []byte, error) {
+	if _, err := io.ReadFull(r.r, r.fixed[len(packetMagic):]); err != nil {
+		return Packet{}, nil, fmt.Errorf("%w: truncated packet: %v", ErrCorrupt, err)
+	}
+	s := &scanner{b: r.fixed[len(packetMagic):]}
+	p := Packet{
+		Stream: media.StreamID(s.u16()),
+		Kind:   media.Kind(s.u8()),
+		Flags:  s.u8(),
+		PTS:    s.dur(),
+		Dur:    s.dur(),
+		SendAt: s.dur(),
+		Seq:    s.u32(),
+	}
+	crc, n := s.u32(), s.u32()
+	if s.err != nil {
+		return p, nil, fmt.Errorf("%w: packet header: %v", ErrCorrupt, s.err)
+	}
+	if n > MaxPayload {
+		return p, nil, fmt.Errorf("%w: payload %d bytes", ErrLimit, n)
+	}
+	wire := make([]byte, packetWireSize+int(n))
+	copy(wire, r.fixed[:])
+	p.Payload = wire[packetWireSize:]
+	if _, err := io.ReadFull(r.r, p.Payload); err != nil {
+		return p, nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+	}
+	if payloadCRC(p.Payload) != crc {
+		return p, nil, ErrChecksum
+	}
+	if err := p.Validate(); err != nil {
+		return p, nil, err
+	}
+	return p, wire, nil
+}
+
+// readIndexBody reads an index object once "IX" has been consumed.
+func (r *Reader) readIndexBody() (Index, error) {
+	if _, err := io.ReadFull(r.r, r.fixed[:4]); err != nil {
+		return nil, fmt.Errorf("%w: truncated index: %v", ErrCorrupt, err)
+	}
+	n := binary.LittleEndian.Uint32(r.fixed[:4])
+	if n > MaxIndexEntries {
+		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, n)
+	}
+	ix := make(Index, 0, n)
+	for i := uint32(0); i < n; i++ {
+		if _, err := io.ReadFull(r.r, r.fixed[:indexEntrySize]); err != nil {
+			return nil, fmt.Errorf("%w: truncated index entry: %v", ErrCorrupt, err)
+		}
+		s := &scanner{b: r.fixed[:indexEntrySize]}
+		e := IndexEntry{PTS: s.dur(), Seq: s.u32()}
+		if s.err != nil {
+			return nil, fmt.Errorf("%w: index entry: %v", ErrCorrupt, s.err)
+		}
+		ix = append(ix, e)
+	}
+	return ix, nil
 }
 
 // Index returns the trailing index, available only after ReadPacket has

@@ -2,7 +2,9 @@ package asf
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,7 +12,11 @@ import (
 )
 
 // FuzzReader feeds arbitrary bytes to the container reader; it must never
-// panic or allocate unboundedly, only return errors or packets.
+// panic or allocate unboundedly, only return errors or packets. It is a
+// differential: ReadPacket and ReadShared accept the same packets and
+// refuse the rest with the same class of error, and every accepted wire
+// image is the canonical encoding of its packet — what a relay forwards
+// is what an encoder would have written.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid small file.
 	var buf bytes.Buffer
@@ -38,19 +44,49 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
+		r, rs := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
 		if _, err := r.ReadHeader(); err != nil {
 			return
 		}
+		if _, err := rs.ReadHeader(); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 1000; i++ {
-			if _, err := r.ReadPacket(); err != nil {
-				if err != io.EOF {
-					return
-				}
-				break
+			p, err := r.ReadPacket()
+			sp, errS := rs.ReadShared()
+			if errorClass(err) != errorClass(errS) {
+				t.Fatalf("packet %d: ReadPacket %v, ReadShared %v", i, err, errS)
+			}
+			if err != nil {
+				return
+			}
+			if !reflect.DeepEqual(p, sp.Packet()) {
+				t.Fatalf("packet %d: ReadPacket %+v, ReadShared %+v", i, p, sp.Packet())
+			}
+			canon, err := EncodePacket(sp.Packet())
+			if err != nil {
+				t.Fatalf("packet %d accepted but not encodable: %v", i, err)
+			}
+			if !bytes.Equal(sp.Wire(), canon) {
+				t.Fatalf("packet %d: forwarded image is not the canonical encoding", i)
 			}
 		}
 	})
+}
+
+// errorClass names the sentinel callers match an error on; an error
+// outside the package's classes (a Validate refusal) is its own message,
+// and nil is "".
+func errorClass(err error) string {
+	if err == nil {
+		return ""
+	}
+	for _, class := range []error{io.EOF, ErrBadMagic, ErrCorrupt, ErrChecksum, ErrLimit} {
+		if errors.Is(err, class) {
+			return class.Error()
+		}
+	}
+	return err.Error()
 }
 
 // FuzzScriptPacket feeds arbitrary payloads to the script parser.

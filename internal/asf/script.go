@@ -1,8 +1,6 @@
 package asf
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 
 	"repro/internal/media"
@@ -49,7 +47,7 @@ func ParseScriptPacket(p Packet) (ScriptCommand, error) {
 	if p.Kind != media.KindScript {
 		return ScriptCommand{}, fmt.Errorf("asf: packet kind %s is not a script", p.Kind)
 	}
-	s := &scanner{r: bufio.NewReader(bytes.NewReader(p.Payload))}
+	s := &scanner{b: p.Payload}
 	cmd := ScriptCommand{At: p.PTS}
 	cmd.Type = s.str16()
 	cmd.Param = s.str16()
@@ -69,12 +67,9 @@ func encodeScriptPayload(cmd ScriptCommand) ([]byte, error) {
 	if cmd.At < 0 {
 		return nil, fmt.Errorf("asf: script at negative time %v", cmd.At)
 	}
-	c := &cursor{buf: &bytes.Buffer{}}
-	if err := c.str16(cmd.Type); err != nil {
+	out, err := appendStr16(make([]byte, 0, 4+len(cmd.Type)+len(cmd.Param)), cmd.Type)
+	if err != nil {
 		return nil, err
 	}
-	if err := c.str16(cmd.Param); err != nil {
-		return nil, err
-	}
-	return c.buf.Bytes(), nil
+	return appendStr16(out, cmd.Param)
 }

@@ -7,22 +7,31 @@ import (
 	"repro/internal/media"
 )
 
-// packetWireSize is the fixed wire size of a packet before its payload:
-// "PK" magic, stream, kind, flags, three i64 timings, seq, crc, length.
-const packetWireSize = 2 + 2 + 1 + 1 + 8 + 8 + 8 + 4 + 4 + 4
+// Fixed wire sizes.
+const (
+	// packetWireSize is a packet before its payload: "PK" magic, stream,
+	// kind, flags, three i64 timings, seq, crc, length.
+	packetWireSize = 2 + 2 + 1 + 1 + 8 + 8 + 8 + 4 + 4 + 4
+	// headerPrefixSize is the header object before its body: "WMP1"
+	// magic, u32 body size.
+	headerPrefixSize = 4 + 4
+	// indexEntrySize is one index entry: i64 pts, u32 seq.
+	indexEntrySize = 8 + 4
+)
 
-// Shared is an immutable, pre-encoded packet: the wire bytes (header,
-// CRC, payload) are built exactly once, and every consumer — each live
-// subscriber, each VOD session, each edge re-fan-out — writes the same
-// underlying buffer. This is the zero-copy half of the serving path:
-// fan-out to N subscribers costs N writes of one buffer, not N
-// re-encodes and N CRC passes.
+// Shared is an immutable packet in wire form: the bytes (header, CRC,
+// payload) come into being exactly once — encoded by NewShared at the
+// origin, or read and validated off a stream by Reader.ReadShared — and
+// every consumer — each live subscriber, each VOD session, each edge
+// re-fan-out — writes the same underlying buffer. This is the zero-copy
+// half of the serving path: fan-out to N subscribers costs N writes of
+// one buffer, not N re-encodes and N CRC passes.
 //
 // Ownership rules (enforced by construction, checked by the race suite):
 //
 //   - NewShared copies the payload into the wire image, so the caller
 //     may reuse or mutate its payload buffer the moment NewShared
-//     returns.
+//     returns; ReadShared reads into a buffer no one else holds.
 //   - After construction nothing may write to the Shared: Wire and the
 //     Packet view's Payload alias the same buffer that is concurrently
 //     being written to other subscribers' connections.

@@ -2,24 +2,17 @@ package edgecache
 
 import "sync"
 
-// Default tuning. The window gets a small slice of the byte budget —
-// enough for the newest mirrors to prove themselves — and the sketch
-// is sized far above any realistic resident-asset count.
+// Tuning. The window gets a small slice of the byte budget — enough for
+// the newest mirrors to prove themselves — and the sketch is sized far
+// above any realistic resident-asset count.
 const (
-	defaultWindowFrac     = 0.10
-	defaultSketchCounters = 1024
+	windowFrac     = 0.10
+	sketchCounters = 1024
 )
 
-// Config parameterizes a Cache. The zero value takes the default window
-// fraction and sketch size.
-type Config struct {
-	// WindowFrac is the fraction of the byte budget held by the
-	// admission window; defaults to 0.10.
-	WindowFrac float64
-	// SketchCounters sizes the frequency sketch (rounded up to a power
-	// of two); defaults to 1024.
-	SketchCounters int
-}
+// Config parameterizes a Cache. It has no fields: the cache has no
+// tuning a caller sets.
+type Config struct{}
 
 // entry is one resident asset. Entries are their own typed list nodes
 // (prev/next), so recency bookkeeping never goes through container/list
@@ -78,8 +71,6 @@ func (l *entryList) moveToFront(e *entry) {
 // for concurrent use. The cache tracks names and sizes; the caller owns
 // the actual bytes and removes them when Enforce names victims.
 type Cache struct {
-	cfg Config
-
 	mu      sync.Mutex
 	sketch  *sketch
 	entries map[string]*entry
@@ -87,17 +78,10 @@ type Cache struct {
 	main    entryList
 }
 
-// New builds a cache from cfg (zero value: defaults).
-func New(cfg Config) *Cache {
-	if cfg.WindowFrac <= 0 || cfg.WindowFrac > 1 {
-		cfg.WindowFrac = defaultWindowFrac
-	}
-	if cfg.SketchCounters <= 0 {
-		cfg.SketchCounters = defaultSketchCounters
-	}
+// New builds an empty cache.
+func New(Config) *Cache {
 	return &Cache{
-		cfg:     cfg,
-		sketch:  newSketch(cfg.SketchCounters),
+		sketch:  newSketch(sketchCounters),
 		entries: make(map[string]*entry),
 	}
 }
@@ -254,7 +238,7 @@ func (c *Cache) reclaim(budget int64, except string, pinned func(string) bool) (
 // windowed — the demand pinning them is still proving their popularity.
 // Runs under c.mu.
 func (c *Cache) drainWindow(budget int64, except string, pinned func(string) bool) {
-	target := int64(float64(budget) * c.cfg.WindowFrac)
+	target := int64(float64(budget) * windowFrac)
 	if target < 1 {
 		target = 1
 	}

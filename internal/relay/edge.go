@@ -411,12 +411,14 @@ func (e *Edge) startRelay(name string) error {
 	go func() {
 		defer resp.Body.Close()
 		defer ch.Close()
+		// The origin's wire images, validated by the reader, go to this
+		// edge's viewers as they arrived: same bytes, same sequence numbers.
 		for {
-			p, err := r.ReadPacket()
+			sp, err := r.ReadShared()
 			if err != nil {
 				return // EOF: the origin broadcast ended
 			}
-			if ch.Publish(p) != nil {
+			if ch.PublishShared(sp) != nil {
 				return
 			}
 		}

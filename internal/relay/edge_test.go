@@ -98,8 +98,24 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 	if hdr.Title != "relay test" {
 		t.Fatalf("edge header title = %q", hdr.Title)
 	}
-	if _, ok := edgeSrv.Asset("lec"); !ok {
+	mirror, ok := edgeSrv.Asset("lec")
+	if !ok {
 		t.Fatal("asset not cached on the edge")
+	}
+	// The mirror holds the origin's wire images as they arrived, once:
+	// the Packets views alias the images instead of copying the payloads.
+	source, _ := origin.Asset("lec")
+	if len(mirror.SharedPackets()) != len(source.SharedPackets()) || len(mirror.Packets) != len(source.Packets) {
+		t.Fatalf("mirror holds %d images / %d views, origin %d / %d", len(mirror.SharedPackets()),
+			len(mirror.Packets), len(source.SharedPackets()), len(source.Packets))
+	}
+	for i, sp := range mirror.SharedPackets() {
+		if !bytes.Equal(sp.Wire(), source.SharedPackets()[i].Wire()) {
+			t.Fatalf("mirrored packet %d differs from the origin's wire image", i)
+		}
+		if payload := mirror.Packets[i].Payload; len(payload) > 0 && &payload[0] != &sp.Wire()[len(sp.Wire())-len(payload)] {
+			t.Fatalf("mirrored packet %d holds a second copy of its payload", i)
+		}
 	}
 
 	// The second demand is served from the edge cache: no new origin fetch.
@@ -264,6 +280,13 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A subscriber on the origin itself, to compare the edge's output
+	// with; its queue holds the whole broadcast, so nothing is dropped.
+	originCh.SubscriberBuffer = len(packets)
+	direct, err := originCh.Subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	originTS := httptest.NewServer(origin.Handler())
 	defer originTS.Close()
 
@@ -274,7 +297,7 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 
 	// A client joining through the edge triggers the origin subscription.
 	type result struct {
-		pkts []asf.Packet
+		body []byte
 		err  error
 	}
 	resc := make(chan result, 1)
@@ -285,20 +308,8 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		r := asf.NewReader(resp.Body)
-		if _, err := r.ReadHeader(); err != nil {
-			resc <- result{err: err}
-			return
-		}
-		var pkts []asf.Packet
-		for {
-			p, err := r.ReadPacket()
-			if err != nil {
-				resc <- result{pkts: pkts}
-				return
-			}
-			pkts = append(pkts, p)
-		}
+		body, err := io.ReadAll(resp.Body)
+		resc <- result{body: body, err: err}
 	}()
 
 	// Wait for the relay chain to attach: the edge subscribes upstream,
@@ -313,8 +324,8 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 	}, "edge never created the relayed channel")
 	testutil.WaitUntil(t, 10*time.Second, func() bool { return edgeCh.ClientCount() >= 1 },
 		"client never attached to the relayed channel")
-	if originCh.ClientCount() != 1 {
-		t.Fatalf("origin has %d subscribers, want exactly the edge", originCh.ClientCount())
+	if originCh.ClientCount() != 2 {
+		t.Fatalf("origin has %d subscribers, want the edge and the direct one", originCh.ClientCount())
 	}
 
 	for _, p := range packets {
@@ -328,8 +339,25 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	if len(res.pkts) != len(packets) {
-		t.Fatalf("client received %d packets, published %d", len(res.pkts), len(packets))
+	// The edge's viewer receives the origin's wire images byte for byte,
+	// sequence numbers as published: relaying re-encodes nothing.
+	want, err := asf.EncodeHeader(edgeCh.Header())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for sp := range direct.C {
+		if sp.Seq() != packets[n].Seq {
+			t.Fatalf("origin packet %d carries seq %d, published as %d", n, sp.Seq(), packets[n].Seq)
+		}
+		want = append(want, sp.Wire()...)
+		n++
+	}
+	if n != len(packets) {
+		t.Fatalf("origin subscriber received %d packets, published %d", n, len(packets))
+	}
+	if !bytes.Equal(res.body, want) {
+		t.Fatalf("edge viewer's stream (%d bytes) is not the origin's wire images (%d bytes)", len(res.body), len(want))
 	}
 	// The origin's broadcast end propagates: the edge channel closes too.
 	testutil.WaitUntil(t, 10*time.Second, edgeCh.Closed,

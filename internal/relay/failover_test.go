@@ -150,7 +150,7 @@ func TestRegistryHTTPFailureFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(ExcludeHeader, "edge-a:8081")
+	req.Header.Set(proto.ExcludeHeader, "edge-a:8081")
 	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}

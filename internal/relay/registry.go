@@ -29,12 +29,6 @@ const DefaultNodeTTL = 15 * time.Second
 // rather than deletes, so pruning is the only removal path.
 const pruneAfterTTLs = 4
 
-// ExcludeHeader is the request header a failing-over client sets on its
-// registry request to name edge hosts (or node IDs) it must not be
-// redirected back to — the nodes it just escaped. Values are
-// comma-separated. Defined by the wire contract (internal/proto).
-const ExcludeHeader = proto.ExcludeHeader
-
 // Registry is the cluster's client entry point: edges register and
 // heartbeat their load, clients request streams and are redirected (307)
 // to the least-loaded live edge. Redirect counts per node, lost

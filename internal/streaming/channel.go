@@ -20,9 +20,10 @@ const DefaultSubscriberBuffer = 256
 // starting at the most recent video keyframe so their decoder can start
 // immediately.
 //
-// Fan-out is zero-copy: a packet is encoded exactly once at publish
-// (asf.NewShared) and every subscriber — and every late joiner's
-// backlog replay — receives a pointer to the same immutable wire
+// Fan-out is zero-copy: a packet becomes a wire image exactly once —
+// encoded at the origin's Publish, or read off the origin's stream by a
+// relaying edge (asf.Reader.ReadShared) — and every subscriber, and every
+// late joiner's backlog replay, receives a pointer to the same immutable
 // buffer. Nothing downstream may mutate a *asf.Shared.
 type Channel struct {
 	Name string
@@ -102,10 +103,10 @@ func (c *Channel) Dropped() int64 {
 	return c.dropped
 }
 
-// Publish encodes the packet once and fans the shared form out to every
-// subscriber; see PublishShared. The publisher keeps ownership of
-// p.Payload — the encode copies it — so callers may reuse their payload
-// buffer immediately.
+// Publish is the origin-side entry: an encoder hands over a Packet, it
+// is encoded once and the shared form fanned out to every subscriber; see
+// PublishShared. The publisher keeps ownership of p.Payload — the encode
+// copies it — so callers may reuse their payload buffer immediately.
 func (c *Channel) Publish(p asf.Packet) error {
 	sp, err := asf.NewShared(p)
 	if err != nil {
@@ -115,10 +116,11 @@ func (c *Channel) Publish(p asf.Packet) error {
 }
 
 // PublishShared fans a pre-encoded packet out to every subscriber and
-// maintains the keyframe-aligned backlog. Slow subscribers lose the
-// packet. This is the allocation-free steady-state path: the shared
-// buffer is handed out by pointer, and the backlog slice's capacity is
-// reused across keyframe resets.
+// maintains the keyframe-aligned backlog; a relaying edge calls it with
+// the origin's wire images as read. Slow subscribers lose the packet.
+// This is the allocation-free steady-state path: the shared buffer is
+// handed out by pointer, and the backlog slice's capacity is reused
+// across keyframe resets.
 func (c *Channel) PublishShared(sp *asf.Shared) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -191,10 +193,10 @@ func (c *Channel) Close() {
 }
 
 // PublishPaced publishes the packets honoring their send times against the
-// clock, stopping early if ctx is cancelled. It is the bridge between a
-// stored/encoded packet sequence and a live broadcast. Each packet is
-// encoded into its shared form once, up front, so the pacing loop's
-// publishes are allocation-free.
+// clock, stopping early if ctx is cancelled. It is the origin-side bridge
+// between a stored/encoded packet sequence and a live broadcast. Each
+// packet is encoded into its shared form once, up front, so the pacing
+// loop's publishes are allocation-free.
 func (c *Channel) PublishPaced(ctx context.Context, clock vclock.Clock, packets []asf.Packet) error {
 	if clock == nil {
 		clock = vclock.Real{}

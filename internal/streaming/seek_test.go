@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/media"
 )
 
 func TestVODSeekSkipsEarlyPackets(t *testing.T) {
@@ -123,15 +124,42 @@ func TestVODSeekStartParameterTable(t *testing.T) {
 	}
 }
 
+// registerContainer assembles a stored container from its parts — so a
+// test can pair packets with an index no encoder would write — and
+// registers it the way every asset arrives.
+func registerContainer(t *testing.T, packets []asf.Packet, ix asf.Index) *Asset {
+	t.Helper()
+	data, err := asf.EncodeHeader(asf.Header{Title: "seek"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range packets {
+		p.Kind = media.KindVideo
+		b, err := asf.EncodePacket(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, b...)
+	}
+	b, err := asf.EncodeIndex(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewServer(nil).RegisterAsset("seek", asf.NewReader(bytes.NewReader(append(data, b...))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestSeekIndexBounds(t *testing.T) {
-	a := &Asset{
-		Packets: []asf.Packet{
+	a := registerContainer(t,
+		[]asf.Packet{
 			{Seq: 0, Flags: asf.PacketKeyframe, PTS: 0},
 			{Seq: 1, PTS: time.Second},
 			{Seq: 2, Flags: asf.PacketKeyframe, PTS: 2 * time.Second},
 		},
-		Index: asf.Index{{PTS: 0, Seq: 0}, {PTS: 2 * time.Second, Seq: 2}},
-	}
+		asf.Index{{PTS: 0, Seq: 0}, {PTS: 2 * time.Second, Seq: 2}})
 	if got := a.SeekIndex(0); got != 0 {
 		t.Fatalf("SeekIndex(0) = %d", got)
 	}
@@ -141,13 +169,13 @@ func TestSeekIndexBounds(t *testing.T) {
 	if got := a.SeekIndex(1500 * time.Millisecond); got != 0 {
 		t.Fatalf("SeekIndex(1.5s) = %d", got)
 	}
-	empty := &Asset{Packets: []asf.Packet{{Seq: 0}}}
+	empty := registerContainer(t, []asf.Packet{{Seq: 0}}, nil)
 	if got := empty.SeekIndex(time.Second); got != 0 {
 		t.Fatalf("no-index SeekIndex = %d", got)
 	}
 }
 
-// TestSeekIndexConcurrent exercises the memoized seq→position map under
+// TestSeekIndexConcurrent exercises the seq→position map under
 // concurrent seeks, the load pattern of many clients joining mid-lecture.
 func TestSeekIndexConcurrent(t *testing.T) {
 	srv := NewServer(nil)
@@ -177,10 +205,7 @@ func TestSeekIndexConcurrent(t *testing.T) {
 	wg.Wait()
 	// An index entry pointing at a sequence number no packet carries
 	// (truncated or hand-edited file) still plays from the start.
-	odd := &Asset{
-		Packets: []asf.Packet{{Seq: 5, PTS: 0}},
-		Index:   asf.Index{{PTS: 0, Seq: 99}},
-	}
+	odd := registerContainer(t, []asf.Packet{{Seq: 5, PTS: 0}}, asf.Index{{PTS: 0, Seq: 99}})
 	if got := odd.SeekIndex(time.Second); got != 0 {
 		t.Fatalf("dangling index entry SeekIndex = %d", got)
 	}

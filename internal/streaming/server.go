@@ -71,79 +71,43 @@ var (
 	ErrChanClosed = errors.New("streaming: channel closed")
 )
 
-// Asset is one stored container registered with the server.
+// Asset is one stored container registered with the server. It is
+// built once by parseAsset and never changes afterwards; its bytes are
+// held once, as the wire images the container arrived in.
 type Asset struct {
 	Name   string
 	Header asf.Header
-	// Packets are the asset's packets in send order.
+	// Packets are the asset's packets in send order, as views over
+	// SharedPackets: each Payload aliases its wire image's tail, so it is
+	// read-only.
 	Packets []asf.Packet
-	// Index is the keyframe index (for future seek support).
+	// Index is the stored keyframe index that ?start= seeks resolve
+	// against (SeekIndex).
 	Index asf.Index
 
-	// seekPos maps a packet sequence number to its position in Packets,
-	// built once on first use; Packets must not change after that.
-	seekOnce sync.Once
-	seekPos  map[uint32]int
-
-	// shared caches the pre-encoded wire form of Packets, built once on
-	// first streaming use and then handed to every session — the VOD
-	// half of zero-copy serving. Packets must not change after that.
-	sharedOnce sync.Once
-	shared     []*asf.Shared
+	shared  []*asf.Shared  // what every session and mirror fetch writes
+	seekPos map[uint32]int // packet sequence number → position in Packets
+	bytes   int64          // total payload size
 }
 
-// SharedPackets returns the asset's packets in pre-encoded shared form
-// (asf.Shared): encoded exactly once, then written as-is by every
-// session and mirror fetch. Encoding stops at the first invalid packet,
-// matching the truncation the old per-session encode produced.
-func (a *Asset) SharedPackets() []*asf.Shared {
-	a.sharedOnce.Do(func() {
-		a.shared = make([]*asf.Shared, 0, len(a.Packets))
-		for _, p := range a.Packets {
-			sp, err := asf.NewShared(p)
-			if err != nil {
-				break
-			}
-			a.shared = append(a.shared, sp)
-		}
-	})
-	return a.shared
-}
+// SharedPackets returns the asset's packets as the validated wire images
+// they were read in (asf.Shared), written as-is by every session and
+// mirror fetch.
+func (a *Asset) SharedPackets() []*asf.Shared { return a.shared }
 
 // Bytes returns the total payload size.
-func (a *Asset) Bytes() int64 {
-	var n int64
-	for _, p := range a.Packets {
-		n += int64(len(p.Payload))
-	}
-	return n
-}
+func (a *Asset) Bytes() int64 { return a.bytes }
 
 // SeekIndex returns the position in Packets of the last keyframe at or
 // before the given presentation time, or 0 when the index has no entry
-// that early (play from the beginning). Lookups are O(1): the seq→position
-// map is computed once per asset, not rescanned per seek.
+// that early or points at a sequence number no packet carries (play from
+// the beginning).
 func (a *Asset) SeekIndex(at time.Duration) int {
 	seq, ok := a.Index.Locate(at)
 	if !ok {
 		return 0
 	}
-	a.seekOnce.Do(a.buildSeekPos)
-	if i, ok := a.seekPos[seq]; ok {
-		return i
-	}
-	return 0
-}
-
-func (a *Asset) buildSeekPos() {
-	a.seekPos = make(map[uint32]int, len(a.Packets))
-	for i, p := range a.Packets {
-		// First occurrence wins, matching the first-match semantics of the
-		// linear scan this map replaces.
-		if _, dup := a.seekPos[p.Seq]; !dup {
-			a.seekPos[p.Seq] = i
-		}
-	}
+	return a.seekPos[seq]
 }
 
 // ServerStats counts server activity.
@@ -276,28 +240,33 @@ func newServerInstruments(reg *metrics.Registry) serverInstruments {
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
 // parseAsset reads a whole stored container into a ready-to-serve
-// Asset: seek positions built and shared packets pre-encoded, all
-// before any server lock is taken — registration under traffic never
-// parses inside the lock.
+// Asset in one pass, before any server lock is taken — registration
+// under traffic never parses inside the lock. A container with any
+// packet the reader refuses is refused whole.
 func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 	h, err := r.ReadHeader()
 	if err != nil {
 		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 	}
-	a := &Asset{Name: name, Header: h}
+	a := &Asset{Name: name, Header: h, seekPos: make(map[uint32]int)}
 	for {
-		p, err := r.ReadPacket()
+		sp, err := r.ReadShared()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				break
 			}
 			return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 		}
-		a.Packets = append(a.Packets, p)
+		// The first packet carrying a sequence number is the one a seek
+		// lands on.
+		if _, dup := a.seekPos[sp.Seq()]; !dup {
+			a.seekPos[sp.Seq()] = len(a.shared)
+		}
+		a.shared = append(a.shared, sp)
+		a.Packets = append(a.Packets, sp.Packet())
+		a.bytes += int64(sp.PayloadLen())
 	}
 	a.Index = r.Index()
-	a.seekOnce.Do(a.buildSeekPos)
-	a.SharedPackets() // pre-encode now so the first session pays nothing
 	return a, nil
 }
 
