@@ -47,8 +47,10 @@ fuzz-smoke:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# The root package's end-to-end benchmarks plus the write-path
+# (internal/streaming) and read-path (internal/asf) microbenchmarks.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/streaming ./internal/asf
 
 # The benchmark of record (BENCHMARK.json, benchmark/README.md) is a
 # nested module the root `go build ./... && go test ./...` does not

@@ -30,8 +30,13 @@
 // On SIGINT/SIGTERM the server shuts down gracefully: a node registered
 // with a registry deregisters first (so no new client is redirected at
 // it), then refuses new sessions and drains in-flight ones for up to
-// -drain before exiting. Clients of a node that dies without draining
-// fail over through the registry instead (see internal/relay).
+// -drain before closing its listeners and exiting. Clients of a node
+// that dies without draining fail over through the registry instead
+// (see internal/relay).
+//
+// Both listeners drop a connection that has not sent its request headers
+// within 10 s and close keep-alive connections idle for 2 min; responses
+// have no deadline, a lecture being one long response.
 package main
 
 import (
@@ -212,6 +217,12 @@ func run(args []string) error {
 	defer stopSignals()
 
 	errc := make(chan error, 2)
+	var servers []*http.Server
+	serve := func(addr string, h http.Handler) {
+		hs := newHTTPServer(addr, h)
+		servers = append(servers, hs)
+		go func() { errc <- hs.ListenAndServe() }()
+	}
 	if c.hostsRegistry() {
 		store, err := catalog.Open(c.stateDir)
 		if err != nil {
@@ -230,7 +241,7 @@ func run(args []string) error {
 			regHandler = mux
 		}
 		fmt.Printf("cluster registry listening on %s\n", c.registry)
-		go func() { errc <- http.ListenAndServe(c.registry, regHandler) }()
+		serve(c.registry, regHandler)
 	} else if c.registry != "" {
 		hb := &relay.Heartbeats{
 			Registry: c.registry,
@@ -252,7 +263,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("LOD server listening on %s (assets: %v)\n", c.addr, srv.AssetNames())
-	go func() { errc <- http.ListenAndServe(c.addr, handler) }()
+	serve(c.addr, handler)
 	select {
 	case err := <-errc:
 		if sigCtx.Err() != nil {
@@ -261,14 +272,34 @@ func run(args []string) error {
 		return err
 	case <-sigCtx.Done():
 	}
-	return shutdown(c, srv)
+	return shutdown(c, srv, servers)
+}
+
+// Connection limits every listener runs under. There is deliberately no
+// WriteTimeout: a lecture is one long response.
+const (
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers, so one that connects and says nothing is dropped
+	// instead of holding a goroutine and a descriptor for good.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections no request has used.
+	idleTimeout = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // shutdown is the graceful exit: tell the registry first so no new
 // client is redirected here, then refuse new sessions and let in-flight
-// ones finish. Clients cut off anyway (drain deadline passed) fail over
-// through the registry.
-func shutdown(c *config, srv *streaming.Server) error {
+// ones finish, then close the listeners and idle connections. Clients
+// cut off anyway (drain deadline passed) fail over through the registry.
+func shutdown(c *config, srv *streaming.Server, servers []*http.Server) error {
 	if c.registry != "" && !c.hostsRegistry() {
 		fmt.Printf("deregistering %s from registry %s\n", c.edgeURL, c.registry)
 		if err := relay.Deregister(nil, c.registry, c.edgeURL); err != nil {
@@ -283,6 +314,13 @@ func shutdown(c *config, srv *streaming.Server) error {
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "lodserver:", err)
+	}
+	// Mirror fetches and listings are not sessions; they get what is left
+	// of the drain time, and exiting severs the rest.
+	for _, hs := range servers {
+		if err := hs.Shutdown(ctx); err != nil {
+			fmt.Fprintf(os.Stderr, "lodserver: shutdown %s: %v\n", hs.Addr, err)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"io"
+	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -126,5 +130,51 @@ func TestParseConfigDrainFlag(t *testing.T) {
 	}
 	if c.drain <= 0 {
 		t.Fatalf("default drain = %v, want positive", c.drain)
+	}
+}
+
+// TestListenerDropsSilentConnection: every listener runs under a header
+// deadline and no write deadline, so a client that connects and never
+// sends a request is disconnected; and shutdown closes the listener.
+func TestListenerDropsSilentConnection(t *testing.T) {
+	srv := streaming.NewServer(nil)
+	hs := newHTTPServer("127.0.0.1:0", srv.Handler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("listener without header/idle deadlines: %v / %v", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v would cut a lecture short", hs.WriteTimeout)
+	}
+	hs.ReadHeaderTimeout = 100 * time.Millisecond // the production value, shortened for the test
+	ln, err := net.Listen("tcp", hs.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing is sent. The server must hang up, not wait: the copy ends
+	// at EOF (or a reset) well before the read deadline.
+	var ne net.Error
+	if _, err := io.Copy(io.Discard, conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("silent connection still open after 50× the header deadline")
+	}
+
+	if err := shutdown(&config{drain: time.Second}, srv, []*http.Server{hs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v after shutdown, want ErrServerClosed", err)
+	}
+	if !srv.Draining() {
+		t.Fatal("shutdown did not drain the streaming server")
 	}
 }

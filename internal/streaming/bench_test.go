@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net/http/httptest"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/capture"
+	"repro/internal/codec"
+	"repro/internal/encoder"
 	"repro/internal/media"
+	"repro/internal/netsim"
 )
 
 // benchHeader is a minimal valid live header for channel benchmarks.
@@ -127,26 +131,56 @@ func TestChannelPublishSharedAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkVODServe measures a whole stored-lecture session over HTTP:
-// register once, then each iteration fetches /vod and drains the body.
-// Pacing is off so the serving path — shared-packet writes, coalesced
-// header+payload buffers — is the measured cost, not the play-out
-// schedule.
-func BenchmarkVODServe(b *testing.B) {
+// encodeDSLAsset encodes the benchmark of record's stored lecture:
+// dsl-300k × 20 s, 703 packets.
+func encodeDSLAsset(t testing.TB) []byte {
+	t.Helper()
+	p, err := codec.ByName("dsl-300k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lec, err := capture.NewLecture(capture.LectureConfig{
+		Title: "vod bench", Duration: 20 * time.Second, Profile: p, SlideCount: 3, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := encoder.EncodeLecture(lec, encoder.Config{}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkVODSession measures the stored-stream write path the way the
+// benchmark of record drives it: one dsl-300k × 20 s lecture served over
+// netsim.MemNet — every connection write a rendezvous with the reader —
+// to a client that only drains the body. Pacing is off, so the measured
+// cost is the write loop and the connection, not the play-out schedule;
+// flushes/packet is the loop's batching (1 at a flush per packet).
+func BenchmarkVODSession(b *testing.B) {
 	srv := NewServer(nil)
 	srv.Pacing = false
-	data := encodeTestAsset(b, 2*time.Second)
-	if _, err := srv.RegisterAsset("lec1", asf.NewReader(bytes.NewReader(data))); err != nil {
+	asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(encodeDSLAsset(b))))
+	if err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := ts.Client()
+	mem := netsim.NewMemNet()
+	defer mem.Close()
+	ln, err := mem.Listen("origin.lod")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
+	go func() { _ = hs.Serve(ln) }() // returns when Close closes the listener
+	defer hs.Close()
+	client := mem.Client()
+	defer client.CloseIdleConnections()
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Get(ts.URL + "/vod/lec1")
+		resp, err := client.Get("http://origin.lod/vod/lec")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,9 +189,13 @@ func BenchmarkVODServe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n == 0 {
-			b.Fatal("empty VOD response")
+		if n < asset.Bytes() {
+			b.Fatalf("VOD response of %d bytes for %d payload bytes", n, asset.Bytes())
 		}
 		b.SetBytes(n)
 	}
+	b.StopTimer()
+	packets := float64(b.N) * float64(len(asset.Packets))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/packets, "ns/packet")
+	b.ReportMetric(float64(srv.inst.flushes.Value())/packets, "flushes/packet")
 }

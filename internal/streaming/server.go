@@ -38,16 +38,18 @@
 //
 // Every server owns a metrics registry (Metrics) counting sessions
 // started and active, packets and bytes sent, packets delayed by
-// pacing, admission rejects, mirror fetches, declared bandwidth in
-// flight, per-endpoint handling latency, time to first media packet
-// (lod_first_packet_seconds, the server half of startup latency), and
-// how far behind schedule paced packets fall under load
-// (lod_pacing_lag_seconds). Mount it with
+// pacing, stored-stream flushes (lod_response_flushes_total; packets
+// sent over it is packets per flush), admission rejects, mirror
+// fetches, declared bandwidth in flight, per-endpoint handling latency,
+// time to first media packet (lod_first_packet_seconds, the server half
+// of startup latency), and how far behind schedule paced packets fall
+// under load (lod_pacing_lag_seconds). Mount it with
 // Metrics().Expose(mux) to serve GET /metrics and GET /status next to
 // the streaming endpoints, as cmd/lodserver does on every role.
 package streaming
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -190,15 +192,19 @@ type serverInstruments struct {
 	packetsSent  *metrics.Counter
 	bytesSent    *metrics.Counter
 	packetsPaced *metrics.Counter
-	rejects      *metrics.Counter
-	mirrors      *metrics.Counter
+	// flushes counts the stored-stream loop's flushes; packetsSent over it
+	// is the packets that went out per flush.
+	flushes *metrics.Counter
+	rejects *metrics.Counter
+	mirrors *metrics.Counter
 	// firstPacketVOD/Live time request arrival → first media packet
 	// written, the server-side half of a client's startup latency.
 	firstPacketVOD  *metrics.Histogram
 	firstPacketLive *metrics.Histogram
 	// pacingLag records how far behind its scheduled send time a paced
-	// VOD packet was written; growth under load is the server-side
-	// pacing-jitter signal the load benchmarks track.
+	// VOD packet was written, against the session's last clock reading;
+	// growth under load is the server-side pacing-jitter signal the load
+	// benchmarks track.
 	pacingLag *metrics.Histogram
 }
 
@@ -222,6 +228,8 @@ func newServerInstruments(reg *metrics.Registry) serverInstruments {
 		bytesSent:   reg.Counter("lod_bytes_sent_total", "Payload bytes written to clients."),
 		packetsPaced: reg.Counter("lod_packets_paced_total",
 			"VOD packets that waited for their send time (pacing delays)."),
+		flushes: reg.Counter("lod_response_flushes_total",
+			"Flushes by the stored-stream write loop: after a session's first packet and before each pacing wait."),
 		rejects: reg.Counter("lod_admission_rejects_total", "Sessions refused by admission control or closed channels."),
 		mirrors: reg.Counter("lod_mirror_fetches_total",
 			"Whole-container transfers served from "+proto.PrefixFetch+" (edge mirror pulls)."),
@@ -230,7 +238,8 @@ func newServerInstruments(reg *metrics.Registry) serverInstruments {
 		firstPacketLive: reg.Histogram("lod_first_packet_seconds", firstPacket,
 			firstPacketBuckets, metrics.Label{Key: "kind", Value: "live"}),
 		pacingLag: reg.Histogram("lod_pacing_lag_seconds",
-			"How far behind its scheduled send time each paced VOD packet was written.",
+			"How far behind its scheduled send time each paced VOD packet was written, measured at the "+
+				"session's last clock reading (the clock is read only when a packet might not be due yet).",
 			pacingLagBuckets),
 	}
 }
@@ -587,7 +596,13 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	s.inst.mirrors.Inc()
 
 	w.Header().Set("Content-Type", "application/x-wmp-stream")
-	writer, err := asf.NewWriter(w, asset.Header)
+	bw := fetchBuffers.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer func() {
+		bw.Reset(nil) // drop the response before the buffer outlives it
+		fetchBuffers.Put(bw)
+	}()
+	writer, err := asf.NewWriter(bw, asset.Header)
 	if err != nil {
 		proto.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -603,9 +618,18 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		sentPkts++
 		sentBytes += int64(sp.PayloadLen())
 	}
+	// A failed write is sticky in bw: Close and Flush after one write
+	// nothing more.
 	_ = writer.Close()
+	_ = bw.Flush()
 	s.addSent(sentPkts, sentBytes)
 }
+
+// fetchBuffers batch a mirror pull's packets into 32 KB writes instead of
+// trickling them through net/http's 2 KB response buffer. A pull is
+// unpaced and over in milliseconds, so a buffer is borrowed only that
+// long; paced sessions get none (see DESIGN.md, "Coalesced writes").
+var fetchBuffers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 
 func (s *Server) handleAssets(w http.ResponseWriter, _ *http.Request) {
 	type info struct {
@@ -698,6 +722,14 @@ func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	flusher, _ := w.(http.Flusher)
+	pending := false // bytes written since the last flush
+	flush := func() {
+		if pending && flusher != nil {
+			flusher.Flush()
+			s.inst.flushes.Inc()
+		}
+		pending = false
+	}
 
 	start := s.clock.Now()
 	var sentPkts, sentBytes int64
@@ -709,11 +741,23 @@ func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
 	if firstIdx < len(shared) {
 		sendBase = shared[firstIdx].SendAt()
 	}
+	// The flush follows the schedule: a packet that is already due is
+	// written into the connection's buffers, and the loop flushes when it
+	// is about to wait for the next send time — so an on-schedule session
+	// still puts every packet on the wire at its send instant, and an
+	// unpaced or late one goes out in buffer-sized writes.
+	now := start // last clock reading
 	for _, sp := range shared[firstIdx:] {
 		if s.Pacing {
 			due := start.Add(sp.SendAt() - sendBase)
-			if wait := due.Sub(s.clock.Now()); wait > 0 {
+			// Packets are in send order: one due at or before the last
+			// reading is due without reading the clock again.
+			if due.After(now) {
+				now = s.clock.Now()
+			}
+			if wait := due.Sub(now); wait > 0 {
 				s.inst.packetsPaced.Inc()
+				flush()
 				// The wheel batches this session's sleep with every
 				// other paced session's; granularity-rounded lateness
 				// is recorded by pacingLag like any other skew.
@@ -731,16 +775,19 @@ func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
 		if err := writer.WriteShared(sp); err != nil {
 			break // client went away
 		}
-		if sentPkts == 0 {
-			s.inst.firstPacketVOD.Observe(s.clock.Now().Sub(reqStart).Seconds())
-		}
+		pending = true
 		sentPkts++
 		sentBytes += int64(sp.PayloadLen())
-		if flusher != nil {
-			flusher.Flush()
+		if sentPkts == 1 {
+			// Startup is the first stream byte: the header and first
+			// packet go out at once.
+			now = s.clock.Now()
+			s.inst.firstPacketVOD.Observe(now.Sub(reqStart).Seconds())
+			flush()
 		}
 	}
-	// Stored streams end with their index for seek-capable clients.
+	// Stored streams end with their index for seek-capable clients;
+	// returning finishes the response, which flushes what is pending.
 	_ = writer.Close()
 	s.addSent(sentPkts, sentBytes)
 }
