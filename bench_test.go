@@ -6,7 +6,6 @@ package repro
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -266,18 +265,9 @@ func BenchmarkE12Scalability(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := asf.NewReader(bytes.NewReader(data))
-				h, err := r.ReadHeader()
+				h, pkts, _, err := asf.ReadAll(bytes.NewReader(data))
 				if err != nil {
 					b.Fatal(err)
-				}
-				var pkts []asf.Packet
-				for {
-					p, err := r.ReadPacket()
-					if err != nil {
-						break
-					}
-					pkts = append(pkts, p)
 				}
 				row, err := experiments.FanOut(h, pkts, clients)
 				if err != nil {
@@ -449,20 +439,9 @@ func BenchmarkASFRoundTrip(b *testing.B) {
 
 func decodePackets(b *testing.B, data []byte) []asf.Packet {
 	b.Helper()
-	r := asf.NewReader(bytes.NewReader(data))
-	if _, err := r.ReadHeader(); err != nil {
+	_, pkts, _, err := asf.ReadAll(bytes.NewReader(data))
+	if err != nil {
 		b.Fatal(err)
-	}
-	var pkts []asf.Packet
-	for {
-		p, err := r.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		pkts = append(pkts, p)
 	}
 	return pkts
 }

@@ -40,7 +40,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -164,7 +163,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("open asset %s: %w", name, err)
 		}
-		_, err = srv.RegisterAsset(name, asf.NewReader(bufio.NewReader(f)))
+		_, err = srv.RegisterAsset(name, asf.NewReader(f))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -17,9 +17,28 @@
 // commands may also travel in-band as packets on the script stream; the
 // Indexer utility (§2.1 "Windows Media ASF Indexer") adds commands to
 // stored files after the fact.
+//
+// # Who may keep a packet
+//
+// A Reader parses packets in the one window it owns over its source, so
+// its two read methods differ in who holds the bytes afterwards:
+//
+//   - Reader.ReadPacket lends. The Packet's Payload aliases the window
+//     and is valid until the next call on that reader (the
+//     bufio.Scanner.Bytes contract); a consumer that looks at each packet
+//     once — the player, a verifier — reads without allocating. Whoever
+//     keeps a packet past the next read takes Packet.Clone first.
+//   - Reader.ReadShared owns. The validated wire image is copied once
+//     into a buffer of its own; the Shared may be held and written to any
+//     number of connections for as long as anyone references it.
+//
+// ReadAll returns packets the caller owns. Build with -tags asfpoison
+// (make test-poison) and the reader overwrites what it lent at the start
+// of the next read, so a caller that kept a lent Payload fails its tests.
 package asf
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -192,6 +211,13 @@ func (p Packet) Keyframe() bool { return p.Flags&PacketKeyframe != 0 }
 
 // Last reports whether the packet ends its stream.
 func (p Packet) Last() bool { return p.Flags&PacketLast != 0 }
+
+// Clone returns p with a Payload of its own: what a caller that keeps a
+// packet lent by Reader.ReadPacket holds instead.
+func (p Packet) Clone() Packet {
+	p.Payload = bytes.Clone(p.Payload)
+	return p
+}
 
 // Validate checks packet invariants.
 func (p Packet) Validate() error {

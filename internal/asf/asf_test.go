@@ -149,7 +149,7 @@ func TestFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		got = append(got, p)
+		got = append(got, p.Clone())
 	}
 	want := samplePackets()
 	if len(got) != len(want) {

@@ -1,7 +1,6 @@
 package asf
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -325,24 +324,92 @@ func (w *Writer) Close() error {
 	return nil
 }
 
+// A reader's window starts at windowSize — a dozen ordinary packets, so a
+// fill is amortized over that many — and grows to the largest object the
+// stream has carried, a slide image say, so that the next one is parsed in
+// place too; but no further than windowMax, the buffer every reader held
+// before it had a window of its own. A larger object gets a buffer for
+// itself alone.
+const (
+	windowSize = 16 << 10
+	windowMax  = 64 << 10
+)
+
 // Reader parses a container from an io.Reader incrementally, suitable for
 // both stored files and live HTTP streams. It is where bytes from outside
 // are checked — magic, size limits, CRC, Validate — once; what it hands
 // out needs no second look downstream.
+//
+// The reader owns one window over its source and parses where the bytes
+// landed: no second buffer in front of it is needed (it reads the source
+// in window-sized pieces) and none is made per packet. Who may keep what
+// it returns is the package's lend/own contract — see the package
+// documentation: ReadPacket lends, ReadShared owns.
+//
+// The first error — io.EOF included — ends the stream: every later read
+// returns it again.
 type Reader struct {
-	r         *bufio.Reader
+	src io.Reader
+	// buf is the window, windowSize to windowMax long unless one object
+	// larger than that is in it; buf[pos:end] is read from src and not yet
+	// parsed.
+	buf      []byte
+	pos, end int
+	// lent counts the payload bytes before pos that the last ReadPacket
+	// handed out; only the asfpoison build reads it.
+	lent int
+
 	header    Header
 	hasHeader bool
 	index     Index
-	done      bool
-	// fixed is the scratch every packet's fixed header (and the header
-	// and index objects' prefixes) is read into.
-	fixed [packetWireSize]byte
+	err       error
 }
 
-// NewReader wraps r; call ReadHeader before ReadPacket.
+// NewReader wraps r; call ReadHeader before ReadPacket. The window is
+// allocated by the first read.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 64<<10)}
+	return &Reader{src: r}
+}
+
+// peek returns the next n unparsed bytes without consuming them, valid
+// until the next peek. Like io.ReadFull it fails with io.EOF only when
+// the source ends with nothing unparsed, and with io.ErrUnexpectedEOF
+// when it ends short of n.
+func (r *Reader) peek(n int) ([]byte, error) {
+	if r.end-r.pos < n {
+		if err := r.fill(n); err != nil {
+			return nil, err
+		}
+	}
+	return r.buf[r.pos : r.pos+n], nil
+}
+
+// fill reads from the source until n bytes are unparsed. The unparsed
+// bytes move to the front first when n does not fit behind pos (or there
+// are none to move): within the window when it can hold n, else into a
+// new one of exactly n bytes. A window over windowMax is therefore full
+// of the one object it was made for, with nothing read ahead behind it,
+// and is dropped for a new windowSize one by the first fill after it.
+func (r *Reader) fill(n int) error {
+	if unparsed := r.buf[r.pos:r.end]; len(unparsed) == 0 || r.pos+n > len(r.buf) {
+		dst := r.buf
+		if n > len(dst) || len(dst) > windowMax {
+			dst = make([]byte, max(n, windowSize))
+		}
+		r.end = copy(dst, unparsed)
+		r.buf, r.pos = dst, 0
+	}
+	for r.end-r.pos < n {
+		m, err := r.src.Read(r.buf[r.end:])
+		r.end += m
+		if err != nil && r.end-r.pos < n {
+			if err == io.EOF && r.end > r.pos {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadHeader parses the header object.
@@ -350,100 +417,125 @@ func (r *Reader) ReadHeader() (Header, error) {
 	if r.hasHeader {
 		return r.header, nil
 	}
-	magic, sizeField := r.fixed[:len(headerMagic)], r.fixed[len(headerMagic):headerPrefixSize]
-	if _, err := io.ReadFull(r.r, magic); err != nil {
+	magic, err := r.peek(len(headerMagic))
+	if err != nil {
 		return Header{}, fmt.Errorf("asf: read header magic: %w", err)
 	}
 	if !bytes.Equal(magic, headerMagic[:]) {
 		return Header{}, fmt.Errorf("%w: header %q", ErrBadMagic, magic)
 	}
-	if _, err := io.ReadFull(r.r, sizeField); err != nil {
+	prefix, err := r.peek(headerPrefixSize)
+	if err != nil {
 		return Header{}, fmt.Errorf("asf: read header size: %w", err)
 	}
-	size := binary.LittleEndian.Uint32(sizeField)
+	size := binary.LittleEndian.Uint32(prefix[len(headerMagic):])
 	if size > MaxPayload {
 		return Header{}, fmt.Errorf("%w: header %d bytes", ErrLimit, size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r.r, body); err != nil {
+	object, err := r.peek(headerPrefixSize + int(size))
+	if err != nil {
 		return Header{}, fmt.Errorf("asf: read header body: %w", err)
 	}
-	h, err := decodeHeaderBody(body)
+	// decodeHeaderBody copies every string out, so the header keeps
+	// nothing of the window.
+	h, err := decodeHeaderBody(object[headerPrefixSize:])
 	if err != nil {
 		return h, err
 	}
+	r.pos += len(object)
 	r.header = h
 	r.hasHeader = true
 	return h, nil
 }
 
 // ReadPacket returns the next packet, or io.EOF after the last packet (and
-// after parsing a trailing index object, if present). The packet's
-// Payload is the tail of a buffer allocated for this packet alone, so
-// the caller owns it.
+// after parsing a trailing index object, if present). The packet is lent:
+// its Payload aliases the reader's window and is valid only until the
+// next call on this reader, like bufio.Scanner.Bytes. A caller that keeps
+// the packet takes Packet.Clone first.
 func (r *Reader) ReadPacket() (Packet, error) {
 	p, _, err := r.next()
+	r.lent = len(p.Payload)
 	return p, err
 }
 
-// ReadShared is ReadPacket for a caller that will send the packet on:
-// the validated wire image goes into the Shared as it arrived — no
-// re-encode, no second CRC pass, no second copy of the payload.
+// ReadShared is ReadPacket for a caller that keeps the packet or sends it
+// on: the validated wire image is copied once, as it arrived — no
+// re-encode, no second CRC pass — into an exactly sized buffer the Shared
+// owns.
 func (r *Reader) ReadShared() (*Shared, error) {
 	p, wire, err := r.next()
 	if err != nil {
 		return nil, err
 	}
-	return &Shared{wire: wire, pkt: p}, nil
+	own := make([]byte, len(wire))
+	copy(own, wire)
+	p.Payload = own[packetWireSize:]
+	return &Shared{wire: own, pkt: p}, nil
 }
 
-// next reads and validates one packet into a fresh buffer holding its
-// complete wire image; the returned packet's Payload aliases the
-// buffer's tail.
+// next validates the next packet in place and consumes it; the returned
+// wire image, and the packet's Payload in its tail, alias the window.
 func (r *Reader) next() (Packet, []byte, error) {
 	if !r.hasHeader {
 		return Packet{}, nil, ErrNoHeader
 	}
-	if r.done {
-		return Packet{}, nil, io.EOF
+	if r.err != nil {
+		return Packet{}, nil, r.err
 	}
-	magic := r.fixed[:len(packetMagic)]
-	if _, err := io.ReadFull(r.r, magic); err != nil {
-		r.done = true
+	if poisonLent {
+		lent := r.buf[r.pos-r.lent : r.pos]
+		for i := range lent {
+			lent[i] = 0xDB
+		}
+	}
+	r.lent = 0
+	p, wire, err := r.parseNext()
+	if err != nil {
+		r.err = err
+		return Packet{}, nil, err
+	}
+	r.pos += len(wire)
+	return p, wire, nil
+}
+
+// parseNext parses the object at pos: a packet, which it leaves for next
+// to consume, or the trailing index, which ends the stream.
+func (r *Reader) parseNext() (Packet, []byte, error) {
+	magic, err := r.peek(len(packetMagic))
+	if err != nil {
 		// Only a pure EOF — zero bytes exactly on a frame boundary — is a
 		// clean end of stream. An ErrUnexpectedEOF means the transport was
 		// severed (a dying edge mid-stream): it must surface as an error,
 		// or a failover-capable client would mistake the truncation for a
 		// complete session and never resume.
-		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		if err == io.EOF {
 			return Packet{}, nil, io.EOF
 		}
 		return Packet{}, nil, fmt.Errorf("asf: read packet magic: %w", err)
 	}
 	switch {
 	case bytes.Equal(magic, packetMagic[:]):
-		return r.readPacketBody()
+		return r.parsePacket()
 	case bytes.Equal(magic, indexMagic[:]):
-		r.done = true
-		ix, err := r.readIndexBody()
+		ix, err := r.readIndex()
 		if err != nil {
 			return Packet{}, nil, err
 		}
 		r.index = ix
 		return Packet{}, nil, io.EOF
 	default:
-		r.done = true
 		return Packet{}, nil, fmt.Errorf("%w: packet %q", ErrBadMagic, magic)
 	}
 }
 
-// readPacketBody reads the rest of a packet whose magic is already in
-// r.fixed.
-func (r *Reader) readPacketBody() (Packet, []byte, error) {
-	if _, err := io.ReadFull(r.r, r.fixed[len(packetMagic):]); err != nil {
+// parsePacket parses the packet whose magic is at pos.
+func (r *Reader) parsePacket() (Packet, []byte, error) {
+	fixed, err := r.peek(packetWireSize)
+	if err != nil {
 		return Packet{}, nil, fmt.Errorf("%w: truncated packet: %v", ErrCorrupt, err)
 	}
-	s := &scanner{b: r.fixed[len(packetMagic):]}
+	s := &scanner{b: fixed[len(packetMagic):]}
 	p := Packet{
 		Stream: media.StreamID(s.u16()),
 		Kind:   media.Kind(s.u8()),
@@ -460,12 +552,15 @@ func (r *Reader) readPacketBody() (Packet, []byte, error) {
 	if n > MaxPayload {
 		return p, nil, fmt.Errorf("%w: payload %d bytes", ErrLimit, n)
 	}
-	wire := make([]byte, packetWireSize+int(n))
-	copy(wire, r.fixed[:])
-	p.Payload = wire[packetWireSize:]
-	if _, err := io.ReadFull(r.r, p.Payload); err != nil {
+	// This peek may move or replace the window: fixed is dead from here.
+	wire, err := r.peek(packetWireSize + int(n))
+	if err != nil {
 		return p, nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
 	}
+	// Capacity stops at the packet: an append to a lent Payload must not
+	// write into the packet behind it.
+	wire = wire[:len(wire):len(wire)]
+	p.Payload = wire[packetWireSize:]
 	if payloadCRC(p.Payload) != crc {
 		return p, nil, ErrChecksum
 	}
@@ -475,25 +570,29 @@ func (r *Reader) readPacketBody() (Packet, []byte, error) {
 	return p, wire, nil
 }
 
-// readIndexBody reads an index object once "IX" has been consumed.
-func (r *Reader) readIndexBody() (Index, error) {
-	if _, err := io.ReadFull(r.r, r.fixed[:4]); err != nil {
+// readIndex reads the index object whose magic is at pos.
+func (r *Reader) readIndex() (Index, error) {
+	prefix, err := r.peek(len(indexMagic) + 4)
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated index: %v", ErrCorrupt, err)
 	}
-	n := binary.LittleEndian.Uint32(r.fixed[:4])
+	n := binary.LittleEndian.Uint32(prefix[len(indexMagic):])
 	if n > MaxIndexEntries {
 		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, n)
 	}
+	r.pos += len(prefix)
 	ix := make(Index, 0, n)
 	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(r.r, r.fixed[:indexEntrySize]); err != nil {
+		entry, err := r.peek(indexEntrySize)
+		if err != nil {
 			return nil, fmt.Errorf("%w: truncated index entry: %v", ErrCorrupt, err)
 		}
-		s := &scanner{b: r.fixed[:indexEntrySize]}
+		s := &scanner{b: entry}
 		e := IndexEntry{PTS: s.dur(), Seq: s.u32()}
 		if s.err != nil {
 			return nil, fmt.Errorf("%w: index entry: %v", ErrCorrupt, s.err)
 		}
+		r.pos += indexEntrySize
 		ix = append(ix, e)
 	}
 	return ix, nil
@@ -506,7 +605,7 @@ func (r *Reader) Index() Index { return r.index }
 // ReadAll parses a complete container from r: header, all packets, and the
 // trailing index if present. When the stored file carries no index (live
 // captures), one is rebuilt from the keyframe packets so callers can
-// always seek.
+// always seek. The packets are clones: the caller owns them.
 func ReadAll(r io.Reader) (Header, []Packet, Index, error) {
 	reader := NewReader(r)
 	h, err := reader.ReadHeader()
@@ -522,7 +621,7 @@ func ReadAll(r io.Reader) (Header, []Packet, Index, error) {
 			}
 			return h, packets, nil, err
 		}
-		packets = append(packets, p)
+		packets = append(packets, p.Clone())
 	}
 	ix := reader.Index()
 	if len(ix) == 0 {

@@ -1,0 +1,282 @@
+package asf
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
+	"testing"
+	"testing/iotest"
+	"time"
+
+	"repro/internal/media"
+)
+
+// windowFile encodes a stored container of n packets whose payload sizes
+// cycle through sizes, and returns it with the packets as written (Seq
+// assigned) and the offset at which every object ends: the header, each
+// packet, the index.
+func windowFile(t testing.TB, n int, sizes ...int) ([]byte, []Packet, []int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, sampleHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteHeader(); err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int{buf.Len()}
+	packets := make([]Packet, n)
+	for i := range packets {
+		p := Packet{
+			Stream: media.StreamVideo, Kind: media.KindVideo,
+			PTS: time.Duration(i) * 40 * time.Millisecond, Dur: 40 * time.Millisecond,
+			Payload: bytes.Repeat([]byte{byte(i + 1)}, sizes[i%len(sizes)]),
+		}
+		if i%5 == 0 {
+			p.Flags = PacketKeyframe
+		}
+		if p.Seq, err = w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+		packets[i] = p
+		bounds = append(bounds, buf.Len())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), packets, append(bounds, buf.Len())
+}
+
+// chunkReader hands its source out at most n bytes a Read, so every
+// object straddles fills in a different place than a whole-window read
+// would leave it.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
+}
+
+// readForms are the reader's two read methods behind one signature; the
+// lent packet is cloned so both can be collected.
+var readForms = []struct {
+	name string
+	read func(*Reader) (Packet, error)
+}{
+	{"ReadPacket", func(r *Reader) (Packet, error) {
+		p, err := r.ReadPacket()
+		return p.Clone(), err
+	}},
+	{"ReadShared", func(r *Reader) (Packet, error) {
+		sp, err := r.ReadShared()
+		if err != nil {
+			return Packet{}, err
+		}
+		if want, _ := EncodePacket(sp.Packet()); !bytes.Equal(sp.Wire(), want) {
+			return Packet{}, errors.New("shared wire image is not the packet's encoding")
+		}
+		return sp.Packet(), nil
+	}},
+}
+
+// However the source cuts the stream up — whole, a prime-sized chunk
+// that puts every fill mid-packet, a byte at a time, EOF delivered with
+// the last bytes — both read forms return every packet as written, a
+// clean io.EOF on the frame boundary, and the trailing index behind it.
+func TestReaderPacketsStraddleFills(t *testing.T) {
+	// 60 packets of ~1.2 KB: several windows' worth.
+	data, want, _ := windowFile(t, 60, 1200, 37, 0, 1399)
+	sources := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"chunk977", func(r io.Reader) io.Reader { return chunkReader{r, 977} }},
+		{"one-byte", iotest.OneByteReader},
+		{"data-with-eof", iotest.DataErrReader},
+	}
+	for _, src := range sources {
+		for _, form := range readForms {
+			t.Run(src.name+"/"+form.name, func(t *testing.T) {
+				r := NewReader(src.wrap(bytes.NewReader(data)))
+				if _, err := r.ReadHeader(); err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range want {
+					got, err := form.read(r)
+					if err != nil {
+						t.Fatalf("packet %d: %v", i, err)
+					}
+					if !reflect.DeepEqual(got, w) {
+						t.Fatalf("packet %d = %+v, want %+v", i, got, w)
+					}
+				}
+				for i := 0; i < 2; i++ { // the end of the stream sticks
+					if _, err := form.read(r); err != io.EOF {
+						t.Fatalf("after the last packet: %v, want io.EOF", err)
+					}
+				}
+				if ix := r.Index(); len(ix) != 12 || ix[11] != (IndexEntry{PTS: want[55].PTS, Seq: 55}) {
+					t.Fatalf("trailing index = %+v, want the 12 keyframes", ix)
+				}
+				if len(r.buf) != windowSize {
+					t.Fatalf("window is %d bytes after ordinary packets, want %d", len(r.buf), windowSize)
+				}
+			})
+		}
+	}
+}
+
+// A packet larger than the window makes the window grow to hold it, and
+// the window stays grown — the next packet of that size is parsed in place
+// with no new buffer — as long as it is within windowMax. A packet beyond
+// windowMax gets a buffer for itself alone, and the reader is back at
+// windowSize on the next read. The packets around both are unharmed.
+func TestReaderOutsizedPacket(t *testing.T) {
+	const slide, huge = 24 << 10, windowMax + 11
+	data, want, _ := windowFile(t, 12, 1200, 1200, slide, 1200, 1200, slide, 1200, huge, 1200, 1200, slide, 1200)
+	for _, form := range readForms {
+		t.Run(form.name, func(t *testing.T) {
+			r := NewReader(chunkReader{bytes.NewReader(data), 5000})
+			if _, err := r.ReadHeader(); err != nil {
+				t.Fatal(err)
+			}
+			var windows []int // the window's length each time it changes
+			for i, w := range want {
+				got, err := form.read(r)
+				if err != nil {
+					t.Fatalf("packet %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(got, w) {
+					t.Fatalf("packet %d (%d bytes) differs from what was written", i, len(w.Payload))
+				}
+				if len(windows) == 0 || windows[len(windows)-1] != len(r.buf) {
+					windows = append(windows, len(r.buf))
+				}
+			}
+			if _, err := form.read(r); err != io.EOF {
+				t.Fatalf("after the last packet: %v, want io.EOF", err)
+			}
+			// Grown once for the first slide and kept for the second; replaced
+			// for the huge packet and dropped after it; grown again for the
+			// third slide.
+			grown := packetWireSize + slide
+			if want := []int{windowSize, grown, packetWireSize + huge, windowSize, grown}; !reflect.DeepEqual(windows, want) {
+				t.Fatalf("window sizes %v, want %v", windows, want)
+			}
+		})
+	}
+}
+
+// A length field beyond MaxPayload is refused from the fixed header
+// alone: nothing is allocated for it and the window does not grow.
+func TestReaderMaxPayloadBeforeAllocation(t *testing.T) {
+	data, _, bounds := windowFile(t, 1, 64)
+	lenField := data[bounds[0]+packetWireSize-4:]
+	binary.LittleEndian.PutUint32(lenField, MaxPayload+1)
+	for _, form := range readForms {
+		r := NewReader(bytes.NewReader(data))
+		if _, err := r.ReadHeader(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := form.read(r); !errors.Is(err, ErrLimit) {
+			t.Fatalf("%s: %v, want ErrLimit", form.name, err)
+		}
+		if len(r.buf) != windowSize {
+			t.Fatalf("%s: window grew to %d bytes for a refused packet", form.name, len(r.buf))
+		}
+	}
+	binary.LittleEndian.PutUint32(lenField, MaxPayload)
+	r := NewReader(bytes.NewReader(data))
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadPacket(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("MaxPayload promised, 64 bytes sent: %v, want ErrCorrupt", err)
+	}
+}
+
+// Cut the stream at every offset: only a cut exactly between objects is a
+// clean end of stream. Anywhere else — mid-magic, mid-header, mid-payload,
+// mid-index — is ErrCorrupt or io.ErrUnexpectedEOF, never io.EOF, or a
+// client would take a severed stream for a complete one; and the failure
+// sticks.
+func TestReaderTruncationIsNeverCleanEOF(t *testing.T) {
+	data, want, bounds := windowFile(t, 3, 300, 0, 45)
+	boundary := make(map[int]int) // offset → packets before it
+	for i, off := range bounds[:len(bounds)-1] {
+		boundary[off] = i
+	}
+	boundary[len(data)] = len(want)
+	for _, form := range readForms {
+		for cut := 0; cut <= len(data); cut++ {
+			r := NewReader(bytes.NewReader(data[:cut]))
+			if _, err := r.ReadHeader(); err != nil {
+				if cut >= bounds[0] {
+					t.Fatalf("%s cut %d: header: %v", form.name, cut, err)
+				}
+				if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("%s cut %d: header: %v, want an EOF error", form.name, cut, err)
+				}
+				continue
+			}
+			if cut < bounds[0] {
+				t.Fatalf("%s cut %d: truncated header accepted", form.name, cut)
+			}
+			n := 0
+			var err error
+			for {
+				var p Packet
+				if p, err = form.read(r); err != nil {
+					break
+				}
+				if !reflect.DeepEqual(p, want[n]) {
+					t.Fatalf("%s cut %d: packet %d differs", form.name, cut, n)
+				}
+				n++
+			}
+			if complete, clean := boundary[cut]; clean {
+				if err != io.EOF || n != complete {
+					t.Fatalf("%s cut %d (a frame boundary): %d packets then %v, want %d then io.EOF", form.name, cut, n, err, complete)
+				}
+			} else if err == io.EOF || !(errors.Is(err, ErrCorrupt) || errors.Is(err, io.ErrUnexpectedEOF)) {
+				t.Fatalf("%s cut %d (mid-object, after %d packets): %v, want ErrCorrupt or ErrUnexpectedEOF", form.name, cut, n, err)
+			}
+			if _, again := form.read(r); again != err {
+				t.Fatalf("%s cut %d: second read %v, first %v", form.name, cut, again, err)
+			}
+		}
+	}
+}
+
+// One flipped payload byte is ErrChecksum in both read forms, wherever in
+// the window the packet lies.
+func TestReaderChecksumBothForms(t *testing.T) {
+	data, want, bounds := windowFile(t, 20, 1200)
+	for _, bad := range []int{0, 13, 19} { // 13 straddles the first fill
+		flipped := bytes.Clone(data)
+		flipped[bounds[bad]+packetWireSize+600] ^= 0x01
+		for _, form := range readForms {
+			r := NewReader(bytes.NewReader(flipped))
+			if _, err := r.ReadHeader(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < bad; i++ {
+				if p, err := form.read(r); err != nil || !reflect.DeepEqual(p, want[i]) {
+					t.Fatalf("%s: packet %d before the flipped one: %v", form.name, i, err)
+				}
+			}
+			if _, err := form.read(r); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("%s: flipped packet %d: %v, want ErrChecksum", form.name, bad, err)
+			}
+		}
+	}
+}

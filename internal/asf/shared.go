@@ -31,7 +31,8 @@ const (
 //
 //   - NewShared copies the payload into the wire image, so the caller
 //     may reuse or mutate its payload buffer the moment NewShared
-//     returns; ReadShared reads into a buffer no one else holds.
+//     returns; ReadShared copies the image out of the reader's window
+//     into a buffer no one else holds.
 //   - After construction nothing may write to the Shared: Wire and the
 //     Packet view's Payload alias the same buffer that is concurrently
 //     being written to other subscribers' connections.

@@ -27,7 +27,9 @@ type Session interface {
 	// themselves. Failures before the body starts — a dead edge, a
 	// momentary no-edge 503 — fail over within the spec's budget, but a
 	// stream severed mid-read is the caller's to handle: resume by
-	// opening a new session with Start at the last offset read.
+	// opening a new session with Start at the last offset read. An
+	// asf.Reader over the body lends each packet until the next read;
+	// see the asf package documentation for who may keep one.
 	Fetch() (io.ReadCloser, error)
 	// Stats reports what the session has measured so far: the serving
 	// edge and its failover counters.

@@ -112,7 +112,7 @@ func RunEndToEnd(cfg E2EConfig) (*E2EResult, error) {
 			continue
 		}
 		deliveredBytes += int64(len(pkt.Payload))
-		arrivals = append(arrivals, arrival{pkt: pkt, at: d.ArrivedAt})
+		arrivals = append(arrivals, arrival{pkt: pkt.Clone(), at: d.ArrivedAt})
 	}
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
 

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -84,7 +83,7 @@ func (s *System) ServeAssetFile(name, path string) error {
 	defer func() {
 		_ = f.Close()
 	}()
-	_, err = s.Server.RegisterAsset(name, asf.NewReader(bufio.NewReader(f)))
+	_, err = s.Server.RegisterAsset(name, asf.NewReader(f))
 	return err
 }
 

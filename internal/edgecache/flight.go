@@ -22,11 +22,10 @@ type Flight struct {
 
 // Do runs fn for key, unless a call for key is already in flight — then
 // it waits for that call's result instead. shared reports whether this
-// caller attached to another caller's fetch. A nil ctx waits without
-// cancellation (the edge's internal mirror paths have no request
-// context); a follower whose ctx expires returns ctx.Err() immediately
-// while the leader's fetch continues for the remaining waiters. The
-// leader's error — nil or not — is propagated to every attached waiter.
+// caller attached to another caller's fetch. A follower whose ctx expires
+// returns ctx.Err() immediately while the leader's fetch continues for
+// the remaining waiters. The leader's error — nil or not — is propagated
+// to every attached waiter.
 func (f *Flight) Do(ctx context.Context, key string, fn func() error) (shared bool, err error) {
 	f.mu.Lock()
 	if f.calls == nil {
@@ -34,10 +33,6 @@ func (f *Flight) Do(ctx context.Context, key string, fn func() error) (shared bo
 	}
 	if cl, ok := f.calls[key]; ok {
 		f.mu.Unlock()
-		if ctx == nil {
-			<-cl.done
-			return true, cl.err
-		}
 		select {
 		case <-cl.done:
 			return true, cl.err

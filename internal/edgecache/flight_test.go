@@ -37,7 +37,7 @@ func TestFlightCoalescesWaiters(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := f.Do(nil, "asset/lec-0", func() error {
+		_, err := f.Do(context.Background(), "asset/lec-0", func() error {
 			calls.Add(1)
 			<-gate
 			return nil
@@ -54,7 +54,7 @@ func TestFlightCoalescesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := f.Do(nil, "asset/lec-0", func() error {
+			s, err := f.Do(context.Background(), "asset/lec-0", func() error {
 				calls.Add(1)
 				return nil
 			})
@@ -94,7 +94,7 @@ func TestFlightPropagatesFailure(t *testing.T) {
 	gate := make(chan struct{})
 
 	go func() {
-		f.Do(nil, "k", func() error { <-gate; return wantErr })
+		f.Do(context.Background(), "k", func() error { <-gate; return wantErr })
 	}()
 	waitForCall(t, &f, "k")
 
@@ -102,7 +102,7 @@ func TestFlightPropagatesFailure(t *testing.T) {
 	errs := make(chan error, followers)
 	for i := 0; i < followers; i++ {
 		go func() {
-			_, err := f.Do(nil, "k", func() error { return nil })
+			_, err := f.Do(context.Background(), "k", func() error { return nil })
 			errs <- err
 		}()
 	}
@@ -121,7 +121,7 @@ func TestFlightFollowerCtxCancel(t *testing.T) {
 	leaderErr := make(chan error, 1)
 
 	go func() {
-		_, err := f.Do(nil, "k", func() error { <-gate; return nil })
+		_, err := f.Do(context.Background(), "k", func() error { <-gate; return nil })
 		leaderErr <- err
 	}()
 	waitForCall(t, &f, "k")
@@ -152,7 +152,7 @@ func TestFlightKeysIndependent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.Do(nil, key, func() error { calls.Add(1); return nil })
+			f.Do(context.Background(), key, func() error { calls.Add(1); return nil })
 		}()
 	}
 	wg.Wait()
@@ -165,7 +165,7 @@ func TestFlightSequentialCallsEachRun(t *testing.T) {
 	var f Flight
 	var calls int
 	for i := 0; i < 3; i++ {
-		shared, err := f.Do(nil, "k", func() error { calls++; return nil })
+		shared, err := f.Do(context.Background(), "k", func() error { calls++; return nil })
 		if shared || err != nil {
 			t.Fatalf("call %d: shared=%v err=%v", i, shared, err)
 		}
@@ -187,7 +187,7 @@ func TestFlightStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%5)
-				if _, err := f.Do(nil, key, func() error { return nil }); err != nil {
+				if _, err := f.Do(context.Background(), key, func() error { return nil }); err != nil {
 					t.Errorf("Do(%s) = %v", key, err)
 					return
 				}

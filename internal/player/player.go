@@ -306,7 +306,8 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 
 	var vdec codec.VideoDecoder
 
-	// Jitter buffer: pre-read packets before starting the clock.
+	// Jitter buffer: pre-read packets before starting the clock. They are
+	// the only packets held across a read, so the only ones cloned.
 	var buffer []asf.Packet
 	fill := p.opts.JitterBufferDepth
 	for len(buffer) < fill {
@@ -317,7 +318,7 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 			}
 			return nil, fmt.Errorf("player: prebuffer: %w", err)
 		}
-		buffer = append(buffer, pkt)
+		buffer = append(buffer, pkt.Clone())
 	}
 
 	next := func() (asf.Packet, bool, error) {

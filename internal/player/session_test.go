@@ -3,7 +3,6 @@ package player
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 	"time"
 
@@ -17,23 +16,11 @@ import (
 func sessionAsset(t *testing.T) (asf.Header, []asf.Packet, asf.Index) {
 	t.Helper()
 	data, _ := testLectureBytes(t, 10*time.Second, encoder.Config{})
-	r := asf.NewReader(bytes.NewReader(data))
-	h, err := r.ReadHeader()
+	h, pkts, ix, err := asf.ReadAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkts []asf.Packet
-	for {
-		p, err := r.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkts = append(pkts, p)
-	}
-	return h, pkts, r.Index()
+	return h, pkts, ix
 }
 
 func TestSessionNoControlsIsIdentity(t *testing.T) {

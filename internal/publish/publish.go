@@ -184,7 +184,7 @@ func readVideoContainer(path string) (video, audio []media.Sample, h asf.Header,
 	defer func() {
 		_ = f.Close()
 	}()
-	r := asf.NewReader(bufio.NewReader(f))
+	r := asf.NewReader(f)
 	h, err = r.ReadHeader()
 	if err != nil {
 		return nil, nil, h, fmt.Errorf("publish: video header: %w", err)
@@ -197,9 +197,10 @@ func readVideoContainer(path string) (video, audio []media.Sample, h asf.Header,
 			}
 			return nil, nil, h, fmt.Errorf("publish: video packet: %w", rerr)
 		}
+		// The samples outlive the read that lent p.
 		s := media.Sample{
 			Stream: p.Stream, Kind: p.Kind, PTS: p.PTS, Duration: p.Dur,
-			Keyframe: p.Keyframe(), Data: p.Payload,
+			Keyframe: p.Keyframe(), Data: p.Clone().Payload,
 		}
 		switch p.Kind {
 		case media.KindVideo:

@@ -1,15 +1,18 @@
 package publish
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/asf"
 	"repro/internal/capture"
 	"repro/internal/codec"
 	"repro/internal/contenttree"
+	"repro/internal/media"
 	"repro/internal/player"
 )
 
@@ -292,5 +295,52 @@ func TestBuildContentTreeErrors(t *testing.T) {
 	bad := []capture.Slide{{Name: "late.png", At: 10 * time.Second}}
 	if _, err := BuildContentTree("T", bad, time.Second, 0); err == nil {
 		t.Fatal("slide past end accepted")
+	}
+}
+
+// TestPublishKeepsMediaPayloads pins what Publish does to the recording
+// itself: remuxing adds scripts and slides around the video and audio
+// packets but must carry their payload bytes through untouched, packet
+// for packet. (Publish keeps every payload it reads until the remux, so
+// this is also the test that fails, under -tags asfpoison, if it keeps
+// packets the reader only lent.)
+func TestPublishKeepsMediaPayloads(t *testing.T) {
+	dir := t.TempDir()
+	lec := makeLecture(t, 6*time.Second, 6)
+	paths, err := WriteRawLecture(lec, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "published.asf")
+	if _, err := Publish(Request{VideoPath: paths.VideoPath, SlidesDir: paths.SlidesDir, OutputPath: out}); err != nil {
+		t.Fatal(err)
+	}
+	mediaPackets := func(path string) map[media.Kind][]asf.Packet {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		_, packets, _, err := asf.ReadAll(f)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		byKind := make(map[media.Kind][]asf.Packet)
+		for _, p := range packets {
+			byKind[p.Kind] = append(byKind[p.Kind], p)
+		}
+		return byKind
+	}
+	src, got := mediaPackets(paths.VideoPath), mediaPackets(out)
+	for _, kind := range []media.Kind{media.KindVideo, media.KindAudio} {
+		if len(src[kind]) == 0 || len(got[kind]) != len(src[kind]) {
+			t.Fatalf("%s: published %d packets, recording has %d", kind, len(got[kind]), len(src[kind]))
+		}
+		for i, want := range src[kind] {
+			if p := got[kind][i]; p.PTS != want.PTS || !bytes.Equal(p.Payload, want.Payload) {
+				t.Fatalf("%s packet %d (pts %v): payload differs from the recording's (pts %v)", kind, i, p.PTS, want.PTS)
+			}
+		}
 	}
 }

@@ -125,8 +125,8 @@ func (e *Edge) client() *http.Client {
 // ensure runs fetch under a per-key singleflight: the first caller for a
 // key performs the fetch, concurrent callers attach to its outcome (and
 // are counted as coalesced pulls), and later callers short-circuit via
-// present. A nil ctx waits without cancellation; a non-nil ctx lets an
-// attached caller give up early while the fetch continues for the rest.
+// present. ctx lets an attached caller give up early while the fetch
+// continues for the rest.
 func (e *Edge) ensure(ctx context.Context, key string, present func() bool, fetch func() error) error {
 	attached := false
 	for {
@@ -160,12 +160,20 @@ func (e *Edge) ensure(ctx context.Context, key string, present func() bool, fetc
 // as a hit and refreshes its recency and frequency. A missing origin
 // asset returns streaming.ErrNotFound.
 func (e *Edge) MirrorAsset(name string) error {
-	return e.mirrorAsset(nil, name)
+	return e.mirrorAsset(detached(), name)
 }
 
-// mirrorAsset is MirrorAsset with a wait context: a nil ctx blocks
-// until the (possibly shared) pull resolves, a request ctx lets this
-// demand abandon a shared pull when its client goes away.
+// detached is the wait context of the exported, context-free forms
+// (MirrorAsset, MirrorGroup, RelayChannel): their callers — a prewarm, a
+// group pull mirroring its variants — have no request to abandon, so the
+// wait runs until the pull resolves.
+func detached() context.Context {
+	//lodlint:allow bare-ctx the exported forms keep their context-free signature; nothing upstream to cancel
+	return context.TODO()
+}
+
+// mirrorAsset is MirrorAsset with a wait context: a request ctx lets
+// this demand abandon a shared pull when its client goes away.
 func (e *Edge) mirrorAsset(ctx context.Context, name string) error {
 	if _, ok := e.Server.Asset(name); ok {
 		e.inst.hits.Inc()
@@ -307,7 +315,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // server, mirroring every variant asset from the origin on first demand.
 // A group the origin doesn't have returns streaming.ErrNotFound.
 func (e *Edge) MirrorGroup(name string) error {
-	return e.mirrorGroup(nil, name)
+	return e.mirrorGroup(detached(), name)
 }
 
 func (e *Edge) mirrorGroup(ctx context.Context, name string) error {
@@ -372,7 +380,7 @@ func (e *Edge) fetchGroup(name string) error {
 // background until the origin broadcast ends, which closes the local
 // channel too. A missing origin channel returns streaming.ErrNotFound.
 func (e *Edge) RelayChannel(name string) error {
-	return e.relayChannel(nil, name)
+	return e.relayChannel(detached(), name)
 }
 
 func (e *Edge) relayChannel(ctx context.Context, name string) error {

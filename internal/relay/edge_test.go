@@ -77,7 +77,7 @@ func readStream(t *testing.T, url string) (asf.Header, []asf.Packet) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkts = append(pkts, p)
+		pkts = append(pkts, p.Clone())
 	}
 	return h, pkts
 }

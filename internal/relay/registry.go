@@ -747,14 +747,33 @@ func (g *Registry) setCatalogVersion(w http.ResponseWriter) {
 	w.Header().Set(proto.CatalogVersionHeader, g.store.Current().VersionString)
 }
 
-func (g *Registry) handleRegister(w http.ResponseWriter, r *http.Request) {
+// maxControlBody bounds the JSON body of a control-plane POST. The largest
+// honest one is a group publish naming its variants — kilobytes.
+const maxControlBody = 1 << 20
+
+// decodePost reads a control-plane POST's JSON body into msg. It answers
+// every refusal itself — 405 for another method, 413 for a body over
+// maxControlBody, 400 for malformed JSON — and reports whether the
+// handler may go on.
+func decodePost(w http.ResponseWriter, r *http.Request, msg any) bool {
 	if r.Method != http.MethodPost {
 		proto.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return false
 	}
-	var info NodeInfo
-	if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(msg)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		proto.WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
+	case err != nil:
 		proto.WriteError(w, http.StatusBadRequest, err.Error())
+	}
+	return err == nil
+}
+
+func (g *Registry) handleRegister(w http.ResponseWriter, r *http.Request) {
+	var info NodeInfo
+	if !decodePost(w, r, &info) {
 		return
 	}
 	if err := g.Register(info); err != nil {
@@ -765,13 +784,8 @@ func (g *Registry) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Registry) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		proto.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var msg proto.HeartbeatMsg
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-		proto.WriteError(w, http.StatusBadRequest, err.Error())
+	if !decodePost(w, r, &msg) {
 		return
 	}
 	if err := g.Heartbeat(msg.ID, msg.Stats); err != nil {
@@ -791,13 +805,8 @@ func (g *Registry) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Registry) handleReportFailure(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		proto.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var msg proto.FailureReport
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-		proto.WriteError(w, http.StatusBadRequest, err.Error())
+	if !decodePost(w, r, &msg) {
 		return
 	}
 	if msg.Node == "" {
@@ -811,13 +820,8 @@ func (g *Registry) handleReportFailure(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Registry) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		proto.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var msg proto.DeregisterMsg
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-		proto.WriteError(w, http.StatusBadRequest, err.Error())
+	if !decodePost(w, r, &msg) {
 		return
 	}
 	if msg.ID == "" {
@@ -841,13 +845,8 @@ func (g *Registry) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (g *Registry) handleCatalogPublish(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		proto.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var msg proto.PublishMsg
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-		proto.WriteError(w, http.StatusBadRequest, err.Error())
+	if !decodePost(w, r, &msg) {
 		return
 	}
 	var err error
@@ -869,13 +868,8 @@ func (g *Registry) handleCatalogPublish(w http.ResponseWriter, r *http.Request) 
 }
 
 func (g *Registry) handleCatalogUnpublish(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		proto.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var msg proto.UnpublishMsg
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-		proto.WriteError(w, http.StatusBadRequest, err.Error())
+	if !decodePost(w, r, &msg) {
 		return
 	}
 	var (
@@ -904,13 +898,8 @@ func (g *Registry) handleCatalogUnpublish(w http.ResponseWriter, r *http.Request
 }
 
 func (g *Registry) handleCatalogRollback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		proto.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var msg proto.RollbackMsg
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-		proto.WriteError(w, http.StatusBadRequest, err.Error())
+	if !decodePost(w, r, &msg) {
 		return
 	}
 	if msg.Version == 0 {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/streaming"
 	"repro/internal/testutil"
 	"repro/internal/vclock"
@@ -370,5 +371,38 @@ func TestSnapshotStats(t *testing.T) {
 	}
 	if !strings.Contains(ErrNoNodes.Error(), "relay") {
 		t.Fatal("error missing package prefix")
+	}
+}
+
+// Every control-plane POST reads its JSON body through one bounded
+// reader: a body over maxControlBody answers 413 with the proto.Error
+// body, on each of the seven endpoints, and changes nothing.
+func TestRegistryRefusesOversizeBodies(t *testing.T) {
+	g := NewRegistry(nil)
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+
+	// Valid JSON all the way: only its size is wrong.
+	body := `{"id":"` + strings.Repeat("x", maxControlBody) + `"}`
+	for _, path := range []string{
+		proto.PathRegister, proto.PathHeartbeat, proto.PathReportFailure, proto.PathDeregister,
+		proto.PathCatalogPublish, proto.PathCatalogUnpublish, proto.PathCatalogRollback,
+	} {
+		resp, err := http.Post(ts.URL+proto.Versioned(path), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var perr proto.Error
+		err = json.NewDecoder(resp.Body).Decode(&perr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with %d bytes: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+		if err != nil || perr.Status != http.StatusRequestEntityTooLarge || perr.Message == "" {
+			t.Fatalf("POST %s: body %+v (%v), want a proto.Error", path, perr, err)
+		}
+	}
+	if n := len(g.Nodes()); n != 0 {
+		t.Fatalf("%d nodes registered by refused requests", n)
 	}
 }

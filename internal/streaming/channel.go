@@ -244,6 +244,17 @@ func (s *Server) CreateChannel(name string, h asf.Header) (*Channel, error) {
 	return ch, nil
 }
 
+// channelDropped sums Dropped over the server's channels.
+func (s *Server) channelDropped() float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var n int64
+	for _, ch := range s.channels {
+		n += ch.Dropped()
+	}
+	return float64(n)
+}
+
 // Channel returns a registered live channel.
 func (s *Server) Channel(name string) (*Channel, bool) {
 	s.mu.RLock()

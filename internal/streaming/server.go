@@ -179,6 +179,9 @@ func NewServer(clock vclock.Clock) *Server {
 		Pacing:        true,
 	}
 	s.inst = newServerInstruments(s.metrics)
+	// Channels are never unregistered, so the sum only grows.
+	s.metrics.GaugeFunc("lod_channel_dropped_total",
+		"Live packets a full subscriber queue lost, summed over the server's channels.", s.channelDropped)
 	return s
 }
 

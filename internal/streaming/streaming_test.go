@@ -223,7 +223,8 @@ func TestChannelPublishSubscribe(t *testing.T) {
 }
 
 func TestChannelSlowSubscriberDrops(t *testing.T) {
-	ch, err := NewChannel("slow", liveHeader(t))
+	srv := NewServer(nil)
+	ch, err := srv.CreateChannel("slow", liveHeader(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +241,9 @@ func TestChannelSlowSubscriberDrops(t *testing.T) {
 	}
 	if ch.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", ch.Dropped())
+	}
+	if got := srv.Metrics().Status()["lod_channel_dropped_total"]; got != 3 {
+		t.Fatalf("lod_channel_dropped_total = %v, want 3", got)
 	}
 }
 
