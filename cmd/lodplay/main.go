@@ -215,7 +215,7 @@ func printServerStatus(base string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := proto.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

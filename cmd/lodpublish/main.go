@@ -24,6 +24,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -134,7 +135,7 @@ func runLivePublish(name, path, origin, registry string) error {
 		if err != nil {
 			return err
 		}
-		err = relay.PublishAsset(nil, origin, name, bufio.NewReader(f))
+		err = relay.PublishAsset(context.Background(), nil, origin, name, bufio.NewReader(f))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -144,7 +145,7 @@ func runLivePublish(name, path, origin, registry string) error {
 		fmt.Printf("pushed %q live onto origin %s\n", name, origin)
 	}
 	if registry != "" {
-		ver, err := relay.PublishCatalog(nil, registry, proto.PublishMsg{
+		ver, err := relay.PublishCatalog(context.Background(), nil, registry, proto.PublishMsg{
 			Asset: &proto.CatalogAsset{Name: name},
 		})
 		if err != nil {
@@ -164,7 +165,7 @@ func runLivePublish(name, path, origin, registry string) error {
 func runUnpublish(name, origin, registry string) error {
 	removed := 0
 	if origin != "" {
-		switch err := relay.UnpublishAsset(nil, origin, name); {
+		switch err := relay.UnpublishAsset(context.Background(), nil, origin, name); {
 		case err == nil:
 			removed++
 			fmt.Printf("removed %q from origin %s\n", name, origin)
@@ -175,7 +176,7 @@ func runUnpublish(name, origin, registry string) error {
 		}
 	}
 	if registry != "" {
-		switch ver, err := relay.UnpublishCatalog(nil, registry, proto.UnpublishMsg{Asset: name}); {
+		switch ver, err := relay.UnpublishCatalog(context.Background(), nil, registry, proto.UnpublishMsg{Asset: name}); {
 		case err == nil:
 			removed++
 			fmt.Printf("withdrew %q from catalog (version %d)\n", name, ver)

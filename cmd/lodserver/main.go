@@ -283,6 +283,9 @@ const (
 	readHeaderTimeout = 10 * time.Second
 	// idleTimeout closes keep-alive connections no request has used.
 	idleTimeout = 2 * time.Minute
+	// deregisterTimeout bounds telling the registry about a shutdown, so
+	// a registry that stopped answering cannot hold up the drain.
+	deregisterTimeout = 5 * time.Second
 )
 
 func newHTTPServer(addr string, h http.Handler) *http.Server {
@@ -301,7 +304,10 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 func shutdown(c *config, srv *streaming.Server, servers []*http.Server) error {
 	if c.registry != "" && !c.hostsRegistry() {
 		fmt.Printf("deregistering %s from registry %s\n", c.edgeURL, c.registry)
-		if err := relay.Deregister(nil, c.registry, c.edgeURL); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), deregisterTimeout)
+		err := relay.Deregister(ctx, nil, c.registry, c.edgeURL)
+		cancel()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "lodserver: deregister:", err)
 		}
 	}

@@ -326,10 +326,10 @@ func TestRelayCluster(t *testing.T) {
 	registry := relay.NewRegistry(nil)
 	regTS := httptest.NewServer(mountMetrics(registry.Handler(), registry.Metrics()))
 	defer regTS.Close()
-	if err := relay.RegisterWith(nil, regTS.URL, relay.NodeInfo{ID: "edge-a", URL: edgeATS.URL}); err != nil {
+	if err := relay.RegisterWith(context.Background(), nil, regTS.URL, relay.NodeInfo{ID: "edge-a", URL: edgeATS.URL}); err != nil {
 		t.Fatal(err)
 	}
-	if err := relay.RegisterWith(nil, regTS.URL, relay.NodeInfo{ID: "edge-b", URL: edgeBTS.URL}); err != nil {
+	if err := relay.RegisterWith(context.Background(), nil, regTS.URL, relay.NodeInfo{ID: "edge-b", URL: edgeBTS.URL}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -409,7 +409,7 @@ func TestRelayCluster(t *testing.T) {
 	}
 	// The preferred edge revives on its next heartbeat; affinity snaps
 	// back and a third play is served from its existing mirror.
-	if _, err := relay.Heartbeat(nil, regTS.URL, pref.id, relay.SnapshotStats(pref.edge.Server)); err != nil {
+	if _, err := relay.Heartbeat(context.Background(), nil, regTS.URL, pref.id, relay.SnapshotStats(pref.edge.Server)); err != nil {
 		t.Fatal(err)
 	}
 	playVOD()
@@ -787,10 +787,10 @@ func TestCatalogHotSwap(t *testing.T) {
 	// catalog announcement. New sessions can open it immediately — the
 	// edge mirror is pulled on first demand. ---
 	hot := encode("hot lecture", 2*time.Second)
-	if err := relay.PublishAsset(nil, originTS.URL, "hot-lec", bytes.NewReader(hot)); err != nil {
+	if err := relay.PublishAsset(context.Background(), nil, originTS.URL, "hot-lec", bytes.NewReader(hot)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relay.PublishCatalog(nil, regTS.URL, proto.PublishMsg{
+	if _, err := relay.PublishCatalog(context.Background(), nil, regTS.URL, proto.PublishMsg{
 		Asset: &proto.CatalogAsset{Name: "hot-lec"},
 	}); err != nil {
 		t.Fatal(err)
@@ -806,10 +806,10 @@ func TestCatalogHotSwap(t *testing.T) {
 	// rides the next heartbeat and invalidates the stale mirror, so the
 	// next play re-pulls gen 2. ---
 	gen2 := encode("swap gen 2", 2*time.Second)
-	if err := relay.PublishAsset(nil, originTS.URL, "swap-lec", bytes.NewReader(gen2)); err != nil {
+	if err := relay.PublishAsset(context.Background(), nil, originTS.URL, "swap-lec", bytes.NewReader(gen2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relay.PublishCatalog(nil, regTS.URL, proto.PublishMsg{
+	if _, err := relay.PublishCatalog(context.Background(), nil, regTS.URL, proto.PublishMsg{
 		Asset: &proto.CatalogAsset{Name: "swap-lec"},
 	}); err != nil {
 		t.Fatal(err)
@@ -838,10 +838,10 @@ func TestCatalogHotSwap(t *testing.T) {
 	if _, err := inflight.ReadHeader(); err != nil {
 		t.Fatal(err)
 	}
-	if err := relay.UnpublishAsset(nil, originTS.URL, "swap-lec"); err != nil {
+	if err := relay.UnpublishAsset(context.Background(), nil, originTS.URL, "swap-lec"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relay.UnpublishCatalog(nil, regTS.URL, proto.UnpublishMsg{Asset: "swap-lec"}); err != nil {
+	if _, err := relay.UnpublishCatalog(context.Background(), nil, regTS.URL, proto.UnpublishMsg{Asset: "swap-lec"}); err != nil {
 		t.Fatal(err)
 	}
 	packets := 0

@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -51,24 +50,6 @@ const (
 	Group = proto.StreamGroup
 )
 
-// Timeouts of the SDK's default HTTP client. A connection and a
-// response's headers must arrive within them; there is no overall
-// timeout, because a lecture body streams for as long as the lecture.
-const (
-	dialTimeout   = 5 * time.Second
-	headerTimeout = 10 * time.Second
-)
-
-// defaultHTTP is the client New uses when no WithHTTPClient is given.
-var defaultHTTP = &http.Client{Transport: defaultTransport()}
-
-func defaultTransport() *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.DialContext = (&net.Dialer{Timeout: dialTimeout, KeepAlive: 30 * time.Second}).DialContext
-	t.ResponseHeaderTimeout = headerTimeout
-	return t
-}
-
 // Client opens sessions through one base URL. It carries only
 // configuration and is safe for concurrent use; per-stream state lives
 // on the Session.
@@ -85,8 +66,8 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient supplies the transport for registry and edge requests
-// (an in-process netsim.MemNet client, say). Nil keeps the SDK's
-// default client, which has dial and response-header timeouts.
+// (an in-process netsim.MemNet client, say). Nil keeps
+// proto.DefaultClient, which has dial and response-header timeouts.
 func WithHTTPClient(h *http.Client) Option {
 	return func(c *Client) {
 		if h != nil {
@@ -99,7 +80,7 @@ func WithHTTPClient(h *http.Client) Option {
 // (scheme://host, no trailing slash needed): a cluster registry, or a
 // serving node played directly.
 func New(baseURL string, opts ...Option) *Client {
-	c := &Client{base: strings.TrimSuffix(baseURL, "/"), http: defaultHTTP}
+	c := &Client{base: strings.TrimSuffix(baseURL, "/"), http: proto.DefaultClient}
 	if u, err := url.Parse(c.base); err == nil {
 		c.host = u.Host
 	}

@@ -14,6 +14,9 @@ import (
 //     http.NewRequestWithContext instead);
 //   - http.NewRequest, which silently attaches context.Background
 //     (use http.NewRequestWithContext);
+//   - http.DefaultClient, which waits forever for an answer that never
+//     comes (use proto.DefaultClient, which has dial and header
+//     timeouts);
 //   - context.Background()/context.TODO() inside internal packages,
 //     which sever the caller's cancellation chain — internal code takes
 //     a ctx parameter; only the binaries in cmd/ and the examples own
@@ -51,6 +54,12 @@ func runCtxhttp(pass *Pass) {
 			case sel.Sel.Name == "NewRequest":
 				pass.Reportf(call.Pos(),
 					"http.NewRequest attaches context.Background: use http.NewRequestWithContext with the caller's context")
+			}
+		})
+		eachPkgSelector(f, httpNames, func(sel *ast.SelectorExpr) {
+			if sel.Sel.Name == "DefaultClient" {
+				pass.Reportf(sel.Pos(),
+					"http.DefaultClient has no timeouts: a peer that never answers hangs the caller; use proto.DefaultClient")
 			}
 		})
 		if !internal {

@@ -4,13 +4,15 @@ import "strings"
 
 // Layering keeps the client stack single: internal/client is the only
 // code that opens a stream, the player only renders what it is handed,
-// and the server tier (internal/relay) holds no client code. A small
+// and the server tier (internal/relay) holds no client code. It also
+// keeps the registry's decision core (internal/relay/membership) free
+// of HTTP, clocks, metrics and the durable store. A small
 // table of imports each constrained package's non-test files may not
 // have; every other package, cmd/ and benchmark/ included, may import
 // what it likes.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "one client stack: relay imports no client code, player no net/http, client no server tier",
+	Doc:  "one client stack: relay imports no client code, player no net/http, client no server tier; the membership core no side effects",
 	Run:  runLayering,
 }
 
@@ -23,6 +25,8 @@ var layerRules = []struct {
 }{
 	{"internal/relay", []string{"internal/player", "internal/client"},
 		"the server tier holds no client code; internal/client is the one client stack"},
+	{"internal/relay/membership", []string{"net/http", "internal/vclock", "internal/metrics", "internal/catalog"},
+		"the registry's decision core takes time as an argument and leaves HTTP, metrics and the store to relay.Registry"},
 	{"internal/player", []string{"net/http"},
 		"the player does no networking; internal/client opens streams and hands it the body"},
 	{"internal/client", []string{"internal/relay", "internal/streaming", "internal/edgecache", "internal/catalog"},

@@ -19,6 +19,10 @@ func TestLayeringFlagsClient(t *testing.T) {
 	linttest.Run(t, lint.Layering, testdata("layering", "client"), "repro/internal/client")
 }
 
+func TestLayeringFlagsMembership(t *testing.T) {
+	linttest.Run(t, lint.Layering, testdata("layering", "membership"), "repro/internal/relay/membership")
+}
+
 func TestLayeringIgnoresUnconstrainedPackages(t *testing.T) {
 	for _, path := range []string{"repro/benchmark", "repro/cmd/lodplay", "repro/internal/relayx", "repro"} {
 		linttest.Run(t, lint.Layering, testdata("layering", "outside"), path)

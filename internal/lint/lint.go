@@ -13,18 +13,21 @@
 //     and it cannot false-positive on comments, because it only looks
 //     at string literals.
 //   - vclocktime: packages that participate in the virtual clock
-//     (streaming, player, relay, netsim, catalog, edgecache) must take
-//     time from a vclock.Clock, never from time.Now/Sleep/After/...
-//     directly — otherwise MemNet benchmarks silently lose determinism.
-//   - ctxhttp: HTTP requests are built with NewRequestWithContext and
-//     internal packages derive contexts from their callers, so drain
-//     and failover can actually cancel in-flight work.
+//     (streaming, player, relay and its membership core, netsim,
+//     catalog, edgecache) must take time from a vclock.Clock, never
+//     from time.Now/Sleep/After/... directly — otherwise MemNet
+//     benchmarks silently lose determinism.
+//   - ctxhttp: HTTP requests are built with NewRequestWithContext,
+//     internal packages derive contexts from their callers, and nothing
+//     uses the timeout-free http.DefaultClient, so drain and failover
+//     can actually cancel in-flight work.
 //   - protoerror: server handlers answer errors with
 //     proto.WriteError/WriteErr (the Error JSON body is the /v1
 //     contract), not http.Error's text line.
 //   - layering: one client stack — internal/relay imports neither the
 //     player nor the SDK, internal/player does not import net/http, and
-//     internal/client imports no server-tier package.
+//     internal/client imports no server-tier package; the registry's
+//     membership core imports no net/http, vclock, metrics or catalog.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic, testdata packages with `// want` expectations — see

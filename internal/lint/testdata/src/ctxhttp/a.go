@@ -1,6 +1,6 @@
 // Package a exercises the ctxhttp analyzer under an internal import
-// path, where both the context-free http helpers and context roots are
-// findings.
+// path, where the context-free http helpers, the timeout-free
+// http.DefaultClient and context roots are all findings.
 package a
 
 import (
@@ -9,7 +9,7 @@ import (
 	"net/http"
 )
 
-func fetch(ctx context.Context, url string) error {
+func fetch(ctx context.Context, client *http.Client, url string) error {
 	resp, err := http.Get(url) // want `http\.Get is not cancellable`
 	if err != nil {
 		return err
@@ -30,7 +30,11 @@ func fetch(ctx context.Context, url string) error {
 	if err != nil {
 		return err
 	}
-	_, err = http.DefaultClient.Do(req)
+	if _, err = http.DefaultClient.Do(req); err != nil { // want `http\.DefaultClient has no timeouts`
+		return err
+	}
+	// A client with timeouts, handed in, is the allowed form.
+	_, err = client.Do(req)
 	return err
 }
 

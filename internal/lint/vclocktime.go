@@ -27,6 +27,7 @@ var vclockPackages = []string{
 	"internal/streaming",
 	"internal/player",
 	"internal/relay",
+	"internal/relay/membership",
 	"internal/netsim",
 	"internal/catalog",
 	"internal/edgecache",

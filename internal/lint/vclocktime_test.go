@@ -11,6 +11,10 @@ func TestVclocktimeFlags(t *testing.T) {
 	linttest.Run(t, lint.Vclocktime, testdata("vclocktime"), "repro/internal/streaming")
 }
 
+func TestVclocktimeFlagsMembership(t *testing.T) {
+	linttest.Run(t, lint.Vclocktime, testdata("vclocktime", "membership"), "repro/internal/relay/membership")
+}
+
 func TestVclocktimeIgnoresOutsidePackages(t *testing.T) {
 	linttest.Run(t, lint.Vclocktime, testdata("vclocktime", "outside"), "repro/internal/codec")
 }

@@ -23,6 +23,7 @@
 package proto
 
 import (
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -206,6 +207,19 @@ func Handle(mux *http.ServeMux, path string, h http.Handler) {
 // HandleFunc is Handle for a handler function.
 func HandleFunc(mux *http.ServeMux, path string, h http.HandlerFunc) {
 	Handle(mux, path, h)
+}
+
+// DefaultClient is the HTTP client every role uses when its caller
+// supplies none: a connection must be made within 5 s and a response's
+// headers must arrive within 10 s. There is no overall timeout, because
+// a lecture body streams for as long as the lecture.
+var DefaultClient = &http.Client{Transport: defaultTransport()}
+
+func defaultTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DialContext = (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext
+	t.ResponseHeaderTimeout = 10 * time.Second
+	return t
 }
 
 // FormatStart renders a seek/resume offset as the canonical ParamStart

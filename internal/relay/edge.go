@@ -42,7 +42,7 @@ type Edge struct {
 	// Server is the edge's local streaming server; mirrored and relayed
 	// content is registered here and served by its handlers.
 	Server *streaming.Server
-	// Client performs origin requests; nil means http.DefaultClient.
+	// Client performs origin requests; nil means proto.DefaultClient.
 	Client *http.Client
 	// CacheBytes bounds the summed payload bytes of mirrored assets;
 	// 0 mirrors without limit. Set before serving traffic.
@@ -119,7 +119,7 @@ func (e *Edge) client() *http.Client {
 	if e.Client != nil {
 		return e.Client
 	}
-	return http.DefaultClient
+	return proto.DefaultClient
 }
 
 // ensure runs fetch under a per-key singleflight: the first caller for a
@@ -164,9 +164,10 @@ func (e *Edge) MirrorAsset(name string) error {
 }
 
 // detached is the wait context of the exported, context-free forms
-// (MirrorAsset, MirrorGroup, RelayChannel): their callers — a prewarm, a
-// group pull mirroring its variants — have no request to abandon, so the
-// wait runs until the pull resolves.
+// (MirrorAsset, MirrorGroup, RelayChannel, SyncCatalogFrom): their
+// callers — a prewarm, a group pull mirroring its variants, a catalog
+// version callback — have no request to abandon, so the wait runs until
+// the call resolves.
 func detached() context.Context {
 	//lodlint:allow bare-ctx the exported forms keep their context-free signature; nothing upstream to cancel
 	return context.TODO()

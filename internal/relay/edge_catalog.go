@@ -110,9 +110,9 @@ func (e *Edge) CatalogVersion() uint64 {
 
 // SyncCatalogFrom fetches the registry's catalog and applies it —
 // the convenience Heartbeats.OnCatalog callbacks use. A nil client
-// uses http.DefaultClient.
+// uses proto.DefaultClient, whose timeouts bound the fetch.
 func (e *Edge) SyncCatalogFrom(client *http.Client, registry string) error {
-	cat, err := GetCatalog(client, registry)
+	cat, err := GetCatalog(detached(), client, registry)
 	if err != nil {
 		return err
 	}

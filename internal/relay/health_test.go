@@ -40,7 +40,7 @@ func TestRegistryReportFailureKillsNodeImmediately(t *testing.T) {
 		t.Fatal("unknown node reported killed")
 	}
 	for i := 0; i < 4; i++ {
-		n, err := g.Pick()
+		n, err := g.PickFor("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestRegistryReportFailureKillsNodeImmediately(t *testing.T) {
 	if err := g.Heartbeat("b", NodeStats{ActiveClients: 50}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := g.Pick()
+	n, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRegistryDeregisterMarksNodeDraining(t *testing.T) {
 	if g.Deregister("a") {
 		t.Fatal("second deregister reported a state change")
 	}
-	if _, err := g.Pick(); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor(""); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick after deregister = %v, want ErrNoNodes", err)
 	}
 	// The node stays listed so operators can watch the shutdown, with
@@ -92,12 +92,12 @@ func TestRegistryDeregisterMarksNodeDraining(t *testing.T) {
 	if err := g.Heartbeat("a", NodeStats{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Pick(); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor(""); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick after draining heartbeat = %v, want ErrNoNodes", err)
 	}
 	// ...but an explicit re-registration (a restarted node) brings it back.
 	mustRegister(t, g, NodeInfo{ID: "a", URL: "http://edge-a:8081"})
-	if n, err := g.Pick(); err != nil || n.ID != "a" {
+	if n, err := g.PickFor(""); err != nil || n.ID != "a" {
 		t.Fatalf("pick after re-register = %v, %v", n, err)
 	}
 	if got := g.Nodes()[0].Health; got != proto.HealthAlive {
@@ -118,7 +118,7 @@ func TestRegistryPickHonorsExcludes(t *testing.T) {
 	if err := g.Heartbeat("b", NodeStats{ActiveClients: 9}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := g.Pick("edge-a:8081")
+	n, err := g.PickFor("", "edge-a:8081")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestRegistryPickHonorsExcludes(t *testing.T) {
 		t.Fatalf("pick with exclude = %s, want b", n.ID)
 	}
 	// Excluding by node ID works too.
-	if n, err = g.Pick("a"); err != nil || n.ID != "b" {
+	if n, err = g.PickFor("", "a"); err != nil || n.ID != "b" {
 		t.Fatalf("pick excluding by ID = %v %v", n, err)
 	}
 	// Everything excluded: no nodes, the client's cue to reset.
-	if _, err := g.Pick("a", "b"); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor("", "a", "b"); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick with all excluded = %v, want ErrNoNodes", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestRegistryHTTPFailureFeedback(t *testing.T) {
 	}
 
 	// Deregister drains the other node: nothing remains.
-	if err := Deregister(nil, ts.URL, "a"); err != nil {
+	if err := Deregister(context.Background(), nil, ts.URL, "a"); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.Get(ts.URL + "/vod/lec")
@@ -251,5 +251,30 @@ func TestRejoinAfterRegistryRestartHeartbeatsImmediately(t *testing.T) {
 		"node never re-registered")
 	if lag := waitStats(fresh, interval); lag > interval/2 {
 		t.Fatalf("stats arrived %v after rejoin; an immediate heartbeat should beat %v", lag, interval/2)
+	}
+}
+
+// TestDeregisterHonorsContext: a registry that accepts the connection
+// and never answers must not hold up a draining edge past its context —
+// lodserver's SIGTERM path deregisters before it drains.
+func TestDeregisterHonorsContext(t *testing.T) {
+	stop := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
+	}))
+	defer ts.Close()
+	defer close(stop)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := Deregister(ctx, nil, ts.URL, "a"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Deregister against a silent registry = %v, want the context's deadline", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Deregister took %v with a 100ms context", took)
 	}
 }

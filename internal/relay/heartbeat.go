@@ -13,17 +13,15 @@ import (
 // snapshots every Interval, rejoin after a registry restart, and
 // surface catalog-version movement to the node.
 //
-// The loop survives registry downtime. Historically the initial
-// registration was fatal — an edge whose heartbeat loop started while
-// the registry was restarting (connection refused) silently fell out of
-// the cluster forever. Now transport-level registration failures retry
-// with bounded exponential backoff (vclock.Backoff from registerBackoff
-// on the loop's Clock), and heartbeat failures simply retry on the next
-// tick; only a protocol rejection of the
-// registration itself (a 4xx — the registry understood us and said no)
-// is fatal, since retrying a malformed NodeInfo can never succeed.
+// The loop survives registry downtime: transport-level registration
+// failures retry with bounded exponential backoff (vclock.Backoff from
+// registerBackoff on the loop's Clock), and heartbeat failures simply
+// retry on the next tick; only a protocol rejection of the registration
+// itself (a 4xx — the registry understood us and said no) is fatal,
+// since retrying a malformed NodeInfo can never succeed. Every call
+// carries Run's ctx, so cancelling it also ends a call in flight.
 type Heartbeats struct {
-	// Client for all registry calls; nil uses http.DefaultClient.
+	// Client for all registry calls; nil uses proto.DefaultClient.
 	Client *http.Client
 	// Registry is the registry's base URL.
 	Registry string
@@ -74,13 +72,13 @@ func (h *Heartbeats) Run(ctx context.Context) error {
 		return err
 	}
 	var lastCatalog uint64
-	h.beat(&lastCatalog)
+	h.beat(ctx, &lastCatalog)
 	for {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-clock.After(interval):
-			err := h.beat(&lastCatalog)
+			err := h.beat(ctx, &lastCatalog)
 			// Rejoin only while the node is actually staying up: once ctx
 			// is cancelled the node is shutting down, and a heartbeat that
 			// raced a deliberate Deregister must not resurrect the entry.
@@ -91,8 +89,8 @@ func (h *Heartbeats) Run(ctx context.Context) error {
 				// score-from-real-load reason as at startup. Transport
 				// failures here retry on the next tick rather than
 				// blocking the beat cadence in a backoff sleep.
-				if RegisterWith(h.Client, h.Registry, h.Info) == nil {
-					_ = h.beat(&lastCatalog)
+				if RegisterWith(ctx, h.Client, h.Registry, h.Info) == nil {
+					_ = h.beat(ctx, &lastCatalog)
 				}
 			}
 		}
@@ -104,7 +102,7 @@ func (h *Heartbeats) Run(ctx context.Context) error {
 // (4xx) is returned as fatal.
 func (h *Heartbeats) register(ctx context.Context, clock vclock.Clock) error {
 	for attempt := 1; ; attempt++ {
-		err := RegisterWith(h.Client, h.Registry, h.Info)
+		err := RegisterWith(ctx, h.Client, h.Registry, h.Info)
 		if err == nil {
 			return nil
 		}
@@ -120,8 +118,8 @@ func (h *Heartbeats) register(ctx context.Context, clock vclock.Clock) error {
 
 // beat posts one snapshot and relays a grown catalog version to
 // OnCatalog.
-func (h *Heartbeats) beat(lastCatalog *uint64) error {
-	ver, err := Heartbeat(h.Client, h.Registry, h.Info.ID, h.Snapshot())
+func (h *Heartbeats) beat(ctx context.Context, lastCatalog *uint64) error {
+	ver, err := Heartbeat(ctx, h.Client, h.Registry, h.Info.ID, h.Snapshot())
 	if err != nil {
 		return err
 	}

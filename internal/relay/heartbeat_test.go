@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/testutil"
 )
 
@@ -88,5 +89,52 @@ func TestHeartbeatsRejectionIsFatal(t *testing.T) {
 	defer cancel()
 	if err := hb.Run(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Run = %v, want the registry's rejection", err)
+	}
+}
+
+// TestHeartbeatsCancelUnblocksBeat: cancelling the loop's context ends
+// an in-flight heartbeat too, so Run returns promptly even while the
+// registry sits on the request.
+func TestHeartbeatsCancelUnblocksBeat(t *testing.T) {
+	g := NewRegistry(nil)
+	defer g.Close()
+	beating, stop := make(chan struct{}, 1), make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != proto.Versioned(proto.PathHeartbeat) {
+			g.Handler().ServeHTTP(w, r)
+			return
+		}
+		select {
+		case beating <- struct{}{}:
+		default:
+		}
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
+	}))
+	defer ts.Close()
+	defer close(stop)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	hb := &Heartbeats{
+		Registry: ts.URL,
+		Info:     NodeInfo{ID: "e1", URL: "http://edge1:8081"},
+		Snapshot: func() NodeStats { return NodeStats{} },
+		Interval: time.Hour,
+	}
+	go func() { done <- hb.Run(ctx) }()
+
+	<-beating
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Run still blocked in a heartbeat 1s after cancel")
 	}
 }

@@ -1,4 +1,4 @@
-package relay
+package membership
 
 import (
 	"sort"
@@ -20,35 +20,26 @@ const ringVnodes = 128
 // one edge, so a 16-edge cluster mirrors an asset once instead of
 // sixteen times.
 //
-// A ring is immutable after build. The Registry rebuilds it whenever
-// eligibility membership changes (register, revive, death, drain,
-// prune) and swaps it atomically; readers load the pointer without the
-// registry lock, so a Pick never observes a torn ring. Liveness is NOT
-// baked in: a ring entry can go stale (TTL expiry races no rebuild), so
-// Pick re-validates the chosen node under the lock and falls back to
-// least-loaded when the preferred node is dead, draining, expired, or
-// excluded.
+// A ring is immutable after build; the Table rebuilds it whenever a
+// node's eligibility flips. Liveness is NOT baked in: TTL expiry is
+// passive and triggers no rebuild, so Pick re-checks the owner and
+// falls back to least-loaded when it is not usable.
 type hashRing struct {
-	hashes []uint64   // sorted vnode positions
-	nodes  []*regNode // nodes[i] owns hashes[i]
+	hashes []uint64 // sorted vnode positions
+	nodes  []*node  // nodes[i] owns hashes[i]
 }
 
 // buildRing constructs the ring over the given nodes. A ring over zero
 // nodes is valid and matches nothing.
-func buildRing(nodes []*regNode) *hashRing {
-	r := &hashRing{
-		hashes: make([]uint64, 0, len(nodes)*ringVnodes),
-		nodes:  make([]*regNode, 0, len(nodes)*ringVnodes),
-	}
+func buildRing(nodes []*node) hashRing {
 	type point struct {
 		hash uint64
-		node *regNode
+		node *node
 	}
 	points := make([]point, 0, len(nodes)*ringVnodes)
 	for _, n := range nodes {
 		for v := 0; v < ringVnodes; v++ {
-			h := fnv1a(n.info.ID + "#" + strconv.Itoa(v))
-			points = append(points, point{hash: h, node: n})
+			points = append(points, point{hash: fnv1a(n.info.ID + "#" + strconv.Itoa(v)), node: n})
 		}
 	}
 	sort.Slice(points, func(i, j int) bool {
@@ -59,9 +50,9 @@ func buildRing(nodes []*regNode) *hashRing {
 		// must not make the ring build order-dependent.
 		return points[i].node.info.ID < points[j].node.info.ID
 	})
-	for _, p := range points {
-		r.hashes = append(r.hashes, p.hash)
-		r.nodes = append(r.nodes, p.node)
+	r := hashRing{hashes: make([]uint64, len(points)), nodes: make([]*node, len(points))}
+	for i, p := range points {
+		r.hashes[i], r.nodes[i] = p.hash, p.node
 	}
 	return r
 }
@@ -69,7 +60,7 @@ func buildRing(nodes []*regNode) *hashRing {
 // pick returns the node owning key: the first vnode clockwise from the
 // key's hash, wrapping at the top of the circle. Nil on an empty ring.
 // Zero allocations — this is the redirect hot path.
-func (r *hashRing) pick(key string) *regNode {
+func (r *hashRing) pick(key string) *node {
 	if len(r.hashes) == 0 {
 		return nil
 	}

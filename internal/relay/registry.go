@@ -5,57 +5,36 @@ import (
 	"errors"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/metrics"
 	"repro/internal/proto"
+	"repro/internal/relay/membership"
 	"repro/internal/vclock"
 )
 
 // DefaultNodeTTL is how long a node stays eligible for redirects after
 // its last registration or heartbeat.
-const DefaultNodeTTL = 15 * time.Second
-
-// pruneAfterTTLs is how many TTLs a node may go unseen before its entry
-// is removed entirely. Dead and draining nodes stay listed (health
-// reporting) for this grace window so operators can watch a shutdown,
-// but a registry that outlives generations of edges on ephemeral
-// addresses must not grow its node table forever — Deregister marks
-// rather than deletes, so pruning is the only removal path.
-const pruneAfterTTLs = 4
+const DefaultNodeTTL = membership.TTL
 
 // Registry is the cluster's client entry point: edges register and
 // heartbeat their load, clients request streams and are redirected (307)
-// to the least-loaded live edge. Redirect counts per node, lost
-// redirects (no live edge), live-node count, node deaths (failure
-// reports and graceful drains), and per-node heartbeat ages are
-// published on Metrics().
+// to an edge. The decisions — who is alive, who serves which stream —
+// are membership.Table's; Registry is the shell around it that holds the
+// lock, reads the clock, counts outcomes on Metrics(), persists node
+// changes in the durable store and serves the HTTP routes.
 //
 // Liveness is two-signal: a node expires passively when its heartbeats
-// stop for TTL, and dies actively the moment a client reports a failed
-// fetch (ReportFailure) or the node itself drains (Deregister) — so the
-// cluster stops routing at a corpse in one round trip instead of one
-// TTL. A dead node revives on its next heartbeat or registration; a
-// draining node stays listed (health "draining" on GET /v1/registry/
-// nodes) but takes no redirects until it explicitly re-registers —
-// heartbeats alone cannot resurrect it, so a heartbeat racing a
-// deliberate shutdown never undoes the drain.
+// stop for the TTL, and dies actively the moment a client reports a
+// failed fetch (ReportFailure) or the node itself drains (Deregister).
 //
-// Redirects for asset-keyed requests route through a consistent-hash
-// ring (hashRing) over the eligible nodes, so each asset concentrates
-// on one edge and Pick is a binary search instead of a table scan; the
-// ring is rebuilt on membership changes and swapped atomically, and
-// PickFor falls back to the least-loaded eligible node when the ring's
-// choice is dead, draining, expired, or excluded.
+// Reads never write: Nodes, the listing and the gauges leave the table
+// and the store alone. Pruning, and its store write, happen on Register
+// and Heartbeat.
 type Registry struct {
 	clock vclock.Clock
-	// TTL overrides DefaultNodeTTL when positive.
-	TTL time.Duration
 
 	// store is the durable control-plane state (internal/catalog): the
 	// persisted node table the registry restores on start plus the
@@ -73,80 +52,13 @@ type Registry struct {
 	ringFallback  *metrics.Counter
 	snapRedirects *metrics.Counter
 
-	// ring is the consistent-hash ring over the eligible nodes, swapped
-	// atomically on every membership change so PickFor can do its
-	// lookup without g.mu (a reader never sees a torn ring; staleness is
-	// handled by re-validating the chosen node under the lock).
-	ring atomic.Pointer[hashRing]
-
-	mu    sync.Mutex
-	nodes map[string]*regNode
-	// eligible is the incrementally maintained not-dead, not-draining
-	// subset of nodes — the least-loaded fallback scans it instead of
-	// re-filtering the whole table (TTL expiry is still checked per
-	// candidate: it is passive and cannot maintain a list). Membership
-	// invariant: n is in eligible iff !n.dead && !n.draining.
-	eligible []*regNode
-	// byRef resolves every name a client may know a node by — ID, URL,
-	// and URL host — in O(1), replacing the per-request scan the
-	// exclude-list handling and failure reports used to do.
-	byRef map[string]*regNode
-
-	// nodesCache holds the rendered GET /v1/registry/nodes body so the
-	// listing is served from stored bytes instead of re-marshaling per
-	// request. Invalidated (set nil) by every node-table mutation, and
-	// additionally bounded by nodesListingMaxAge because TTL expiry is
-	// passive — time alone changes the health labels.
-	nodesCache atomic.Pointer[nodesListing]
-}
-
-// nodesListing is one rendered node listing and when it was rendered.
-type nodesListing struct {
-	body []byte
-	at   time.Time
-}
-
-// nodesListingMaxAge bounds how stale a cached node listing may be:
-// heartbeat ages and TTL-derived health change with nothing but the
-// clock, so mutation-invalidation alone would serve a frozen view.
-const nodesListingMaxAge = time.Second
-
-type regNode struct {
-	info NodeInfo
-	// host is the node URL's host part, the form clients know a failed
-	// edge by (they hold a redirect target, not a node ID).
-	host     string
-	stats    NodeStats
-	lastSeen time.Time
-	// dead marks a node reported unreachable; it is skipped by Pick
-	// until the next heartbeat or registration revives it.
-	dead bool
-	// draining marks a node that deregistered for a graceful shutdown:
-	// skipped by Pick and reported with health "draining", revived only
-	// by an explicit re-registration (never by a stray heartbeat).
-	draining bool
-	// assigned counts redirects issued since the last heartbeat, so that
-	// a burst of joins between heartbeats still spreads across edges
-	// (least-connections with local accounting).
-	assigned int64
-	// redirects is the node's lod_registry_node_redirects_total series,
-	// created once at registration so the redirect hot path never takes
-	// the metric registry's lookup lock.
-	redirects *metrics.Counter
-	// restored marks a node recreated from the durable snapshot rather
-	// than a live registration: the restored registry redirects at it on
-	// faith (its process most likely outlived the registry restart) and
-	// clears the mark on its first post-restart registration or
-	// heartbeat. Redirects issued while the mark is up are counted on
-	// lod_registry_snapshot_redirects_total — the proof that the snapshot
-	// carried traffic before the heartbeat round caught up.
-	restored bool
-}
-
-// refs returns every name a client may know this node by: its ID, its
-// URL, and its URL's host.
-func (n *regNode) refs() [3]string {
-	return [3]string{n.info.ID, n.info.URL, n.host}
+	mu      sync.Mutex
+	members *membership.Table
+	// nodeRedirects holds each registered node's
+	// lod_registry_node_redirects_total series, created once at
+	// registration so the redirect path never takes the metric
+	// registry's lookup lock.
+	nodeRedirects map[string]*metrics.Counter
 }
 
 // NewRegistry creates a registry on the given clock (nil = real clock)
@@ -172,11 +84,11 @@ func NewRegistryWithStore(clock vclock.Clock, store *catalog.Store) *Registry {
 		store, _ = catalog.Open("")
 	}
 	g := &Registry{
-		clock:   clock,
-		store:   store,
-		nodes:   make(map[string]*regNode),
-		byRef:   make(map[string]*regNode),
-		metrics: metrics.NewRegistry(),
+		clock:         clock,
+		store:         store,
+		members:       membership.New(),
+		nodeRedirects: make(map[string]*metrics.Counter),
+		metrics:       metrics.NewRegistry(),
 	}
 	g.redirects = g.metrics.Counter("lod_registry_redirects_total", "Client redirects issued to edges.")
 	g.noNode = g.metrics.Counter("lod_registry_no_edge_total", "Client requests refused because no edge was live.")
@@ -189,13 +101,9 @@ func NewRegistryWithStore(clock vclock.Clock, store *catalog.Store) *Registry {
 	g.snapRedirects = g.metrics.Counter("lod_registry_snapshot_redirects_total",
 		"Redirects served at nodes restored from the durable snapshot before their first post-restart heartbeat.")
 	g.metrics.GaugeFunc("lod_registry_nodes_alive", "Registered nodes within their TTL.", func() float64 {
-		var alive float64
-		for _, n := range g.Nodes() {
-			if n.Alive {
-				alive++
-			}
-		}
-		return alive
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return float64(g.members.Alive(g.clock.Now()))
 	})
 	g.metrics.GaugeFunc("lod_registry_catalog_version", "Current control-plane state version.", func() float64 {
 		return float64(g.store.Version())
@@ -217,93 +125,17 @@ func (g *Registry) Close() { g.store.Close() }
 // it next to the redirect endpoints when hosting the registry role.
 func (g *Registry) Metrics() *metrics.Registry { return g.metrics }
 
-func (g *Registry) ttl() time.Duration {
-	if g.TTL > 0 {
-		return g.TTL
-	}
-	return DefaultNodeTTL
-}
-
-// syncEligibilityLocked reconciles n's membership in the eligible list
-// with its dead/draining flags and rebuilds the ring when membership
-// changed. Callers capture `was` (the membership before mutating the
-// flags) and call this after. Holding g.mu is required.
-func (g *Registry) syncEligibilityLocked(n *regNode, was bool) {
-	is := !n.dead && !n.draining
-	if is == was {
-		return
-	}
-	if is {
-		g.eligible = append(g.eligible, n)
-	} else {
-		g.dropEligibleLocked(n)
-	}
-	g.rebuildRingLocked()
-}
-
-// dropEligibleLocked removes n from the eligible list (no-op when
-// absent). Mutation-path only; the pick path never calls it.
-func (g *Registry) dropEligibleLocked(n *regNode) {
-	for i, e := range g.eligible {
-		if e == n {
-			g.eligible = append(g.eligible[:i], g.eligible[i+1:]...)
-			return
-		}
-	}
-}
-
-// rebuildRingLocked rebuilds the consistent-hash ring from the current
-// eligible list and publishes it atomically. Holding g.mu serializes
-// writers; readers load the pointer lock-free.
-func (g *Registry) rebuildRingLocked() {
-	g.ring.Store(buildRing(g.eligible))
-}
-
-// setRefsLocked points every ref of n (ID, URL, host) at n in the byRef
-// index; dropRefsLocked removes them, but only where the index still
-// points at n — two nodes registered on the same URL must not unhook
-// each other.
-func (g *Registry) setRefsLocked(n *regNode) {
-	for _, ref := range n.refs() {
-		if ref != "" {
-			g.byRef[ref] = n
-		}
-	}
-}
-
-func (g *Registry) dropRefsLocked(n *regNode) {
-	for _, ref := range n.refs() {
-		if ref != "" && g.byRef[ref] == n {
-			delete(g.byRef, ref)
-		}
-	}
-}
-
-// pruneLocked drops nodes not seen for pruneAfterTTLs TTLs — long-dead
-// corpses and drained nodes that never came back. Callers hold g.mu.
-// Alive nodes are never eligible: staying alive requires heartbeats,
-// and every heartbeat refreshes lastSeen. A pruned node that was merely
-// partitioned re-registers on its next heartbeat's ErrUnknownNode,
-// exactly like after a registry restart.
+// pruneLocked removes the nodes due for pruning from the table and from
+// the durable record, or a restart would resurrect corpses the live
+// registry already forgot. A pruned node that was merely partitioned
+// re-registers on its next heartbeat's ErrUnknownNode, exactly like
+// after a registry restart. Callers hold g.mu; Apply under it is safe,
+// since the store goroutine takes no registry locks.
 func (g *Registry) pruneLocked() {
-	cut := g.clock.Now().Add(-time.Duration(pruneAfterTTLs) * g.ttl())
-	var pruned []string
-	for id, n := range g.nodes {
-		if n.lastSeen.Before(cut) {
-			delete(g.nodes, id)
-			g.dropRefsLocked(n)
-			g.dropEligibleLocked(n)
-			pruned = append(pruned, id)
-		}
-	}
+	pruned := g.members.Prune(g.clock.Now())
 	if pruned == nil {
 		return
 	}
-	g.rebuildRingLocked()
-	g.invalidateNodesListing()
-	// Drop the pruned nodes from the durable record too, or a restart
-	// would resurrect corpses the live registry already forgot. Apply
-	// under g.mu is safe: the store goroutine takes no registry locks.
 	_, _ = g.store.Apply(func(st *catalog.State) {
 		for _, id := range pruned {
 			st.RemoveNode(id)
@@ -331,8 +163,8 @@ func (g *Registry) Register(info NodeInfo) error {
 }
 
 // addNode is the shared in-memory half of Register and the
-// restore-from-snapshot path: validate, create metric series, and
-// insert/update the node under g.mu.
+// restore-from-snapshot path: validate, create metric series, and add
+// the node to the table under g.mu.
 //
 // The node's metric series are created OUTSIDE g.mu: scrapes hold the
 // metrics registry's lock while calling gauge functions that take g.mu,
@@ -352,44 +184,24 @@ func (g *Registry) addNode(info NodeInfo, draining, restored bool) error {
 		metrics.Label{Key: "node", Value: id})
 	// Scrape-time gauge: how stale is this node's last heartbeat? A node
 	// that re-registers simply refreshes the closure; series are never
-	// unregistered, so a TTL-expired node keeps reporting its growing age.
+	// unregistered, so a node reads -1 once it is out of the listing.
 	g.metrics.GaugeFunc("lod_registry_heartbeat_age_seconds",
 		"Seconds since each node's last registration or heartbeat.",
 		func() float64 {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			n, ok := g.nodes[id]
-			if !ok {
-				return -1
+			for _, n := range g.Nodes() {
+				if n.ID == id {
+					return n.HeartbeatAgeSec
+				}
 			}
-			return g.clock.Now().Sub(n.lastSeen).Seconds()
+			return -1
 		},
 		metrics.Label{Key: "node", Value: id})
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.pruneLocked()
-	n := g.nodes[info.ID]
-	was := false
-	if n == nil {
-		n = &regNode{}
-		g.nodes[info.ID] = n
-	} else {
-		was = !n.dead && !n.draining
-		// Re-registration may move the node to a new URL; unhook the old
-		// refs before indexing the new ones.
-		g.dropRefsLocked(n)
-	}
-	n.info = info
-	n.host = u.Host
-	n.redirects = redirects
-	n.lastSeen = g.clock.Now()
-	n.dead = false
-	n.draining = draining
-	n.restored = restored
-	g.setRefsLocked(n)
-	g.syncEligibilityLocked(n, was)
-	g.invalidateNodesListing()
+	g.nodeRedirects[id] = redirects
+	g.members.Add(g.clock.Now(), info, draining, restored)
 	return nil
 }
 
@@ -403,63 +215,37 @@ func (g *Registry) Heartbeat(id string, stats NodeStats) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.pruneLocked()
-	n, ok := g.nodes[id]
-	if !ok {
+	if !g.members.Heartbeat(g.clock.Now(), id, stats) {
 		return ErrUnknownNode
 	}
-	was := !n.dead && !n.draining
-	n.stats = stats
-	n.assigned = 0
-	n.lastSeen = g.clock.Now()
-	n.dead = false
-	// The node has spoken for itself; it is no longer running on
-	// snapshot faith.
-	n.restored = false
-	g.syncEligibilityLocked(n, was)
-	g.invalidateNodesListing()
 	return nil
 }
 
-// ReportFailure marks the node named by ref (node ID, URL, or URL host)
-// dead right now, instead of letting it soak up redirects until its TTL
-// runs out. It reports whether a live node was actually killed; reports
+// ReportFailure marks every node ref names (by node ID, URL, or URL
+// host) dead right now, instead of letting it soak up redirects until
+// its TTL runs out. It reports whether a live node was killed; reports
 // about unknown, already-dead, or draining nodes are counted but
 // otherwise ignored, so concurrent failing-over clients can all report
 // the same corpse.
 func (g *Registry) ReportFailure(ref string) bool {
 	g.reports.Inc()
 	g.mu.Lock()
-	var killed bool
-	if n := g.byRef[ref]; n != nil && !n.dead && !n.draining {
-		n.dead = true
-		g.syncEligibilityLocked(n, true)
-		g.invalidateNodesListing()
-		killed = true
-	}
+	killed := g.members.Fail(ref)
 	g.mu.Unlock()
-	if killed {
-		g.deathFailure.Inc()
-	}
-	return killed
+	g.deathFailure.Add(int64(killed))
+	return killed > 0
 }
 
 // Deregister marks a node draining — the graceful half of death, used
 // by an edge shutting down so no client is redirected at it during its
 // final seconds. The node stays listed (health "draining" in Nodes) so
-// operators can watch the shutdown, then falls out entirely once it has
-// been unseen for pruneAfterTTLs TTLs; only an explicit re-registration
-// brings it back into rotation before that. Idempotent: draining an
-// unknown or already-draining ID reports false.
+// operators can watch the shutdown, then falls out entirely once it is
+// due for pruning; only an explicit re-registration brings it back into
+// rotation before that. Idempotent: draining an unknown or
+// already-draining ID reports false.
 func (g *Registry) Deregister(id string) bool {
 	g.mu.Lock()
-	n, ok := g.nodes[id]
-	marked := ok && !n.draining
-	if marked {
-		was := !n.dead
-		n.draining = true
-		g.syncEligibilityLocked(n, was)
-		g.invalidateNodesListing()
-	}
+	marked := g.members.Drain(id)
 	g.mu.Unlock()
 	if marked {
 		g.deathDrain.Inc()
@@ -472,22 +258,6 @@ func (g *Registry) Deregister(id string) bool {
 	return marked
 }
 
-func (n *regNode) load() float64 {
-	return n.stats.Load() + float64(n.assigned)
-}
-
-// health folds a node's liveness into the contract's one-word label.
-func (n *regNode) health(cut time.Time) string {
-	switch {
-	case n.draining:
-		return proto.HealthDraining
-	case n.dead || n.lastSeen.Before(cut):
-		return proto.HealthDead
-	default:
-		return proto.HealthAlive
-	}
-}
-
 // Nodes returns the state of every registered node, sorted by ID, with
 // each node's health (alive/dead/draining) and heartbeat age — the
 // per-node view GET /v1/registry/nodes serves and lodplay
@@ -495,52 +265,7 @@ func (n *regNode) health(cut time.Time) string {
 func (g *Registry) Nodes() []NodeStatus {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.pruneLocked()
-	now := g.clock.Now()
-	cut := now.Add(-g.ttl())
-	out := make([]NodeStatus, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		health := n.health(cut)
-		out = append(out, NodeStatus{
-			NodeInfo:        n.info,
-			Stats:           n.stats,
-			Assigned:        n.assigned,
-			Load:            n.load(),
-			Alive:           health == proto.HealthAlive,
-			Dead:            n.dead,
-			Health:          health,
-			HeartbeatAgeSec: now.Sub(n.lastSeen).Seconds(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// invalidateNodesListing drops the cached node-listing bytes; the next
-// NodesJSON re-renders. Safe with or without g.mu — the pointer store
-// is atomic.
-func (g *Registry) invalidateNodesListing() {
-	g.nodesCache.Store(nil)
-}
-
-// NodesJSON returns the GET /v1/registry/nodes body: the Nodes()
-// listing rendered once per node-table change (plus a one-second
-// staleness bound for the purely clock-driven fields) and served as
-// stored bytes from then on — the listing hot path does zero marshal
-// work per request. Callers must not mutate the returned slice.
-func (g *Registry) NodesJSON() []byte {
-	now := g.clock.Now()
-	if l := g.nodesCache.Load(); l != nil && now.Sub(l.at) < nodesListingMaxAge && !l.at.After(now) {
-		return l.body
-	}
-	body, err := json.Marshal(g.Nodes())
-	if err != nil {
-		// []NodeStatus holds only plain data; Marshal cannot fail on it.
-		panic("relay: marshal node listing: " + err.Error())
-	}
-	body = append(body, '\n')
-	g.nodesCache.Store(&nodesListing{body: body, at: now})
-	return body
+	return g.members.List(g.clock.Now())
 }
 
 // CatalogVersion returns the current control-plane state version — the
@@ -600,129 +325,45 @@ func (g *Registry) RollbackCatalog(version uint64) (uint64, error) {
 	return st.Version, err
 }
 
-// Pick selects the least-loaded live node and counts the assignment.
-// Ties break on node ID for determinism. Nodes named in exclude (by ID,
-// URL, or URL host) are skipped, so a failing-over client is never
-// bounced back to the node it just escaped; when every live node is
-// excluded Pick returns ErrNoNodes and the client should drop its
-// stale exclusions and retry.
-func (g *Registry) Pick(exclude ...string) (NodeInfo, error) {
-	return g.PickFor("", exclude...)
-}
-
 // PickFor selects the node serving key — a stream path in its
-// unversioned form (proto.StreamPath), e.g. "/vod/lec-3" — and counts
-// the assignment. A non-empty key routes through the consistent-hash
-// ring: the preferred node is an O(log n) lookup, computable without
-// scanning the node table, and stable across requests, so each asset
-// concentrates on one edge and the cluster mirrors it once instead of
-// once per edge. When the preferred node is dead, draining, expired,
-// or excluded — or the key is empty — PickFor falls back to the
-// least-loaded eligible node, exactly the old Pick behaviour.
-//
-// The ring lookup runs lock-free on an atomically published ring; only
-// the validation and load accounting take g.mu. The whole path is
-// allocation-free for exclude lists up to 8 entries (the failover SDK
-// never accumulates more than the edge count).
+// unversioned form (proto.StreamPath), e.g. "/vod/lec-3", or "" for
+// none — and counts the assignment. A keyed pick routes through the
+// consistent-hash ring, so each asset concentrates on one edge and the
+// cluster mirrors it once instead of once per edge; when the ring's
+// node is dead, draining, expired, or excluded — or the key is empty —
+// PickFor falls back to the least-loaded usable node (see
+// membership.Table.Pick). Nodes named in exclude (by ID, URL, or URL
+// host) are skipped, so a failing-over client is never bounced back to
+// the node it just escaped; when every live node is excluded PickFor
+// returns ErrNoNodes and the client should drop its stale exclusions
+// and retry. Allocation-free.
 func (g *Registry) PickFor(key string, exclude ...string) (NodeInfo, error) {
-	var preferred *regNode
-	if key != "" {
-		if r := g.ring.Load(); r != nil {
-			preferred = r.pick(key)
-		}
-	}
-
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	cut := g.clock.Now().Add(-g.ttl())
-	// Resolve the exclude refs to nodes once, O(1) each via the byRef
-	// index — the old code re-matched every node against every ref on
-	// every request. The stack buffer keeps the hot path alloc-free.
-	var exclBuf [8]*regNode
-	excl := exclBuf[:0]
-	for _, ref := range exclude {
-		if n := g.byRef[ref]; n != nil {
-			excl = append(excl, n)
-		}
-	}
-	usable := func(n *regNode) bool {
-		if n.dead || n.draining || n.lastSeen.Before(cut) {
-			return false
-		}
-		for _, x := range excl {
-			if x == n {
-				return false
-			}
-		}
-		return true
-	}
-
-	if preferred != nil {
-		if usable(preferred) {
-			preferred.assigned++
-			preferred.redirects.Inc()
-			g.ringHits.Inc()
-			if preferred.restored {
-				g.snapRedirects.Inc()
-			}
-			return preferred.info, nil
-		}
+	c := g.members.Pick(g.clock.Now(), key, exclude)
+	switch c.Reason {
+	case membership.RingHit:
+		g.ringHits.Inc()
+	case membership.Fallback:
 		g.ringFallback.Inc()
 	}
-
-	// Least-loaded fallback (and the whole path for unkeyed picks): scan
-	// the incrementally maintained eligible list — dead and draining
-	// nodes never appear in it, so a table full of corpses costs nothing.
-	var best *regNode
-	for _, n := range g.eligible {
-		if !usable(n) {
-			continue
-		}
-		if best == nil || n.load() < best.load() ||
-			(n.load() == best.load() && n.info.ID < best.info.ID) {
-			best = n
-		}
-	}
-	if best == nil {
+	if !c.Found {
 		return NodeInfo{}, ErrNoNodes
 	}
-	best.assigned++
-	best.redirects.Inc()
-	if best.restored {
+	g.nodeRedirects[c.Node.ID].Inc()
+	if c.Restored {
 		g.snapRedirects.Inc()
 	}
-	return best.info, nil
+	return c.Node, nil
 }
 
-// Handler returns the registry's HTTP interface. Every route serves
-// under the /v1 prefix and its legacy unversioned alias:
-//
-//	POST {/v1}/registry/register       — body: proto.NodeInfo JSON
-//	POST {/v1}/registry/heartbeat      — body: proto.HeartbeatMsg JSON
-//	POST {/v1}/registry/report-failure — body: proto.FailureReport JSON;
-//	                                     marks the node dead immediately
-//	POST {/v1}/registry/deregister     — body: proto.DeregisterMsg JSON;
-//	                                     marks a shutting-down node
-//	                                     draining
-//	GET  {/v1}/registry/nodes          — JSON list of proto.NodeStatus
-//	                                     (health + heartbeat age per node),
-//	                                     served from cached bytes
-//	GET  {/v1}/registry/catalog        — proto.Catalog JSON, the persisted
-//	                                     bytes verbatim
-//	POST {/v1}/registry/publish        — body: proto.PublishMsg JSON;
-//	                                     records an asset or group in the
-//	                                     durable catalog
-//	POST {/v1}/registry/unpublish      — body: proto.UnpublishMsg JSON;
-//	                                     404 when not in the catalog
-//	GET  {/v1}/vod/..., /live/..., /group/...
-//	                                   — 307 redirect to the edge the
-//	                                     consistent-hash ring assigns the
-//	                                     stream path (least-loaded when
-//	                                     that node is down), path and
-//	                                     query preserved; nodes named in
-//	                                     the proto.ExcludeHeader are
-//	                                     skipped; 503 when no edge is
-//	                                     live
+// Handler returns the registry's HTTP interface, every route under the
+// /v1 prefix and its legacy unversioned alias: the control-plane POSTs
+// (register, heartbeat, report-failure, deregister, publish, unpublish,
+// rollback; bodies are the proto DTOs), GET registry/nodes (the Nodes
+// listing) and registry/catalog (the persisted bytes verbatim), and a
+// 307 redirect for every /vod/, /live/ and /group/ request to the edge
+// PickFor chooses, path and query preserved — 503 when none is usable.
 func (g *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	proto.HandleFunc(mux, proto.PathRegister, g.handleRegister)
@@ -835,7 +476,7 @@ func (g *Registry) handleDeregister(w http.ResponseWriter, r *http.Request) {
 func (g *Registry) handleNodes(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	g.setCatalogVersion(w)
-	_, _ = w.Write(g.NodesJSON())
+	_ = json.NewEncoder(w).Encode(g.Nodes())
 }
 
 func (g *Registry) handleCatalog(w http.ResponseWriter, _ *http.Request) {

@@ -44,8 +44,7 @@ func BenchmarkRegistryPickFor(b *testing.B) {
 }
 
 // BenchmarkRegistryPickForExcluded is the failover-path variant: a
-// populated exclude list resolved through the byRef index instead of
-// the old per-request scan over every node.
+// populated exclude list matched against the ring's preferred node.
 func BenchmarkRegistryPickForExcluded(b *testing.B) {
 	g := benchRegistry(b, 16)
 	exclude := []string{"edge-2.lod", "edge-5"}

@@ -1,12 +1,15 @@
 package relay
 
 import (
+	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/proto"
+	"repro/internal/relay/membership"
 	"repro/internal/vclock"
 )
 
@@ -90,21 +93,21 @@ func TestRegistryRestoredDrainingStaysDraining(t *testing.T) {
 	if len(nodes) != 1 || nodes[0].Health != proto.HealthDraining {
 		t.Fatalf("restored nodes = %+v, want e1 draining", nodes)
 	}
-	if _, err := g2.Pick(); err == nil {
+	if _, err := g2.PickFor(""); err == nil {
 		t.Fatal("restored draining node was picked")
 	}
 	// A heartbeat racing the restart must not undo the drain either.
 	if err := g2.Heartbeat("e1", NodeStats{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g2.Pick(); err == nil {
+	if _, err := g2.PickFor(""); err == nil {
 		t.Fatal("draining node picked after heartbeat")
 	}
 	// Re-registration is the deliberate comeback.
 	if err := g2.Register(NodeInfo{ID: "e1", URL: "http://edge1:8081"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g2.Pick(); err != nil {
+	if _, err := g2.PickFor(""); err != nil {
 		t.Fatalf("pick after re-registration: %v", err)
 	}
 }
@@ -120,7 +123,7 @@ func TestRegistryPruneRemovesFromStore(t *testing.T) {
 	if err := g1.Register(NodeInfo{ID: "stale", URL: "http://stale:8081"}); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(time.Duration(pruneAfterTTLs)*DefaultNodeTTL + time.Second)
+	clk.Advance(time.Duration(membership.PruneAfterTTLs)*DefaultNodeTTL + time.Second)
 	// Registering a fresh node triggers the prune sweep.
 	if err := g1.Register(NodeInfo{ID: "fresh", URL: "http://fresh:8081"}); err != nil {
 		t.Fatal(err)
@@ -137,6 +140,48 @@ func TestRegistryPruneRemovesFromStore(t *testing.T) {
 	}
 }
 
+// TestRegistryReadsNeverWrite: the listing, its route and a metrics
+// scrape leave a node past the prune cut out of view but write nothing
+// to the store — a scrape must never wait on a disk write. The next
+// heartbeat prunes it, table and store.
+func TestRegistryReadsNeverWrite(t *testing.T) {
+	clk := vclock.NewVirtual()
+	g := NewRegistryWithStore(clk, openStore(t, t.TempDir()))
+	defer g.Close()
+	mustRegister(t, g, NodeInfo{ID: "stale", URL: "http://stale:8081"}, NodeInfo{ID: "live", URL: "http://live:8081"})
+	clk.Advance(time.Duration(membership.PruneAfterTTLs-1) * DefaultNodeTTL)
+	if err := g.Heartbeat("live", NodeStats{}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(DefaultNodeTTL + time.Second) // stale is now past the prune cut
+	ver := g.CatalogVersion()
+
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + proto.Versioned(proto.PathNodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	status := g.Metrics().Status()
+	if got := status[`lod_registry_heartbeat_age_seconds{node="stale"}`]; got != -1 {
+		t.Fatalf("age gauge of a node past the prune cut = %v, want -1", got)
+	}
+	if nodes := g.Nodes(); len(nodes) != 1 || nodes[0].ID != "live" {
+		t.Fatalf("nodes = %+v, want only live: stale is past the prune cut", nodes)
+	}
+	if got := g.CatalogVersion(); got != ver {
+		t.Fatalf("reads moved the store from version %d to %d", ver, got)
+	}
+
+	if err := g.Heartbeat("live", NodeStats{}); err != nil {
+		t.Fatal(err)
+	}
+	if g.CatalogVersion() == ver {
+		t.Fatal("the heartbeat after the prune cut wrote no prune to the store")
+	}
+}
+
 // TestRegistryCatalogHTTPRoundTrip drives the catalog over the wire:
 // publish, list, version header movement, unpublish, and the 404 for
 // content the catalog never knew.
@@ -146,11 +191,11 @@ func TestRegistryCatalogHTTPRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
-	v1, err := PublishCatalog(nil, ts.URL, proto.PublishMsg{Asset: &proto.CatalogAsset{Name: "lec-1"}})
+	v1, err := PublishCatalog(context.Background(), nil, ts.URL, proto.PublishMsg{Asset: &proto.CatalogAsset{Name: "lec-1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := PublishCatalog(nil, ts.URL, proto.PublishMsg{
+	v2, err := PublishCatalog(context.Background(), nil, ts.URL, proto.PublishMsg{
 		Group: &proto.CatalogGroup{Name: "grp-1", Variants: []string{"grp-1-lean", "grp-1-rich"}},
 	})
 	if err != nil {
@@ -160,7 +205,7 @@ func TestRegistryCatalogHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("catalog version did not advance: %d then %d", v1, v2)
 	}
 
-	cat, err := GetCatalog(nil, ts.URL)
+	cat, err := GetCatalog(context.Background(), nil, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +218,10 @@ func TestRegistryCatalogHTTPRoundTrip(t *testing.T) {
 
 	// Every heartbeat answer carries the current catalog version — the
 	// change-propagation signal edges key their re-fetch on.
-	if err := RegisterWith(nil, ts.URL, NodeInfo{ID: "e1", URL: "http://edge1:8081"}); err != nil {
+	if err := RegisterWith(context.Background(), nil, ts.URL, NodeInfo{ID: "e1", URL: "http://edge1:8081"}); err != nil {
 		t.Fatal(err)
 	}
-	ver, err := Heartbeat(nil, ts.URL, "e1", NodeStats{})
+	ver, err := Heartbeat(context.Background(), nil, ts.URL, "e1", NodeStats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +231,10 @@ func TestRegistryCatalogHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("heartbeat catalog version = %d, want >= %d", ver, v2)
 	}
 
-	if _, err := UnpublishCatalog(nil, ts.URL, proto.UnpublishMsg{Asset: "lec-1"}); err != nil {
+	if _, err := UnpublishCatalog(context.Background(), nil, ts.URL, proto.UnpublishMsg{Asset: "lec-1"}); err != nil {
 		t.Fatal(err)
 	}
-	cat, err = GetCatalog(nil, ts.URL)
+	cat, err = GetCatalog(context.Background(), nil, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,61 +243,24 @@ func TestRegistryCatalogHTTPRoundTrip(t *testing.T) {
 	}
 	// Unknown names answer 404 — and recognizably so, since unpublish
 	// tooling treats "already gone" as skippable (IsNotFound).
-	if _, err := UnpublishCatalog(nil, ts.URL, proto.UnpublishMsg{Asset: "never-there"}); err == nil {
+	if _, err := UnpublishCatalog(context.Background(), nil, ts.URL, proto.UnpublishMsg{Asset: "never-there"}); err == nil {
 		t.Fatal("unpublishing unknown asset succeeded")
 	} else if !IsNotFound(err) {
 		t.Fatalf("unknown unpublish = %v, want a recognizable 404", err)
 	}
 }
 
-// TestRegistryListingsServeCachedBytes: the node-health and catalog
-// listings are served from persisted/cached bytes — zero marshal work
-// per request on the hot path.
+// TestRegistryListingsServeCachedBytes: the catalog listing is served
+// from the bytes the store persisted — zero marshal work per request.
 func TestRegistryListingsServeCachedBytes(t *testing.T) {
 	g := NewRegistry(nil)
 	defer g.Close()
-	if err := g.Register(NodeInfo{ID: "e1", URL: "http://edge1:8081"}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := g.PublishAsset("lec-1"); err != nil {
 		t.Fatal(err)
 	}
-
-	// Prime both caches, then the steady state must not allocate.
-	g.NodesJSON()
 	g.CatalogJSON()
 	if avg := testing.AllocsPerRun(100, func() { g.CatalogJSON() }); avg != 0 {
 		t.Fatalf("CatalogJSON allocs/request = %v, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { g.NodesJSON() }); avg != 0 {
-		t.Fatalf("NodesJSON allocs/request = %v, want 0", avg)
-	}
-
-	// A mutation must invalidate the cached nodes listing.
-	before := string(g.NodesJSON())
-	if err := g.Register(NodeInfo{ID: "e2", URL: "http://edge2:8081"}); err != nil {
-		t.Fatal(err)
-	}
-	if after := string(g.NodesJSON()); after == before {
-		t.Fatal("nodes listing unchanged after registration")
-	}
-}
-
-// BenchmarkRegistryNodesJSON measures the cached node-listing hot path;
-// run with -benchmem, the regression bound is 0 allocs/op.
-func BenchmarkRegistryNodesJSON(b *testing.B) {
-	g := NewRegistry(nil)
-	defer g.Close()
-	for i := 0; i < 16; i++ {
-		if err := g.Register(NodeInfo{ID: string(rune('a' + i)), URL: "http://edge:8081"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	g.NodesJSON()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.NodesJSON()
 	}
 }
 
@@ -284,22 +292,22 @@ func TestRegistryCatalogRollbackHTTP(t *testing.T) {
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
-	v1, err := PublishCatalog(nil, ts.URL, proto.PublishMsg{Asset: &proto.CatalogAsset{Name: "lec-1"}})
+	v1, err := PublishCatalog(context.Background(), nil, ts.URL, proto.PublishMsg{Asset: &proto.CatalogAsset{Name: "lec-1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnpublishCatalog(nil, ts.URL, proto.UnpublishMsg{Asset: "lec-1"}); err != nil {
+	if _, err := UnpublishCatalog(context.Background(), nil, ts.URL, proto.UnpublishMsg{Asset: "lec-1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PublishCatalog(nil, ts.URL, proto.PublishMsg{Asset: &proto.CatalogAsset{Name: "lec-2"}}); err != nil {
+	if _, err := PublishCatalog(context.Background(), nil, ts.URL, proto.PublishMsg{Asset: &proto.CatalogAsset{Name: "lec-2"}}); err != nil {
 		t.Fatal(err)
 	}
 
-	ver, err := RollbackCatalog(nil, ts.URL, v1)
+	ver, err := RollbackCatalog(context.Background(), nil, ts.URL, v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := GetCatalog(nil, ts.URL)
+	cat, err := GetCatalog(context.Background(), nil, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +318,7 @@ func TestRegistryCatalogRollbackHTTP(t *testing.T) {
 		t.Fatalf("post-rollback assets = %+v, want only lec-1", cat.Assets)
 	}
 
-	if _, err := RollbackCatalog(nil, ts.URL, 9999); err == nil {
+	if _, err := RollbackCatalog(context.Background(), nil, ts.URL, 9999); err == nil {
 		t.Fatal("rollback to unknown version succeeded")
 	} else if !IsNotFound(err) {
 		t.Fatalf("unknown-version rollback = %v, want a recognizable 404", err)

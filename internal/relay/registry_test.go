@@ -52,7 +52,7 @@ func TestRegistryHeartbeatUnknownNode(t *testing.T) {
 
 func TestRegistryPickLeastLoaded(t *testing.T) {
 	g := NewRegistry(nil)
-	if _, err := g.Pick(); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor(""); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick on empty registry = %v", err)
 	}
 	for _, n := range []NodeInfo{
@@ -65,14 +65,14 @@ func TestRegistryPickLeastLoaded(t *testing.T) {
 	}
 	// Equal load: ties break on ID, and each pick counts as an
 	// assignment, so consecutive picks alternate.
-	first, err := g.Pick()
+	first, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.ID != "a" {
 		t.Fatalf("first pick = %q, want tie-break on a", first.ID)
 	}
-	second, err := g.Pick()
+	second, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRegistryPickLeastLoaded(t *testing.T) {
 	if err := g.Heartbeat("b", NodeStats{ActiveClients: 7}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Pick()
+	got, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRegistryCapacityFractionBreaksTies(t *testing.T) {
 	if err := g.Heartbeat("roomy", NodeStats{ActiveClients: 1, ReservedBps: 100, CapacityBps: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Pick()
+	got, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRegistryPrefersBytesInFlight(t *testing.T) {
 	if err := g.Heartbeat("light", NodeStats{ActiveClients: 3, InFlightBps: 168_000}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Pick()
+	got, err := g.PickFor("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRegistryRegisterScrapeNoDeadlock(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_, _ = g.Pick()
+				_, _ = g.PickFor("")
 			}
 		}()
 	}
@@ -233,14 +233,14 @@ func TestRegistryTTLExpiresSilentNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(DefaultNodeTTL + time.Second)
-	if _, err := g.Pick(); !errors.Is(err, ErrNoNodes) {
+	if _, err := g.PickFor(""); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("pick after TTL = %v, want ErrNoNodes", err)
 	}
 	// A heartbeat revives the node.
 	if err := g.Heartbeat("a", NodeStats{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Pick(); err != nil {
+	if _, err := g.PickFor(""); err != nil {
 		t.Fatalf("pick after heartbeat = %v", err)
 	}
 }
@@ -251,13 +251,13 @@ func TestRegistryHTTPRoundTrip(t *testing.T) {
 	defer ts.Close()
 
 	// Register and heartbeat through the client helpers.
-	if err := RegisterWith(nil, ts.URL, NodeInfo{ID: "e1", URL: "http://edge1:8081"}); err != nil {
+	if err := RegisterWith(context.Background(), nil, ts.URL, NodeInfo{ID: "e1", URL: "http://edge1:8081"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Heartbeat(nil, ts.URL, "e1", NodeStats{ActiveClients: 2}); err != nil {
+	if _, err := Heartbeat(context.Background(), nil, ts.URL, "e1", NodeStats{ActiveClients: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Heartbeat(nil, ts.URL, "nope", NodeStats{}); err == nil {
+	if _, err := Heartbeat(context.Background(), nil, ts.URL, "nope", NodeStats{}); err == nil {
 		t.Fatal("heartbeat for unregistered node accepted")
 	}
 

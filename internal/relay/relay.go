@@ -13,12 +13,12 @@
 //     edge's memory, and multi-rate groups are mirrored variant by
 //     variant (/groups).
 //   - The Registry tracks the cluster's edges via registration and
-//     periodic heartbeats carrying per-node load (ServerStats plus
-//     admission-control reservations) and redirects incoming clients
-//     (HTTP 307) to the least-loaded live edge. Load is compared on
-//     reported bytes-in-flight — the summed declared bandwidth of the
-//     node's active sessions — falling back to raw session count for
-//     nodes that do not report it (see NodeStats.Load).
+//     periodic heartbeats carrying per-node load (NodeStats.Load) and
+//     redirects incoming clients (HTTP 307) to an edge: the stream's
+//     owner on a consistent-hash ring, or the least-loaded live edge
+//     when that one is down. Every such decision is made by the
+//     clock-free, HTTP-free core in relay/membership; the Registry is
+//     its shell (lock, clock, metrics, durable store, routes).
 //
 // Clients need no cluster awareness: they request /vod/... or /live/...
 // from the registry and follow the redirect. The client half — resolve,
@@ -30,20 +30,19 @@
 // (POST /registry/report-failure) and retries through the registry,
 // excluding the nodes it escaped (proto.ExcludeHeader); a draining node
 // deregisters itself (POST /registry/deregister); and a dead node
-// revives on its next heartbeat, so membership re-converges
-// incrementally as edges die, restart, and rejoin.
+// revives on its next heartbeat. The control-plane helpers below take
+// the caller's context and default to proto.DefaultClient, so no edge
+// waits forever on a registry that stopped answering.
 //
-// Both roles are observable: an Edge counts its mirror cache (hits,
-// misses, evictions, admission rejects, resident and origin-pulled
-// bytes) on its server's metrics registry, and the Registry counts
-// redirects and exposes per-node heartbeat ages on its own
-// (Registry.Metrics). When Edge.CacheBytes is set, internal/edgecache
-// decides which mirrors go once the budget is exceeded, with in-use and
-// grouped assets pinned — see Edge.
+// Both roles are observable on their metrics registries (the Edge's
+// mirror cache on its server's, the Registry's redirects and node ages
+// on Registry.Metrics). When Edge.CacheBytes is set, internal/edgecache
+// decides which mirrors go once the budget is exceeded — see Edge.
 package relay
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,7 +66,7 @@ type (
 	// NodeInfo identifies one edge node in the cluster.
 	NodeInfo = proto.NodeInfo
 	// NodeStats is the load snapshot a node reports on each heartbeat;
-	// its Load method is the balancing score Pick compares.
+	// its Load method is the balancing score PickFor compares.
 	NodeStats = proto.NodeStats
 	// NodeStatus is the externally visible state of one registered
 	// node, as served by GET /v1/registry/nodes.
@@ -112,20 +111,23 @@ func IsNotFound(err error) bool {
 	return errors.As(err, &he) && he.Status == http.StatusNotFound
 }
 
-func postJSON(client *http.Client, url string, v interface{}) error {
-	_, err := postJSONVersioned(client, url, v)
-	return err
-}
-
-// postJSONVersioned is postJSON returning the registry's catalog
-// version header (0 when absent — older registries, non-registry
-// targets).
-func postJSONVersioned(client *http.Client, url string, v interface{}) (uint64, error) {
-	body, err := json.Marshal(v)
+// call sends one control-plane request and returns the answer's
+// catalog version header (0 when absent — non-registry targets). Any
+// answer but 200 or 204 is an *httpError carrying the proto.Error body;
+// a 200's JSON body is decoded into out when out is non-nil. A nil
+// client uses proto.DefaultClient.
+func call(ctx context.Context, client *http.Client, method, url, contentType string, body io.Reader, out any) (uint64, error) {
+	if client == nil {
+		client = proto.DefaultClient
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -133,18 +135,31 @@ func postJSONVersioned(client *http.Client, url string, v interface{}) (uint64, 
 		perr := proto.ReadError(resp) // closes the body
 		return 0, &httpError{URL: url, Status: perr.Status, Msg: perr.Message}
 	}
+	defer resp.Body.Close()
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return 0, fmt.Errorf("relay: decode answer from %s: %w", url, err)
+		}
+	}
 	ver, _ := proto.ParseCatalogVersion(resp.Header.Get(proto.CatalogVersionHeader))
-	resp.Body.Close()
 	return ver, nil
 }
 
-// RegisterWith announces the node to the registry at base. A nil client
-// uses http.DefaultClient.
-func RegisterWith(client *http.Client, base string, info NodeInfo) error {
-	if client == nil {
-		client = http.DefaultClient
+func postJSON(ctx context.Context, client *http.Client, url string, v any) (uint64, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return 0, err
 	}
-	return postJSON(client, base+proto.Versioned(proto.PathRegister), info)
+	return call(ctx, client, http.MethodPost, url, "application/json", bytes.NewReader(body), nil)
+}
+
+// The helpers below speak the registry's and the origin's control
+// routes; a nil client uses proto.DefaultClient.
+
+// RegisterWith announces the node to the registry at base.
+func RegisterWith(ctx context.Context, client *http.Client, base string, info NodeInfo) error {
+	_, err := postJSON(ctx, client, base+proto.Versioned(proto.PathRegister), info)
+	return err
 }
 
 // Heartbeat posts one load snapshot for the node to the registry at
@@ -154,13 +169,9 @@ func RegisterWith(client *http.Client, base string, info NodeInfo) error {
 // whether to re-fetch the catalog. A registry that no longer knows the
 // node (it restarted and lost its state) yields an error wrapping
 // ErrUnknownNode: re-register and retry.
-func Heartbeat(client *http.Client, base, id string, stats NodeStats) (uint64, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	ver, err := postJSONVersioned(client, base+proto.Versioned(proto.PathHeartbeat), proto.HeartbeatMsg{ID: id, Stats: stats})
-	var he *httpError
-	if errors.As(err, &he) && he.Status == http.StatusNotFound {
+func Heartbeat(ctx context.Context, client *http.Client, base, id string, stats NodeStats) (uint64, error) {
+	ver, err := postJSON(ctx, client, base+proto.Versioned(proto.PathHeartbeat), proto.HeartbeatMsg{ID: id, Stats: stats})
+	if IsNotFound(err) {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownNode, err)
 	}
 	return ver, err
@@ -168,107 +179,51 @@ func Heartbeat(client *http.Client, base, id string, stats NodeStats) (uint64, e
 
 // Deregister tells the registry at base the node is draining — a
 // draining edge calls this before it stops serving, so no client is
-// redirected at it during shutdown. A nil client uses
-// http.DefaultClient.
-func Deregister(client *http.Client, base, id string) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return postJSON(client, base+proto.Versioned(proto.PathDeregister), proto.DeregisterMsg{ID: id})
+// redirected at it during shutdown.
+func Deregister(ctx context.Context, client *http.Client, base, id string) error {
+	_, err := postJSON(ctx, client, base+proto.Versioned(proto.PathDeregister), proto.DeregisterMsg{ID: id})
+	return err
 }
 
-// GetCatalog fetches the registry's published-content catalog. A nil
-// client uses http.DefaultClient.
-func GetCatalog(client *http.Client, base string) (proto.Catalog, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	url := base + proto.Versioned(proto.PathCatalog)
-	resp, err := client.Get(url)
-	if err != nil {
-		return proto.Catalog{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		perr := proto.ReadError(resp) // closes the body
-		return proto.Catalog{}, &httpError{URL: url, Status: perr.Status, Msg: perr.Message}
-	}
-	defer resp.Body.Close()
+// GetCatalog fetches the registry's published-content catalog.
+func GetCatalog(ctx context.Context, client *http.Client, base string) (proto.Catalog, error) {
 	var cat proto.Catalog
-	if err := json.NewDecoder(resp.Body).Decode(&cat); err != nil {
-		return proto.Catalog{}, fmt.Errorf("relay: decode catalog from %s: %w", url, err)
-	}
-	return cat, nil
+	_, err := call(ctx, client, http.MethodGet, base+proto.Versioned(proto.PathCatalog), "", nil, &cat)
+	return cat, err
 }
 
 // PublishCatalog records a publish (asset or group) in the registry's
-// durable catalog and returns the catalog version carrying it. A nil
-// client uses http.DefaultClient.
-func PublishCatalog(client *http.Client, base string, msg proto.PublishMsg) (uint64, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return postJSONVersioned(client, base+proto.Versioned(proto.PathCatalogPublish), msg)
+// durable catalog and returns the catalog version carrying it.
+func PublishCatalog(ctx context.Context, client *http.Client, base string, msg proto.PublishMsg) (uint64, error) {
+	return postJSON(ctx, client, base+proto.Versioned(proto.PathCatalogPublish), msg)
 }
 
 // UnpublishCatalog removes an entry from the registry's durable catalog
-// and returns the catalog version carrying the removal. A nil client
-// uses http.DefaultClient.
-func UnpublishCatalog(client *http.Client, base string, msg proto.UnpublishMsg) (uint64, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return postJSONVersioned(client, base+proto.Versioned(proto.PathCatalogUnpublish), msg)
+// and returns the catalog version carrying the removal.
+func UnpublishCatalog(ctx context.Context, client *http.Client, base string, msg proto.UnpublishMsg) (uint64, error) {
+	return postJSON(ctx, client, base+proto.Versioned(proto.PathCatalogUnpublish), msg)
 }
 
 // RollbackCatalog asks the registry to restore the published content of
 // a retained catalog snapshot (POST /v1/registry/rollback) and returns
 // the catalog version carrying the restore. A pruned or unknown
-// snapshot version is a 404 (IsNotFound). A nil client uses
-// http.DefaultClient.
-func RollbackCatalog(client *http.Client, base string, version uint64) (uint64, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return postJSONVersioned(client, base+proto.Versioned(proto.PathCatalogRollback), proto.RollbackMsg{Version: version})
+// snapshot version is a 404 (IsNotFound).
+func RollbackCatalog(ctx context.Context, client *http.Client, base string, version uint64) (uint64, error) {
+	return postJSON(ctx, client, base+proto.Versioned(proto.PathCatalogRollback), proto.RollbackMsg{Version: version})
 }
 
 // PublishAsset uploads a container to a streaming server's live publish
 // endpoint (POST /v1/publish/{name}), registering or replacing the
-// asset under traffic. A nil client uses http.DefaultClient.
-func PublishAsset(client *http.Client, base, name string, body io.Reader) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	url := base + proto.Versioned(proto.RoutePath(proto.PrefixPublish, name))
-	resp, err := client.Post(url, "application/octet-stream", body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		perr := proto.ReadError(resp) // closes the body
-		return &httpError{URL: url, Status: perr.Status, Msg: perr.Message}
-	}
-	resp.Body.Close()
-	return nil
+// asset under traffic.
+func PublishAsset(ctx context.Context, client *http.Client, base, name string, body io.Reader) error {
+	_, err := call(ctx, client, http.MethodPost, base+proto.Versioned(proto.RoutePath(proto.PrefixPublish, name)), "application/octet-stream", body, nil)
+	return err
 }
 
 // UnpublishAsset removes an asset (or rate group) from a streaming
 // server via its live unpublish endpoint (POST /v1/unpublish/{name}).
-// In-flight sessions finish; new opens 404. A nil client uses
-// http.DefaultClient.
-func UnpublishAsset(client *http.Client, base, name string) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	url := base + proto.Versioned(proto.RoutePath(proto.PrefixUnpublish, name))
-	resp, err := client.Post(url, "application/json", nil)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		perr := proto.ReadError(resp) // closes the body
-		return &httpError{URL: url, Status: perr.Status, Msg: perr.Message}
-	}
-	resp.Body.Close()
-	return nil
+// In-flight sessions finish; new opens 404.
+func UnpublishAsset(ctx context.Context, client *http.Client, base, name string) error {
+	_, err := call(ctx, client, http.MethodPost, base+proto.Versioned(proto.RoutePath(proto.PrefixUnpublish, name)), "application/json", nil, nil)
+	return err
 }

@@ -7,16 +7,27 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/relay/membership"
 	"repro/internal/vclock"
 )
 
-// ringNodes builds bare nodes for direct ring tests.
-func ringNodes(n int) []*regNode {
-	out := make([]*regNode, n)
-	for i := range out {
-		out[i] = &regNode{info: NodeInfo{ID: fmt.Sprintf("edge-%d", i+1)}}
+// ringTable builds a table of n live nodes, edge-1 … edge-n, for the
+// ring properties: every pick below is a ring hit, so it reads the ring
+// through the core's own Pick.
+func ringTable(n int) (*membership.Table, []string) {
+	t, ids := membership.New(), make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("edge-%d", i+1)
+		t.Add(ringEpoch, NodeInfo{ID: ids[i], URL: "http://" + ids[i]}, false, false)
 	}
-	return out
+	return t, ids
+}
+
+var ringEpoch = time.Unix(0, 0)
+
+// ringOwner returns the node the ring assigns key, "" when none.
+func ringOwner(t *membership.Table, key string) string {
+	return t.Pick(ringEpoch, key, nil).Node.ID
 }
 
 // assetCorpus is a fixed, seeded corpus of stream paths — the keys the
@@ -31,10 +42,10 @@ func assetCorpus(n int, seed int64) []string {
 }
 
 // TestRingDistributionBalance states and checks the ring's balance
-// bound: with ringVnodes virtual nodes per edge, every edge's share of
-// a large key corpus stays within the stated multiple of the ideal
-// 1/n share. Table-driven and seeded, so a hash or vnode-count change
-// that skews the ring fails loudly with the observed shares.
+// bound: with 128 virtual nodes per edge, every edge's share of a large
+// key corpus stays within the stated multiple of the ideal 1/n share.
+// Table-driven and seeded, so a hash or vnode-count change that skews
+// the ring fails loudly with the observed shares.
 func TestRingDistributionBalance(t *testing.T) {
 	cases := []struct {
 		edges    int
@@ -46,14 +57,14 @@ func TestRingDistributionBalance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%dedges", tc.edges), func(t *testing.T) {
-			ring := buildRing(ringNodes(tc.edges))
+			ring, _ := ringTable(tc.edges)
 			counts := make(map[string]int)
 			for _, key := range assetCorpus(tc.keys, 42) {
-				n := ring.pick(key)
-				if n == nil {
+				id := ringOwner(ring, key)
+				if id == "" {
 					t.Fatal("pick returned nil on a populated ring")
 				}
-				counts[n.info.ID]++
+				counts[id]++
 			}
 			if len(counts) != tc.edges {
 				t.Fatalf("only %d/%d edges own any keys", len(counts), tc.edges)
@@ -73,27 +84,36 @@ func TestRingDistributionBalance(t *testing.T) {
 // TestRingRebalanceStability checks the consistent-hashing contract on
 // a fixed corpus: adding one edge to n remaps roughly 1/(n+1) of the
 // keys and every remapped key lands on the newcomer; removing one edge
-// remaps exactly the removed edge's keys and nothing else.
+// (here by draining it) remaps exactly the removed edge's keys and
+// nothing else.
 func TestRingRebalanceStability(t *testing.T) {
 	for _, edges := range []int{16, 64} {
 		t.Run(fmt.Sprintf("%dedges", edges), func(t *testing.T) {
 			corpus := assetCorpus(10000, 7)
-			nodes := ringNodes(edges + 1)
-			base := buildRing(nodes[:edges])
+			ring, ids := ringTable(edges)
+			owners := func() map[string]string {
+				m := make(map[string]string, len(corpus))
+				for _, key := range corpus {
+					m[key] = ringOwner(ring, key)
+				}
+				return m
+			}
+			base := owners()
 
 			// Add one edge: only ~1/(n+1) of the corpus moves, all of it
 			// to the new node.
-			grown := buildRing(nodes)
+			newcomer := fmt.Sprintf("edge-%d", edges+1)
+			ring.Add(ringEpoch, NodeInfo{ID: newcomer, URL: "http://" + newcomer}, false, false)
+			grown := owners()
 			moved := 0
 			for _, key := range corpus {
-				was, is := base.pick(key), grown.pick(key)
+				was, is := base[key], grown[key]
 				if was == is {
 					continue
 				}
 				moved++
-				if is != nodes[edges] {
-					t.Fatalf("key %q moved from %s to %s, not to the new edge",
-						key, was.info.ID, is.info.ID)
+				if is != newcomer {
+					t.Fatalf("key %q moved from %s to %s, not to the new edge", key, was, is)
 				}
 			}
 			ideal := float64(len(corpus)) / float64(edges+1)
@@ -102,18 +122,18 @@ func TestRingRebalanceStability(t *testing.T) {
 			}
 
 			// Remove one edge: keys owned by survivors must not move.
-			removed := nodes[0]
-			shrunk := buildRing(nodes[1 : edges+1])
+			removed := ids[0]
+			ring.Drain(removed)
+			shrunk := owners()
 			orphans := 0
 			for _, key := range corpus {
-				was := grown.pick(key)
+				was := grown[key]
 				if was == removed {
 					orphans++
 					continue
 				}
-				if is := shrunk.pick(key); is != was {
-					t.Fatalf("key %q owned by %s moved to %s when %s was removed",
-						key, was.info.ID, is.info.ID, removed.info.ID)
+				if is := shrunk[key]; is != was {
+					t.Fatalf("key %q owned by %s moved to %s when %s was removed", key, was, is, removed)
 				}
 			}
 			if orphans == 0 {
@@ -125,14 +145,13 @@ func TestRingRebalanceStability(t *testing.T) {
 
 // TestRingEmptyAndSingle covers the degenerate rings.
 func TestRingEmptyAndSingle(t *testing.T) {
-	if n := buildRing(nil).pick("/vod/x"); n != nil {
-		t.Fatalf("empty ring picked %v", n.info)
+	if c := membership.New().Pick(ringEpoch, "/vod/x", nil); c.Found {
+		t.Fatalf("empty ring picked %v", c.Node)
 	}
-	one := ringNodes(1)
-	ring := buildRing(one)
+	ring, ids := ringTable(1)
 	for _, key := range assetCorpus(100, 3) {
-		if n := ring.pick(key); n != one[0] {
-			t.Fatalf("single-node ring picked %v", n)
+		if c := ring.Pick(ringEpoch, key, nil); c.Node.ID != ids[0] || c.Reason != membership.RingHit {
+			t.Fatalf("single-node ring picked %+v", c)
 		}
 	}
 }
@@ -247,9 +266,8 @@ func TestPickForExpiredPreferredFallsBack(t *testing.T) {
 
 // TestPickForAllocFree is the allocation regression gate on the
 // redirect hot path: a keyed pick with a populated exclude list must
-// not allocate — the exclude resolution rides the byRef index and a
-// stack buffer, and the ring lookup is a binary search over an
-// immutable array.
+// not allocate — the exclude refs are matched in place, and the ring
+// lookup is a binary search over an immutable array.
 func TestPickForAllocFree(t *testing.T) {
 	g := NewRegistry(nil)
 	for i := 1; i <= 16; i++ {
@@ -268,7 +286,7 @@ func TestPickForAllocFree(t *testing.T) {
 	}
 }
 
-// TestRegistryRingChurnRace hammers the ring swap: concurrent picks,
+// TestRegistryRingChurnRace hammers the ring rebuilds: concurrent picks,
 // heartbeats, kills, drains, and re-registrations must never tear the
 // ring or trip the race detector (`make race` runs this under -race).
 func TestRegistryRingChurnRace(t *testing.T) {
