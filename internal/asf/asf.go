@@ -29,8 +29,14 @@
 //     once — the player, a verifier — reads without allocating. Whoever
 //     keeps a packet past the next read takes Packet.Clone first.
 //   - Reader.ReadShared owns. The validated wire image is copied once
-//     into a buffer of its own; the Shared may be held and written to any
-//     number of connections for as long as anyone references it.
+//     into the reader's Slab: a 16 KB buffer it shares with the packets
+//     read around it (a large one that does not fit gets its own), which
+//     nothing writes again once a packet is in it. The Shared may be
+//     held and written to any number of connections for as long as anyone
+//     references it, and while it is referenced it pins its slab. A
+//     packet that has no wire image yet is encoded into a slab the same
+//     way (Slab.NewShared), or alone into an exactly sized buffer
+//     (NewShared).
 //
 // ReadAll returns packets the caller owns. Build with -tags asfpoison
 // (make test-poison) and the reader overwrites what it lent at the start

@@ -106,8 +106,9 @@ func readBenchFile(tb testing.TB, n int) []byte {
 
 // TestReadAllocs pins the reading half: in the steady state — window
 // allocated, fills and compactions included — a lent packet costs no
-// allocation at all, and an owned one two: the Shared and the exactly
-// sized buffer its wire image is copied into. Nothing is allocated per
+// allocation at all, and an owned one a share of its slab's buffer and
+// header chunk: a 16 KB buffer holds 13 of these packets and a chunk 64
+// headers, so 200 packets make about 20 allocations. Nothing is allocated per
 // field, and nothing is re-encoded.
 func TestReadAllocs(t *testing.T) {
 	const runs = 200
@@ -118,7 +119,7 @@ func TestReadAllocs(t *testing.T) {
 		read func(*Reader) error
 	}{
 		{"ReadPacket", 0, func(r *Reader) error { _, err := r.ReadPacket(); return err }},
-		{"ReadShared", 2, func(r *Reader) error { _, err := r.ReadShared(); return err }},
+		{"ReadShared", 0.1, func(r *Reader) error { _, err := r.ReadShared(); return err }},
 	} {
 		r := NewReader(bytes.NewReader(data))
 		if _, err := r.ReadHeader(); err != nil {
@@ -130,7 +131,7 @@ func TestReadAllocs(t *testing.T) {
 			}
 		})
 		if avg > tc.max {
-			t.Errorf("%s allocates %.2f times per packet; want at most %.0f", tc.name, avg, tc.max)
+			t.Errorf("%s allocates %.2f times per packet; want at most %.1f", tc.name, avg, tc.max)
 		}
 	}
 }

@@ -344,7 +344,7 @@ const (
 // landed: no second buffer in front of it is needed (it reads the source
 // in window-sized pieces) and none is made per packet. Who may keep what
 // it returns is the package's lend/own contract — see the package
-// documentation: ReadPacket lends, ReadShared owns.
+// documentation: ReadPacket lends, ReadShared owns, by the slab.
 //
 // The first error — io.EOF included — ends the stream: every later read
 // returns it again.
@@ -358,6 +358,9 @@ type Reader struct {
 	// lent counts the payload bytes before pos that the last ReadPacket
 	// handed out; only the asfpoison build reads it.
 	lent int
+	// slab is where ReadShared copies what it hands out; ReadPacket never
+	// touches it.
+	slab Slab
 
 	header    Header
 	hasHeader bool
@@ -461,18 +464,20 @@ func (r *Reader) ReadPacket() (Packet, error) {
 
 // ReadShared is ReadPacket for a caller that keeps the packet or sends it
 // on: the validated wire image is copied once, as it arrived — no
-// re-encode, no second CRC pass — into an exactly sized buffer the Shared
-// owns.
+// re-encode, no second CRC pass — into the reader's slab, which nothing
+// writes there again (see Slab).
 func (r *Reader) ReadShared() (*Shared, error) {
 	p, wire, err := r.next()
 	if err != nil {
 		return nil, err
 	}
-	own := make([]byte, len(wire))
-	copy(own, wire)
-	p.Payload = own[packetWireSize:]
-	return &Shared{wire: own, pkt: p}, nil
+	return r.slab.own(p, wire), nil
 }
+
+// SlabTail is the bytes the reader's slab allocated for ReadShared and
+// never filled: what the packets it returned hold beyond their wire
+// images.
+func (r *Reader) SlabTail() int { return r.slab.tail() }
 
 // next validates the next packet in place and consumes it; the returned
 // wire image, and the packet's Payload in its tail, alias the window.
@@ -533,7 +538,7 @@ func (r *Reader) parseNext() (Packet, []byte, error) {
 func (r *Reader) parsePacket() (Packet, []byte, error) {
 	fixed, err := r.peek(packetWireSize)
 	if err != nil {
-		return Packet{}, nil, fmt.Errorf("%w: truncated packet: %v", ErrCorrupt, err)
+		return Packet{}, nil, fmt.Errorf("%w: truncated packet: %w", ErrCorrupt, err)
 	}
 	s := &scanner{b: fixed[len(packetMagic):]}
 	p := Packet{
@@ -555,7 +560,7 @@ func (r *Reader) parsePacket() (Packet, []byte, error) {
 	// This peek may move or replace the window: fixed is dead from here.
 	wire, err := r.peek(packetWireSize + int(n))
 	if err != nil {
-		return p, nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+		return p, nil, fmt.Errorf("%w: truncated payload: %w", ErrCorrupt, err)
 	}
 	// Capacity stops at the packet: an append to a lent Payload must not
 	// write into the packet behind it.
@@ -574,7 +579,7 @@ func (r *Reader) parsePacket() (Packet, []byte, error) {
 func (r *Reader) readIndex() (Index, error) {
 	prefix, err := r.peek(len(indexMagic) + 4)
 	if err != nil {
-		return nil, fmt.Errorf("%w: truncated index: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: truncated index: %w", ErrCorrupt, err)
 	}
 	n := binary.LittleEndian.Uint32(prefix[len(indexMagic):])
 	if n > MaxIndexEntries {
@@ -585,7 +590,7 @@ func (r *Reader) readIndex() (Index, error) {
 	for i := uint32(0); i < n; i++ {
 		entry, err := r.peek(indexEntrySize)
 		if err != nil {
-			return nil, fmt.Errorf("%w: truncated index entry: %v", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: truncated index entry: %w", ErrCorrupt, err)
 		}
 		s := &scanner{b: entry}
 		e := IndexEntry{PTS: s.dur(), Seq: s.u32()}

@@ -18,7 +18,9 @@ import (
 // the owned one agree on every field and payload byte, both refuse the
 // rest with the same error, and every accepted wire image is the
 // canonical encoding of its packet — what a relay forwards is what an
-// encoder would have written.
+// encoder would have written. The owned packets are kept until the stream
+// ends and checked again then: no later read into the same slab wrote
+// over one.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid small file.
 	var buf bytes.Buffer
@@ -32,11 +34,13 @@ func FuzzReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := w.WritePacket(Packet{
-		Stream: media.StreamVideo, Kind: media.KindVideo, Flags: PacketKeyframe,
-		PTS: time.Second, Payload: []byte("data"),
-	}); err != nil {
-		f.Fatal(err)
+	for i, payload := range []string{"data", "more data", ""} {
+		if _, err := w.WritePacket(Packet{
+			Stream: media.StreamVideo, Kind: media.KindVideo, Flags: PacketKeyframe,
+			PTS: time.Duration(i+1) * time.Second, Payload: []byte(payload),
+		}); err != nil {
+			f.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
@@ -55,6 +59,12 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		type kept struct {
+			sp    *Shared
+			p     Packet // the lent packet, cloned
+			canon []byte
+		}
+		var owned []kept
 		for i := 0; i < 1000; i++ {
 			p, err := r.ReadPacket()
 			sp, errS := rs.ReadShared()
@@ -62,7 +72,7 @@ func FuzzReader(f *testing.F) {
 				t.Fatalf("packet %d: ReadPacket %v, ReadShared %v", i, err, errS)
 			}
 			if err != nil {
-				return
+				break
 			}
 			if !reflect.DeepEqual(p, sp.Packet()) {
 				t.Fatalf("packet %d: ReadPacket %+v, ReadShared %+v", i, p, sp.Packet())
@@ -73,6 +83,12 @@ func FuzzReader(f *testing.F) {
 			}
 			if !bytes.Equal(sp.Wire(), canon) {
 				t.Fatalf("packet %d: forwarded image is not the canonical encoding", i)
+			}
+			owned = append(owned, kept{sp, p.Clone(), canon})
+		}
+		for i, k := range owned {
+			if !reflect.DeepEqual(k.p, k.sp.Packet()) || !bytes.Equal(k.sp.Wire(), k.canon) {
+				t.Fatalf("owned packet %d changed after later reads", i)
 			}
 		}
 	})

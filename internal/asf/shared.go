@@ -20,28 +20,32 @@ const (
 )
 
 // Shared is an immutable packet in wire form: the bytes (header, CRC,
-// payload) come into being exactly once — encoded by NewShared at the
-// origin, or read and validated off a stream by Reader.ReadShared — and
-// every consumer — each live subscriber, each VOD session, each edge
-// re-fan-out — writes the same underlying buffer. This is the zero-copy
-// half of the serving path: fan-out to N subscribers costs N writes of
-// one buffer, not N re-encodes and N CRC passes.
+// payload) come into being exactly once — encoded by NewShared or
+// Slab.NewShared at the origin, or read and validated off a stream by
+// Reader.ReadShared — and every consumer — each live subscriber, each
+// VOD session, each edge re-fan-out — writes the same underlying buffer.
+// This is the zero-copy half of the serving path: fan-out to N
+// subscribers costs N writes of one buffer, not N re-encodes and N CRC
+// passes.
 //
 // Ownership rules (enforced by construction, checked by the race suite):
 //
-//   - NewShared copies the payload into the wire image, so the caller
-//     may reuse or mutate its payload buffer the moment NewShared
-//     returns; ReadShared copies the image out of the reader's window
-//     into a buffer no one else holds.
+//   - Encoding copies the payload into the wire image, so the caller may
+//     reuse or mutate its payload buffer the moment NewShared returns;
+//     ReadShared copies the image out of the reader's window into a slab
+//     no one writes again.
 //   - After construction nothing may write to the Shared: Wire and the
-//     Packet view's Payload alias the same buffer that is concurrently
-//     being written to other subscribers' connections.
+//     Packet view's Payload alias the same bytes that are concurrently
+//     being written to other subscribers' connections. Both are
+//     capacity-clipped to the packet, so even an append cannot reach the
+//     packet next to it in a slab.
 type Shared struct {
 	wire []byte // full wire image: fixed header + payload
 	pkt  Packet // decoded view; Payload aliases wire's tail
 }
 
-// NewShared validates p and encodes it once, payload copied in. The
+// NewShared validates p and encodes it once, payload copied in, into a
+// buffer of exactly its size: the one-off form of Slab.NewShared. The
 // packet's Seq is preserved as assigned by the publisher — a Shared is
 // the same bytes for every consumer by definition, so no downstream
 // writer may re-sequence it.
@@ -49,13 +53,97 @@ func NewShared(p Packet) (*Shared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sp := &Shared{
-		wire: appendPacket(make([]byte, 0, packetWireSize+len(p.Payload)), p),
-		pkt:  p,
-	}
-	sp.pkt.Payload = sp.wire[packetWireSize:]
+	sp := &Shared{wire: appendPacket(make([]byte, 0, packetWireSize+len(p.Payload)), p)}
+	sp.setPacket(p)
 	return sp, nil
 }
+
+// setPacket makes p, its Payload pointed at the wire image's tail, the
+// Shared's decoded view.
+func (s *Shared) setPacket(p Packet) {
+	s.pkt = p
+	s.pkt.Payload = s.wire[packetWireSize:]
+}
+
+// A slab's wire images are carved from byteSlab-sized buffers and its
+// Shared headers from chunks of sharedChunk. An image that does not fit
+// in what is left of the current buffer gets a new one, unless it is at
+// least ownMin: then it gets a buffer of its own and the current one
+// stays open, so a large image — a slide, a big keyframe — does not make
+// the rest of the current buffer tail.
+//
+// byteSlab is small on purpose: each buffer is a run of contiguous pages
+// from the Go runtime's page heap. With 32 KB and 64 KB buffers a relayed
+// broadcast took more page faults per packet than with a buffer per
+// packet, and other code allocating on the same heap took a number that
+// changed from one run to the next; with 16 KB buffers both are lower and
+// steady.
+const (
+	byteSlab    = 16 << 10
+	ownMin      = byteSlab / 4
+	sharedChunk = 64
+)
+
+// Slab carves owned packets out of shared memory: a handful of
+// allocations per asset or per stretch of broadcast instead of two per
+// packet. A packet pins the buffer its image lies in, and the chunk its
+// header lies in, for as long as anyone references it; the garbage
+// collector frees both once none of their packets is referenced, so
+// there is no refcount, pool or free list. The zero Slab is ready to use;
+// it is not safe for concurrent use.
+type Slab struct {
+	buf    []byte   // current buffer: len is carved, cap-len is free
+	shared []Shared // current header chunk: len is handed out
+	left   int      // free bytes of the buffers already left behind
+}
+
+// NewShared is NewShared with the image and header carved from the slab.
+func (s *Slab) NewShared(p Packet) (*Shared, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	sp := s.nextShared()
+	sp.wire = appendPacket(s.bytes(packetWireSize + len(p.Payload))[:0], p)
+	sp.setPacket(p)
+	return sp, nil
+}
+
+// own copies a validated wire image, and p its decoded view, into the
+// slab.
+func (s *Slab) own(p Packet, wire []byte) *Shared {
+	sp := s.nextShared()
+	sp.wire = s.bytes(len(wire))
+	copy(sp.wire, wire)
+	sp.setPacket(p)
+	return sp
+}
+
+// bytes returns n bytes of the slab, capacity-clipped to n.
+func (s *Slab) bytes(n int) []byte {
+	off := len(s.buf)
+	if n > cap(s.buf)-off {
+		if n >= ownMin {
+			return make([]byte, n)
+		}
+		s.left += cap(s.buf) - off
+		s.buf, off = make([]byte, 0, byteSlab), 0
+	}
+	s.buf = s.buf[:off+n]
+	return s.buf[off : off+n : off+n]
+}
+
+// nextShared returns a zeroed Shared from the current chunk.
+func (s *Slab) nextShared() *Shared {
+	if len(s.shared) == cap(s.shared) {
+		s.shared = make([]Shared, 0, sharedChunk)
+	}
+	s.shared = s.shared[:len(s.shared)+1]
+	return &s.shared[len(s.shared)-1]
+}
+
+// tail is the bytes of the slab's buffers that were allocated and never
+// carved: what its packets hold beyond their wire images.
+func (s *Slab) tail() int { return s.left + cap(s.buf) - len(s.buf) }
 
 // Packet returns the decoded view of the shared packet. The view's
 // Payload aliases the shared wire image: treat it as read-only.

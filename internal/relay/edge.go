@@ -378,8 +378,10 @@ func (e *Edge) fetchGroup(name string) error {
 // RelayChannel ensures a local live channel by the given name exists,
 // subscribed to the origin's channel of the same name. It returns once
 // the local channel is registered (joinable); packets are pumped in the
-// background until the origin broadcast ends, which closes the local
-// channel too. A missing origin channel returns streaming.ErrNotFound.
+// background until the origin broadcast ends or breaks off, which closes
+// and unregisters the local channel too (endRelay). A missing origin
+// channel returns streaming.ErrNotFound, an ended one
+// streaming.ErrChanClosed.
 func (e *Edge) RelayChannel(name string) error {
 	return e.relayChannel(detached(), name)
 }
@@ -395,9 +397,13 @@ func (e *Edge) startRelay(name string) error {
 	if err != nil {
 		return fmt.Errorf("relay: live %q: %w", name, err)
 	}
-	if resp.StatusCode == http.StatusNotFound {
+	switch resp.StatusCode {
+	case http.StatusNotFound:
 		resp.Body.Close()
 		return fmt.Errorf("%w: origin channel %q", streaming.ErrNotFound, name)
+	case http.StatusGone:
+		resp.Body.Close()
+		return fmt.Errorf("%w: origin channel %q", streaming.ErrChanClosed, name)
 	}
 	if resp.StatusCode != http.StatusOK {
 		resp.Body.Close()
@@ -419,13 +425,13 @@ func (e *Edge) startRelay(name string) error {
 	}
 	go func() {
 		defer resp.Body.Close()
-		defer ch.Close()
 		// The origin's wire images, validated by the reader, go to this
 		// edge's viewers as they arrived: same bytes, same sequence numbers.
 		for {
 			sp, err := r.ReadShared()
 			if err != nil {
-				return // EOF: the origin broadcast ended
+				e.endRelay(ch, err)
+				return
 			}
 			if ch.PublishShared(sp) != nil {
 				return
@@ -433,6 +439,19 @@ func (e *Edge) startRelay(name string) error {
 		}
 	}()
 	return nil
+}
+
+// endRelay ends a relayed channel when its upstream does: cleanly at the
+// origin's io.EOF, as broken off at any other error — the origin died, a
+// packet failed its checksum, the body was cut — so the edge's viewers see
+// an error rather than a complete broadcast. Either way the channel is
+// unregistered, and the next join on this edge relays afresh.
+func (e *Edge) endRelay(ch *streaming.Channel, err error) {
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
+	ch.CloseWithError(err)
+	e.Server.RemoveChannel(ch)
 }
 
 // Handler wraps the edge server's handler with pull-through: a /vod/
@@ -485,14 +504,18 @@ func (e *Edge) Handler() http.Handler {
 
 // pullError maps an origin pull failure onto the client response: a
 // missing upstream resource is the client's 404 (with the proto.Error
-// JSON body every /v1 error carries), anything else means the edge
-// could not reach or parse the origin — 502. A demand abandoned because
-// its own request context died reports 499-style client disconnect as
-// 502 too; the transport is gone either way.
+// JSON body every /v1 error carries), an upstream broadcast that has
+// ended is its 410, anything else means the edge could not reach or
+// parse the origin — 502. A demand abandoned because its own request
+// context died reports 499-style client disconnect as 502 too; the
+// transport is gone either way.
 func pullError(w http.ResponseWriter, _ *http.Request, err error) {
-	if errors.Is(err, streaming.ErrNotFound) {
+	switch {
+	case errors.Is(err, streaming.ErrNotFound):
 		proto.WriteError(w, http.StatusNotFound, err.Error())
-		return
+	case errors.Is(err, streaming.ErrChanClosed):
+		proto.WriteError(w, http.StatusGone, err.Error())
+	default:
+		proto.WriteError(w, http.StatusBadGateway, err.Error())
 	}
-	proto.WriteError(w, http.StatusBadGateway, err.Error())
 }

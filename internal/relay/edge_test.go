@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -488,6 +489,101 @@ func TestEdgeRelaysEscapedChannelName(t *testing.T) {
 	}
 	originCh.Close()
 	if err := <-resc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEdgeRelayBrokenUpstream: an origin that dies mid-broadcast — here a
+// header, three packets and half of a fourth, then a hang-up — must reach
+// the edge's viewers as an error, not as a clean end a failover client
+// would take for the whole broadcast; and the edge must forget the broken
+// relay, so the next join relays afresh instead of 410 until a restart.
+func TestEdgeRelayBrokenUpstream(t *testing.T) {
+	r := asf.NewReader(bytes.NewReader(encodeTestLecture(t, time.Second, true)))
+	h, err := r.ReadHeader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := asf.EncodeHeader(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wires [][]byte
+	for len(wires) < 4 {
+		sp, err := r.ReadShared()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires = append(wires, sp.Wire())
+	}
+
+	var pulls atomic.Int32
+	attached := make(chan struct{}) // the first viewer is on the edge
+	release := make(chan struct{})  // the test is over
+	originTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		first := pulls.Add(1) == 1
+		w.Write(header)
+		w.(http.Flusher).Flush()
+		if !first {
+			select { // a healthy broadcast, until the test ends
+			case <-release:
+			case <-req.Context().Done():
+			}
+			return
+		}
+		select {
+		case <-attached:
+		case <-req.Context().Done():
+			return
+		}
+		for _, wire := range wires[:3] {
+			w.Write(wire)
+		}
+		w.Write(wires[3][:len(wires[3])/2])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer originTS.Close()
+	defer close(release)
+
+	edgeSrv := streaming.NewServer(nil)
+	edgeTS := httptest.NewServer(NewEdge(originTS.URL, edgeSrv).Handler())
+	defer edgeTS.Close()
+
+	resp, err := http.Get(edgeTS.URL + "/live/lecture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	viewer := asf.NewReader(resp.Body)
+	if _, err := viewer.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	if ch, ok := edgeSrv.Channel("lecture"); !ok || ch.ClientCount() != 1 {
+		t.Fatal("the viewer is not attached to the relayed channel")
+	}
+	close(attached)
+	n := 0
+	for ; ; n++ {
+		if _, err = viewer.ReadPacket(); err != nil {
+			break
+		}
+	}
+	if n != 3 || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("viewer read %d packets, then %v; want 3, then an unexpected EOF", n, err)
+	}
+
+	testutil.WaitUntil(t, 10*time.Second, func() bool { _, ok := edgeSrv.Channel("lecture"); return !ok },
+		"the broken relay's channel is still registered")
+	again, err := http.Get(edgeTS.URL + "/live/lecture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Body.Close()
+	if again.StatusCode != http.StatusOK || pulls.Load() != 2 {
+		t.Fatalf("second join: status %d after %d origin pulls; want 200 from a second relay", again.StatusCode, pulls.Load())
+	}
+	if _, err := asf.NewReader(again.Body).ReadHeader(); err != nil {
 		t.Fatal(err)
 	}
 }

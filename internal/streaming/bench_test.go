@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,85 @@ func TestChannelPublishSharedAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("PublishShared allocates %.2f times per packet with %d subscribers; want 0", avg, subs)
 	}
+}
+
+// TestChannelPublishAllocs pins the origin's half: Publish encodes into
+// the channel's slab, so a packet costs only its share of a slab buffer
+// and a header chunk — 61 of these packets fill a buffer, 64 a chunk —
+// and the fan-out after it nothing.
+func TestChannelPublishAllocs(t *testing.T) {
+	ch, err := NewChannel("allocs", benchHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	for i := 0; i < 100; i++ {
+		sub, err := ch.Subscribe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for range sub.C {
+			}
+		}()
+	}
+	p := benchShared(t).Packet()
+	avg := testing.AllocsPerRun(200, func() {
+		if err := ch.Publish(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 0.1 {
+		t.Fatalf("Publish allocates %.2f times per packet; want at most 0.1", avg)
+	}
+}
+
+// TestParseAssetAllocs pins what registering a stored lecture costs: its
+// packets are carved from the reader's slab, so the allocations are per
+// asset — slab buffers, header chunks, the reader's window, the asset's
+// slices and seek map growing — not per packet.
+func TestParseAssetAllocs(t *testing.T) {
+	data := encodeDSLAsset(t)
+	var packets int
+	avg := testing.AllocsPerRun(10, func() {
+		a, err := parseAsset("lec", asf.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		packets = len(a.Packets)
+	})
+	if perPacket := avg / float64(packets); perPacket > 0.2 {
+		t.Fatalf("parseAsset allocates %.2f times per packet (%.0f for %d packets); want at most 0.2", perPacket, avg, packets)
+	}
+}
+
+// BenchmarkRegisterAsset measures building the benchmark of record's
+// stored lecture from its container, the step every origin registration
+// and edge mirror pull takes: per packet, and the slab bytes the asset
+// holds beyond its wire images (tail-B/asset), which is what carving from
+// slabs adds to a resident asset's heap.
+func BenchmarkRegisterAsset(b *testing.B) {
+	data := encodeDSLAsset(b)
+	var packets, tail int
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := asf.NewReader(bytes.NewReader(data))
+		a, err := parseAsset("lec", r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packets, tail = len(a.Packets), r.SlabTail()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	all := float64(b.N) * float64(packets)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/all, "ns/packet")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/all, "allocs/packet")
+	b.ReportMetric(float64(tail), "tail-B/asset")
 }
 
 // encodeDSLAsset encodes the benchmark of record's stored lecture:

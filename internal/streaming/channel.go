@@ -28,12 +28,17 @@ const DefaultSubscriberBuffer = 256
 type Channel struct {
 	Name string
 
-	mu        sync.Mutex
-	header    asf.Header
-	backlog   []*asf.Shared
+	mu      sync.Mutex
+	header  asf.Header
+	backlog []*asf.Shared
+	// slab is where Publish encodes; a stretch of broadcast shares its
+	// buffers, which live as long as a backlog or a queue holds a packet
+	// in them.
+	slab      asf.Slab
 	subs      map[int]*Subscriber
 	nextID    int
 	closed    bool
+	err       error // why the broadcast ended; nil while open or for a clean end
 	published int64
 	dropped   int64
 	// SubscriberBuffer overrides DefaultSubscriberBuffer when positive.
@@ -89,6 +94,14 @@ func (c *Channel) Closed() bool {
 	return c.closed
 }
 
+// Err returns why the broadcast ended: the error it was closed with, or
+// nil while it runs and after a clean end.
+func (c *Channel) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
 // Published returns the number of packets published.
 func (c *Channel) Published() int64 {
 	c.mu.Lock()
@@ -104,15 +117,22 @@ func (c *Channel) Dropped() int64 {
 }
 
 // Publish is the origin-side entry: an encoder hands over a Packet, it
-// is encoded once and the shared form fanned out to every subscriber; see
-// PublishShared. The publisher keeps ownership of p.Payload — the encode
-// copies it — so callers may reuse their payload buffer immediately.
+// is encoded once, into the channel's slab, and the shared form fanned
+// out to every subscriber; see PublishShared. The publisher keeps
+// ownership of p.Payload — the encode copies it — so callers may reuse
+// their payload buffer immediately.
 func (c *Channel) Publish(p asf.Packet) error {
-	sp, err := asf.NewShared(p)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrChanClosed
+	}
+	sp, err := c.slab.NewShared(p)
 	if err != nil {
 		return err
 	}
-	return c.PublishShared(sp)
+	c.fanOut(sp)
+	return nil
 }
 
 // PublishShared fans a pre-encoded packet out to every subscriber and
@@ -127,6 +147,12 @@ func (c *Channel) PublishShared(sp *asf.Shared) error {
 	if c.closed {
 		return ErrChanClosed
 	}
+	c.fanOut(sp)
+	return nil
+}
+
+// fanOut is PublishShared under c.mu on an open channel.
+func (c *Channel) fanOut(sp *asf.Shared) {
 	c.published++
 	// Reset the catch-up window at video keyframes so joins start clean.
 	if sp.Keyframe() && sp.Kind() == media.KindVideo {
@@ -140,7 +166,6 @@ func (c *Channel) PublishShared(sp *asf.Shared) error {
 			c.dropped++
 		}
 	}
-	return nil
 }
 
 // Subscribe attaches a new client, returning its live queue and the
@@ -177,15 +202,21 @@ func (s *Subscriber) Close() {
 	})
 }
 
-// Close ends the broadcast: all subscriber queues are closed after the
-// packets already queued.
-func (c *Channel) Close() {
+// Close ends the broadcast cleanly: all subscriber queues are closed
+// after the packets already queued.
+func (c *Channel) Close() { c.CloseWithError(nil) }
+
+// CloseWithError ends the broadcast like Close and records err as why
+// (see Err): a non-nil err says the broadcast broke off — a relay lost
+// its upstream — so viewers must not take the end for a complete stream.
+// Only the first close counts.
+func (c *Channel) CloseWithError(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
-	c.closed = true
+	c.closed, c.err = true, err
 	for id, sub := range c.subs {
 		close(sub.send)
 		delete(c.subs, id)
@@ -195,15 +226,16 @@ func (c *Channel) Close() {
 // PublishPaced publishes the packets honoring their send times against the
 // clock, stopping early if ctx is cancelled. It is the origin-side bridge
 // between a stored/encoded packet sequence and a live broadcast. Each
-// packet is encoded into its shared form once, up front, so the pacing
-// loop's publishes are allocation-free.
+// packet is encoded into its shared form once, up front and into one
+// slab, so the pacing loop's publishes are allocation-free.
 func (c *Channel) PublishPaced(ctx context.Context, clock vclock.Clock, packets []asf.Packet) error {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
+	var slab asf.Slab
 	shared := make([]*asf.Shared, len(packets))
 	for i, p := range packets {
-		sp, err := asf.NewShared(p)
+		sp, err := slab.NewShared(p)
 		if err != nil {
 			return err
 		}
@@ -244,11 +276,27 @@ func (s *Server) CreateChannel(name string, h asf.Header) (*Channel, error) {
 	return ch, nil
 }
 
-// channelDropped sums Dropped over the server's channels.
+// RemoveChannel unregisters an ended channel, if it is still the one
+// registered under its name, so that the next join may create the name
+// anew; it reports whether it did. Sessions attached to the channel are
+// not touched, and its dropped packets stay in lod_channel_dropped_total.
+func (s *Server) RemoveChannel(ch *Channel) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.channels[ch.Name] != ch {
+		return false
+	}
+	delete(s.channels, ch.Name)
+	s.droppedRemoved += ch.Dropped()
+	return true
+}
+
+// channelDropped sums Dropped over the server's channels, removed ones
+// included.
 func (s *Server) channelDropped() float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var n int64
+	n := s.droppedRemoved
 	for _, ch := range s.channels {
 		n += ch.Dropped()
 	}

@@ -219,3 +219,37 @@ func TestPublishReplaceUnderTraffic(t *testing.T) {
 		t.Fatalf("post-swap header = %+v, %v", h, err)
 	}
 }
+
+// An upload larger than the bound is refused with 413 and a proto.Error
+// body wherever the bound falls in it — inside the header, mid-stream, one
+// byte short of the end — and the asset it would have replaced stays in
+// place. An upload of exactly the bound is accepted.
+func TestPublishOversizedBody(t *testing.T) {
+	srv := NewServer(nil)
+	gen1 := encodeTitledAsset(t, "gen-1", time.Second)
+	if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(gen1))); err != nil {
+		t.Fatal(err)
+	}
+	gen2 := encodeTitledAsset(t, "gen-2", time.Second)
+	publish := func(limit int64) *http.Response {
+		rec := httptest.NewRecorder()
+		srv.publishUpload(rec, httptest.NewRequest(http.MethodPost, "/v1/publish/lec", bytes.NewReader(gen2)), limit)
+		return rec.Result()
+	}
+	for _, limit := range []int64{10, int64(len(gen2)) / 2, int64(len(gen2)) - 1} {
+		resp := publish(limit)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%d-byte upload over a %d-byte bound: status %d, want 413", len(gen2), limit, resp.StatusCode)
+		}
+		decodeProtoError(t, resp)
+		if a, _ := srv.Asset("lec"); a.Header.Title != "gen-1" {
+			t.Fatalf("refused upload replaced the asset with %q", a.Header.Title)
+		}
+	}
+	if resp := publish(int64(len(gen2))); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("upload of exactly the bound: status %d, want 204", resp.StatusCode)
+	}
+	if a, _ := srv.Asset("lec"); a.Header.Title != "gen-2" {
+		t.Fatalf("accepted upload left %q in place", a.Header.Title)
+	}
+}

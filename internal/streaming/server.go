@@ -143,6 +143,9 @@ type Server struct {
 	channels map[string]*Channel
 	groups   map[string]*RateGroup
 	stats    ServerStats
+	// droppedRemoved is what removed channels had dropped, so that
+	// lod_channel_dropped_total never goes down.
+	droppedRemoved int64
 	// assetSessions counts the sessions currently streaming each asset,
 	// so cache eviction (relay.Edge) can pin assets that are in use.
 	assetSessions map[string]int
@@ -179,7 +182,7 @@ func NewServer(clock vclock.Clock) *Server {
 		Pacing:        true,
 	}
 	s.inst = newServerInstruments(s.metrics)
-	// Channels are never unregistered, so the sum only grows.
+	// A removed channel's count stays in the sum, so it only grows.
 	s.metrics.GaugeFunc("lod_channel_dropped_total",
 		"Live packets a full subscriber queue lost, summed over the server's channels.", s.channelDropped)
 	return s
@@ -505,12 +508,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxPublishBody bounds a publish upload. The container is held in memory
+// whole before the swap, so this is what one upload can make the server
+// hold: an hour's lecture is 135 MB at dsl-300k and 675 MB at lan-1.5m.
+const maxPublishBody = 1 << 30
+
 // handlePublish accepts a stored container in the request body and
 // publishes it under the path name, replacing any existing asset —
 // the live half of the durable control plane. The container is parsed
-// and pre-encoded fully before the swap, so a malformed upload changes
-// nothing and concurrent opens never see a partial asset.
+// and pre-encoded fully before the swap, so a malformed or oversized
+// upload (413) changes nothing and concurrent opens never see a partial
+// asset.
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
+	s.publishUpload(w, r, maxPublishBody)
+}
+
+// publishUpload is handlePublish with the body bound as a parameter.
+func (s *Server) publishUpload(w http.ResponseWriter, r *http.Request, limit int64) {
 	if r.Method != http.MethodPost {
 		proto.WriteError(w, http.StatusMethodNotAllowed, "streaming: publish requires POST")
 		return
@@ -520,7 +534,13 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		proto.WriteError(w, http.StatusBadRequest, "streaming: publish: empty asset name")
 		return
 	}
-	if _, err := s.PublishAsset(name, asf.NewReader(r.Body)); err != nil {
+	_, err := s.PublishAsset(name, asf.NewReader(http.MaxBytesReader(w, r.Body, limit)))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		proto.WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	case err != nil:
 		proto.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -852,6 +872,18 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 			s.inst.firstPacketLive.Observe(s.clock.Now().Sub(reqStart).Seconds())
 		}
 	}
+	// ended delivers what is written and ends the response the way the
+	// broadcast ended: cleanly, or — when it broke off — with the
+	// connection aborted, so the viewer reads an unexpected EOF instead of
+	// taking a cut stream for a complete one.
+	ended := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if ch.Err() != nil {
+			panic(http.ErrAbortHandler)
+		}
+	}
 
 	// Replay the catch-up burst. Shared packets go out as-is: one write
 	// of the already-encoded buffer per packet, one flush for the burst.
@@ -870,7 +902,8 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		select {
 		case sp, open := <-sub.C:
 			if !open {
-				return // channel closed by the encoder
+				ended()
+				return
 			}
 			if err := writer.WriteShared(sp); err != nil {
 				return
@@ -887,9 +920,7 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 				select {
 				case sp2, open2 := <-sub.C:
 					if !open2 {
-						if flusher != nil {
-							flusher.Flush()
-						}
+						ended()
 						return
 					}
 					if err := writer.WriteShared(sp2); err != nil {
