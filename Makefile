@@ -32,9 +32,12 @@ fmt-check:
 # The repo-native static-analysis suite (internal/lint, driven by
 # cmd/lodlint): wire-contract literals stay in internal/proto,
 # virtual-clock packages take time from vclock.Clock, request paths stay
-# cancellable, and internal handlers answer errors with the proto.Error
-# JSON body. Successor to the retired api-check grep — it walks the AST,
-# so Sprintf/concat compositions are caught and comments/tests are not.
+# cancellable, internal handlers answer errors with the proto.Error
+# JSON body, and the tiers keep their imports apart (layering: relay
+# imports no player or client, player no net/http, client no server
+# tier, the registry core no HTTP, clock, metrics or store). Successor
+# to the retired api-check grep — it walks the AST, so Sprintf/concat
+# compositions are caught and comments/tests are not.
 lint:
 	$(GO) run ./cmd/lodlint ./...
 

@@ -6,18 +6,20 @@
 // Usage:
 //
 //	lodplay -in published.asf
-//	lodplay -url http://localhost:8080/vod/lecture1 -realtime
-//	lodplay -url http://localhost:8080/vod/lecture1 -server-status
-//	lodplay -url http://registry:9090/vod/lecture1 -failover 3
+//	lodplay -url http://localhost:8080/v1/vod/lecture1 -realtime
+//	lodplay -url http://localhost:8080/v1/vod/lecture1 -server-status
+//	lodplay -url http://registry:9090/v1/vod/lecture1 -failover 3
 //
-// Both the /v1 and the legacy unversioned URL forms are accepted.
+// The -url names a stream by its /v1 route; lodplay reads the stream's
+// kind, name, seek offset and bandwidth from it, and the SDK requests
+// that route.
 //
 // Every -url is played through the internal/client session SDK — the
 // same code the benchmark's sessions run. The URL's host may be a
 // cluster registry (the session follows its 307 to an edge) or a serving
 // node played directly (a lone lodserver, an origin, an edge).
 //
-// With -server-status the player also fetches the JSON GET /status
+// With -server-status the player also fetches the JSON GET /v1/status
 // snapshot of the node that served the stream and prints it — the
 // client-side view of the server's counters (sessions, bytes, cache
 // traffic on an edge; see internal/metrics). When the -url host is a
@@ -57,13 +59,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("lodplay", flag.ContinueOnError)
 	in := fs.String("in", "", "stored container to play")
-	rawURL := fs.String("url", "", "HTTP URL to play (e.g. http://host:8080/vod/name)")
+	rawURL := fs.String("url", "", "HTTP URL to play (e.g. http://host:8080/v1/vod/name)")
 	realtime := fs.Bool("realtime", false, "present at PTS on the wall clock")
 	jitter := fs.Int("jitter-buffer", 0, "jitter buffer depth in packets")
 	drm := fs.Bool("license", false, "hold a DRM playback license")
 	verbose := fs.Bool("v", false, "print every slide flip and annotation")
 	start := fs.Duration("start", 0, "seek a -url VOD stream to this offset (server-side)")
-	serverStatus := fs.Bool("server-status", false, "after playing a -url stream, fetch and print the serving node's /status snapshot (plus per-node health through a registry)")
+	serverStatus := fs.Bool("server-status", false, "after playing a -url stream, fetch and print the serving node's status snapshot (plus per-node health through a registry)")
 	failover := fs.Int("failover", 0, "retry a -url stream up to N times when the serving node dies (through the registry, when the -url host is one), resuming VOD at the last received offset")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -178,9 +180,9 @@ func playURL(opts player.Options, rawURL string, start time.Duration, failover i
 	return m, u.Scheme + "://" + session.Stats().Edge, nil
 }
 
-// specFromURL recognizes a stream URL (versioned or legacy) as a
-// session spec: route family, decoded name, and any seek offset or
-// bandwidth declaration in the query.
+// specFromURL recognizes a stream URL as a session spec: route family,
+// decoded name, and any seek offset or bandwidth declaration in the
+// query.
 func specFromURL(u *url.URL) (client.Spec, error) {
 	kind, name, ok := proto.SplitStreamPath(u.Path)
 	if !ok || kind == proto.StreamFetch {
@@ -205,7 +207,7 @@ func specFromURL(u *url.URL) (client.Spec, error) {
 	return spec, nil
 }
 
-// printServerStatus fetches the /status snapshot of the node at base
+// printServerStatus fetches the /v1/status snapshot of the node at base
 // (scheme://host) and writes the JSON to stdout.
 func printServerStatus(base string) error {
 	statusURL := base + proto.Versioned(proto.PathStatus)

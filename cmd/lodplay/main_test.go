@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/codec"
 	"repro/internal/encoder"
-	"repro/internal/metrics"
 	"repro/internal/relay"
 	"repro/internal/streaming"
 )
@@ -76,23 +74,23 @@ func TestFailoverFlagValidation(t *testing.T) {
 	if err := run([]string{"-in", "whatever.asf", "-failover", "2"}); err == nil {
 		t.Fatal("-failover without -url accepted")
 	}
-	if err := run([]string{"-url", "http://reg/vod/x", "-failover", "-1"}); err == nil {
+	if err := run([]string{"-url", "http://reg/v1/vod/x", "-failover", "-1"}); err == nil {
 		t.Fatal("negative -failover accepted")
 	}
 }
 
-// TestSpecFromURL covers the -failover URL → SDK spec translation: both
-// API forms, decoded names, seek offsets and bandwidth from the query,
-// and refusal of non-stream paths.
+// TestSpecFromURL covers the -url → SDK spec translation: decoded names,
+// seek offsets and bandwidth from the query, and refusal of non-stream
+// paths.
 func TestSpecFromURL(t *testing.T) {
 	for _, tc := range []struct {
 		raw  string
 		want client.Spec
 	}{
-		{"http://reg:9090/vod/lec-1", client.Spec{Kind: client.VOD, Name: "lec-1"}},
+		{"http://reg:9090/v1/vod/lec-1", client.Spec{Kind: client.VOD, Name: "lec-1"}},
 		{"http://reg:9090/v1/vod/lec-1?start=2s", client.Spec{Kind: client.VOD, Name: "lec-1", Start: 2 * time.Second}},
 		{"http://reg:9090/v1/live/class", client.Spec{Kind: client.Live, Name: "class"}},
-		{"http://reg:9090/group/g?bw=768000", client.Spec{Kind: client.Group, Name: "g", Bandwidth: 768000}},
+		{"http://reg:9090/v1/group/g?bw=768000", client.Spec{Kind: client.Group, Name: "g", Bandwidth: 768000}},
 		{"http://reg:9090/v1/vod/week%201%2Fintro", client.Spec{Kind: client.VOD, Name: "week 1/intro"}},
 	} {
 		u, err := url.Parse(tc.raw)
@@ -109,11 +107,11 @@ func TestSpecFromURL(t *testing.T) {
 		}
 	}
 	for _, raw := range []string{
-		"http://reg:9090/registry/nodes", // not a stream
-		"http://reg:9090/fetch/lec",      // mirror path, not playable
-		"http://reg:9090/vod/",           // empty name
-		"http://reg:9090/vod/lec?start=bogus",
-		"http://reg:9090/group/g?bw=-1",
+		"http://reg:9090/v1/registry/nodes", // not a stream
+		"http://reg:9090/v1/fetch/lec",      // mirror path, not playable
+		"http://reg:9090/v1/vod/",           // empty name
+		"http://reg:9090/v1/vod/lec?start=bogus",
+		"http://reg:9090/v1/group/g?bw=-1",
 	} {
 		u, err := url.Parse(raw)
 		if err != nil {
@@ -123,14 +121,6 @@ func TestSpecFromURL(t *testing.T) {
 			t.Errorf("specFromURL(%s) accepted", raw)
 		}
 	}
-}
-
-// withStatus mounts GET /status beside h, as cmd/lodserver does.
-func withStatus(h http.Handler, reg *metrics.Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", h)
-	reg.Expose(mux)
-	return mux
 }
 
 // TestURLPlaysThroughOnePath: a lone server and a registry in front of an edge
@@ -146,11 +136,11 @@ func TestURLPlaysThroughOnePath(t *testing.T) {
 	if _, err := origin.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
 		t.Fatal(err)
 	}
-	originTS := httptest.NewServer(withStatus(origin.Handler(), origin.Metrics()))
+	originTS := httptest.NewServer(origin.Handler())
 	defer originTS.Close()
 	edgeSrv := streaming.NewServer(nil)
 	edgeSrv.Pacing = false
-	edgeTS := httptest.NewServer(withStatus(relay.NewEdge(originTS.URL, edgeSrv).Handler(), edgeSrv.Metrics()))
+	edgeTS := httptest.NewServer(relay.NewEdge(originTS.URL, edgeSrv).Handler())
 	defer edgeTS.Close()
 	registry := relay.NewRegistry(nil)
 	defer registry.Close()
@@ -162,7 +152,7 @@ func TestURLPlaysThroughOnePath(t *testing.T) {
 
 	for _, base := range []string{originTS.URL, regTS.URL} {
 		for _, extra := range [][]string{nil, {"-failover", "2"}, {"-start", "1s", "-server-status"}} {
-			args := append([]string{"-url", base + "/vod/lec"}, extra...)
+			args := append([]string{"-url", base + "/v1/vod/lec"}, extra...)
 			if err := run(args); err != nil {
 				t.Fatalf("run %v: %v", args, err)
 			}

@@ -2,8 +2,8 @@
 // assets are served at /v1/vod/{name}, live channels at
 // /v1/live/{channel}, with JSON listings at /v1/assets and /v1/channels,
 // and whole-container mirror transfers at /v1/fetch/{name}. Every
-// endpoint also answers on its legacy unversioned alias (/vod/...); the
-// route constants live in internal/proto.
+// endpoint is served under /v1 only; the route constants live in
+// internal/proto.
 //
 // The server can run standalone or as part of a distributed origin→edge
 // cluster (internal/relay):
@@ -20,12 +20,12 @@
 //	    -edge http://edge1:8081 -registry http://origin:9090 \
 //	    -cache-bytes 268435456
 //
-// Clients then connect to the registry's /vod/... and /live/... URLs and
-// are 307-redirected to the least-loaded edge.
+// Clients then connect to the registry's /v1/vod/... and /v1/live/...
+// URLs and are 307-redirected to an edge.
 //
-// Every role serves GET /metrics (Prometheus text) and GET /status
-// (JSON snapshot) on its listener unless -metrics=false; the registry
-// listener exposes its own counters the same way. See internal/metrics.
+// Every role serves GET /v1/metrics (Prometheus text) and GET /v1/status
+// (JSON snapshot) on its listener; the registry listener exposes its own
+// counters the same way. See internal/metrics.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: a node registered
 // with a registry deregisters first (so no new client is redirected at
@@ -43,6 +43,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	netpprof "net/http/pprof"
 	"os"
@@ -86,7 +87,6 @@ type config struct {
 	registry   string // URL → register with it; listen address → host it
 	stateDir   string // non-empty: hosted registry persists its state here
 	heartbeat  time.Duration
-	metricsOn  bool
 	pprofOn    bool
 	cacheBytes int64
 	drain      time.Duration
@@ -111,7 +111,6 @@ func parseConfig(args []string) (*config, error) {
 	fs.StringVar(&c.registry, "registry", "", `cluster registry: a URL ("http://host:9090") registers this node with it, a listen address (":9090") hosts a registry there`)
 	fs.StringVar(&c.stateDir, "state-dir", "", "directory where a hosted registry persists node membership and the content catalog; restored on restart (requires hosting the registry)")
 	fs.DurationVar(&c.heartbeat, "heartbeat", 5*time.Second, "registry heartbeat interval")
-	fs.BoolVar(&c.metricsOn, "metrics", true, "serve GET /metrics and GET /status on every role's listener")
 	fs.BoolVar(&c.pprofOn, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the main listener (profile a live node without restarting it)")
 	fs.Int64Var(&c.cacheBytes, "cache-bytes", 0, "edge mirror cache capacity in payload bytes (0 = unbounded; requires -origin)")
 	fs.DurationVar(&c.drain, "drain", 10*time.Second, "how long to let in-flight sessions finish on SIGINT/SIGTERM before exiting")
@@ -193,22 +192,17 @@ func run(args []string) error {
 	} else {
 		handler = srv.Handler()
 	}
-	if c.metricsOn || c.pprofOn {
+	if c.pprofOn {
+		// Mounted explicitly rather than via DefaultServeMux so the debug
+		// surface exists only when asked for.
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
-		if c.metricsOn {
-			srv.Metrics().Expose(mux)
-		}
-		if c.pprofOn {
-			// Mounted explicitly rather than via DefaultServeMux so the
-			// debug surface exists only when asked for.
-			mux.HandleFunc("/debug/pprof/", netpprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
-			fmt.Printf("pprof serving on %s/debug/pprof/\n", c.addr)
-		}
+		mux.HandleFunc("/debug/pprof/", netpprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
+		fmt.Printf("pprof serving on %s/debug/pprof/\n", c.addr)
 		handler = mux
 	}
 
@@ -232,15 +226,8 @@ func run(args []string) error {
 			fmt.Printf("registry state persisted under %s (restored version %d)\n",
 				c.stateDir, reg.CatalogVersion())
 		}
-		regHandler := http.Handler(reg.Handler())
-		if c.metricsOn {
-			mux := http.NewServeMux()
-			mux.Handle("/", regHandler)
-			reg.Metrics().Expose(mux)
-			regHandler = mux
-		}
 		fmt.Printf("cluster registry listening on %s\n", c.registry)
-		serve(c.registry, regHandler)
+		serve(c.registry, reg.Handler())
 	} else if c.registry != "" {
 		hb := &relay.Heartbeats{
 			Registry: c.registry,
@@ -342,7 +329,7 @@ func registerDemo(srv *streaming.Server) error {
 	if err != nil {
 		return err
 	}
-	pr, pw := newPipe()
+	pr, pw := io.Pipe()
 	errc := make(chan error, 1)
 	go func() {
 		_, err := encoder.EncodeLecture(lec, encoder.Config{LeadTime: time.Second}, pw)

@@ -20,8 +20,8 @@ func TestRegisterDemo(t *testing.T) {
 	if !ok {
 		t.Fatal("demo asset not registered")
 	}
-	if a.Header.Title != "Demo lecture" || len(a.Packets) == 0 {
-		t.Fatalf("demo asset malformed: %q, %d packets", a.Header.Title, len(a.Packets))
+	if a.Header.Title != "Demo lecture" || len(a.SharedPackets()) == 0 {
+		t.Fatalf("demo asset malformed: %q, %d packets", a.Header.Title, len(a.SharedPackets()))
 	}
 }
 
@@ -99,16 +99,11 @@ func TestParseConfigCacheAndMetricsFlags(t *testing.T) {
 	if c.cacheBytes != 4096 {
 		t.Fatalf("cacheBytes = %d", c.cacheBytes)
 	}
-	if !c.metricsOn {
-		t.Fatal("metrics should default on")
-	}
 
-	c, err = parseConfig([]string{"-metrics=false"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.metricsOn {
-		t.Fatal("-metrics=false ignored")
+	// Metrics are not optional: every role's handler serves its own
+	// /v1/metrics and /v1/status, so there is no flag to turn them off.
+	if _, err := parseConfig([]string{"-metrics=false"}); err == nil {
+		t.Fatal("-metrics accepted, but there is no way to turn metrics off")
 	}
 }
 

@@ -17,7 +17,7 @@
 // edge serves an unbounded catalog in bounded memory. The whole serving
 // stack is observable through internal/metrics — a dependency-free
 // counter/gauge/histogram registry every role exposes as Prometheus
-// text at GET /metrics and as a JSON snapshot at GET /status.
+// text at GET /v1/metrics and as a JSON snapshot at GET /v1/status.
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 // paper-vs-measured record, and README.md for a quickstart. The root

@@ -1,17 +1,10 @@
 package main
 
 import (
-	"bytes"
-	"io"
 	"time"
 
 	"repro/internal/vclock"
 )
-
-// bytesBuffer aliases bytes.Buffer for the example's readability.
-type bytesBuffer = bytes.Buffer
-
-func newBytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // instantClock satisfies vclock.Clock but never blocks, so the example's
 // broadcast completes immediately while exercising the paced code path.

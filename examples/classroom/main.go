@@ -5,6 +5,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -51,7 +52,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var encoded bytesBuffer
+	var encoded bytes.Buffer
 	if _, err := encoder.EncodeLecture(lec, encoder.Config{Live: true}, &encoded); err != nil {
 		return err
 	}
@@ -173,6 +174,6 @@ func joinLive(ctx context.Context, base, channel string) (*player.Metrics, error
 
 // decodeAll splits an encoded container into header + packets.
 func decodeAll(data []byte) ([]asf.Packet, asf.Header, error) {
-	h, pkts, _, err := asf.ReadAll(newBytesReader(data))
+	h, pkts, _, err := asf.ReadAll(bytes.NewReader(data))
 	return pkts, h, err
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/encoder"
-	"repro/internal/metrics"
 	"repro/internal/player"
 	"repro/internal/proto"
 	"repro/internal/publish"
@@ -31,26 +30,17 @@ import (
 	"repro/internal/testutil"
 )
 
-// mountMetrics serves h with the registry's GET /metrics and GET /status
-// endpoints beside it, exactly as cmd/lodserver wires every role.
-func mountMetrics(h http.Handler, reg *metrics.Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", h)
-	reg.Expose(mux)
-	return mux
-}
-
-// scrapeMetrics fetches base+"/metrics" and parses the Prometheus text
-// exposition into series name (with labels) → value.
+// scrapeMetrics fetches the role's GET /v1/metrics at base and parses
+// the Prometheus text exposition into series name (with labels) → value.
 func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + proto.Versioned(proto.PathMetrics))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s/metrics: %s", base, resp.Status)
+		t.Fatalf("GET %s metrics: %s", base, resp.Status)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -308,7 +298,7 @@ func TestRelayCluster(t *testing.T) {
 	if _, err := origin.RegisterAsset("cluster-lec", asf.NewReader(bytes.NewReader(vodBuf.Bytes()))); err != nil {
 		t.Fatal(err)
 	}
-	originTS := httptest.NewServer(mountMetrics(origin.Handler(), origin.Metrics()))
+	originTS := httptest.NewServer(origin.Handler())
 	defer originTS.Close()
 
 	// --- Two edges and the registry. ---
@@ -316,7 +306,7 @@ func TestRelayCluster(t *testing.T) {
 		srv := streaming.NewServer(nil)
 		srv.Pacing = false
 		edge := relay.NewEdge(originTS.URL, srv)
-		ts := httptest.NewServer(mountMetrics(edge.Handler(), srv.Metrics()))
+		ts := httptest.NewServer(edge.Handler())
 		t.Cleanup(ts.Close)
 		return edge, ts
 	}
@@ -324,7 +314,7 @@ func TestRelayCluster(t *testing.T) {
 	edgeB, edgeBTS := newEdge()
 
 	registry := relay.NewRegistry(nil)
-	regTS := httptest.NewServer(mountMetrics(registry.Handler(), registry.Metrics()))
+	regTS := httptest.NewServer(registry.Handler())
 	defer regTS.Close()
 	if err := relay.RegisterWith(context.Background(), nil, regTS.URL, relay.NodeInfo{ID: "edge-a", URL: edgeATS.URL}); err != nil {
 		t.Fatal(err)
@@ -417,37 +407,36 @@ func TestRelayCluster(t *testing.T) {
 		t.Fatalf("origin mirror fetches = %d after revival, want the mirrors to be reused", got)
 	}
 
-	// --- Both API forms redirect to the ring's preferred edge, each
-	// preserving the version the client spoke; naming that edge's host
-	// in the failover header diverts to the other. ---
+	// --- The registry redirects to the ring's preferred edge, same /v1
+	// path; naming that edge's host in the failover header diverts to
+	// the other. ---
 	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	for _, path := range []string{"/vod/cluster-lec", "/v1/vod/cluster-lec"} {
-		resp, err := noFollow.Get(regTS.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTemporaryRedirect {
-			t.Fatalf("registry status for %s = %d, want 307", path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != pref.ts.URL+path {
-			t.Fatalf("redirect went to %q, want the preferred edge %q", loc, pref.ts.URL+path)
-		}
-		req, err := http.NewRequest(http.MethodGet, regTS.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(proto.ExcludeHeader, pref.ts.URL)
-		resp, err = noFollow.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if loc := resp.Header.Get("Location"); loc != other.ts.URL+path {
-			t.Fatalf("excluded redirect went to %q, want the other edge %q", loc, other.ts.URL+path)
-		}
+	path := proto.Versioned(proto.StreamPath(proto.StreamVOD, "cluster-lec"))
+	resp, err := noFollow.Get(regTS.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTemporaryRedirect {
+		t.Fatalf("registry status for %s = %d, want 307", path, resp.StatusCode)
+	}
+	if loc := resp.Header.Get("Location"); loc != pref.ts.URL+path {
+		t.Fatalf("redirect went to %q, want the preferred edge %q", loc, pref.ts.URL+path)
+	}
+	req, err := http.NewRequest(http.MethodGet, regTS.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(proto.ExcludeHeader, pref.ts.URL)
+	resp, err = noFollow.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if loc := resp.Header.Get("Location"); loc != other.ts.URL+path {
+		t.Fatalf("excluded redirect went to %q, want the other edge %q", loc, other.ts.URL+path)
 	}
 
 	// --- Live through the cluster: each edge subscribes to the origin
@@ -529,7 +518,7 @@ func TestRelayCluster(t *testing.T) {
 	}
 
 	// --- Observability: every role reports the traffic above on its
-	// GET /metrics endpoint. ---
+	// GET /v1/metrics endpoint, mounted by its own handler. ---
 	ma := scrapeMetrics(t, edgeATS.URL)
 	if ma["lod_edge_cache_hits_total"] < 1 {
 		t.Fatalf("edge A cache hits = %v, want >= 1 (third cluster play)", ma["lod_edge_cache_hits_total"])
@@ -583,7 +572,7 @@ func TestRelayCluster(t *testing.T) {
 // TestClusterEdgeCacheBounded runs an origin+edge cluster whose edge
 // cache budget holds only two of the origin's three assets: concurrent
 // cluster traffic must all play intact while the cache drops over-budget
-// mirrors, and the eviction counter must show on GET /metrics.
+// mirrors, and the eviction counter must show on GET /v1/metrics.
 func TestClusterEdgeCacheBounded(t *testing.T) {
 	profile, err := codec.ByName("modem-56k")
 	if err != nil {
@@ -617,7 +606,7 @@ func TestClusterEdgeCacheBounded(t *testing.T) {
 	edgeSrv.Pacing = false
 	edge := relay.NewEdge(originTS.URL, edgeSrv)
 	edge.CacheBytes = 2 * asset.Bytes() // below the 3-asset total: must evict
-	edgeTS := httptest.NewServer(mountMetrics(edge.Handler(), edgeSrv.Metrics()))
+	edgeTS := httptest.NewServer(edge.Handler())
 	defer edgeTS.Close()
 
 	direct, err := play(originTS.URL, client.Spec{Kind: client.VOD, Name: "lec0"})
@@ -829,7 +818,7 @@ func TestCatalogHotSwap(t *testing.T) {
 	// on its own reference; once the catalog change propagates, new
 	// opens fail cluster-wide. ---
 	servingTS := nodes[serving].ts
-	resp, err := http.Get(servingTS.URL + "/vod/swap-lec")
+	resp, err := http.Get(servingTS.URL + "/v1/vod/swap-lec")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,8 @@ func TestPlayDirectNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var video int
-	for _, p := range asset.Packets {
-		if p.Kind == media.KindVideo {
+	for _, sp := range asset.SharedPackets() {
+		if sp.Kind() == media.KindVideo {
 			video++
 		}
 	}

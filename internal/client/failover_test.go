@@ -96,9 +96,9 @@ func TestSessionFailsOverMidStream(t *testing.T) {
 	// of media through so the resume has an offset to carry.
 	asset, _ := c.origin.Asset("lec")
 	var early int64
-	for _, p := range asset.Packets {
-		if p.PTS < 500*time.Millisecond {
-			early += int64(len(p.Payload))
+	for _, sp := range asset.SharedPackets() {
+		if sp.PTS() < 500*time.Millisecond {
+			early += int64(sp.PayloadLen())
 		}
 	}
 	serving := -1

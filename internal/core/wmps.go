@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -94,15 +95,17 @@ func (s *System) Replay(assetName string, opts player.Options) (*player.Metrics,
 	if !ok {
 		return nil, fmt.Errorf("%w: asset %q", streaming.ErrNotFound, assetName)
 	}
-	pr, pw := newPipe()
+	// An in-memory pipe streams the asset to the player without touching
+	// the network stack.
+	pr, pw := io.Pipe()
 	go func() {
 		w, err := asf.NewWriter(pw, asset.Header)
 		if err != nil {
 			pw.CloseWithError(err)
 			return
 		}
-		for _, p := range asset.Packets {
-			if _, err := w.WritePacket(p); err != nil {
+		for _, sp := range asset.SharedPackets() {
+			if err := w.WriteShared(sp); err != nil {
 				pw.CloseWithError(err)
 				return
 			}

@@ -76,7 +76,7 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 
 // Status returns a flat snapshot of every series, keyed by
 // name{labels}. Histograms contribute their _count and _sum; bucket
-// detail stays on /metrics.
+// detail stays on /v1/metrics.
 func (r *Registry) Status() map[string]float64 {
 	out := make(map[string]float64)
 	r.mu.Lock()
@@ -101,14 +101,14 @@ func (r *Registry) Status() map[string]float64 {
 	return out
 }
 
-// ServeHTTP serves the Prometheus text exposition, so a Registry can be
-// mounted directly: mux.Handle("/metrics", reg).
+// ServeHTTP serves the Prometheus text exposition, so a Registry is the
+// handler Expose mounts at /v1/metrics.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = r.WritePrometheus(w)
 }
 
-// StatusHandler returns the JSON snapshot endpoint for GET /status.
+// StatusHandler returns the JSON snapshot endpoint for GET /v1/status.
 func (r *Registry) StatusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -120,10 +120,10 @@ func (r *Registry) StatusHandler() http.Handler {
 	})
 }
 
-// Expose mounts GET /metrics (Prometheus text) and GET /status (JSON
-// snapshot) on mux — the two observability endpoints every lodserver
-// role serves — under both the legacy paths and their /v1 aliases
-// (proto.PathMetrics/PathStatus).
+// Expose mounts GET /v1/metrics (Prometheus text) and GET /v1/status
+// (JSON snapshot) on mux (proto.PathMetrics/PathStatus, through
+// proto.Handle) — the two observability endpoints every role's Handler
+// serves.
 func (r *Registry) Expose(mux *http.ServeMux) {
 	proto.Handle(mux, proto.PathMetrics, r)
 	proto.Handle(mux, proto.PathStatus, r.StatusHandler())

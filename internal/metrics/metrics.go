@@ -1,7 +1,7 @@
 // Package metrics is the observability layer of the Lecture-on-Demand
 // system: a dependency-free registry of atomically updated counters,
 // gauges, and histograms, exposed in Prometheus text format at
-// GET /metrics and as a flat JSON snapshot at GET /status.
+// GET /v1/metrics and as a flat JSON snapshot at GET /v1/status.
 //
 // Every serving tier owns one Registry — streaming.Server and
 // relay.Registry each create theirs, relay.Edge shares its server's —
@@ -67,7 +67,7 @@ func (k kind) String() string {
 }
 
 // Registry holds a process's metric families and renders them for the
-// /metrics and /status endpoints. The zero value is not usable; create
+// /v1/metrics and /v1/status endpoints. The zero value is not usable; create
 // with NewRegistry.
 type Registry struct {
 	mu       sync.Mutex

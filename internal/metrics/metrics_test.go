@@ -142,7 +142,7 @@ func TestStatusAndHTTPEndpoints(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/status")
+	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStatusAndHTTPEndpoints(t *testing.T) {
 		t.Fatalf("status histogram entries = %v", status)
 	}
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

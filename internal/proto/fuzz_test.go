@@ -11,8 +11,8 @@ import (
 // FuzzStreamNameRoundTrip drives arbitrary asset names through the path
 // builder and back through the request-side decode, asserting the
 // percent-encoding contract: any name — spaces, slashes, ?, #, comma
-// soup — survives StreamPath → (URL parse) → SplitStreamPath intact,
-// in both the legacy and the /v1 form.
+// soup — survives Versioned(StreamPath) → (URL parse) → SplitStreamPath
+// and StreamName intact.
 func FuzzStreamNameRoundTrip(f *testing.F) {
 	f.Add("lec-1")
 	f.Add("week 1/intro")
@@ -25,13 +25,13 @@ func FuzzStreamNameRoundTrip(f *testing.F) {
 			t.Skip("empty and non-UTF-8 names are not addressable assets")
 		}
 		for _, k := range []StreamKind{StreamVOD, StreamLive, StreamGroup, StreamFetch} {
-			path := StreamPath(k, name)
+			path := Versioned(StreamPath(k, name))
 			// The encoded path must parse as a URL path and decode back
 			// to itself — that is what every handler sees after
 			// net/http's URL parsing.
 			decoded, err := url.PathUnescape(path)
 			if err != nil {
-				t.Fatalf("StreamPath(%v, %q) = %q does not unescape: %v", k, name, path, err)
+				t.Fatalf("Versioned(StreamPath(%v, %q)) = %q does not unescape: %v", k, name, path, err)
 			}
 			gotKind, gotName, ok := SplitStreamPath(decoded)
 			if !ok {
@@ -40,10 +40,8 @@ func FuzzStreamNameRoundTrip(f *testing.F) {
 			if gotKind != k || gotName != name {
 				t.Fatalf("round trip = (%v, %q), want (%v, %q)", gotKind, gotName, k, name)
 			}
-			// The /v1 form must split identically.
-			vKind, vName, vOK := SplitStreamPath(Versioned(decoded))
-			if !vOK || vKind != k || vName != name {
-				t.Fatalf("versioned round trip = (%v, %q, %v), want (%v, %q, true)", vKind, vName, vOK, k, name)
+			if got := StreamName(decoded, k); got != name {
+				t.Fatalf("StreamName(%q, %v) = %q, want %q", decoded, k, got, name)
 			}
 		}
 	})

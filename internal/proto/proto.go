@@ -6,20 +6,20 @@
 // Before this package the contract existed only as string literals
 // scattered across streaming, relay, and the cmds; every new
 // consumer re-derived it by reading handlers. Now servers mount routes
-// through Handle/HandleFunc (which registers the legacy unversioned path
-// and its /v1 alias together), clients build paths through StreamPath,
-// and both sides marshal control-plane messages through the DTO types —
-// so the contract can only change here, in one reviewable place. The
-// `make api-check` gate enforces that: raw route literals outside this
-// package fail the build.
+// through Handle, clients build paths through StreamPath, and both
+// sides marshal control-plane messages through the DTO types — so the
+// contract can only change here, in one reviewable place. The
+// `wirecontract` analyzer (`make lint`) enforces that: raw route
+// literals outside this package fail the build.
 //
 // # Versioning
 //
 // The current API generation is Version ("v1"). Every endpoint serves
-// under the VersionPrefix ("/v1/vod/..., /v1/registry/nodes, ...") with
-// the original unversioned paths kept as legacy aliases for old
-// clients. New code — internal/client, the relay control-plane helpers,
-// edge→origin pulls — speaks the versioned form.
+// under the VersionPrefix ("/v1/vod/..., /v1/registry/nodes, ...") and
+// nowhere else: Handle mounts each route once, at its /v1 path. The
+// route constants below are the unversioned paths; Versioned turns one
+// into what is mounted and requested, and Unversioned strips the prefix
+// again where a path is a key (the registry's ring) rather than a route.
 package proto
 
 import (
@@ -32,8 +32,7 @@ import (
 )
 
 // Version is the current API generation; VersionPrefix is its path
-// prefix. Legacy clients may omit the prefix: every route is mounted
-// under both forms.
+// prefix, which every mounted route carries.
 const (
 	Version       = "v1"
 	VersionPrefix = "/" + Version
@@ -154,11 +153,11 @@ func Prefix(k StreamKind) string {
 	}
 }
 
-// StreamPath builds the unversioned request path for a named stream,
+// StreamPath builds the unversioned path of a named stream,
 // percent-encoding the name so assets called "week 1/intro" or
 // containing ?/# survive the URL. Handlers decode it back; servers see
-// the original name. Prepend VersionPrefix (Versioned) for the /v1
-// form.
+// the original name. Versioned(StreamPath(...)) is the request path;
+// StreamPath alone is the registry's ring key (Registry.PickFor).
 func StreamPath(k StreamKind, name string) string {
 	return Prefix(k) + url.PathEscape(name)
 }
@@ -166,9 +165,10 @@ func StreamPath(k StreamKind, name string) string {
 // Versioned returns the /v1 form of an unversioned route path.
 func Versioned(path string) string { return VersionPrefix + path }
 
-// Unversioned strips the /v1 prefix from a request path, returning
-// legacy paths unchanged — handlers mounted under both forms normalize
-// through it before extracting names.
+// Unversioned strips the /v1 prefix from a path, returning a path
+// without it unchanged. The registry keys its ring on the result, and
+// the name extractors below go through it, so they read a stream path
+// whether or not it carries the prefix.
 func Unversioned(path string) string {
 	if path == VersionPrefix {
 		return "/"
@@ -180,13 +180,13 @@ func Unversioned(path string) string {
 }
 
 // StreamName extracts the stream name from a decoded request path of
-// the given kind, accepting both the versioned and legacy forms.
+// the given kind.
 func StreamName(path string, k StreamKind) string {
 	return strings.TrimPrefix(Unversioned(path), Prefix(k))
 }
 
-// SplitStreamPath recognizes a decoded request path as one of the
-// streaming routes (versioned or legacy) and splits it into kind and
+// SplitStreamPath recognizes a decoded path as one of the streaming
+// routes, with or without the /v1 prefix, and splits it into kind and
 // name. It reports false for non-stream paths and empty names.
 func SplitStreamPath(path string) (StreamKind, string, bool) {
 	p := Unversioned(path)
@@ -198,15 +198,10 @@ func SplitStreamPath(path string) (StreamKind, string, bool) {
 	return "", "", false
 }
 
-// Handle mounts h on mux under both path and its /v1 alias.
+// Handle mounts h on mux at the /v1 form of path, the only form a route
+// is served under; the unversioned path gets the mux's plain 404.
 func Handle(mux *http.ServeMux, path string, h http.Handler) {
-	mux.Handle(path, h)
 	mux.Handle(Versioned(path), h)
-}
-
-// HandleFunc is Handle for a handler function.
-func HandleFunc(mux *http.ServeMux, path string, h http.HandlerFunc) {
-	Handle(mux, path, h)
 }
 
 // DefaultClient is the HTTP client every role uses when its caller
@@ -257,15 +252,14 @@ func ParseBandwidth(raw string) (int64, error) {
 
 // RoutePath builds the request path for a named resource under one of
 // the control prefixes (PrefixPublish, PrefixUnpublish),
-// percent-encoding the name like StreamPath does. Prepend VersionPrefix
-// (Versioned) for the /v1 form.
+// percent-encoding the name like StreamPath does. Versioned(RoutePath(...))
+// is the request path.
 func RoutePath(prefix, name string) string {
 	return prefix + url.PathEscape(name)
 }
 
 // RouteName extracts the resource name following prefix from a decoded
-// request path, accepting both the versioned and legacy forms — the
-// handler-side inverse of RoutePath.
+// request path — the handler-side inverse of Versioned(RoutePath(...)).
 func RouteName(path, prefix string) string {
 	return strings.TrimPrefix(Unversioned(path), prefix)
 }

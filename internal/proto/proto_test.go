@@ -41,7 +41,7 @@ func TestStreamPathEscapesNames(t *testing.T) {
 
 func TestStreamNameAcceptsBothVersions(t *testing.T) {
 	if got := StreamName("/vod/lec", StreamVOD); got != "lec" {
-		t.Fatalf("legacy name = %q", got)
+		t.Fatalf("unprefixed name = %q", got)
 	}
 	if got := StreamName("/v1/vod/lec", StreamVOD); got != "lec" {
 		t.Fatalf("versioned name = %q", got)
@@ -85,16 +85,25 @@ func TestUnversioned(t *testing.T) {
 	}
 }
 
-func TestHandleMountsBothForms(t *testing.T) {
+// TestHandleMountsV1Only: a route is served at its /v1 path and nowhere
+// else — the unversioned path falls through to the mux's own 404.
+func TestHandleMountsV1Only(t *testing.T) {
 	mux := http.NewServeMux()
-	HandleFunc(mux, PrefixVOD, func(w http.ResponseWriter, r *http.Request) {
+	Handle(mux, PrefixVOD, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(StreamName(r.URL.Path, StreamVOD)))
-	})
-	for _, path := range []string{"/vod/lec", "/v1/vod/lec"} {
+	}))
+	for _, tc := range []struct {
+		path string
+		code int
+		body string
+	}{
+		{"/v1/vod/lec", http.StatusOK, "lec"},
+		{"/vod/lec", http.StatusNotFound, "404 page not found\n"},
+	} {
 		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK || rec.Body.String() != "lec" {
-			t.Errorf("GET %s = %d %q, want 200 lec", path, rec.Code, rec.Body.String())
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if rec.Code != tc.code || rec.Body.String() != tc.body {
+			t.Errorf("GET %s = %d %q, want %d %q", tc.path, rec.Code, rec.Body.String(), tc.code, tc.body)
 		}
 	}
 }

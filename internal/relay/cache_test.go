@@ -55,7 +55,7 @@ func TestEdgeCacheAdmissionUnderPressure(t *testing.T) {
 	// frequency 1) and loses the strictly-greater test, so lec1 is
 	// rejected and lec0 keeps its seat.
 	for i := 0; i < assets; i++ {
-		readStream(t, edgeTS.URL+fmt.Sprintf("/vod/lec%d", i))
+		readStream(t, edgeTS.URL+fmt.Sprintf("/v1/vod/lec%d", i))
 	}
 	if _, ok := edgeSrv.Asset("lec0"); !ok {
 		t.Fatal("lec0 lost its seat to a one-hit wonder")
@@ -84,14 +84,14 @@ func TestEdgeCacheAdmissionUnderPressure(t *testing.T) {
 
 	// A repeat demand of the protected asset is a pure cache hit and
 	// raises its frequency estimate further.
-	readStream(t, edgeTS.URL+"/vod/lec0")
+	readStream(t, edgeTS.URL+"/v1/vod/lec0")
 	if got := edge.inst.hits.Value(); got != 1 {
 		t.Fatalf("hits = %d, want 1", got)
 	}
 
 	// Re-demanding the rejected asset re-mirrors it (a miss), and the
 	// churn lands on lec2 — never on lec0, whose estimate is now higher.
-	readStream(t, edgeTS.URL+"/vod/lec1")
+	readStream(t, edgeTS.URL+"/v1/vod/lec1")
 	if _, ok := edgeSrv.Asset("lec0"); !ok {
 		t.Fatal("hot lec0 displaced by cold churn")
 	}
@@ -191,7 +191,7 @@ func TestEdgeCachePinsStreamingAsset(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(edgeTS.URL + "/vod/hot")
+		resp, err := http.Get(edgeTS.URL + "/v1/vod/hot")
 		if err != nil {
 			done <- result{err: err}
 			return

@@ -19,9 +19,9 @@ import (
 
 // Edge is one edge node of the relay tier: a streaming.Server whose
 // missing content is pulled through from an origin on first demand.
-// Stored assets are mirrored whole via the origin's /fetch endpoint and
-// cached for every later client; live channels are subscribed once via
-// /live and re-fanned-out through a local Channel, so the origin carries
+// Stored assets are mirrored whole via the origin's /v1/fetch endpoint
+// and cached for every later client; live channels are subscribed once
+// via /v1/live and re-fanned-out through a local Channel, so the origin carries
 // one session per edge instead of one per viewer.
 //
 // The mirror cache is bounded when CacheBytes is set. Residency is
@@ -454,19 +454,20 @@ func (e *Edge) endRelay(ch *streaming.Channel, err error) {
 	e.Server.RemoveChannel(ch)
 }
 
-// Handler wraps the edge server's handler with pull-through: a /vod/
-// request for an unmirrored asset mirrors it first, a /group/ request for
-// an unmirrored group mirrors its variants first, and a /live/ request
-// for an unrelayed channel starts the relay first; then the request is
-// served locally like any other. Pulls are coalesced per asset, and a
-// demand whose request context dies while attached to a shared pull
-// gives up without cancelling the pull. Everything else (listings,
-// /fetch/) is served from the edge's local state only.
+// Handler wraps the edge server's handler with pull-through: a /v1/vod/
+// request for an unmirrored asset mirrors it first, a /v1/group/ request
+// for an unmirrored group mirrors its variants first, and a /v1/live/
+// request for an unrelayed channel starts the relay first; then the
+// request is served locally like any other. Pulls are coalesced per
+// asset, and a demand whose request context dies while attached to a
+// shared pull gives up without cancelling the pull. Everything else
+// (listings, /v1/fetch/, the server's metrics and status) is served from
+// the edge's local state only.
 func (e *Edge) Handler() http.Handler {
 	base := e.Server.Handler()
 	mux := http.NewServeMux()
 	mux.Handle("/", base)
-	proto.HandleFunc(mux, proto.PrefixVOD, func(w http.ResponseWriter, r *http.Request) {
+	proto.Handle(mux, proto.PrefixVOD, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name := proto.StreamName(r.URL.Path, proto.StreamVOD)
 		defer e.pinDemand(name)()
 		// An eviction decided before our pin landed can still remove the
@@ -482,23 +483,23 @@ func (e *Edge) Handler() http.Handler {
 			}
 		}
 		base.ServeHTTP(w, r)
-	})
-	proto.HandleFunc(mux, proto.PrefixGroup, func(w http.ResponseWriter, r *http.Request) {
+	}))
+	proto.Handle(mux, proto.PrefixGroup, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name := proto.StreamName(r.URL.Path, proto.StreamGroup)
 		if err := e.mirrorGroup(r.Context(), name); err != nil {
 			pullError(w, r, err)
 			return
 		}
 		base.ServeHTTP(w, r)
-	})
-	proto.HandleFunc(mux, proto.PrefixLive, func(w http.ResponseWriter, r *http.Request) {
+	}))
+	proto.Handle(mux, proto.PrefixLive, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name := proto.StreamName(r.URL.Path, proto.StreamLive)
 		if err := e.relayChannel(r.Context(), name); err != nil {
 			pullError(w, r, err)
 			return
 		}
 		base.ServeHTTP(w, r)
-	})
+	}))
 	return mux
 }
 

@@ -91,8 +91,8 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 	edgeTS := httptest.NewServer(edge.Handler())
 	defer edgeTS.Close()
 
-	_, direct := readStream(t, originTS.URL+"/vod/lec")
-	hdr, mirrored := readStream(t, edgeTS.URL+"/vod/lec")
+	_, direct := readStream(t, originTS.URL+"/v1/vod/lec")
+	hdr, mirrored := readStream(t, edgeTS.URL+"/v1/vod/lec")
 	if len(mirrored) != len(direct) {
 		t.Fatalf("edge served %d packets, origin %d", len(mirrored), len(direct))
 	}
@@ -123,7 +123,7 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 	if got := origin.Stats().MirrorFetches; got != 1 {
 		t.Fatalf("origin mirror fetches = %d, want 1", got)
 	}
-	if _, again := readStream(t, edgeTS.URL+"/vod/lec"); len(again) != len(direct) {
+	if _, again := readStream(t, edgeTS.URL+"/v1/vod/lec"); len(again) != len(direct) {
 		t.Fatal("cached replay differs")
 	}
 	if got := origin.Stats().MirrorFetches; got != 1 {
@@ -131,13 +131,13 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 	}
 
 	// Seeks work against the mirrored index.
-	_, seeked := readStream(t, edgeTS.URL+"/vod/lec?start=1s")
+	_, seeked := readStream(t, edgeTS.URL+"/v1/vod/lec?start=1s")
 	if len(seeked) == 0 || len(seeked) >= len(direct) {
 		t.Fatalf("seeked mirror served %d packets, full %d", len(seeked), len(direct))
 	}
 
 	// Unknown assets are the client's 404, not a relay error.
-	resp, err := http.Get(edgeTS.URL + "/vod/nope")
+	resp, err := http.Get(edgeTS.URL + "/v1/vod/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +204,8 @@ func TestEdgeMirrorsRateGroup(t *testing.T) {
 
 	// Low bandwidth gets the lean variant, high bandwidth the rich one —
 	// through the edge, which mirrors the whole group on first demand.
-	_, leanPkts := readStream(t, edgeTS.URL+"/group/lecture?bw=60000")
-	_, richPkts := readStream(t, edgeTS.URL+"/group/lecture?bw=5000000")
+	_, leanPkts := readStream(t, edgeTS.URL+"/v1/group/lecture?bw=60000")
+	_, richPkts := readStream(t, edgeTS.URL+"/v1/group/lecture?bw=5000000")
 	leanBytes, richBytes := 0, 0
 	for _, p := range leanPkts {
 		leanBytes += len(p.Payload)
@@ -227,7 +227,7 @@ func TestEdgeMirrorsRateGroup(t *testing.T) {
 	}
 
 	// Unknown groups are 404.
-	resp, err := http.Get(edgeTS.URL + "/group/nope")
+	resp, err := http.Get(edgeTS.URL + "/v1/group/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(edgeTS.URL + "/live/lecture")
+		resp, err := http.Get(edgeTS.URL + "/v1/live/lecture")
 		if err != nil {
 			resc <- result{err: err}
 			return
@@ -365,7 +365,7 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 		"edge channel still open after origin close")
 
 	// A late join on a finished relayed broadcast is 410, as on the origin.
-	resp, err := http.Get(edgeTS.URL + "/live/lecture")
+	resp, err := http.Get(edgeTS.URL + "/v1/live/lecture")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 	}
 
 	// Unknown channels are 404.
-	resp, err = http.Get(edgeTS.URL + "/live/nope")
+	resp, err = http.Get(edgeTS.URL + "/v1/live/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,8 +409,8 @@ func TestEdgeMirrorsEscapedAssetName(t *testing.T) {
 
 	// Through the registry: the 307 preserves the escaped path, the edge
 	// decodes it, and the edge's origin pull re-escapes it.
-	_, direct := readStream(t, originTS.URL+"/vod/"+url.PathEscape(name))
-	hdr, mirrored := readStream(t, regTS.URL+"/vod/"+url.PathEscape(name))
+	_, direct := readStream(t, originTS.URL+"/v1/vod/"+url.PathEscape(name))
+	hdr, mirrored := readStream(t, regTS.URL+"/v1/vod/"+url.PathEscape(name))
 	if len(mirrored) == 0 || len(mirrored) != len(direct) {
 		t.Fatalf("mirrored %d packets through registry+edge, origin serves %d", len(mirrored), len(direct))
 	}
@@ -450,7 +450,7 @@ func TestEdgeRelaysEscapedChannelName(t *testing.T) {
 
 	resc := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(edgeTS.URL + "/live/" + url.PathEscape(name))
+		resp, err := http.Get(edgeTS.URL + "/v1/live/" + url.PathEscape(name))
 		if err != nil {
 			resc <- err
 			return
@@ -550,7 +550,7 @@ func TestEdgeRelayBrokenUpstream(t *testing.T) {
 	edgeTS := httptest.NewServer(NewEdge(originTS.URL, edgeSrv).Handler())
 	defer edgeTS.Close()
 
-	resp, err := http.Get(edgeTS.URL + "/live/lecture")
+	resp, err := http.Get(edgeTS.URL + "/v1/live/lecture")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestEdgeRelayBrokenUpstream(t *testing.T) {
 
 	testutil.WaitUntil(t, 10*time.Second, func() bool { _, ok := edgeSrv.Channel("lecture"); return !ok },
 		"the broken relay's channel is still registered")
-	again, err := http.Get(edgeTS.URL + "/live/lecture")
+	again, err := http.Get(edgeTS.URL + "/v1/live/lecture")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type queryLog struct {
 
 func (l *queryLog) wrap(h http.Handler, field func(*http.Request) string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, _, ok := proto.SplitStreamPath(proto.Unversioned(r.URL.Path)); ok {
+		if _, _, ok := proto.SplitStreamPath(r.URL.Path); ok {
 			l.mu.Lock()
 			l.got = append(l.got, field(r))
 			l.mu.Unlock()
@@ -90,7 +90,7 @@ func newFailoverCluster(t *testing.T) *failoverCluster {
 	c.live = live
 	dead.Close() // connection refused from now on
 
-	_, pkts := readStream(t, originTS.URL+"/vod/lec")
+	_, pkts := readStream(t, originTS.URL+"/v1/vod/lec")
 	c.full = len(pkts)
 	return c
 }

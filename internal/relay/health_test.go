@@ -144,7 +144,7 @@ func TestRegistryHTTPFailureFeedback(t *testing.T) {
 	defer ts.Close()
 
 	// The exclude header steers the redirect away from the named host.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/vod/lec", nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/vod/lec", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRegistryHTTPFailureFeedback(t *testing.T) {
 	if err := Deregister(context.Background(), nil, ts.URL, "a"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(ts.URL + "/vod/lec")
+	resp, err = http.Get(ts.URL + "/v1/vod/lec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRegistryHTTPFailureFeedback(t *testing.T) {
 
 	// Malformed reports are rejected.
 	for _, body := range []string{`{"node":""}`, `{`} {
-		resp, err := http.Post(ts.URL+"/registry/report-failure", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/registry/report-failure", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

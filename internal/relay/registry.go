@@ -121,8 +121,8 @@ func NewRegistryWithStore(clock vclock.Clock, store *catalog.Store) *Registry {
 // and for handing the state directory to a successor registry.
 func (g *Registry) Close() { g.store.Close() }
 
-// Metrics returns the registry's metric registry; cmd/lodserver mounts
-// it next to the redirect endpoints when hosting the registry role.
+// Metrics returns the registry's metric registry, which Handler serves
+// at /v1/metrics and /v1/status.
 func (g *Registry) Metrics() *metrics.Registry { return g.metrics }
 
 // pruneLocked removes the nodes due for pruning from the table and from
@@ -357,27 +357,29 @@ func (g *Registry) PickFor(key string, exclude ...string) (NodeInfo, error) {
 	return c.Node, nil
 }
 
-// Handler returns the registry's HTTP interface, every route under the
-// /v1 prefix and its legacy unversioned alias: the control-plane POSTs
-// (register, heartbeat, report-failure, deregister, publish, unpublish,
-// rollback; bodies are the proto DTOs), GET registry/nodes (the Nodes
-// listing) and registry/catalog (the persisted bytes verbatim), and a
-// 307 redirect for every /vod/, /live/ and /group/ request to the edge
-// PickFor chooses, path and query preserved — 503 when none is usable.
+// Handler returns the registry's HTTP interface, every route once under
+// the /v1 prefix: the control-plane POSTs (register, heartbeat,
+// report-failure, deregister, publish, unpublish, rollback; bodies are
+// the proto DTOs), GET registry/nodes (the Nodes listing) and
+// registry/catalog (the persisted bytes verbatim), the registry's own
+// metrics and status, and a 307 redirect for every /v1/vod/, /v1/live/
+// and /v1/group/ request to the edge PickFor chooses, path and query
+// preserved — 503 when none is usable.
 func (g *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
-	proto.HandleFunc(mux, proto.PathRegister, g.handleRegister)
-	proto.HandleFunc(mux, proto.PathHeartbeat, g.handleHeartbeat)
-	proto.HandleFunc(mux, proto.PathReportFailure, g.handleReportFailure)
-	proto.HandleFunc(mux, proto.PathDeregister, g.handleDeregister)
-	proto.HandleFunc(mux, proto.PathNodes, g.handleNodes)
-	proto.HandleFunc(mux, proto.PathCatalog, g.handleCatalog)
-	proto.HandleFunc(mux, proto.PathCatalogPublish, g.handleCatalogPublish)
-	proto.HandleFunc(mux, proto.PathCatalogUnpublish, g.handleCatalogUnpublish)
-	proto.HandleFunc(mux, proto.PathCatalogRollback, g.handleCatalogRollback)
-	proto.HandleFunc(mux, proto.PrefixVOD, g.handleRedirect)
-	proto.HandleFunc(mux, proto.PrefixLive, g.handleRedirect)
-	proto.HandleFunc(mux, proto.PrefixGroup, g.handleRedirect)
+	proto.Handle(mux, proto.PathRegister, http.HandlerFunc(g.handleRegister))
+	proto.Handle(mux, proto.PathHeartbeat, http.HandlerFunc(g.handleHeartbeat))
+	proto.Handle(mux, proto.PathReportFailure, http.HandlerFunc(g.handleReportFailure))
+	proto.Handle(mux, proto.PathDeregister, http.HandlerFunc(g.handleDeregister))
+	proto.Handle(mux, proto.PathNodes, http.HandlerFunc(g.handleNodes))
+	proto.Handle(mux, proto.PathCatalog, http.HandlerFunc(g.handleCatalog))
+	proto.Handle(mux, proto.PathCatalogPublish, http.HandlerFunc(g.handleCatalogPublish))
+	proto.Handle(mux, proto.PathCatalogUnpublish, http.HandlerFunc(g.handleCatalogUnpublish))
+	proto.Handle(mux, proto.PathCatalogRollback, http.HandlerFunc(g.handleCatalogRollback))
+	proto.Handle(mux, proto.PrefixVOD, http.HandlerFunc(g.handleRedirect))
+	proto.Handle(mux, proto.PrefixLive, http.HandlerFunc(g.handleRedirect))
+	proto.Handle(mux, proto.PrefixGroup, http.HandlerFunc(g.handleRedirect))
+	g.metrics.Expose(mux)
 	return mux
 }
 
@@ -561,9 +563,9 @@ func (g *Registry) handleCatalogRollback(w http.ResponseWriter, r *http.Request)
 
 func (g *Registry) handleRedirect(w http.ResponseWriter, r *http.Request) {
 	exclude := proto.SplitExclude(r.Header.Get(proto.ExcludeHeader))
-	// The ring key is the unversioned escaped path, so /v1/vod/x and its
-	// legacy alias /vod/x land on the same edge, and the query (seek
-	// offsets, bandwidth) never splits an asset across nodes.
+	// The ring key is the unversioned escaped path (proto.StreamPath's
+	// form, what PickFor's callers pass), and the query (seek offsets,
+	// bandwidth) never splits an asset across nodes.
 	node, err := g.PickFor(proto.Unversioned(r.URL.EscapedPath()), exclude...)
 	if err != nil {
 		g.noNode.Inc()

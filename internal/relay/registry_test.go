@@ -156,7 +156,7 @@ func TestRegistryMetrics(t *testing.T) {
 	defer ts.Close()
 
 	// No live edge: the lost redirect is counted.
-	resp, err := http.Get(ts.URL + "/vod/x")
+	resp, err := http.Get(ts.URL + "/v1/vod/x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRegistryMetrics(t *testing.T) {
 	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	resp, err = noFollow.Get(ts.URL + "/vod/x")
+	resp, err = noFollow.Get(ts.URL + "/v1/vod/x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRegistryHTTPRoundTrip(t *testing.T) {
 	}
 
 	// Node listing reflects the heartbeat.
-	resp, err := http.Get(ts.URL + "/registry/nodes")
+	resp, err := http.Get(ts.URL + "/v1/registry/nodes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestRegistryHTTPRoundTrip(t *testing.T) {
 	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	resp, err = noFollow.Get(ts.URL + "/vod/lecture1?start=30s")
+	resp, err = noFollow.Get(ts.URL + "/v1/vod/lecture1?start=30s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,23 +287,23 @@ func TestRegistryHTTPRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusTemporaryRedirect {
 		t.Fatalf("redirect status = %d", resp.StatusCode)
 	}
-	if loc := resp.Header.Get("Location"); loc != "http://edge1:8081/vod/lecture1?start=30s" {
+	if loc := resp.Header.Get("Location"); loc != "http://edge1:8081/v1/vod/lecture1?start=30s" {
 		t.Fatalf("Location = %q", loc)
 	}
 
 	// Percent-encoded names survive the redirect untouched.
-	resp, err = noFollow.Get(ts.URL + "/vod/week%2F1")
+	resp, err = noFollow.Get(ts.URL + "/v1/vod/week%2F1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if loc := resp.Header.Get("Location"); loc != "http://edge1:8081/vod/week%2F1" {
+	if loc := resp.Header.Get("Location"); loc != "http://edge1:8081/v1/vod/week%2F1" {
 		t.Fatalf("escaped Location = %q", loc)
 	}
 
 	// GET on the mutation endpoints is rejected.
-	for _, path := range []string{"/registry/register", "/registry/heartbeat"} {
-		resp, err := http.Get(ts.URL + path)
+	for _, path := range []string{proto.PathRegister, proto.PathHeartbeat} {
+		resp, err := http.Get(ts.URL + proto.Versioned(path))
 		if err != nil {
 			t.Fatal(err)
 		}

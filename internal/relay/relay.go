@@ -8,10 +8,10 @@
 //     and live encoder channels.
 //   - An Edge wraps its own streaming.Server and pulls content through
 //     from the origin on first demand: live channels are subscribed once
-//     over HTTP (/live/{channel}) and re-fanned-out locally, stored
-//     assets are mirrored once (/fetch/{asset}) and then served from the
-//     edge's memory, and multi-rate groups are mirrored variant by
-//     variant (/groups).
+//     over HTTP (/v1/live/{channel}) and re-fanned-out locally, stored
+//     assets are mirrored once (/v1/fetch/{asset}) and then served from
+//     the edge's memory, and multi-rate groups are mirrored variant by
+//     variant (/v1/groups).
 //   - The Registry tracks the cluster's edges via registration and
 //     periodic heartbeats carrying per-node load (NodeStats.Load) and
 //     redirects incoming clients (HTTP 307) to an edge: the stream's
@@ -20,23 +20,23 @@
 //     clock-free, HTTP-free core in relay/membership; the Registry is
 //     its shell (lock, clock, metrics, durable store, routes).
 //
-// Clients need no cluster awareness: they request /vod/... or /live/...
-// from the registry and follow the redirect. The client half — resolve,
+// Clients need no cluster awareness: they request /v1/vod/... or
+// /v1/live/... from the registry and follow the redirect. The client half — resolve,
 // fail over, resume — is internal/client; this package is the server
 // tier only and imports neither the SDK nor the player.
 //
 // The cluster is churn-tolerant: a client whose edge refuses the
 // connection or severs the stream reports the node dead
-// (POST /registry/report-failure) and retries through the registry,
+// (POST /v1/registry/report-failure) and retries through the registry,
 // excluding the nodes it escaped (proto.ExcludeHeader); a draining node
-// deregisters itself (POST /registry/deregister); and a dead node
+// deregisters itself (POST /v1/registry/deregister); and a dead node
 // revives on its next heartbeat. The control-plane helpers below take
 // the caller's context and default to proto.DefaultClient, so no edge
 // waits forever on a registry that stopped answering.
 //
 // Both roles are observable on their metrics registries (the Edge's
 // mirror cache on its server's, the Registry's redirects and node ages
-// on Registry.Metrics). When Edge.CacheBytes is set, internal/edgecache
+// on Registry.Metrics), each served by the role's own Handler. When Edge.CacheBytes is set, internal/edgecache
 // decides which mirrors go once the budget is exceeded — see Edge.
 package relay
 

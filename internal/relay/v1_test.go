@@ -1,64 +1,92 @@
 package relay
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/streaming"
 	"repro/internal/vclock"
 )
 
-// TestRegistryServesBothAPIVersions pins the /v1 rollout rule: every
-// registry route answers under the /v1 prefix and its legacy alias,
-// and redirects preserve whichever form the client spoke — a /v1
-// client lands on the edge's /v1 path, a legacy client on the legacy
-// path.
-func TestRegistryServesBothAPIVersions(t *testing.T) {
+// TestRoutesMountedOnceUnderV1 walks every route constant in proto over
+// the three roles' handlers. Each route is mounted once, under /v1: the
+// unversioned path gets the mux's plain 404 on every role (not a
+// proto.Error body — no handler ran), the /v1 path of a route the role
+// serves reaches its handler and that of one it does not serve is the
+// plain 404 too, and the registry's 307 points at the edge's /v1 path.
+func TestRoutesMountedOnceUnderV1(t *testing.T) {
+	origin, originTS := newOriginWithAsset(t, "lec")
+	edgeSrv := streaming.NewServer(nil)
+	edgeSrv.Pacing = false
+	edge := NewEdge(originTS.URL, edgeSrv)
 	g := NewRegistry(nil)
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
+	defer g.Close()
 	mustRegister(t, g, NodeInfo{ID: "e1", URL: "http://edge1:8081"})
 
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	for _, tc := range []struct{ path, wantLoc string }{
-		{"/v1/vod/lec?start=2s", "http://edge1:8081/v1/vod/lec?start=2s"},
-		{"/vod/lec?start=2s", "http://edge1:8081/vod/lec?start=2s"},
-		{"/v1/live/class", "http://edge1:8081/v1/live/class"},
-		{"/v1/group/g", "http://edge1:8081/v1/group/g"},
-		{"/v1/vod/week%2F1", "http://edge1:8081/v1/vod/week%2F1"},
-	} {
-		resp, err := noFollow.Get(ts.URL + tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTemporaryRedirect {
-			t.Fatalf("GET %s status = %d, want 307", tc.path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != tc.wantLoc {
-			t.Fatalf("GET %s Location = %q, want %q", tc.path, loc, tc.wantLoc)
+	serverRoutes := []string{
+		proto.PrefixVOD, proto.PrefixLive, proto.PrefixGroup, proto.PrefixFetch,
+		proto.PrefixPublish, proto.PrefixUnpublish,
+		proto.PathAssets, proto.PathChannels, proto.PathGroups,
+		proto.PathMetrics, proto.PathStatus,
+	}
+	registryRoutes := []string{
+		proto.PathRegister, proto.PathHeartbeat, proto.PathReportFailure, proto.PathDeregister,
+		proto.PathNodes, proto.PathCatalog,
+		proto.PathCatalogPublish, proto.PathCatalogUnpublish, proto.PathCatalogRollback,
+		proto.PrefixVOD, proto.PrefixLive, proto.PrefixGroup,
+		proto.PathMetrics, proto.PathStatus,
+	}
+	redirects := []string{proto.PrefixVOD, proto.PrefixLive, proto.PrefixGroup}
+	var every []string
+	for _, route := range append(serverRoutes, registryRoutes...) {
+		if !slices.Contains(every, route) {
+			every = append(every, route)
 		}
 	}
+	if len(every) != 20 {
+		t.Fatalf("%d distinct routes, want proto's 20", len(every))
+	}
 
-	// The node listing answers on both forms with identical content.
-	for _, path := range []string{proto.PathNodes, proto.Versioned(proto.PathNodes)} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var nodes []NodeStatus
-		if err := json.NewDecoder(resp.Body).Decode(&nodes); err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		resp.Body.Close()
-		if len(nodes) != 1 || nodes[0].ID != "e1" || nodes[0].Health != proto.HealthAlive {
-			t.Fatalf("GET %s nodes = %+v", path, nodes)
+	const plain404 = "404 page not found\n"
+	for _, role := range []struct {
+		name   string
+		h      http.Handler
+		serves []string
+	}{
+		{"server", origin.Handler(), serverRoutes},
+		{"edge", edge.Handler(), serverRoutes},
+		{"registry", g.Handler(), registryRoutes},
+	} {
+		for _, route := range every {
+			path := route
+			if strings.HasSuffix(route, "/") {
+				path += "lec"
+			}
+			rec := httptest.NewRecorder()
+			role.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusNotFound || rec.Body.String() != plain404 {
+				t.Errorf("%s: GET %s = %d %q, want the mux's plain 404", role.name, path, rec.Code, rec.Body.String())
+			}
+
+			v1 := proto.Versioned(path)
+			rec = httptest.NewRecorder()
+			role.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, v1, nil))
+			reached := rec.Code != http.StatusNotFound || rec.Body.String() != plain404
+			if want := slices.Contains(role.serves, route); reached != want {
+				t.Errorf("%s: GET %s = %d %q; reached a handler %v, want %v",
+					role.name, v1, rec.Code, rec.Body.String(), reached, want)
+			}
+			if role.name == "registry" && slices.Contains(redirects, route) {
+				if loc := rec.Header().Get("Location"); rec.Code != http.StatusTemporaryRedirect || loc != "http://edge1:8081"+v1 {
+					t.Errorf("registry: GET %s = %d to %q, want 307 to the edge's %s", v1, rec.Code, loc, v1)
+				}
+			}
 		}
 	}
 }

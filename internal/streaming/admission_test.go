@@ -82,7 +82,7 @@ func TestVODAdmissionControl(t *testing.T) {
 	// Two sessions admitted and parked on the paced clock.
 	var resps []*http.Response
 	for i := 0; i < 2; i++ {
-		resp, err := ts.Client().Get(ts.URL + "/vod/lec")
+		resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestVODAdmissionControl(t *testing.T) {
 	testutil.WaitUntil(t, 5*time.Second, func() bool { return srv.Admission.Sessions() >= 2 },
 		"both admitted sessions never reserved bandwidth")
 	// Third is refused.
-	resp3, err := ts.Client().Get(ts.URL + "/vod/lec")
+	resp3, err := ts.Client().Get(ts.URL + "/v1/vod/lec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestLiveAdmissionControl(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, err := ts.Client().Get(ts.URL + "/live/c")
+		resp, err := ts.Client().Get(ts.URL + "/v1/live/c")
 		if err != nil {
 			t.Errorf("first join: %v", err)
 			return
@@ -150,7 +150,7 @@ func TestLiveAdmissionControl(t *testing.T) {
 	testutil.WaitUntil(t, 5*time.Second, func() bool { return ch.ClientCount() > 0 },
 		"first live subscriber never attached")
 	// Second join exceeds capacity.
-	resp2, err := ts.Client().Get(ts.URL + "/live/c")
+	resp2, err := ts.Client().Get(ts.URL + "/v1/live/c")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func TestParseAssetAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packets = len(a.Packets)
+		packets = len(a.SharedPackets())
 	})
 	if perPacket := avg / float64(packets); perPacket > 0.2 {
 		t.Fatalf("parseAsset allocates %.2f times per packet (%.0f for %d packets); want at most 0.2", perPacket, avg, packets)
@@ -201,7 +201,7 @@ func BenchmarkRegisterAsset(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		packets, tail = len(a.Packets), r.SlabTail()
+		packets, tail = len(a.SharedPackets()), r.SlabTail()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
@@ -275,7 +275,7 @@ func BenchmarkVODSession(b *testing.B) {
 		b.SetBytes(n)
 	}
 	b.StopTimer()
-	packets := float64(b.N) * float64(len(asset.Packets))
+	packets := float64(b.N) * float64(len(asset.SharedPackets()))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/packets, "ns/packet")
 	b.ReportMetric(float64(srv.inst.flushes.Value())/packets, "flushes/packet")
 }

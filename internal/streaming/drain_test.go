@@ -28,7 +28,7 @@ func TestDrainRefusesNewSessionsAndWaits(t *testing.T) {
 	// One session in flight, paced over ~2s of presentation.
 	done := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/vod/lec")
+		resp, err := http.Get(ts.URL + "/v1/vod/lec")
 		if err != nil {
 			done <- err
 			return
@@ -55,7 +55,7 @@ func TestDrainRefusesNewSessionsAndWaits(t *testing.T) {
 		t.Fatal("Draining() = false after SetDraining(true)")
 	}
 	rejectsBefore := srv.Stats().RejectedJoins
-	for _, path := range []string{"/vod/lec", "/live/nope", "/group/nope"} {
+	for _, path := range []string{"/v1/vod/lec", "/v1/live/nope", "/v1/group/nope"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestDrainRefusesNewSessionsAndWaits(t *testing.T) {
 	}
 	// Mirror fetches keep working: draining stops viewers, not the
 	// relay tier.
-	resp, err := http.Get(ts.URL + "/fetch/lec")
+	resp, err := http.Get(ts.URL + "/v1/fetch/lec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDrainRefusesNewSessionsAndWaits(t *testing.T) {
 
 	// Un-draining reopens the door.
 	srv.SetDraining(false)
-	resp, err = http.Get(ts.URL + "/vod/lec")
+	resp, err = http.Get(ts.URL + "/v1/vod/lec")
 	if err != nil {
 		t.Fatal(err)
 	}

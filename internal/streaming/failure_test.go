@@ -28,7 +28,7 @@ func TestVODClientDisconnectMidStream(t *testing.T) {
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/vod/lec", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/vod/lec", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLiveSubscriberDisconnectDuringBroadcast(t *testing.T) {
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/live/c", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/live/c", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestVODUnpacedIgnoresVirtualClock(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/vod/lec")
+	resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec")
 	if err != nil {
 		t.Fatal(err)
 	}

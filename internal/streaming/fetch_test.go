@@ -22,7 +22,7 @@ func TestFetchRoundTripsWholeContainer(t *testing.T) {
 	defer ts.Close()
 
 	start := time.Now()
-	resp, err := http.Get(ts.URL + "/fetch/lec")
+	resp, err := http.Get(ts.URL + "/v1/fetch/lec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestFetchRoundTripsWholeContainer(t *testing.T) {
 	if h.Title != asset.Header.Title {
 		t.Fatalf("header title %q, want %q", h.Title, asset.Header.Title)
 	}
-	if len(packets) != len(asset.Packets) {
-		t.Fatalf("fetched %d packets, asset has %d", len(packets), len(asset.Packets))
+	if len(packets) != len(asset.SharedPackets()) {
+		t.Fatalf("fetched %d packets, asset has %d", len(packets), len(asset.SharedPackets()))
 	}
 	if len(ix) == 0 || len(ix) != len(asset.Index) {
 		t.Fatalf("fetched index has %d entries, asset has %d", len(ix), len(asset.Index))
@@ -47,7 +47,7 @@ func TestFetchRoundTripsWholeContainer(t *testing.T) {
 
 	// A mirror registering the fetched stream reproduces the asset.
 	mirror := NewServer(nil)
-	resp, err = http.Get(ts.URL + "/fetch/lec")
+	resp, err = http.Get(ts.URL + "/v1/fetch/lec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFetchRoundTripsWholeContainer(t *testing.T) {
 	if got := srv.Stats().MirrorFetches; got != 2 {
 		t.Fatalf("MirrorFetches = %d, want 2", got)
 	}
-	resp, err = http.Get(ts.URL + "/fetch/nope")
+	resp, err = http.Get(ts.URL + "/v1/fetch/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFetchBypassesAdmission(t *testing.T) {
 	defer ts.Close()
 
 	// Client sessions are rejected at this capacity...
-	resp, err := http.Get(ts.URL + "/vod/lec")
+	resp, err := http.Get(ts.URL + "/v1/vod/lec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFetchBypassesAdmission(t *testing.T) {
 		t.Fatalf("VOD status = %d, want 503", resp.StatusCode)
 	}
 	// ...but the server-to-server mirror path still works.
-	resp, err = http.Get(ts.URL + "/fetch/lec")
+	resp, err = http.Get(ts.URL + "/v1/fetch/lec")
 	if err != nil {
 		t.Fatal(err)
 	}

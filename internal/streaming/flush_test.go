@@ -65,7 +65,7 @@ func (f *flushRecorder) state() (written, unflushed int, batches []int) {
 // vodSession runs one /vod/{name} request against the recorder on its own
 // goroutine; done closes when the handler returns.
 func vodSession(ctx context.Context, srv *Server, name string, rec *flushRecorder) (done chan struct{}) {
-	req := httptest.NewRequest(http.MethodGet, "/vod/"+name, nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodGet, "/v1/vod/"+name, nil).WithContext(ctx)
 	done = make(chan struct{})
 	go func() {
 		defer close(done)
@@ -147,8 +147,8 @@ func TestVODFlushFollowsSchedule(t *testing.T) {
 		clk.AdvanceTo(next)
 	}
 	written, _, batches := rec.state()
-	if written != len(asset.Packets) {
-		t.Fatalf("wrote %d of %d packets", written, len(asset.Packets))
+	if written != len(asset.SharedPackets()) {
+		t.Fatalf("wrote %d of %d packets", written, len(asset.SharedPackets()))
 	}
 	// The first instant is split after its first packet (startup); the
 	// last instant's packets and the index are flushed by returning.
@@ -180,8 +180,8 @@ func TestVODFlushBatchesWhenNotWaiting(t *testing.T) {
 		rec := newFlushRecorder(asset.SharedPackets())
 		<-vodSession(context.Background(), srv, "lec", rec)
 		written, _, batches := rec.state()
-		if written != len(asset.Packets) || written < 700 {
-			t.Fatalf("wrote %d of %d packets", written, len(asset.Packets))
+		if written != len(asset.SharedPackets()) || written < 700 {
+			t.Fatalf("wrote %d of %d packets", written, len(asset.SharedPackets()))
 		}
 		if len(batches) > 3 {
 			t.Fatalf("%d flushes for %d unpaced packets, want at most 3", len(batches), written)
@@ -207,8 +207,8 @@ func TestVODFlushBatchesWhenNotWaiting(t *testing.T) {
 		clk.Advance(time.Hour) // the whole lecture is now overdue
 		<-done
 		written, _, batches := rec.state()
-		if written != len(asset.Packets) {
-			t.Fatalf("wrote %d of %d packets", written, len(asset.Packets))
+		if written != len(asset.SharedPackets()) {
+			t.Fatalf("wrote %d of %d packets", written, len(asset.SharedPackets()))
 		}
 		if len(batches) != len(before) {
 			t.Fatalf("%d flushes while catching up, want none", len(batches)-len(before))
@@ -264,9 +264,9 @@ func TestVODSessionAllocsIndependentOfLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := httptest.NewRequest(http.MethodGet, "/vod/"+name, nil)
+		req := httptest.NewRequest(http.MethodGet, "/v1/vod/"+name, nil)
 		w := discardResponse{header: make(http.Header)}
-		return testing.AllocsPerRun(20, func() { handler.ServeHTTP(w, req) }), len(a.Packets)
+		return testing.AllocsPerRun(20, func() { handler.ServeHTTP(w, req) }), len(a.SharedPackets())
 	}
 	short, shortPkts := allocs("short", 2*time.Second)
 	long, longPkts := allocs("long", 32*time.Second)

@@ -103,8 +103,8 @@ func (s *Server) RemoveRateGroup(name string) bool {
 	return true
 }
 
-// handleGroup serves /group/{name}?bw=<bits per second>: it selects the
-// best-fitting variant and streams it exactly like a VOD session.
+// handleGroup serves /v1/group/{name}?bw=<bits per second>: it selects
+// the best-fitting variant and streams it exactly like a VOD session.
 func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
@@ -129,9 +129,5 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		proto.WriteError(w, http.StatusNotFound, "empty group")
 		return
 	}
-	// Rewrite the path (already decoded, so the raw name concatenates
-	// onto the prefix) and delegate to the VOD handler.
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = proto.PrefixVOD + asset.Name
-	s.handleVOD(w, r2)
+	s.streamAsset(w, r, asset.Name)
 }

@@ -103,7 +103,7 @@ func TestGroupEndpointSelectsByBandwidth(t *testing.T) {
 	defer ts.Close()
 
 	// A modem student gets the 28k variant.
-	resp, err := ts.Client().Get(ts.URL + "/group/lecture?bw=56000")
+	resp, err := ts.Client().Get(ts.URL + "/v1/group/lecture?bw=56000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestGroupEndpointSelectsByBandwidth(t *testing.T) {
 	}
 
 	// A LAN student gets the richest variant.
-	resp2, err := ts.Client().Get(ts.URL + "/group/lecture?bw=10000000")
+	resp2, err := ts.Client().Get(ts.URL + "/v1/group/lecture?bw=10000000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGroupEndpointErrors(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Get(ts.URL + "/group/none")
+	resp, err := ts.Client().Get(ts.URL + "/v1/group/none")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGroupEndpointErrors(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Fatalf("missing group status %d", resp.StatusCode)
 	}
-	resp, err = ts.Client().Get(ts.URL + "/group/lecture?bw=bogus")
+	resp, err = ts.Client().Get(ts.URL + "/v1/group/lecture?bw=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestGroupEndpointErrors(t *testing.T) {
 	if _, err := srv.CreateRateGroup("empty"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = ts.Client().Get(ts.URL + "/group/empty")
+	resp, err = ts.Client().Get(ts.URL + "/v1/group/empty")
 	if err != nil {
 		t.Fatal(err)
 	}

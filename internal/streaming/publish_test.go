@@ -77,7 +77,7 @@ func TestPublishUnpublishEndpoints(t *testing.T) {
 	if resp := post(t, ts, "/v1/publish/lec-pub", data); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("publish status = %d, want 204", resp.StatusCode)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/vod/lec-pub")
+	resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec-pub")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPublishUnpublishEndpoints(t *testing.T) {
 	if resp := post(t, ts, "/v1/unpublish/lec-pub", nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("unpublish status = %d, want 204", resp.StatusCode)
 	}
-	vodResp, err := ts.Client().Get(ts.URL + "/vod/lec-pub")
+	vodResp, err := ts.Client().Get(ts.URL + "/v1/vod/lec-pub")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPublishReplaceUnderTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPackets[title] = len(a.Packets)
+		wantPackets[title] = len(a.SharedPackets())
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -164,7 +164,7 @@ func TestPublishReplaceUnderTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			resp, err := ts.Client().Get(ts.URL + "/vod/lec-swap")
+			resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec-swap")
 			if err != nil {
 				errs <- err
 				return
@@ -210,7 +210,7 @@ func TestPublishReplaceUnderTraffic(t *testing.T) {
 		}
 	}
 	// After the dust settles, new opens get gen-2 only.
-	resp, err := ts.Client().Get(ts.URL + "/vod/lec-swap")
+	resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec-swap")
 	if err != nil {
 		t.Fatal(err)
 	}

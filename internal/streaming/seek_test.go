@@ -29,8 +29,8 @@ func TestVODSeekSkipsEarlyPackets(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	full := countVODPackets(t, ts.URL+"/vod/lec")
-	seeked := countVODPackets(t, ts.URL+"/vod/lec?start=2s")
+	full := countVODPackets(t, ts.URL+"/v1/vod/lec")
+	seeked := countVODPackets(t, ts.URL+"/v1/vod/lec?start=2s")
 	if seeked >= full {
 		t.Fatalf("seeked stream has %d packets, full has %d", seeked, full)
 	}
@@ -49,7 +49,7 @@ func TestVODSeekStartsAtKeyframe(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Get(ts.URL + "/vod/lec?start=2s")
+	resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec?start=2s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,29 +98,27 @@ func TestVODSeekStartParameterTable(t *testing.T) {
 		{"?start=-1ns", 400},  // barely negative still refused
 		{"?start=%2Ds", 400},  // encoded junk decodes to "-s": malformed
 	} {
-		for _, prefix := range []string{"/vod/lec", "/v1/vod/lec"} {
-			resp, err := ts.Client().Get(ts.URL + prefix + tc.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != tc.status {
-				t.Fatalf("GET %s%s status %d, want %d", prefix, tc.query, resp.StatusCode, tc.status)
-			}
-			if tc.status == 400 {
-				// The refusal carries the typed proto error body.
-				var perr struct {
-					Status  int    `json:"status"`
-					Message string `json:"error"`
-				}
-				if err := json.NewDecoder(resp.Body).Decode(&perr); err != nil {
-					t.Fatalf("GET %s%s: undecodable error body: %v", prefix, tc.query, err)
-				}
-				if perr.Status != 400 || !strings.Contains(perr.Message, "start") {
-					t.Fatalf("GET %s%s error body = %+v", prefix, tc.query, perr)
-				}
-			}
-			resp.Body.Close()
+		resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec" + tc.query)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if resp.StatusCode != tc.status {
+			t.Fatalf("GET %s status %d, want %d", tc.query, resp.StatusCode, tc.status)
+		}
+		if tc.status == 400 {
+			// The refusal carries the typed proto error body.
+			var perr struct {
+				Status  int    `json:"status"`
+				Message string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&perr); err != nil {
+				t.Fatalf("GET %s: undecodable error body: %v", tc.query, err)
+			}
+			if perr.Status != 400 || !strings.Contains(perr.Message, "start") {
+				t.Fatalf("GET %s error body = %+v", tc.query, perr)
+			}
+		}
+		resp.Body.Close()
 	}
 }
 

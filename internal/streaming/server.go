@@ -4,9 +4,9 @@
 // paper's §2.5 ("broadcast their encoded content in real time after
 // finished configuring the server HTTP port and the URL").
 //
-// Endpoints (each serves under the /v1 prefix and its legacy
-// unversioned alias; the route constants live in internal/proto, the
-// single source of truth for the wire contract):
+// Endpoints (each mounted once, under the /v1 prefix; the route
+// constants live in internal/proto, the single source of truth for the
+// wire contract):
 //
 //	GET /v1/vod/{asset}        — stream a stored container, paced by packet
 //	                             send times; ?start=<dur> seeks via the
@@ -29,12 +29,14 @@
 //	GET /v1/groups             — JSON list of multi-rate groups and their
 //	                             variant asset names (used by edges to
 //	                             mirror whole groups)
+//	GET /v1/metrics            — the server's metrics, Prometheus text
+//	GET /v1/status             — the same as a flat JSON snapshot
 //
 // When Server.Admission is configured, every VOD/live session first
 // reserves its declared stream bandwidth (XOCPN channel set-up);
 // over-capacity requests receive 503. Edge nodes built on this server
-// (see internal/relay) subscribe to /live/{channel} and mirror assets
-// through /fetch/{asset} to re-serve both locally.
+// (see internal/relay) subscribe to /v1/live/{channel} and mirror assets
+// through /v1/fetch/{asset} to re-serve both locally.
 //
 // Every server owns a metrics registry (Metrics) counting sessions
 // started and active, packets and bytes sent, packets delayed by
@@ -43,9 +45,8 @@
 // fetches, declared bandwidth in flight, per-endpoint handling latency,
 // time to first media packet (lod_first_packet_seconds, the server half
 // of startup latency), and how far behind schedule paced packets fall
-// under load (lod_pacing_lag_seconds). Mount it with
-// Metrics().Expose(mux) to serve GET /metrics and GET /status next to
-// the streaming endpoints, as cmd/lodserver does on every role.
+// under load (lod_pacing_lag_seconds). Those instruments are the
+// server's only ledger: Stats reads them.
 package streaming
 
 import (
@@ -81,7 +82,8 @@ type Asset struct {
 	Header asf.Header
 	// Packets are the asset's packets in send order, as views over
 	// SharedPackets: each Payload aliases its wire image's tail, so it is
-	// read-only.
+	// read-only. The serving path never reads them; the benchmark module
+	// verifies sessions against them.
 	Packets []asf.Packet
 	// Index is the stored keyframe index that ?start= seeks resolve
 	// against (SeekIndex).
@@ -112,7 +114,8 @@ func (a *Asset) SeekIndex(at time.Duration) int {
 	return a.seekPos[seq]
 }
 
-// ServerStats counts server activity.
+// ServerStats counts server activity: a snapshot of the server's
+// metric instruments (Stats).
 type ServerStats struct {
 	VODSessions   int64
 	LiveSessions  int64
@@ -142,7 +145,6 @@ type Server struct {
 	assets   map[string]*Asset
 	channels map[string]*Channel
 	groups   map[string]*RateGroup
-	stats    ServerStats
 	// droppedRemoved is what removed channels had dropped, so that
 	// lod_channel_dropped_total never goes down.
 	droppedRemoved int64
@@ -250,8 +252,8 @@ func newServerInstruments(reg *metrics.Registry) serverInstruments {
 	}
 }
 
-// Metrics returns the server's metric registry; mount its /metrics and
-// /status endpoints with Metrics().Expose(mux).
+// Metrics returns the server's metric registry, which Handler serves at
+// /v1/metrics and /v1/status.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
 // parseAsset reads a whole stored container into a ready-to-serve
@@ -410,39 +412,37 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	return true
 }
 
-// Stats returns a snapshot of the server counters.
+// Stats returns a snapshot of the server counters, read off the same
+// instruments GET /v1/metrics serves. Each field is read atomically; the
+// snapshot as a whole is not.
 func (s *Server) Stats() ServerStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.stats
+	return ServerStats{
+		VODSessions:   s.inst.vodStarted.Value(),
+		LiveSessions:  s.inst.liveStarted.Value(),
+		PacketsSent:   s.inst.packetsSent.Value(),
+		BytesSent:     s.inst.bytesSent.Value(),
+		ActiveClients: s.inst.active.Value(),
+		RejectedJoins: s.inst.rejects.Value(),
+		MirrorFetches: s.inst.mirrors.Value(),
+		InFlightBps:   s.inst.inFlightBps.Value(),
+	}
 }
 
 func (s *Server) addSent(packets, bytes int64) {
-	s.mu.Lock()
-	s.stats.PacketsSent += packets
-	s.stats.BytesSent += bytes
-	s.mu.Unlock()
 	s.inst.packetsSent.Add(packets)
 	s.inst.bytesSent.Add(bytes)
 }
 
-// beginStream books one started session of the given kind: stats,
-// active/in-flight instruments, and — for stored assets — the per-asset
-// session count that pins the asset against cache eviction. The
-// returned func undoes the per-session parts and must be deferred.
+// beginStream books one started session of the given kind: the
+// started/active/in-flight instruments and — for stored assets — the
+// per-asset session count that pins the asset against cache eviction.
+// The returned func undoes the per-session parts and must be deferred.
 func (s *Server) beginStream(kind, asset string, bps int64) func() {
-	s.mu.Lock()
-	if kind == "live" {
-		s.stats.LiveSessions++
-	} else {
-		s.stats.VODSessions++
-	}
-	s.stats.ActiveClients++
-	s.stats.InFlightBps += bps
 	if asset != "" {
+		s.mu.Lock()
 		s.assetSessions[asset]++
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	if kind == "live" {
 		s.inst.liveStarted.Inc()
 	} else {
@@ -451,27 +451,20 @@ func (s *Server) beginStream(kind, asset string, bps int64) func() {
 	s.inst.active.Inc()
 	s.inst.inFlightBps.Add(bps)
 	return func() {
-		s.mu.Lock()
-		s.stats.ActiveClients--
-		s.stats.InFlightBps -= bps
 		if asset != "" {
+			s.mu.Lock()
 			if s.assetSessions[asset]--; s.assetSessions[asset] <= 0 {
 				delete(s.assetSessions, asset)
 			}
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
 		s.inst.active.Dec()
 		s.inst.inFlightBps.Add(-bps)
 	}
 }
 
 // reject books one refused session.
-func (s *Server) reject() {
-	s.mu.Lock()
-	s.stats.RejectedJoins++
-	s.mu.Unlock()
-	s.inst.rejects.Inc()
-}
+func (s *Server) reject() { s.inst.rejects.Inc() }
 
 // timed wraps a handler with the per-endpoint latency histogram. For
 // the streaming endpoints the observed time spans the whole session,
@@ -488,13 +481,13 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// Handler returns the HTTP handler exposing the server. Every route is
-// mounted under both the /v1 prefix and its legacy unversioned alias;
-// both forms share one handler (and one latency series) per endpoint.
+// Handler returns the HTTP handler exposing the server: every route
+// once, under the /v1 prefix, including the server's own /v1/metrics and
+// /v1/status.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(path, endpoint string, h http.HandlerFunc) {
-		proto.HandleFunc(mux, path, s.timed(endpoint, h))
+		proto.Handle(mux, path, s.timed(endpoint, h))
 	}
 	handle(proto.PrefixVOD, "vod", s.handleVOD)
 	handle(proto.PrefixLive, "live", s.handleLive)
@@ -505,6 +498,7 @@ func (s *Server) Handler() http.Handler {
 	handle(proto.PathAssets, "assets", s.handleAssets)
 	handle(proto.PathChannels, "channels", s.handleChannels)
 	handle(proto.PathGroups, "groups", s.handleGroups)
+	s.metrics.Expose(mux)
 	return mux
 }
 
@@ -613,9 +607,6 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		proto.WriteError(w, http.StatusNotFound, "streaming: unknown asset "+name)
 		return
 	}
-	s.mu.Lock()
-	s.stats.MirrorFetches++
-	s.mu.Unlock()
 	s.inst.mirrors.Inc()
 
 	w.Header().Set("Content-Type", "application/x-wmp-stream")
@@ -668,7 +659,7 @@ func (s *Server) handleAssets(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, info{
 			Name: a.Name, Title: a.Header.Title,
 			DurationSec: a.Header.Duration.Seconds(),
-			Packets:     len(a.Packets), Bytes: a.Bytes(),
+			Packets:     len(a.SharedPackets()), Bytes: a.Bytes(),
 		})
 	}
 	s.mu.RUnlock()
@@ -699,17 +690,24 @@ func (s *Server) handleChannels(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleVOD streams a stored asset, pacing by send times. A `start` query
-// parameter (Go duration, e.g. ?start=30s) seeks to the last keyframe at
-// or before that presentation time using the stored index; a malformed
-// or negative value is answered with 400 and a proto.Error body rather
-// than silently played from the top.
+// handleVOD streams the stored asset its path names (streamAsset).
 func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
-	reqStart := s.clock.Now()
 	if s.refuseDraining(w) {
 		return
 	}
-	name := proto.StreamName(r.URL.Path, proto.StreamVOD)
+	s.streamAsset(w, r, proto.StreamName(r.URL.Path, proto.StreamVOD))
+}
+
+// streamAsset streams the stored asset registered under name, pacing by
+// send times; a VOD request and a group's selected variant both end
+// here. The asset is looked up by name at this point, so a variant
+// republished since its group was built serves its new bytes. A `start`
+// query parameter (Go duration, e.g. ?start=30s) seeks to the last
+// keyframe at or before that presentation time using the stored index; a
+// malformed or negative value is answered with 400 and a proto.Error
+// body rather than silently played from the top.
+func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string) {
+	reqStart := s.clock.Now()
 	asset, ok := s.Asset(name)
 	if !ok {
 		// proto.Error body, not a bare text 404: an unpublished asset's
@@ -839,9 +837,7 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.Admission.Release(token)
 	}
-	defer s.beginStream("live", "", rate)()
-
-	w.Header().Set("Content-Type", "application/x-wmp-stream")
+	// A join the channel refuses is a reject, not a started session.
 	sub, err := ch.Subscribe()
 	if err != nil {
 		s.reject()
@@ -849,6 +845,9 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sub.Close()
+	defer s.beginStream("live", "", rate)()
+
+	w.Header().Set("Content-Type", "application/x-wmp-stream")
 
 	writer, err := asf.NewWriter(w, ch.Header())
 	if err != nil {

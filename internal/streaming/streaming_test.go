@@ -49,7 +49,7 @@ func TestRegisterAndListAssets(t *testing.T) {
 	if a.Header.Title != "stream test" {
 		t.Fatalf("title = %q", a.Header.Title)
 	}
-	if len(a.Packets) == 0 || a.Bytes() == 0 {
+	if len(a.SharedPackets()) == 0 || a.Bytes() == 0 {
 		t.Fatal("asset has no packets")
 	}
 	if _, err := srv.RegisterAsset("lec1", asf.NewReader(bytes.NewReader(data))); !errors.Is(err, ErrDuplicate) {
@@ -73,7 +73,7 @@ func TestVODEndpointUnpaced(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Get(ts.URL + "/vod/lec1")
+	resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestVODEndpointUnpaced(t *testing.T) {
 		n++
 	}
 	asset, _ := srv.Asset("lec1")
-	if n != len(asset.Packets) {
-		t.Fatalf("received %d packets, asset has %d", n, len(asset.Packets))
+	if n != len(asset.SharedPackets()) {
+		t.Fatalf("received %d packets, asset has %d", n, len(asset.SharedPackets()))
 	}
 	st := srv.Stats()
 	if st.VODSessions != 1 || st.PacketsSent != int64(n) {
@@ -109,7 +109,7 @@ func TestVODNotFound(t *testing.T) {
 	srv := NewServer(nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/vod/missing")
+	resp, err := ts.Client().Get(ts.URL + "/v1/vod/missing")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestAssetsEndpoint(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/assets")
+	resp, err := ts.Client().Get(ts.URL + "/v1/assets")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestLiveEndpointEndToEnd(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, err := ts.Client().Get(ts.URL + "/live/class")
+		resp, err := ts.Client().Get(ts.URL + "/v1/live/class")
 		if err != nil {
 			t.Errorf("join: %v", err)
 			received <- -1
@@ -373,7 +373,7 @@ func TestLiveEndpointClosedChannelRejects(t *testing.T) {
 	ch.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/live/done")
+	resp, err := ts.Client().Get(ts.URL + "/v1/live/done")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,6 +384,13 @@ func TestLiveEndpointClosedChannelRejects(t *testing.T) {
 	if srv.Stats().RejectedJoins != 1 {
 		t.Fatal("rejected join not counted")
 	}
+	// A refused join is not a session: nothing started, nothing in flight.
+	if st := srv.Stats(); st.LiveSessions != 0 || st.ActiveClients != 0 || st.InFlightBps != 0 {
+		t.Fatalf("refused join booked as a session: %+v", st)
+	}
+	if got := srv.Metrics().Status()[`lod_sessions_started_total{kind="live"}`]; got != 0 {
+		t.Fatalf("lod_sessions_started_total{kind=\"live\"} = %v after a refused join, want 0", got)
+	}
 }
 
 func TestChannelsEndpoint(t *testing.T) {
@@ -393,7 +400,7 @@ func TestChannelsEndpoint(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/channels")
+	resp, err := ts.Client().Get(ts.URL + "/v1/channels")
 	if err != nil {
 		t.Fatal(err)
 	}

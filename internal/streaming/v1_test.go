@@ -10,10 +10,10 @@ import (
 	"repro/internal/asf"
 )
 
-// TestServerServesBothAPIVersions pins the /v1 rollout rule on the
-// streaming server: every endpoint answers identically under the /v1
-// prefix and its legacy unversioned alias.
-func TestServerServesBothAPIVersions(t *testing.T) {
+// TestServerServesV1Routes pins the route form on the streaming server:
+// streams, listings, metrics and status answer under /v1, and the same
+// paths without the prefix are the mux's plain 404 — and start nothing.
+func TestServerServesV1Routes(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false
 	data := encodeTestAsset(t, time.Second)
@@ -37,33 +37,22 @@ func TestServerServesBothAPIVersions(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
-	// Streams: byte-identical through either form.
-	legacyCode, legacyBody := get("/vod/lec")
-	v1Code, v1Body := get("/v1/vod/lec")
-	if legacyCode != 200 || v1Code != 200 || !bytes.Equal(legacyBody, v1Body) {
-		t.Fatalf("vod mismatch: legacy %d (%d bytes), v1 %d (%d bytes)",
-			legacyCode, len(legacyBody), v1Code, len(v1Body))
-	}
-	if fetchCode, fetchBody := get("/v1/fetch/lec"); fetchCode != 200 || len(fetchBody) == 0 {
-		t.Fatalf("v1 fetch = %d (%d bytes)", fetchCode, len(fetchBody))
-	}
-
-	// Listings: same JSON either way.
-	for _, path := range []string{"/assets", "/channels", "/groups"} {
-		lc, lb := get(path)
-		vc, vb := get("/v1" + path)
-		if lc != 200 || vc != 200 || !bytes.Equal(lb, vb) {
-			t.Fatalf("listing %s mismatch: legacy %d, v1 %d", path, lc, vc)
+	for _, path := range []string{"/v1/vod/lec", "/v1/fetch/lec",
+		"/v1/assets", "/v1/channels", "/v1/groups", "/v1/metrics", "/v1/status"} {
+		if code, body := get(path); code != 200 || len(body) == 0 {
+			t.Fatalf("GET %s = %d (%d bytes), want 200 with a body", path, code, len(body))
 		}
 	}
-
-	// Missing assets 404 under both forms.
-	if code, _ := get("/v1/vod/nope"); code != 404 {
-		t.Fatalf("v1 missing asset = %d, want 404", code)
+	// A missing asset is the handler's 404, with the proto.Error body.
+	if code, body := get("/v1/vod/nope"); code != 404 || !bytes.Contains(body, []byte(`"status":404`)) {
+		t.Fatalf("missing asset = %d %q, want a proto.Error 404", code, body)
 	}
-
-	// Both forms share one session accounting.
-	if got := srv.Stats().VODSessions; got != 2 {
-		t.Fatalf("VOD sessions = %d, want 2 (one per form)", got)
+	for _, path := range []string{"/vod/lec", "/fetch/lec", "/assets", "/metrics"} {
+		if code, body := get(path); code != 404 || string(body) != "404 page not found\n" {
+			t.Fatalf("GET %s = %d %q, want the mux's plain 404", path, code, body)
+		}
+	}
+	if st := srv.Stats(); st.VODSessions != 1 || st.MirrorFetches != 1 {
+		t.Fatalf("stats = %+v, want the one /v1 session and the one /v1 fetch", st)
 	}
 }
