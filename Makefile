@@ -58,9 +58,10 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # The root package's end-to-end benchmarks plus the write-path
-# (internal/streaming) and read-path (internal/asf) microbenchmarks.
+# (internal/streaming), read-path (internal/asf) and pacing-wheel
+# (internal/vclock) microbenchmarks.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/streaming ./internal/asf
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/streaming ./internal/asf ./internal/vclock
 
 # The benchmark of record (BENCHMARK.json, benchmark/README.md) is a
 # nested module the root `go build ./... && go test ./...` does not

@@ -21,3 +21,16 @@ func (instantClock) After(time.Duration) <-chan time.Time {
 }
 
 func (instantClock) Sleep(time.Duration) {}
+
+// AfterFunc runs f at once in its own goroutine, as a zero-length
+// time.AfterFunc would; Reset runs it again the same way.
+func (instantClock) AfterFunc(_ time.Duration, f func()) vclock.Timer {
+	t := instantTimer{f}
+	t.Reset(0)
+	return t
+}
+
+type instantTimer struct{ f func() }
+
+func (t instantTimer) Reset(time.Duration) bool { go t.f(); return false }
+func (instantTimer) Stop() bool                 { return false }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +239,44 @@ func TestVODCancelMidSleepLeavesNothingUnflushed(t *testing.T) {
 	}
 	if got := srv.Stats(); got.ActiveClients != 0 || got.PacketsSent != 2 {
 		t.Fatalf("stats after cancel = %+v", got)
+	}
+}
+
+// TestVODPacingLagCoversSleptPackets: a packet the session slept for
+// records its lateness, read on waking, as does each one found overdue
+// behind it; with the wheel's 1 ms slots none is more than a grain late.
+func TestVODPacingLagCoversSleptPackets(t *testing.T) {
+	clk := vclock.NewVirtual()
+	srv := NewServer(clk)
+	// Off-grid send times wake on the next whole millisecond: the slept
+	// packets are 0.6, 0.3 and 0 ms late, the one behind the first 0.6.
+	const us = time.Microsecond
+	asset := scheduledAsset(t, srv, 0, 10400*us, 10400*us, 20700*us, 30*ms)
+	rec := newFlushRecorder(asset.SharedPackets())
+	done := vodSession(context.Background(), srv, "sched", rec)
+	for awaitParked(t, clk, done) {
+		next, _ := clk.NextDeadline()
+		clk.AdvanceTo(next)
+	}
+	if written, _, _ := rec.state(); written != len(asset.SharedPackets()) {
+		t.Fatalf("wrote %d of %d packets", written, len(asset.SharedPackets()))
+	}
+	if got := srv.inst.packetsPaced.Value(); got != 3 {
+		t.Fatalf("lod_packets_paced_total = %d, want 3", got)
+	}
+	lag := srv.inst.pacingLag
+	if got := lag.Count(); got != 4 {
+		t.Fatalf("lod_pacing_lag_seconds counted %d packets, want the 3 slept for and the 1 overdue", got)
+	}
+	if got, want := lag.Sum(), 1.5e-3; got < want-1e-9 || got > want+1e-9 {
+		t.Fatalf("lod_pacing_lag_seconds sum = %v, want %v", got, want)
+	}
+	var text strings.Builder
+	if err := srv.Metrics().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if line := `lod_pacing_lag_seconds_bucket{le="0.001"} 4`; !strings.Contains(text.String(), line) {
+		t.Fatalf("a packet was more than one grain late; exposition lacks %q", line)
 	}
 }
 

@@ -136,9 +136,10 @@ type ServerStats struct {
 // assets and channels, and expose via Handler.
 type Server struct {
 	clock vclock.Clock
-	// pacer batches every paced VOD session's sleeps onto shared slot
-	// timers (vclock.Wheel): thousands of concurrent sessions share a
-	// handful of timer slots instead of allocating a timer per packet.
+	// pacer batches every paced VOD session's sleeps onto shared 1 ms
+	// slots (vclock.Wheel): thousands of concurrent sessions share one
+	// channel per slot and one clock timer for the whole server, instead
+	// of allocating a timer per packet.
 	pacer *vclock.Wheel
 
 	mu       sync.RWMutex
@@ -210,7 +211,8 @@ type serverInstruments struct {
 	firstPacketVOD  *metrics.Histogram
 	firstPacketLive *metrics.Histogram
 	// pacingLag records how far behind its scheduled send time a paced
-	// VOD packet was written, against the session's last clock reading;
+	// VOD packet was written: a slept-for packet against the reading on
+	// waking, an overdue one against the session's last clock reading;
 	// growth under load is the server-side pacing-jitter signal the load
 	// benchmarks track.
 	pacingLag *metrics.Histogram
@@ -246,8 +248,8 @@ func newServerInstruments(reg *metrics.Registry) serverInstruments {
 		firstPacketLive: reg.Histogram("lod_first_packet_seconds", firstPacket,
 			firstPacketBuckets, metrics.Label{Key: "kind", Value: "live"}),
 		pacingLag: reg.Histogram("lod_pacing_lag_seconds",
-			"How far behind its scheduled send time each paced VOD packet was written, measured at the "+
-				"session's last clock reading (the clock is read only when a packet might not be due yet).",
+			"How far behind its scheduled send time a paced VOD packet was written: every packet the session "+
+				"slept for (read on waking) and every one found overdue at the session's last clock reading.",
 			pacingLagBuckets),
 	}
 }
@@ -780,12 +782,15 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 				s.inst.packetsPaced.Inc()
 				flush()
 				// The wheel batches this session's sleep with every
-				// other paced session's; granularity-rounded lateness
-				// is recorded by pacingLag like any other skew.
+				// other paced session's. The reading after the wake
+				// records the slept packet's lateness (the wheel's
+				// rounding included) and serves the packets behind it.
 				if err := s.pacer.Sleep(r.Context(), wait); err != nil {
 					s.addSent(sentPkts, sentBytes)
 					return
 				}
+				now = s.clock.Now()
+				s.inst.pacingLag.Observe(now.Sub(due).Seconds())
 			} else if wait < 0 {
 				s.inst.pacingLag.Observe((-wait).Seconds())
 			}

@@ -33,6 +33,18 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// Sleep blocks until d has elapsed on this clock.
 	Sleep(d time.Duration)
+	// AfterFunc calls f once the clock's time is at or past d from now
+	// and returns a Timer that can stop or re-arm the call. It holds no
+	// goroutine while it waits.
+	AfterFunc(d time.Duration, f func()) Timer
+}
+
+// Timer is a pending AfterFunc call. Reset re-arms it for d from now and
+// Stop cancels it; each reports whether the call was still pending, as
+// *time.Timer's methods do.
+type Timer interface {
+	Reset(d time.Duration) bool
+	Stop() bool
 }
 
 // Real is a Clock backed by the operating-system wall clock.
@@ -48,6 +60,10 @@ func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+
+// AfterFunc implements Clock with time.AfterFunc: f runs in its own
+// goroutine when the timer fires.
+func (Real) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 // SleepCtx waits for d on clock or until ctx is cancelled, reporting
 // whether the full wait elapsed — the one cancellable wait every retry
@@ -96,10 +112,14 @@ type Virtual struct {
 
 var _ Clock = (*Virtual)(nil)
 
+// waiter is one pending wait: an After channel to send on, or an
+// AfterFunc call to make.
 type waiter struct {
-	at  time.Time
-	ch  chan time.Time
-	seq int // tiebreaker for deterministic ordering
+	at    time.Time
+	ch    chan time.Time // After's channel; nil for an AfterFunc entry
+	f     func()         // AfterFunc's call; nil for an After entry
+	seq   int            // tiebreaker for deterministic ordering
+	index int            // position in the heap; -1 once fired or stopped
 }
 
 type waiterHeap []*waiter
@@ -111,13 +131,22 @@ func (h waiterHeap) Less(i, j int) bool {
 	}
 	return h[i].at.Before(h[j].at)
 }
-func (h waiterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x interface{}) { *h = append(*h, x.(*waiter)) }
+func (h waiterHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *waiterHeap) Push(x interface{}) {
+	w := x.(*waiter)
+	w.index = len(*h)
+	*h = append(*h, w)
+}
 func (h *waiterHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	w := old[n-1]
 	old[n-1] = nil
+	w.index = -1
 	*h = old[:n-1]
 	return w
 }
@@ -166,34 +195,100 @@ func (v *Virtual) Sleep(d time.Duration) {
 	<-v.After(d)
 }
 
+// AfterFunc implements Clock. The call waits in the same deadline order
+// as After's channels, so PendingWaiters and NextDeadline count it, and
+// Advance makes it (see there). A non-positive d is due at the current
+// instant: the next Advance or AdvanceTo makes the call, even a zero one.
+func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
+	t := &virtualTimer{v: v, waiter: waiter{f: f, index: -1}}
+	t.Reset(d)
+	return t
+}
+
+// virtualTimer is an AfterFunc entry; its heap index lets Stop and Reset
+// remove or move it in place.
+type virtualTimer struct {
+	v *Virtual
+	waiter
+}
+
+// Reset implements Timer: the call is re-armed for d after the clock's
+// current instant and queued behind every wait already due then.
+func (t *virtualTimer) Reset(d time.Duration) bool {
+	v := t.v
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if d < 0 {
+		d = 0
+	}
+	t.at = v.now.Add(d)
+	v.seq++
+	t.seq = v.seq
+	if t.index >= 0 {
+		heap.Fix(&v.waiters, t.index)
+		return true
+	}
+	heap.Push(&v.waiters, &t.waiter)
+	return false
+}
+
+// Stop implements Timer.
+func (t *virtualTimer) Stop() bool {
+	v := t.v
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if t.index < 0 {
+		return false
+	}
+	heap.Remove(&v.waiters, t.index)
+	return true
+}
+
 // Advance moves the clock forward by d, firing every waiter whose deadline
 // falls inside the window in deadline order; while a waiter is being fired
 // Now reports that waiter's deadline, so code running at wake-up observes a
-// consistent instant. It returns the new current time.
+// consistent instant. An AfterFunc call runs in the advancing goroutine
+// with the clock unlocked, so it may call Now, AfterFunc or its own
+// Timer's methods; what it schedules inside the window fires in this same
+// Advance. It returns the new current time.
 func (v *Virtual) Advance(d time.Duration) time.Time {
 	v.mu.Lock()
 	target := v.now.Add(d)
 	for v.waiters.Len() > 0 && !v.waiters[0].at.After(target) {
 		w := heap.Pop(&v.waiters).(*waiter)
 		v.now = w.at
-		w.ch <- w.at
+		if w.f == nil {
+			w.ch <- w.at
+			continue
+		}
+		v.mu.Unlock()
+		w.f()
+		v.mu.Lock()
 	}
-	v.now = target
+	// Another goroutine's Advance may have run while a call did, and
+	// moved the clock past target; it never goes back.
+	if target.After(v.now) {
+		v.now = target
+	}
+	now := v.now
 	v.mu.Unlock()
-	return target
+	return now
 }
 
-// AdvanceTo moves the clock to instant t (no-op if t is not after now).
+// AdvanceTo moves the clock to instant t, firing what is due by then. A t
+// before now is a no-op; t equal to now fires what is already due, so a
+// driver advancing to NextDeadline always makes progress.
 func (v *Virtual) AdvanceTo(t time.Time) {
 	v.mu.Lock()
 	d := t.Sub(v.now)
 	v.mu.Unlock()
-	if d > 0 {
+	if d >= 0 {
 		v.Advance(d)
 	}
 }
 
-// PendingWaiters reports how many After/Sleep callers are still waiting.
+// PendingWaiters reports how many After, Sleep and AfterFunc waits are
+// still pending.
 func (v *Virtual) PendingWaiters() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -204,3 +204,128 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("Real.Sleep returned too early")
 	}
 }
+
+// TestVirtualAfterFuncFiresInDeadlineOrder: AfterFunc calls wait in one
+// deadline order with After's channels, each made with Now reporting
+// its own instant.
+func TestVirtualAfterFuncFiresInDeadlineOrder(t *testing.T) {
+	v := NewVirtual()
+	var order []string
+	ready := func(ch <-chan time.Time) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	late := v.After(3 * time.Second)
+	v.AfterFunc(2*time.Second, func() {
+		if !ready(late) {
+			order = append(order, "f2")
+		}
+		if got, want := v.Now(), Epoch.Add(2*time.Second); !got.Equal(want) {
+			t.Errorf("Now inside the 2s call = %v, want %v", got, want)
+		}
+	})
+	early := v.After(time.Second)
+	v.AfterFunc(time.Second, func() {
+		if ready(early) {
+			order = append(order, "f1") // registered after early, so behind it
+		}
+	})
+	v.Advance(5 * time.Second)
+	if want := []string{"f1", "f2"}; len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
+		t.Fatalf("calls saw order %v, want %v", order, want)
+	}
+	if !ready(late) {
+		t.Fatal("the 3s After waiter did not fire")
+	}
+}
+
+func TestVirtualAfterFuncCountedAndStopped(t *testing.T) {
+	v := NewVirtual()
+	calls := 0
+	timer := v.AfterFunc(time.Second, func() { calls++ })
+	v.After(5 * time.Second)
+	if got := v.PendingWaiters(); got != 2 {
+		t.Fatalf("PendingWaiters = %d, want 2", got)
+	}
+	if dl, _ := v.NextDeadline(); !dl.Equal(Epoch.Add(time.Second)) {
+		t.Fatalf("NextDeadline = %v, want the AfterFunc's 1s", dl)
+	}
+	if !timer.Stop() {
+		t.Fatal("Stop on a pending call reported it was not pending")
+	}
+	if timer.Stop() {
+		t.Fatal("second Stop reported the call still pending")
+	}
+	if got := v.PendingWaiters(); got != 1 {
+		t.Fatalf("PendingWaiters after Stop = %d, want 1", got)
+	}
+	v.Advance(10 * time.Second)
+	if calls != 0 {
+		t.Fatalf("stopped call ran %d times", calls)
+	}
+}
+
+func TestVirtualAfterFuncReset(t *testing.T) {
+	v := NewVirtual()
+	var at []time.Duration
+	timer := v.AfterFunc(5*time.Second, func() { at = append(at, v.Now().Sub(Epoch)) })
+	if !timer.Reset(2 * time.Second) { // earlier
+		t.Fatal("Reset of a pending call reported it was not pending")
+	}
+	if dl, _ := v.NextDeadline(); !dl.Equal(Epoch.Add(2 * time.Second)) {
+		t.Fatalf("NextDeadline after moving earlier = %v", dl)
+	}
+	timer.Reset(4 * time.Second) // later
+	v.Advance(3 * time.Second)
+	if len(at) != 0 {
+		t.Fatalf("call ran at %v, before its moved 4s deadline", at)
+	}
+	v.Advance(time.Second)
+	if timer.Reset(time.Second) { // re-arms a spent call
+		t.Fatal("Reset of a spent call reported it pending")
+	}
+	v.Advance(time.Second)
+	if want := []time.Duration{4 * time.Second, 5 * time.Second}; len(at) != 2 || at[0] != want[0] || at[1] != want[1] {
+		t.Fatalf("call ran at %v, want %v", at, want)
+	}
+	if got := v.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d after every call ran", got)
+	}
+}
+
+// TestVirtualAfterFuncReentrant: a call may use its own clock — Now,
+// its Timer's Reset, a fresh AfterFunc — and what it schedules inside
+// the window runs in the same Advance.
+func TestVirtualAfterFuncReentrant(t *testing.T) {
+	v := NewVirtual()
+	var ticks, nested int
+	var timer Timer
+	timer = v.AfterFunc(time.Second, func() {
+		ticks++
+		if ticks < 3 {
+			timer.Reset(time.Second)
+		}
+		v.AfterFunc(time.Duration(ticks)*time.Millisecond, func() { nested++ })
+		_ = v.Now()
+	})
+	done := make(chan struct{})
+	go func() {
+		v.Advance(time.Minute)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Advance deadlocked on a call that uses its own clock")
+	}
+	if ticks != 3 || nested != 3 {
+		t.Fatalf("ticks = %d, nested = %d; want 3 and 3", ticks, nested)
+	}
+	if got := v.Now(); !got.Equal(Epoch.Add(time.Minute)) {
+		t.Fatalf("Now = %v after the Advance", got)
+	}
+}

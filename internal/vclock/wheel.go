@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 )
@@ -12,31 +13,41 @@ import (
 // per-session timers into a handful of slots.
 const DefaultGranularity = time.Millisecond
 
-// Wheel batches many sleepers onto shared slot timers: each deadline is
+// Wheel batches many sleepers onto shared slots: each deadline is
 // rounded up to the wheel's granularity and every sleeper landing in
-// the same slot shares one broadcast channel backed by one timer. N
-// paced sessions therefore cost one timer per active slot instead of
-// one timer allocation per packet per session — the batched replacement
-// for the per-session clock.After pacing loops.
+// the same slot shares one broadcast channel. The wheel owns one clock
+// timer (Clock.AfterFunc), armed for its earliest pending slot; the
+// timer's call closes every slot the clock has reached and re-arms for
+// the next. N paced sessions therefore cost one channel per active slot
+// and one timer per wheel instead of a timer per packet per session —
+// the batched replacement for per-session clock.After pacing loops.
 //
-// Each active slot is fired by its own short-lived goroutine rather
-// than a central scheduler: on a loaded box a single scheduler
-// goroutine becomes a serialization point (every slot's lateness
-// includes the scheduler's own wait for CPU), whereas independent slot
-// goroutines wake straight off their timers. An idle Wheel holds no
-// goroutine and needs no Stop.
+// Slots still wake straight off the clock's timer rather than through a
+// central scheduler goroutine: on a loaded box such a goroutine becomes
+// a serialization point (every slot's lateness includes the scheduler's
+// own wait for CPU), and that design was rejected for it. A pending slot
+// costs its channel alone; an idle Wheel holds no goroutine, arms no
+// timer and needs no Stop.
 //
 // A Wheel never fires a sleeper early: After(d) closes its channel
-// between d and d+granularity after the call (plus wakeup latency). A
-// Wheel on a Virtual clock participates in the usual
-// NextDeadline/AdvanceTo driver idiom through its underlying clock.
+// between d and d+granularity after the call (plus wakeup latency), and
+// a timer call that comes early closes nothing. A Wheel on a Virtual
+// clock participates in the usual NextDeadline/AdvanceTo driver idiom
+// through its underlying clock, where its timer is a single waiter and
+// slots fire inside Advance.
 type Wheel struct {
 	clock Clock
 	gran  time.Duration
 
 	mu    sync.Mutex
-	slots map[int64]chan struct{}
+	slots map[int64]chan struct{} // pending slot index → its broadcast channel
+	due   []int64                 // min-heap of the pending slot indices
+	timer Timer                   // nil until the first slot opens
+	armed int64                   // slot the timer is armed for; noSlot when none
 }
+
+// noSlot marks an unarmed timer: every slot is earlier.
+const noSlot = math.MaxInt64
 
 // NewWheel builds a wheel over clock (nil means the real clock) with
 // the given slot granularity (non-positive means DefaultGranularity).
@@ -51,6 +62,7 @@ func NewWheel(clock Clock, gran time.Duration) *Wheel {
 		clock: clock,
 		gran:  gran,
 		slots: make(map[int64]chan struct{}),
+		armed: noSlot,
 	}
 }
 
@@ -76,23 +88,28 @@ func (w *Wheel) After(d time.Duration) <-chan struct{} {
 	if d <= 0 {
 		return closedSlot
 	}
-	slot := w.slotOf(w.clock.Now().Add(d))
 	w.mu.Lock()
+	now := w.clock.Now()
+	slot := w.slotOf(now.Add(d))
 	ch, ok := w.slots[slot]
 	if !ok {
 		ch = make(chan struct{})
 		w.slots[slot] = ch
-		go w.fire(slot, ch)
+		w.push(slot)
+		if slot < w.armed {
+			w.arm(slot, now)
+		}
 	}
 	w.mu.Unlock()
 	return ch
 }
 
 // Sleep blocks until d has elapsed on the wheel (rounded up to the
-// granularity) or ctx is done, returning ctx's error in that case.
+// granularity) or ctx is done, returning ctx's error in that case. A
+// context that is already done returns at once and opens no slot.
 func (w *Wheel) Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
+	if err := ctx.Err(); err != nil || d <= 0 {
+		return err
 	}
 	select {
 	case <-w.After(d):
@@ -102,24 +119,79 @@ func (w *Wheel) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// fire sleeps on the wheel's clock until the slot's instant, then
-// broadcasts to every sleeper in the slot by closing its channel. The
-// slot leaves the table before the close, so a sleeper arriving for the
-// same index afterwards starts a fresh (immediately due) slot instead
-// of racing the broadcast.
-func (w *Wheel) fire(slot int64, ch chan struct{}) {
-	due := time.Unix(0, slot*int64(w.gran))
-	for {
-		wait := due.Sub(w.clock.Now())
-		if wait <= 0 {
+// arm sets the wheel's timer for slot's instant, creating the timer on
+// the first call. The caller holds w.mu.
+func (w *Wheel) arm(slot int64, now time.Time) {
+	d := time.Unix(0, slot*int64(w.gran)).Sub(now)
+	if w.timer == nil {
+		w.timer = w.clock.AfterFunc(d, w.fire)
+	} else {
+		w.timer.Reset(d)
+	}
+	w.armed = slot
+}
+
+// fire is the timer's call: it closes every slot whose instant the
+// clock has reached, then re-arms for the earliest slot still pending.
+// A slot leaves the table as it is closed, so a sleeper arriving for the
+// same index afterwards starts a fresh (immediately due) slot instead of
+// joining a spent broadcast. A call that finds nothing due — early, or
+// left over from a Reset that raced it — closes nothing.
+func (w *Wheel) fire() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	now := w.clock.Now()
+	reached := now.UnixNano()
+	g := int64(w.gran)
+	w.armed = noSlot
+	for len(w.due) > 0 && w.due[0]*g <= reached {
+		slot := w.pop()
+		close(w.slots[slot])
+		delete(w.slots, slot)
+	}
+	if len(w.due) > 0 {
+		w.arm(w.due[0], now)
+	}
+}
+
+// push adds slot to the heap of pending slots. The caller holds w.mu.
+func (w *Wheel) push(slot int64) {
+	h := append(w.due, slot)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
 			break
 		}
-		<-w.clock.After(wait)
+		h[p], h[i] = h[i], h[p]
+		i = p
 	}
-	w.mu.Lock()
-	delete(w.slots, slot)
-	w.mu.Unlock()
-	close(ch)
+	w.due = h
+}
+
+// pop removes and returns the earliest pending slot. The caller holds
+// w.mu and has checked the heap is not empty.
+func (w *Wheel) pop() int64 {
+	h := w.due
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	w.due = h
+	return top
 }
 
 // PendingSlots reports how many distinct slots currently have sleepers,

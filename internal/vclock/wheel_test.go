@@ -2,33 +2,29 @@ package vclock
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// advanceUntil drives a virtual clock forward in granularity steps
-// until cond holds or the budget of steps runs out. The wheel's
-// scheduler goroutine races the test goroutine for the clock's timer,
-// so each step yields briefly.
-func advanceUntil(t *testing.T, clk *Virtual, step time.Duration, cond func() bool) {
-	t.Helper()
-	for i := 0; i < 1000; i++ {
-		if cond() {
-			return
-		}
-		clk.Advance(step)
-		time.Sleep(100 * time.Microsecond)
+// fired reports, without blocking, whether a wheel channel is closed. On
+// a Virtual clock the wheel's timer call runs inside Advance, so a slot
+// that is due has fired by the time Advance returns.
+func fired(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
-	t.Fatal("condition never held while advancing the clock")
 }
 
 func TestWheelNonPositiveWaitFiresImmediately(t *testing.T) {
 	w := NewWheel(NewVirtual(), time.Millisecond)
 	for _, d := range []time.Duration{0, -time.Second} {
-		select {
-		case <-w.After(d):
-		default:
+		if !fired(w.After(d)) {
 			t.Fatalf("After(%v) not already fired", d)
 		}
 	}
@@ -41,24 +37,40 @@ func TestWheelNeverFiresEarlyAndRoundsUp(t *testing.T) {
 	clk := NewVirtual()
 	w := NewWheel(clk, time.Millisecond)
 
-	// 2.5 ms rounds up to the 3 ms slot: not fired at 2 ms.
+	// 2.5 ms rounds up to the 3 ms slot: not fired at 2 ms, nor at 2.999.
 	ch := w.After(2500 * time.Microsecond)
-	advanceUntil(t, clk, time.Millisecond, func() bool { return clk.Now().Sub(Epoch) >= 2*time.Millisecond })
-	select {
-	case <-ch:
+	clk.Advance(2 * time.Millisecond)
+	if fired(ch) {
 		t.Fatal("fired before the deadline")
-	default:
 	}
-	advanceUntil(t, clk, time.Millisecond, func() bool {
-		select {
-		case <-ch:
-			return true
-		default:
-			return false
-		}
-	})
-	if elapsed := clk.Now().Sub(Epoch); elapsed < 3*time.Millisecond {
-		t.Fatalf("fired at %v, before the rounded-up 3ms deadline", elapsed)
+	clk.Advance(999 * time.Microsecond)
+	if fired(ch) {
+		t.Fatal("fired before the rounded-up 3ms deadline")
+	}
+	clk.Advance(time.Microsecond)
+	if !fired(ch) {
+		t.Fatal("not fired at the rounded-up 3ms deadline")
+	}
+}
+
+// TestWheelEarlyCallClosesNothing: a timer call that comes before the
+// earliest slot is due — early, or left over from a racing Reset —
+// closes no channel and leaves the timer armed for that slot.
+func TestWheelEarlyCallClosesNothing(t *testing.T) {
+	clk := NewVirtual()
+	w := NewWheel(clk, time.Millisecond)
+	ch := w.After(2 * time.Millisecond)
+	clk.Advance(time.Millisecond)
+	w.fire()
+	if fired(ch) {
+		t.Fatal("an early timer call closed a slot")
+	}
+	if got := clk.PendingWaiters(); got != 1 {
+		t.Fatalf("PendingWaiters = %d after an early call, want the one re-armed timer", got)
+	}
+	clk.Advance(time.Millisecond)
+	if !fired(ch) {
+		t.Fatal("slot did not fire at its instant after an early call")
 	}
 }
 
@@ -81,30 +93,64 @@ func TestWheelSharesSlotChannels(t *testing.T) {
 	if got := w.PendingSlots(); got != 2 {
 		t.Fatalf("PendingSlots = %d, want 2", got)
 	}
+	if got := clk.PendingWaiters(); got != 1 {
+		t.Fatalf("PendingWaiters = %d, want the wheel's one timer", got)
+	}
 }
 
 // TestWheelEarlierSlotPreemptsSleep: a far-future slot must not delay
-// an earlier deadline that arrives while it pends — slots fire
-// independently.
+// an earlier deadline that arrives while it pends — the timer moves to
+// the earlier slot, then back.
 func TestWheelEarlierSlotPreemptsSleep(t *testing.T) {
 	clk := NewVirtual()
 	w := NewWheel(clk, time.Millisecond)
 	far := w.After(time.Hour)
-	// Let the far slot's goroutine park on the hour-long timer first.
-	advanceUntil(t, clk, 0, func() bool { return clk.PendingWaiters() > 0 })
 	near := w.After(2 * time.Millisecond)
-	advanceUntil(t, clk, time.Millisecond, func() bool {
-		select {
-		case <-near:
-			return true
-		default:
-			return false
-		}
-	})
-	select {
-	case <-far:
+	if dl, _ := clk.NextDeadline(); !dl.Equal(Epoch.Add(2 * time.Millisecond)) {
+		t.Fatalf("timer armed for %v, want the near slot", dl.Sub(Epoch))
+	}
+	clk.Advance(2 * time.Millisecond)
+	if !fired(near) {
+		t.Fatal("near sleeper did not fire at its slot")
+	}
+	if fired(far) {
 		t.Fatal("hour-long sleeper fired after milliseconds")
-	default:
+	}
+	if dl, _ := clk.NextDeadline(); !dl.Equal(Epoch.Add(time.Hour)) {
+		t.Fatalf("timer re-armed for %v, want the far slot", dl.Sub(Epoch))
+	}
+}
+
+// TestWheelAdvancePastManySlots: one Advance across several slots fires
+// each at its own instant, earliest first.
+func TestWheelAdvancePastManySlots(t *testing.T) {
+	clk := NewVirtual()
+	w := NewWheel(clk, time.Millisecond)
+	var chans []<-chan struct{}
+	for _, d := range []time.Duration{3, 1, 4, 2} {
+		chans = append(chans, w.After(d*time.Millisecond))
+	}
+	// Probes between the slots count what has fired so far.
+	var seen []int
+	for _, d := range []time.Duration{1500, 2500, 3500} {
+		clk.AfterFunc(d*time.Microsecond, func() {
+			n := 0
+			for _, ch := range chans {
+				if fired(ch) {
+					n++
+				}
+			}
+			seen = append(seen, n)
+		})
+	}
+	clk.Advance(10 * time.Millisecond)
+	if len(seen) != 3 || seen[0] != 1 || seen[1] != 2 || seen[2] != 3 {
+		t.Fatalf("slots fired by 1.5, 2.5 and 3.5 ms: %v, want [1 2 3]", seen)
+	}
+	for i, ch := range chans {
+		if !fired(ch) {
+			t.Fatalf("slot %d not fired after advancing past it", i)
+		}
 	}
 }
 
@@ -119,22 +165,94 @@ func TestWheelSleepCancellation(t *testing.T) {
 	}
 }
 
-// TestWheelDrainsAndRestarts proves slot goroutines exit once fired and
-// fresh sleepers start fresh slots.
+// TestWheelSleepCancelledOpensNoSlot: a session that is already gone
+// gets its error back without a slot or a timer.
+func TestWheelSleepCancelledOpensNoSlot(t *testing.T) {
+	clk := NewVirtual()
+	w := NewWheel(clk, time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := w.Sleep(ctx, time.Second); err != context.Canceled {
+		t.Fatalf("Sleep returned %v, want context.Canceled", err)
+	}
+	if got := w.PendingSlots(); got != 0 {
+		t.Fatalf("PendingSlots = %d, want 0", got)
+	}
+	if got := clk.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d, want 0", got)
+	}
+}
+
+// TestWheelDrainsAndRestarts proves a fired slot leaves nothing behind —
+// no slot, no armed timer — and fresh sleepers start fresh slots.
 func TestWheelDrainsAndRestarts(t *testing.T) {
 	clk := NewVirtual()
 	w := NewWheel(clk, time.Millisecond)
 	for round := 0; round < 3; round++ {
 		ch := w.After(time.Millisecond)
-		advanceUntil(t, clk, time.Millisecond, func() bool {
-			select {
-			case <-ch:
-				return true
-			default:
-				return false
-			}
-		})
-		advanceUntil(t, clk, 0, func() bool { return w.PendingSlots() == 0 })
+		clk.Advance(time.Millisecond)
+		if !fired(ch) {
+			t.Fatalf("round %d: slot not fired", round)
+		}
+		if got := w.PendingSlots(); got != 0 {
+			t.Fatalf("round %d: PendingSlots = %d", round, got)
+		}
+		if got := clk.PendingWaiters(); got != 0 {
+			t.Fatalf("round %d: PendingWaiters = %d, an idle wheel armed its timer", round, got)
+		}
+	}
+}
+
+// TestWheelPendingSlotsHoldNoGoroutine: a thousand pending slots are a
+// thousand channels behind one clock waiter, and no goroutine.
+func TestWheelPendingSlotsHoldNoGoroutine(t *testing.T) {
+	clk := NewVirtual()
+	w := NewWheel(clk, time.Millisecond)
+	before := runtime.NumGoroutine()
+	chans := make([]<-chan struct{}, 1000)
+	for i := range chans {
+		// Latest first, so each new slot re-arms the timer earlier.
+		chans[i] = w.After(time.Duration(len(chans)-i) * time.Millisecond)
+	}
+	if got := w.PendingSlots(); got != len(chans) {
+		t.Fatalf("PendingSlots = %d, want %d", got, len(chans))
+	}
+	if got := clk.PendingWaiters(); got != 1 {
+		t.Fatalf("PendingWaiters = %d, want the wheel's one timer", got)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d pending slots added %d goroutines", len(chans), got-before)
+	}
+	clk.Advance(time.Second)
+	for i, ch := range chans {
+		if !fired(ch) {
+			t.Fatalf("slot %d not fired", i)
+		}
+	}
+	if got := w.PendingSlots() + clk.PendingWaiters(); got != 0 {
+		t.Fatalf("%d slots or waiters left after every slot fired", got)
+	}
+}
+
+// TestWheelAllocs pins the cost of a paced wait on the real clock: a
+// Sleep that opens a slot allocates its channel and nothing else, and
+// one that joins a pending slot allocates nothing.
+func TestWheelAllocs(t *testing.T) {
+	w := NewWheel(Real{}, time.Millisecond)
+	ctx := context.Background()
+	// Each Sleep finds the slot before it fired, so it opens its own.
+	open := testing.AllocsPerRun(50, func() { _ = w.Sleep(ctx, time.Millisecond) })
+	// After opens a slot and the Sleep right behind it joins it.
+	openJoin := testing.AllocsPerRun(50, func() {
+		w.After(2 * time.Millisecond)
+		_ = w.Sleep(ctx, 2*time.Millisecond)
+	})
+	t.Logf("allocs per Sleep: %v opening a slot, %v opening one and joining it", open, openJoin)
+	if open > 1 {
+		t.Errorf("a Sleep that opens a slot allocates %v times, want at most 1", open)
+	}
+	if join := openJoin - open; join > 0 {
+		t.Errorf("a Sleep that joins a pending slot allocates %v times, want 0", join)
 	}
 }
 
@@ -164,4 +282,24 @@ func TestWheelManyConcurrentSleepers(t *testing.T) {
 	if got := w.PendingSlots(); got != 0 {
 		t.Fatalf("PendingSlots = %d after all sleepers woke", got)
 	}
+}
+
+// BenchmarkWheelSleep is many paced sessions on one real-clock wheel:
+// sleepers of 1–4 ms, so each slot has several sleepers and several
+// slots pend at once. allocs/op is what one paced wait costs.
+func BenchmarkWheelSleep(b *testing.B) {
+	w := NewWheel(Real{}, time.Millisecond)
+	ctx := context.Background()
+	var sleepers atomic.Int64
+	b.ReportAllocs()
+	b.SetParallelism(32)
+	b.RunParallel(func(pb *testing.PB) {
+		d := time.Duration(sleepers.Add(1)%4+1) * time.Millisecond
+		for pb.Next() {
+			if err := w.Sleep(ctx, d); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
