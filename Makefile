@@ -2,9 +2,9 @@ GO ?= go
 
 RACE_PKGS := ./...
 
-.PHONY: all build test test-poison vet fmt-check lint fuzz-smoke race bench benchmark-check benchmark-smoke lines
+.PHONY: all build test test-poison vet fmt-check lint fuzz-smoke race bench bench-smoke benchmark-check benchmark-smoke lines
 
-all: build test vet fmt-check lint benchmark-check
+all: build test vet fmt-check lint bench-smoke benchmark-check
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,12 @@ race:
 # (internal/vclock) microbenchmarks.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/streaming ./internal/asf ./internal/vclock
+
+# Every benchmark in the module, run once: a benchmark that no longer
+# runs (a removed route, a changed API) fails the build here instead of
+# at the next `make bench`. No timing is read.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The benchmark of record (BENCHMARK.json, benchmark/README.md) is a
 # nested module the root `go build ./... && go test ./...` does not

@@ -208,14 +208,73 @@ func EncodeIndex(ix Index) ([]byte, error) {
 	if len(ix) > MaxIndexEntries {
 		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, len(ix))
 	}
-	out := make([]byte, 0, len(indexMagic)+4+len(ix)*indexEntrySize)
-	out = append(out, indexMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(ix)))
+	out := appendIndexPrefix(make([]byte, 0, indexPrefixSize+len(ix)*indexEntrySize), len(ix))
 	for _, e := range ix {
-		out = appendDur(out, e.PTS)
-		out = binary.LittleEndian.AppendUint32(out, e.Seq)
+		out = appendIndexEntry(out, e)
 	}
 	return out, nil
+}
+
+func appendIndexPrefix(dst []byte, n int) []byte {
+	dst = append(dst, indexMagic[:]...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+func appendIndexEntry(dst []byte, e IndexEntry) []byte {
+	dst = appendDur(dst, e.PTS)
+	return binary.LittleEndian.AppendUint32(dst, e.Seq)
+}
+
+// KeyIndex is the index object a Writer closes a stored stream with —
+// an entry for every keyframe it wrote — encoded once for the whole
+// stream. The object that closes any suffix of the stream, a session
+// started at a seek point, is cut from it (From) instead of collected
+// and encoded again, so its size is known before the first byte is
+// written.
+type KeyIndex struct {
+	obj []byte // the whole index object; nil for a live stream, which closes with none
+}
+
+// NewKeyIndex encodes the index a Writer with header h closes packets
+// with, in one exactly sized allocation.
+func NewKeyIndex(h Header, packets []*Shared) KeyIndex {
+	if h.Live() {
+		return KeyIndex{}
+	}
+	n := 0
+	for _, sp := range packets {
+		if sp.Keyframe() {
+			n++
+		}
+	}
+	obj := appendIndexPrefix(make([]byte, 0, indexPrefixSize+n*indexEntrySize), n)
+	for _, sp := range packets {
+		if sp.Keyframe() {
+			obj = appendIndexEntry(obj, IndexEntry{PTS: sp.pkt.PTS, Seq: sp.pkt.Seq})
+		}
+	}
+	return KeyIndex{obj: obj}
+}
+
+// From returns the index object over the entries from the i-th on: what
+// a Writer given the stream's packets from its i-th keyframe on closes
+// with. That is the whole object as is when i is 0, else its tail behind
+// a new prefix in one exactly sized allocation; nothing for a live
+// stream, or when more entries remain than an index may hold (Close
+// fails then and writes none). The result is shared: never modify it.
+func (x KeyIndex) From(i int) []byte {
+	if x.obj == nil {
+		return nil
+	}
+	entries := x.obj[indexPrefixSize+i*indexEntrySize:]
+	n := len(entries) / indexEntrySize
+	switch {
+	case n > MaxIndexEntries:
+		return nil
+	case i == 0:
+		return x.obj
+	}
+	return append(appendIndexPrefix(make([]byte, 0, indexPrefixSize+len(entries)), n), entries...)
 }
 
 // Writer emits a container to an io.Writer: header first, then packets,
@@ -577,7 +636,7 @@ func (r *Reader) parsePacket() (Packet, []byte, error) {
 
 // readIndex reads the index object whose magic is at pos.
 func (r *Reader) readIndex() (Index, error) {
-	prefix, err := r.peek(len(indexMagic) + 4)
+	prefix, err := r.peek(indexPrefixSize)
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated index: %w", ErrCorrupt, err)
 	}

@@ -15,6 +15,9 @@ const (
 	// headerPrefixSize is the header object before its body: "WMP1"
 	// magic, u32 body size.
 	headerPrefixSize = 4 + 4
+	// indexPrefixSize is the index object before its entries: "IX" magic,
+	// u32 entry count.
+	indexPrefixSize = 2 + 4
 	// indexEntrySize is one index entry: i64 pts, u32 seq.
 	indexEntrySize = 8 + 4
 )

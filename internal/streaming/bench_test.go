@@ -16,6 +16,7 @@ import (
 	"repro/internal/encoder"
 	"repro/internal/media"
 	"repro/internal/netsim"
+	"repro/internal/proto"
 )
 
 // benchHeader is a minimal valid live header for channel benchmarks.
@@ -237,7 +238,8 @@ func encodeDSLAsset(t testing.TB) []byte {
 // netsim.MemNet — every connection write a rendezvous with the reader —
 // to a client that only drains the body. Pacing is off, so the measured
 // cost is the write loop and the connection, not the play-out schedule;
-// flushes/packet is the loop's batching (1 at a flush per packet).
+// flushes/packet is the loop's batching (1 at a flush per packet), and
+// allocs/packet counts both ends of the connection.
 func BenchmarkVODSession(b *testing.B) {
 	srv := NewServer(nil)
 	srv.Pacing = false
@@ -256,11 +258,14 @@ func BenchmarkVODSession(b *testing.B) {
 	defer hs.Close()
 	client := mem.Client()
 	defer client.CloseIdleConnections()
+	url := "http://origin.lod" + proto.Versioned(proto.StreamPath(proto.StreamVOD, "lec"))
 
+	var before, after runtime.MemStats
 	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Get("http://origin.lod/vod/lec")
+		resp, err := client.Get(url)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,13 +274,15 @@ func BenchmarkVODSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n < asset.Bytes() {
-			b.Fatalf("VOD response of %d bytes for %d payload bytes", n, asset.Bytes())
+		if resp.StatusCode != http.StatusOK || n != resp.ContentLength {
+			b.Fatalf("VOD response: status %d, %d bytes of a declared %d", resp.StatusCode, n, resp.ContentLength)
 		}
 		b.SetBytes(n)
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	packets := float64(b.N) * float64(len(asset.SharedPackets()))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/packets, "ns/packet")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/packets, "allocs/packet")
 	b.ReportMetric(float64(srv.inst.flushes.Value())/packets, "flushes/packet")
 }

@@ -3,6 +3,7 @@ package streaming
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/netsim"
+	"repro/internal/proto"
 	"repro/internal/testutil"
 	"repro/internal/vclock"
 )
@@ -292,8 +295,9 @@ func (d discardResponse) Flush()                      {}
 // TestVODSessionAllocsIndependentOfLength pins the per-session half of
 // the zero-copy contract (asf's TestWriteSharedAllocFree pins the
 // per-packet half): what the server allocates to serve a stored lecture
-// does not grow with the lecture's packet count, apart from the
-// amortized doublings of the writer's keyframe index.
+// does not grow with the lecture's packet count. The header and the
+// keyframe index are encoded once per asset, so a session collects
+// nothing as it goes.
 func TestVODSessionAllocsIndependentOfLength(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false
@@ -303,7 +307,7 @@ func TestVODSessionAllocsIndependentOfLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := httptest.NewRequest(http.MethodGet, "/v1/vod/"+name, nil)
+		req := httptest.NewRequest(http.MethodGet, proto.Versioned(proto.StreamPath(proto.StreamVOD, name)), nil)
 		w := discardResponse{header: make(http.Header)}
 		return testing.AllocsPerRun(20, func() { handler.ServeHTTP(w, req) }), len(a.SharedPackets())
 	}
@@ -312,9 +316,62 @@ func TestVODSessionAllocsIndependentOfLength(t *testing.T) {
 	if longPkts < 8*shortPkts {
 		t.Fatalf("assets of %d and %d packets do not separate per-packet from per-session cost", shortPkts, longPkts)
 	}
-	// 16× the packets may double the index four more times.
-	if long > short+4 {
+	if long > short+1 {
 		t.Fatalf("a %d-packet session allocates %.0f times, a %d-packet one %.0f: the cost grows with length",
 			longPkts, long, shortPkts, short)
 	}
+}
+
+// TestVODSessionAllocsIndependentOfLengthOverHTTP is the same guard over
+// the real transport: net/http serving on netsim.MemNet to a client that
+// drains the body, both sides counted. A response of undeclared length
+// is chunked there, and every chunk header past the first 2 KB of a
+// chunk costs an allocation; a stored response declares its length, so
+// 16× the lecture costs no more than a few allocations of noise.
+func TestVODSessionAllocsIndependentOfLengthOverHTTP(t *testing.T) {
+	srv := NewServer(nil)
+	srv.Pacing = false
+	mem := netsim.NewMemNet()
+	defer mem.Close()
+	ln, err := mem.Listen("origin.lod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
+	go func() { _ = hs.Serve(ln) }() // returns when Close closes the listener
+	defer hs.Close()
+	client := mem.Client()
+	defer client.CloseIdleConnections()
+
+	allocs := func(name string, dur time.Duration) (float64, int64) {
+		if _, err := srv.RegisterAsset(name, asf.NewReader(bytes.NewReader(encodeTestAsset(t, dur)))); err != nil {
+			t.Fatal(err)
+		}
+		url := "http://origin.lod" + proto.Versioned(proto.StreamPath(proto.StreamVOD, name))
+		var n int64
+		get := func() {
+			resp, err := client.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: status %d after %d bytes, %v", url, resp.StatusCode, n, err)
+			}
+		}
+		get() // open the connection the measured sessions reuse
+		return testing.AllocsPerRun(20, get), n
+	}
+	short, shortBytes := allocs("short", 2*time.Second)
+	long, longBytes := allocs("long", 32*time.Second)
+	// The difference is 64 and more 2 KB chunks: far above the bound.
+	if longBytes-shortBytes < 128<<10 {
+		t.Fatalf("responses of %d and %d bytes do not separate per-byte from per-session cost", shortBytes, longBytes)
+	}
+	if long > short+8 {
+		t.Fatalf("a %d-byte session allocates %.0f times, a %d-byte one %.0f: the cost grows with length",
+			longBytes, long, shortBytes, short)
+	}
+	t.Logf("%d-byte session: %.0f allocations; %d-byte: %.0f", shortBytes, short, longBytes, long)
 }

@@ -58,6 +58,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -89,9 +90,25 @@ type Asset struct {
 	// against (SeekIndex).
 	Index asf.Index
 
-	shared  []*asf.Shared  // what every session and mirror fetch writes
-	seekPos map[uint32]int // packet sequence number → position in Packets
-	bytes   int64          // total payload size
+	shared  []*asf.Shared        // what every session and mirror fetch writes
+	seekPos map[uint32]seekPoint // packet sequence number → where a seek to it starts
+	bytes   int64                // total payload size
+
+	// A stored response is the encoded header, the wire images from its
+	// seek point on and the index over their keyframes (storedRange). The
+	// first and last are encoded here once, so a session knows its length
+	// before its first write.
+	header []byte       // the encoded header
+	wire   int64        // wire bytes of every packet
+	keys   asf.KeyIndex // the index over every packet
+}
+
+// seekPoint is where a stored response starts: a position in Packets,
+// with the wire bytes and the keyframes of the packets before it.
+type seekPoint struct {
+	pos  int
+	off  int64
+	keys int
 }
 
 // SharedPackets returns the asset's packets as the validated wire images
@@ -106,12 +123,29 @@ func (a *Asset) Bytes() int64 { return a.bytes }
 // before the given presentation time, or 0 when the index has no entry
 // that early or points at a sequence number no packet carries (play from
 // the beginning).
-func (a *Asset) SeekIndex(at time.Duration) int {
+func (a *Asset) SeekIndex(at time.Duration) int { return a.seek(at).pos }
+
+// seek is SeekIndex's seek point.
+func (a *Asset) seek(at time.Duration) seekPoint {
 	seq, ok := a.Index.Locate(at)
 	if !ok {
-		return 0
+		return seekPoint{}
 	}
 	return a.seekPos[seq]
+}
+
+// storedRange declares on h the length and type of the stored response
+// that starts at p, and returns what it carries: the header, the packets
+// whose wire images follow it, and the trailing index over their
+// keyframes — the bytes an asf.Writer given those packets writes. With
+// its length declared, net/http sends the body as is, not in chunks, and
+// a client reads a body cut short as an unexpected EOF.
+func (a *Asset) storedRange(h http.Header, p seekPoint) (header []byte, packets []*asf.Shared, index []byte) {
+	index = a.keys.From(p.keys)
+	n := int64(len(a.header)) + a.wire - p.off + int64(len(index))
+	h.Set("Content-Type", "application/x-wmp-stream")
+	h.Set("Content-Length", strconv.FormatInt(n, 10))
+	return a.header, a.shared[p.pos:], index
 }
 
 // ServerStats counts server activity: a snapshot of the server's
@@ -267,7 +301,10 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 	}
-	a := &Asset{Name: name, Header: h, seekPos: make(map[uint32]int)}
+	a := &Asset{Name: name, Header: h}
+	if a.header, err = asf.EncodeHeader(h); err != nil {
+		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
+	}
 	for {
 		sp, err := r.ReadShared()
 		if err != nil {
@@ -276,17 +313,42 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 			}
 			return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 		}
-		// The first packet carrying a sequence number is the one a seek
-		// lands on.
-		if _, dup := a.seekPos[sp.Seq()]; !dup {
-			a.seekPos[sp.Seq()] = len(a.shared)
-		}
 		a.shared = append(a.shared, sp)
 		a.Packets = append(a.Packets, sp.Packet())
 		a.bytes += int64(sp.PayloadLen())
+		a.wire += int64(len(sp.Wire()))
 	}
 	a.Index = r.Index()
+	a.keys = asf.NewKeyIndex(h, a.shared)
+	a.seekPos = seekPoints(a.Index, a.shared)
 	return a, nil
+}
+
+// seekPoints maps every sequence number the index names to where a seek
+// to it starts: the first packet carrying it. One that no packet carries
+// is left out, so a seek to it plays from the start.
+func seekPoints(ix asf.Index, packets []*asf.Shared) map[uint32]seekPoint {
+	points := make(map[uint32]seekPoint, len(ix))
+	for _, e := range ix {
+		points[e.Seq] = seekPoint{pos: -1}
+	}
+	var off int64
+	keys := 0
+	for i, sp := range packets {
+		if p, ok := points[sp.Seq()]; ok && p.pos < 0 {
+			points[sp.Seq()] = seekPoint{pos: i, off: off, keys: keys}
+		}
+		off += int64(len(sp.Wire()))
+		if sp.Keyframe() {
+			keys++
+		}
+	}
+	for seq, p := range points {
+		if p.pos < 0 {
+			delete(points, seq)
+		}
+	}
+	return points
 }
 
 // RegisterAsset parses a stored container and registers it by name. An
@@ -611,34 +673,29 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inst.mirrors.Inc()
 
-	w.Header().Set("Content-Type", "application/x-wmp-stream")
+	header, packets, index := asset.storedRange(w.Header(), seekPoint{})
 	bw := fetchBuffers.Get().(*bufio.Writer)
 	bw.Reset(w)
 	defer func() {
 		bw.Reset(nil) // drop the response before the buffer outlives it
 		fetchBuffers.Put(bw)
 	}()
-	writer, err := asf.NewWriter(bw, asset.Header)
-	if err != nil {
-		proto.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	var sentPkts, sentBytes int64
-	for _, sp := range asset.SharedPackets() {
+	defer func() { s.addSent(sentPkts, sentBytes) }()
+	// A failed write is sticky in bw: the writes after one do nothing.
+	_, _ = bw.Write(header)
+	for _, sp := range packets {
 		if r.Context().Err() != nil {
-			break
+			return // mirror went away: the body stays short of its length
 		}
-		if err := writer.WriteShared(sp); err != nil {
-			break // mirror went away
+		if _, err := bw.Write(sp.Wire()); err != nil {
+			return
 		}
 		sentPkts++
 		sentBytes += int64(sp.PayloadLen())
 	}
-	// A failed write is sticky in bw: Close and Flush after one write
-	// nothing more.
-	_ = writer.Close()
+	_, _ = bw.Write(index)
 	_ = bw.Flush()
-	s.addSent(sentPkts, sentBytes)
 }
 
 // fetchBuffers batch a mirror pull's packets into 32 KB writes instead of
@@ -717,14 +774,14 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		proto.WriteError(w, http.StatusNotFound, "streaming: unknown asset "+name)
 		return
 	}
-	firstIdx := 0
+	var from seekPoint
 	if raw := r.URL.Query().Get(proto.ParamStart); raw != "" {
 		at, err := proto.ParseStart(raw)
 		if err != nil {
 			proto.WriteErr(w, err)
 			return
 		}
-		firstIdx = asset.SeekIndex(at)
+		from = asset.seek(at)
 	}
 	rate := headerRate(asset.Header)
 	if s.Admission != nil {
@@ -738,12 +795,7 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 	}
 	defer s.beginStream("vod", asset.Name, rate)()
 
-	w.Header().Set("Content-Type", "application/x-wmp-stream")
-	writer, err := asf.NewWriter(w, asset.Header)
-	if err != nil {
-		proto.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+	header, packets, index := asset.storedRange(w.Header(), from)
 	flusher, _ := w.(http.Flusher)
 	pending := false // bytes written since the last flush
 	flush := func() {
@@ -756,13 +808,14 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 
 	start := s.clock.Now()
 	var sentPkts, sentBytes int64
-	shared := asset.SharedPackets()
-	if firstIdx > len(shared) {
-		firstIdx = len(shared)
-	}
+	defer func() { s.addSent(sentPkts, sentBytes) }()
 	var sendBase time.Duration
-	if firstIdx < len(shared) {
-		sendBase = shared[firstIdx].SendAt()
+	if len(packets) > 0 {
+		sendBase = packets[0].SendAt()
+	}
+	// The header goes out with the first packet, which is always due.
+	if _, err := w.Write(header); err != nil {
+		return
 	}
 	// The flush follows the schedule: a packet that is already due is
 	// written into the connection's buffers, and the loop flushes when it
@@ -770,7 +823,7 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 	// still puts every packet on the wire at its send instant, and an
 	// unpaced or late one goes out in buffer-sized writes.
 	now := start // last clock reading
-	for _, sp := range shared[firstIdx:] {
+	for _, sp := range packets {
 		if s.Pacing {
 			due := start.Add(sp.SendAt() - sendBase)
 			// Packets are in send order: one due at or before the last
@@ -786,7 +839,6 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 				// records the slept packet's lateness (the wheel's
 				// rounding included) and serves the packets behind it.
 				if err := s.pacer.Sleep(r.Context(), wait); err != nil {
-					s.addSent(sentPkts, sentBytes)
 					return
 				}
 				now = s.clock.Now()
@@ -795,11 +847,13 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 				s.inst.pacingLag.Observe((-wait).Seconds())
 			}
 		}
+		// A client that went away gets nothing more: its body stays short
+		// of the declared length.
 		if r.Context().Err() != nil {
-			break
+			return
 		}
-		if err := writer.WriteShared(sp); err != nil {
-			break // client went away
+		if _, err := w.Write(sp.Wire()); err != nil {
+			return
 		}
 		pending = true
 		sentPkts++
@@ -812,10 +866,10 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 			flush()
 		}
 	}
-	// Stored streams end with their index for seek-capable clients;
-	// returning finishes the response, which flushes what is pending.
-	_ = writer.Close()
-	s.addSent(sentPkts, sentBytes)
+	// Stored streams end with their index for seek-capable clients; if
+	// its write fails the body is short and there is nothing left to do.
+	// Returning finishes the response, which flushes what is pending.
+	_, _ = w.Write(index)
 }
 
 // handleLive attaches the client to a live channel.
@@ -916,10 +970,12 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 			sentPkts++
 			sentBytes += int64(sp.PayloadLen())
 			// Coalesce: drain whatever else is already queued before
-			// flushing once. Under fan-out load this turns N tiny HTTP
-			// chunks into one big one — the write-batching half of the
-			// hot-path work — while an idle channel still flushes every
-			// packet immediately.
+			// flushing once. Under fan-out load this turns N flushes into
+			// one — the write-batching half of the hot-path work — while
+			// an idle channel still flushes every packet immediately. A
+			// broadcast has no length, so the response is chunked, and
+			// net/http's 2 KB response buffer makes the batch one chunk
+			// per 2 KB, not one chunk.
 			for drained := false; !drained; {
 				select {
 				case sp2, open2 := <-sub.C:

@@ -22,12 +22,18 @@ import (
 // encodeTestAsset produces a short stored lecture container.
 func encodeTestAsset(t testing.TB, dur time.Duration) []byte {
 	t.Helper()
+	return encodeSlidesAsset(t, dur, 2)
+}
+
+// encodeSlidesAsset is encodeTestAsset with the given number of slides.
+func encodeSlidesAsset(t testing.TB, dur time.Duration, slides int) []byte {
+	t.Helper()
 	p, err := codec.ByName("modem-56k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lec, err := capture.NewLecture(capture.LectureConfig{
-		Title: "stream test", Duration: dur, Profile: p, SlideCount: 2, Seed: 3,
+		Title: "stream test", Duration: dur, Profile: p, SlideCount: slides, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
