@@ -1,6 +1,8 @@
-// Benchmark harness: one benchmark per paper table/figure (the E1–E12
-// index of DESIGN.md) plus the ablation benches DESIGN.md calls out.
-// Run with: go test -bench=. -benchmem
+// Benchmarks of the packages behind the paper's figures, named by
+// DESIGN.md's experiment index where one row has a cost worth timing
+// (E7 and E11 are checked by tests only; E12's fan-out is
+// internal/streaming's BenchmarkChannelPublish), plus the ablation
+// benches DESIGN.md calls out. Run with: go test -bench=. -benchmem
 package repro
 
 import (
@@ -14,10 +16,8 @@ import (
 	"repro/internal/capture"
 	"repro/internal/codec"
 	"repro/internal/contenttree"
-	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/encoder"
-	"repro/internal/experiments"
 	"repro/internal/media"
 	"repro/internal/netsim"
 	"repro/internal/ocpn"
@@ -131,39 +131,6 @@ func BenchmarkE6ContentTreeBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkE7EndToEnd regenerates Fig 7: encoder → simulated network →
-// client, per link class.
-func BenchmarkE7EndToEnd(b *testing.B) {
-	links := map[string]netsim.Link{
-		"lan":   netsim.LinkLAN,
-		"dsl":   netsim.LinkDSL,
-		"modem": netsim.LinkModem56k,
-		"wifi":  netsim.LinkLossyWiFi,
-	}
-	for name, link := range links {
-		b.Run(name, func(b *testing.B) {
-			cfg := core.E2EConfig{
-				Lecture: capture.LectureConfig{
-					Title: "bench", Duration: 10 * time.Second,
-					Profile: mustProfile(b, "modem-56k"), SlideCount: 4, Seed: 2002,
-				},
-				Link:         link,
-				StartupDelay: time.Second,
-				LeadTime:     time.Second,
-			}
-			var lastSkew time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunEndToEnd(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lastSkew = res.MaxSkew
-			}
-			b.ReportMetric(float64(lastSkew.Microseconds())/1000, "maxskew-ms")
-		})
-	}
-}
-
 // BenchmarkE8Profiles regenerates the profile ladder table: encoding cost
 // and output size per bandwidth profile.
 func BenchmarkE8Profiles(b *testing.B) {
@@ -239,42 +206,6 @@ func BenchmarkE10Floor(b *testing.B) {
 					if err := floor.Release(floor.Holder()); err != nil {
 						b.Fatal(err)
 					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE11Monotone regenerates the Abstractor property check.
-func BenchmarkE11Monotone(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunE11(50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE12Scalability regenerates the live fan-out scalability series.
-func BenchmarkE12Scalability(b *testing.B) {
-	lec := benchLecture(b, "modem-56k", 5*time.Second, 2)
-	var buf bytes.Buffer
-	if _, err := encoder.EncodeLecture(lec, encoder.Config{Live: true}, &buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, clients := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				h, pkts, _, err := asf.ReadAll(bytes.NewReader(data))
-				if err != nil {
-					b.Fatal(err)
-				}
-				row, err := experiments.FanOut(h, pkts, clients)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if row.Delivered == 0 {
-					b.Fatal("nothing delivered")
 				}
 			}
 		})

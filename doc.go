@@ -20,8 +20,9 @@
 // text at GET /v1/metrics and as a JSON snapshot at GET /v1/status.
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
-// paper-vs-measured record, and README.md for a quickstart. The root
-// package holds the benchmark harness (bench_test.go) that regenerates the
-// paper's tables and figures; the library lives under internal/ and the
-// runnable tools under cmd/ and examples/.
+// paper-vs-measured record, and README.md for a quickstart. Each paper
+// table or figure is checked by a test in the package it reproduces; the
+// root package holds the end-to-end integration tests and the benchmarks
+// of those packages (bench_test.go). The library lives under internal/
+// and the runnable tools under cmd/ and examples/.
 package repro

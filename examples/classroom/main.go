@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/http/httptest"
 	"sync"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/client"
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/encoder"
 	"repro/internal/netsim"
 	"repro/internal/player"
@@ -71,31 +71,42 @@ func run() error {
 	defer ts.Close()
 	fmt.Printf("server up at %s, broadcasting %q\n", ts.URL, lec.Title)
 
-	// --- Students join over HTTP; their players run concurrently. ---
+	// --- Students join over HTTP; their players run concurrently. The
+	// last one sits behind a lossy WiFi link and plays in realtime with a
+	// 32-packet jitter buffer, on a clock of its own. ---
 	var wg sync.WaitGroup
-	results := make([]*player.Metrics, studentCount)
-	errs := make([]error, studentCount)
-	for i := 0; i < studentCount; i++ {
+	results := make([]*player.Metrics, studentCount+1)
+	errs := make([]error, studentCount+1)
+	studentClock := &skipClock{}
+	for i := range results {
+		spec := client.Spec{Kind: client.Live, Name: "lecture-hall"}
+		if i == studentCount {
+			spec.Player = player.Options{Clock: studentClock, Realtime: true,
+				AnchorToFirstPacket: true, JitterBufferDepth: 32}
+			spec.WrapBody = func(r io.Reader) io.Reader {
+				return netsim.NewLinkReader(r, netsim.LinkLossyWiFi.Clone(7), studentClock)
+			}
+		}
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = joinLive(ctx, ts.URL, "lecture-hall")
+			results[id], errs[id] = joinLive(ctx, ts.URL, spec)
 		}(i)
 	}
 
-	// Wait for everyone to attach, then broadcast all packets unpaced (a
+	// Wait for everyone to attach, then broadcast every packet at once (a
 	// real deployment would use channel.PublishPaced with the wall clock).
-	for channel.ClientCount() < studentCount {
+	for channel.ClientCount() < len(results) {
 		time.Sleep(time.Millisecond)
 	}
-	if err := channel.PublishPaced(ctx, instantClock{}, packets); err != nil {
+	if err := channel.PublishPaced(ctx, &skipClock{}, packets); err != nil {
 		return err
 	}
 	channel.Close()
 	wg.Wait()
 
 	delivered := 0
-	for i, m := range results {
+	for i, m := range results[:studentCount] {
 		if errs[i] != nil {
 			return fmt.Errorf("student %d: %w", i, errs[i])
 		}
@@ -106,21 +117,12 @@ func run() error {
 	fmt.Printf("%d/%d students received every slide flip in the live stream\n",
 		delivered, studentCount)
 
-	// --- One student is on a lossy modem link: measure the degradation. ---
-	degraded, err := core.RunEndToEnd(core.E2EConfig{
-		Lecture: capture.LectureConfig{
-			Title: lec.Title, Duration: 10 * time.Second, Profile: profile,
-			SlideCount: 5, Seed: 7,
-		},
-		Link:         netsim.LinkLossyWiFi,
-		StartupDelay: time.Second,
-		LeadTime:     time.Second,
-	})
-	if err != nil {
-		return err
+	degraded := results[studentCount]
+	if errs[studentCount] != nil {
+		return fmt.Errorf("degraded student: %w", errs[studentCount])
 	}
-	fmt.Printf("degraded-network student: %.0f%% of frames decodable, max skew %v, %d lost packets\n",
-		degraded.DecodableFrac*100, degraded.MaxSkew.Truncate(time.Millisecond), degraded.Lost)
+	fmt.Printf("degraded-network student: %d stalls, max skew %v, %d of %d frames broken\n",
+		degraded.Stalls, degraded.MaxSkew.Truncate(time.Millisecond), degraded.BrokenFrames, degraded.VideoFrames)
 
 	// --- Floor control: students ask questions during the lecture. ---
 	class := session.NewClassroom("lecture-hall", nil)
@@ -164,8 +166,8 @@ func run() error {
 
 // joinLive plays a live channel from the server at base through the
 // session SDK, as a student's player would.
-func joinLive(ctx context.Context, base, channel string) (*player.Metrics, error) {
-	sess, err := client.New(base).Open(ctx, client.Spec{Kind: client.Live, Name: channel})
+func joinLive(ctx context.Context, base string, spec client.Spec) (*player.Metrics, error) {
+	sess, err := client.New(base).Open(ctx, spec)
 	if err != nil {
 		return nil, err
 	}

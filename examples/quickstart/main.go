@@ -1,17 +1,22 @@
 // Quickstart: the minimal WMPS loop — record a short lecture, publish it,
-// and replay it, printing what the student would see.
+// serve it, and replay it over HTTP, printing what the student would see.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"time"
 
+	"repro/internal/asf"
 	"repro/internal/capture"
+	"repro/internal/client"
 	"repro/internal/codec"
-	"repro/internal/core"
-	"repro/internal/player"
+	"repro/internal/publish"
+	"repro/internal/streaming"
 )
 
 func main() {
@@ -29,14 +34,12 @@ func run() error {
 		_ = os.RemoveAll(workDir)
 	}()
 
-	sys := core.NewSystem(nil)
-
 	// 1. Record: the teacher gives a 20-second lecture with 4 slides.
 	profile, err := codec.ByName("dsl-300k")
 	if err != nil {
 		return err
 	}
-	lec, err := sys.RecordLecture(capture.LectureConfig{
+	lec, err := capture.NewLecture(capture.LectureConfig{
 		Title:           "Quickstart: Petri nets in 20 seconds",
 		Duration:        20 * time.Second,
 		Profile:         profile,
@@ -50,8 +53,17 @@ func run() error {
 	fmt.Printf("recorded %q: %d video frames, %d audio blocks, %d slides\n",
 		lec.Title, len(lec.Video), len(lec.Audio), len(lec.Slides))
 
-	// 2. Publish: synchronize video and slides with script commands.
-	res, err := sys.PublishLecture(lec, workDir, "quickstart")
+	// 2. Publish: synchronize the raw video and slides with script commands.
+	raw, err := publish.WriteRawLecture(lec, workDir)
+	if err != nil {
+		return err
+	}
+	res, err := publish.Publish(publish.Request{
+		Title:      lec.Title,
+		VideoPath:  raw.VideoPath,
+		SlidesDir:  raw.SlidesDir,
+		OutputPath: filepath.Join(workDir, "quickstart.asf"),
+	})
 	if err != nil {
 		return err
 	}
@@ -59,8 +71,28 @@ func run() error {
 	fmt.Println("content tree:")
 	fmt.Print(res.Tree.String())
 
-	// 3. Replay: a student watches the lecture on demand.
-	m, err := sys.Replay("quickstart", player.Options{})
+	// 3. Serve: the streaming server holds the published container,
+	// unpaced so the replay below does not take the lecture's 20 s.
+	f, err := os.Open(res.AssetPath)
+	if err != nil {
+		return err
+	}
+	server := streaming.NewServer(nil)
+	server.Pacing = false
+	_, err = server.RegisterAsset("quickstart", asf.NewReader(f))
+	_ = f.Close()
+	if err != nil {
+		return err
+	}
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
+
+	// 4. Replay: a student watches the lecture on demand.
+	sess, err := client.New(ts.URL).Open(context.Background(), client.Spec{Kind: client.VOD, Name: "quickstart"})
+	if err != nil {
+		return err
+	}
+	m, err := sess.Play()
 	if err != nil {
 		return err
 	}

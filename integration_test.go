@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,7 +22,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/client"
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/encoder"
 	"repro/internal/player"
 	"repro/internal/proto"
@@ -28,6 +30,7 @@ import (
 	"repro/internal/session"
 	"repro/internal/streaming"
 	"repro/internal/testutil"
+	"repro/internal/vclock"
 )
 
 // scrapeMetrics fetches the role's GET /v1/metrics at base and parses
@@ -74,31 +77,109 @@ func play(base string, spec client.Spec) (*player.Metrics, error) {
 	return sess.Play()
 }
 
+// publishLecture runs the §3 publishing workflow on a recorded lecture —
+// raw capture files in workDir, remuxed with its slides into name.asf —
+// and registers the published file with server under name.
+func publishLecture(t *testing.T, server *streaming.Server, lec *capture.Lecture, workDir, name string) (*publish.Result, *streaming.Asset) {
+	t.Helper()
+	raw, err := publish.WriteRawLecture(lec, workDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := publish.Publish(publish.Request{
+		Title: lec.Title, VideoPath: raw.VideoPath, SlidesDir: raw.SlidesDir,
+		OutputPath: filepath.Join(workDir, name+".asf"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	published, err := os.ReadFile(res.AssetPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asset, err := server.RegisterAsset(name, asf.NewReader(bytes.NewReader(published)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, asset
+}
+
+// TestRecordPublishReplayPipeline walks one lecture through the WMPS
+// pipeline: record, publish with its slides, register, and replay over
+// HTTP. Every recorded frame and slide comes back, none broken.
+func TestRecordPublishReplayPipeline(t *testing.T) {
+	profile, err := codec.ByName("modem-56k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lec, err := capture.NewLecture(capture.LectureConfig{
+		Title: "pipeline lecture", Duration: 4 * time.Second, Profile: profile,
+		SlideCount: 4, AnnotationEvery: 2 * time.Second, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := streaming.NewServer(nil)
+	server.Pacing = false
+	res, _ := publishLecture(t, server, lec, t.TempDir(), "lecture1")
+	if res.Slides != 4 {
+		t.Fatalf("published %d slides", res.Slides)
+	}
+	if res.Tree == nil || res.Tree.Len() != 4 {
+		t.Fatal("content tree missing or wrong size")
+	}
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
+	m, err := play(ts.URL, client.Spec{Kind: client.VOD, Name: "lecture1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SlidesShown != 4 {
+		t.Errorf("replay showed %d slides", m.SlidesShown)
+	}
+	if m.VideoFrames != len(lec.Video) {
+		t.Errorf("replay frames = %d, want %d", m.VideoFrames, len(lec.Video))
+	}
+	if m.BrokenFrames != 0 {
+		t.Errorf("broken frames on a clean pipeline: %d", m.BrokenFrames)
+	}
+}
+
+// TestReplayUnknownAsset asks a server for a lecture it never published:
+// the student's session fails with the server's 404 instead of playing
+// an empty stream.
+func TestReplayUnknownAsset(t *testing.T) {
+	ts := httptest.NewServer(streaming.NewServer(nil).Handler())
+	defer ts.Close()
+	m, err := play(ts.URL, client.Spec{Kind: client.VOD, Name: "ghost"})
+	var pe *proto.Error
+	if !errors.As(err, &pe) || pe.Status != http.StatusNotFound {
+		t.Fatalf("unknown asset: metrics %+v, err %v; want a 404", m, err)
+	}
+}
+
 // TestFullDistributedPipeline is the end-to-end integration test: record a
 // lecture, publish it, serve it over a real HTTP socket at two bitrates,
 // replay it (full and seeked), run the live classroom with floor control
 // over the REST API, and cross-check every artifact.
 func TestFullDistributedPipeline(t *testing.T) {
 	workDir := t.TempDir()
-	sys := core.NewSystem(nil)
-	sys.Server.Pacing = false // wall-clock pacing is covered elsewhere
+	server := streaming.NewServer(nil)
+	server.Pacing = false // wall-clock pacing is covered elsewhere
 
 	// --- Record and publish. ---
 	profile, err := codec.ByName("modem-56k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lec, err := sys.RecordLecture(capture.LectureConfig{
+	lec, err := capture.NewLecture(capture.LectureConfig{
 		Title: "Integration lecture", Duration: 12 * time.Second, Profile: profile,
 		SlideCount: 4, AnnotationEvery: 5 * time.Second, Seed: 99,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pubRes, err := sys.PublishLecture(lec, workDir, "integration")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pubRes, baseAsset := publishLecture(t, server, lec, workDir, "integration")
 	if pubRes.Slides != 4 {
 		t.Fatalf("published %d slides", pubRes.Slides)
 	}
@@ -108,7 +189,7 @@ func TestFullDistributedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	richLec, err := sys.RecordLecture(capture.LectureConfig{
+	richLec, err := capture.NewLecture(capture.LectureConfig{
 		Title: "Integration lecture", Duration: 12 * time.Second, Profile: rich,
 		SlideCount: 4, Seed: 99,
 	})
@@ -119,20 +200,19 @@ func TestFullDistributedPipeline(t *testing.T) {
 	if _, err := encoder.EncodeLecture(richLec, encoder.Config{}, &richBuf); err != nil {
 		t.Fatal(err)
 	}
-	richAsset, err := sys.Server.RegisterAsset("integration-rich", asf.NewReader(bytes.NewReader(richBuf.Bytes())))
+	richAsset, err := server.RegisterAsset("integration-rich", asf.NewReader(bytes.NewReader(richBuf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	group, err := sys.Server.CreateRateGroup("integration-group")
+	group, err := server.CreateRateGroup("integration-group")
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseAsset, _ := sys.Server.Asset("integration")
 	group.AddVariant(baseAsset)
 	group.AddVariant(richAsset)
 
 	// --- Serve over a real socket. ---
-	ts := httptest.NewServer(sys.Server.Handler())
+	ts := httptest.NewServer(server.Handler())
 	defer ts.Close()
 
 	// Full VOD replay over HTTP.
@@ -167,14 +247,22 @@ func TestFullDistributedPipeline(t *testing.T) {
 	}
 
 	// --- Live broadcast to concurrent students. ---
-	liveLec, err := sys.RecordLecture(capture.LectureConfig{
+	liveLec, err := capture.NewLecture(capture.LectureConfig{
 		Title: "Live integration", Duration: 3 * time.Second, Profile: profile,
 		SlideCount: 2, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sys.BroadcastLecture(liveLec, "live-int")
+	var liveBuf bytes.Buffer
+	if _, err := encoder.EncodeLecture(liveLec, encoder.Config{Live: true, LeadTime: time.Second}, &liveBuf); err != nil {
+		t.Fatal(err)
+	}
+	liveHeader, livePackets, _, err := asf.ReadAll(bytes.NewReader(liveBuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	channel, err := server.CreateChannel("live-int", liveHeader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,15 +278,15 @@ func TestFullDistributedPipeline(t *testing.T) {
 		}(i)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for b.Channel.ClientCount() < students && time.Now().Before(deadline) {
+	for channel.ClientCount() < students && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	select {
-	case <-b.Done():
-	case <-time.After(30 * time.Second):
-		_ = b.Stop()
-		t.Fatal("broadcast did not finish")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := channel.PublishPaced(ctx, vclock.Real{}, livePackets); err != nil {
+		t.Fatalf("broadcast: %v", err)
 	}
+	channel.Close()
 	wg.Wait()
 	for i := 0; i < students; i++ {
 		if errs[i] != nil {
@@ -266,7 +354,7 @@ func TestFullDistributedPipeline(t *testing.T) {
 		t.Fatal("content tree does not cover the lecture")
 	}
 	// Server statistics reflect the sessions we ran.
-	st := sys.Server.Stats()
+	st := server.Stats()
 	if st.VODSessions < 4 || st.LiveSessions != students {
 		t.Fatalf("server stats = %+v", st)
 	}

@@ -99,6 +99,33 @@ func TestSection23BuildSteps(t *testing.T) {
 	}
 }
 
+// TestSection23LevelNodesTable checks the whole LevelNodes array after
+// each step of the §2.3 build, row by row as E2 tabulates it: a new
+// level starts at its parent's time plus the segment, and the paper's
+// final row is {20, 60, 100}.
+func TestSection23LevelNodesTable(t *testing.T) {
+	tree := New()
+	steps := []struct {
+		id    string
+		level int
+		want  []float64
+	}{
+		{"S0", 0, []float64{20}},
+		{"S1", 1, []float64{20, 40}},
+		{"S2", 2, []float64{20, 40, 60}},
+		{"S3", 1, []float64{20, 60, 80}},
+		{"S4", 2, []float64{20, 60, 100}},
+	}
+	for _, s := range steps {
+		if err := tree.Attach(s.id, unit, s.level); err != nil {
+			t.Fatalf("add %s: %v", s.id, err)
+		}
+		if got := levelSeconds(tree); !reflect.DeepEqual(got, s.want) {
+			t.Fatalf("after %s LevelNodes = %v, want %v", s.id, got, s.want)
+		}
+	}
+}
+
 // TestFigure1Tree checks the structural shape after the §2.3 build (E1):
 // S0 at the root with S1 and S3 at level 1 refining it, and S2, S4 at
 // level 2 refining S1 and S3 respectively.
@@ -161,6 +188,24 @@ func TestFigure3Insert(t *testing.T) {
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+}
+
+// TestFigure3InsertRendering draws the tree before and after the Fig 3
+// insert, as E3 prints it: S5 takes S3's place under the root, and S3
+// with its old child S4 hang under S5.
+func TestFigure3InsertRendering(t *testing.T) {
+	tree := buildPaperTree(t)
+	before := "S0 (20s)\n  S1 (20s)\n    S2 (20s)\n  S3 (20s)\n    S4 (20s)\n"
+	if got := tree.String(); got != before {
+		t.Fatalf("before insert:\n%s\nwant\n%s", got, before)
+	}
+	if err := tree.Insert("S5", unit, "S3"); err != nil {
+		t.Fatalf("Insert(S5 over S3): %v", err)
+	}
+	after := "S0 (20s)\n  S1 (20s)\n    S2 (20s)\n  S5 (20s)\n    S3 (20s)\n    S4 (20s)\n"
+	if got := tree.String(); got != after {
+		t.Fatalf("after insert:\n%s\nwant\n%s", got, after)
 	}
 }
 

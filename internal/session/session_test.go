@@ -55,6 +55,43 @@ func TestFloorFIFOQueue(t *testing.T) {
 	}
 }
 
+// TestFloorRotatesThroughClass is the E10 floor-control run: a class of
+// n students all ask for the floor at once and each holds it for 2 s on
+// a virtual clock. Grants follow request order, the last student waits
+// for everyone before them, and the trace matches the Petri-net model.
+func TestFloorRotatesThroughClass(t *testing.T) {
+	for _, n := range []int{2, 5, 32} {
+		clk := vclock.NewVirtual()
+		f := NewFloor(clk)
+		order := make([]string, n)
+		for i := range order {
+			order[i] = fmt.Sprintf("student%02d", i)
+			if _, err := f.Request(order[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, want := range order {
+			if got := f.Holder(); got != want {
+				t.Fatalf("n=%d: grant %d went to %q, want %q (FIFO)", n, i, got, want)
+			}
+			clk.Advance(2 * time.Second)
+			if err := f.Release(want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.VerifyAgainstModel(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		st := f.Stats()
+		if st.Grants != n {
+			t.Errorf("n=%d: %d grants", n, st.Grants)
+		}
+		if want := time.Duration(n-1) * 2 * time.Second; st.MaxWait != want {
+			t.Errorf("n=%d: max wait %v, want %v", n, st.MaxWait, want)
+		}
+	}
+}
+
 func TestFloorDoubleRequestRejected(t *testing.T) {
 	f := NewFloor(nil)
 	if _, err := f.Request("alice"); err != nil {
