@@ -316,8 +316,7 @@ func (w *Writer) ensureHeader() error {
 }
 
 // WriteHeader forces the header object out immediately. Without it the
-// header is written lazily on the first packet; live sessions call it on
-// join so clients can parse stream properties before any media flows.
+// header is written lazily on the first packet or on Close.
 func (w *Writer) WriteHeader() error {
 	if w.closed {
 		return ErrClosed

@@ -28,9 +28,12 @@ const DefaultSubscriberBuffer = 256
 type Channel struct {
 	Name string
 
-	mu      sync.Mutex
-	header  asf.Header
-	backlog []*asf.Shared
+	mu     sync.Mutex
+	header asf.Header
+	// wireHeader is header encoded once, the bytes every join sends
+	// first; it never changes.
+	wireHeader []byte
+	backlog    []*asf.Shared
 	// slab is where Publish encodes; a stretch of broadcast shares its
 	// buffers, which live as long as a backlog or a queue holds a packet
 	// in them.
@@ -63,13 +66,15 @@ type Subscriber struct {
 // sent on join. The header's live flag is forced on.
 func NewChannel(name string, h asf.Header) (*Channel, error) {
 	h.Flags |= asf.FlagLive
-	if err := h.Validate(); err != nil {
+	wire, err := asf.EncodeHeader(h) // validates h
+	if err != nil {
 		return nil, err
 	}
 	return &Channel{
-		Name:   name,
-		header: h,
-		subs:   make(map[int]*Subscriber),
+		Name:       name,
+		header:     h,
+		wireHeader: wire,
+		subs:       make(map[int]*Subscriber),
 	}, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/asf"
-	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/testutil"
 	"repro/internal/vclock"
@@ -331,16 +330,7 @@ func TestVODSessionAllocsIndependentOfLength(t *testing.T) {
 func TestVODSessionAllocsIndependentOfLengthOverHTTP(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false
-	mem := netsim.NewMemNet()
-	defer mem.Close()
-	ln, err := mem.Listen("origin.lod")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }() // returns when Close closes the listener
-	defer hs.Close()
-	client := mem.Client()
+	client := serveOnMem(t, srv.Handler()).Client()
 	defer client.CloseIdleConnections()
 
 	allocs := func(name string, dur time.Duration) (float64, int64) {

@@ -674,12 +674,8 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	s.inst.mirrors.Inc()
 
 	header, packets, index := asset.storedRange(w.Header(), seekPoint{})
-	bw := fetchBuffers.Get().(*bufio.Writer)
-	bw.Reset(w)
-	defer func() {
-		bw.Reset(nil) // drop the response before the buffer outlives it
-		fetchBuffers.Put(bw)
-	}()
+	bw := borrowWriter(w)
+	defer returnWriter(bw)
 	var sentPkts, sentBytes int64
 	defer func() { s.addSent(sentPkts, sentBytes) }()
 	// A failed write is sticky in bw: the writes after one do nothing.
@@ -698,11 +694,47 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	_ = bw.Flush()
 }
 
-// fetchBuffers batch a mirror pull's packets into 32 KB writes instead of
-// trickling them through net/http's 2 KB response buffer. A pull is
-// unpaced and over in milliseconds, so a buffer is borrowed only that
-// long; paced sessions get none (see DESIGN.md, "Coalesced writes").
-var fetchBuffers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+// A borrowed writer batches what a handler already has to send — a
+// mirror pull, a live burst — into 32 KB writes instead of trickling it
+// through net/http's 2 KB response buffer, where a chunked response
+// would carry one chunk per 2 KB. It is held only while those bytes
+// leave; a paced session between packets holds none (see DESIGN.md,
+// "Coalesced writes").
+//
+// idleWriters is a leaky free list, not a sync.Pool: every GC empties a
+// pool, and under a steady allocation rate nearly every borrow would
+// allocate a fresh 32 KB. The list keeps only as many writers as were
+// ever out at once, and at most maxIdleWriters: 64 bounds what idle
+// buffers hold to 2 MB, while a server rarely has more bursts and pulls
+// leaving at the same instant. A borrow from an empty list allocates and
+// a return to a full one drops the writer, so neither blocks.
+const (
+	writeBufferSize = 32 << 10
+	maxIdleWriters  = 64
+)
+
+var idleWriters = make(chan *bufio.Writer, maxIdleWriters)
+
+// borrowWriter returns a 32 KB writer in front of w.
+func borrowWriter(w io.Writer) *bufio.Writer {
+	select {
+	case bw := <-idleWriters:
+		bw.Reset(w)
+		return bw
+	default:
+		return bufio.NewWriterSize(w, writeBufferSize)
+	}
+}
+
+// returnWriter gives bw back to the free list. It drops bw's writer (and
+// any unflushed bytes) first, so an idle buffer holds no response.
+func returnWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	select {
+	case idleWriters <- bw:
+	default:
+	}
+}
 
 func (s *Server) handleAssets(w http.ResponseWriter, _ *http.Request) {
 	type info struct {
@@ -907,93 +939,90 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	defer s.beginStream("live", "", rate)()
 
 	w.Header().Set("Content-Type", "application/x-wmp-stream")
-
-	writer, err := asf.NewWriter(w, ch.Header())
-	if err != nil {
-		proto.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	flusher, _ := w.(http.Flusher)
-	// Send the header immediately so the client can parse stream
-	// properties before the first packet flows.
-	if err := writer.WriteHeader(); err != nil {
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-
-	var sentPkts, sentBytes int64
-	defer func() { s.addSent(sentPkts, sentBytes) }()
-	firstPacket := func() {
-		if sentPkts == 0 {
-			s.inst.firstPacketLive.Observe(s.clock.Now().Sub(reqStart).Seconds())
-		}
-	}
-	// ended delivers what is written and ends the response the way the
-	// broadcast ended: cleanly, or — when it broke off — with the
-	// connection aborted, so the viewer reads an unexpected EOF instead of
-	// taking a cut stream for a complete one.
-	ended := func() {
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if ch.Err() != nil {
-			panic(http.ErrAbortHandler)
-		}
 	}
+	// Send the header immediately so the client can parse stream
+	// properties before the first packet flows. A live stream keeps no
+	// index, so the channel's encoded header and the shared wire images
+	// are the whole body: no asf.Writer is needed to frame them.
+	if _, err := w.Write(ch.wireHeader); err != nil {
+		return
+	}
+	flush()
 
-	// Replay the catch-up burst. Shared packets go out as-is: one write
-	// of the already-encoded buffer per packet, one flush for the burst.
-	for _, sp := range sub.Backlog {
-		if err := writer.WriteShared(sp); err != nil {
-			return
+	var sentPkts, sentBytes int64
+	defer func() { s.addSent(sentPkts, sentBytes) }()
+	send := func(out io.Writer, sp *asf.Shared) error {
+		if _, err := out.Write(sp.Wire()); err != nil {
+			return err
 		}
-		firstPacket()
+		if sentPkts == 0 {
+			s.inst.firstPacketLive.Observe(s.clock.Now().Sub(reqStart).Seconds())
+		}
 		sentPkts++
 		sentBytes += int64(sp.PayloadLen())
+		return nil
 	}
-	if flusher != nil {
-		flusher.Flush()
+	// drain writes sps, then every packet already queued behind them, and
+	// flushes once: under fan-out load N queued packets leave in one
+	// flush, not N. A broadcast has no length, so the response is chunked;
+	// a burst of more than one packet goes through a borrowed 32 KB
+	// writer, so net/http frames one chunk per 32 KB of it instead of one
+	// per 2 KB. A lone packet — the paced, real-time case — borrows
+	// nothing: it is written and flushed at once.
+	drain := func(sps ...*asf.Shared) error {
+		out := io.Writer(w)
+		var bw *bufio.Writer
+		if len(sps)+len(sub.C) > 1 {
+			bw = borrowWriter(w)
+			defer returnWriter(bw)
+			out = bw
+		}
+		for _, sp := range sps {
+			if err := send(out, sp); err != nil {
+				return err
+			}
+		}
+		// Only this handler receives from sub.C, so a queued packet is
+		// there to take. A closed queue reads as empty once drained, and
+		// the loop below then sees the end.
+		for len(sub.C) > 0 {
+			if err := send(out, <-sub.C); err != nil {
+				return err
+			}
+		}
+		if bw != nil {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		flush()
+		return nil
+	}
+	// The catch-up backlog is the first drain.
+	if err := drain(sub.Backlog...); err != nil {
+		return
 	}
 	for {
 		select {
 		case sp, open := <-sub.C:
 			if !open {
-				ended()
-				return
-			}
-			if err := writer.WriteShared(sp); err != nil {
-				return
-			}
-			firstPacket()
-			sentPkts++
-			sentBytes += int64(sp.PayloadLen())
-			// Coalesce: drain whatever else is already queued before
-			// flushing once. Under fan-out load this turns N flushes into
-			// one — the write-batching half of the hot-path work — while
-			// an idle channel still flushes every packet immediately. A
-			// broadcast has no length, so the response is chunked, and
-			// net/http's 2 KB response buffer makes the batch one chunk
-			// per 2 KB, not one chunk.
-			for drained := false; !drained; {
-				select {
-				case sp2, open2 := <-sub.C:
-					if !open2 {
-						ended()
-						return
-					}
-					if err := writer.WriteShared(sp2); err != nil {
-						return
-					}
-					sentPkts++
-					sentBytes += int64(sp2.PayloadLen())
-				default:
-					drained = true
+				// Every packet queued before the end has been flushed.
+				// End the response the way the broadcast ended: cleanly,
+				// or — when it broke off — with the connection aborted,
+				// so the viewer reads an unexpected EOF instead of taking
+				// a cut stream for a complete one.
+				if ch.Err() != nil {
+					panic(http.ErrAbortHandler)
 				}
+				return
 			}
-			if flusher != nil {
-				flusher.Flush()
+			if err := drain(sp); err != nil {
+				return
 			}
 		case <-r.Context().Done():
 			return
