@@ -16,8 +16,7 @@ import (
 //     (use http.NewRequestWithContext);
 //   - http.DefaultClient, which waits forever for an answer that never
 //     comes (use proto.DefaultClient, which has dial and header
-//     timeouts), and for the same reason an http.Client literal that
-//     sets neither Timeout nor Transport;
+//     timeouts);
 //   - context.Background()/context.TODO() inside internal packages,
 //     which sever the caller's cancellation chain — internal code takes
 //     a ctx parameter; only the binaries in cmd/ and the examples own
@@ -63,10 +62,6 @@ func runCtxhttp(pass *Pass) {
 					"http.DefaultClient has no timeouts: a peer that never answers hangs the caller; use proto.DefaultClient")
 			}
 		})
-		eachTimeoutFreeClient(f, httpNames, func(lit *ast.CompositeLit) {
-			pass.Reportf(lit.Pos(),
-				"http.Client literal sets neither Timeout nor Transport, so it has no timeouts: a peer that never answers hangs the caller; set one, or use proto.DefaultClient")
-		})
 		if !internal {
 			continue
 		}
@@ -79,39 +74,4 @@ func runCtxhttp(pass *Pass) {
 			}
 		})
 	}
-}
-
-// eachTimeoutFreeClient calls fn for every http.Client composite literal
-// in f that names neither a Timeout nor a Transport. An unkeyed literal
-// lists every field, so it is never reported. The check reads syntax,
-// not types: a literal whose type is elided (`{}` as an element of a
-// []*http.Client literal) goes unseen.
-func eachTimeoutFreeClient(f *ast.File, httpNames map[string]bool, fn func(lit *ast.CompositeLit)) {
-	if len(httpNames) == 0 {
-		return
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		sel, ok := lit.Type.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Client" {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); !ok || !isPkgRef(id, httpNames) {
-			return true
-		}
-		for _, elt := range lit.Elts {
-			kv, ok := elt.(*ast.KeyValueExpr)
-			if !ok {
-				return true
-			}
-			if key, ok := kv.Key.(*ast.Ident); ok && (key.Name == "Timeout" || key.Name == "Transport") {
-				return true
-			}
-		}
-		fn(lit)
-		return true
-	})
 }

@@ -1,14 +1,12 @@
 // Package a exercises the ctxhttp analyzer under an internal import
 // path, where the context-free http helpers, the timeout-free
-// http.DefaultClient and http.Client literals, and context roots are all
-// findings.
+// http.DefaultClient and context roots are all findings.
 package a
 
 import (
 	"context"
 	"io"
 	"net/http"
-	"time"
 )
 
 func fetch(ctx context.Context, client *http.Client, url string) error {
@@ -38,18 +36,6 @@ func fetch(ctx context.Context, client *http.Client, url string) error {
 	// A client with timeouts, handed in, is the allowed form.
 	_, err = client.Do(req)
 	return err
-}
-
-func clients(rt http.RoundTripper) []*http.Client {
-	noFollow := func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
-	return []*http.Client{
-		&http.Client{},                        // want `http\.Client literal sets neither Timeout nor Transport`
-		&http.Client{CheckRedirect: noFollow}, // want `http\.Client literal sets neither Timeout nor Transport`
-		// Either bound is the allowed form.
-		&http.Client{Transport: rt, CheckRedirect: noFollow},
-		&http.Client{Timeout: 10 * time.Second},
-		&http.Client{Transport: rt},
-	}
 }
 
 func roots() context.Context {

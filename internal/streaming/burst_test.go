@@ -9,7 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -347,32 +347,56 @@ func TestLiveLonePacketFlushedAtOnce(t *testing.T) {
 	}
 }
 
-// TestWriterFreeList: a returned writer keeps its buffer and nothing
-// else, and neither borrowing from an empty list nor returning to a full
-// one blocks.
-func TestWriterFreeList(t *testing.T) {
-	var sink bytes.Buffer
-	bw := borrowWriter(&sink)
-	if _, err := bw.WriteString("never flushed"); err != nil {
-		t.Fatal(err)
+// TestReturnedWriterHoldsNoResponse: a writer back on the free list has
+// dropped what it wrote to and what it had not flushed, so an idle
+// buffer keeps no response alive.
+func TestReturnedWriterHoldsNoResponse(t *testing.T) {
+	freed := make(chan struct{})
+	bw := func() *bufio.Writer {
+		sink := new(bytes.Buffer)
+		runtime.SetFinalizer(sink, func(*bytes.Buffer) { close(freed) })
+		bw := borrowWriter(sink)
+		if bw == nil {
+			t.Fatal("no writer free")
+		}
+		if _, err := bw.WriteString("never flushed"); err != nil {
+			t.Fatal(err)
+		}
+		returnWriter(bw)
+		if sink.Len() != 0 {
+			t.Fatalf("returning the writer wrote %d bytes through", sink.Len())
+		}
+		return bw
+	}()
+	if bw.Buffered() != 0 || bw.Size() != writeBufferSize {
+		t.Fatalf("returned writer: %d bytes buffered, size %d; want 0 of %d", bw.Buffered(), bw.Size(), writeBufferSize)
 	}
-	returnWriter(bw)
-	if bw.Buffered() != 0 || bw.Size() != writeBufferSize || sink.Len() != 0 {
-		t.Fatalf("returned writer: %d bytes buffered, size %d, %d bytes written through", bw.Buffered(), bw.Size(), sink.Len())
+	deadline := time.After(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-freed:
+			done = true
+		case <-deadline:
+			t.Fatal("the response a returned writer wrote to is still reachable")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	// bufio.Writer does not expose its destination; read it by reflection.
-	if !reflect.ValueOf(bw).Elem().FieldByName("wr").IsNil() {
-		t.Fatal("a returned writer still holds the response it wrote to")
-	}
+	runtime.KeepAlive(bw)
+}
 
+// TestWriterFreeListBounded: borrowing never blocks and stops at
+// maxWriters, returning never blocks, and the list never holds more
+// writers than were made.
+func TestWriterFreeListBounded(t *testing.T) {
 	done := make(chan struct{})
+	var out []*bufio.Writer
 	go func() {
 		defer close(done)
-		out := make([]*bufio.Writer, 2*maxIdleWriters)
-		for i := range out { // empties the list, then allocates
-			out[i] = borrowWriter(io.Discard)
+		for bw := borrowWriter(io.Discard); bw != nil; bw = borrowWriter(io.Discard) {
+			out = append(out, bw)
 		}
-		for _, bw := range out { // fills the list, then drops the rest
+		for _, bw := range out {
 			returnWriter(bw)
 		}
 	}()
@@ -381,15 +405,19 @@ func TestWriterFreeList(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("borrowing or returning a writer blocked")
 	}
-	if len(idleWriters) != maxIdleWriters {
-		t.Fatalf("free list holds %d writers; want it full at %d", len(idleWriters), maxIdleWriters)
+	if len(out) == 0 || len(out) > maxWriters {
+		t.Fatalf("borrowed %d writers before the list ran out; want 1 to %d", len(out), maxWriters)
+	}
+	if made := int(writersMade.Load()); made > maxWriters || len(idleWriters) > made {
+		t.Fatalf("%d writers made, %d idle; want at most %d made and no more idle", made, len(idleWriters), maxWriters)
 	}
 }
 
-// TestFetchPullsOutnumberingFreeList: more mirror pulls at once than the
-// free list holds writers each get a writer of their own and arrive byte
-// for byte; afterwards the list keeps no more than its capacity.
-func TestFetchPullsOutnumberingFreeList(t *testing.T) {
+// TestFetchPullsOutnumberingWriters: more mirror pulls at once than
+// there are writers to borrow each arrive byte for byte — those that got
+// a writer and those that wrote straight to their response — and no
+// more than maxWriters writers are made.
+func TestFetchPullsOutnumberingWriters(t *testing.T) {
 	srv := NewServer(nil)
 	a, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(encodeTestAsset(t, 16*time.Second))))
 	if err != nil {
@@ -404,10 +432,11 @@ func TestFetchPullsOutnumberingFreeList(t *testing.T) {
 	defer client.CloseIdleConnections()
 	url := "http://origin.lod" + proto.Versioned(proto.StreamPath(proto.StreamFetch, "lec"))
 
-	// Every pull is open before any body is read. A handler fills its
-	// 32 KB writer and is then held in writing it until its body is
-	// read, so all of them hold a borrowed writer at once.
-	const pulls = maxIdleWriters + 16
+	// Every pull is open before any body is read. A handler borrows
+	// before it writes its first byte and is then held writing until its
+	// body is read, so all of them are mid-write at once: with more pulls
+	// than writers, some must write without one.
+	const pulls = maxWriters + 16
 	resps := make([]*http.Response, pulls)
 	errs := make([]error, pulls)
 	var wg sync.WaitGroup
@@ -419,6 +448,9 @@ func TestFetchPullsOutnumberingFreeList(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if made := writersMade.Load(); made > maxWriters {
+		t.Fatalf("%d pulls at once made %d writers; want at most %d", pulls, made, maxWriters)
+	}
 	for i, resp := range resps {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -429,6 +461,4 @@ func TestFetchPullsOutnumberingFreeList(t *testing.T) {
 			t.Fatalf("pull %d: %d bytes, %v; want the asset's %d bytes exactly", i, len(got), err, len(want))
 		}
 	}
-	testutil.WaitUntil(t, 5*time.Second, func() bool { return len(idleWriters) == maxIdleWriters },
-		"the free list is not back at its capacity after %d pulls", pulls)
 }

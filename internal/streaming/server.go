@@ -60,6 +60,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/asf"
@@ -674,55 +675,68 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	s.inst.mirrors.Inc()
 
 	header, packets, index := asset.storedRange(w.Header(), seekPoint{})
-	bw := borrowWriter(w)
-	defer returnWriter(bw)
 	var sentPkts, sentBytes int64
 	defer func() { s.addSent(sentPkts, sentBytes) }()
-	// A failed write is sticky in bw: the writes after one do nothing.
-	_, _ = bw.Write(header)
-	for _, sp := range packets {
-		if r.Context().Err() != nil {
-			return // mirror went away: the body stays short of its length
+	_ = writeBuffered(w, func(out io.Writer) error {
+		if _, err := out.Write(header); err != nil {
+			return err
 		}
-		if _, err := bw.Write(sp.Wire()); err != nil {
-			return
+		for _, sp := range packets {
+			if err := r.Context().Err(); err != nil {
+				return err // mirror went away: the body stays short of its length
+			}
+			if _, err := out.Write(sp.Wire()); err != nil {
+				return err
+			}
+			sentPkts++
+			sentBytes += int64(sp.PayloadLen())
 		}
-		sentPkts++
-		sentBytes += int64(sp.PayloadLen())
-	}
-	_, _ = bw.Write(index)
-	_ = bw.Flush()
+		_, err := out.Write(index)
+		return err
+	})
 }
 
 // A borrowed writer batches what a handler already has to send — a
-// mirror pull, a live burst — into 32 KB writes instead of trickling it
+// mirror pull, a live drain — into 32 KB writes instead of trickling it
 // through net/http's 2 KB response buffer, where a chunked response
 // would carry one chunk per 2 KB. It is held only while those bytes
-// leave; a paced session between packets holds none (see DESIGN.md,
-// "Coalesced writes").
+// leave (see DESIGN.md, "Coalesced writes").
 //
-// idleWriters is a leaky free list, not a sync.Pool: every GC empties a
-// pool, and under a steady allocation rate nearly every borrow would
-// allocate a fresh 32 KB. The list keeps only as many writers as were
-// ever out at once, and at most maxIdleWriters: 64 bounds what idle
-// buffers hold to 2 MB, while a server rarely has more bursts and pulls
-// leaving at the same instant. A borrow from an empty list allocates and
-// a return to a full one drops the writer, so neither blocks.
+// The writers live on a leaky free list, not in a sync.Pool: every GC
+// empties a pool, and under a steady allocation rate nearly every borrow
+// would allocate a fresh 32 KB. At most maxWriters are ever made, so
+// writer memory stays under 2 MB however many handlers write at once: a
+// live viewer that lags keeps its writer while it lags, and once all of
+// them are out a handler writes straight to its response, through the
+// 2 KB buffer. The list has room for every writer made, so neither a
+// borrow nor a return blocks.
 const (
 	writeBufferSize = 32 << 10
-	maxIdleWriters  = 64
+	maxWriters      = 64
 )
 
-var idleWriters = make(chan *bufio.Writer, maxIdleWriters)
+var (
+	idleWriters = make(chan *bufio.Writer, maxWriters)
+	writersMade atomic.Int32
+)
 
-// borrowWriter returns a 32 KB writer in front of w.
+// borrowWriter returns a 32 KB writer in front of w, or nil when all
+// maxWriters are out.
 func borrowWriter(w io.Writer) *bufio.Writer {
 	select {
 	case bw := <-idleWriters:
 		bw.Reset(w)
 		return bw
 	default:
-		return bufio.NewWriterSize(w, writeBufferSize)
+	}
+	for {
+		made := writersMade.Load()
+		if made == maxWriters {
+			return nil
+		}
+		if writersMade.CompareAndSwap(made, made+1) {
+			return bufio.NewWriterSize(w, writeBufferSize)
+		}
 	}
 }
 
@@ -730,10 +744,22 @@ func borrowWriter(w io.Writer) *bufio.Writer {
 // any unflushed bytes) first, so an idle buffer holds no response.
 func returnWriter(bw *bufio.Writer) {
 	bw.Reset(nil)
-	select {
-	case idleWriters <- bw:
-	default:
+	idleWriters <- bw
+}
+
+// writeBuffered runs write against a borrowed writer in front of w and
+// flushes it, or against w itself when no writer is free. A failed
+// write ends it unflushed.
+func writeBuffered(w io.Writer, write func(out io.Writer) error) error {
+	bw := borrowWriter(w)
+	if bw == nil {
+		return write(w)
 	}
+	defer returnWriter(bw)
+	if err := write(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 func (s *Server) handleAssets(w http.ResponseWriter, _ *http.Request) {
@@ -969,36 +995,29 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	}
 	// drain writes sps, then every packet already queued behind them, and
 	// flushes once: under fan-out load N queued packets leave in one
-	// flush, not N. A broadcast has no length, so the response is chunked;
-	// a burst of more than one packet goes through a borrowed 32 KB
-	// writer, so net/http frames one chunk per 32 KB of it instead of one
-	// per 2 KB. A lone packet — the paced, real-time case — borrows
-	// nothing: it is written and flushed at once.
+	// flush, not N, while a lone packet on an idle channel still leaves at
+	// once. A broadcast has no length, so the response is chunked; the
+	// drain goes through a borrowed 32 KB writer, so net/http frames one
+	// chunk per 32 KB of it instead of one per 2 KB.
 	drain := func(sps ...*asf.Shared) error {
-		out := io.Writer(w)
-		var bw *bufio.Writer
-		if len(sps)+len(sub.C) > 1 {
-			bw = borrowWriter(w)
-			defer returnWriter(bw)
-			out = bw
-		}
-		for _, sp := range sps {
-			if err := send(out, sp); err != nil {
-				return err
+		err := writeBuffered(w, func(out io.Writer) error {
+			for _, sp := range sps {
+				if err := send(out, sp); err != nil {
+					return err
+				}
 			}
-		}
-		// Only this handler receives from sub.C, so a queued packet is
-		// there to take. A closed queue reads as empty once drained, and
-		// the loop below then sees the end.
-		for len(sub.C) > 0 {
-			if err := send(out, <-sub.C); err != nil {
-				return err
+			// Only this handler receives from sub.C, so a queued packet
+			// is there to take. A closed queue reads as empty once
+			// drained, and the loop below then sees the end.
+			for len(sub.C) > 0 {
+				if err := send(out, <-sub.C); err != nil {
+					return err
+				}
 			}
-		}
-		if bw != nil {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		flush()
 		return nil
