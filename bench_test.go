@@ -451,7 +451,7 @@ func BenchmarkE13Session(b *testing.B) {
 	if _, err := encoder.EncodeLecture(lec, encoder.Config{}, &buf); err != nil {
 		b.Fatal(err)
 	}
-	header, packets, ix, err := asf.ReadAll(bytes.NewReader(buf.Bytes()))
+	header, packets, _, err := asf.ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func BenchmarkE13Session(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := player.RunSession(header, packets, ix, controls); err != nil {
+		if _, err := player.RunSession(header, packets, controls); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,7 +57,7 @@ func run() error {
 	if _, err := encoder.EncodeLecture(lec, encoder.Config{}, &buf); err != nil {
 		return err
 	}
-	header, packets, index, err := load(buf.Bytes())
+	header, packets, _, err := asf.ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return err
 	}
@@ -78,7 +78,7 @@ func run() error {
 		})
 		wall += 10 * time.Second
 	}
-	res, err := player.RunSession(header, packets, index, controls)
+	res, err := player.RunSession(header, packets, controls)
 	if err != nil {
 		return err
 	}
@@ -90,7 +90,7 @@ func run() error {
 
 	// Then a deep dive: replay one section in full, pausing to take notes.
 	fmt.Println("\ndeep-dive session on section 2 with a note-taking pause:")
-	deep, err := player.RunSession(header, packets, index, []player.Control{
+	deep, err := player.RunSession(header, packets, []player.Control{
 		{Kind: player.CtlSeek, At: 0, Target: 20 * time.Second},
 		{Kind: player.CtlPause, At: 8 * time.Second},
 		{Kind: player.CtlResume, At: 12 * time.Second},
@@ -111,9 +111,4 @@ func slideTime(lec *capture.Lecture, nodeID string) time.Duration {
 		}
 	}
 	return 0
-}
-
-// load splits an encoded container into header, packets, and index.
-func load(data []byte) (asf.Header, []asf.Packet, asf.Index, error) {
-	return asf.ReadAll(bytes.NewReader(data))
 }

@@ -10,7 +10,12 @@
 //	Header := "WMP1" u32(size) payload
 //	Packet := "PK" u16(stream) u8(kind) u8(flags) i64(pts) i64(dur)
 //	          i64(send) u32(seq) u32(crc) u32(len) payload
-//	Index  := "IX" u32(count) { i64(pts) u32(seq) }*
+//	Index  := "IX" u32(count) { i64(pts) u32(seq) }*   one per seek point
+//
+// A seek point, where a stream may start, is a video keyframe, or an audio
+// keyframe when the header declares no video stream (Header.SeekPoint).
+// Readers derive seek points from the packets and skip the index, so a
+// file indexed under another rule still seeks right.
 //
 // The header payload carries the version, live/DRM flags, title, per-stream
 // properties (codec, bit rate, QoS), and the script-command table. Script
@@ -158,6 +163,29 @@ func (h Header) StreamByID(id media.StreamID) (StreamProps, bool) {
 	return StreamProps{}, false
 }
 
+// SeekPoint reports whether a stream with header h may start at p: p is a
+// video keyframe, or an audio keyframe when h declares no video stream.
+// Slide images and script commands carry PacketKeyframe too, since each
+// decodes alone, but a stream started at one would feed its decoder
+// frames that need a keyframe it never got.
+func (h Header) SeekPoint(p Packet) bool {
+	if !p.Keyframe() {
+		return false
+	}
+	switch p.Kind {
+	case media.KindVideo:
+		return true
+	case media.KindAudio:
+		for _, s := range h.Streams {
+			if s.Kind == media.KindVideo {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // Validate checks header invariants.
 func (h Header) Validate() error {
 	if len(h.Streams) > MaxStreams {
@@ -239,24 +267,22 @@ func (p Packet) Validate() error {
 	return nil
 }
 
-// IndexEntry maps a presentation time to the sequence number of a keyframe
-// packet, enabling seeks into stored files.
+// IndexEntry maps a presentation time to the sequence number of a seek
+// point (Header.SeekPoint), enabling seeks into stored files.
 type IndexEntry struct {
 	PTS time.Duration
 	Seq uint32
 }
 
-// Index is the optional trailing index object.
+// Index is the optional trailing index object: a stream's seek points in
+// send order.
 type Index []IndexEntry
 
-// Locate returns the sequence number of the last keyframe at or before pts,
+// Locate returns the position in ix of the last entry at or before pts,
 // and false when the index has no entry that early.
-func (ix Index) Locate(pts time.Duration) (uint32, bool) {
-	lo := sort.Search(len(ix), func(i int) bool { return ix[i].PTS > pts })
-	if lo == 0 {
-		return 0, false
-	}
-	return ix[lo-1].Seq, true
+func (ix Index) Locate(pts time.Duration) (int, bool) {
+	i := sort.Search(len(ix), func(i int) bool { return ix[i].PTS > pts })
+	return i - 1, i > 0
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

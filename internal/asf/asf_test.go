@@ -164,18 +164,48 @@ func TestFileRoundTrip(t *testing.T) {
 			t.Errorf("packet %d has seq %d", i, got[i].Seq)
 		}
 	}
-	// Index has entries for the three keyframes.
-	ix := r.Index()
-	if len(ix) != 3 {
-		t.Fatalf("index has %d entries, want 3", len(ix))
+	// The index lists the seek points: the two video keyframes. The audio
+	// block at PTS 0 (seq 1) is flagged a keyframe too, but in a stream
+	// with video it is no seek point.
+	ix := Index{{PTS: 0, Seq: 0}, {PTS: 80 * time.Millisecond, Seq: 3}}
+	if want, _ := EncodeIndex(ix); !bytes.HasSuffix(buf.Bytes(), want) {
+		t.Fatalf("file does not close with the index of its seek points %+v", ix)
 	}
-	// Two keyframes share PTS 0 (video seq 0, audio seq 1); Locate returns
-	// the last keyframe at or before the requested time.
-	if seq, ok := ix.Locate(50 * time.Millisecond); !ok || seq != 1 {
-		t.Fatalf("Locate(50ms) = %d,%v; want 1,true", seq, ok)
+	// Locate returns the last seek point at or before the requested time.
+	if i, ok := ix.Locate(50 * time.Millisecond); !ok || ix[i].Seq != 0 {
+		t.Fatalf("Locate(50ms) = %d,%v; want the entry of seq 0", i, ok)
 	}
-	if seq, ok := ix.Locate(90 * time.Millisecond); !ok || seq != 3 {
-		t.Fatalf("Locate(90ms) = %d,%v; want 3,true", seq, ok)
+	if i, ok := ix.Locate(90 * time.Millisecond); !ok || ix[i].Seq != 3 {
+		t.Fatalf("Locate(90ms) = %d,%v; want the entry of seq 3", i, ok)
+	}
+}
+
+// TestSeekPoint: a stream starts at a video keyframe, or at an audio
+// keyframe when its header declares no video stream; never at a slide
+// image or a script command, though each is flagged a keyframe.
+func TestSeekPoint(t *testing.T) {
+	withVideo := sampleHeader()
+	audioOnly := sampleHeader()
+	audioOnly.Streams = audioOnly.Streams[1:]
+	for _, tc := range []struct {
+		kind         media.Kind
+		flags        uint8
+		video, audio bool // SeekPoint under withVideo, audioOnly
+	}{
+		{media.KindVideo, PacketKeyframe, true, true},
+		{media.KindVideo, 0, false, false},
+		{media.KindAudio, PacketKeyframe, false, true},
+		{media.KindAudio, 0, false, false},
+		{media.KindImage, PacketKeyframe, false, false},
+		{media.KindScript, PacketKeyframe, false, false},
+	} {
+		p := Packet{Kind: tc.kind, Flags: tc.flags}
+		if got := withVideo.SeekPoint(p); got != tc.video {
+			t.Errorf("%v flags %d with video: SeekPoint = %v", tc.kind, tc.flags, got)
+		}
+		if got := audioOnly.SeekPoint(p); got != tc.audio {
+			t.Errorf("%v flags %d without video: SeekPoint = %v", tc.kind, tc.flags, got)
+		}
 	}
 }
 
@@ -200,19 +230,8 @@ func TestLiveStreamOmitsIndex(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if _, err := r.ReadHeader(); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := r.ReadPacket(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(r.Index()) != 0 {
-		t.Fatal("live stream has an index")
+	if last, _ := EncodePacket(samplePackets()[0]); !bytes.HasSuffix(buf.Bytes(), last) {
+		t.Fatal("live stream does not end with its last packet: it has an index")
 	}
 }
 
@@ -257,25 +276,12 @@ func TestLiveWriterKeepsNoIndex(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(buf)
-	if _, err := r.ReadHeader(); err != nil {
-		t.Fatal(err)
+	ix := make(Index, keyframes)
+	for i := range ix {
+		ix[i] = IndexEntry{PTS: time.Duration(i) * time.Second, Seq: uint32(i)}
 	}
-	for {
-		if _, err := r.ReadPacket(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix := r.Index()
-	if len(ix) != keyframes {
-		t.Fatalf("stored index has %d entries, want %d", len(ix), keyframes)
-	}
-	for i, e := range ix {
-		if e.Seq != uint32(i) || e.PTS != time.Duration(i)*time.Second {
-			t.Fatalf("index[%d] = %+v, want seq %d pts %ds", i, e, i, i)
-		}
+	if want, _ := EncodeIndex(ix); !bytes.HasSuffix(buf.Bytes(), want) {
+		t.Fatalf("stored stream does not close with an index of its %d keyframes", keyframes)
 	}
 }
 

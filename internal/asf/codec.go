@@ -208,11 +208,15 @@ func EncodeIndex(ix Index) ([]byte, error) {
 	if len(ix) > MaxIndexEntries {
 		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, len(ix))
 	}
+	return encodeIndex(ix), nil
+}
+
+func encodeIndex(ix Index) []byte {
 	out := appendIndexPrefix(make([]byte, 0, indexPrefixSize+len(ix)*indexEntrySize), len(ix))
 	for _, e := range ix {
 		out = appendIndexEntry(out, e)
 	}
-	return out, nil
+	return out
 }
 
 func appendIndexPrefix(dst []byte, n int) []byte {
@@ -226,7 +230,7 @@ func appendIndexEntry(dst []byte, e IndexEntry) []byte {
 }
 
 // KeyIndex is the index object a Writer closes a stored stream with —
-// an entry for every keyframe it wrote — encoded once for the whole
+// an entry for every seek point it wrote — encoded once for the whole
 // stream. The object that closes any suffix of the stream, a session
 // started at a seek point, is cut from it (From) instead of collected
 // and encoded again, so its size is known before the first byte is
@@ -235,29 +239,17 @@ type KeyIndex struct {
 	obj []byte // the whole index object; nil for a live stream, which closes with none
 }
 
-// NewKeyIndex encodes the index a Writer with header h closes packets
-// with, in one exactly sized allocation.
-func NewKeyIndex(h Header, packets []*Shared) KeyIndex {
+// NewKeyIndex encodes ix, a stream's seek points, as the index a Writer
+// with header h closes the stream with, in one exactly sized allocation.
+func NewKeyIndex(h Header, ix Index) KeyIndex {
 	if h.Live() {
 		return KeyIndex{}
 	}
-	n := 0
-	for _, sp := range packets {
-		if sp.Keyframe() {
-			n++
-		}
-	}
-	obj := appendIndexPrefix(make([]byte, 0, indexPrefixSize+n*indexEntrySize), n)
-	for _, sp := range packets {
-		if sp.Keyframe() {
-			obj = appendIndexEntry(obj, IndexEntry{PTS: sp.pkt.PTS, Seq: sp.pkt.Seq})
-		}
-	}
-	return KeyIndex{obj: obj}
+	return KeyIndex{obj: encodeIndex(ix)}
 }
 
 // From returns the index object over the entries from the i-th on: what
-// a Writer given the stream's packets from its i-th keyframe on closes
+// a Writer given the stream's packets from its i-th seek point on closes
 // with. That is the whole object as is when i is 0, else its tail behind
 // a new prefix in one exactly sized allocation; nothing for a live
 // stream, or when more entries remain than an index may hold (Close
@@ -324,7 +316,7 @@ func (w *Writer) WriteHeader() error {
 	return w.ensureHeader()
 }
 
-// WritePacket assigns the packet its sequence number, records keyframes
+// WritePacket assigns the packet its sequence number, records seek points
 // of stored content in the index, and writes it out. The packet's Seq
 // field is overwritten.
 func (w *Writer) WritePacket(p Packet) (uint32, error) {
@@ -342,16 +334,16 @@ func (w *Writer) WritePacket(p Packet) (uint32, error) {
 	if _, err := w.w.Write(b); err != nil {
 		return 0, fmt.Errorf("asf: write packet %d: %w", p.Seq, err)
 	}
-	w.indexKeyframe(p)
+	w.indexSeekPoint(p)
 	w.seq++
 	return p.Seq, nil
 }
 
-// indexKeyframe records a keyframe as a seek point for the trailing
-// index. A live stream never writes an index (Close), so it keeps none:
-// the slice would grow for as long as the broadcast runs.
-func (w *Writer) indexKeyframe(p Packet) {
-	if p.Keyframe() && !w.header.Live() {
+// indexSeekPoint records p in the trailing index if it is a seek point.
+// A live stream never writes an index (Close), so it keeps none: the
+// slice would grow for as long as the broadcast runs.
+func (w *Writer) indexSeekPoint(p Packet) {
+	if !w.header.Live() && w.header.SeekPoint(p) {
 		w.index = append(w.index, IndexEntry{PTS: p.PTS, Seq: p.Seq})
 	}
 }
@@ -422,7 +414,6 @@ type Reader struct {
 
 	header    Header
 	hasHeader bool
-	index     Index
 	err       error
 }
 
@@ -581,11 +572,9 @@ func (r *Reader) parseNext() (Packet, []byte, error) {
 	case bytes.Equal(magic, packetMagic[:]):
 		return r.parsePacket()
 	case bytes.Equal(magic, indexMagic[:]):
-		ix, err := r.readIndex()
-		if err != nil {
+		if err := r.skipIndex(); err != nil {
 			return Packet{}, nil, err
 		}
-		r.index = ix
 		return Packet{}, nil, io.EOF
 	default:
 		return Packet{}, nil, fmt.Errorf("%w: packet %q", ErrBadMagic, magic)
@@ -633,42 +622,38 @@ func (r *Reader) parsePacket() (Packet, []byte, error) {
 	return p, wire, nil
 }
 
-// readIndex reads the index object whose magic is at pos.
-func (r *Reader) readIndex() (Index, error) {
+// skipIndex checks and consumes the index object whose magic is at pos.
+// What it lists is not kept: a reader derives the seek points from the
+// packets (Header.SeekPoint), so its count allocates nothing.
+func (r *Reader) skipIndex() error {
 	prefix, err := r.peek(indexPrefixSize)
 	if err != nil {
-		return nil, fmt.Errorf("%w: truncated index: %w", ErrCorrupt, err)
+		return fmt.Errorf("%w: truncated index: %w", ErrCorrupt, err)
 	}
 	n := binary.LittleEndian.Uint32(prefix[len(indexMagic):])
 	if n > MaxIndexEntries {
-		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, n)
+		return fmt.Errorf("%w: %d index entries", ErrLimit, n)
 	}
 	r.pos += len(prefix)
-	ix := make(Index, 0, n)
 	for i := uint32(0); i < n; i++ {
 		entry, err := r.peek(indexEntrySize)
 		if err != nil {
-			return nil, fmt.Errorf("%w: truncated index entry: %w", ErrCorrupt, err)
+			return fmt.Errorf("%w: truncated index entry: %w", ErrCorrupt, err)
 		}
 		s := &scanner{b: entry}
-		e := IndexEntry{PTS: s.dur(), Seq: s.u32()}
+		s.dur()
 		if s.err != nil {
-			return nil, fmt.Errorf("%w: index entry: %v", ErrCorrupt, s.err)
+			return fmt.Errorf("%w: index entry: %v", ErrCorrupt, s.err)
 		}
 		r.pos += indexEntrySize
-		ix = append(ix, e)
 	}
-	return ix, nil
+	return nil
 }
 
-// Index returns the trailing index, available only after ReadPacket has
-// returned io.EOF on a stored file.
-func (r *Reader) Index() Index { return r.index }
-
-// ReadAll parses a complete container from r: header, all packets, and the
-// trailing index if present. When the stored file carries no index (live
-// captures), one is rebuilt from the keyframe packets so callers can
-// always seek. The packets are clones: the caller owns them.
+// ReadAll parses a complete container from r: header, all packets, and
+// the index of their seek points, derived from the packets, so a live
+// capture, which has no trailer, seeks too. The packets are clones: the
+// caller owns them.
 func ReadAll(r io.Reader) (Header, []Packet, Index, error) {
 	reader := NewReader(r)
 	h, err := reader.ReadHeader()
@@ -676,6 +661,7 @@ func ReadAll(r io.Reader) (Header, []Packet, Index, error) {
 		return h, nil, nil, err
 	}
 	var packets []Packet
+	var ix Index
 	for {
 		p, err := reader.ReadPacket()
 		if err != nil {
@@ -685,13 +671,8 @@ func ReadAll(r io.Reader) (Header, []Packet, Index, error) {
 			return h, packets, nil, err
 		}
 		packets = append(packets, p.Clone())
-	}
-	ix := reader.Index()
-	if len(ix) == 0 {
-		for _, p := range packets {
-			if p.Keyframe() {
-				ix = append(ix, IndexEntry{PTS: p.PTS, Seq: p.Seq})
-			}
+		if h.SeekPoint(p) {
+			ix = append(ix, IndexEntry{PTS: p.PTS, Seq: p.Seq})
 		}
 	}
 	return h, packets, ix, nil

@@ -81,14 +81,15 @@ func TestFileRoundTripProperty(t *testing.T) {
 			return false
 		}
 		count := int(n%32) + 1
-		var keyframes int
+		var ix Index
 		for i := 0; i < count; i++ {
 			p := randomPacket(rng)
-			if p.Keyframe() {
-				keyframes++
-			}
-			if _, err := w.WritePacket(p); err != nil {
+			seq, err := w.WritePacket(p)
+			if err != nil {
 				return false
+			}
+			if h.SeekPoint(p) {
+				ix = append(ix, IndexEntry{PTS: p.PTS, Seq: seq})
 			}
 		}
 		if err := w.Close(); err != nil {
@@ -109,7 +110,8 @@ func TestFileRoundTripProperty(t *testing.T) {
 			}
 			read++
 		}
-		return read == count && len(r.Index()) == keyframes
+		trailer, _ := EncodeIndex(ix)
+		return read == count && bytes.HasSuffix(buf.Bytes(), trailer)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

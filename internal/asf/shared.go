@@ -3,8 +3,6 @@ package asf
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/media"
 )
 
 // Fixed wire sizes.
@@ -159,27 +157,12 @@ func (s *Shared) Wire() []byte { return s.wire }
 // PayloadLen is the payload size in bytes.
 func (s *Shared) PayloadLen() int { return len(s.pkt.Payload) }
 
-// Seq is the publisher-assigned container sequence number.
-func (s *Shared) Seq() uint32 { return s.pkt.Seq }
-
-// Kind is the packet's media kind.
-func (s *Shared) Kind() media.Kind { return s.pkt.Kind }
-
-// PTS is the packet's presentation timestamp.
-func (s *Shared) PTS() time.Duration { return s.pkt.PTS }
-
 // SendAt is the packet's transmission deadline.
 func (s *Shared) SendAt() time.Duration { return s.pkt.SendAt }
 
-// Keyframe reports whether the packet is a decoder entry point.
-func (s *Shared) Keyframe() bool { return s.pkt.Keyframe() }
-
-// Last reports whether the packet ends its stream.
-func (s *Shared) Last() bool { return s.pkt.Last() }
-
 // WriteShared writes a pre-encoded packet: the shared wire image goes
 // out as-is — no re-encode, no CRC pass, no re-sequencing — so every
-// consumer of the same Shared receives identical bytes. Keyframes of
+// consumer of the same Shared receives identical bytes. Seek points of
 // stored content still land in the writer's index for the trailing seek
 // table, and the writer's own sequence counter follows the shared
 // packet's, so WritePacket and WriteShared may interleave on one stream.
@@ -193,7 +176,7 @@ func (w *Writer) WriteShared(sp *Shared) error {
 	if _, err := w.w.Write(sp.wire); err != nil {
 		return fmt.Errorf("asf: write packet %d: %w", sp.pkt.Seq, err)
 	}
-	w.indexKeyframe(sp.pkt)
+	w.indexSeekPoint(sp.pkt)
 	w.seq = sp.pkt.Seq + 1
 	return nil
 }

@@ -186,7 +186,13 @@ func TestEscapedNameEndToEnd(t *testing.T) {
 // TestSeekSpecPlaysTail: a Start offset reaches the server and strictly
 // fewer bytes come back.
 func TestSeekSpecPlaysTail(t *testing.T) {
-	c := newCluster(t, "lec")
+	c := newCluster(t, "short")
+	// Two GOPs: a modem-56k lecture has a video keyframe every 5 s, and a
+	// seek past the second one plays a strict tail.
+	data := encodeTestLecture(t, 6*time.Second, encoder.Config{})
+	if _, err := c.origin.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
+		t.Fatal(err)
+	}
 	cl := New(c.regTS.URL)
 	full, err := cl.Open(context.Background(), Spec{Kind: VOD, Name: "lec"})
 	if err != nil {
@@ -196,7 +202,7 @@ func TestSeekSpecPlaysTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeked, err := cl.Open(context.Background(), Spec{Kind: VOD, Name: "lec", Start: time.Second})
+	seeked, err := cl.Open(context.Background(), Spec{Kind: VOD, Name: "lec", Start: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

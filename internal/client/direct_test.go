@@ -50,7 +50,7 @@ func TestPlayDirectNode(t *testing.T) {
 	}
 	var video int
 	for _, sp := range asset.SharedPackets() {
-		if sp.Kind() == media.KindVideo {
+		if sp.Packet().Kind == media.KindVideo {
 			video++
 		}
 	}

@@ -97,7 +97,7 @@ func TestSessionFailsOverMidStream(t *testing.T) {
 	asset, _ := c.origin.Asset("lec")
 	var early int64
 	for _, sp := range asset.SharedPackets() {
-		if sp.PTS() < 500*time.Millisecond {
+		if sp.Packet().PTS < 500*time.Millisecond {
 			early += int64(sp.PayloadLen())
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/asf"
 	"repro/internal/capture"
 	"repro/internal/codec"
 	"repro/internal/contenttree"
@@ -153,11 +152,4 @@ func PlanFor(tree *contenttree.Tree, slides []capture.Slide, total time.Duration
 		plan.Controls = append(plan.Controls, player.Control{Kind: player.CtlPause, At: wall})
 	}
 	return plan, nil
-}
-
-// Replay runs the plan against a stored asset (header, packets, index) and
-// returns the session result. The caller provides the asset at the plan's
-// profile (or any encoding of the same timeline).
-func (p *Plan) Replay(header asf.Header, packets []asf.Packet, index asf.Index) (*player.SessionResult, error) {
-	return player.RunSession(header, packets, index, p.Controls)
 }

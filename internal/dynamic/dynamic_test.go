@@ -11,6 +11,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/contenttree"
 	"repro/internal/encoder"
+	"repro/internal/player"
 	"repro/internal/publish"
 )
 
@@ -21,7 +22,6 @@ type fixture struct {
 	tree    *contenttree.Tree
 	header  asf.Header
 	packets []asf.Packet
-	index   asf.Index
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -45,11 +45,11 @@ func newFixture(t *testing.T) *fixture {
 	if _, err := encoder.EncodeLecture(lec, encoder.Config{}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	h, pkts, ix, err := asf.ReadAll(bytes.NewReader(buf.Bytes()))
+	h, pkts, _, err := asf.ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{lec: lec, tree: tree, header: h, packets: pkts, index: ix}
+	return &fixture{lec: lec, tree: tree, header: h, packets: pkts}
 }
 
 func TestPlanUnconstrainedWatchesEverything(t *testing.T) {
@@ -114,7 +114,7 @@ func TestPlanReplayPlaysExactlySelectedIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.Replay(fx.header, fx.packets, fx.index)
+	res, err := player.RunSession(fx.header, fx.packets, plan.Controls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,17 +150,24 @@ func TestPlanReplayPlaysExactlySelectedIntervals(t *testing.T) {
 		}
 		return false
 	}
+	// A seek snaps back to the video keyframe at or before its target, so
+	// it may pull in up to one GOP before an interval's start, never more.
+	p, err := codec.ByName("modem-56k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gop := time.Duration(p.GOPFrames) * time.Second / time.Duration(p.FrameRate)
 	late := 0
 	for _, e := range res.Events {
-		if !inPlan(e.PTS) {
-			late++
+		if inPlan(e.PTS) {
+			continue
 		}
+		if !inPlan(e.PTS + gop) {
+			t.Fatalf("event at %v is outside the plan by more than a %v GOP", e.PTS, gop)
+		}
+		late++
 	}
-	// Keyframe snapping may pull in a few frames before an interval
-	// boundary, but never large swaths: allow under 5% spill.
-	if late > len(res.Events)/20 {
-		t.Fatalf("%d of %d presented events outside the plan", late, len(res.Events))
-	}
+	t.Logf("%d of %d presented events lie in the GOP before a selected interval", late, len(res.Events))
 }
 
 func TestPlanErrorsOnEmptyTree(t *testing.T) {

@@ -200,16 +200,24 @@ func TestEncodeLiveEmitsInBandScripts(t *testing.T) {
 	if !h.Live() {
 		t.Fatal("live flag not set")
 	}
-	// Live stream has no trailing index.
+	// Live stream has no trailing index: its header and packets are the
+	// whole stream.
+	end, err := asf.EncodeHeader(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(end)
 	for {
-		if _, err := r.ReadPacket(); err == io.EOF {
+		sp, err := r.ReadShared()
+		if err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
 		}
+		n += len(sp.Wire())
 	}
-	if len(r.Index()) != 0 {
-		t.Fatal("live stream has index")
+	if n != buf.Len() {
+		t.Fatalf("live stream is %d bytes, its header and packets %d: it has an index", buf.Len(), n)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 //     (use http.NewRequestWithContext);
 //   - http.DefaultClient, which waits forever for an answer that never
 //     comes (use proto.DefaultClient, which has dial and header
-//     timeouts);
+//     timeouts), and an http.Client literal setting neither Timeout nor
+//     Transport (read from syntax: one with an elided type goes unseen);
 //   - context.Background()/context.TODO() inside internal packages,
 //     which sever the caller's cancellation chain — internal code takes
 //     a ctx parameter; only the binaries in cmd/ and the examples own
@@ -62,6 +63,13 @@ func runCtxhttp(pass *Pass) {
 					"http.DefaultClient has no timeouts: a peer that never answers hangs the caller; use proto.DefaultClient")
 			}
 		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok && bareClient(lit, httpNames) {
+				pass.Reportf(lit.Pos(),
+					"http.Client literal sets neither Timeout nor Transport: a peer that never answers hangs the caller; set one or use proto.DefaultClient")
+			}
+			return true
+		})
 		if !internal {
 			continue
 		}
@@ -74,4 +82,26 @@ func runCtxhttp(pass *Pass) {
 			}
 		})
 	}
+}
+
+// bareClient reports whether lit is an http.Client literal that names
+// neither a Timeout nor a Transport; positional fields set them all.
+func bareClient(lit *ast.CompositeLit, httpNames map[string]bool) bool {
+	sel, ok := lit.Type.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Client" {
+		return false
+	}
+	if id, ok := sel.X.(*ast.Ident); !ok || !isPkgRef(id, httpNames) {
+		return false
+	}
+	for _, el := range lit.Elts {
+		kv, ok := el.(*ast.KeyValueExpr)
+		if !ok {
+			return false
+		}
+		if key, ok := kv.Key.(*ast.Ident); ok && (key.Name == "Timeout" || key.Name == "Transport") {
+			return false
+		}
+	}
+	return true
 }

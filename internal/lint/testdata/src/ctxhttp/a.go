@@ -7,6 +7,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"time"
 )
 
 func fetch(ctx context.Context, client *http.Client, url string) error {
@@ -49,3 +50,13 @@ func roots() context.Context {
 }
 
 func reader(r io.Reader) io.Reader { return r }
+
+func clients() []*http.Client {
+	return []*http.Client{
+		{},                     // an elided type goes unseen: the rule reads syntax only
+		&http.Client{},         // want `http\.Client literal sets neither Timeout nor Transport`
+		&http.Client{Jar: nil}, // want `http\.Client literal sets neither Timeout nor Transport`
+		&http.Client{Timeout: 5 * time.Second},
+		&http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 10 * time.Second}},
+	}
+}

@@ -111,7 +111,7 @@ func (m *Metrics) LastPTS() time.Duration {
 // combined event log. The failover path plays each reconnect as its own
 // stream (fresh header, fresh anchor) and merges the segments so the
 // session reports one set of numbers. The resume seek rewinds to the
-// last keyframe, so a few frames around the failure point can be
+// last seek point, so the frames between it and the failure point are
 // counted in both segments.
 func (m *Metrics) Merge(next *Metrics) {
 	if next == nil {

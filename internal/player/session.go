@@ -94,11 +94,18 @@ const maxDuration = time.Duration(1<<63 - 1)
 
 // RunSession deterministically plays a stored asset under a sequence of
 // user controls. Pause freezes the media position; resume continues it;
-// seek jumps the media position to the last keyframe at or before the
-// target (using the stored index, §2.1's seek support). Packets are
-// presented when the playback position passes their PTS; seeking backward
-// replays, seeking forward skips.
-func RunSession(header asf.Header, packets []asf.Packet, index asf.Index, controls []Control) (*SessionResult, error) {
+// seek jumps the media position to the last seek point at or before the
+// target (asf.Header.SeekPoint, §2.1's seek support) — where a server
+// asked for ?start=target starts the stream. Packets are presented when
+// the playback position passes their PTS; seeking backward replays,
+// seeking forward skips.
+func RunSession(header asf.Header, packets []asf.Packet, controls []Control) (*SessionResult, error) {
+	var index asf.Index
+	for _, p := range packets {
+		if header.SeekPoint(p) {
+			index = append(index, asf.IndexEntry{PTS: p.PTS, Seq: p.Seq})
+		}
+	}
 	ctls := make([]Control, len(controls))
 	copy(ctls, controls)
 	sort.SliceStable(ctls, func(i, j int) bool { return ctls[i].At < ctls[j].At })
@@ -144,17 +151,9 @@ func RunSession(header asf.Header, packets []asf.Packet, index asf.Index, contro
 			if c.Target < 0 {
 				return nil, fmt.Errorf("%w: seek to negative position", ErrBadControl)
 			}
-			target := c.Target
-			if seq, ok := index.Locate(target); ok {
-				// Snap to the keyframe's PTS.
-				for _, p := range packets {
-					if p.Seq == seq {
-						target = p.PTS
-						break
-					}
-				}
-			} else {
-				target = 0
+			var target time.Duration
+			if i, ok := index.Locate(c.Target); ok {
+				target = index[i].PTS
 			}
 			res.Seeks++
 			if !paused {

@@ -11,21 +11,21 @@ import (
 	"repro/internal/media"
 )
 
-// sessionAsset builds a small stored asset and returns header, packets,
-// and index.
-func sessionAsset(t *testing.T) (asf.Header, []asf.Packet, asf.Index) {
+// sessionAsset builds a small stored asset and returns its header and
+// packets.
+func sessionAsset(t *testing.T) (asf.Header, []asf.Packet) {
 	t.Helper()
 	data, _ := testLectureBytes(t, 10*time.Second, encoder.Config{})
-	h, pkts, ix, err := asf.ReadAll(bytes.NewReader(data))
+	h, pkts, _, err := asf.ReadAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, pkts, ix
+	return h, pkts
 }
 
 func TestSessionNoControlsIsIdentity(t *testing.T) {
-	h, pkts, ix := sessionAsset(t)
-	res, err := RunSession(h, pkts, ix, nil)
+	h, pkts := sessionAsset(t)
+	res, err := RunSession(h, pkts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func TestSessionNoControlsIsIdentity(t *testing.T) {
 }
 
 func TestSessionPauseShiftsTail(t *testing.T) {
-	h, pkts, ix := sessionAsset(t)
-	res, err := RunSession(h, pkts, ix, []Control{
+	h, pkts := sessionAsset(t)
+	res, err := RunSession(h, pkts, []Control{
 		{Kind: CtlPause, At: 4 * time.Second},
 		{Kind: CtlResume, At: 7 * time.Second},
 	})
@@ -72,9 +72,9 @@ func TestSessionPauseShiftsTail(t *testing.T) {
 }
 
 func TestSessionSlideFlipsShiftWithPause(t *testing.T) {
-	h, pkts, ix := sessionAsset(t)
+	h, pkts := sessionAsset(t)
 	// Slides at 0s, 3.33s, 6.67s (10s/3 slides). Pause at 5s for 2s.
-	res, err := RunSession(h, pkts, ix, []Control{
+	res, err := RunSession(h, pkts, []Control{
 		{Kind: CtlPause, At: 5 * time.Second},
 		{Kind: CtlResume, At: 7 * time.Second},
 	})
@@ -96,8 +96,8 @@ func TestSessionSlideFlipsShiftWithPause(t *testing.T) {
 }
 
 func TestSessionEndsPaused(t *testing.T) {
-	h, pkts, ix := sessionAsset(t)
-	res, err := RunSession(h, pkts, ix, []Control{
+	h, pkts := sessionAsset(t)
+	res, err := RunSession(h, pkts, []Control{
 		{Kind: CtlPause, At: 2 * time.Second},
 	})
 	if err != nil {
@@ -111,10 +111,10 @@ func TestSessionEndsPaused(t *testing.T) {
 }
 
 func TestSessionSeekForwardSkips(t *testing.T) {
-	h, pkts, ix := sessionAsset(t)
+	h, pkts := sessionAsset(t)
 	// At wall 2s, seek to 8s: media 2s..8s is skipped (modulo keyframe
 	// snap-back).
-	res, err := RunSession(h, pkts, ix, []Control{
+	res, err := RunSession(h, pkts, []Control{
 		{Kind: CtlSeek, At: 2 * time.Second, Target: 8 * time.Second},
 	})
 	if err != nil {
@@ -145,8 +145,8 @@ func TestSessionSeekForwardSkips(t *testing.T) {
 }
 
 func TestSessionSeekBackwardReplays(t *testing.T) {
-	h, pkts, ix := sessionAsset(t)
-	res, err := RunSession(h, pkts, ix, []Control{
+	h, pkts := sessionAsset(t)
+	res, err := RunSession(h, pkts, []Control{
 		{Kind: CtlSeek, At: 6 * time.Second, Target: 0},
 	})
 	if err != nil {
@@ -168,8 +168,8 @@ func TestSessionSeekBackwardReplays(t *testing.T) {
 }
 
 func TestSessionSeekWhilePaused(t *testing.T) {
-	h, pkts, ix := sessionAsset(t)
-	res, err := RunSession(h, pkts, ix, []Control{
+	h, pkts := sessionAsset(t)
+	res, err := RunSession(h, pkts, []Control{
 		{Kind: CtlPause, At: 3 * time.Second},
 		{Kind: CtlSeek, At: 4 * time.Second, Target: 0},
 		{Kind: CtlResume, At: 5 * time.Second},
@@ -190,7 +190,7 @@ func TestSessionSeekWhilePaused(t *testing.T) {
 }
 
 func TestSessionControlValidation(t *testing.T) {
-	h, pkts, ix := sessionAsset(t)
+	h, pkts := sessionAsset(t)
 	bad := [][]Control{
 		{{Kind: CtlPause, At: 1 * time.Second}, {Kind: CtlPause, At: 2 * time.Second}},
 		{{Kind: CtlResume, At: 1 * time.Second}},
@@ -199,7 +199,7 @@ func TestSessionControlValidation(t *testing.T) {
 		{{Kind: ControlKind(99), At: time.Second}},
 	}
 	for i, ctls := range bad {
-		if _, err := RunSession(h, pkts, ix, ctls); !errors.Is(err, ErrBadControl) {
+		if _, err := RunSession(h, pkts, ctls); !errors.Is(err, ErrBadControl) {
 			t.Errorf("bad control set %d: err = %v, want ErrBadControl", i, err)
 		}
 	}

@@ -45,7 +45,9 @@ func newOriginWithAsset(t *testing.T, name string) (*streaming.Server, *httptest
 	t.Helper()
 	origin := streaming.NewServer(nil)
 	origin.Pacing = false
-	data := encodeTestLecture(t, 2*time.Second, false)
+	// Two GOPs: a modem-56k lecture has a video keyframe every 5 s, and
+	// a seek past the second one plays a strict tail.
+	data := encodeTestLecture(t, 6*time.Second, false)
 	if _, err := origin.RegisterAsset(name, asf.NewReader(bytes.NewReader(data))); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 	}
 
 	// Seeks work against the mirrored index.
-	_, seeked := readStream(t, edgeTS.URL+"/v1/vod/lec?start=1s")
+	_, seeked := readStream(t, edgeTS.URL+"/v1/vod/lec?start=5s")
 	if len(seeked) == 0 || len(seeked) >= len(direct) {
 		t.Fatalf("seeked mirror served %d packets, full %d", len(seeked), len(direct))
 	}
@@ -348,8 +350,8 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 	}
 	n := 0
 	for sp := range direct.C {
-		if sp.Seq() != packets[n].Seq {
-			t.Fatalf("origin packet %d carries seq %d, published as %d", n, sp.Seq(), packets[n].Seq)
+		if seq := sp.Packet().Seq; seq != packets[n].Seq {
+			t.Fatalf("origin packet %d carries seq %d, published as %d", n, seq, packets[n].Seq)
 		}
 		want = append(want, sp.Wire()...)
 		n++

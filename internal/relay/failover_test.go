@@ -154,7 +154,7 @@ func TestStreamFetcherFailsOverToLiveEdge(t *testing.T) {
 // the live edge is asked for the spec's own start, not 0:00, and serves
 // from the seek point; an unseeked spec carries no start at all.
 func TestStartOf(t *testing.T) {
-	for _, start := range []time.Duration{0, time.Second, 1500 * time.Millisecond} {
+	for _, start := range []time.Duration{0, 5 * time.Second, 5500 * time.Millisecond} {
 		c := newFailoverCluster(t)
 		st, n := c.fetch(t, client.Spec{Kind: client.VOD, Name: "lec", Start: start, Failover: 3})
 		if st.Failovers != 1 {

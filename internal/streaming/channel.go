@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/asf"
-	"repro/internal/media"
 	"repro/internal/vclock"
 )
 
@@ -17,8 +16,8 @@ const DefaultSubscriberBuffer = 256
 
 // Channel is one live broadcast: an encoder publishes packets, any number
 // of subscribers receive them. New subscribers get a catch-up backlog
-// starting at the most recent video keyframe so their decoder can start
-// immediately.
+// starting at the most recent seek point (asf.Header.SeekPoint) so their
+// decoder can start immediately.
 //
 // Fan-out is zero-copy: a packet becomes a wire image exactly once —
 // encoded at the origin's Publish, or read off the origin's stream by a
@@ -141,11 +140,11 @@ func (c *Channel) Publish(p asf.Packet) error {
 }
 
 // PublishShared fans a pre-encoded packet out to every subscriber and
-// maintains the keyframe-aligned backlog; a relaying edge calls it with
+// maintains the seek-point-aligned backlog; a relaying edge calls it with
 // the origin's wire images as read. Slow subscribers lose the packet.
 // This is the allocation-free steady-state path: the shared buffer is
 // handed out by pointer, and the backlog slice's capacity is reused
-// across keyframe resets.
+// across seek-point resets.
 func (c *Channel) PublishShared(sp *asf.Shared) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -159,8 +158,8 @@ func (c *Channel) PublishShared(sp *asf.Shared) error {
 // fanOut is PublishShared under c.mu on an open channel.
 func (c *Channel) fanOut(sp *asf.Shared) {
 	c.published++
-	// Reset the catch-up window at video keyframes so joins start clean.
-	if sp.Keyframe() && sp.Kind() == media.KindVideo {
+	// Reset the catch-up window at seek points so joins start clean.
+	if c.header.SeekPoint(sp.Packet()) {
 		c.backlog = c.backlog[:0]
 	}
 	c.backlog = append(c.backlog, sp)

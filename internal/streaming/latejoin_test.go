@@ -67,9 +67,9 @@ func TestLateJoinDecodesCleanly(t *testing.T) {
 		t.Fatal("late joiner received no catch-up backlog")
 	}
 	// The backlog must start at a video keyframe.
-	first := sub.Backlog[0]
-	if !(first.Keyframe() && first.Kind() == media.KindVideo) {
-		t.Fatalf("backlog starts with %v keyframe=%v", first.Kind(), first.Keyframe())
+	first := sub.Backlog[0].Packet()
+	if !(first.Keyframe() && first.Kind == media.KindVideo) {
+		t.Fatalf("backlog starts with %v keyframe=%v", first.Kind, first.Keyframe())
 	}
 
 	// Play the joined-late stream: zero broken frames (the chain starts at
@@ -86,6 +86,38 @@ func TestLateJoinDecodesCleanly(t *testing.T) {
 	}
 	if m.SlidesShown == 0 {
 		t.Fatal("late joiner saw no slide flips (in-band scripts missing)")
+	}
+}
+
+// TestAudioOnlyBacklogStaysBounded: a broadcast with no video stream —
+// what the publish manager makes of a lecture without video samples —
+// starts its catch-up backlog at audio keyframes, so a late joiner is
+// replayed the latest audio block, not the whole broadcast, however long
+// it has run.
+func TestAudioOnlyBacklogStaysBounded(t *testing.T) {
+	h := asf.Header{Title: "audio only", Streams: []asf.StreamProps{
+		{ID: media.StreamAudio, Kind: media.KindAudio, Codec: "sim-acelp"},
+		{ID: media.StreamImage, Kind: media.KindImage, Codec: "png"},
+	}}
+	ch, err := NewChannel("radio", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 1000
+	for i := 0; i < blocks; i++ {
+		at := time.Duration(i) * 100 * time.Millisecond
+		if err := ch.Publish(asf.Packet{Stream: media.StreamAudio, Kind: media.KindAudio, Flags: asf.PacketKeyframe,
+			PTS: at, Dur: 100 * time.Millisecond, SendAt: at, Seq: uint32(i), Payload: []byte("block")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := ch.Subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if n := len(sub.Backlog); n != 1 || sub.Backlog[0].Packet().Seq != blocks-1 {
+		t.Fatalf("late joiner is replayed %d packets after %d audio keyframes, want the last one", n, blocks)
 	}
 }
 

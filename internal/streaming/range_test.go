@@ -74,15 +74,15 @@ func TestStoredResponseIsExactRange(t *testing.T) {
 	seen := map[time.Duration]bool{}
 	midGOP := false
 	for i, sp := range asset.SharedPackets() {
-		switch {
-		case sp.Keyframe() && !seen[sp.PTS()]:
-			seen[sp.PTS()] = true
-			requests = append(requests, request{seek(sp.PTS()), asset.SeekIndex(sp.PTS())})
-		case !midGOP && !sp.Keyframe() && sp.Kind() == media.KindVideo:
+		switch p := sp.Packet(); {
+		case p.Keyframe() && !seen[p.PTS]:
+			seen[p.PTS] = true
+			requests = append(requests, request{seek(p.PTS), asset.SeekIndex(p.PTS)})
+		case !midGOP && !p.Keyframe() && p.Kind == media.KindVideo:
 			// A time inside a group of pictures lands on an earlier packet.
-			if from := asset.SeekIndex(sp.PTS()); from > 0 && from < i {
+			if from := asset.SeekIndex(p.PTS); from > 0 && from < i {
 				midGOP = true
-				requests = append(requests, request{seek(sp.PTS()), from})
+				requests = append(requests, request{seek(p.PTS), from})
 			}
 		}
 	}

@@ -12,25 +12,28 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/codec"
 	"repro/internal/media"
+	"repro/internal/player"
 )
 
 func TestVODSeekSkipsEarlyPackets(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false
-	data := encodeTestAsset(t, 4*time.Second)
+	// Two GOPs: a modem-56k lecture has a video keyframe every 5 s.
+	data := encodeTestAsset(t, 8*time.Second)
 	asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(asset.Index) == 0 {
-		t.Fatal("asset has no index; seek test needs keyframes")
+	if len(asset.index) < 2 {
+		t.Fatalf("asset has %d seek points; the seek test needs two", len(asset.index))
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	full := countVODPackets(t, ts.URL+"/v1/vod/lec")
-	seeked := countVODPackets(t, ts.URL+"/v1/vod/lec?start=2s")
+	seeked := countVODPackets(t, ts.URL+"/v1/vod/lec?start=6s")
 	if seeked >= full {
 		t.Fatalf("seeked stream has %d packets, full has %d", seeked, full)
 	}
@@ -67,6 +70,92 @@ func TestVODSeekStartsAtKeyframe(t *testing.T) {
 	}
 	if first.PTS > 2*time.Second {
 		t.Fatalf("seek overshot: first packet pts %v", first.PTS)
+	}
+}
+
+// TestPlayerSeekLandsInSync: a student who jumps into a lecture through
+// ?start= gets a stream the real player decodes without a broken frame,
+// starting at the video keyframe at or before the target — within one
+// GOP of it — and an interactive seek (player.RunSession) to the same
+// target snaps to that same keyframe.
+func TestPlayerSeekLandsInSync(t *testing.T) {
+	data := encodeSlidesAsset(t, 20*time.Second, 4)
+	h, packets, _, err := asf.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Scripts) < 3 {
+		t.Fatalf("lecture has %d script commands, want at least 3 slides", len(h.Scripts))
+	}
+	profile, err := codec.ByName("modem-56k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gop := time.Duration(profile.GOPFrames) * time.Second / time.Duration(profile.FrameRate)
+	srv := NewServer(nil)
+	srv.Pacing = false
+	if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, target := range []time.Duration{
+		1 * time.Second, 4900 * time.Millisecond, 5 * time.Second,
+		7500 * time.Millisecond, 12 * time.Second, 19 * time.Second,
+	} {
+		resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec?start=" + target.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		m, err := player.New(player.Options{}).Play(io.TeeReader(resp.Body, &body))
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("seek to %v: %v", target, err)
+		}
+		if m.BrokenFrames != 0 || m.VideoFrames == 0 {
+			t.Fatalf("seek to %v: %d broken of %d video frames", target, m.BrokenFrames, m.VideoFrames)
+		}
+		first := firstVideo(t, body.Bytes())
+		if !first.Keyframe() {
+			t.Fatalf("seek to %v: first video packet at %v is not a keyframe", target, first.PTS)
+		}
+		if first.PTS > target || target-first.PTS >= gop {
+			t.Fatalf("seek to %v: first video packet at %v, want within the %v GOP before", target, first.PTS, gop)
+		}
+		res, err := player.RunSession(h, packets, []player.Control{{Kind: player.CtlSeek, Target: target}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := time.Duration(-1)
+		for _, e := range res.Events {
+			if e.Kind == media.KindVideo {
+				snap = e.PTS
+				break
+			}
+		}
+		if snap != first.PTS {
+			t.Fatalf("seek to %v: RunSession starts video at %v, the server at %v", target, snap, first.PTS)
+		}
+	}
+}
+
+// firstVideo is the first video packet of a stored response body.
+func firstVideo(t *testing.T, body []byte) asf.Packet {
+	t.Helper()
+	r := asf.NewReader(bytes.NewReader(body))
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		p, err := r.ReadPacket()
+		if err != nil {
+			t.Fatalf("no video packet: %v", err)
+		}
+		if p.Kind == media.KindVideo {
+			return p
+		}
 	}
 }
 
@@ -122,17 +211,15 @@ func TestVODSeekStartParameterTable(t *testing.T) {
 	}
 }
 
-// registerContainer assembles a stored container from its parts — so a
-// test can pair packets with an index no encoder would write — and
-// registers it the way every asset arrives.
-func registerContainer(t *testing.T, packets []asf.Packet, ix asf.Index) *Asset {
+// assemble encodes a stored container from its parts — so a test can
+// pair packets with an index no asf.Writer would write.
+func assemble(t *testing.T, h asf.Header, packets []asf.Packet, ix asf.Index) []byte {
 	t.Helper()
-	data, err := asf.EncodeHeader(asf.Header{Title: "seek"})
+	data, err := asf.EncodeHeader(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range packets {
-		p.Kind = media.KindVideo
 		b, err := asf.EncodePacket(p)
 		if err != nil {
 			t.Fatal(err)
@@ -143,11 +230,113 @@ func registerContainer(t *testing.T, packets []asf.Packet, ix asf.Index) *Asset 
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewServer(nil).RegisterAsset("seek", asf.NewReader(bytes.NewReader(append(data, b...))))
+	return append(data, b...)
+}
+
+// registerContainer assembles a container of video packets and index ix
+// and registers it the way every asset arrives.
+func registerContainer(t *testing.T, packets []asf.Packet, ix asf.Index) *Asset {
+	t.Helper()
+	for i := range packets {
+		packets[i].Kind = media.KindVideo
+	}
+	data := assemble(t, asf.Header{Title: "seek"}, packets, ix)
+	a, err := NewServer(nil).RegisterAsset("seek", asf.NewReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// legacyContainer is a stored lecture with in-band slide commands, closed
+// by the index a writer wrote before seek points were video keyframes: an
+// entry for every packet flagged PacketKeyframe — each audio block, slide
+// image and script command besides the video keyframes.
+func legacyContainer(t *testing.T) (asf.Header, []asf.Packet, []byte) {
+	t.Helper()
+	h, stored, _, err := asf.ReadAll(bytes.NewReader(encodeSlidesAsset(t, 12*time.Second, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packets []asf.Packet
+	scripts := h.Scripts
+	for _, p := range stored {
+		for len(scripts) > 0 && scripts[0].At <= p.SendAt {
+			sp, err := asf.ScriptPacket(scripts[0], media.StreamScript)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packets, scripts = append(packets, sp), scripts[1:]
+		}
+		packets = append(packets, p)
+	}
+	var old asf.Index
+	flagged := map[media.Kind]bool{}
+	for i := range packets {
+		packets[i].Seq = uint32(i)
+		if p := packets[i]; p.Keyframe() {
+			old = append(old, asf.IndexEntry{PTS: p.PTS, Seq: p.Seq})
+			flagged[p.Kind] = true
+		}
+	}
+	for _, k := range []media.Kind{media.KindVideo, media.KindAudio, media.KindImage, media.KindScript} {
+		if !flagged[k] {
+			t.Fatalf("legacy container has no %v packet flagged a keyframe", k)
+		}
+	}
+	return h, packets, assemble(t, h, packets, old)
+}
+
+// TestLegacyTrailerIgnored: a container whose trailer indexes audio,
+// image and script packets still registers, its seeks land on video
+// keyframes, and every stored response it serves closes with an index of
+// seek points only.
+func TestLegacyTrailerIgnored(t *testing.T) {
+	h, packets, data := legacyContainer(t)
+	srv := NewServer(nil)
+	srv.Pacing = false
+	asset, err := srv.RegisterAsset("old", asf.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	seeks := []time.Duration{0, 2500 * time.Millisecond, 5 * time.Second, 7 * time.Second, 11 * time.Second}
+	for _, at := range seeks {
+		p := asset.Packets[asset.SeekIndex(at)]
+		if p.Kind != media.KindVideo || !p.Keyframe() || p.PTS > at {
+			t.Fatalf("seek to %v lands on a %v packet (keyframe %v) at %v", at, p.Kind, p.Keyframe(), p.PTS)
+		}
+	}
+	type request struct {
+		path string
+		from int // position in packets the body starts at
+	}
+	requests := []request{{"/v1/fetch/old", 0}, {"/v1/vod/old", 0}}
+	for _, at := range seeks {
+		requests = append(requests, request{"/v1/vod/old?start=" + at.String(), asset.SeekIndex(at)})
+	}
+	for _, rq := range requests {
+		resp, err := ts.Client().Get(ts.URL + rq.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ix asf.Index
+		for _, p := range packets[rq.from:] {
+			if h.SeekPoint(p) {
+				ix = append(ix, asf.IndexEntry{PTS: p.PTS, Seq: p.Seq})
+			}
+		}
+		if want, _ := asf.EncodeIndex(ix); len(ix) == 0 || !bytes.HasSuffix(body, want) {
+			t.Fatalf("GET %s does not close with the index of its %d seek points", rq.path, len(ix))
+		}
+	}
 }
 
 func TestSeekIndexBounds(t *testing.T) {
@@ -173,7 +362,7 @@ func TestSeekIndexBounds(t *testing.T) {
 	}
 }
 
-// TestSeekIndexConcurrent exercises the seq→position map under
+// TestSeekIndexConcurrent exercises the seek-point search under
 // concurrent seeks, the load pattern of many clients joining mid-lecture.
 func TestSeekIndexConcurrent(t *testing.T) {
 	srv := NewServer(nil)
@@ -201,8 +390,9 @@ func TestSeekIndexConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// An index entry pointing at a sequence number no packet carries
-	// (truncated or hand-edited file) still plays from the start.
+	// A trailer entry pointing at a sequence number no packet carries
+	// (truncated or hand-edited file) is ignored like the rest of the
+	// trailer: with no seek point, a seek plays from the start.
 	odd := registerContainer(t, []asf.Packet{{Seq: 5, PTS: 0}}, asf.Index{{PTS: 0, Seq: 99}})
 	if got := odd.SeekIndex(time.Second); got != 0 {
 		t.Fatalf("dangling index entry SeekIndex = %d", got)

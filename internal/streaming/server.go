@@ -9,11 +9,12 @@
 // wire contract):
 //
 //	GET /v1/vod/{asset}        — stream a stored container, paced by packet
-//	                             send times; ?start=<dur> seeks via the
-//	                             index (a malformed or negative start is a
-//	                             400 with a proto.Error body)
+//	                             send times; ?start=<dur> seeks to the
+//	                             last seek point at or before it (a
+//	                             malformed or negative start is a 400 with
+//	                             a proto.Error body)
 //	GET /v1/live/{channel}     — join a live broadcast; the header plus the
-//	                             most recent keyframe-aligned packets are
+//	                             packets since the last seek point are
 //	                             replayed so a decoder can start, then
 //	                             packets follow live
 //	GET /v1/group/{name}?bw=N  — multi-bitrate selection: the richest
@@ -87,25 +88,26 @@ type Asset struct {
 	// read-only. The serving path never reads them; the benchmark module
 	// verifies sessions against them.
 	Packets []asf.Packet
-	// Index is the stored keyframe index that ?start= seeks resolve
-	// against (SeekIndex).
-	Index asf.Index
 
-	shared  []*asf.Shared        // what every session and mirror fetch writes
-	seekPos map[uint32]seekPoint // packet sequence number → where a seek to it starts
-	bytes   int64                // total payload size
+	shared []*asf.Shared // what every session and mirror fetch writes
+	bytes  int64         // total payload size
+
+	// index is the asset's seek points (asf.Header.SeekPoint), derived from
+	// its packets; points[i] is where a seek to index[i] starts.
+	index  asf.Index
+	points []seekPoint
 
 	// A stored response is the encoded header, the wire images from its
-	// seek point on and the index over their keyframes (storedRange). The
-	// first and last are encoded here once, so a session knows its length
-	// before its first write.
+	// seek point on and the index over their seek points (storedRange).
+	// The first and last are encoded here once, so a session knows its
+	// length before its first write.
 	header []byte       // the encoded header
 	wire   int64        // wire bytes of every packet
 	keys   asf.KeyIndex // the index over every packet
 }
 
 // seekPoint is where a stored response starts: a position in Packets,
-// with the wire bytes and the keyframes of the packets before it.
+// with the wire bytes and the seek points of the packets before it.
 type seekPoint struct {
 	pos  int
 	off  int64
@@ -120,25 +122,24 @@ func (a *Asset) SharedPackets() []*asf.Shared { return a.shared }
 // Bytes returns the total payload size.
 func (a *Asset) Bytes() int64 { return a.bytes }
 
-// SeekIndex returns the position in Packets of the last keyframe at or
-// before the given presentation time, or 0 when the index has no entry
-// that early or points at a sequence number no packet carries (play from
-// the beginning).
+// SeekIndex returns the position in Packets of the last seek point at or
+// before the given presentation time, or 0 when there is none that early
+// (play from the beginning).
 func (a *Asset) SeekIndex(at time.Duration) int { return a.seek(at).pos }
 
 // seek is SeekIndex's seek point.
 func (a *Asset) seek(at time.Duration) seekPoint {
-	seq, ok := a.Index.Locate(at)
+	i, ok := a.index.Locate(at)
 	if !ok {
 		return seekPoint{}
 	}
-	return a.seekPos[seq]
+	return a.points[i]
 }
 
 // storedRange declares on h the length and type of the stored response
 // that starts at p, and returns what it carries: the header, the packets
-// whose wire images follow it, and the trailing index over their
-// keyframes — the bytes an asf.Writer given those packets writes. With
+// whose wire images follow it, and the trailing index over their seek
+// points — the bytes an asf.Writer given those packets writes. With
 // its length declared, net/http sends the body as is, not in chunks, and
 // a client reads a body cut short as an unexpected EOF.
 func (a *Asset) storedRange(h http.Header, p seekPoint) (header []byte, packets []*asf.Shared, index []byte) {
@@ -296,7 +297,9 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // parseAsset reads a whole stored container into a ready-to-serve
 // Asset in one pass, before any server lock is taken — registration
 // under traffic never parses inside the lock. A container with any
-// packet the reader refuses is refused whole.
+// packet the reader refuses is refused whole. The seek points are
+// derived on the way and the container's own index is ignored, so one
+// written under another rule serves the same seeks.
 func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 	h, err := r.ReadHeader()
 	if err != nil {
@@ -314,42 +317,18 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 			}
 			return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 		}
+		p := sp.Packet()
+		if h.SeekPoint(p) {
+			a.index = append(a.index, asf.IndexEntry{PTS: p.PTS, Seq: p.Seq})
+			a.points = append(a.points, seekPoint{pos: len(a.shared), off: a.wire, keys: len(a.points)})
+		}
 		a.shared = append(a.shared, sp)
-		a.Packets = append(a.Packets, sp.Packet())
-		a.bytes += int64(sp.PayloadLen())
+		a.Packets = append(a.Packets, p)
+		a.bytes += int64(len(p.Payload))
 		a.wire += int64(len(sp.Wire()))
 	}
-	a.Index = r.Index()
-	a.keys = asf.NewKeyIndex(h, a.shared)
-	a.seekPos = seekPoints(a.Index, a.shared)
+	a.keys = asf.NewKeyIndex(h, a.index)
 	return a, nil
-}
-
-// seekPoints maps every sequence number the index names to where a seek
-// to it starts: the first packet carrying it. One that no packet carries
-// is left out, so a seek to it plays from the start.
-func seekPoints(ix asf.Index, packets []*asf.Shared) map[uint32]seekPoint {
-	points := make(map[uint32]seekPoint, len(ix))
-	for _, e := range ix {
-		points[e.Seq] = seekPoint{pos: -1}
-	}
-	var off int64
-	keys := 0
-	for i, sp := range packets {
-		if p, ok := points[sp.Seq()]; ok && p.pos < 0 {
-			points[sp.Seq()] = seekPoint{pos: i, off: off, keys: keys}
-		}
-		off += int64(len(sp.Wire()))
-		if sp.Keyframe() {
-			keys++
-		}
-	}
-	for seq, p := range points {
-		if p.pos < 0 {
-			delete(points, seq)
-		}
-	}
-	return points
 }
 
 // RegisterAsset parses a stored container and registers it by name. An
@@ -819,8 +798,8 @@ func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
 // send times; a VOD request and a group's selected variant both end
 // here. The asset is looked up by name at this point, so a variant
 // republished since its group was built serves its new bytes. A `start`
-// query parameter (Go duration, e.g. ?start=30s) seeks to the last
-// keyframe at or before that presentation time using the stored index; a
+// query parameter (Go duration, e.g. ?start=30s) seeks to the last seek
+// point at or before that presentation time (Asset.SeekIndex); a
 // malformed or negative value is answered with 400 and a proto.Error
 // body rather than silently played from the top.
 func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string) {

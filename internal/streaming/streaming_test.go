@@ -194,7 +194,7 @@ func TestChannelPublishSubscribe(t *testing.T) {
 	if len(sub.Backlog) != 2 {
 		t.Fatalf("backlog = %d packets, want 2", len(sub.Backlog))
 	}
-	if !sub.Backlog[0].Keyframe() {
+	if !sub.Backlog[0].Packet().Keyframe() {
 		t.Fatal("backlog does not start at a keyframe")
 	}
 
@@ -214,8 +214,8 @@ func TestChannelPublishSubscribe(t *testing.T) {
 	// The first subscriber received the live packet.
 	select {
 	case p := <-sub.C:
-		if p.PTS() != 2*time.Second {
-			t.Fatalf("live packet PTS %v", p.PTS())
+		if pts := p.Packet().PTS; pts != 2*time.Second {
+			t.Fatalf("live packet PTS %v", pts)
 		}
 	default:
 		t.Fatal("live packet not delivered")
