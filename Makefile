@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzStreamNameRoundTrip -fuzztime=5s
 	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzParseStart -fuzztime=5s
 	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzParseBandwidth -fuzztime=5s
+	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzParseRange -fuzztime=5s
 	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzSplitExclude -fuzztime=5s
 	$(GO) test ./internal/catalog -run='^$$' -fuzz=FuzzStateRoundTrip -fuzztime=5s
 	$(GO) test ./internal/asf -run='^$$' -fuzz=FuzzReader -fuzztime=5s

@@ -29,8 +29,8 @@
 // With -failover N the session survives churn: when the node serving it
 // refuses the connection or drops the stream mid-play, it goes back to
 // the -url host — through a registry, reporting the failed edge and
-// excluding it from the next pick — and resumes a VOD stream at the last
-// media offset it received, up to N times.
+// excluding it from the next pick — and continues a stored stream from
+// the byte it had reached, up to N times.
 package main
 
 import (
@@ -66,7 +66,7 @@ func run(args []string) error {
 	verbose := fs.Bool("v", false, "print every slide flip and annotation")
 	start := fs.Duration("start", 0, "seek a -url VOD stream to this offset (server-side)")
 	serverStatus := fs.Bool("server-status", false, "after playing a -url stream, fetch and print the serving node's status snapshot (plus per-node health through a registry)")
-	failover := fs.Int("failover", 0, "retry a -url stream up to N times when the serving node dies (through the registry, when the -url host is one), resuming VOD at the last received offset")
+	failover := fs.Int("failover", 0, "retry a -url stream up to N times when the serving node dies (through the registry, when the -url host is one), continuing a stored stream from the byte reached")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -146,8 +146,8 @@ func run(args []string) error {
 // it — an edge the registry redirected to, or the URL's own host when
 // that is a serving node. start, when set, seeks the stream; failover is
 // the session's retry budget: dead edges are reported and excluded from
-// the next pick, and segments after a mid-stream failure resume at the
-// last received media offset — never earlier than the seek point.
+// the next pick, and a stored stream cut mid-play continues from the
+// byte it had reached.
 func playURL(opts player.Options, rawURL string, start time.Duration, failover int) (*player.Metrics, string, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil {

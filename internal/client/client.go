@@ -20,8 +20,8 @@
 // 307 by hand, so it always knows which edge serves — the name a failure
 // report and the exclude list need. A 200 on that first leg means the
 // base URL is itself a serving node (a lone lodserver, an origin, an
-// edge), and the session is served there. Failover and resume live in
-// the session's one attempt loop (see Session). Paths, query parameters
+// edge), and the session is served there. A Session is the stream's one
+// body; failover lives in its Read (see Session). Paths, query parameters
 // and headers come from internal/proto, always in the /v1 form, with
 // names percent-encoded by construction ("week 1/intro" just works).
 package client
@@ -109,7 +109,7 @@ type Spec struct {
 	// it into the path.
 	Name string
 	// Start seeks a stored stream (VOD or Group) to a presentation
-	// offset. Failover resume never rewinds earlier than it.
+	// offset: the body starts at the last seek point at or before it.
 	Start time.Duration
 	// Bandwidth declares the client's link bandwidth in bits/s on a
 	// Group request; the server streams the richest variant that fits.
@@ -121,8 +121,8 @@ type Spec struct {
 
 	// Player configures scripted playback (Session.Play).
 	Player player.Options
-	// WrapBody, when set, wraps each attempt's response body before it
-	// reaches the player — link shaping, a first-byte stamp.
+	// WrapBody, when set, wraps the session's one body before it reaches
+	// the player — link shaping, a first-byte stamp.
 	WrapBody func(r io.Reader) io.Reader
 	// OnRetry, when set, observes each failure that will be retried:
 	// edge names the failed edge host, empty when the first leg failed.
@@ -179,7 +179,7 @@ func (s Spec) validate() error {
 }
 
 // Open validates the spec and returns a Session bound to ctx. Opening
-// performs no I/O — the first round trip happens on Play or Fetch.
+// performs no I/O — the first round trip happens on Play, Fetch or Read.
 // Sessions are single-use and not safe for concurrent use.
 func (c *Client) Open(ctx context.Context, spec Spec) (*Session, error) {
 	if err := spec.validate(); err != nil {

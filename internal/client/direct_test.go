@@ -120,35 +120,6 @@ func TestDirectNodeErrors(t *testing.T) {
 	}
 }
 
-// TestResumeTarget pins what a failed-over attempt asks for: a stored
-// stream resumes at the last media offset received, which replaces the
-// spec's own start but never rewinds before it (a stream severed before
-// any media resumes at the original seek point, not 0:00); a group keeps
-// its bandwidth; a live stream rejoins as-is.
-func TestResumeTarget(t *testing.T) {
-	for _, tc := range []struct {
-		spec Spec
-		at   time.Duration
-		want string
-	}{
-		{Spec{Kind: VOD, Name: "lec"}, 0, "/v1/vod/lec"},
-		{Spec{Kind: VOD, Name: "lec"}, 1500 * time.Millisecond, "/v1/vod/lec?start=1500ms"},
-		{Spec{Kind: VOD, Name: "lec", Start: 250 * time.Millisecond}, 1500 * time.Millisecond, "/v1/vod/lec?start=1500ms"},
-		{Spec{Kind: VOD, Name: "lec", Start: 3 * time.Second}, 0, "/v1/vod/lec?start=3000ms"},
-		{Spec{Kind: VOD, Name: "lec", Start: 3 * time.Second}, time.Second, "/v1/vod/lec?start=3000ms"},
-		{Spec{Kind: Group, Name: "g", Bandwidth: 768000}, 1500 * time.Millisecond, "/v1/group/g?bw=768000&start=1500ms"},
-		{Spec{Kind: Live, Name: "class"}, 1500 * time.Millisecond, "/v1/live/class"},
-	} {
-		sess, err := New("http://registry").Open(context.Background(), tc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sess.targetAt(tc.at); got != tc.want {
-			t.Errorf("%+v resumed at %v = %q, want %q", tc.spec, tc.at, got, tc.want)
-		}
-	}
-}
-
 // TestDefaultHTTPClientTimeouts: without WithHTTPClient the SDK bounds
 // connecting and waiting for response headers, but never the body — a
 // lecture streams for minutes. A supplied client's transport is the one

@@ -16,6 +16,7 @@ import (
 	"repro/internal/asf"
 	"repro/internal/catalog"
 	"repro/internal/encoder"
+	"repro/internal/media"
 	"repro/internal/player"
 	"repro/internal/proto"
 	"repro/internal/relay"
@@ -72,8 +73,9 @@ func playAsync(sess *Session) <-chan playResult {
 
 // TestSessionFailsOverMidStream severs the edge serving a paced VOD
 // session mid-body: the session must complete on the other edge,
-// resuming at the offset it had reached rather than restarting, with
-// the failover visible in its stats and the corpse reported dead.
+// continuing the body from the byte it had reached rather than
+// restarting, with the failover visible in its stats and the corpse
+// reported dead.
 func TestSessionFailsOverMidStream(t *testing.T) {
 	c := newCluster(t, "lec")
 	for _, srv := range c.edgeSrv {
@@ -93,7 +95,7 @@ func TestSessionFailsOverMidStream(t *testing.T) {
 	done := playAsync(sess)
 
 	// Find the edge the session landed on, and let the first half second
-	// of media through so the resume has an offset to carry.
+	// of media through so the cut falls mid-body.
 	asset, _ := c.origin.Asset("lec")
 	var early int64
 	for _, sp := range asset.SharedPackets() {
@@ -128,18 +130,30 @@ func TestSessionFailsOverMidStream(t *testing.T) {
 	if res.m.VideoFrames == 0 || res.m.BytesRead == 0 {
 		t.Fatalf("no media delivered: %+v", res.m)
 	}
-	// Resumed, not restarted: the surviving edge was asked for the
-	// stream from a nonzero offset.
+	// Continued, not restarted or re-seeked: the surviving edge was asked
+	// for the rest of the same body, and the player saw one whole stream.
 	resumed := false
 	for _, r := range reqs.seen() {
 		if u := r.URL; u.Host == st.Edge && strings.HasSuffix(u.Path, "/vod/lec") {
-			if at, err := proto.ParseStart(u.Query().Get(proto.ParamStart)); err == nil && at > 0 {
+			if u.Query().Has(proto.ParamStart) {
+				t.Fatalf("resume re-seeked: %s", u)
+			}
+			if n, ok := proto.ParseRange(r.Header.Get("Range")); ok && n > 0 && r.Header.Get("If-Range") != "" {
 				resumed = true
 			}
 		}
 	}
 	if !resumed {
-		t.Fatalf("no resume request with a start offset reached %s: %v", st.Edge, reqs.seen())
+		t.Fatalf("no Range request under If-Range reached %s", st.Edge)
+	}
+	var video int
+	for _, p := range asset.Packets {
+		if p.Kind == media.KindVideo {
+			video++
+		}
+	}
+	if res.m.VideoFrames != video || res.m.BrokenFrames != 0 {
+		t.Fatalf("played %d video frames (%d broken), the lecture has %d", res.m.VideoFrames, res.m.BrokenFrames, video)
 	}
 	// The client's failure report killed the node at the registry, so
 	// later clients are spared the corpse without waiting out the TTL.

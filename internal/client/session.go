@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,30 +23,37 @@ import (
 // a session's attempts (vclock.Backoff).
 const failoverBackoff = 50 * time.Millisecond
 
-// Session is one logical stream, opened from a Spec. A session is
-// single-use: call Play (scripted playback) or Fetch (raw packet reads),
-// then read Stats. It is not safe for concurrent use, except that Stats
-// may be read while Play or Fetch runs.
+// ErrStreamChanged ends a stored session whose body a failover could not
+// continue from the byte reached: it never splices two bodies.
+var ErrStreamChanged = errors.New("client: stream changed under the session")
+
+// Session is one logical stream, opened from a Spec, and its one body:
+// read it through Read, or play it with Play. A session is single-use and
+// not safe for concurrent use, except that Stats may be read while it runs.
 //
-// Play and Fetch share one attempt loop. Each attempt asks the base URL
-// for the stream and follows a 307 to the edge it names, sending the
-// edges the session escaped in proto.ExcludeHeader. An edge that refuses
-// the connection or severs the stream is excluded and reported dead to
-// the registry (POST /v1/registry/report-failure); an edge answering 5xx
-// is only excluded; a registry 503 (no edge live) clears the exclude
-// list, which may be stale. Either way the session backs off on the
-// player's clock and tries again, within Spec.Failover. A viewer leaving
-// (ctx done) or the player refusing the stream (player.ErrDRMNotLicensed)
-// is never blamed on the node: nothing is reported, nothing retried.
+// Each attempt asks the base URL for the stream and follows a 307 to the
+// edge it names, sending the edges the session escaped in
+// proto.ExcludeHeader. An edge that refuses the connection or severs the
+// stream is excluded and reported dead to the registry (POST
+// /v1/registry/report-failure); an edge answering 5xx is only excluded;
+// a registry 503 (no edge live) clears the exclude list, which may be
+// stale. Either way the session backs off on the player's clock and
+// tries again, within Spec.Failover. A stored body severed after n bytes
+// continues from byte n: the same target, asked for with Range and
+// If-Range (proto's doc, "Ranges"). A live body severed after its first
+// byte ends the session. A viewer leaving (ctx done) is never blamed on
+// the node: nothing is reported, nothing retried.
 type Session struct {
 	ctx     context.Context
 	c       *Client
 	spec    Spec
 	target  string
 	exclude []string
-	// resumeAt is the latest media offset a severed segment delivered;
-	// the next attempt of a stored stream starts there.
-	resumeAt time.Duration
+
+	body      io.ReadCloser // the serving node's (stats.Edge) response; nil between attempts
+	etag      string        // the first response's ETag, which a resume continues
+	delivered int64         // body bytes Read has returned
+	err       error         // the session's end, which every later Read returns
 
 	mu    sync.Mutex
 	stats Stats
@@ -65,10 +74,10 @@ type Stats struct {
 	Retries int
 }
 
-// fetchError is one failed attempt, classified for the attempt loop:
-// edge is the serving host that failed (empty when the first leg did),
-// retry whether another attempt may succeed (connection refused, stream
-// severed, no edge momentarily live — not a missing asset).
+// fetchError is one failed attempt, classified for retry: edge is the
+// serving host that failed (empty when the first leg did), retry whether
+// another attempt may succeed (connection refused, stream severed, no
+// edge momentarily live — not a missing asset).
 type fetchError struct {
 	edge  string
 	retry bool
@@ -96,113 +105,145 @@ func (s *Session) Stats() Stats {
 	return s.stats
 }
 
-// Play streams to completion through the scripted player and returns
-// the session's metrics (never nil): the first segment's, with any
-// resumed segment merged in. Failover happens inside; a stored stream
-// resumes at the last received media offset — never earlier than the
-// spec's Start — and a live one rejoins the channel.
+// Play streams the session's body to completion through the scripted
+// player, once, and returns its metrics (never nil). Failover happens
+// inside Read: the player sees one container, and the outage as
+// rebuffering.
 func (s *Session) Play() (*player.Metrics, error) {
-	var m *player.Metrics
-	err := s.run(func(resp *http.Response, edge string) error {
-		body := io.Reader(resp.Body)
-		if s.spec.WrapBody != nil {
-			body = s.spec.WrapBody(body)
-		}
-		seg, err := player.New(s.spec.Player).Play(body)
-		resp.Body.Close()
-		if m == nil {
-			m = seg
-		} else {
-			m.Merge(seg)
-		}
-		if err == nil || errors.Is(err, player.ErrDRMNotLicensed) {
-			return err
-		}
-		if seg != nil {
-			s.resumeAt = max(s.resumeAt, seg.LastPTS())
-		}
-		return s.died(edge, err)
-	})
+	defer s.Close()
+	body := io.Reader(s)
+	if s.spec.WrapBody != nil {
+		body = s.spec.WrapBody(body)
+	}
+	m, err := player.New(s.spec.Player).Play(body)
 	if m == nil {
 		m = &player.Metrics{}
 	}
 	return m, err
 }
 
-// Fetch resolves the stream and returns its raw container body (header,
-// packets, trailing index) for callers that parse packets themselves.
-// Failures before the body starts — a dead edge, a momentary no-edge
-// 503 — fail over within the spec's budget, but a stream severed
-// mid-read is the caller's to handle: resume by opening a new session
-// with Start at the last offset read. An asf.Reader over the body lends
-// each packet until the next read; see the asf package documentation
-// for who may keep one.
+// Fetch opens the stream and returns the session as its raw container
+// body (header, packets, trailing index) for callers that parse packets
+// themselves. Failures before the body starts are returned here; reads
+// fail over as in Play. An asf.Reader over the body lends each packet
+// until the next read; see the asf package documentation for who may
+// keep one.
 func (s *Session) Fetch() (io.ReadCloser, error) {
-	var body io.ReadCloser
-	err := s.run(func(resp *http.Response, _ string) error {
-		body = resp.Body
-		return nil
-	})
-	return body, err
+	if err := s.connect(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// run is the attempt loop: open the stream, hand the serving node's 200
-// response to use, and go around again — after a backoff on the player's
-// clock — while the failure is retryable, the budget lasts and ctx is
-// live.
-func (s *Session) run(use func(resp *http.Response, edge string) error) error {
-	clock := s.spec.Player.Clock
-	if clock == nil {
-		clock = vclock.Real{}
+// Read reads the stream's one body, failing over inside (see Session).
+func (s *Session) Read(p []byte) (int, error) {
+	for s.err == nil {
+		if s.body == nil {
+			if s.err = s.connect(); s.err != nil {
+				break
+			}
+		}
+		n, err := s.body.Read(p)
+		s.delivered += int64(n)
+		if err == nil || err == io.EOF {
+			return n, err
+		}
+		s.body.Close()
+		s.body = nil
+		s.err = s.died(s.stats.Edge, err)
+		if s.spec.Kind != Live || s.delivered == 0 {
+			s.err = s.retry(s.err)
+		}
+		if n > 0 {
+			return n, s.err
+		}
 	}
-	for attempt := 1; ; attempt++ {
-		resp, edge, err := s.open(s.targetAt(s.resumeAt))
+	return 0, s.err
+}
+
+// Close ends the session and closes the body being read: every later
+// Read fails.
+func (s *Session) Close() error {
+	if s.body != nil {
+		s.body.Close()
+	}
+	s.body, s.err = nil, http.ErrBodyReadAfterClose
+	return nil
+}
+
+// connect opens the stream, again after a backoff while retry allows,
+// and makes the serving node's response the session's body: past the
+// body's first byte, only a 206 continuing from the byte reached.
+func (s *Session) connect() error {
+	for {
+		resp, edge, err := s.open()
 		if edge != "" {
 			s.mu.Lock()
 			s.stats.Edge = edge
 			s.mu.Unlock()
 		}
 		if err == nil {
-			if err = use(resp, edge); err == nil {
-				return nil
+			if s.delivered == 0 {
+				s.etag = resp.Header.Get("Etag")
+			} else if resp.StatusCode != http.StatusPartialContent ||
+				!strings.HasPrefix(resp.Header.Get("Content-Range"), "bytes "+strconv.FormatInt(s.delivered, 10)+"-") {
+				resp.Body.Close()
+				return fmt.Errorf("%w: %s answered %s to a resume from byte %d", ErrStreamChanged, edge, resp.Status, s.delivered)
 			}
+			s.body = resp.Body
+			return nil
 		}
-		var fe *fetchError
-		if !errors.As(err, &fe) || !fe.retry || attempt > s.spec.Failover || s.ctx.Err() != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.stats.Retries++
-		if fe.edge != "" {
-			s.stats.Failovers++
-		}
-		s.mu.Unlock()
-		if s.spec.OnRetry != nil {
-			s.spec.OnRetry(fe.edge, err)
-		}
-		if !vclock.SleepCtx(s.ctx, clock, vclock.Backoff(failoverBackoff, attempt)) {
+		if err = s.retry(err); err != nil {
 			return err
 		}
 	}
 }
 
-// targetAt is the request path of an attempt resuming at offset at: the
-// spec's own target until a severed segment delivered media past its
-// Start, then the same stored stream seeked there. Live rejoins as-is.
-func (s *Session) targetAt(at time.Duration) string {
-	if at <= s.spec.Start || s.spec.Kind == Live {
-		return s.target
+// retry decides whether a failed attempt is made again: the failure is
+// retryable, the budget lasts and ctx is live. It then counts the retry,
+// tells OnRetry, backs off on the player's clock and returns nil; else
+// it returns err.
+func (s *Session) retry(err error) error {
+	var fe *fetchError
+	if !errors.As(err, &fe) || !fe.retry || s.stats.Retries >= s.spec.Failover || s.ctx.Err() != nil {
+		return err
 	}
-	spec := s.spec
-	spec.Start = at
-	return spec.Target()
+	s.mu.Lock()
+	s.stats.Retries++
+	if fe.edge != "" {
+		s.stats.Failovers++
+	}
+	attempt := s.stats.Retries
+	s.mu.Unlock()
+	if s.spec.OnRetry != nil {
+		s.spec.OnRetry(fe.edge, err)
+	}
+	clock := s.spec.Player.Clock
+	if clock == nil {
+		clock = vclock.Real{}
+	}
+	if !vclock.SleepCtx(s.ctx, clock, vclock.Backoff(failoverBackoff, attempt)) {
+		return err
+	}
+	return nil
 }
 
-// open makes one attempt's requests: GET target from the base URL
-// without following redirects, then GET the 307's Location from the
-// edge it names. It returns the serving node's 200 response and host.
-func (s *Session) open(target string) (*http.Response, string, error) {
-	req, err := http.NewRequestWithContext(s.ctx, http.MethodGet, s.c.base+target, nil)
+// request is an attempt's GET of url; past the body's first byte it asks
+// for the rest of the same body.
+func (s *Session) request(url string) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(s.ctx, http.MethodGet, url, nil)
+	if err == nil && s.delivered > 0 {
+		req.Header.Set("Range", proto.FormatRange(s.delivered))
+		req.Header.Set("If-Range", s.etag)
+	}
+	return req, err
+}
+
+// open makes one attempt's requests: GET the target from the base URL
+// without following redirects, then GET the 307's Location from the edge
+// it names. It returns the serving node's response and host.
+func (s *Session) open() (*http.Response, string, error) {
+	req, err := s.request(s.c.base + s.target)
 	if err != nil {
 		return nil, "", err
 	}
@@ -216,13 +257,18 @@ func (s *Session) open(target string) (*http.Response, string, error) {
 		return nil, "", &fetchError{retry: true, err: err}
 	}
 	switch resp.StatusCode {
-	case http.StatusOK:
+	case http.StatusOK, http.StatusPartialContent:
 		return resp, s.c.host, nil // the base URL is a serving node
 	case http.StatusTemporaryRedirect:
 		loc := resp.Header.Get("Location")
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
-		return s.openEdge(loc)
+		u, err := url.Parse(loc)
+		if err != nil || u.Host == "" {
+			// Not an edge to blame: nothing is excluded or reported.
+			return nil, "", &fetchError{err: fmt.Errorf("bad redirect %q", loc)}
+		}
+		return s.openEdge(u)
 	case http.StatusServiceUnavailable:
 		// No live edge. The exclude list may be stale (an excluded edge
 		// could have restarted); drop it so the next attempt can use
@@ -234,13 +280,9 @@ func (s *Session) open(target string) (*http.Response, string, error) {
 	}
 }
 
-// openEdge performs the redirected leg against one edge.
-func (s *Session) openEdge(loc string) (*http.Response, string, error) {
-	u, err := url.Parse(loc)
-	if err != nil {
-		return nil, "", &fetchError{err: fmt.Errorf("bad redirect %q: %w", loc, err)}
-	}
-	req, err := http.NewRequestWithContext(s.ctx, http.MethodGet, loc, nil)
+// openEdge performs the redirected leg against the edge u names.
+func (s *Session) openEdge(u *url.URL) (*http.Response, string, error) {
+	req, err := s.request(u.String())
 	if err != nil {
 		return nil, u.Host, &fetchError{edge: u.Host, err: err}
 	}
@@ -249,7 +291,7 @@ func (s *Session) openEdge(loc string) (*http.Response, string, error) {
 		return nil, u.Host, s.died(u.Host, err)
 	}
 	switch {
-	case resp.StatusCode == http.StatusOK:
+	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusPartialContent:
 		return resp, u.Host, nil
 	case resp.StatusCode >= 500:
 		// Refused but reachable (draining, over capacity, origin pull

@@ -93,70 +93,6 @@ type Metrics struct {
 	Duration     time.Duration
 }
 
-// LastPTS returns the latest media timestamp (video or audio) the
-// session received — the offset a failed-over client resumes a VOD
-// stream from via ?start=. Zero when no media arrived.
-func (m *Metrics) LastPTS() time.Duration {
-	var last time.Duration
-	for _, e := range m.Events {
-		if (e.Kind == EventVideoFrame || e.Kind == EventAudioBlock) && e.PTS > last {
-			last = e.PTS
-		}
-	}
-	return last
-}
-
-// Merge folds a resumed segment's metrics into m: counters and bytes
-// sum, events append, and the skew statistics are recomputed over the
-// combined event log. The failover path plays each reconnect as its own
-// stream (fresh header, fresh anchor) and merges the segments so the
-// session reports one set of numbers. The resume seek rewinds to the
-// last seek point, so the frames between it and the failure point are
-// counted in both segments.
-func (m *Metrics) Merge(next *Metrics) {
-	if next == nil {
-		return
-	}
-	m.Events = append(m.Events, next.Events...)
-	m.VideoFrames += next.VideoFrames
-	m.AudioBlocks += next.AudioBlocks
-	m.SlidesShown += next.SlidesShown
-	m.Annotations += next.Annotations
-	m.Stalls += next.Stalls
-	m.StallTime += next.StallTime
-	m.Decodable += next.Decodable
-	m.BrokenFrames += next.BrokenFrames
-	m.BytesRead += next.BytesRead
-	m.Duration += next.Duration
-	m.recomputeSkew()
-}
-
-// recomputeSkew rebuilds MaxSkew/MeanSkew from the event log: the skew
-// of every non-stall event, clamped at zero (the player never presents
-// early).
-func (m *Metrics) recomputeSkew() {
-	m.MaxSkew, m.MeanSkew = 0, 0
-	var total time.Duration
-	var count int
-	for _, e := range m.Events {
-		if e.Kind == EventStall {
-			continue
-		}
-		skew := e.Skew()
-		if skew < 0 {
-			skew = 0
-		}
-		if skew > m.MaxSkew {
-			m.MaxSkew = skew
-		}
-		total += skew
-		count++
-	}
-	if count > 0 {
-		m.MeanSkew = total / time.Duration(count)
-	}
-}
-
 // SlideEvents returns the slide-flip events in order.
 func (m *Metrics) SlideEvents() []Event {
 	var out []Event
@@ -374,10 +310,29 @@ func (p *Player) renderScript(m *Metrics, cmd asf.ScriptCommand, at time.Duratio
 	m.Events = append(m.Events, Event{Kind: kind, PTS: cmd.At, At: at, Param: cmd.Param})
 }
 
-// finalizeSkew computes skew statistics over media and script events.
+// finalizeSkew computes MaxSkew and MeanSkew over every non-stall
+// event, clamped at zero (the player never presents early).
 func (p *Player) finalizeSkew(m *Metrics) {
 	if !p.opts.Realtime {
 		return // arrival-order playback has no meaningful wall skew
 	}
-	m.recomputeSkew()
+	var total time.Duration
+	var count int
+	for _, e := range m.Events {
+		if e.Kind == EventStall {
+			continue
+		}
+		skew := e.Skew()
+		if skew < 0 {
+			skew = 0
+		}
+		if skew > m.MaxSkew {
+			m.MaxSkew = skew
+		}
+		total += skew
+		count++
+	}
+	if count > 0 {
+		m.MeanSkew = total / time.Duration(count)
+	}
 }

@@ -83,6 +83,43 @@ func FuzzParseStart(f *testing.F) {
 	})
 }
 
+// FuzzParseRange asserts ParseRange never panics, accepts only the one
+// open-ended form FormatRange writes — never a negative, suffix, bounded
+// or multi-range value — and that every accepted offset round-trips
+// through FormatRange.
+func FuzzParseRange(f *testing.F) {
+	f.Add("bytes=0-")
+	f.Add("bytes=1234-")
+	f.Add("bytes=007-")
+	f.Add("bytes=-5")
+	f.Add("bytes=5-9")
+	f.Add("bytes=0-,5-")
+	f.Add("bytes=+5-")
+	f.Add("bytes=9223372036854775808-")
+	f.Add("items=5-")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, raw string) {
+		n, ok := ParseRange(raw)
+		if !ok {
+			if n != 0 {
+				t.Fatalf("ParseRange(%q) rejected but returned %d", raw, n)
+			}
+			return
+		}
+		if n < 0 {
+			t.Fatalf("ParseRange(%q) = %d accepted a negative offset", raw, n)
+		}
+		spec := strings.TrimPrefix(raw, "bytes=")
+		if strings.HasPrefix(spec, "-") || strings.Contains(spec, ",") || !strings.HasSuffix(spec, "-") ||
+			strings.Count(spec, "-") != 1 {
+			t.Fatalf("ParseRange(%q) = %d accepted a suffix, bounded or multi-range form", raw, n)
+		}
+		if back, ok := ParseRange(FormatRange(n)); !ok || back != n {
+			t.Fatalf("FormatRange round trip of %q = %d, %v; want %d", raw, back, ok, n)
+		}
+	})
+}
+
 // FuzzParseBandwidth asserts ParseBandwidth accepts exactly the
 // positive decimal integers and wraps every rejection in a 400 *Error.
 func FuzzParseBandwidth(f *testing.F) {

@@ -20,6 +20,17 @@
 // route constants below are the unversioned paths; Versioned turns one
 // into what is mounted and requested, and Unversioned strips the prefix
 // again where a path is a key (the registry's ring) rather than a route.
+//
+// # Ranges
+//
+// A stored response (/v1/vod, /v1/group) carries a strong ETag derived
+// from the asset's bytes, so every node holding the same asset sends the
+// same tag. A client whose body was cut after n bytes asks any node for
+// the same target again with Range: FormatRange(n) and If-Range: that
+// tag. A node holding the same asset answers 206, Content-Range
+// bytes n-(L-1)/L, with the body from byte n on. Anything else gets the
+// whole body, a 200 (RFC 9110 §14), which tells the client the stream it
+// was reading is gone. /v1/fetch ignores Range.
 package proto
 
 import (
@@ -117,8 +128,7 @@ const (
 // Query parameters of the streaming endpoints.
 const (
 	// ParamStart seeks a stored stream to a presentation offset (a Go
-	// duration, e.g. start=30s); it is also how a failed-over client
-	// resumes at the last received offset. See FormatStart/ParseStart.
+	// duration, e.g. start=30s). See FormatStart/ParseStart.
 	ParamStart = "start"
 	// ParamBandwidth declares the client's link bandwidth in bits/s on a
 	// group request; the server streams the richest variant that fits.
@@ -217,7 +227,7 @@ func defaultTransport() *http.Transport {
 	return t
 }
 
-// FormatStart renders a seek/resume offset as the canonical ParamStart
+// FormatStart renders a seek offset as the canonical ParamStart
 // value (integer milliseconds, e.g. "1500ms").
 func FormatStart(at time.Duration) string {
 	return strconv.FormatInt(at.Milliseconds(), 10) + "ms"
@@ -237,6 +247,26 @@ func ParseStart(raw string) (time.Duration, error) {
 			Message: "bad " + ParamStart + " parameter " + strconv.Quote(raw) + ": must not be negative"}
 	}
 	return at, nil
+}
+
+// FormatRange renders the one Range form servers honour: the open-ended
+// bytes=n-, the body from byte n on.
+func FormatRange(n int64) string { return "bytes=" + strconv.FormatInt(n, 10) + "-" }
+
+// ParseRange parses a Range value of the FormatRange form. Any other
+// form — bounded (bytes=n-m), suffix (bytes=-n), several ranges, another
+// unit, a malformed or out-of-range offset — is not ok.
+func ParseRange(raw string) (int64, bool) {
+	digits, ok := strings.CutPrefix(raw, "bytes=")
+	digits, open := strings.CutSuffix(digits, "-")
+	if !ok || !open || digits == "" || strings.Trim(digits, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }
 
 // ParseBandwidth parses a ParamBandwidth value: a positive bits/s

@@ -121,6 +121,20 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 		}
 	}
 
+	// Every node holding the same bytes names them with the same ETag, so
+	// a session cut on one node continues its byte range on another.
+	etag := func(url string) string {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.Header.Get("Etag")
+	}
+	if o, e := etag(originTS.URL+"/v1/vod/lec"), etag(edgeTS.URL+"/v1/vod/lec"); o == "" || e != o {
+		t.Fatalf("edge ETag %q, origin %q: want the origin's tag", e, o)
+	}
+
 	// The second demand is served from the edge cache: no new origin fetch.
 	if got := origin.Stats().MirrorFetches; got != 1 {
 		t.Fatalf("origin mirror fetches = %d, want 1", got)

@@ -3,8 +3,8 @@ package relay
 // The relay tier's half of client failover, driven through the one
 // client stack (internal/client; test files may import it — the
 // layering rule constrains relay's non-test files only). The client's
-// own tests pin its attempt loop; these pin what the registry and the
-// edges must do for a failed-over or resumed session to land well.
+// own tests pin its failover; these pin what the registry and the
+// edges must do for a failed-over session to land well.
 
 import (
 	"context"
@@ -33,6 +33,7 @@ type failoverCluster struct {
 	live     *httptest.Server
 	excludes *queryLog // exclude headers the registry's redirects saw
 	liveReqs *queryLog // queries of the stream requests the live edge saw
+	ranges   *queryLog // Range headers of the stream requests the live edge saw
 	full     int       // packets in the whole stored stream
 }
 
@@ -61,7 +62,7 @@ func (l *queryLog) seen() []string {
 func newFailoverCluster(t *testing.T) *failoverCluster {
 	t.Helper()
 	_, originTS := newOriginWithAsset(t, "lec")
-	c := &failoverCluster{g: NewRegistry(nil), excludes: &queryLog{}, liveReqs: &queryLog{}}
+	c := &failoverCluster{g: NewRegistry(nil), excludes: &queryLog{}, liveReqs: &queryLog{}, ranges: &queryLog{}}
 	reg := httptest.NewServer(c.excludes.wrap(c.g.Handler(),
 		func(r *http.Request) string { return r.Header.Get(proto.ExcludeHeader) }))
 	t.Cleanup(reg.Close)
@@ -71,8 +72,10 @@ func newFailoverCluster(t *testing.T) *failoverCluster {
 	for i := range edges {
 		srv := streaming.NewServer(nil)
 		srv.Pacing = false
-		edges[i] = httptest.NewServer(c.liveReqs.wrap(NewEdge(originTS.URL, srv).Handler(),
-			func(r *http.Request) string { return r.URL.RawQuery }))
+		edge := c.liveReqs.wrap(NewEdge(originTS.URL, srv).Handler(),
+			func(r *http.Request) string { return r.URL.RawQuery })
+		edges[i] = httptest.NewServer(c.ranges.wrap(edge,
+			func(r *http.Request) string { return r.Header.Get("Range") }))
 		t.Cleanup(edges[i].Close)
 	}
 	mustRegister(t, c.g,
@@ -150,9 +153,10 @@ func TestStreamFetcherFailsOverToLiveEdge(t *testing.T) {
 	}
 }
 
-// TestStartOf: a seek survives a failover before any media arrived —
-// the live edge is asked for the spec's own start, not 0:00, and serves
-// from the seek point; an unseeked spec carries no start at all.
+// TestStartOf: a seek survives a failover before any byte arrived —
+// the live edge is asked for the spec's own start, not 0:00, and no
+// byte range, and serves from the seek point; an unseeked spec carries
+// no start at all.
 func TestStartOf(t *testing.T) {
 	for _, start := range []time.Duration{0, 5 * time.Second, 5500 * time.Millisecond} {
 		c := newFailoverCluster(t)
@@ -164,9 +168,12 @@ func TestStartOf(t *testing.T) {
 		if len(reqs) != 1 {
 			t.Fatalf("start %v: live edge saw %q, want one stream request", start, reqs)
 		}
+		if got := c.ranges.seen(); got[0] != "" {
+			t.Fatalf("start %v: a failover before any byte asked for Range %q", start, got[0])
+		}
 		if start == 0 {
 			if reqs[0] != "" || n != c.full {
-				t.Fatalf("unseeked resume asked %q and got %d/%d packets", reqs[0], n, c.full)
+				t.Fatalf("unseeked failover asked %q and got %d/%d packets", reqs[0], n, c.full)
 			}
 			continue
 		}
@@ -175,7 +182,7 @@ func TestStartOf(t *testing.T) {
 			t.Fatalf("start %v: live edge asked %q, want the seek point", start, reqs[0])
 		}
 		if at, err := proto.ParseStart(raw); err != nil || at != start {
-			t.Fatalf("start %v: pre-media resume asked start=%s (%v, %v)", start, raw, at, err)
+			t.Fatalf("start %v: failover asked start=%s (%v, %v)", start, raw, at, err)
 		}
 		if n == 0 || n >= c.full {
 			t.Fatalf("start %v: live edge served %d of %d packets, want the seeked tail", start, n, c.full)
@@ -183,10 +190,10 @@ func TestStartOf(t *testing.T) {
 	}
 }
 
-// TestWithStart: a resume target as the client renders it — the resume
-// offset in place of any earlier start, a group's bandwidth kept —
-// crosses the registry's redirect verbatim, and the ring keys on the
-// path alone, so resuming never moves the stream to another (cold) edge.
+// TestWithStart: a seeked target as the client renders it — its start,
+// a group's bandwidth kept — crosses the registry's redirect verbatim,
+// and the ring keys on the path alone, so a seek never moves the stream
+// to another (cold) edge.
 func TestWithStart(t *testing.T) {
 	g := NewRegistry(nil)
 	ts := httptest.NewServer(g.Handler())
@@ -225,7 +232,7 @@ func TestWithStart(t *testing.T) {
 		}
 		host, rest := redirect(tc.want)
 		if rest != tc.want {
-			t.Errorf("redirect of %q names %q: the resume target was altered", tc.want, rest)
+			t.Errorf("redirect of %q names %q: the target was altered", tc.want, rest)
 		}
 		plain := tc.spec
 		plain.Start = 0

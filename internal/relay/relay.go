@@ -22,7 +22,7 @@
 //
 // Clients need no cluster awareness: they request /v1/vod/... or
 // /v1/live/... from the registry and follow the redirect. The client half — resolve,
-// fail over, resume — is internal/client; this package is the server
+// fail over, continue a cut body by byte range — is internal/client; this package is the server
 // tier only and imports neither the SDK nor the player.
 //
 // The cluster is churn-tolerant: a client whose edge refuses the

@@ -2,9 +2,12 @@ package streaming
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,7 +40,10 @@ func writerBytes(t *testing.T, a *Asset, from int) []byte {
 // TestStoredResponseIsExactRange: every stored response — a mirror
 // fetch, a VOD session from the top or from any seek point, a group
 // session — declares its length, arrives unchunked, and is byte for byte
-// what an asf.Writer given the same packets writes.
+// what an asf.Writer given the same packets writes. Under the asset's
+// ETag, a VOD or group request for bytes=n- gets exactly that body's
+// tail from byte n, wherever n falls; any other range, and any range of
+// a mirror fetch, gets the whole body.
 func TestStoredResponseIsExactRange(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false
@@ -92,34 +98,93 @@ func TestStoredResponseIsExactRange(t *testing.T) {
 
 	suffixes := 0
 	for _, rq := range requests {
-		resp, err := ts.Client().Get(ts.URL + rq.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("GET %s: %v", rq.path, err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", rq.path, resp.StatusCode)
-		}
+		full, resp := get(t, ts, rq.path, nil)
 		if len(resp.TransferEncoding) != 0 {
 			t.Fatalf("GET %s: Transfer-Encoding %v, want a declared length", rq.path, resp.TransferEncoding)
 		}
-		if resp.ContentLength != int64(len(body)) {
-			t.Fatalf("GET %s: Content-Length %d, body %d bytes", rq.path, resp.ContentLength, len(body))
-		}
-		if want := writerBytes(t, asset, rq.from); !bytes.Equal(body, want) {
+		if want := writerBytes(t, asset, rq.from); !bytes.Equal(full, want) {
 			t.Fatalf("GET %s: %d-byte body differs from the writer's %d bytes from packet %d",
-				rq.path, len(body), len(want), rq.from)
+				rq.path, len(full), len(want), rq.from)
 		}
 		if rq.from > 0 {
 			suffixes++
+		}
+		etag := resp.Header.Get("Etag")
+		if etag != asset.etag[0] {
+			t.Fatalf("GET %s: ETag %q, want the asset's %q", rq.path, etag, asset.etag[0])
+		}
+		ranged := func(n int64) http.Header {
+			return http.Header{"Range": {proto.FormatRange(n)}, "If-Range": {etag}}
+		}
+		// The body's boundaries: the first packet's first byte, its middle,
+		// the index's first byte and its middle.
+		size := int64(len(full))
+		first := int64(len(asset.header))
+		index := first
+		for _, sp := range asset.SharedPackets()[rq.from:] {
+			index += int64(len(sp.Wire()))
+		}
+		fullOnly := []http.Header{
+			{"Range": {proto.FormatRange(1)}},                          // no If-Range
+			{"Range": {proto.FormatRange(1)}, "If-Range": {`"stale"`}}, // another asset's tag
+			{"Range": {"bytes=1-9"}, "If-Range": {etag}},               // bounded
+			{"Range": {"bytes=-9"}, "If-Range": {etag}},                // suffix
+			{"Range": {"bytes=1-,9-"}, "If-Range": {etag}},             // multi-range
+			ranged(size), ranged(size + 1), // past the body
+		}
+		if strings.HasPrefix(rq.path, proto.Versioned(proto.PrefixFetch)) {
+			fullOnly = append(fullOnly, ranged(1)) // a mirror pull takes the whole body
+		} else {
+			wire0 := int64(len(asset.SharedPackets()[rq.from].Wire()))
+			for _, n := range []int64{1, first - 1, first, first + wire0/2, index - 1, index, (index + size) / 2, size - 1} {
+				body, resp := get(t, ts, rq.path, ranged(n))
+				if resp.StatusCode != http.StatusPartialContent {
+					t.Fatalf("GET %s from byte %d: status %d, want 206", rq.path, n, resp.StatusCode)
+				}
+				if got, want := resp.Header.Get("Content-Range"), fmt.Sprintf("bytes %d-%d/%d", n, size-1, size); got != want {
+					t.Fatalf("GET %s from byte %d: Content-Range %q, want %q", rq.path, n, got, want)
+				}
+				if !bytes.Equal(body, full[n:]) {
+					t.Fatalf("GET %s from byte %d: %d-byte body is not the %d-byte tail", rq.path, n, len(body), size-n)
+				}
+			}
+		}
+		for _, h := range fullOnly {
+			body, resp := get(t, ts, rq.path, h)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Range") != "" || !bytes.Equal(body, full) {
+				t.Fatalf("GET %s with %v: status %d, %d bytes; want the whole %d-byte body", rq.path, h, resp.StatusCode, len(body), size)
+			}
 		}
 	}
 	if suffixes == 0 {
 		t.Fatal("no request started past the first packet")
 	}
 	t.Logf("%d responses, %d of them from past the first packet", len(requests), suffixes)
+}
+
+// get requests path with the header h and returns the body, checked
+// against the response's declared length.
+func get(t *testing.T, ts *httptest.Server, path string, h http.Header) ([]byte, *http.Response) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header = h
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Fatalf("GET %s: Content-Length %d, body %d bytes", path, resp.ContentLength, len(body))
+	}
+	return body, resp
 }

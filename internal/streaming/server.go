@@ -12,7 +12,9 @@
 //	                             send times; ?start=<dur> seeks to the
 //	                             last seek point at or before it (a
 //	                             malformed or negative start is a 400 with
-//	                             a proto.Error body)
+//	                             a proto.Error body); Range: bytes=n-
+//	                             under If-Range: <ETag> continues the body
+//	                             from byte n (206)
 //	GET /v1/live/{channel}     — join a live broadcast; the header plus the
 //	                             packets since the last seek point are
 //	                             replayed so a decoder can start, then
@@ -56,6 +58,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -104,6 +107,10 @@ type Asset struct {
 	header []byte       // the encoded header
 	wire   int64        // wire bytes of every packet
 	keys   asf.KeyIndex // the index over every packet
+	// etag is the asset's strong ETag header: a hash of the encoded
+	// header and of each wire image's fixed header, whose CRC covers its
+	// payload, so every node holding the same bytes sends the same tag.
+	etag []string
 }
 
 // seekPoint is where a stored response starts: a position in Packets,
@@ -136,18 +143,42 @@ func (a *Asset) seek(at time.Duration) seekPoint {
 	return a.points[i]
 }
 
-// storedRange declares on h the length and type of the stored response
-// that starts at p, and returns what it carries: the header, the packets
-// whose wire images follow it, and the trailing index over their seek
-// points — the bytes an asf.Writer given those packets writes. With
-// its length declared, net/http sends the body as is, not in chunks, and
-// a client reads a body cut short as an unexpected EOF.
-func (a *Asset) storedRange(h http.Header, p seekPoint) (header []byte, packets []*asf.Shared, index []byte) {
-	index = a.keys.From(p.keys)
-	n := int64(len(a.header)) + a.wire - p.off + int64(len(index))
+// storedRange declares on w the status, length and type of the stored
+// response that starts at p, and returns what it carries: the header,
+// the packets whose wire images follow it, and the trailing index over
+// their seek points — the bytes an asf.Writer given those packets
+// writes. With its length declared, net/http sends the body as is, not
+// in chunks, and a client reads a body cut short as an unexpected EOF.
+//
+// Request headers rh (nil for a mirror fetch) with Range: bytes=n-, n
+// inside the body, and If-Range: the asset's ETag get a 206 and the body
+// from byte n on, the first skip bytes of packets[0]'s image left out;
+// any other request gets the whole body (proto's doc, "Ranges").
+func (a *Asset) storedRange(w http.ResponseWriter, rh http.Header, p seekPoint) (header []byte, skip int, packets []*asf.Shared, index []byte) {
+	header, packets, index = a.header, a.shared[p.pos:], a.keys.From(p.keys)
+	size := int64(len(header)) + a.wire - p.off + int64(len(index))
+	h := w.Header()
+	h["Etag"] = a.etag
 	h.Set("Content-Type", "application/x-wmp-stream")
-	h.Set("Content-Length", strconv.FormatInt(n, 10))
-	return a.header, a.shared[p.pos:], index
+	n, ok := proto.ParseRange(rh.Get("Range"))
+	if !ok || n >= size || rh.Get("If-Range") != a.etag[0] {
+		h.Set("Content-Length", strconv.FormatInt(size, 10))
+		return header, 0, packets, index
+	}
+	h.Set("Content-Length", strconv.FormatInt(size-n, 10))
+	h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", n, size-1, size))
+	w.WriteHeader(http.StatusPartialContent)
+	if n < int64(len(header)) {
+		return header[n:], 0, packets, index
+	}
+	n -= int64(len(header))
+	for i, sp := range packets {
+		if n < int64(len(sp.Wire())) {
+			return nil, int(n), packets[i:], index
+		}
+		n -= int64(len(sp.Wire()))
+	}
+	return nil, 0, nil, index[n:]
 }
 
 // ServerStats counts server activity: a snapshot of the server's
@@ -309,6 +340,8 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 	if a.header, err = asf.EncodeHeader(h); err != nil {
 		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 	}
+	tag := fnv.New64a()
+	tag.Write(a.header)
 	for {
 		sp, err := r.ReadShared()
 		if err != nil {
@@ -326,8 +359,10 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 		a.Packets = append(a.Packets, p)
 		a.bytes += int64(len(p.Payload))
 		a.wire += int64(len(sp.Wire()))
+		tag.Write(sp.Wire()[:len(sp.Wire())-len(p.Payload)])
 	}
 	a.keys = asf.NewKeyIndex(h, a.index)
+	a.etag = []string{`"` + strconv.FormatUint(tag.Sum64(), 16) + `"`}
 	return a, nil
 }
 
@@ -653,7 +688,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inst.mirrors.Inc()
 
-	header, packets, index := asset.storedRange(w.Header(), seekPoint{})
+	header, _, packets, index := asset.storedRange(w, nil, seekPoint{})
 	var sentPkts, sentBytes int64
 	defer func() { s.addSent(sentPkts, sentBytes) }()
 	_ = writeBuffered(w, func(out io.Writer) error {
@@ -801,7 +836,9 @@ func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
 // query parameter (Go duration, e.g. ?start=30s) seeks to the last seek
 // point at or before that presentation time (Asset.SeekIndex); a
 // malformed or negative value is answered with 400 and a proto.Error
-// body rather than silently played from the top.
+// body rather than silently played from the top. A Range request may
+// continue that body from a byte on (storedRange); pacing anchors on the
+// first packet it sends.
 func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string) {
 	reqStart := s.clock.Now()
 	asset, ok := s.Asset(name)
@@ -832,7 +869,7 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 	}
 	defer s.beginStream("vod", asset.Name, rate)()
 
-	header, packets, index := asset.storedRange(w.Header(), from)
+	header, skip, packets, index := asset.storedRange(w, r.Header, from)
 	flusher, _ := w.(http.Flusher)
 	pending := false // bytes written since the last flush
 	flush := func() {
@@ -889,9 +926,10 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		if r.Context().Err() != nil {
 			return
 		}
-		if _, err := w.Write(sp.Wire()); err != nil {
+		if _, err := w.Write(sp.Wire()[skip:]); err != nil {
 			return
 		}
+		skip = 0
 		pending = true
 		sentPkts++
 		sentBytes += int64(sp.PayloadLen())
