@@ -35,7 +35,7 @@ func run(args []string) error {
 	slides := fs.Int("slides", 12, "number of slides")
 	annotate := fs.Duration("annotate-every", 20*time.Second, "annotation interval (0 disables)")
 	title := fs.String("title", "Recorded lecture", "content title")
-	live := fs.Bool("live", false, "encode as a live-style stream (in-band scripts, no index)")
+	live := fs.Bool("live", false, "encode as a live-style stream (live header flag, in-band scripts)")
 	seed := fs.Int64("seed", 2002, "deterministic capture seed")
 	listProfiles := fs.Bool("profiles", false, "list bandwidth profiles and exit")
 	if err := fs.Parse(args); err != nil {

@@ -10,12 +10,13 @@
 //	Header := "WMP1" u32(size) payload
 //	Packet := "PK" u16(stream) u8(kind) u8(flags) i64(pts) i64(dur)
 //	          i64(send) u32(seq) u32(crc) u32(len) payload
-//	Index  := "IX" u32(count) { i64(pts) u32(seq) }*   one per seek point
+//	Index  := "IX" u32(count) { i64(pts) u32(seq) }*
 //
 // A seek point, where a stream may start, is a video keyframe, or an audio
 // keyframe when the header declares no video stream (Header.SeekPoint).
-// Readers derive seek points from the packets and skip the index, so a
-// file indexed under another rule still seeks right.
+// Readers derive seek points from the packets. Nothing writes the Index
+// object, so a stream ends with its last packet; a reader still checks
+// and skips one that a container written by an older writer closes with.
 //
 // The header payload carries the version, live/DRM flags, title, per-stream
 // properties (codec, bit rate, QoS), and the script-command table. Script
@@ -72,7 +73,7 @@ const (
 	MaxStreams = 64
 	// MaxScripts bounds the header script table size.
 	MaxScripts = 1 << 20
-	// MaxIndexEntries bounds the index object size.
+	// MaxIndexEntries bounds the size of an index object a reader skips.
 	MaxIndexEntries = 1 << 24
 )
 
@@ -274,8 +275,8 @@ type IndexEntry struct {
 	Seq uint32
 }
 
-// Index is the optional trailing index object: a stream's seek points in
-// send order.
+// Index is a stream's seek points in send order, derived from its
+// packets (ReadAll).
 type Index []IndexEntry
 
 // Locate returns the position in ix of the last entry at or before pts,

@@ -60,9 +60,7 @@ func BenchmarkPacketClone(b *testing.B) {
 // TestWriteSharedAllocFree pins the serving-side half of the zero-copy
 // contract: streaming a pre-encoded packet through a Writer performs no
 // heap allocations — the shared wire image goes straight to the
-// underlying writer. Uses a non-keyframe packet so the writer's seek
-// index (which grows amortized on keyframes) stays out of the
-// measurement.
+// underlying writer.
 func TestWriteSharedAllocFree(t *testing.T) {
 	w, err := NewWriter(io.Discard, Header{Title: "allocs", PacketAlign: 2048})
 	if err != nil {
@@ -86,7 +84,7 @@ func TestWriteSharedAllocFree(t *testing.T) {
 }
 
 // readBenchFile is a stored stream of n ordinary packets (1,200-byte
-// payloads) behind its header, with no index.
+// payloads) behind its header.
 func readBenchFile(tb testing.TB, n int) []byte {
 	tb.Helper()
 	p := benchPacket(tb, 0)

@@ -202,80 +202,12 @@ func EncodePacket(p Packet) ([]byte, error) {
 	return appendPacket(make([]byte, 0, packetWireSize+len(p.Payload)), p), nil
 }
 
-// EncodeIndex serializes the index object. One allocation, exactly
-// sized.
-func EncodeIndex(ix Index) ([]byte, error) {
-	if len(ix) > MaxIndexEntries {
-		return nil, fmt.Errorf("%w: %d index entries", ErrLimit, len(ix))
-	}
-	return encodeIndex(ix), nil
-}
-
-func encodeIndex(ix Index) []byte {
-	out := appendIndexPrefix(make([]byte, 0, indexPrefixSize+len(ix)*indexEntrySize), len(ix))
-	for _, e := range ix {
-		out = appendIndexEntry(out, e)
-	}
-	return out
-}
-
-func appendIndexPrefix(dst []byte, n int) []byte {
-	dst = append(dst, indexMagic[:]...)
-	return binary.LittleEndian.AppendUint32(dst, uint32(n))
-}
-
-func appendIndexEntry(dst []byte, e IndexEntry) []byte {
-	dst = appendDur(dst, e.PTS)
-	return binary.LittleEndian.AppendUint32(dst, e.Seq)
-}
-
-// KeyIndex is the index object a Writer closes a stored stream with —
-// an entry for every seek point it wrote — encoded once for the whole
-// stream. The object that closes any suffix of the stream, a session
-// started at a seek point, is cut from it (From) instead of collected
-// and encoded again, so its size is known before the first byte is
-// written.
-type KeyIndex struct {
-	obj []byte // the whole index object; nil for a live stream, which closes with none
-}
-
-// NewKeyIndex encodes ix, a stream's seek points, as the index a Writer
-// with header h closes the stream with, in one exactly sized allocation.
-func NewKeyIndex(h Header, ix Index) KeyIndex {
-	if h.Live() {
-		return KeyIndex{}
-	}
-	return KeyIndex{obj: encodeIndex(ix)}
-}
-
-// From returns the index object over the entries from the i-th on: what
-// a Writer given the stream's packets from its i-th seek point on closes
-// with. That is the whole object as is when i is 0, else its tail behind
-// a new prefix in one exactly sized allocation; nothing for a live
-// stream, or when more entries remain than an index may hold (Close
-// fails then and writes none). The result is shared: never modify it.
-func (x KeyIndex) From(i int) []byte {
-	if x.obj == nil {
-		return nil
-	}
-	entries := x.obj[indexPrefixSize+i*indexEntrySize:]
-	n := len(entries) / indexEntrySize
-	switch {
-	case n > MaxIndexEntries:
-		return nil
-	case i == 0:
-		return x.obj
-	}
-	return append(appendIndexPrefix(make([]byte, 0, indexPrefixSize+len(entries)), n), entries...)
-}
-
-// Writer emits a container to an io.Writer: header first, then packets,
-// then (for stored content) the index on Close.
+// Writer emits a container to an io.Writer: header first, then packets.
+// A stored stream and a live one end alike, with their last packet.
 type Writer struct {
 	w       io.Writer
 	header  Header
 	seq     uint32
-	index   Index
 	started bool
 	closed  bool
 }
@@ -316,9 +248,8 @@ func (w *Writer) WriteHeader() error {
 	return w.ensureHeader()
 }
 
-// WritePacket assigns the packet its sequence number, records seek points
-// of stored content in the index, and writes it out. The packet's Seq
-// field is overwritten.
+// WritePacket assigns the packet its sequence number and writes it out.
+// The packet's Seq field is overwritten.
 func (w *Writer) WritePacket(p Packet) (uint32, error) {
 	if w.closed {
 		return 0, ErrClosed
@@ -334,25 +265,15 @@ func (w *Writer) WritePacket(p Packet) (uint32, error) {
 	if _, err := w.w.Write(b); err != nil {
 		return 0, fmt.Errorf("asf: write packet %d: %w", p.Seq, err)
 	}
-	w.indexSeekPoint(p)
 	w.seq++
 	return p.Seq, nil
-}
-
-// indexSeekPoint records p in the trailing index if it is a seek point.
-// A live stream never writes an index (Close), so it keeps none: the
-// slice would grow for as long as the broadcast runs.
-func (w *Writer) indexSeekPoint(p Packet) {
-	if !w.header.Live() && w.header.SeekPoint(p) {
-		w.index = append(w.index, IndexEntry{PTS: p.PTS, Seq: p.Seq})
-	}
 }
 
 // PacketCount returns the number of packets written so far.
 func (w *Writer) PacketCount() uint32 { return w.seq }
 
-// Close writes the index object (omitted for live streams) and marks the
-// writer finished. It does not close the underlying io.Writer.
+// Close writes the header if no packet did and marks the writer
+// finished. It does not close the underlying io.Writer.
 func (w *Writer) Close() error {
 	if w.closed {
 		return ErrClosed
@@ -361,16 +282,6 @@ func (w *Writer) Close() error {
 		return err
 	}
 	w.closed = true
-	if w.header.Live() {
-		return nil
-	}
-	b, err := EncodeIndex(w.index)
-	if err != nil {
-		return err
-	}
-	if _, err := w.w.Write(b); err != nil {
-		return fmt.Errorf("asf: write index: %w", err)
-	}
 	return nil
 }
 
@@ -622,9 +533,10 @@ func (r *Reader) parsePacket() (Packet, []byte, error) {
 	return p, wire, nil
 }
 
-// skipIndex checks and consumes the index object whose magic is at pos.
-// What it lists is not kept: a reader derives the seek points from the
-// packets (Header.SeekPoint), so its count allocates nothing.
+// skipIndex checks and consumes the index object whose magic is at pos,
+// the trailer of a container an older writer wrote. What it lists is not
+// kept: a reader derives the seek points from the packets
+// (Header.SeekPoint), so its count allocates nothing.
 func (r *Reader) skipIndex() error {
 	prefix, err := r.peek(indexPrefixSize)
 	if err != nil {
@@ -651,9 +563,8 @@ func (r *Reader) skipIndex() error {
 }
 
 // ReadAll parses a complete container from r: header, all packets, and
-// the index of their seek points, derived from the packets, so a live
-// capture, which has no trailer, seeks too. The packets are clones: the
-// caller owns them.
+// the index of their seek points, derived from the packets. The packets
+// are clones: the caller owns them.
 func ReadAll(r io.Reader) (Header, []Packet, Index, error) {
 	reader := NewReader(r)
 	h, err := reader.ReadHeader()

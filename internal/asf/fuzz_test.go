@@ -46,6 +46,7 @@ func FuzzReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes(), uint16(0))
+	f.Add(withLegacyIndex(f, buf.Bytes()), uint16(4))
 	f.Add([]byte("WMP1"), uint16(3))
 	f.Add([]byte{}, uint16(0))
 

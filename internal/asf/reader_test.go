@@ -16,8 +16,8 @@ import (
 
 // windowFile encodes a stored container of n packets whose payload sizes
 // cycle through sizes, and returns it with the packets as written (Seq
-// assigned) and the offset at which every object ends: the header, each
-// packet, the index.
+// assigned) and the offset at which every object ends: the header and
+// each packet.
 func windowFile(t testing.TB, n int, sizes ...int) ([]byte, []Packet, []int) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -48,7 +48,30 @@ func windowFile(t testing.TB, n int, sizes ...int) ([]byte, []Packet, []int) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), packets, append(bounds, buf.Len())
+	return buf.Bytes(), packets, bounds
+}
+
+// legacyIndex is the index object a writer closed a stored stream with
+// before none did: "IX", the entry count, then each entry's PTS and Seq.
+// Containers that carry one still arrive, and a reader checks and skips
+// it.
+func legacyIndex(ix Index) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte("IX"), uint32(len(ix)))
+	for _, e := range ix {
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.PTS))
+		b = binary.LittleEndian.AppendUint32(b, e.Seq)
+	}
+	return b
+}
+
+// withLegacyIndex is data closed by the legacy index of its seek points.
+func withLegacyIndex(t testing.TB, data []byte) []byte {
+	t.Helper()
+	_, _, ix, err := ReadAll(bytes.NewReader(data))
+	if err != nil || len(ix) == 0 {
+		t.Fatalf("container has %d seek points: %v", len(ix), err)
+	}
+	return append(data, legacyIndex(ix)...)
 }
 
 // chunkReader hands its source out at most n bytes a Read, so every
@@ -90,11 +113,12 @@ var readForms = []struct {
 
 // However the source cuts the stream up — whole, a prime-sized chunk
 // that puts every fill mid-packet, a byte at a time, EOF delivered with
-// the last bytes — both read forms return every packet as written, a
-// clean io.EOF on the frame boundary, and the trailing index behind it.
+// the last bytes — both read forms return every packet as written, then
+// skip a legacy trailing index and end cleanly with io.EOF.
 func TestReaderPacketsStraddleFills(t *testing.T) {
 	// 60 packets of ~1.2 KB: several windows' worth.
 	data, want, _ := windowFile(t, 60, 1200, 37, 0, 1399)
+	data = withLegacyIndex(t, data)
 	sources := []struct {
 		name string
 		wrap func(io.Reader) io.Reader
@@ -204,12 +228,13 @@ func TestReaderMaxPayloadBeforeAllocation(t *testing.T) {
 	}
 }
 
-// An index's entry count allocates nothing: the reader checks what the
-// index lists and keeps none of it. A trailer that promises
+// A legacy index's entry count allocates nothing: the reader checks what
+// the index lists and keeps none of it. A trailer that promises
 // MaxIndexEntries and carries one is corrupt, found for the price of an
 // ordinary read.
 func TestReaderIndexCountBeforeAllocation(t *testing.T) {
 	data, _, bounds := windowFile(t, 1, 64)
+	data = withLegacyIndex(t, data)
 	binary.LittleEndian.PutUint32(data[bounds[1]+len(indexMagic):], MaxIndexEntries)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -229,15 +254,16 @@ func TestReaderIndexCountBeforeAllocation(t *testing.T) {
 	}
 }
 
-// Cut the stream at every offset: only a cut exactly between objects is a
-// clean end of stream. Anywhere else — mid-magic, mid-header, mid-payload,
-// mid-index — is ErrCorrupt or io.ErrUnexpectedEOF, never io.EOF, or a
-// client would take a severed stream for a complete one; and the failure
-// sticks.
+// Cut the stream, closed by a legacy index, at every offset: only a cut
+// exactly between objects is a clean end of stream. Anywhere else —
+// mid-magic, mid-header, mid-payload, mid-index — is ErrCorrupt or
+// io.ErrUnexpectedEOF, never io.EOF, or a client would take a severed
+// stream for a complete one; and the failure sticks.
 func TestReaderTruncationIsNeverCleanEOF(t *testing.T) {
 	data, want, bounds := windowFile(t, 3, 300, 0, 45)
+	data = withLegacyIndex(t, data)
 	boundary := make(map[int]int) // offset → packets before it
-	for i, off := range bounds[:len(bounds)-1] {
+	for i, off := range bounds {
 		boundary[off] = i
 	}
 	boundary[len(data)] = len(want)

@@ -162,10 +162,9 @@ func (s *Shared) SendAt() time.Duration { return s.pkt.SendAt }
 
 // WriteShared writes a pre-encoded packet: the shared wire image goes
 // out as-is — no re-encode, no CRC pass, no re-sequencing — so every
-// consumer of the same Shared receives identical bytes. Seek points of
-// stored content still land in the writer's index for the trailing seek
-// table, and the writer's own sequence counter follows the shared
-// packet's, so WritePacket and WriteShared may interleave on one stream.
+// consumer of the same Shared receives identical bytes. The writer's own
+// sequence counter follows the shared packet's, so WritePacket and
+// WriteShared may interleave on one stream.
 func (w *Writer) WriteShared(sp *Shared) error {
 	if w.closed {
 		return ErrClosed
@@ -176,7 +175,6 @@ func (w *Writer) WriteShared(sp *Shared) error {
 	if _, err := w.w.Write(sp.wire); err != nil {
 		return fmt.Errorf("asf: write packet %d: %w", sp.pkt.Seq, err)
 	}
-	w.indexSeekPoint(sp.pkt)
 	w.seq = sp.pkt.Seq + 1
 	return nil
 }

@@ -216,7 +216,7 @@ func TestSeekSpecPlaysTail(t *testing.T) {
 }
 
 // TestFetchRawPackets covers the packet-read half of the Session
-// interface: the raw container body parses as header + packets + index.
+// interface: the raw container body parses as header + packets.
 func TestFetchRawPackets(t *testing.T) {
 	c := newCluster(t, "lec")
 	cl := New(c.regTS.URL)

@@ -115,8 +115,8 @@ func wholeBody(t *testing.T, url string) []byte {
 }
 
 // TestResumeIsByteExact cuts a 30 s lecture's body five times per seed
-// at random offsets — always one inside the header, one inside the
-// trailing index and three among the packets — over 20 seeds. Each
+// at random offsets — always one inside the header, one inside the last
+// packet and three among the packets before it — over 20 seeds. Each
 // session must read exactly the bytes of one uninterrupted response and
 // play the same frames as an uncut session: no frame is played twice,
 // none is broken.
@@ -128,13 +128,11 @@ func TestResumeIsByteExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, index := int64(len(header)), int64(len(header))
-	for _, sp := range asset.SharedPackets() {
-		index += int64(len(sp.Wire()))
-	}
-	size := int64(len(whole))
-	if index >= size {
-		t.Fatal("stored stream has no index to cut inside")
+	shared := asset.SharedPackets()
+	first, size := int64(len(header)), int64(len(whole))
+	last := size - int64(len(shared[len(shared)-1].Wire()))
+	if last+1 >= size {
+		t.Fatal("stored stream's last packet is too short to cut inside")
 	}
 
 	ref, err := New(ts.URL).Open(context.Background(), Spec{Kind: VOD, Name: "lec"})
@@ -152,9 +150,9 @@ func TestResumeIsByteExact(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		between := func(lo, hi int64) int64 { return lo + rng.Int63n(hi-lo) }
-		cuts := []int64{between(1, first), between(index+1, size)}
+		cuts := []int64{between(1, first), between(last+1, size)}
 		for len(cuts) < 5 {
-			if c := between(first+1, index); !slices.Contains(cuts, c) {
+			if c := between(first+1, last); !slices.Contains(cuts, c) {
 				cuts = append(cuts, c)
 			}
 		}

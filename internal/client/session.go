@@ -123,7 +123,7 @@ func (s *Session) Play() (*player.Metrics, error) {
 }
 
 // Fetch opens the stream and returns the session as its raw container
-// body (header, packets, trailing index) for callers that parse packets
+// body (header and packets) for callers that parse packets
 // themselves. Failures before the body starts are returned here; reads
 // fail over as in Play. An asf.Reader over the body lends each packet
 // until the next read; see the asf package documentation for who may

@@ -29,7 +29,7 @@ type Config struct {
 	Title string
 	// Profile is the bandwidth profile to encode with.
 	Profile codec.Profile
-	// Live marks the session as a real-time broadcast (no trailing index).
+	// Live marks the session as a real-time broadcast (FlagLive, in-band scripts).
 	Live bool
 	// DRM requests rights-managed output.
 	DRM bool

@@ -200,8 +200,7 @@ func TestEncodeLiveEmitsInBandScripts(t *testing.T) {
 	if !h.Live() {
 		t.Fatal("live flag not set")
 	}
-	// Live stream has no trailing index: its header and packets are the
-	// whole stream.
+	// A live stream's header and packets are the whole stream.
 	end, err := asf.EncodeHeader(h)
 	if err != nil {
 		t.Fatal(err)

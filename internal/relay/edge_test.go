@@ -146,7 +146,7 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 		t.Fatalf("origin mirror fetches after cached replay = %d, want 1", got)
 	}
 
-	// Seeks work against the mirrored index.
+	// Seeks work against the mirrored copy.
 	_, seeked := readStream(t, edgeTS.URL+"/v1/vod/lec?start=5s")
 	if len(seeked) == 0 || len(seeked) >= len(direct) {
 		t.Fatalf("seeked mirror served %d packets, full %d", len(seeked), len(direct))

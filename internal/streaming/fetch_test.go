@@ -41,8 +41,8 @@ func TestFetchRoundTripsWholeContainer(t *testing.T) {
 	if len(packets) != len(asset.SharedPackets()) {
 		t.Fatalf("fetched %d packets, asset has %d", len(packets), len(asset.SharedPackets()))
 	}
-	if len(ix) == 0 || len(ix) != len(asset.index) {
-		t.Fatalf("fetched index has %d entries, asset has %d", len(ix), len(asset.index))
+	if len(ix) == 0 || len(ix) != len(asset.points) {
+		t.Fatalf("fetched stream has %d seek points, asset has %d", len(ix), len(asset.points))
 	}
 
 	// A mirror registering the fetched stream reproduces the asset.
@@ -56,9 +56,9 @@ func TestFetchRoundTripsWholeContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mirrored.Bytes() != asset.Bytes() || len(mirrored.index) != len(asset.index) {
-		t.Fatalf("mirror: %d bytes / %d index entries, want %d / %d",
-			mirrored.Bytes(), len(mirrored.index), asset.Bytes(), len(asset.index))
+	if mirrored.Bytes() != asset.Bytes() || len(mirrored.points) != len(asset.points) {
+		t.Fatalf("mirror: %d bytes / %d seek points, want %d / %d",
+			mirrored.Bytes(), len(mirrored.points), asset.Bytes(), len(asset.points))
 	}
 
 	if got := srv.Stats().MirrorFetches; got != 2 {

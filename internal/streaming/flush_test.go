@@ -20,8 +20,8 @@ import (
 
 // flushRecorder is a ResponseWriter that records what the stored-stream
 // loop hands the connection and when it flushes. A Write whose bytes are
-// the next wire image of packets counts as that packet; the header and
-// the trailing index are bytes only.
+// the next wire image of packets counts as that packet; the header is
+// bytes only.
 type flushRecorder struct {
 	mu        sync.Mutex
 	header    http.Header
@@ -154,7 +154,7 @@ func TestVODFlushFollowsSchedule(t *testing.T) {
 		t.Fatalf("wrote %d of %d packets", written, len(asset.SharedPackets()))
 	}
 	// The first instant is split after its first packet (startup); the
-	// last instant's packets and the index are flushed by returning.
+	// last instant's packets are flushed by returning.
 	if want := []int{1, 2, 2, 1}; !reflect.DeepEqual(batches, want) {
 		t.Fatalf("packets per flush = %v, want %v", batches, want)
 	}
@@ -294,9 +294,8 @@ func (d discardResponse) Flush()                      {}
 // TestVODSessionAllocsIndependentOfLength pins the per-session half of
 // the zero-copy contract (asf's TestWriteSharedAllocFree pins the
 // per-packet half): what the server allocates to serve a stored lecture
-// does not grow with the lecture's packet count. The header and the
-// keyframe index are encoded once per asset, so a session collects
-// nothing as it goes.
+// does not grow with the lecture's packet count. The header is encoded
+// once per asset, so a session collects nothing as it goes.
 func TestVODSessionAllocsIndependentOfLength(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false

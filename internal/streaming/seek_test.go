@@ -2,6 +2,7 @@ package streaming
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -26,8 +27,8 @@ func TestVODSeekSkipsEarlyPackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(asset.index) < 2 {
-		t.Fatalf("asset has %d seek points; the seek test needs two", len(asset.index))
+	if len(asset.points) < 2 {
+		t.Fatalf("asset has %d seek points; the seek test needs two", len(asset.points))
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -211,9 +212,20 @@ func TestVODSeekStartParameterTable(t *testing.T) {
 	}
 }
 
-// assemble encodes a stored container from its parts — so a test can
-// pair packets with an index no asf.Writer would write.
-func assemble(t *testing.T, h asf.Header, packets []asf.Packet, ix asf.Index) []byte {
+// legacyIndex is the index object a writer closed a stored stream with
+// before none did: "IX", the entry count, then each entry's PTS and Seq.
+func legacyIndex(ix asf.Index) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte("IX"), uint32(len(ix)))
+	for _, e := range ix {
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.PTS))
+		b = binary.LittleEndian.AppendUint32(b, e.Seq)
+	}
+	return b
+}
+
+// encodeContainer is h's encoding followed by the wire image of each
+// packet as it is, Seq included.
+func encodeContainer(t *testing.T, h asf.Header, packets []asf.Packet) []byte {
 	t.Helper()
 	data, err := asf.EncodeHeader(h)
 	if err != nil {
@@ -226,11 +238,15 @@ func assemble(t *testing.T, h asf.Header, packets []asf.Packet, ix asf.Index) []
 		}
 		data = append(data, b...)
 	}
-	b, err := asf.EncodeIndex(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(data, b...)
+	return data
+}
+
+// assemble encodes a stored container from its parts, closed by the
+// legacy index ix — so a test can pair packets with an index no
+// asf.Writer would write.
+func assemble(t *testing.T, h asf.Header, packets []asf.Packet, ix asf.Index) []byte {
+	t.Helper()
+	return append(encodeContainer(t, h, packets), legacyIndex(ix)...)
 }
 
 // registerContainer assembles a container of video packets and index ix
@@ -289,8 +305,9 @@ func legacyContainer(t *testing.T) (asf.Header, []asf.Packet, []byte) {
 
 // TestLegacyTrailerIgnored: a container whose trailer indexes audio,
 // image and script packets still registers, its seeks land on video
-// keyframes, and every stored response it serves closes with an index of
-// seek points only.
+// keyframes, and every stored response it serves — the mirror fetch, the
+// VOD body, each seek — is its header and the packets from its start,
+// ending with the last packet: the trailer is never served.
 func TestLegacyTrailerIgnored(t *testing.T) {
 	h, packets, data := legacyContainer(t)
 	srv := NewServer(nil)
@@ -327,14 +344,24 @@ func TestLegacyTrailerIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ix asf.Index
-		for _, p := range packets[rq.from:] {
-			if h.SeekPoint(p) {
-				ix = append(ix, asf.IndexEntry{PTS: p.PTS, Seq: p.Seq})
-			}
+		if resp.ContentLength != int64(len(body)) {
+			t.Fatalf("GET %s: Content-Length %d, body %d bytes", rq.path, resp.ContentLength, len(body))
 		}
-		if want, _ := asf.EncodeIndex(ix); len(ix) == 0 || !bytes.HasSuffix(body, want) {
-			t.Fatalf("GET %s does not close with the index of its %d seek points", rq.path, len(ix))
+		if !bytes.Equal(body, encodeContainer(t, h, packets[rq.from:])) {
+			t.Fatalf("GET %s: %d-byte body is not the header and the packets from %d", rq.path, len(body), rq.from)
+		}
+		if rq.path != "/v1/fetch/old" {
+			continue
+		}
+		// An edge mirrors the fetched body and seeks as the origin does.
+		mirror, err := NewServer(nil).RegisterAsset("old", asf.NewReader(bytes.NewReader(body)))
+		if err != nil {
+			t.Fatalf("mirror: %v", err)
+		}
+		for _, at := range seeks {
+			if got, want := mirror.SeekIndex(at), asset.SeekIndex(at); got != want {
+				t.Fatalf("mirror seeks %v to packet %d, origin to %d", at, got, want)
+			}
 		}
 	}
 }

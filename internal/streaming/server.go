@@ -22,8 +22,8 @@
 //	GET /v1/group/{name}?bw=N  — multi-bitrate selection: the richest
 //	                             variant fitting N bits/s is streamed as
 //	                             VOD
-//	GET /v1/fetch/{asset}      — whole-container transfer (header, packets,
-//	                             index) as fast as the link allows; the
+//	GET /v1/fetch/{asset}      — whole-container transfer (header and
+//	                             packets) as fast as the link allows; the
 //	                             origin→edge mirror path used by the relay
 //	                             tier (internal/relay), exempt from pacing
 //	                             and admission control
@@ -95,30 +95,28 @@ type Asset struct {
 	shared []*asf.Shared // what every session and mirror fetch writes
 	bytes  int64         // total payload size
 
-	// index is the asset's seek points (asf.Header.SeekPoint), derived from
-	// its packets; points[i] is where a seek to index[i] starts.
-	index  asf.Index
+	// points are the asset's seek points (asf.Header.SeekPoint), derived
+	// from its packets, in send order.
 	points []seekPoint
 
-	// A stored response is the encoded header, the wire images from its
-	// seek point on and the index over their seek points (storedRange).
-	// The first and last are encoded here once, so a session knows its
-	// length before its first write.
-	header []byte       // the encoded header
-	wire   int64        // wire bytes of every packet
-	keys   asf.KeyIndex // the index over every packet
+	// A stored response is the encoded header and the wire images from its
+	// seek point on (storedRange). The header is encoded here once, so a
+	// session knows its length before its first write.
+	header []byte // the encoded header
+	wire   int64  // wire bytes of every packet
 	// etag is the asset's strong ETag header: a hash of the encoded
 	// header and of each wire image's fixed header, whose CRC covers its
 	// payload, so every node holding the same bytes sends the same tag.
 	etag []string
 }
 
-// seekPoint is where a stored response starts: a position in Packets,
-// with the wire bytes and the seek points of the packets before it.
+// seekPoint is where a stored response starts: the presentation time of
+// a seek point, its position in Packets and the wire bytes of the packets
+// before it.
 type seekPoint struct {
-	pos  int
-	off  int64
-	keys int
+	pts time.Duration
+	pos int
+	off int64
 }
 
 // SharedPackets returns the asset's packets as the validated wire images
@@ -136,49 +134,48 @@ func (a *Asset) SeekIndex(at time.Duration) int { return a.seek(at).pos }
 
 // seek is SeekIndex's seek point.
 func (a *Asset) seek(at time.Duration) seekPoint {
-	i, ok := a.index.Locate(at)
-	if !ok {
+	i := sort.Search(len(a.points), func(i int) bool { return a.points[i].pts > at })
+	if i == 0 {
 		return seekPoint{}
 	}
-	return a.points[i]
+	return a.points[i-1]
 }
 
 // storedRange declares on w the status, length and type of the stored
-// response that starts at p, and returns what it carries: the header,
-// the packets whose wire images follow it, and the trailing index over
-// their seek points — the bytes an asf.Writer given those packets
-// writes. With its length declared, net/http sends the body as is, not
-// in chunks, and a client reads a body cut short as an unexpected EOF.
+// response that starts at p, and returns what it carries: the header and
+// the packets whose wire images follow it — the bytes an asf.Writer given
+// those packets writes. With its length declared, net/http sends the body
+// as is, not in chunks, and a client reads a body cut short as an
+// unexpected EOF.
 //
 // Request headers rh (nil for a mirror fetch) with Range: bytes=n-, n
 // inside the body, and If-Range: the asset's ETag get a 206 and the body
 // from byte n on, the first skip bytes of packets[0]'s image left out;
 // any other request gets the whole body (proto's doc, "Ranges").
-func (a *Asset) storedRange(w http.ResponseWriter, rh http.Header, p seekPoint) (header []byte, skip int, packets []*asf.Shared, index []byte) {
-	header, packets, index = a.header, a.shared[p.pos:], a.keys.From(p.keys)
-	size := int64(len(header)) + a.wire - p.off + int64(len(index))
+func (a *Asset) storedRange(w http.ResponseWriter, rh http.Header, p seekPoint) (header []byte, skip int, packets []*asf.Shared) {
+	header, packets = a.header, a.shared[p.pos:]
+	size := int64(len(header)) + a.wire - p.off
 	h := w.Header()
 	h["Etag"] = a.etag
 	h.Set("Content-Type", "application/x-wmp-stream")
 	n, ok := proto.ParseRange(rh.Get("Range"))
 	if !ok || n >= size || rh.Get("If-Range") != a.etag[0] {
 		h.Set("Content-Length", strconv.FormatInt(size, 10))
-		return header, 0, packets, index
+		return header, 0, packets
 	}
 	h.Set("Content-Length", strconv.FormatInt(size-n, 10))
 	h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", n, size-1, size))
 	w.WriteHeader(http.StatusPartialContent)
 	if n < int64(len(header)) {
-		return header[n:], 0, packets, index
+		return header[n:], 0, packets
 	}
+	// n is short of the body's end, so it falls inside a packet.
 	n -= int64(len(header))
-	for i, sp := range packets {
-		if n < int64(len(sp.Wire())) {
-			return nil, int(n), packets[i:], index
-		}
-		n -= int64(len(sp.Wire()))
+	i := 0
+	for ; n >= int64(len(packets[i].Wire())); i++ {
+		n -= int64(len(packets[i].Wire()))
 	}
-	return nil, 0, nil, index[n:]
+	return nil, int(n), packets[i:]
 }
 
 // ServerStats counts server activity: a snapshot of the server's
@@ -329,8 +326,9 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // Asset in one pass, before any server lock is taken — registration
 // under traffic never parses inside the lock. A container with any
 // packet the reader refuses is refused whole. The seek points are
-// derived on the way and the container's own index is ignored, so one
-// written under another rule serves the same seeks.
+// derived on the way; an index an older writer closed the container with
+// is skipped by the reader, so one written under another rule serves the
+// same seeks, and is never served.
 func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 	h, err := r.ReadHeader()
 	if err != nil {
@@ -352,8 +350,7 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 		}
 		p := sp.Packet()
 		if h.SeekPoint(p) {
-			a.index = append(a.index, asf.IndexEntry{PTS: p.PTS, Seq: p.Seq})
-			a.points = append(a.points, seekPoint{pos: len(a.shared), off: a.wire, keys: len(a.points)})
+			a.points = append(a.points, seekPoint{pts: p.PTS, pos: len(a.shared), off: a.wire})
 		}
 		a.shared = append(a.shared, sp)
 		a.Packets = append(a.Packets, p)
@@ -361,7 +358,6 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 		a.wire += int64(len(sp.Wire()))
 		tag.Write(sp.Wire()[:len(sp.Wire())-len(p.Payload)])
 	}
-	a.keys = asf.NewKeyIndex(h, a.index)
 	a.etag = []string{`"` + strconv.FormatUint(tag.Sum64(), 16) + `"`}
 	return a, nil
 }
@@ -675,8 +671,8 @@ func (s *Server) handleGroups(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleFetch transfers a whole stored container — header, every packet,
-// and the trailing index — without pacing or admission control. It is the
+// handleFetch transfers a whole stored container — header and every
+// packet — without pacing or admission control. It is the
 // origin-side mirror path of the relay tier: edges pull an asset once and
 // then serve it to their own clients.
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
@@ -688,7 +684,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inst.mirrors.Inc()
 
-	header, _, packets, index := asset.storedRange(w, nil, seekPoint{})
+	header, _, packets := asset.storedRange(w, nil, seekPoint{})
 	var sentPkts, sentBytes int64
 	defer func() { s.addSent(sentPkts, sentBytes) }()
 	_ = writeBuffered(w, func(out io.Writer) error {
@@ -705,8 +701,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 			sentPkts++
 			sentBytes += int64(sp.PayloadLen())
 		}
-		_, err := out.Write(index)
-		return err
+		return nil
 	})
 }
 
@@ -869,7 +864,7 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 	}
 	defer s.beginStream("vod", asset.Name, rate)()
 
-	header, skip, packets, index := asset.storedRange(w, r.Header, from)
+	header, skip, packets := asset.storedRange(w, r.Header, from)
 	flusher, _ := w.(http.Flusher)
 	pending := false // bytes written since the last flush
 	flush := func() {
@@ -941,10 +936,7 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 			flush()
 		}
 	}
-	// Stored streams end with their index for seek-capable clients; if
-	// its write fails the body is short and there is nothing left to do.
 	// Returning finishes the response, which flushes what is pending.
-	_, _ = w.Write(index)
 }
 
 // handleLive attaches the client to a live channel.
@@ -989,9 +981,9 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Send the header immediately so the client can parse stream
-	// properties before the first packet flows. A live stream keeps no
-	// index, so the channel's encoded header and the shared wire images
-	// are the whole body: no asf.Writer is needed to frame them.
+	// properties before the first packet flows. The channel's encoded
+	// header and the shared wire images are the whole body: no asf.Writer
+	// is needed to frame them.
 	if _, err := w.Write(ch.wireHeader); err != nil {
 		return
 	}
