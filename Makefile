@@ -13,9 +13,11 @@ test:
 	$(GO) test ./...
 
 # The same tests against a reader that overwrites what ReadPacket lent
-# with 0xDB at the start of the next read (internal/asf/poison_on.go): a
-# caller that keeps a lent Payload fails here at its first packet, where
-# the ordinary build passes until a window fill happens to land on it.
+# with 0xDB at the start of the next read, and its whole window when the
+# stream ends and the window goes to the next reader
+# (internal/asf/poison_on.go): a caller that keeps a lent Payload fails
+# here at its first packet, where the ordinary build passes until a
+# window fill happens to land on it.
 test-poison:
 	$(GO) test -tags asfpoison ./...
 
@@ -59,10 +61,10 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # The root package's end-to-end benchmarks plus the write-path
-# (internal/streaming), read-path (internal/asf) and pacing-wheel
-# (internal/vclock) microbenchmarks.
+# (internal/streaming), read-path (internal/asf), player
+# (internal/player) and pacing-wheel (internal/vclock) microbenchmarks.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/streaming ./internal/asf ./internal/vclock
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/streaming ./internal/asf ./internal/player ./internal/vclock
 
 # Every benchmark in the module, run once: a benchmark that no longer
 # runs (a removed route, a changed API) fails the build here instead of

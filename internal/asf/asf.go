@@ -33,7 +33,10 @@
 //     and is valid until the next call on that reader (the
 //     bufio.Scanner.Bytes contract); a consumer that looks at each packet
 //     once — the player, a verifier — reads without allocating. Whoever
-//     keeps a packet past the next read takes Packet.Clone first.
+//     keeps a packet past the next read takes Packet.Clone first. A lent
+//     Payload also dies with the terminal error (io.EOF or any other):
+//     the stream is over, so the reader hands its window to the next
+//     reader, which fills it with another stream's bytes.
 //   - Reader.ReadShared owns. The validated wire image is copied once
 //     into the reader's Slab: a 16 KB buffer it shares with the packets
 //     read around it (a large one that does not fit gets its own), which
@@ -46,7 +49,8 @@
 //
 // ReadAll returns packets the caller owns. Build with -tags asfpoison
 // (make test-poison) and the reader overwrites what it lent at the start
-// of the next read, so a caller that kept a lent Payload fails its tests.
+// of the next read, and its whole window before handing it on, so a
+// caller that kept a lent Payload fails its tests.
 package asf
 
 import (

@@ -291,10 +291,54 @@ func (w *Writer) Close() error {
 // place too; but no further than windowMax, the buffer every reader held
 // before it had a window of its own. A larger object gets a buffer for
 // itself alone.
+//
+// A reader whose stream has ended has lent its last packet, so its window
+// goes to the next reader: onto a leaky free list of at most maxIdleWindows
+// (1 MB), not into a sync.Pool, which every GC empties. A window over
+// windowMax is never listed. A reader's first fill, and the first after
+// an outsized object, takes a listed window before it makes one, so a
+// session that follows another reads without allocating one, already
+// grown to the slides the last one carried.
 const (
-	windowSize = 16 << 10
-	windowMax  = 64 << 10
+	windowSize     = 16 << 10
+	windowMax      = 64 << 10
+	maxIdleWindows = 16
 )
+
+var idleWindows = make(chan []byte, maxIdleWindows)
+
+// newWindow returns a window of at least n bytes: a listed one, which is
+// at least windowSize, when n is no more, else a new one of
+// max(n, windowSize).
+func newWindow(n int) []byte {
+	if n <= windowSize {
+		select {
+		case w := <-idleWindows:
+			return w
+		default:
+		}
+	}
+	return make([]byte, max(n, windowSize))
+}
+
+// listWindow puts w on the free list, or drops it when the list is full
+// or w is over windowMax. Under asfpoison it is overwritten with 0xDB
+// first, so a caller that kept a lent Payload past the end of its stream
+// reads poison, not the next session's bytes.
+func listWindow(w []byte) {
+	if len(w) > windowMax {
+		return
+	}
+	if poisonLent {
+		for i := range w {
+			w[i] = 0xDB
+		}
+	}
+	select {
+	case idleWindows <- w:
+	default:
+	}
+}
 
 // Reader parses a container from an io.Reader incrementally, suitable for
 // both stored files and live HTTP streams. It is where bytes from outside
@@ -308,12 +352,12 @@ const (
 // documentation: ReadPacket lends, ReadShared owns, by the slab.
 //
 // The first error — io.EOF included — ends the stream: every later read
-// returns it again.
+// returns it again, and the window goes to the next reader.
 type Reader struct {
 	src io.Reader
 	// buf is the window, windowSize to windowMax long unless one object
-	// larger than that is in it; buf[pos:end] is read from src and not yet
-	// parsed.
+	// larger than that is in it, and nil once the stream has ended;
+	// buf[pos:end] is read from src and not yet parsed.
 	buf      []byte
 	pos, end int
 	// lent counts the payload bytes before pos that the last ReadPacket
@@ -329,7 +373,7 @@ type Reader struct {
 }
 
 // NewReader wraps r; call ReadHeader before ReadPacket. The window is
-// allocated by the first read.
+// taken by the first read.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{src: r}
 }
@@ -349,15 +393,16 @@ func (r *Reader) peek(n int) ([]byte, error) {
 
 // fill reads from the source until n bytes are unparsed. The unparsed
 // bytes move to the front first when n does not fit behind pos (or there
-// are none to move): within the window when it can hold n, else into a
-// new one of exactly n bytes. A window over windowMax is therefore full
-// of the one object it was made for, with nothing read ahead behind it,
-// and is dropped for a new windowSize one by the first fill after it.
+// are none to move): within the window when it can hold n, else into
+// another (newWindow), which is exactly n bytes when n is over
+// windowSize. A window over windowMax is therefore full of the one object
+// it was made for, with nothing read ahead behind it, and is dropped for
+// another by the first fill after it.
 func (r *Reader) fill(n int) error {
 	if unparsed := r.buf[r.pos:r.end]; len(unparsed) == 0 || r.pos+n > len(r.buf) {
 		dst := r.buf
 		if n > len(dst) || len(dst) > windowMax {
-			dst = make([]byte, max(n, windowSize))
+			dst = newWindow(n)
 		}
 		r.end = copy(dst, unparsed)
 		r.buf, r.pos = dst, 0
@@ -414,8 +459,9 @@ func (r *Reader) ReadHeader() (Header, error) {
 // ReadPacket returns the next packet, or io.EOF after the last packet (and
 // after parsing a trailing index object, if present). The packet is lent:
 // its Payload aliases the reader's window and is valid only until the
-// next call on this reader, like bufio.Scanner.Bytes. A caller that keeps
-// the packet takes Packet.Clone first.
+// next call on this reader, like bufio.Scanner.Bytes — and that call may
+// end the stream and hand the window to another reader. A caller that
+// keeps the packet takes Packet.Clone first.
 func (r *Reader) ReadPacket() (Packet, error) {
 	p, _, err := r.next()
 	r.lent = len(p.Payload)
@@ -440,7 +486,8 @@ func (r *Reader) ReadShared() (*Shared, error) {
 func (r *Reader) SlabTail() int { return r.slab.tail() }
 
 // next validates the next packet in place and consumes it; the returned
-// wire image, and the packet's Payload in its tail, alias the window.
+// wire image, and the packet's Payload in its tail, alias the window. The
+// first error lists the window and the reader never touches one again.
 func (r *Reader) next() (Packet, []byte, error) {
 	if !r.hasHeader {
 		return Packet{}, nil, ErrNoHeader
@@ -458,6 +505,8 @@ func (r *Reader) next() (Packet, []byte, error) {
 	p, wire, err := r.parseNext()
 	if err != nil {
 		r.err = err
+		listWindow(r.buf)
+		r.buf, r.pos, r.end = nil, 0, 0
 		return Packet{}, nil, err
 	}
 	r.pos += len(wire)

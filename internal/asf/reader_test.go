@@ -89,6 +89,18 @@ func (c chunkReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
+// emptyWindows takes every window off the free list, so the next reader
+// starts from a new windowSize one.
+func emptyWindows() {
+	for {
+		select {
+		case <-idleWindows:
+		default:
+			return
+		}
+	}
+}
+
 // readForms are the reader's two read methods behind one signature; the
 // lent packet is cloned so both can be collected.
 var readForms = []struct {
@@ -131,6 +143,7 @@ func TestReaderPacketsStraddleFills(t *testing.T) {
 	for _, src := range sources {
 		for _, form := range readForms {
 			t.Run(src.name+"/"+form.name, func(t *testing.T) {
+				emptyWindows()
 				r := NewReader(src.wrap(bytes.NewReader(data)))
 				if _, err := r.ReadHeader(); err != nil {
 					t.Fatal(err)
@@ -144,15 +157,15 @@ func TestReaderPacketsStraddleFills(t *testing.T) {
 						t.Fatalf("packet %d = %+v, want %+v", i, got, w)
 					}
 				}
+				if len(r.buf) != windowSize {
+					t.Fatalf("window is %d bytes after ordinary packets, want %d", len(r.buf), windowSize)
+				}
 				// The trailing index, straddling fills, is consumed whole: the
 				// end of the stream is clean, and it sticks.
 				for i := 0; i < 2; i++ {
 					if _, err := form.read(r); err != io.EOF {
 						t.Fatalf("after the last packet: %v, want io.EOF", err)
 					}
-				}
-				if len(r.buf) != windowSize {
-					t.Fatalf("window is %d bytes after ordinary packets, want %d", len(r.buf), windowSize)
 				}
 			})
 		}
@@ -169,6 +182,7 @@ func TestReaderOutsizedPacket(t *testing.T) {
 	data, want, _ := windowFile(t, 12, 1200, 1200, slide, 1200, 1200, slide, 1200, huge, 1200, 1200, slide, 1200)
 	for _, form := range readForms {
 		t.Run(form.name, func(t *testing.T) {
+			emptyWindows()
 			r := NewReader(chunkReader{bytes.NewReader(data), 5000})
 			if _, err := r.ReadHeader(); err != nil {
 				t.Fatal(err)
@@ -201,12 +215,16 @@ func TestReaderOutsizedPacket(t *testing.T) {
 }
 
 // A length field beyond MaxPayload is refused from the fixed header
-// alone: nothing is allocated for it and the window does not grow.
+// alone: nothing is allocated for it and the window does not grow — the
+// one the refusal lists is the reader's first, windowSize long.
 func TestReaderMaxPayloadBeforeAllocation(t *testing.T) {
 	data, _, bounds := windowFile(t, 1, 64)
 	lenField := data[bounds[0]+packetWireSize-4:]
 	binary.LittleEndian.PutUint32(lenField, MaxPayload+1)
 	for _, form := range readForms {
+		emptyWindows()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		r := NewReader(bytes.NewReader(data))
 		if _, err := r.ReadHeader(); err != nil {
 			t.Fatal(err)
@@ -214,8 +232,15 @@ func TestReaderMaxPayloadBeforeAllocation(t *testing.T) {
 		if _, err := form.read(r); !errors.Is(err, ErrLimit) {
 			t.Fatalf("%s: %v, want ErrLimit", form.name, err)
 		}
-		if len(r.buf) != windowSize {
-			t.Fatalf("%s: window grew to %d bytes for a refused packet", form.name, len(r.buf))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*windowSize {
+			t.Fatalf("%s: refusing the packet allocated %d bytes", form.name, got)
+		}
+		if len(idleWindows) != 1 {
+			t.Fatalf("%s: %d windows listed after the refusal, want 1", form.name, len(idleWindows))
+		}
+		if w := <-idleWindows; len(w) != windowSize {
+			t.Fatalf("%s: window grew to %d bytes for a refused packet", form.name, len(w))
 		}
 	}
 	binary.LittleEndian.PutUint32(lenField, MaxPayload)
@@ -225,6 +250,135 @@ func TestReaderMaxPayloadBeforeAllocation(t *testing.T) {
 	}
 	if _, err := r.ReadPacket(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("MaxPayload promised, 64 bytes sent: %v, want ErrCorrupt", err)
+	}
+}
+
+// A reader that has read its stream to the end lists its one window, and
+// the next reader's first fill takes that window instead of making one.
+func TestReaderHandsWindowOn(t *testing.T) {
+	data, want, _ := windowFile(t, 30, 1200, 24<<10)
+	for _, form := range readForms {
+		emptyWindows()
+		r := NewReader(bytes.NewReader(data))
+		if _, err := r.ReadHeader(); err != nil {
+			t.Fatal(err)
+		}
+		for range want {
+			if _, err := form.read(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		window := r.buf
+		if _, err := form.read(r); err != io.EOF {
+			t.Fatalf("%s: after the last packet: %v, want io.EOF", form.name, err)
+		}
+		if r.buf != nil || len(idleWindows) != 1 {
+			t.Fatalf("%s: ended reader keeps %d bytes, %d windows listed; want none kept, 1 listed",
+				form.name, len(r.buf), len(idleWindows))
+		}
+
+		next := NewReader(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := next.peek(headerPrefixSize)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &next.buf[0] != &window[0] || len(idleWindows) != 0 {
+			t.Fatalf("%s: the next reader's first fill did not take the listed window", form.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= windowSize {
+			t.Fatalf("%s: the next reader's first fill allocated %d bytes", form.name, got)
+		}
+	}
+}
+
+// A window over windowMax — one outsized object's own buffer — is never
+// listed: not by a stream that ends inside that object, nor directly.
+func TestReaderNeverListsOutsizedWindow(t *testing.T) {
+	const huge = windowMax + 11
+	data, _, bounds := windowFile(t, 1, huge)
+	emptyWindows()
+	r := NewReader(bytes.NewReader(data[:bounds[1]-1]))
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadPacket(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("stream cut inside a %d-byte packet: %v, want ErrUnexpectedEOF", huge, err)
+	}
+	if len(idleWindows) != 0 {
+		t.Fatalf("a %d-byte window was listed", len(<-idleWindows))
+	}
+	if listWindow(make([]byte, windowMax+1)); len(idleWindows) != 0 {
+		t.Fatalf("a %d-byte window was listed", windowMax+1)
+	}
+}
+
+// A read after the terminal error returns that error again and allocates
+// nothing: the reader has no window left to touch.
+func TestReaderReadAfterEndAllocatesNothing(t *testing.T) {
+	data, _, _ := windowFile(t, 3, 300)
+	corrupt := bytes.Clone(data)
+	corrupt[len(corrupt)-1] ^= 0x01
+	for _, src := range [][]byte{data, corrupt} {
+		r := NewReader(bytes.NewReader(src))
+		if _, err := r.ReadHeader(); err != nil {
+			t.Fatal(err)
+		}
+		var end error
+		for end == nil {
+			_, end = r.ReadPacket()
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := r.ReadPacket(); err != end {
+				t.Fatalf("ReadPacket after %v: %v", end, err)
+			}
+			if _, err := r.ReadShared(); err != end {
+				t.Fatalf("ReadShared after %v: %v", end, err)
+			}
+			if _, err := r.ReadHeader(); err != nil {
+				t.Fatalf("ReadHeader after %v: %v", end, err)
+			}
+		})
+		if allocs != 0 || r.buf != nil {
+			t.Fatalf("reads after %v: %v allocations, window of %d bytes", end, allocs, len(r.buf))
+		}
+	}
+}
+
+// Under asfpoison a window is overwritten with 0xDB before it is listed,
+// so a payload kept past the end of its stream — not only the last one
+// lent — reads as poison, never as the next session's bytes.
+func TestReaderPoisonsListedWindow(t *testing.T) {
+	if !poisonLent {
+		t.Skip("the window is poisoned only under -tags asfpoison")
+	}
+	data, want, _ := windowFile(t, 3, 100)
+	emptyWindows()
+	r := NewReader(bytes.NewReader(data))
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	var kept [][]byte // lent payloads, wrongly kept without a Clone
+	for range want {
+		p, err := r.ReadPacket()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, p.Payload)
+	}
+	if _, err := r.ReadPacket(); err != io.EOF {
+		t.Fatalf("after the last packet: %v, want io.EOF", err)
+	}
+	poison := func(b []byte) bool { return len(bytes.Trim(b, "\xdb")) == 0 }
+	for i, b := range kept {
+		if !poison(b) {
+			t.Fatalf("packet %d's kept payload survived the end of its stream", i)
+		}
+	}
+	if w := <-idleWindows; !poison(w) {
+		t.Fatal("the listed window is not poisoned")
 	}
 }
 

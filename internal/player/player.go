@@ -69,7 +69,56 @@ type Event struct {
 	PTS   time.Duration
 	At    time.Duration
 	Param string
-	Bytes int
+}
+
+// A session's render log is written into chunks of eventChunk events and
+// built at its exact length once, when Play returns; the chunks, cleared,
+// go to the next session. They live on a leaky free list of at most
+// maxIdleChunks (160 KB), not in a sync.Pool, which every GC empties.
+const (
+	eventChunk    = 256
+	maxIdleChunks = 16
+)
+
+var idleChunks = make(chan *[eventChunk]Event, maxIdleChunks)
+
+// eventLog is the render log while a session plays.
+type eventLog struct {
+	chunks []*[eventChunk]Event
+	n      int // events in the last chunk
+}
+
+func (l *eventLog) add(e Event) {
+	if len(l.chunks) == 0 || l.n == eventChunk {
+		var c *[eventChunk]Event
+		select {
+		case c = <-idleChunks:
+		default:
+			c = new([eventChunk]Event)
+		}
+		l.chunks = append(l.chunks, c)
+		l.n = 0
+	}
+	l.chunks[len(l.chunks)-1][l.n] = e
+	l.n++
+}
+
+// events returns the log in one slice of its exact length (nil when it is
+// empty) and hands the chunks on, cleared, so none keeps a Param.
+func (l *eventLog) events() []Event {
+	if len(l.chunks) == 0 {
+		return nil
+	}
+	out := make([]Event, (len(l.chunks)-1)*eventChunk+l.n)
+	for i, c := range l.chunks {
+		clear(c[:copy(out[i*eventChunk:], c[:])])
+		select {
+		case idleChunks <- c:
+		default:
+		}
+	}
+	*l = eventLog{}
+	return out
 }
 
 // Skew is the presentation lateness: At - PTS (never negative; the player
@@ -177,6 +226,7 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 	}
 
 	m := &Metrics{}
+	var log eventLog
 	clock := p.opts.Clock
 	start := clock.Now()
 	// With AnchorToFirstPacket, start is re-based to the first packet's
@@ -202,7 +252,7 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 				// due at the anchor, not late since stream time zero.
 				cmd.At = ptsBase
 			}
-			p.renderScript(m, cmd, present())
+			p.renderScript(m, &log, cmd, present())
 			scripts = scripts[1:]
 		}
 	}
@@ -243,6 +293,7 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 	for {
 		pkt, ok, err := next()
 		if err != nil {
+			m.Events = log.events()
 			return m, fmt.Errorf("player: %w", err)
 		}
 		if !ok {
@@ -263,7 +314,7 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 			} else if wait < 0 && -wait > p.opts.StallTolerance {
 				m.Stalls++
 				m.StallTime += -wait
-				m.Events = append(m.Events, Event{Kind: EventStall, PTS: pkt.PTS, At: present()})
+				log.add(Event{Kind: EventStall, PTS: pkt.PTS, At: present()})
 			}
 		}
 		now := present()
@@ -273,18 +324,19 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 		case media.KindVideo:
 			vdec.Feed(pkt.Payload)
 			m.VideoFrames++
-			m.Events = append(m.Events, Event{Kind: EventVideoFrame, PTS: pkt.PTS, At: now, Bytes: len(pkt.Payload)})
+			log.add(Event{Kind: EventVideoFrame, PTS: pkt.PTS, At: now})
 		case media.KindAudio:
 			m.AudioBlocks++
-			m.Events = append(m.Events, Event{Kind: EventAudioBlock, PTS: pkt.PTS, At: now, Bytes: len(pkt.Payload)})
+			log.add(Event{Kind: EventAudioBlock, PTS: pkt.PTS, At: now})
 		case media.KindImage:
 			// Images are cached on arrival; the script command shows them.
 		case media.KindScript:
 			cmd, err := asf.ParseScriptPacket(pkt)
 			if err != nil {
+				m.Events = log.events()
 				return m, fmt.Errorf("player: %w", err)
 			}
-			p.renderScript(m, cmd, now)
+			p.renderScript(m, &log, cmd, now)
 		}
 	}
 	execScripts(1<<62 - 1)
@@ -292,12 +344,13 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 	m.Decodable = vdec.Decodable
 	m.BrokenFrames = vdec.Broken
 	m.Duration = elapsed()
+	m.Events = log.events()
 	p.finalizeSkew(m)
 	return m, nil
 }
 
 // renderScript turns a script command into a rendered event.
-func (p *Player) renderScript(m *Metrics, cmd asf.ScriptCommand, at time.Duration) {
+func (p *Player) renderScript(m *Metrics, log *eventLog, cmd asf.ScriptCommand, at time.Duration) {
 	kind := EventScript
 	switch cmd.Type {
 	case "slide":
@@ -307,7 +360,7 @@ func (p *Player) renderScript(m *Metrics, cmd asf.ScriptCommand, at time.Duratio
 		kind = EventAnnotation
 		m.Annotations++
 	}
-	m.Events = append(m.Events, Event{Kind: kind, PTS: cmd.At, At: at, Param: cmd.Param})
+	log.add(Event{Kind: kind, PTS: cmd.At, At: at, Param: cmd.Param})
 }
 
 // finalizeSkew computes MaxSkew and MeanSkew over every non-stall

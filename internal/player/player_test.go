@@ -11,7 +11,7 @@ import (
 	"repro/internal/encoder"
 )
 
-func testLectureBytes(t *testing.T, dur time.Duration, cfg encoder.Config) ([]byte, *capture.Lecture) {
+func testLectureBytes(t testing.TB, dur time.Duration, cfg encoder.Config) ([]byte, *capture.Lecture) {
 	t.Helper()
 	p, err := codec.ByName("modem-56k")
 	if err != nil {

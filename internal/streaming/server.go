@@ -88,8 +88,9 @@ type Asset struct {
 	Header asf.Header
 	// Packets are the asset's packets in send order, as views over
 	// SharedPackets: each Payload aliases its wire image's tail, so it is
-	// read-only. The serving path never reads them; the benchmark module
-	// verifies sessions against them.
+	// read-only. They are built once the container is read, in one slice
+	// of exactly their number. The serving path never reads them; the
+	// benchmark module verifies sessions against them.
 	Packets []asf.Packet
 
 	shared []*asf.Shared // what every session and mirror fetch writes
@@ -353,12 +354,15 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 			a.points = append(a.points, seekPoint{pts: p.PTS, pos: len(a.shared), off: a.wire})
 		}
 		a.shared = append(a.shared, sp)
-		a.Packets = append(a.Packets, p)
 		a.bytes += int64(len(p.Payload))
 		a.wire += int64(len(sp.Wire()))
 		tag.Write(sp.Wire()[:len(sp.Wire())-len(p.Payload)])
 	}
 	a.etag = []string{`"` + strconv.FormatUint(tag.Sum64(), 16) + `"`}
+	a.Packets = make([]asf.Packet, len(a.shared))
+	for i, sp := range a.shared {
+		a.Packets[i] = sp.Packet()
+	}
 	return a, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,16 @@ func TestRegisterAndListAssets(t *testing.T) {
 	}
 	if len(a.SharedPackets()) == 0 || a.Bytes() == 0 {
 		t.Fatal("asset has no packets")
+	}
+	// Packets is built once, exactly sized, as views over the wire images.
+	if shared := a.SharedPackets(); len(a.Packets) != len(shared) || cap(a.Packets) != len(shared) {
+		t.Fatalf("Packets: len %d cap %d, want both %d", len(a.Packets), cap(a.Packets), len(shared))
+	}
+	for i, sp := range a.SharedPackets() {
+		p, want := a.Packets[i], sp.Packet()
+		if !reflect.DeepEqual(p, want) || len(p.Payload) > 0 && &p.Payload[0] != &want.Payload[0] {
+			t.Fatalf("Packets[%d] is not SharedPackets()[%d].Packet()", i, i)
+		}
 	}
 	if _, err := srv.RegisterAsset("lec1", asf.NewReader(bytes.NewReader(data))); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate register = %v", err)
