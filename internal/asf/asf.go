@@ -38,9 +38,11 @@
 //     the stream is over, so the reader hands its window to the next
 //     reader, which fills it with another stream's bytes.
 //   - Reader.ReadShared owns. The validated wire image is copied once
-//     into the reader's Slab: a 16 KB buffer it shares with the packets
-//     read around it (a large one that does not fit gets its own), which
-//     nothing writes again once a packet is in it. The Shared may be
+//     into the reader's Slab: a buffer it shares with the packets read
+//     around it — 64 KB for a stored container, 16 KB for a live stream
+//     (a large image that does not fit gets its own) — which nothing
+//     writes again once a packet is in it. Images that lie back to back
+//     in one buffer leave in one write (Run). The Shared may be
 //     held and written to any number of connections for as long as anyone
 //     references it, and while it is referenced it pins its slab. A
 //     packet that has no wire image yet is encoded into a slab the same

@@ -363,8 +363,8 @@ type Reader struct {
 	// lent counts the payload bytes before pos that the last ReadPacket
 	// handed out; only the asfpoison build reads it.
 	lent int
-	// slab is where ReadShared copies what it hands out; ReadPacket never
-	// touches it.
+	// slab is where ReadShared copies what it hands out, in buffers sized
+	// by ReadHeader; ReadPacket never touches it.
 	slab Slab
 
 	header    Header
@@ -453,6 +453,11 @@ func (r *Reader) ReadHeader() (Header, error) {
 	r.pos += len(object)
 	r.header = h
 	r.hasHeader = true
+	// A stored container's owned packets are held together for the
+	// asset's life; a live stream's pass through (see liveSlab).
+	if !h.Live() {
+		r.slab.size = storedSlab
+	}
 	return h, nil
 }
 

@@ -20,7 +20,8 @@ import (
 // canonical encoding of its packet — what a relay forwards is what an
 // encoder would have written. The owned packets are kept until the stream
 // ends and checked again then: no later read into the same slab wrote
-// over one.
+// over one, and split into runs (Run) they write the same bytes as one
+// by one.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid small file.
 	var buf bytes.Buffer
@@ -87,11 +88,14 @@ func FuzzReader(f *testing.F) {
 			}
 			owned = append(owned, kept{sp, p.Clone(), canon})
 		}
+		sps := make([]*Shared, len(owned))
 		for i, k := range owned {
 			if !reflect.DeepEqual(k.p, k.sp.Packet()) || !bytes.Equal(k.sp.Wire(), k.canon) {
 				t.Fatalf("owned packet %d changed after later reads", i)
 			}
+			sps[i] = k.sp
 		}
+		checkRuns(t, sps)
 	})
 }
 

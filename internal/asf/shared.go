@@ -41,7 +41,10 @@ const (
 //     capacity-clipped to the packet, so even an append cannot reach the
 //     packet next to it in a slab.
 type Shared struct {
-	wire []byte // full wire image: fixed header + payload
+	// wire is the full wire image — fixed header and payload — whose
+	// capacity runs to the end of the buffer it was carved from, so that
+	// Run can tell the image carved behind it in the same buffer.
+	wire []byte
 	pkt  Packet // decoded view; Payload aliases wire's tail
 }
 
@@ -63,25 +66,29 @@ func NewShared(p Packet) (*Shared, error) {
 // Shared's decoded view.
 func (s *Shared) setPacket(p Packet) {
 	s.pkt = p
-	s.pkt.Payload = s.wire[packetWireSize:]
+	s.pkt.Payload = s.Wire()[packetWireSize:]
 }
 
-// A slab's wire images are carved from byteSlab-sized buffers and its
+// A slab's wire images are carved from buffers of its size and its
 // Shared headers from chunks of sharedChunk. An image that does not fit
 // in what is left of the current buffer gets a new one, unless it is at
-// least ownMin: then it gets a buffer of its own and the current one
-// stays open, so a large image — a slide, a big keyframe — does not make
-// the rest of the current buffer tail.
+// least a quarter of the buffer size: then it gets a buffer of its own
+// and the current one stays open, so a large image — a slide, a big
+// keyframe — does not make the rest of the current buffer tail.
 //
-// byteSlab is small on purpose: each buffer is a run of contiguous pages
-// from the Go runtime's page heap. With 32 KB and 64 KB buffers a relayed
-// broadcast took more page faults per packet than with a buffer per
-// packet, and other code allocating on the same heap took a number that
-// changed from one run to the next; with 16 KB buffers both are lower and
-// steady.
+// A live stream's slab — a channel's, a relay's — carves from liveSlab
+// buffers, and that size is small on purpose: each buffer is a run of
+// contiguous pages from the Go runtime's page heap. With 32 KB and 64 KB
+// buffers a relayed broadcast took more page faults per packet than
+// with a buffer per packet, and other code allocating on the same heap
+// took a number that changed from one run to the next; with 16 KB
+// buffers both are lower and steady. A stored container's packets are
+// read at once and held together for the asset's life, so its reader
+// carves from storedSlab buffers: fewer allocations, and longer runs of
+// images that leave in one write (Run).
 const (
-	byteSlab    = 16 << 10
-	ownMin      = byteSlab / 4
+	liveSlab    = 16 << 10
+	storedSlab  = 64 << 10
 	sharedChunk = 64
 )
 
@@ -90,12 +97,13 @@ const (
 // packet. A packet pins the buffer its image lies in, and the chunk its
 // header lies in, for as long as anyone references it; the garbage
 // collector frees both once none of their packets is referenced, so
-// there is no refcount, pool or free list. The zero Slab is ready to use;
-// it is not safe for concurrent use.
+// there is no refcount, pool or free list. The zero Slab is ready to use
+// and carves liveSlab buffers; it is not safe for concurrent use.
 type Slab struct {
 	buf    []byte   // current buffer: len is carved, cap-len is free
 	shared []Shared // current header chunk: len is handed out
 	left   int      // free bytes of the buffers already left behind
+	size   int      // buffer size; zero means liveSlab
 }
 
 // NewShared is NewShared with the image and header carved from the slab.
@@ -119,18 +127,27 @@ func (s *Slab) own(p Packet, wire []byte) *Shared {
 	return sp
 }
 
-// bytes returns n bytes of the slab, capacity-clipped to n.
+// bufSize is the size of the slab's buffers.
+func (s *Slab) bufSize() int {
+	if s.size == 0 {
+		return liveSlab
+	}
+	return s.size
+}
+
+// bytes returns n bytes of the slab, their capacity running to the end
+// of the buffer they lie in.
 func (s *Slab) bytes(n int) []byte {
 	off := len(s.buf)
 	if n > cap(s.buf)-off {
-		if n >= ownMin {
+		if n >= s.bufSize()/4 {
 			return make([]byte, n)
 		}
 		s.left += cap(s.buf) - off
-		s.buf, off = make([]byte, 0, byteSlab), 0
+		s.buf, off = make([]byte, 0, s.bufSize()), 0
 	}
 	s.buf = s.buf[:off+n]
-	return s.buf[off : off+n : off+n]
+	return s.buf[off:]
 }
 
 // nextShared returns a zeroed Shared from the current chunk.
@@ -152,7 +169,28 @@ func (s *Shared) Packet() Packet { return s.pkt }
 
 // Wire returns the complete wire encoding (header + CRC + payload).
 // The buffer is shared with every other consumer: never modify it.
-func (s *Shared) Wire() []byte { return s.wire }
+func (s *Shared) Wire() []byte { return s.wire[:len(s.wire):len(s.wire)] }
+
+// Run returns the longest prefix of sps whose wire images lie back to
+// back in one slab buffer, as one capacity-clipped slice, and its length
+// n, at least 1 (sps must not be empty): what a connection can take in
+// one write, with no copy.
+// A run never spans two allocations: it ends where a buffer does, at an
+// image with a buffer of its own, and at the image after one. Images
+// from NewShared each have their own buffer, so each is a run of one.
+func Run(sps []*Shared) (wire []byte, n int) {
+	wire = sps[0].wire
+	for n = 1; n < len(sps); n++ {
+		next := sps[n].wire
+		// The image behind wire in its buffer starts at wire's end; one
+		// in another allocation never does.
+		if cap(wire)-len(wire) < len(next) || &wire[:len(wire)+1][len(wire)] != &next[0] {
+			break
+		}
+		wire = wire[:len(wire)+len(next)]
+	}
+	return wire[:len(wire):len(wire)], n
+}
 
 // PayloadLen is the payload size in bytes.
 func (s *Shared) PayloadLen() int { return len(s.pkt.Payload) }
@@ -172,7 +210,7 @@ func (w *Writer) WriteShared(sp *Shared) error {
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(sp.wire); err != nil {
+	if _, err := w.w.Write(sp.Wire()); err != nil {
 		return fmt.Errorf("asf: write packet %d: %w", sp.pkt.Seq, err)
 	}
 	w.seq = sp.pkt.Seq + 1

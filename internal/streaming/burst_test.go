@@ -62,17 +62,7 @@ func liveBody(t *testing.T, ch *Channel, packets []*asf.Shared) []byte {
 // the test ends.
 func serveOnMem(t *testing.T, h http.Handler) *netsim.MemNet {
 	t.Helper()
-	mem := netsim.NewMemNet()
-	ln, err := mem.Listen("origin.lod")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: h}
-	go func() { _ = hs.Serve(ln) }() // returns when Close closes the listener
-	t.Cleanup(func() {
-		hs.Close()
-		mem.Close()
-	})
+	mem, _ := serveCounted(t, h)
 	return mem
 }
 
@@ -386,16 +376,23 @@ func TestReturnedWriterHoldsNoResponse(t *testing.T) {
 }
 
 // TestWriterFreeListBounded: borrowing never blocks and stops at
-// maxWriters, returning never blocks, and the list never holds more
-// writers than were made.
+// maxWriters, returning never blocks, the list never holds more writers
+// than were made, and with every writer out a drain still reaches its
+// response, written straight to it.
 func TestWriterFreeListBounded(t *testing.T) {
 	done := make(chan struct{})
 	var out []*bufio.Writer
+	var direct bytes.Buffer
+	var directErr error
 	go func() {
 		defer close(done)
 		for bw := borrowWriter(io.Discard); bw != nil; bw = borrowWriter(io.Discard) {
 			out = append(out, bw)
 		}
+		directErr = writeBuffered(&direct, func(out io.Writer) error {
+			_, err := io.WriteString(out, "no writer free")
+			return err
+		})
 		for _, bw := range out {
 			returnWriter(bw)
 		}
@@ -411,12 +408,15 @@ func TestWriterFreeListBounded(t *testing.T) {
 	if made := int(writersMade.Load()); made > maxWriters || len(idleWriters) > made {
 		t.Fatalf("%d writers made, %d idle; want at most %d made and no more idle", made, len(idleWriters), maxWriters)
 	}
+	if directErr != nil || direct.String() != "no writer free" {
+		t.Fatalf("with every writer out, the response got %q, %v", direct.String(), directErr)
+	}
 }
 
 // TestFetchPullsOutnumberingWriters: more mirror pulls at once than
-// there are writers to borrow each arrive byte for byte — those that got
-// a writer and those that wrote straight to their response — and no
-// more than maxWriters writers are made.
+// there are writers to borrow each arrive byte for byte, written run by
+// run straight to their responses, and no more than maxWriters writers
+// are made.
 func TestFetchPullsOutnumberingWriters(t *testing.T) {
 	srv := NewServer(nil)
 	a, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(encodeTestAsset(t, 16*time.Second))))
@@ -432,10 +432,9 @@ func TestFetchPullsOutnumberingWriters(t *testing.T) {
 	defer client.CloseIdleConnections()
 	url := "http://origin.lod" + proto.Versioned(proto.StreamPath(proto.StreamFetch, "lec"))
 
-	// Every pull is open before any body is read. A handler borrows
-	// before it writes its first byte and is then held writing until its
-	// body is read, so all of them are mid-write at once: with more pulls
-	// than writers, some must write without one.
+	// Every pull is open before any body is read. A handler is held in
+	// its first write until its body is read, so all of them are
+	// mid-write at once.
 	const pulls = maxWriters + 16
 	resps := make([]*http.Response, pulls)
 	errs := make([]error, pulls)

@@ -20,8 +20,8 @@ import (
 
 // flushRecorder is a ResponseWriter that records what the stored-stream
 // loop hands the connection and when it flushes. A Write whose bytes are
-// the next wire image of packets counts as that packet; the header is
-// bytes only.
+// the next k wire images of packets, back to back — one image, or a run
+// (asf.Run) — counts as those k packets; the header is bytes only.
 type flushRecorder struct {
 	mu        sync.Mutex
 	header    http.Header
@@ -42,9 +42,14 @@ func (f *flushRecorder) WriteHeader(int)     {}
 func (f *flushRecorder) Write(p []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.next < len(f.packets) && bytes.Equal(p, f.packets[f.next].Wire()) {
-		f.next++
-		f.pending++
+	k, rest := 0, p
+	for len(rest) > 0 && f.next+k < len(f.packets) && bytes.HasPrefix(rest, f.packets[f.next+k].Wire()) {
+		rest = rest[len(f.packets[f.next+k].Wire()):]
+		k++
+	}
+	if len(rest) == 0 {
+		f.next += k
+		f.pending += k
 	}
 	f.unflushed += len(p)
 	return len(p), nil

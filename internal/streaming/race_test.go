@@ -1,13 +1,18 @@
 package streaming
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/asf"
 	"repro/internal/media"
+	"repro/internal/netsim"
+	"repro/internal/proto"
 )
 
 // patternByte derives the payload fill byte for a sequence number, so a
@@ -124,4 +129,104 @@ func TestChannelSharedBuffersImmutable(t *testing.T) {
 	if got := ch.Published(); got != packets {
 		t.Fatalf("published %d packets, want %d", got, packets)
 	}
+}
+
+// TestMirroredRunsUnderConcurrentReaders: a mirror registers a lecture
+// from the origin's fetch body, then eight viewers play it through
+// /v1/vod at once — from the top, from a seek point, and resumed from a
+// byte by Range — while an edge pulls it, every one of them writing runs
+// of the same slab buffers. Every body is the origin's for the same
+// request. Under -race this also catches a write to a shared buffer.
+func TestMirroredRunsUnderConcurrentReaders(t *testing.T) {
+	origin := NewServer(nil)
+	origin.Pacing = false
+	asset, err := origin.RegisterAsset("lec", asf.NewReader(bytes.NewReader(encodeDSLAsset(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := NewServer(nil)
+	mirror.Pacing = false
+	mem := netsim.NewMemNet()
+	defer mem.Close()
+	for host, srv := range map[string]*Server{"origin.lod": origin, "mirror.lod": mirror} {
+		ln, err := mem.Listen(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := &http.Server{Handler: srv.Handler()}
+		go func() { _ = hs.Serve(ln) }() // returns when Close closes the listener
+		defer hs.Close()
+	}
+	client := mem.Client()
+	defer client.CloseIdleConnections()
+	get := func(host string, stream proto.StreamKind, query string, h http.Header) ([]byte, error) {
+		req, err := http.NewRequest(http.MethodGet, "http://"+host+proto.Versioned(proto.StreamPath(stream, "lec"))+query, nil)
+		if err != nil {
+			return nil, err
+		}
+		req.Header = h
+		resp, err := client.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode/100 != 2 {
+			err = fmt.Errorf("GET %s: status %d", req.URL, resp.StatusCode)
+		}
+		return body, err
+	}
+	pulled, err := get("origin.lod", proto.StreamFetch, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mirror.RegisterAsset("lec", asf.NewReader(bytes.NewReader(pulled))); err != nil {
+		t.Fatal(err)
+	}
+
+	type play struct {
+		query string
+		h     http.Header
+	}
+	resume := func(n int64) http.Header {
+		return http.Header{"Range": {proto.FormatRange(n)}, "If-Range": {asset.etag[0]}}
+	}
+	plays := []play{
+		{"", nil},
+		{"?start=10s", nil},
+		{"", resume(100_000)},
+		{"?start=5s", resume(7)},
+	}
+	want := make([][]byte, len(plays))
+	for i, p := range plays {
+		if want[i], err = get("origin.lod", proto.StreamVOD, p.query, p.h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(want[0], want[1]) || bytes.Equal(want[0], want[2]) {
+		t.Fatal("the seek and the resume do not start where the whole body does")
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p := plays[i%len(plays)]
+			body, err := get("mirror.lod", proto.StreamVOD, p.query, p.h)
+			if err != nil || !bytes.Equal(body, want[i%len(plays)]) {
+				t.Errorf("viewer %d (%q %v): %d bytes, %v; want the origin's %d bytes",
+					i, p.query, p.h, len(body), err, len(want[i%len(plays)]))
+			}
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		body, err := get("mirror.lod", proto.StreamFetch, "", nil)
+		if err != nil || !bytes.Equal(body, pulled) {
+			t.Errorf("edge pull: %d bytes, %v; want the origin's %d bytes", len(body), err, len(pulled))
+		}
+	}()
+	wg.Wait()
 }

@@ -185,3 +185,66 @@ func get(t *testing.T, ts *httptest.Server, path string, h http.Header) ([]byte,
 	}
 	return body, resp
 }
+
+// TestStoredResponseLeavesInRuns: an unpaced stored response — a VOD
+// session, a mirror fetch — is the bytes an asf.Writer writes, and it
+// leaves in a few connection writes: at most two for the response head,
+// the header and the start of the body (a first packet or run larger
+// than the connection's 4 KB buffer is split there), then one per run of
+// images that lie back to back in one slab buffer (asf.Run). Each 64 KB
+// buffer holds a run; an image with a buffer of its own is a run of one,
+// and the images behind it that resume the buffer it interrupted are one
+// more.
+func TestStoredResponseLeavesInRuns(t *testing.T) {
+	srv := NewServer(nil)
+	srv.Pacing = false
+	asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(encodeDSLAsset(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The slab rule of a stored container's reader (asf): 64 KB buffers,
+	// and a buffer of its own for an image of 16 KB or more that does not
+	// fit in what is left of the current one.
+	const slab, ownMin = 64 << 10, 16 << 10
+	buffers, own, free := 0, 0, 0
+	for _, sp := range asset.SharedPackets() {
+		switch n := len(sp.Wire()); {
+		case n <= free:
+			free -= n
+		case n >= ownMin:
+			own++
+		default:
+			buffers++
+			free = slab - n
+		}
+	}
+	if own == 0 {
+		t.Fatal("no image of the lecture has a buffer of its own")
+	}
+	mem, counted := serveCounted(t, srv.Handler())
+	client := mem.Client()
+	defer client.CloseIdleConnections()
+	want := writerBytes(t, asset, 0)
+	for _, stream := range []proto.StreamKind{proto.StreamVOD, proto.StreamFetch} {
+		url := "http://origin.lod" + proto.Versioned(proto.StreamPath(stream, "lec"))
+		before := counted.writes.Load()
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || !bytes.Equal(body, want) {
+			t.Fatalf("GET %s: %d bytes, %v; want the writer's %d bytes", url, len(body), err, len(want))
+		}
+		// Every write has happened once the last byte is read: on MemNet a
+		// write returns when its bytes are read.
+		writes := counted.writes.Load() - before
+		if limit := int64(2 + buffers + 2*own); writes > limit {
+			t.Fatalf("GET %s: %d connection writes for %d packets in %d slab buffers and %d own buffers; want at most %d",
+				url, writes, len(asset.SharedPackets()), buffers, own, limit)
+		}
+		t.Logf("GET %s: %d connection writes for %d packets (%d slab buffers, %d own)",
+			url, writes, len(asset.SharedPackets()), buffers, own)
+	}
+}

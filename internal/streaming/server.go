@@ -512,6 +512,18 @@ func (s *Server) addSent(packets, bytes int64) {
 	s.inst.bytesSent.Add(bytes)
 }
 
+// bookSent counts sps as sent. A stored response books a write's packets
+// before it writes them: a write that goes straight to the connection
+// may reach the client before it returns, and a client that has read the
+// whole body finds every packet of it counted.
+func (s *Server) bookSent(sps []*asf.Shared) {
+	var bytes int64
+	for _, sp := range sps {
+		bytes += int64(sp.PayloadLen())
+	}
+	s.addSent(int64(len(sps)), bytes)
+}
+
 // beginStream books one started session of the given kind: the
 // started/active/in-flight instruments and — for stored assets — the
 // per-asset session count that pins the asset against cache eviction.
@@ -689,31 +701,31 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	s.inst.mirrors.Inc()
 
 	header, _, packets := asset.storedRange(w, nil, seekPoint{})
-	var sentPkts, sentBytes int64
-	defer func() { s.addSent(sentPkts, sentBytes) }()
-	_ = writeBuffered(w, func(out io.Writer) error {
-		if _, err := out.Write(header); err != nil {
-			return err
+	if _, err := w.Write(header); err != nil {
+		return
+	}
+	// Each run of images that lie back to back in a slab buffer is one
+	// write, straight to the response: past net/http's buffers, which a
+	// write larger than them skips once they are empty.
+	for len(packets) > 0 {
+		if err := r.Context().Err(); err != nil {
+			return // mirror went away: the body stays short of its length
 		}
-		for _, sp := range packets {
-			if err := r.Context().Err(); err != nil {
-				return err // mirror went away: the body stays short of its length
-			}
-			if _, err := out.Write(sp.Wire()); err != nil {
-				return err
-			}
-			sentPkts++
-			sentBytes += int64(sp.PayloadLen())
+		wire, n := asf.Run(packets)
+		s.bookSent(packets[:n])
+		if _, err := w.Write(wire); err != nil {
+			return
 		}
-		return nil
-	})
+		packets = packets[n:]
+	}
 }
 
-// A borrowed writer batches what a handler already has to send — a
-// mirror pull, a live drain — into 32 KB writes instead of trickling it
-// through net/http's 2 KB response buffer, where a chunked response
-// would carry one chunk per 2 KB. It is held only while those bytes
-// leave (see DESIGN.md, "Coalesced writes").
+// A borrowed writer batches what a live drain already has to send into
+// 32 KB writes instead of trickling it through net/http's 2 KB response
+// buffer, where a chunked response would carry one chunk per 2 KB. It is
+// held only while those bytes leave (see DESIGN.md, "Coalesced writes").
+// A stored response borrows none: its runs of wire images are already
+// long writes.
 //
 // The writers live on a leaky free list, not in a sync.Pool: every GC
 // empties a pool, and under a steady allocation rate nearly every borrow
@@ -880,8 +892,6 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 	}
 
 	start := s.clock.Now()
-	var sentPkts, sentBytes int64
-	defer func() { s.addSent(sentPkts, sentBytes) }()
 	var sendBase time.Duration
 	if len(packets) > 0 {
 		sendBase = packets[0].SendAt()
@@ -890,15 +900,17 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 	if _, err := w.Write(header); err != nil {
 		return
 	}
-	// The flush follows the schedule: a packet that is already due is
+	// The flush follows the schedule: packets that are already due are
 	// written into the connection's buffers, and the loop flushes when it
 	// is about to wait for the next send time — so an on-schedule session
 	// still puts every packet on the wire at its send instant, and an
-	// unpaced or late one goes out in buffer-sized writes.
+	// unpaced or late one goes out in runs (asf.Run), a write each.
 	now := start // last clock reading
-	for _, sp := range packets {
+	dueAt := func(sp *asf.Shared) time.Time { return start.Add(sp.SendAt() - sendBase) }
+	for i := 0; i < len(packets); {
+		sp := packets[i]
 		if s.Pacing {
-			due := start.Add(sp.SendAt() - sendBase)
+			due := dueAt(sp)
 			// Packets are in send order: one due at or before the last
 			// reading is due without reading the clock again.
 			if due.After(now) {
@@ -925,20 +937,40 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		if r.Context().Err() != nil {
 			return
 		}
-		if _, err := w.Write(sp.Wire()[skip:]); err != nil {
+		// The first packet leaves alone, behind the header; after it,
+		// sp's run, cut at the first packet not due at the last reading.
+		wire, n := sp.Wire()[skip:], 1
+		if i > 0 {
+			wire, n = asf.Run(packets[i:])
+			if s.Pacing {
+				size := len(sp.Wire())
+				for k := 1; k < n; k++ {
+					late := now.Sub(dueAt(packets[i+k]))
+					if late < 0 {
+						wire, n = wire[:size], k
+						break
+					}
+					if late > 0 {
+						s.inst.pacingLag.Observe(late.Seconds())
+					}
+					size += len(packets[i+k].Wire())
+				}
+			}
+		}
+		s.bookSent(packets[i : i+n])
+		if _, err := w.Write(wire); err != nil {
 			return
 		}
 		skip = 0
 		pending = true
-		sentPkts++
-		sentBytes += int64(sp.PayloadLen())
-		if sentPkts == 1 {
+		if i == 0 {
 			// Startup is the first stream byte: the header and first
 			// packet go out at once.
 			now = s.clock.Now()
 			s.inst.firstPacketVOD.Observe(now.Sub(reqStart).Seconds())
 			flush()
 		}
+		i += n
 	}
 	// Returning finishes the response, which flushes what is pending.
 }
