@@ -49,6 +49,13 @@
 //     way (Slab.NewShared), or alone into an exactly sized buffer
 //     (NewShared).
 //
+// A window starts at 16 KB and grows to the largest object the stream
+// carried (at most 64 KB; a larger one gets a buffer of its own). A
+// source that keeps it full — a bulk body, which arrives as fast as it
+// is read — earns a 64 KB one after 48 KB of back-to-back full reads, so
+// a stored body is read in 64 KB pieces while a paced stream keeps its
+// small window. An ended reader hands its window to the next reader.
+//
 // ReadAll returns packets the caller owns. Build with -tags asfpoison
 // (make test-poison) and the reader overwrites what it lent at the start
 // of the next read, and its whole window before handing it on, so a

@@ -134,13 +134,27 @@ func TestReadAllocs(t *testing.T) {
 	}
 }
 
+// countingReader counts the Reads its source serves.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
 // BenchmarkReader is the receive path per packet in both read forms:
 // lent in place (the player, every Fetch consumer) and copied out to own
-// (the edge's mirror pull and live relay).
+// (the edge's mirror pull and live relay). reads/packet is the source
+// Reads per packet: a bulk source fills the window, so it grows to
+// windowMax and a read brings about 50 of these packets.
 func BenchmarkReader(b *testing.B) {
 	const packets = 512
 	data := readBenchFile(b, packets)
-	src := bytes.NewReader(data)
+	bytesSrc := bytes.NewReader(data)
+	src := &countingReader{r: bytesSrc}
 	for _, bc := range []struct {
 		name string
 		read func(*Reader) error
@@ -152,9 +166,10 @@ func BenchmarkReader(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(1200)
 			var r *Reader
+			src.reads = 0
 			for i := 0; i < b.N; i++ {
 				if i%packets == 0 { // a new stream: its header and window are in the figure
-					src.Reset(data)
+					bytesSrc.Reset(data)
 					r = NewReader(src)
 					if _, err := r.ReadHeader(); err != nil {
 						b.Fatal(err)
@@ -164,6 +179,7 @@ func BenchmarkReader(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(src.reads)/float64(b.N), "reads/packet")
 		})
 	}
 }

@@ -292,13 +292,25 @@ func (w *Writer) Close() error {
 // before it had a window of its own. A larger object gets a buffer for
 // itself alone.
 //
+// A source that keeps the window full grows it to windowMax, so a bulk
+// body is read in windowMax pieces: a read is full when it returns all the
+// room it was given and that room was at least half the window, and once
+// windowMax-windowSize bytes have arrived in back-to-back full reads, the
+// next move of the unparsed bytes is into a windowMax window (a read that
+// is not full starts the count again). A paced stream does not keep its
+// window full that long, nor does a burst at join shorter than
+// windowMax-windowSize (a group's lead time), so those windows stay
+// small; a longer burst, or a live subscriber keeping up with an unpaced
+// broadcast, earns a windowMax one like a stored body.
+//
 // A reader whose stream has ended has lent its last packet, so its window
 // goes to the next reader: onto a leaky free list of at most maxIdleWindows
 // (1 MB), not into a sync.Pool, which every GC empties. A window over
-// windowMax is never listed. A reader's first fill, and the first after
-// an outsized object, takes a listed window before it makes one, so a
-// session that follows another reads without allocating one, already
-// grown to the slides the last one carried.
+// windowMax is never listed, and a window a reader outgrows is dropped, so
+// under bulk load the list settles on windowMax windows. A fill that needs
+// a new window takes a listed one when it is large enough, so a session
+// that follows another reads without allocating one, already grown to what
+// the last one carried.
 const (
 	windowSize     = 16 << 10
 	windowMax      = 64 << 10
@@ -307,16 +319,20 @@ const (
 
 var idleWindows = make(chan []byte, maxIdleWindows)
 
-// newWindow returns a window of at least n bytes: a listed one, which is
-// at least windowSize, when n is no more, else a new one of
-// max(n, windowSize).
+// newWindow returns a window of at least n bytes: a listed one when the
+// one it takes is large enough (a smaller one goes back on the list), else
+// a new one of max(n, windowSize).
 func newWindow(n int) []byte {
-	if n <= windowSize {
-		select {
-		case w := <-idleWindows:
+	select {
+	case w := <-idleWindows:
+		if len(w) >= n {
 			return w
+		}
+		select {
+		case idleWindows <- w:
 		default:
 		}
+	default:
 	}
 	return make([]byte, max(n, windowSize))
 }
@@ -347,7 +363,8 @@ func listWindow(w []byte) {
 //
 // The reader owns one window over its source and parses where the bytes
 // landed: no second buffer in front of it is needed (it reads the source
-// in window-sized pieces) and none is made per packet. Who may keep what
+// in window-sized pieces, windowMax ones once it keeps the window full)
+// and none is made per packet. Who may keep what
 // it returns is the package's lend/own contract — see the package
 // documentation: ReadPacket lends, ReadShared owns, by the slab.
 //
@@ -360,6 +377,10 @@ type Reader struct {
 	// buf[pos:end] is read from src and not yet parsed.
 	buf      []byte
 	pos, end int
+	// bulk is the bytes that arrived in back-to-back full reads (see
+	// windowMax); from windowMax-windowSize on, the next fill that moves
+	// the unparsed bytes moves them into a windowMax window.
+	bulk int
 	// lent counts the payload bytes before pos that the last ReadPacket
 	// handed out; only the asfpoison build reads it.
 	lent int
@@ -393,23 +414,33 @@ func (r *Reader) peek(n int) ([]byte, error) {
 
 // fill reads from the source until n bytes are unparsed. The unparsed
 // bytes move to the front first when n does not fit behind pos (or there
-// are none to move): within the window when it can hold n, else into
-// another (newWindow), which is exactly n bytes when n is over
-// windowSize. A window over windowMax is therefore full of the one object
-// it was made for, with nothing read ahead behind it, and is dropped for
-// another by the first fill after it.
+// are none to move): within the window when it can hold n (and the source
+// has not earned a windowMax one), else into another (newWindow), which is
+// at least n bytes. A window over windowMax is therefore full of the one
+// object it was made for, with nothing read ahead behind it, and is
+// dropped for another by the first fill after it.
 func (r *Reader) fill(n int) error {
 	if unparsed := r.buf[r.pos:r.end]; len(unparsed) == 0 || r.pos+n > len(r.buf) {
+		want := n
+		if r.bulk >= windowMax-windowSize {
+			want = max(n, windowMax)
+		}
 		dst := r.buf
-		if n > len(dst) || len(dst) > windowMax {
-			dst = newWindow(n)
+		if want > len(dst) || len(dst) > windowMax {
+			dst = newWindow(want)
 		}
 		r.end = copy(dst, unparsed)
 		r.buf, r.pos = dst, 0
 	}
 	for r.end-r.pos < n {
+		room := len(r.buf) - r.end
 		m, err := r.src.Read(r.buf[r.end:])
 		r.end += m
+		if m == room && 2*room >= len(r.buf) {
+			r.bulk += m
+		} else {
+			r.bulk = 0
+		}
 		if err != nil && r.end-r.pos < n {
 			if err == io.EOF && r.end > r.pos {
 				err = io.ErrUnexpectedEOF

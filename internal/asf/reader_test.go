@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -312,6 +313,109 @@ func TestReaderNeverListsOutsizedWindow(t *testing.T) {
 	}
 	if listWindow(make([]byte, windowMax+1)); len(idleWindows) != 0 {
 		t.Fatalf("a %d-byte window was listed", windowMax+1)
+	}
+}
+
+// cutSource hands data out in reads that never cross a cut, and records
+// the room each read was given and how many bytes had arrived before the
+// first read given more than windowSize.
+type cutSource struct {
+	data      []byte
+	cuts      []int // ascending offsets no read crosses
+	off       int
+	rooms     []int
+	grownAt   int // bytes delivered before the first read into a grown window; -1 if none
+	delivered int
+}
+
+func newCutSource(data []byte, cuts []int) *cutSource {
+	return &cutSource{data: data, cuts: cuts, grownAt: -1}
+}
+
+func (c *cutSource) Read(p []byte) (int, error) {
+	if c.off == len(c.data) {
+		return 0, io.EOF
+	}
+	c.rooms = append(c.rooms, len(p))
+	if len(p) > windowSize && c.grownAt < 0 {
+		c.grownAt = c.delivered
+	}
+	for len(c.cuts) > 0 && c.cuts[0] <= c.off {
+		c.cuts = c.cuts[1:]
+	}
+	end := len(c.data)
+	if len(c.cuts) > 0 {
+		end = c.cuts[0]
+	}
+	n := copy(p, c.data[c.off:end])
+	c.off += n
+	c.delivered += n
+	return n, nil
+}
+
+// A source that keeps the window full — every read returns all the room
+// it was given — earns a windowMax window once windowMax-windowSize bytes
+// have arrived that way; a source that returns a packet a read, and a
+// burst at join shorter than that followed by a trickle, never do. A
+// longer burst — a live catch-up GOP of a fast profile can be 150 KB —
+// does. The window a reader ends with is the one it lists.
+func TestReaderWindowGrowsOnlyForBulkSource(t *testing.T) {
+	data, want, bounds := windowFile(t, 200, 1200)
+	// burst is one read of n bytes, then a packet a read.
+	burst := func(n int) []int {
+		cuts := []int{n}
+		for _, b := range bounds {
+			if b > n {
+				cuts = append(cuts, b)
+			}
+		}
+		return cuts
+	}
+	for _, tc := range []struct {
+		name   string
+		cuts   []int
+		window int // the window listed at the end
+	}{
+		{"bulk", nil, windowMax},
+		{"packet-a-read", bounds, windowSize},
+		{"burst-then-trickle", burst(35 << 10), windowSize},
+		{"long-burst-then-trickle", burst(100 << 10), windowMax},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			emptyWindows()
+			src := newCutSource(data, tc.cuts)
+			r := NewReader(src)
+			if _, err := r.ReadHeader(); err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want {
+				p, err := r.ReadPacket()
+				if err != nil {
+					t.Fatalf("packet %d: %v", i, err)
+				}
+				if !bytes.Equal(p.Payload, w.Payload) || p.Seq != w.Seq {
+					t.Fatalf("packet %d differs from what was written", i)
+				}
+			}
+			if _, err := r.ReadPacket(); err != io.EOF {
+				t.Fatalf("after the last packet: %v, want io.EOF", err)
+			}
+			if got := len(<-idleWindows); got != tc.window {
+				t.Fatalf("listed a %d-byte window, want %d", got, tc.window)
+			}
+			if tc.window == windowSize {
+				if src.grownAt >= 0 {
+					t.Fatalf("a read was given %d bytes of room after %d bytes", slices.Max(src.rooms), src.grownAt)
+				}
+				return
+			}
+			// Grown on the first move after 48 KB of full reads: no sooner,
+			// and within one more window's worth.
+			if src.grownAt < windowMax-windowSize || src.grownAt >= windowMax {
+				t.Fatalf("the window grew after %d bytes, want in [%d, %d)", src.grownAt, windowMax-windowSize, windowMax)
+			}
+			t.Logf("grown after %d bytes; %d reads for %d packets", src.grownAt, len(src.rooms), len(want))
+		})
 	}
 }
 

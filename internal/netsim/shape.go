@@ -11,13 +11,19 @@ import (
 // LossRate (< 1) makes hitting it astronomically unlikely.
 const maxRetransmits = 64
 
-// LinkReader shapes a byte stream through a Link: every Read is
-// modeled as one packet transmitted over the link (serialization at
-// the link bandwidth, propagation latency, jitter), and the reader
-// sleeps on its clock until the modeled arrival instant. A lost packet
-// is treated as a TCP-style retransmission — the bytes are delivered,
-// after the cost of transmitting them again — so stream contents are
-// never corrupted, only delayed.
+// linkSegment is the link's own segment: the most one Read of a shaped
+// link delivers, whatever buffer the caller reads into. The delivery
+// model belongs to the link, so a caller that reads into a larger buffer
+// does not turn the link into one that delivers in bursts of that size.
+const linkSegment = 16 << 10
+
+// LinkReader shapes a byte stream through a Link: every Read, of at
+// most linkSegment bytes, is modeled as one packet transmitted over the
+// link (serialization at the link bandwidth, propagation latency,
+// jitter), and the reader sleeps on its clock until the modeled arrival
+// instant. A lost packet is treated as a TCP-style retransmission — the
+// bytes are delivered, after the cost of transmitting them again — so
+// stream contents are never corrupted, only delayed.
 //
 // Packets pipeline through the link the way they do on a real path:
 // serialization delays accumulate in the link's queue, but propagation
@@ -56,11 +62,17 @@ func NewLinkReader(r io.Reader, link *Link, clock vclock.Clock) *LinkReader {
 	return &LinkReader{r: r, link: link, clock: clock}
 }
 
-// Read implements io.Reader, delaying delivery of each chunk by the
-// link's modeled transit time.
+// Read implements io.Reader, delaying delivery of each chunk — at most
+// linkSegment bytes — by the link's modeled transit time.
 func (lr *LinkReader) Read(p []byte) (int, error) {
+	if lr.link == nil {
+		return lr.r.Read(p)
+	}
+	if len(p) > linkSegment {
+		p = p[:linkSegment]
+	}
 	n, err := lr.r.Read(p)
-	if n <= 0 || lr.link == nil {
+	if n <= 0 {
 		return n, err
 	}
 	if !lr.started {

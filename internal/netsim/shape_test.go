@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -143,5 +144,56 @@ func TestLinkClone(t *testing.T) {
 	d := c.Transmit(0, 125) // 1000 bits at 1000 bps = 1s
 	if d.DepartedAt != time.Second {
 		t.Fatalf("clone first departure %v, want 1s (idle queue)", d.DepartedAt)
+	}
+}
+
+// A Read with a 64 KB buffer takes at most one segment off a shaped
+// link, so the link delivers in its own pieces whatever the caller's
+// buffer; an unshaped reader passes the whole buffer through.
+func TestLinkReaderReadsOneSegment(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x3C}, 4*linkSegment+100)
+	reads := func(link *Link) []int {
+		clk := vclock.NewVirtual()
+		lr := NewLinkReader(bytes.NewReader(payload), link, clk)
+		var sizes []int
+		done := make(chan error, 1)
+		go func() {
+			buf := make([]byte, 64<<10)
+			for {
+				n, err := lr.Read(buf)
+				if n > 0 {
+					sizes = append(sizes, n)
+				}
+				if err != nil {
+					if err == io.EOF {
+						err = nil
+					}
+					done <- err
+					return
+				}
+			}
+		}()
+		for {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sizes
+			default:
+				if next, ok := clk.NextDeadline(); ok {
+					clk.AdvanceTo(next)
+				} else {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}
+	}
+	shaped := reads(&Link{BitsPerSecond: 8_000_000, Latency: time.Millisecond, Seed: 1})
+	if want := []int{linkSegment, linkSegment, linkSegment, linkSegment, 100}; !reflect.DeepEqual(shaped, want) {
+		t.Fatalf("shaped reads of a 64 KB buffer returned %v, want %v", shaped, want)
+	}
+	if got := reads(nil); !reflect.DeepEqual(got, []int{64 << 10, 100}) {
+		t.Fatalf("unshaped reads of a 64 KB buffer returned %v, want [65536 100]", got)
 	}
 }

@@ -2,6 +2,7 @@ package player
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -102,10 +103,22 @@ func TestPlayReusedChunksLogTheSame(t *testing.T) {
 	}
 }
 
+// countingReader counts the Reads its source serves.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
 // BenchmarkPlay plays a 60 s modem-56k lecture in arrival order, the
 // player's own cost with no transport: B/packet is what a session
 // allocates per media packet once a play before it has listed its
-// window and chunks.
+// window and chunks, and reads/packet the source Reads per media packet
+// (each one clock reading).
 func BenchmarkPlay(b *testing.B) {
 	data, _ := testLectureBytes(b, time.Minute, encoder.Config{})
 	pl := New(Options{})
@@ -115,15 +128,55 @@ func BenchmarkPlay(b *testing.B) {
 	}
 	packets := m.VideoFrames + m.AudioBlocks
 	var before, after runtime.MemStats
+	src := &countingReader{r: bytes.NewReader(data)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.Play(bytes.NewReader(data)); err != nil {
+		src.r.(*bytes.Reader).Reset(data)
+		if _, err := pl.Play(src); err != nil {
 			b.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*packets), "B/packet")
+	b.ReportMetric(float64(src.reads)/float64(b.N*packets), "reads/packet")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packets), "ns/packet")
+}
+
+// finalSource is a source whose collection a test can observe.
+type finalSource struct{ r *bytes.Reader }
+
+func (s *finalSource) Read(p []byte) (int, error) { return s.r.Read(p) }
+
+// The Metrics Play returns does not keep the source alive: a caller that
+// holds on to it (a benchmark pass, a report) lets the source, and what
+// it reads from, be collected, in both presentation modes.
+func TestPlayLetsGoOfSource(t *testing.T) {
+	data, _ := testLectureBytes(t, 5*time.Second, encoder.Config{})
+	for _, realtime := range []bool{false, true} {
+		collected := make(chan struct{})
+		m := func() *Metrics {
+			src := &finalSource{r: bytes.NewReader(data)}
+			runtime.SetFinalizer(src, func(*finalSource) { close(collected) })
+			m, err := New(Options{Realtime: realtime, Clock: &countingClock{Virtual: vclock.NewVirtual()}}).Play(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for done := false; !done; {
+			runtime.GC()
+			select {
+			case <-collected:
+				done = true
+			case <-time.After(10 * time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("realtime %v: the source was not collected while the Metrics was held", realtime)
+				}
+			}
+		}
+		runtime.KeepAlive(m)
+	}
 }

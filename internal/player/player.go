@@ -167,8 +167,12 @@ type Options struct {
 	JitterBufferDepth int
 	// Realtime, when true, makes the player wait on the clock until each
 	// item's PTS before presenting it; when false the player presents as
-	// fast as packets arrive, timestamping presentation by packet arrival
-	// order (used for analytic runs where the transport already paced).
+	// fast as packets arrive (used for analytic runs where the transport
+	// already paced), and an item's At is the instant the source Read
+	// that completed its packet returned (for a packet the jitter buffer
+	// held, the Read that completed the buffer), counted from the Read
+	// that completed the header: the clock is read once per Read, not
+	// once per packet.
 	Realtime bool
 	// AnchorToFirstPacket, with Realtime, starts the presentation
 	// schedule when playback begins — at the first packet's dequeue,
@@ -214,9 +218,38 @@ func New(opts Options) *Player {
 	return &Player{opts: opts}
 }
 
+// arrivalSource is an arrival-order play's source: it reads the clock
+// once per Read, and at is the instant the last Read returned.
+type arrivalSource struct {
+	r     io.Reader
+	clock vclock.Clock
+	at    time.Time
+}
+
+func (s *arrivalSource) Read(b []byte) (int, error) {
+	n, err := s.r.Read(b)
+	s.at = s.clock.Now()
+	return n, err
+}
+
 // Play consumes the container from r, rendering to the event log.
 func (p *Player) Play(r io.Reader) (*Metrics, error) {
-	reader := asf.NewReader(r)
+	clock := p.opts.Clock
+	// One allocation holds the Metrics Play returns and the source an
+	// arrival-order play reads through; the source is let go on return,
+	// so a caller that keeps the Metrics does not keep r.
+	play := &struct {
+		m   Metrics
+		src arrivalSource
+	}{}
+	defer func() { play.src = arrivalSource{} }()
+	m := &play.m
+	src := r
+	if !p.opts.Realtime {
+		play.src = arrivalSource{r: r, clock: clock}
+		src = &play.src
+	}
+	reader := asf.NewReader(src)
 	h, err := reader.ReadHeader()
 	if err != nil {
 		return nil, fmt.Errorf("player: %w", err)
@@ -225,17 +258,26 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 		return nil, ErrDRMNotLicensed
 	}
 
-	m := &Metrics{}
 	var log eventLog
-	clock := p.opts.Clock
-	start := clock.Now()
+	// An arrival-order play counts from the Read that completed the
+	// header and presents each item at its packet's stamp; only realtime
+	// playback reads the clock as it presents.
+	start := play.src.at
+	if p.opts.Realtime {
+		start = clock.Now()
+	}
 	// With AnchorToFirstPacket, start is re-based to the first packet's
 	// arrival and ptsBase to its timestamp; present() then reports
 	// instants on the anchored schedule so Event.Skew stays At - PTS.
 	var ptsBase time.Duration
 	anchored := false
 	elapsed := func() time.Duration { return clock.Now().Sub(start) }
-	present := func() time.Duration { return elapsed() + ptsBase }
+	present := func() time.Duration {
+		if !p.opts.Realtime {
+			return play.src.at.Sub(start)
+		}
+		return elapsed() + ptsBase
+	}
 
 	// Pending header scripts sorted by time.
 	var scripts []asf.ScriptCommand

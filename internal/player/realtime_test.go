@@ -2,11 +2,15 @@ package player
 
 import (
 	"bytes"
+	"io"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/asf"
 	"repro/internal/encoder"
+	"repro/internal/media"
 	"repro/internal/vclock"
 )
 
@@ -190,5 +194,160 @@ func TestRealtimePlaybackCountsStallsOnStarvedSource(t *testing.T) {
 	}
 	if m.StallTime == 0 {
 		t.Fatal("stall time not accumulated")
+	}
+}
+
+// countingClock counts its readings. Each reading moves it on by step,
+// and Sleep moves it on by the time slept without blocking, so a
+// realtime play runs on the caller's goroutine.
+type countingClock struct {
+	*vclock.Virtual
+	step  time.Duration
+	reads int
+}
+
+func (c *countingClock) Now() time.Time        { c.reads++; return c.Advance(c.step) }
+func (c *countingClock) Sleep(d time.Duration) { c.Advance(d) }
+
+// readLog hands its data out at most chunk bytes a Read, counts the
+// Reads, and records the offset each Read that delivered ended at.
+type readLog struct {
+	data  []byte
+	chunk int
+	reads int
+	ends  []int
+}
+
+func (l *readLog) Read(p []byte) (int, error) {
+	l.reads++
+	off := 0
+	if len(l.ends) > 0 {
+		off = l.ends[len(l.ends)-1]
+	}
+	if off == len(l.data) {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), l.chunk)], l.data[off:])
+	l.ends = append(l.ends, off+n)
+	return n, nil
+}
+
+// packetEnds returns the offset at which the header of data ends and
+// the offset at which each packet ends, with the packets' kinds.
+func packetEnds(t *testing.T, data []byte) (header int, ends []int, kinds []media.Kind) {
+	t.Helper()
+	r := asf.NewReader(bytes.NewReader(data))
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	var sps []*asf.Shared
+	for {
+		sp, err := r.ReadShared()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sps = append(sps, sp)
+	}
+	off := len(data)
+	for _, sp := range sps {
+		off -= len(sp.Wire())
+	}
+	header = off
+	for _, sp := range sps {
+		off += len(sp.Wire())
+		ends = append(ends, off)
+		kinds = append(kinds, sp.Packet().Kind)
+	}
+	return header, ends, kinds
+}
+
+// An arrival-order play reads the clock once per source Read (and once
+// for its duration), never per packet: each media event's At is the
+// stamp of the Read that completed its packet, counted from the Read
+// that completed the header, and every other event's At is a stamp too.
+func TestArrivalOrderStampsEachRead(t *testing.T) {
+	data, _ := testLectureBytes(t, 20*time.Second, encoder.Config{})
+	const step = time.Millisecond
+	clk := &countingClock{Virtual: vclock.NewVirtual(), step: step}
+	src := &readLog{data: data, chunk: 977}
+	m, err := New(Options{Clock: clk}).Play(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clk.reads > src.reads+1 {
+		t.Fatalf("%d clock readings for %d source reads and %d events", clk.reads, src.reads, len(m.Events))
+	}
+	// Read k (from 0) returned at the (k+1)th reading: the At of what it
+	// completed is its distance in reads from the header's.
+	completedBy := func(off int) int { return sort.SearchInts(src.ends, off) }
+	header, ends, kinds := packetEnds(t, data)
+	var want []time.Duration
+	for i, end := range ends {
+		if kinds[i] == media.KindVideo || kinds[i] == media.KindAudio {
+			want = append(want, time.Duration(completedBy(end)-completedBy(header))*step)
+		}
+	}
+	var got []time.Duration
+	last := time.Duration(len(src.ends)) * step
+	for i, e := range m.Events {
+		if e.At%step != 0 || e.At < 0 || e.At > last || (i > 0 && e.At < m.Events[i-1].At) {
+			t.Fatalf("event %d (%s) at %v is not a read's stamp in order", i, e.Kind, e.At)
+		}
+		if e.Kind == EventVideoFrame || e.Kind == EventAudioBlock {
+			got = append(got, e.At)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("media events at %v…, want %v…", got[:min(8, len(got))], want[:min(8, len(want))])
+	}
+	if m.SlidesShown == 0 {
+		t.Fatal("no slide shown: the header scripts were not exercised")
+	}
+}
+
+// Realtime playback reads the clock as it always has: once to start
+// (twice when anchored), once per packet to see whether it is due and
+// once to present it, once per header script and once for the duration.
+func TestRealtimeClockReadings(t *testing.T) {
+	data, _ := testLectureBytes(t, 10*time.Second, encoder.Config{})
+	h, err := asf.NewReader(bytes.NewReader(data)).ReadHeader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ends, _ := packetEnds(t, data)
+	for _, anchored := range []bool{false, true} {
+		clk := &countingClock{Virtual: vclock.NewVirtual()}
+		m, err := New(Options{Clock: clk, Realtime: true, AnchorToFirstPacket: anchored}).Play(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 2 + 2*len(ends) + len(h.Scripts)
+		if anchored {
+			want++
+		}
+		if m.Stalls != 0 || clk.reads != want {
+			t.Fatalf("anchored=%v: %d clock readings and %d stalls, want %d and none", anchored, clk.reads, m.Stalls, want)
+		}
+	}
+}
+
+// Stamping the reads costs an arrival-order play no allocation: it
+// allocates no more than a realtime play of the same lecture.
+func TestArrivalStampsAllocateNothing(t *testing.T) {
+	data, _ := testLectureBytes(t, 10*time.Second, encoder.Config{})
+	allocs := func(opts Options) float64 {
+		pl := New(opts)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := pl.Play(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	realtime := allocs(Options{Clock: &countingClock{Virtual: vclock.NewVirtual()}, Realtime: true})
+	if arrival := allocs(Options{}); arrival > realtime {
+		t.Fatalf("an arrival-order play allocates %v times, a realtime one %v", arrival, realtime)
 	}
 }

@@ -13,6 +13,9 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/capture"
+	"repro/internal/codec"
+	"repro/internal/encoder"
 	"repro/internal/proto"
 	"repro/internal/testutil"
 	"repro/internal/vclock"
@@ -284,6 +287,65 @@ func TestVODPacingLagCoversSleptPackets(t *testing.T) {
 	}
 	if line := `lod_pacing_lag_seconds_bucket{le="0.001"} 4`; !strings.Contains(text.String(), line) {
 		t.Fatalf("a packet was more than one grain late; exposition lacks %q", line)
+	}
+}
+
+// steppingClock is a virtual clock that moves on by step at every
+// reading, so each packet a paced session looks at is later than the one
+// before.
+type steppingClock struct {
+	*vclock.Virtual
+	step time.Duration
+}
+
+func (c steppingClock) Now() time.Time { return c.Advance(c.step) }
+
+// TestVODPacingLagCountsEveryOverduePacket: a lecture encoded with a lead
+// longer than itself is due whole at its start, so on a clock that moves
+// at every reading each packet after the first leaves overdue and records
+// its lateness once, also when it goes out in a run behind another, and
+// none is slept for.
+func TestVODPacingLagCountsEveryOverduePacket(t *testing.T) {
+	const dur = 20 * time.Second
+	p, err := codec.ByName("modem-56k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lec, err := capture.NewLecture(capture.LectureConfig{
+		Title: "overdue", Duration: dur, Profile: p, SlideCount: 2, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := encoder.EncodeLecture(lec, encoder.Config{LeadTime: 2 * dur}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(steppingClock{vclock.NewVirtual(), 100 * time.Microsecond})
+	asset, err := srv.RegisterAsset("sched", asf.NewReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	packets := asset.SharedPackets()
+	for i, sp := range packets {
+		if sp.SendAt() != 0 {
+			t.Fatalf("packet %d is due at %v, want the whole lecture due at 0", i, sp.SendAt())
+		}
+	}
+	rec := newFlushRecorder(packets)
+	<-vodSession(context.Background(), srv, "sched", rec)
+	if written, _, _ := rec.state(); written != len(packets) {
+		t.Fatalf("wrote %d of %d packets", written, len(packets))
+	}
+	if got := srv.inst.packetsPaced.Value(); got != 0 {
+		t.Fatalf("lod_packets_paced_total = %d, want 0: nothing was early", got)
+	}
+	lag := srv.inst.pacingLag
+	if got, want := lag.Count(), int64(len(packets)-1); got != want {
+		t.Fatalf("lod_pacing_lag_seconds counted %d packets, want every one after the first, %d", got, want)
+	}
+	if lag.Sum() <= 0 {
+		t.Fatalf("lod_pacing_lag_seconds sum = %v for overdue packets", lag.Sum())
 	}
 }
 
