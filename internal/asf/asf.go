@@ -20,9 +20,11 @@
 //
 // The header payload carries the version, live/DRM flags, title, per-stream
 // properties (codec, bit rate, QoS), and the script-command table. Script
-// commands may also travel in-band as packets on the script stream; the
-// Indexer utility (§2.1 "Windows Media ASF Indexer") adds commands to
-// stored files after the fact.
+// commands may also travel in-band as packets on the script stream
+// (ScriptPacket), which is how a live encoder session delivers them. A
+// stored file gains commands after the fact by being published again with
+// them (internal/publish), where the paper's §2.1 used the "Windows Media
+// ASF Indexer".
 //
 // # Who may keep a packet
 //

@@ -424,131 +424,3 @@ func TestScriptPacketValidation(t *testing.T) {
 		t.Error("non-script packet parsed")
 	}
 }
-
-func TestIndexerMergesScripts(t *testing.T) {
-	// Build a source file with one header script.
-	var src bytes.Buffer
-	h := sampleHeader()
-	h.Scripts = h.Scripts[:1]
-	w, err := NewWriter(&src, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range samplePackets() {
-		if _, err := w.WritePacket(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var dst bytes.Buffer
-	ixer := Indexer{}
-	n, err := ixer.AddScripts(bytes.NewReader(src.Bytes()), &dst, []ScriptCommand{
-		{At: 10 * time.Second, Type: "slide", Param: "added.png"},
-		{At: 5 * time.Second, Type: "annotation", Param: "hello"},
-	})
-	if err != nil {
-		t.Fatalf("AddScripts: %v", err)
-	}
-	if n != 3 {
-		t.Fatalf("merged count = %d, want 3", n)
-	}
-
-	r := NewReader(bytes.NewReader(dst.Bytes()))
-	got, err := r.ReadHeader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Scripts) != 3 {
-		t.Fatalf("rewritten header has %d scripts, want 3", len(got.Scripts))
-	}
-	// Sorted by time: 0s, 5s, 10s.
-	for i := 1; i < len(got.Scripts); i++ {
-		if got.Scripts[i].At < got.Scripts[i-1].At {
-			t.Fatal("scripts not sorted by time")
-		}
-	}
-	// All original packets preserved.
-	count := 0
-	for {
-		if _, err := r.ReadPacket(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		count++
-	}
-	if count != len(samplePackets()) {
-		t.Fatalf("rewritten file has %d packets, want %d", count, len(samplePackets()))
-	}
-}
-
-func TestIndexerInBand(t *testing.T) {
-	var src bytes.Buffer
-	w, err := NewWriter(&src, sampleHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range samplePackets() {
-		if _, err := w.WritePacket(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var dst bytes.Buffer
-	ixer := Indexer{InBand: true, ScriptStream: uint16(media.StreamScript)}
-	if _, err := ixer.AddScripts(bytes.NewReader(src.Bytes()), &dst, []ScriptCommand{
-		{At: 5 * time.Millisecond, Type: "slide", Param: "mid.png"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewReader(bytes.NewReader(dst.Bytes()))
-	if _, err := r.ReadHeader(); err != nil {
-		t.Fatal(err)
-	}
-	scriptSeen := false
-	total := 0
-	for {
-		p, err := r.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		total++
-		if p.Kind == media.KindScript {
-			scriptSeen = true
-			cmd, err := ParseScriptPacket(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cmd.Param != "mid.png" {
-				t.Fatalf("in-band command = %+v", cmd)
-			}
-		}
-	}
-	if !scriptSeen {
-		t.Fatal("no in-band script packet written")
-	}
-	if total != len(samplePackets())+1 {
-		t.Fatalf("total packets = %d, want %d", total, len(samplePackets())+1)
-	}
-}
-
-func TestIndexerValidation(t *testing.T) {
-	var dst bytes.Buffer
-	ixer := Indexer{}
-	if _, err := ixer.AddScripts(bytes.NewReader(nil), &dst, []ScriptCommand{{At: -1, Type: "x"}}); err == nil {
-		t.Error("negative time accepted")
-	}
-	if _, err := ixer.AddScripts(bytes.NewReader(nil), &dst, []ScriptCommand{{At: 1, Type: ""}}); err == nil {
-		t.Error("empty type accepted")
-	}
-}

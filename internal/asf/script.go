@@ -6,25 +6,6 @@ import (
 	"repro/internal/media"
 )
 
-// WriteScriptPacket writes the command as an in-band packet on the given
-// stream. In-band commands are how live encoder sessions deliver slide
-// flips and annotations to clients that joined mid-broadcast.
-func WriteScriptPacket(w *Writer, cmd ScriptCommand, stream uint16) error {
-	payload, err := encodeScriptPayload(cmd)
-	if err != nil {
-		return err
-	}
-	_, err = w.WritePacket(Packet{
-		Stream:  media.StreamID(stream),
-		Kind:    media.KindScript,
-		Flags:   PacketKeyframe,
-		PTS:     cmd.At,
-		SendAt:  cmd.At,
-		Payload: payload,
-	})
-	return err
-}
-
 // ScriptPacket builds (without writing) an in-band script packet.
 func ScriptPacket(cmd ScriptCommand, stream media.StreamID) (Packet, error) {
 	payload, err := encodeScriptPayload(cmd)

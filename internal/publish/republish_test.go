@@ -1,13 +1,12 @@
 package publish
 
 import (
-	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"repro/internal/asf"
 	"repro/internal/capture"
 	"repro/internal/codec"
 	"repro/internal/player"
@@ -18,8 +17,9 @@ import (
 // TestRepublishWithClassAnnotations exercises the full cross-module flow
 // the paper's abstract describes ("along with … all the
 // annotations/comments"): a live class produces annotations through floor
-// control; the Indexer merges them into the stored lecture; replay then
-// shows both the original slide scripts and the class's annotations.
+// control; the recorded lecture is republished with them as its
+// annotations file; replay then shows both the slide scripts and the
+// class's annotations.
 func TestRepublishWithClassAnnotations(t *testing.T) {
 	dir := t.TempDir()
 	p, err := codec.ByName("modem-56k")
@@ -35,12 +35,6 @@ func TestRepublishWithClassAnnotations(t *testing.T) {
 	}
 	paths, err := WriteRawLecture(lec, dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	published := filepath.Join(dir, "published.asf")
-	if _, err := Publish(Request{
-		VideoPath: paths.VideoPath, SlidesDir: paths.SlidesDir, OutputPath: published,
-	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,33 +60,36 @@ func TestRepublishWithClassAnnotations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Convert classroom history into script commands relative to the
-	// lecture start and merge them with the Indexer.
-	var cmds []asf.ScriptCommand
+	// Write the classroom history as an annotations file, offsets relative
+	// to the lecture start, and publish the lecture again with it.
+	var anns []byte
 	for _, ann := range class.History() {
-		cmds = append(cmds, asf.ScriptCommand{
-			At:    ann.At.Sub(start),
-			Type:  "annotation",
-			Param: ann.Author + ": " + ann.Text,
-		})
+		anns = fmt.Appendf(anns, "%s %s: %s\n", ann.At.Sub(start), ann.Author, ann.Text)
 	}
-	src, err := os.ReadFile(published)
-	if err != nil {
+	annPath := filepath.Join(dir, "class-annotations.txt")
+	if err := os.WriteFile(annPath, anns, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var dst bytes.Buffer
-	ixer := asf.Indexer{}
-	total, err := ixer.AddScripts(bytes.NewReader(src), &dst, cmds)
+	republished := filepath.Join(dir, "republished.asf")
+	res, err := Publish(Request{
+		VideoPath: paths.VideoPath, SlidesDir: paths.SlidesDir,
+		AnnotationsPath: annPath, OutputPath: republished,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 3 slide commands + 2 class annotations.
-	if total != 5 {
-		t.Fatalf("merged scripts = %d, want 5", total)
+	if res.Scripts != 5 {
+		t.Fatalf("merged scripts = %d, want 5", res.Scripts)
 	}
 
 	// Replay the republished asset: both slides and annotations render.
-	m, err := player.New(player.Options{}).Play(bytes.NewReader(dst.Bytes()))
+	f, err := os.Open(republished)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := player.New(player.Options{}).Play(f)
 	if err != nil {
 		t.Fatal(err)
 	}

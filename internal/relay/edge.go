@@ -462,7 +462,8 @@ func (e *Edge) endRelay(ch *streaming.Channel, err error) {
 // asset, and a demand whose request context dies while attached to a
 // shared pull gives up without cancelling the pull. Everything else
 // (listings, /v1/fetch/, the server's metrics and status) is served from
-// the edge's local state only.
+// the edge's local state only, and so is every request to a draining
+// edge: it pulls nothing for a viewer it refuses.
 func (e *Edge) Handler() http.Handler {
 	base := e.Server.Handler()
 	mux := http.NewServeMux()
@@ -500,7 +501,13 @@ func (e *Edge) Handler() http.Handler {
 		}
 		base.ServeHTTP(w, r)
 	}))
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if e.Server.Draining() {
+			base.ServeHTTP(w, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // pullError maps an origin pull failure onto the client response: a

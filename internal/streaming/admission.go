@@ -87,7 +87,8 @@ func (a *Admission) Sessions() int {
 }
 
 // headerRate sums a header's declared per-stream bit rates — the session's
-// QoS requirement used for admission.
+// QoS requirement used for admission, and the rate a multi-rate group
+// ranks its variants by.
 func headerRate(h asf.Header) int64 {
 	var total int64
 	for _, st := range h.Streams {

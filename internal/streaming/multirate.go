@@ -20,23 +20,13 @@ type RateGroup struct {
 	variants []*Asset // sorted ascending by total bit rate
 }
 
-// variantRate estimates an asset's aggregate media bit rate from its
-// declared stream properties.
-func variantRate(a *Asset) int64 {
-	var total int64
-	for _, st := range a.Header.Streams {
-		total += st.BitsPerSecond
-	}
-	return total
-}
-
 // AddVariant registers one encoding in the group.
 func (g *RateGroup) AddVariant(a *Asset) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.variants = append(g.variants, a)
 	sort.SliceStable(g.variants, func(i, j int) bool {
-		return variantRate(g.variants[i]) < variantRate(g.variants[j])
+		return headerRate(g.variants[i].Header) < headerRate(g.variants[j].Header)
 	})
 }
 
@@ -50,7 +40,7 @@ func (g *RateGroup) Select(bitsPerSecond int64) (*Asset, bool) {
 	}
 	best := g.variants[0]
 	for _, v := range g.variants {
-		if variantRate(v) <= bitsPerSecond {
+		if headerRate(v.Header) <= bitsPerSecond {
 			best = v
 		}
 	}

@@ -25,8 +25,8 @@
 //	GET /v1/fetch/{asset}      — whole-container transfer (header and
 //	                             packets) as fast as the link allows; the
 //	                             origin→edge mirror path used by the relay
-//	                             tier (internal/relay), exempt from pacing
-//	                             and admission control
+//	                             tier (internal/relay), exempt from pacing,
+//	                             draining and admission control
 //	GET /v1/assets             — JSON list of stored assets
 //	GET /v1/channels           — JSON list of live channels
 //	GET /v1/groups             — JSON list of multi-rate groups and their
@@ -35,17 +35,21 @@
 //	GET /v1/metrics            — the server's metrics, Prometheus text
 //	GET /v1/status             — the same as a flat JSON snapshot
 //
-// When Server.Admission is configured, every VOD/live session first
-// reserves its declared stream bandwidth (XOCPN channel set-up);
+// Every body is the encoded header followed by wire images: one loop
+// (sendStored) writes a stored one — VOD, group or mirror fetch — and a
+// subscriber's drains a live one. Every VOD/live session is started in
+// one step (admit): when Server.Admission is configured it first
+// reserves its declared stream bandwidth (XOCPN channel set-up), and
 // over-capacity requests receive 503. Edge nodes built on this server
 // (see internal/relay) subscribe to /v1/live/{channel} and mirror assets
 // through /v1/fetch/{asset} to re-serve both locally.
 //
 // Every server owns a metrics registry (Metrics) counting sessions
 // started and active, packets and bytes sent, packets delayed by
-// pacing, stored-stream flushes (lod_response_flushes_total; packets
-// sent over it is packets per flush), admission rejects, mirror
-// fetches, declared bandwidth in flight, per-endpoint handling latency,
+// pacing, stored-body flushes (lod_response_flushes_total, one after a
+// body's first packet and one before each pacing wait; packets sent over
+// it is packets per flush), admission rejects, mirror fetches, declared
+// bandwidth in flight, per-endpoint handling latency,
 // time to first media packet (lod_first_packet_seconds, the server half
 // of startup latency), and how far behind schedule paced packets fall
 // under load (lod_pacing_lag_seconds). Those instruments are the
@@ -259,28 +263,32 @@ func NewServer(clock vclock.Clock) *Server {
 // serverInstruments are the server's metric handles, created once so
 // the hot paths never touch the registry's lookup lock.
 type serverInstruments struct {
-	vodStarted   *metrics.Counter
-	liveStarted  *metrics.Counter
+	// vod and live are what admit books a session of that kind on.
+	vod, live    kindInstruments
 	active       *metrics.Gauge
 	inFlightBps  *metrics.Gauge
 	packetsSent  *metrics.Counter
 	bytesSent    *metrics.Counter
 	packetsPaced *metrics.Counter
-	// flushes counts the stored-stream loop's flushes; packetsSent over it
-	// is the packets that went out per flush.
+	// flushes counts the stored loop's flushes; packetsSent over it is
+	// the packets that went out per flush.
 	flushes *metrics.Counter
 	rejects *metrics.Counter
 	mirrors *metrics.Counter
-	// firstPacketVOD/Live time request arrival → first media packet
-	// written, the server-side half of a client's startup latency.
-	firstPacketVOD  *metrics.Histogram
-	firstPacketLive *metrics.Histogram
 	// pacingLag records how far behind its scheduled send time a paced
 	// VOD packet was written: a slept-for packet against the reading on
 	// waking, an overdue one against the session's last clock reading;
 	// growth under load is the server-side pacing-jitter signal the load
 	// benchmarks track.
 	pacingLag *metrics.Histogram
+}
+
+// kindInstruments are one session kind's (vod or live) instruments.
+type kindInstruments struct {
+	started *metrics.Counter
+	// firstPacket times request arrival → first media packet written,
+	// the server-side half of a client's startup latency.
+	firstPacket *metrics.Histogram
 }
 
 // Bucket bounds for the startup/pacing histograms: these measure
@@ -292,31 +300,31 @@ var (
 )
 
 func newServerInstruments(reg *metrics.Registry) serverInstruments {
+	kind := func(k string) metrics.Label { return metrics.Label{Key: "kind", Value: k} }
 	started := "Streaming sessions started, by kind."
 	firstPacket := "Seconds from request arrival to the first media packet written, by kind."
-	return serverInstruments{
-		vodStarted:  reg.Counter("lod_sessions_started_total", started, metrics.Label{Key: "kind", Value: "vod"}),
-		liveStarted: reg.Counter("lod_sessions_started_total", started, metrics.Label{Key: "kind", Value: "live"}),
+	inst := serverInstruments{
+		vod:         kindInstruments{started: reg.Counter("lod_sessions_started_total", started, kind("vod"))},
+		live:        kindInstruments{started: reg.Counter("lod_sessions_started_total", started, kind("live"))},
 		active:      reg.Gauge("lod_sessions_active", "Sessions currently streaming."),
 		inFlightBps: reg.Gauge("lod_inflight_bps", "Summed declared bandwidth of active sessions, bits/s."),
-		packetsSent: reg.Counter("lod_packets_sent_total", "Media packets written to clients."),
-		bytesSent:   reg.Counter("lod_bytes_sent_total", "Payload bytes written to clients."),
+		packetsSent: reg.Counter("lod_packets_sent_total", "Media packets written to clients, counted before each write."),
+		bytesSent:   reg.Counter("lod_bytes_sent_total", "Payload bytes written to clients, counted before each write."),
 		packetsPaced: reg.Counter("lod_packets_paced_total",
 			"VOD packets that waited for their send time (pacing delays)."),
 		flushes: reg.Counter("lod_response_flushes_total",
-			"Flushes by the stored-stream write loop: after a session's first packet and before each pacing wait."),
+			"Flushes by the stored-stream write loop: after a body's first packet and before each pacing wait."),
 		rejects: reg.Counter("lod_admission_rejects_total", "Sessions refused by admission control or closed channels."),
 		mirrors: reg.Counter("lod_mirror_fetches_total",
 			"Whole-container transfers served from "+proto.PrefixFetch+" (edge mirror pulls)."),
-		firstPacketVOD: reg.Histogram("lod_first_packet_seconds", firstPacket,
-			firstPacketBuckets, metrics.Label{Key: "kind", Value: "vod"}),
-		firstPacketLive: reg.Histogram("lod_first_packet_seconds", firstPacket,
-			firstPacketBuckets, metrics.Label{Key: "kind", Value: "live"}),
-		pacingLag: reg.Histogram("lod_pacing_lag_seconds",
-			"How far behind its scheduled send time a paced VOD packet was written: every packet the session "+
-				"slept for (read on waking) and every one found overdue at the session's last clock reading.",
-			pacingLagBuckets),
 	}
+	inst.vod.firstPacket = reg.Histogram("lod_first_packet_seconds", firstPacket, firstPacketBuckets, kind("vod"))
+	inst.live.firstPacket = reg.Histogram("lod_first_packet_seconds", firstPacket, firstPacketBuckets, kind("live"))
+	inst.pacingLag = reg.Histogram("lod_pacing_lag_seconds",
+		"How far behind its scheduled send time a paced VOD packet was written: every packet the session "+
+			"slept for (read on waking) and every one found overdue at the session's last clock reading.",
+		pacingLagBuckets)
+	return inst
 }
 
 // Metrics returns the server's metric registry, which Handler serves at
@@ -496,8 +504,8 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 // snapshot as a whole is not.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		VODSessions:   s.inst.vodStarted.Value(),
-		LiveSessions:  s.inst.liveStarted.Value(),
+		VODSessions:   s.inst.vod.started.Value(),
+		LiveSessions:  s.inst.live.started.Value(),
 		PacketsSent:   s.inst.packetsSent.Value(),
 		BytesSent:     s.inst.bytesSent.Value(),
 		ActiveClients: s.inst.active.Value(),
@@ -507,41 +515,53 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-func (s *Server) addSent(packets, bytes int64) {
-	s.inst.packetsSent.Add(packets)
-	s.inst.bytesSent.Add(bytes)
-}
-
-// bookSent counts sps as sent. A stored response books a write's packets
-// before it writes them: a write that goes straight to the connection
-// may reach the client before it returns, and a client that has read the
-// whole body finds every packet of it counted.
+// bookSent counts sps as sent. Every body books a write's packets before
+// it makes the write: a write that goes straight to the connection may
+// reach the client before it returns, and a client that has read a body
+// finds every packet of it counted.
 func (s *Server) bookSent(sps []*asf.Shared) {
 	var bytes int64
 	for _, sp := range sps {
 		bytes += int64(sp.PayloadLen())
 	}
-	s.addSent(int64(len(sps)), bytes)
+	s.inst.packetsSent.Add(int64(len(sps)))
+	s.inst.bytesSent.Add(bytes)
 }
 
-// beginStream books one started session of the given kind: the
-// started/active/in-flight instruments and — for stored assets — the
-// per-asset session count that pins the asset against cache eviction.
-// The returned func undoes the per-session parts and must be deferred.
-func (s *Server) beginStream(kind, asset string, bps int64) func() {
+// A session is a VOD, group or live stream that admit has started.
+type session struct {
+	s       *Server
+	arrived time.Time
+	// first is its kind's lod_first_packet_seconds, nil once observed.
+	first *metrics.Histogram
+}
+
+// admit starts a session of the given kind on a stream of rate bits/s
+// whose request arrived at arrived. It reserves rate with the admission
+// controller — a refusal is booked as a reject and answered with 503,
+// and admit returns a nil end — then books the session started, active
+// and in flight and, for a stored asset, in use, which pins the asset
+// against cache eviction. The returned end undoes all but the start and
+// must be deferred.
+func (s *Server) admit(w http.ResponseWriter, kind kindInstruments, asset string, rate int64, arrived time.Time) (ss session, end func()) {
+	var token string
+	if s.Admission != nil {
+		var err error
+		if token, err = s.Admission.Reserve(rate); err != nil {
+			s.reject()
+			proto.WriteError(w, http.StatusServiceUnavailable, err.Error())
+			return session{}, nil
+		}
+	}
 	if asset != "" {
 		s.mu.Lock()
 		s.assetSessions[asset]++
 		s.mu.Unlock()
 	}
-	if kind == "live" {
-		s.inst.liveStarted.Inc()
-	} else {
-		s.inst.vodStarted.Inc()
-	}
+	kind.started.Inc()
 	s.inst.active.Inc()
-	s.inst.inFlightBps.Add(bps)
-	return func() {
+	s.inst.inFlightBps.Add(rate)
+	return session{s: s, arrived: arrived, first: kind.firstPacket}, func() {
 		if asset != "" {
 			s.mu.Lock()
 			if s.assetSessions[asset]--; s.assetSessions[asset] <= 0 {
@@ -550,8 +570,23 @@ func (s *Server) beginStream(kind, asset string, bps int64) func() {
 			s.mu.Unlock()
 		}
 		s.inst.active.Dec()
-		s.inst.inFlightBps.Add(-bps)
+		s.inst.inFlightBps.Add(-rate)
+		if token != "" {
+			s.Admission.Release(token)
+		}
 	}
+}
+
+// firstPacket records, the first time it is called, how long the
+// session took from its request's arrival to now, when its first packet
+// has been written: the server half of a client's startup latency. A
+// mirror fetch (nil) is no session and records nothing.
+func (ss *session) firstPacket() {
+	if ss == nil || ss.first == nil {
+		return
+	}
+	ss.first.Observe(ss.s.clock.Now().Sub(ss.arrived).Seconds())
+	ss.first = nil
 }
 
 // reject books one refused session.
@@ -687,10 +722,10 @@ func (s *Server) handleGroups(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleFetch transfers a whole stored container — header and every
-// packet — without pacing or admission control. It is the
-// origin-side mirror path of the relay tier: edges pull an asset once and
-// then serve it to their own clients.
+// handleFetch transfers a whole stored container through the stored loop
+// from byte 0, unpaced and unobserved, with no draining check, admission
+// or session. It is the origin-side mirror path of the relay tier: edges
+// pull an asset once and then serve it to their own clients.
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	name := proto.StreamName(r.URL.Path, proto.StreamFetch)
 	asset, ok := s.Asset(name)
@@ -699,25 +734,8 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.inst.mirrors.Inc()
-
 	header, _, packets := asset.storedRange(w, nil, seekPoint{})
-	if _, err := w.Write(header); err != nil {
-		return
-	}
-	// Each run of images that lie back to back in a slab buffer is one
-	// write, straight to the response: past net/http's buffers, which a
-	// write larger than them skips once they are empty.
-	for len(packets) > 0 {
-		if err := r.Context().Err(); err != nil {
-			return // mirror went away: the body stays short of its length
-		}
-		wire, n := asf.Run(packets)
-		s.bookSent(packets[:n])
-		if _, err := w.Write(wire); err != nil {
-			return
-		}
-		packets = packets[n:]
-	}
+	s.sendStored(w, r.Context(), nil, header, 0, packets)
 }
 
 // A borrowed writer batches what a live drain already has to send into
@@ -851,7 +869,7 @@ func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
 // continue that body from a byte on (storedRange); pacing anchors on the
 // first packet it sends.
 func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string) {
-	reqStart := s.clock.Now()
+	arrived := s.clock.Now()
 	asset, ok := s.Asset(name)
 	if !ok {
 		// proto.Error body, not a bare text 404: an unpublished asset's
@@ -868,19 +886,23 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		}
 		from = asset.seek(at)
 	}
-	rate := headerRate(asset.Header)
-	if s.Admission != nil {
-		token, err := s.Admission.Reserve(rate)
-		if err != nil {
-			s.reject()
-			proto.WriteError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		defer s.Admission.Release(token)
+	ss, end := s.admit(w, s.inst.vod, asset.Name, headerRate(asset.Header), arrived)
+	if end == nil {
+		return
 	}
-	defer s.beginStream("vod", asset.Name, rate)()
-
+	defer end()
 	header, skip, packets := asset.storedRange(w, r.Header, from)
+	s.sendStored(w, r.Context(), &ss, header, skip, packets)
+}
+
+// sendStored is the one loop that writes a stored body: header, then
+// packets, the first skip bytes of packets[0]'s image left out. A
+// session's body (ss) is paced by send times when the server paces and
+// records its time to first packet; a mirror fetch's (ss nil) is neither.
+// The body stops short of its declared length when ctx ends: a client
+// that went away gets nothing more.
+func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *session, header []byte, skip int, packets []*asf.Shared) {
+	paced := ss != nil && s.Pacing
 	flusher, _ := w.(http.Flusher)
 	pending := false // bytes written since the last flush
 	flush := func() {
@@ -904,12 +926,14 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 	// written into the connection's buffers, and the loop flushes when it
 	// is about to wait for the next send time — so an on-schedule session
 	// still puts every packet on the wire at its send instant, and an
-	// unpaced or late one goes out in runs (asf.Run), a write each.
+	// unpaced or late one goes out in runs (asf.Run), a write each,
+	// straight to the response: past net/http's buffers, which a write
+	// larger than them skips once they are empty.
 	now := start // last clock reading
 	dueAt := func(sp *asf.Shared) time.Time { return start.Add(sp.SendAt() - sendBase) }
 	for i := 0; i < len(packets); {
 		sp := packets[i]
-		if s.Pacing {
+		if paced {
 			due := dueAt(sp)
 			// Packets are in send order: one due at or before the last
 			// reading is due without reading the clock again.
@@ -923,7 +947,7 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 				// other paced session's. The reading after the wake
 				// records the slept packet's lateness (the wheel's
 				// rounding included) and serves the packets behind it.
-				if err := s.pacer.Sleep(r.Context(), wait); err != nil {
+				if err := s.pacer.Sleep(ctx, wait); err != nil {
 					return
 				}
 				now = s.clock.Now()
@@ -932,9 +956,7 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 				s.inst.pacingLag.Observe((-wait).Seconds())
 			}
 		}
-		// A client that went away gets nothing more: its body stays short
-		// of the declared length.
-		if r.Context().Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		// The first packet leaves alone, behind the header; after it,
@@ -942,7 +964,7 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		wire, n := sp.Wire()[skip:], 1
 		if i > 0 {
 			wire, n = asf.Run(packets[i:])
-			if s.Pacing {
+			if paced {
 				size := len(sp.Wire())
 				for k := 1; k < n; k++ {
 					late := now.Sub(dueAt(packets[i+k]))
@@ -966,8 +988,8 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		if i == 0 {
 			// Startup is the first stream byte: the header and first
 			// packet go out at once.
+			ss.firstPacket()
 			now = s.clock.Now()
-			s.inst.firstPacketVOD.Observe(now.Sub(reqStart).Seconds())
 			flush()
 		}
 		i += n
@@ -977,27 +999,15 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 
 // handleLive attaches the client to a live channel.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
-	reqStart := s.clock.Now()
+	arrived := s.clock.Now()
 	if s.refuseDraining(w) {
 		return
 	}
 	name := proto.StreamName(r.URL.Path, proto.StreamLive)
-	s.mu.RLock()
-	ch, ok := s.channels[name]
-	s.mu.RUnlock()
+	ch, ok := s.Channel(name)
 	if !ok {
 		proto.WriteError(w, http.StatusNotFound, "streaming: unknown channel "+name)
 		return
-	}
-	rate := headerRate(ch.Header())
-	if s.Admission != nil {
-		token, err := s.Admission.Reserve(rate)
-		if err != nil {
-			s.reject()
-			proto.WriteError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		defer s.Admission.Release(token)
 	}
 	// A join the channel refuses is a reject, not a started session.
 	sub, err := ch.Subscribe()
@@ -1007,7 +1017,11 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sub.Close()
-	defer s.beginStream("live", "", rate)()
+	ss, end := s.admit(w, s.inst.live, "", headerRate(ch.Header()), arrived)
+	if end == nil {
+		return
+	}
+	defer end()
 
 	w.Header().Set("Content-Type", "application/x-wmp-stream")
 	flusher, _ := w.(http.Flusher)
@@ -1025,53 +1039,42 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
-	var sentPkts, sentBytes int64
-	defer func() { s.addSent(sentPkts, sentBytes) }()
-	send := func(out io.Writer, sp *asf.Shared) error {
-		if _, err := out.Write(sp.Wire()); err != nil {
-			return err
-		}
-		if sentPkts == 0 {
-			s.inst.firstPacketLive.Observe(s.clock.Now().Sub(reqStart).Seconds())
-		}
-		sentPkts++
-		sentBytes += int64(sp.PayloadLen())
-		return nil
-	}
-	// drain writes sps, then every packet already queued behind them, and
+	// Each pass writes the packets in batch, then every one queued behind
+	// them, a round at a time, each round booked before it is written, and
 	// flushes once: under fan-out load N queued packets leave in one
 	// flush, not N, while a lone packet on an idle channel still leaves at
-	// once. A broadcast has no length, so the response is chunked; the
-	// drain goes through a borrowed 32 KB writer, so net/http frames one
-	// chunk per 32 KB of it instead of one per 2 KB.
-	drain := func(sps ...*asf.Shared) error {
+	// once. A broadcast has no length, so the response is chunked; a
+	// borrowed 32 KB writer makes that one chunk per 32 KB, not per 2 KB.
+	// The catch-up backlog, the handler's own, is the first batch, and
+	// later rounds reuse its array.
+	batch := sub.Backlog
+	for {
 		err := writeBuffered(w, func(out io.Writer) error {
-			for _, sp := range sps {
-				if err := send(out, sp); err != nil {
-					return err
+			for {
+				// Only this handler receives from sub.C, so a queued
+				// packet is there to take. A closed queue reads as empty
+				// once drained, and the select below then sees the end.
+				for len(sub.C) > 0 {
+					batch = append(batch, <-sub.C)
 				}
-			}
-			// Only this handler receives from sub.C, so a queued packet
-			// is there to take. A closed queue reads as empty once
-			// drained, and the loop below then sees the end.
-			for len(sub.C) > 0 {
-				if err := send(out, <-sub.C); err != nil {
-					return err
+				if len(batch) == 0 {
+					return nil
 				}
+				s.bookSent(batch)
+				for _, sp := range batch {
+					if _, err := out.Write(sp.Wire()); err != nil {
+						return err
+					}
+				}
+				ss.firstPacket()
+				clear(batch) // an idle viewer pins no slab with what it has sent
+				batch = batch[:0]
 			}
-			return nil
 		})
 		if err != nil {
-			return err
+			return
 		}
 		flush()
-		return nil
-	}
-	// The catch-up backlog is the first drain.
-	if err := drain(sub.Backlog...); err != nil {
-		return
-	}
-	for {
 		select {
 		case sp, open := <-sub.C:
 			if !open {
@@ -1085,9 +1088,7 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			if err := drain(sp); err != nil {
-				return
-			}
+			batch = append(batch, sp)
 		case <-r.Context().Done():
 			return
 		}

@@ -446,3 +446,43 @@ func lectureForProfile(t *testing.T, p codec.Profile, dur time.Duration, slides 
 	}
 	return buf.Bytes(), nil
 }
+
+// TestLivePacketsCountedWhileViewing: a live session books its packets
+// as it writes them, so lod_packets_sent_total and lod_bytes_sent_total
+// rise during a broadcast, not all at once when a viewer leaves.
+func TestLivePacketsCountedWhileViewing(t *testing.T) {
+	srv := NewServer(nil)
+	ch, err := srv.CreateChannel("class", liveHeader(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/live/class")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	r := asf.NewReader(resp.Body)
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	var payload int64
+	for i := 0; i < n; i++ {
+		p := videoPacket(time.Duration(i)*100*time.Millisecond, i == 0, 64)
+		payload += int64(len(p.Payload))
+		if err := ch.Publish(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadPacket(); err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+	}
+	// The viewer is still attached and the broadcast still open.
+	if st := srv.Stats(); st.ActiveClients != 1 || st.PacketsSent < n || st.BytesSent < payload {
+		t.Fatalf("after a viewer read %d packets (%d payload bytes): %+v; want them counted before it leaves", n, payload, st)
+	}
+}
