@@ -40,16 +40,17 @@
 //     the stream is over, so the reader hands its window to the next
 //     reader, which fills it with another stream's bytes.
 //   - Reader.ReadShared owns. The validated wire image is copied once
-//     into the reader's Slab: a buffer it shares with the packets read
-//     around it — 64 KB for a stored container, 16 KB for a live stream
-//     (a large image that does not fit gets its own) — which nothing
-//     writes again once a packet is in it. Images that lie back to back
-//     in one buffer leave in one write (Run). The Shared may be
-//     held and written to any number of connections for as long as anyone
-//     references it, and while it is referenced it pins its slab. A
-//     packet that has no wire image yet is encoded into a slab the same
-//     way (Slab.NewShared), or alone into an exactly sized buffer
-//     (NewShared).
+//     into the reader's Slab: a 64 KB buffer it shares with the packets
+//     read around it (a large image that does not fit gets its own),
+//     which nothing writes again once a packet is in it. Images that lie
+//     back to back in one buffer leave in one write (Run). The Shared
+//     may be held and written to any number of connections for as long
+//     as anyone references it, and while it is referenced it pins its
+//     slab. ReadTo copies into a slab the caller gives instead: a live
+//     channel's, which takes a buffer back once no one will read its
+//     packets again (Slab.Renew). A packet that has no wire image yet
+//     is encoded into a slab the same way (Slab.NewShared), or alone
+//     into an exactly sized buffer (NewShared).
 //
 // A window starts at 16 KB and grows to the largest object the stream
 // carried (at most 64 KB; a larger one gets a buffer of its own). A

@@ -384,8 +384,8 @@ type Reader struct {
 	// lent counts the payload bytes before pos that the last ReadPacket
 	// handed out; only the asfpoison build reads it.
 	lent int
-	// slab is where ReadShared copies what it hands out, in buffers sized
-	// by ReadHeader; ReadPacket never touches it.
+	// slab is where ReadShared copies what it hands out; ReadPacket
+	// never touches it.
 	slab Slab
 
 	header    Header
@@ -484,11 +484,6 @@ func (r *Reader) ReadHeader() (Header, error) {
 	r.pos += len(object)
 	r.header = h
 	r.hasHeader = true
-	// A stored container's owned packets are held together for the
-	// asset's life; a live stream's pass through (see liveSlab).
-	if !h.Live() {
-		r.slab.size = storedSlab
-	}
 	return h, nil
 }
 
@@ -508,12 +503,17 @@ func (r *Reader) ReadPacket() (Packet, error) {
 // on: the validated wire image is copied once, as it arrived — no
 // re-encode, no second CRC pass — into the reader's slab, which nothing
 // writes there again (see Slab).
-func (r *Reader) ReadShared() (*Shared, error) {
+func (r *Reader) ReadShared() (*Shared, error) { return r.ReadTo(&r.slab) }
+
+// ReadTo is ReadShared with the image copied into s, not the reader's
+// own slab: for a caller whose slab takes its buffers back (a live
+// channel's, see Slab.Renew).
+func (r *Reader) ReadTo(s *Slab) (*Shared, error) {
 	p, wire, err := r.next()
 	if err != nil {
 		return nil, err
 	}
-	return r.slab.own(p, wire), nil
+	return s.own(p, wire), nil
 }
 
 // SlabTail is the bytes the reader's slab allocated for ReadShared and

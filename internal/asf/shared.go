@@ -34,7 +34,7 @@ const (
 //   - Encoding copies the payload into the wire image, so the caller may
 //     reuse or mutate its payload buffer the moment NewShared returns;
 //     ReadShared copies the image out of the reader's window into a slab
-//     no one writes again.
+//     no one writes again while anyone may read the packet.
 //   - After construction nothing may write to the Shared: Wire and the
 //     Packet view's Payload alias the same bytes that are concurrently
 //     being written to other subscribers' connections. Both are
@@ -69,41 +69,41 @@ func (s *Shared) setPacket(p Packet) {
 	s.pkt.Payload = s.Wire()[packetWireSize:]
 }
 
-// A slab's wire images are carved from buffers of its size and its
+// A slab's wire images are carved from buffers of slabSize and its
 // Shared headers from chunks of sharedChunk. An image that does not fit
 // in what is left of the current buffer gets a new one, unless it is at
 // least a quarter of the buffer size: then it gets a buffer of its own
 // and the current one stays open, so a large image — a slide, a big
-// keyframe — does not make the rest of the current buffer tail.
-//
-// A live stream's slab — a channel's, a relay's — carves from liveSlab
-// buffers, and that size is small on purpose: each buffer is a run of
-// contiguous pages from the Go runtime's page heap. With 32 KB and 64 KB
-// buffers a relayed broadcast took more page faults per packet than
-// with a buffer per packet, and other code allocating on the same heap
-// took a number that changed from one run to the next; with 16 KB
-// buffers both are lower and steady. A stored container's packets are
-// read at once and held together for the asset's life, so its reader
-// carves from storedSlab buffers: fewer allocations, and longer runs of
-// images that leave in one write (Run).
+// keyframe — does not make the rest of the current buffer tail. Long
+// buffers mean few allocations and long runs of images that leave in one
+// write (Run).
 const (
-	liveSlab    = 16 << 10
-	storedSlab  = 64 << 10
+	slabSize    = 64 << 10
 	sharedChunk = 64
 )
 
 // Slab carves owned packets out of shared memory: a handful of
 // allocations per asset or per stretch of broadcast instead of two per
 // packet. A packet pins the buffer its image lies in, and the chunk its
-// header lies in, for as long as anyone references it; the garbage
-// collector frees both once none of their packets is referenced, so
-// there is no refcount, pool or free list. The zero Slab is ready to use
-// and carves liveSlab buffers; it is not safe for concurrent use.
+// header lies in, for as long as anyone references it, and the garbage
+// collector frees both once none of their packets is referenced. Only
+// an owner that knows when no one will read a buffer's packets again —
+// a live channel, which knows where its log ends and where every viewer
+// is — takes a buffer back for reuse (Renew). The zero Slab is ready to
+// use; it is not safe for concurrent use.
 type Slab struct {
 	buf    []byte   // current buffer: len is carved, cap-len is free
 	shared []Shared // current header chunk: len is handed out
 	left   int      // free bytes of the buffers already left behind
-	size   int      // buffer size; zero means liveSlab
+	// Renew, when set, is called each time the slab leaves its buffer
+	// for a new one, with the buffer it leaves (nil the first time). It
+	// returns a buffer the owner took back through an earlier call, to
+	// be carved next in place of a new one, or nil. It may return a
+	// buffer only once no one will read a packet carved in it again.
+	// Under asfpoison the slab overwrites a returned buffer with 0xDB
+	// before it carves it, so a reader that was wrongly let go of reads
+	// poison, not another packet's bytes.
+	Renew func(left []byte) []byte
 }
 
 // NewShared is NewShared with the image and header carved from the slab.
@@ -117,6 +117,10 @@ func (s *Slab) NewShared(p Packet) (*Shared, error) {
 	return sp, nil
 }
 
+// Copy returns sp's image copied into the slab: the same bytes, carved
+// behind the image before it, so that the two leave in one run.
+func (s *Slab) Copy(sp *Shared) *Shared { return s.own(sp.pkt, sp.wire) }
+
 // own copies a validated wire image, and p its decoded view, into the
 // slab.
 func (s *Slab) own(p Packet, wire []byte) *Shared {
@@ -127,27 +131,36 @@ func (s *Slab) own(p Packet, wire []byte) *Shared {
 	return sp
 }
 
-// bufSize is the size of the slab's buffers.
-func (s *Slab) bufSize() int {
-	if s.size == 0 {
-		return liveSlab
-	}
-	return s.size
-}
-
 // bytes returns n bytes of the slab, their capacity running to the end
 // of the buffer they lie in.
 func (s *Slab) bytes(n int) []byte {
 	off := len(s.buf)
 	if n > cap(s.buf)-off {
-		if n >= s.bufSize()/4 {
+		if n >= slabSize/4 {
 			return make([]byte, n)
 		}
 		s.left += cap(s.buf) - off
-		s.buf, off = make([]byte, 0, s.bufSize()), 0
+		s.buf, off = s.renew(), 0
 	}
 	s.buf = s.buf[:off+n]
 	return s.buf[off:]
+}
+
+// renew returns the slab's next buffer, empty: one Renew hands back, or
+// a new one.
+func (s *Slab) renew() []byte {
+	if s.Renew != nil {
+		if buf := s.Renew(s.buf); buf != nil {
+			buf = buf[:cap(buf)]
+			if poisonLent {
+				for i := range buf {
+					buf[i] = 0xDB
+				}
+			}
+			return buf[:0]
+		}
+	}
+	return make([]byte, 0, slabSize)
 }
 
 // nextShared returns a zeroed Shared from the current chunk.

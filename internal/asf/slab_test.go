@@ -46,8 +46,8 @@ func TestSlabAppendCannotReachNeighbour(t *testing.T) {
 // fills — yields owned packets that all still equal what was written, and
 // encode to their own wire images, once the reader is drained.
 func TestSlabPacketsSurviveTheStream(t *testing.T) {
-	data, want, _ := windowFile(t, 64, 1200, 37, 0, 1399, 20<<10, 1200, storedSlab+5, 3000)
-	if len(data) < 8*storedSlab {
+	data, want, _ := windowFile(t, 64, 1200, 37, 0, 1399, 20<<10, 1200, slabSize+5, 3000)
+	if len(data) < 8*slabSize {
 		t.Fatalf("stream of %d bytes spans too few slab buffers", len(data))
 	}
 	r := NewReader(chunkReader{bytes.NewReader(data), 977})
@@ -78,9 +78,8 @@ func TestSlabPacketsSurviveTheStream(t *testing.T) {
 	}
 }
 
-// A reader sizes its slab by the header — 64 KB buffers for a stored
-// container, 16 KB for a live stream — and at either size an image of a
-// quarter buffer or more that does not fit in what is left gets a buffer
+// A reader carves 64 KB buffers for a stored container and a live stream
+// alike, and so does the zero Slab. An image of a quarter buffer or more that does not fit in what is left gets a buffer
 // of its own and the current one stays open for the next image; a
 // smaller one that does not fit starts a new buffer, and what it left
 // behind is counted as tail. A carved image's capacity runs to the end
@@ -92,7 +91,7 @@ func TestSlabBufferRule(t *testing.T) {
 	for _, tc := range []struct {
 		h    Header
 		size int
-	}{{stored, storedSlab}, {live, liveSlab}} {
+	}{{stored, slabSize}, {live, slabSize}} {
 		enc, err := EncodeHeader(tc.h)
 		if err != nil {
 			t.Fatal(err)
@@ -102,9 +101,6 @@ func TestSlabBufferRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		s, size := &r.slab, tc.size
-		if s.bufSize() != size {
-			t.Fatalf("live %v: slab buffers of %d bytes, want %d", tc.h.Live(), s.bufSize(), size)
-		}
 		ownMin := size / 4
 		a := s.bytes(100)
 		if cap(a) != size {
@@ -132,8 +128,8 @@ func TestSlabBufferRule(t *testing.T) {
 		}
 	}
 	var zero Slab
-	if zero.bufSize() != liveSlab {
-		t.Fatalf("the zero Slab carves %d-byte buffers, want %d", zero.bufSize(), liveSlab)
+	if got := cap(zero.bytes(1)); got != slabSize {
+		t.Fatalf("the zero Slab carves %d-byte buffers, want %d", got, slabSize)
 	}
 }
 
@@ -178,7 +174,7 @@ func checkRuns(t *testing.T, sps []*Shared) []int {
 // NewShared is never part of a longer run, even between two images that
 // are neighbours in a slab buffer.
 func TestRunBoundaries(t *testing.T) {
-	var s Slab // liveSlab buffers: own images from 4 KB
+	var s Slab // own images from 16 KB
 	var sps []*Shared
 	carve := func(size int) {
 		sp, err := s.NewShared(runPacket(size, byte(len(sps)+1)))
@@ -187,13 +183,13 @@ func TestRunBoundaries(t *testing.T) {
 		}
 		sps = append(sps, sp)
 	}
+	carve(16000)
+	carve(16000)
+	carve(16000) // 17,410 bytes of the buffer stay free
+	carve(20000) // a buffer of its own
+	carve(4000)  // behind the third image
 	carve(4000)
-	carve(4000)
-	carve(4000) // 4,258 bytes of the buffer stay free
-	carve(5000) // a buffer of its own
-	carve(1000) // behind the third image
-	carve(1000)
-	carve(3000) // does not fit: a new buffer
+	carve(12000) // does not fit: a new buffer
 	carve(100)
 	alone, err := NewShared(runPacket(100, byte(len(sps)+1)))
 	if err != nil {
@@ -216,5 +212,49 @@ func TestRunBoundaries(t *testing.T) {
 		if wire, n := Run(sps[i : i+1]); n != 1 || !bytes.Equal(wire, sp.Wire()) {
 			t.Fatalf("image %d alone: a run of %d images", i, n)
 		}
+	}
+}
+
+// A slab hands Renew each buffer it leaves (nil before its first) and
+// carves the buffer Renew hands back next, from its start, in place of a
+// new one. Under asfpoison the rest of a handed-back buffer reads 0xDB,
+// not the images carved in it before.
+func TestSlabRenew(t *testing.T) {
+	var left [][]byte
+	var back bool
+	s := Slab{Renew: func(buf []byte) []byte {
+		left = append(left, buf)
+		if back {
+			return buf
+		}
+		return nil
+	}}
+	carve := func(fill byte) *Shared {
+		sp, err := s.NewShared(runPacket(15000, fill))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	first := carve(1)
+	for fill := byte(2); fill <= 4; fill++ {
+		carve(fill)
+	}
+	if len(left) != 1 || left[0] != nil {
+		t.Fatalf("Renew saw %d buffers before the first was full; want only the nil before the first", len(left))
+	}
+	back = true
+	again := carve(5)
+	if len(left) != 2 || &left[1][0] != &first.Wire()[0] || len(left[1]) != 4*len(first.Wire()) {
+		t.Fatal("Renew was not handed the full buffer the slab left")
+	}
+	if &again.Wire()[0] != &first.Wire()[0] {
+		t.Fatal("the image after a renewal was not carved at the start of the buffer Renew handed back")
+	}
+	if want, _ := EncodePacket(runPacket(15000, 5)); !bytes.Equal(again.Wire(), want) {
+		t.Fatal("the image carved in a renewed buffer is not its encoding")
+	}
+	if rest := left[1][len(again.Wire()):cap(left[1])]; poisonLent && bytes.Count(rest, []byte{0xDB}) != len(rest) {
+		t.Fatal("a renewed buffer was not poisoned before it was carved again")
 	}
 }

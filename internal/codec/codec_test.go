@@ -214,6 +214,26 @@ func TestVideoDecoderLossChains(t *testing.T) {
 	}
 }
 
+// TestVideoDecoderSeesMissingFrame: a P-frame whose predecessor never
+// arrived is broken even when no one called Lose, and so is every frame
+// up to the next I-frame; the decoder sees the gap in the frame indexes.
+func TestVideoDecoderSeesMissingFrame(t *testing.T) {
+	p, _ := ByName("isdn-128k")
+	enc, _ := NewVideoEncoder(p, 3)
+	samples := enc.EncodeDuration(10 * time.Second) // 150 frames, GOP 75
+
+	var dec VideoDecoder
+	for i, s := range samples {
+		if i != 10 { // frame 10 is lost in transport
+			dec.Feed(s.Data)
+		}
+	}
+	// Frames 11..74 are broken, frame 75 (next I) recovers.
+	if wantBroken := 75 - 11; dec.Broken != wantBroken || dec.Decodable != len(samples)-1-wantBroken {
+		t.Fatalf("Broken = %d, Decodable = %d; want %d, %d", dec.Broken, dec.Decodable, wantBroken, len(samples)-1-wantBroken)
+	}
+}
+
 func TestVideoDecoderCorruptFeed(t *testing.T) {
 	var dec VideoDecoder
 	dec.Feed([]byte{0xde, 0xad})

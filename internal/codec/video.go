@@ -151,7 +151,9 @@ func DecodeVideoFrame(data []byte) (VideoFrameInfo, error) {
 
 // VideoDecoder tracks decodability across a frame sequence with losses:
 // after a lost or corrupt frame, P-frames are undecodable until the next
-// I-frame (MPEG-style prediction chains).
+// I-frame (MPEG-style prediction chains). A P-frame that does not carry
+// the index after the frame before it lost its reference in transport,
+// whether or not anyone called Lose.
 type VideoDecoder struct {
 	// Decodable counts frames that could be presented.
 	Decodable int
@@ -160,6 +162,7 @@ type VideoDecoder struct {
 	// Corrupt counts frames that failed validation.
 	Corrupt int
 	chainOK bool
+	next    uint32 // the index of the frame after the last one fed
 }
 
 // Feed consumes the next received frame payload.
@@ -172,7 +175,10 @@ func (d *VideoDecoder) Feed(data []byte) {
 	}
 	if info.Keyframe {
 		d.chainOK = true
+	} else if info.Index != d.next {
+		d.chainOK = false
 	}
+	d.next = info.Index + 1
 	if d.chainOK {
 		d.Decodable++
 	} else {

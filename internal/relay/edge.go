@@ -427,15 +427,8 @@ func (e *Edge) startRelay(name string) error {
 		defer resp.Body.Close()
 		// The origin's wire images, validated by the reader, go to this
 		// edge's viewers as they arrived: same bytes, same sequence numbers.
-		for {
-			sp, err := r.ReadShared()
-			if err != nil {
-				e.endRelay(ch, err)
-				return
-			}
-			if ch.PublishShared(sp) != nil {
-				return
-			}
+		if err := ch.Relay(r); !errors.Is(err, streaming.ErrChanClosed) {
+			e.endRelay(ch, err)
 		}
 	}()
 	return nil

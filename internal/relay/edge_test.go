@@ -298,8 +298,7 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A subscriber on the origin itself, to compare the edge's output
-	// with; its queue holds the whole broadcast, so nothing is dropped.
-	originCh.SubscriberBuffer = len(packets)
+	// with; a Subscriber loses nothing.
 	direct, err := originCh.Subscribe()
 	if err != nil {
 		t.Fatal(err)

@@ -3,62 +3,71 @@ package streaming
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/asf"
 	"repro/internal/vclock"
 )
 
-// DefaultSubscriberBuffer is the per-subscriber packet queue depth. A slow
-// client that falls further behind than this has packets dropped rather
-// than stalling the broadcast (the server-side flow-control policy).
-const DefaultSubscriberBuffer = 256
+// A channel's log keeps at least logKeep packets and the span since its
+// latest seek point, and a drain round takes at most logKeep packets;
+// its slab keeps at most retiredMax buffers (1 MB), spares of them free.
+const (
+	logKeep    = 128
+	retiredMax = 16
+	spares     = 2
+)
 
-// Channel is one live broadcast: an encoder publishes packets, any number
-// of subscribers receive them. New subscribers get a catch-up backlog
-// starting at the most recent seek point (asf.Header.SeekPoint) so their
-// decoder can start immediately.
-//
-// Fan-out is zero-copy: a packet becomes a wire image exactly once —
-// encoded at the origin's Publish, or read off the origin's stream by a
-// relaying edge (asf.Reader.ReadShared) — and every subscriber, and every
-// late joiner's backlog replay, receives a pointer to the same immutable
-// buffer. Nothing downstream may mutate a *asf.Shared.
+// Channel is one live broadcast: an encoder publishes packets into a log
+// at absolute positions, and each viewer is a cursor into it. A join
+// starts at the latest seek point (asf.Header.SeekPoint), so its decoder
+// can start at once. The log is cut at seek points only, and a viewer it
+// has passed jumps to its tail: it loses whole GOPs or nothing, and the
+// broadcast never waits for it. A packet becomes a wire image once, in
+// the channel's slab, and images published one after another lie back to
+// back and leave in runs (asf.Run). Nothing may mutate a *asf.Shared.
 type Channel struct {
 	Name string
+
+	// pub serializes publishers and guards slab and retired, the buffers
+	// the slab has left, oldest first; it is taken before mu.
+	pub     sync.Mutex
+	slab    asf.Slab
+	retired []retiredBuffer
 
 	mu     sync.Mutex
 	header asf.Header
 	// wireHeader is header encoded once, the bytes every join sends
-	// first; it never changes.
+	// first; neither changes.
 	wireHeader []byte
-	backlog    []*asf.Shared
-	// slab is where Publish encodes; a stretch of broadcast shares its
-	// buffers, which live as long as a backlog or a queue holds a packet
-	// in them.
-	slab      asf.Slab
-	subs      map[int]*Subscriber
-	nextID    int
-	closed    bool
-	err       error // why the broadcast ended; nil while open or for a clean end
-	published int64
-	dropped   int64
-	// SubscriberBuffer overrides DefaultSubscriberBuffer when positive.
-	SubscriberBuffer int
+	log        []*asf.Shared // log[i] is the packet at position tail+i
+	tail       int64
+	latest     int64 // the latest seek point; -1 before the first
+	cursors    []*cursor
+	waiting    []*cursor // the cursors that found nothing to read
+	// pinned is set once a Subscriber attached: its receivers may keep
+	// what they were handed, so no buffer is reused again.
+	pinned  bool
+	closed  bool
+	err     error // why the broadcast ended; nil while open or for a clean end
+	dropped int64 // packets skipped by viewers the log passed
+	resyncs int64 // the jumps that skipped them
 }
 
-// Subscriber is one attached client.
-type Subscriber struct {
-	// C delivers live packets; closed when the broadcast ends. Packets
-	// are shared immutable buffers — read-only for every receiver.
-	C <-chan *asf.Shared
-	// Backlog is the catch-up burst to send before live packets.
-	Backlog []*asf.Shared
+// A retiredBuffer's packets all lie below position end.
+type retiredBuffer struct {
+	buf []byte
+	end int64
+}
 
-	ch   *Channel
-	id   int
-	send chan *asf.Shared
-	once sync.Once
+// A cursor is a viewer's place in the log, the position it reads next.
+// A token on wake means "look again"; the log is never cut past a
+// lossless cursor.
+type cursor struct {
+	pos      int64
+	wake     chan struct{}
+	lossless bool
 }
 
 // NewChannel creates a live channel with the stream header clients will be
@@ -69,145 +78,251 @@ func NewChannel(name string, h asf.Header) (*Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Channel{
-		Name:       name,
-		header:     h,
-		wireHeader: wire,
-		subs:       make(map[int]*Subscriber),
-	}, nil
+	c := &Channel{Name: name, header: h, wireHeader: wire, latest: -1}
+	c.slab.Renew = c.renew
+	return c, nil
 }
 
 // Header returns the channel's stream header.
-func (c *Channel) Header() asf.Header {
+func (c *Channel) Header() asf.Header { return c.header }
+
+// locked returns what f reads of c under c.mu.
+func locked[T any](c *Channel, f func() T) T {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.header
+	return f()
 }
 
-// ClientCount returns the number of attached subscribers.
-func (c *Channel) ClientCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.subs)
-}
+// ClientCount returns the number of attached viewers.
+func (c *Channel) ClientCount() int { return locked(c, func() int { return len(c.cursors) }) }
 
 // Closed reports whether the broadcast has ended.
-func (c *Channel) Closed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
+func (c *Channel) Closed() bool { return locked(c, func() bool { return c.closed }) }
 
-// Err returns why the broadcast ended: the error it was closed with, or
-// nil while it runs and after a clean end.
-func (c *Channel) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
+// Err returns the error the broadcast was closed with: nil while it runs
+// and after a clean end.
+func (c *Channel) Err() error { return locked(c, func() error { return c.err }) }
 
 // Published returns the number of packets published.
 func (c *Channel) Published() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.published
+	return locked(c, func() int64 { return c.tail + int64(len(c.log)) })
 }
 
-// Dropped returns packets dropped across all slow subscribers.
-func (c *Channel) Dropped() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
+// Dropped returns the packets skipped by viewers the log had passed.
+func (c *Channel) Dropped() int64 { return locked(c, func() int64 { return c.dropped }) }
 
-// Publish is the origin-side entry: an encoder hands over a Packet, it
-// is encoded once, into the channel's slab, and the shared form fanned
-// out to every subscriber; see PublishShared. The publisher keeps
-// ownership of p.Payload — the encode copies it — so callers may reuse
-// their payload buffer immediately.
+// Resyncs returns how often a viewer the log had passed jumped to it.
+func (c *Channel) Resyncs() int64 { return locked(c, func() int64 { return c.resyncs }) }
+
+// Publish is the origin-side entry: an encoder hands over a Packet and it
+// is encoded once, into the channel's slab, and logged. The encode copies
+// p.Payload, so the caller may reuse it at once.
 func (c *Channel) Publish(p asf.Packet) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrChanClosed
-	}
-	sp, err := c.slab.NewShared(p)
-	if err != nil {
-		return err
-	}
-	c.fanOut(sp)
-	return nil
+	return c.publish(func(s *asf.Slab) (*asf.Shared, error) { return s.NewShared(p) })
 }
 
-// PublishShared fans a pre-encoded packet out to every subscriber and
-// maintains the seek-point-aligned backlog; a relaying edge calls it with
-// the origin's wire images as read. Slow subscribers lose the packet.
-// This is the allocation-free steady-state path: the shared buffer is
-// handed out by pointer, and the backlog slice's capacity is reused
-// across seek-point resets.
+// PublishShared logs a copy of a pre-encoded packet's wire image, made
+// in the channel's slab behind the image published before it, so that
+// the two leave in one run.
 func (c *Channel) PublishShared(sp *asf.Shared) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrChanClosed
-	}
-	c.fanOut(sp)
-	return nil
+	return c.publish(func(s *asf.Slab) (*asf.Shared, error) { return s.Copy(sp), nil })
 }
 
-// fanOut is PublishShared under c.mu on an open channel.
-func (c *Channel) fanOut(sp *asf.Shared) {
-	c.published++
-	// Reset the catch-up window at seek points so joins start clean.
-	if c.header.SeekPoint(sp.Packet()) {
-		c.backlog = c.backlog[:0]
-	}
-	c.backlog = append(c.backlog, sp)
-	for _, sub := range c.subs {
-		select {
-		case sub.send <- sp:
-		default:
-			c.dropped++
+// Relay publishes every packet r reads, its wire image copied as it
+// arrived (asf.Reader.ReadTo), until a read fails (io.EOF at a clean
+// end) or the channel closes (ErrChanClosed), and returns that error.
+func (c *Channel) Relay(r *asf.Reader) error {
+	for {
+		if err := c.publish(r.ReadTo); err != nil {
+			return err
 		}
 	}
 }
 
-// Subscribe attaches a new client, returning its live queue and the
-// catch-up backlog.
-func (c *Channel) Subscribe() (*Subscriber, error) {
+// publish logs the packet carve makes in the channel's slab. Logging a
+// seek point cuts the log at the latest seek point with logKeep packets
+// behind it, but not past a lossless cursor.
+func (c *Channel) publish(carve func(*asf.Slab) (*asf.Shared, error)) error {
+	c.pub.Lock()
+	defer c.pub.Unlock()
+	sp, err := carve(&c.slab)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrChanClosed
+	}
+	c.log = append(c.log, sp)
+	if c.header.SeekPoint(sp.Packet()) {
+		c.latest = c.tail + int64(len(c.log)) - 1
+		i := len(c.log) - logKeep
+		for _, cur := range c.cursors {
+			if cur.lossless {
+				i = min(i, int(cur.pos-c.tail))
+			}
+		}
+		for ; i > 0 && !c.header.SeekPoint(c.log[i].Packet()); i-- {
+		}
+		if i > 0 {
+			c.log, c.tail = slices.Delete(c.log, 0, i), c.tail+int64(i)
+		}
+	}
+	c.wakeWaiting()
+	return nil
+}
+
+// wakeWaiting hands every waiting cursor a token.
+func (c *Channel) wakeWaiting() {
+	for _, cur := range c.waiting {
+		select {
+		case cur.wake <- struct{}{}:
+		default:
+		}
+	}
+	clear(c.waiting)
+	c.waiting = c.waiting[:0]
+}
+
+// renew is the slab's Renew, under c.pub; every packet in left is logged.
+// A retired buffer is free once all its packets lie below the tail and
+// every cursor: no viewer reads it again, and no write is reading it,
+// since a cursor passes a packet only once its write returned. renew
+// hands back the oldest free buffer and keeps at most spares more. A
+// buffer still read when the list is full leaves it: a stalled viewer
+// costs memory the collector reclaims, never a stalled or corrupt
+// broadcast.
+func (c *Channel) renew(left []byte) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pinned {
+		c.retired = nil
+		return nil
+	}
+	if left != nil {
+		c.retired = append(c.retired, retiredBuffer{buf: left, end: c.tail + int64(len(c.log))})
+	}
+	low, free := c.tail, 0
+	for _, cur := range c.cursors {
+		low = min(low, cur.pos)
+	}
+	for free < len(c.retired) && c.retired[free].end <= low {
+		free++
+	}
+	var buf []byte
+	drop := max(free-spares, len(c.retired)-retiredMax, 0)
+	if free > 0 {
+		buf, drop = c.retired[0].buf, max(drop, 1)
+	}
+	c.retired = slices.Delete(c.retired, 0, drop)
+	return buf
+}
+
+// join attaches a viewer at the latest seek point, or at the tail of a
+// log that holds none.
+func (c *Channel) join(lossless bool) (*cursor, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrChanClosed
 	}
-	depth := c.SubscriberBuffer
-	if depth <= 0 {
-		depth = DefaultSubscriberBuffer
-	}
-	send := make(chan *asf.Shared, depth)
-	sub := &Subscriber{
-		C:       send,
-		send:    send,
-		Backlog: append([]*asf.Shared(nil), c.backlog...),
-		ch:      c,
-		id:      c.nextID,
-	}
-	c.subs[c.nextID] = sub
-	c.nextID++
-	return sub, nil
+	c.pinned = c.pinned || lossless
+	cur := &cursor{pos: max(c.tail, c.latest), wake: make(chan struct{}, 1), lossless: lossless}
+	c.cursors = append(c.cursors, cur)
+	return cur, nil
 }
 
-// Close detaches the subscriber. Safe to call multiple times.
-func (s *Subscriber) Close() {
-	s.once.Do(func() {
-		s.ch.mu.Lock()
-		delete(s.ch.subs, s.id)
-		s.ch.mu.Unlock()
-	})
+// leave detaches cur. Safe to call more than once.
+func (c *Channel) leave(cur *cursor) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := slices.Index(c.cursors, cur); i >= 0 {
+		c.cursors = slices.Delete(c.cursors, i, i+1)
+	}
 }
 
-// Close ends the broadcast cleanly: all subscriber queues are closed
-// after the packets already queued.
+// drain hands write what the log holds from cur on, a round at a time,
+// and moves cur past a round only once write returned true, so no buffer
+// the round lies in is reused while write may read it. A cursor the log
+// has passed jumps to the tail first. idle runs before each wait. drain
+// reports whether it read the broadcast to its end; done or a false
+// write stops it early.
+func (c *Channel) drain(cur *cursor, done <-chan struct{}, idle func() error, write func([]*asf.Shared) bool) bool {
+	batch := make([]*asf.Shared, 0, logKeep)
+	for {
+		c.mu.Lock()
+		cur.pos += int64(len(batch))
+		if cur.pos < c.tail {
+			c.dropped += c.tail - cur.pos
+			c.resyncs++
+			cur.pos = c.tail
+		}
+		from := c.log[cur.pos-c.tail:]
+		batch = append(batch[:0], from[:min(len(from), logKeep)]...)
+		closed := c.closed
+		if len(batch) == 0 && !closed {
+			c.waiting = append(c.waiting, cur)
+		}
+		c.mu.Unlock()
+		switch {
+		case len(batch) > 0:
+			if !write(batch) {
+				return false
+			}
+		case closed:
+			return true
+		default:
+			idle()
+			select {
+			case <-cur.wake:
+			case <-done:
+				return false
+			}
+		}
+	}
+}
+
+// Subscriber is an in-process viewer: C delivers the broadcast from the
+// latest seek point on and is closed at its end or by Close. It loses
+// nothing: the log is not cut past what it has yet to read. A receiver
+// may keep what it is handed, so a channel that ever had a Subscriber
+// reuses no slab buffer again.
+type Subscriber struct {
+	C     <-chan *asf.Shared
+	close func()
+}
+
+// Subscribe attaches an in-process viewer.
+func (c *Channel) Subscribe() (*Subscriber, error) {
+	cur, err := c.join(true)
+	if err != nil {
+		return nil, err
+	}
+	ctx, stop := context.WithCancel(context.Background()) //lodlint:allow bare-ctx the pump lives until Close
+	send := make(chan *asf.Shared)
+	go func() {
+		defer close(send)
+		c.drain(cur, ctx.Done(), func() error { return nil }, func(batch []*asf.Shared) bool {
+			for _, sp := range batch {
+				select {
+				case send <- sp:
+				case <-ctx.Done():
+					return false
+				}
+			}
+			return true
+		})
+	}()
+	return &Subscriber{C: send, close: func() { stop(); c.leave(cur) }}, nil
+}
+
+// Close detaches the subscriber and closes C. Safe to call more than
+// once.
+func (s *Subscriber) Close() { s.close() }
+
+// Close ends the broadcast cleanly: every viewer reads the packets
+// already logged, then the end.
 func (c *Channel) Close() { c.CloseWithError(nil) }
 
 // CloseWithError ends the broadcast like Close and records err as why
@@ -217,38 +332,22 @@ func (c *Channel) Close() { c.CloseWithError(nil) }
 func (c *Channel) CloseWithError(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.closed, c.err = true, err
-	for id, sub := range c.subs {
-		close(sub.send)
-		delete(c.subs, id)
+	if !c.closed {
+		c.closed, c.err = true, err
+		c.wakeWaiting()
 	}
 }
 
 // PublishPaced publishes the packets honoring their send times against the
 // clock, stopping early if ctx is cancelled. It is the origin-side bridge
-// between a stored/encoded packet sequence and a live broadcast. Each
-// packet is encoded into its shared form once, up front and into one
-// slab, so the pacing loop's publishes are allocation-free.
+// between a stored/encoded packet sequence and a live broadcast.
 func (c *Channel) PublishPaced(ctx context.Context, clock vclock.Clock, packets []asf.Packet) error {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	var slab asf.Slab
-	shared := make([]*asf.Shared, len(packets))
-	for i, p := range packets {
-		sp, err := slab.NewShared(p)
-		if err != nil {
-			return err
-		}
-		shared[i] = sp
-	}
 	start := clock.Now()
-	for _, sp := range shared {
-		due := start.Add(sp.SendAt())
-		if wait := due.Sub(clock.Now()); wait > 0 {
+	for _, p := range packets {
+		if wait := start.Add(p.SendAt).Sub(clock.Now()); wait > 0 {
 			select {
 			case <-clock.After(wait):
 			case <-ctx.Done():
@@ -258,7 +357,7 @@ func (c *Channel) PublishPaced(ctx context.Context, clock vclock.Clock, packets 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := c.PublishShared(sp); err != nil {
+		if err := c.Publish(p); err != nil {
 			return err
 		}
 	}
@@ -282,8 +381,8 @@ func (s *Server) CreateChannel(name string, h asf.Header) (*Channel, error) {
 
 // RemoveChannel unregisters an ended channel, if it is still the one
 // registered under its name, so that the next join may create the name
-// anew; it reports whether it did. Sessions attached to the channel are
-// not touched, and its dropped packets stay in lod_channel_dropped_total.
+// anew; it reports whether it did. Its viewers are not touched, and its
+// counts stay in the server's lod_channel_* totals.
 func (s *Server) RemoveChannel(ch *Channel) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,17 +391,18 @@ func (s *Server) RemoveChannel(ch *Channel) bool {
 	}
 	delete(s.channels, ch.Name)
 	s.droppedRemoved += ch.Dropped()
+	s.resyncsRemoved += ch.Resyncs()
 	return true
 }
 
-// channelDropped sums Dropped over the server's channels, removed ones
-// included.
-func (s *Server) channelDropped() float64 {
+// channelTotal sums count over the server's channels, plus removed,
+// what the removed ones counted.
+func (s *Server) channelTotal(removed *int64, count func(*Channel) int64) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.droppedRemoved
+	n := *removed
 	for _, ch := range s.channels {
-		n += ch.Dropped()
+		n += count(ch)
 	}
 	return float64(n)
 }

@@ -86,7 +86,7 @@ func TestLiveSubscriberDisconnectDuringBroadcast(t *testing.T) {
 	}
 	select {
 	case <-sub.C:
-	default:
+	case <-time.After(5 * time.Second):
 		t.Fatal("fresh subscriber missed the packet")
 	}
 }

@@ -37,12 +37,13 @@
 //
 // Every body is the encoded header followed by wire images: one loop
 // (sendStored) writes a stored one — VOD, group or mirror fetch — and a
-// subscriber's drains a live one. Every VOD/live session is started in
-// one step (admit): when Server.Admission is configured it first
-// reserves its declared stream bandwidth (XOCPN channel set-up), and
-// over-capacity requests receive 503. Edge nodes built on this server
-// (see internal/relay) subscribe to /v1/live/{channel} and mirror assets
-// through /v1/fetch/{asset} to re-serve both locally.
+// viewer's cursor drains a live one from the channel's log. Every
+// VOD/live session is started in one step (admit): when
+// Server.Admission is configured it first reserves its declared stream
+// bandwidth (XOCPN channel set-up), and over-capacity requests receive
+// 503. Edge nodes built on this server (see internal/relay) join
+// /v1/live/{channel} and mirror assets through /v1/fetch/{asset} to
+// re-serve both locally.
 //
 // Every server owns a metrics registry (Metrics) counting sessions
 // started and active, packets and bytes sent, packets delayed by
@@ -57,7 +58,6 @@
 package streaming
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -68,7 +68,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/asf"
@@ -215,9 +214,10 @@ type Server struct {
 	assets   map[string]*Asset
 	channels map[string]*Channel
 	groups   map[string]*RateGroup
-	// droppedRemoved is what removed channels had dropped, so that
-	// lod_channel_dropped_total never goes down.
-	droppedRemoved int64
+	// droppedRemoved and resyncsRemoved are what removed channels had
+	// counted, so that lod_channel_dropped_total and
+	// lod_channel_resyncs_total never go down.
+	droppedRemoved, resyncsRemoved int64
 	// assetSessions counts the sessions currently streaming each asset,
 	// so cache eviction (relay.Edge) can pin assets that are in use.
 	assetSessions map[string]int
@@ -254,9 +254,13 @@ func NewServer(clock vclock.Clock) *Server {
 		Pacing:        true,
 	}
 	s.inst = newServerInstruments(s.metrics)
-	// A removed channel's count stays in the sum, so it only grows.
+	// A removed channel's counts stay in the sums, so they only grow.
 	s.metrics.GaugeFunc("lod_channel_dropped_total",
-		"Live packets a full subscriber queue lost, summed over the server's channels.", s.channelDropped)
+		"Live packets viewers skipped when the channel's log had passed them, summed over the server's channels.",
+		func() float64 { return s.channelTotal(&s.droppedRemoved, (*Channel).Dropped) })
+	s.metrics.GaugeFunc("lod_channel_resyncs_total",
+		"Jumps to a seek point by live viewers the channel's log had passed, summed over the server's channels.",
+		func() float64 { return s.channelTotal(&s.resyncsRemoved, (*Channel).Resyncs) })
 	return s
 }
 
@@ -716,8 +720,14 @@ func (s *Server) Groups() []GroupInfo {
 }
 
 func (s *Server) handleGroups(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, s.Groups())
+}
+
+// writeJSON answers with v as JSON, or with a 500 proto.Error when it
+// cannot be encoded.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.Groups()); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		proto.WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 }
@@ -736,73 +746,6 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	s.inst.mirrors.Inc()
 	header, _, packets := asset.storedRange(w, nil, seekPoint{})
 	s.sendStored(w, r.Context(), nil, header, 0, packets)
-}
-
-// A borrowed writer batches what a live drain already has to send into
-// 32 KB writes instead of trickling it through net/http's 2 KB response
-// buffer, where a chunked response would carry one chunk per 2 KB. It is
-// held only while those bytes leave (see DESIGN.md, "Coalesced writes").
-// A stored response borrows none: its runs of wire images are already
-// long writes.
-//
-// The writers live on a leaky free list, not in a sync.Pool: every GC
-// empties a pool, and under a steady allocation rate nearly every borrow
-// would allocate a fresh 32 KB. At most maxWriters are ever made, so
-// writer memory stays under 2 MB however many handlers write at once: a
-// live viewer that lags keeps its writer while it lags, and once all of
-// them are out a handler writes straight to its response, through the
-// 2 KB buffer. The list has room for every writer made, so neither a
-// borrow nor a return blocks.
-const (
-	writeBufferSize = 32 << 10
-	maxWriters      = 64
-)
-
-var (
-	idleWriters = make(chan *bufio.Writer, maxWriters)
-	writersMade atomic.Int32
-)
-
-// borrowWriter returns a 32 KB writer in front of w, or nil when all
-// maxWriters are out.
-func borrowWriter(w io.Writer) *bufio.Writer {
-	select {
-	case bw := <-idleWriters:
-		bw.Reset(w)
-		return bw
-	default:
-	}
-	for {
-		made := writersMade.Load()
-		if made == maxWriters {
-			return nil
-		}
-		if writersMade.CompareAndSwap(made, made+1) {
-			return bufio.NewWriterSize(w, writeBufferSize)
-		}
-	}
-}
-
-// returnWriter gives bw back to the free list. It drops bw's writer (and
-// any unflushed bytes) first, so an idle buffer holds no response.
-func returnWriter(bw *bufio.Writer) {
-	bw.Reset(nil)
-	idleWriters <- bw
-}
-
-// writeBuffered runs write against a borrowed writer in front of w and
-// flushes it, or against w itself when no writer is free. A failed
-// write ends it unflushed.
-func writeBuffered(w io.Writer, write func(out io.Writer) error) error {
-	bw := borrowWriter(w)
-	if bw == nil {
-		return write(w)
-	}
-	defer returnWriter(bw)
-	if err := write(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 func (s *Server) handleAssets(w http.ResponseWriter, _ *http.Request) {
@@ -824,10 +767,7 @@ func (s *Server) handleAssets(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		proto.WriteError(w, http.StatusInternalServerError, err.Error())
-	}
+	writeJSON(w, out)
 }
 
 func (s *Server) handleChannels(w http.ResponseWriter, _ *http.Request) {
@@ -844,10 +784,7 @@ func (s *Server) handleChannels(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		proto.WriteError(w, http.StatusInternalServerError, err.Error())
-	}
+	writeJSON(w, out)
 }
 
 // handleVOD streams the stored asset its path names (streamAsset).
@@ -997,7 +934,8 @@ func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *sess
 	// Returning finishes the response, which flushes what is pending.
 }
 
-// handleLive attaches the client to a live channel.
+// handleLive attaches the client to a live channel and writes it the
+// channel's header, then the log from the viewer's cursor on.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	arrived := s.clock.Now()
 	if s.refuseDraining(w) {
@@ -1010,13 +948,13 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A join the channel refuses is a reject, not a started session.
-	sub, err := ch.Subscribe()
+	cur, err := ch.join(false)
 	if err != nil {
 		s.reject()
 		proto.WriteError(w, http.StatusGone, err.Error())
 		return
 	}
-	defer sub.Close()
+	defer ch.leave(cur)
 	ss, end := s.admit(w, s.inst.live, "", headerRate(ch.Header()), arrived)
 	if end == nil {
 		return
@@ -1024,73 +962,35 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	defer end()
 
 	w.Header().Set("Content-Type", "application/x-wmp-stream")
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// Send the header immediately so the client can parse stream
-	// properties before the first packet flows. The channel's encoded
-	// header and the shared wire images are the whole body: no asf.Writer
-	// is needed to frame them.
+	flush := http.NewResponseController(w).Flush
+	// The header goes out at once, so the client can parse stream
+	// properties before the first packet flows.
 	if _, err := w.Write(ch.wireHeader); err != nil {
 		return
 	}
 	flush()
 
-	// Each pass writes the packets in batch, then every one queued behind
-	// them, a round at a time, each round booked before it is written, and
-	// flushes once: under fan-out load N queued packets leave in one
-	// flush, not N, while a lone packet on an idle channel still leaves at
-	// once. A broadcast has no length, so the response is chunked; a
-	// borrowed 32 KB writer makes that one chunk per 32 KB, not per 2 KB.
-	// The catch-up backlog, the handler's own, is the first batch, and
-	// later rounds reuse its array.
-	batch := sub.Backlog
-	for {
-		err := writeBuffered(w, func(out io.Writer) error {
-			for {
-				// Only this handler receives from sub.C, so a queued
-				// packet is there to take. A closed queue reads as empty
-				// once drained, and the select below then sees the end.
-				for len(sub.C) > 0 {
-					batch = append(batch, <-sub.C)
-				}
-				if len(batch) == 0 {
-					return nil
-				}
-				s.bookSent(batch)
-				for _, sp := range batch {
-					if _, err := out.Write(sp.Wire()); err != nil {
-						return err
-					}
-				}
-				ss.firstPacket()
-				clear(batch) // an idle viewer pins no slab with what it has sent
-				batch = batch[:0]
+	// Each round is booked, then written in runs (asf.Run), a write each,
+	// straight to the response; a run past net/http's 2 KB buffer leaves
+	// as one chunk. The handler flushes only before it waits, so a round
+	// leaves in one flush, and a lone packet on an idle channel at once.
+	over := ch.drain(cur, r.Context().Done(), flush, func(batch []*asf.Shared) bool {
+		s.bookSent(batch)
+		for i := 0; i < len(batch); {
+			wire, n := asf.Run(batch[i:])
+			if _, err := w.Write(wire); err != nil {
+				return false
 			}
-		})
-		if err != nil {
-			return
+			i += n
 		}
+		ss.firstPacket()
+		return true
+	})
+	// End the response the way the broadcast ended: cleanly, or — when it
+	// broke off — with the connection aborted, so the viewer reads an
+	// unexpected EOF instead of taking a cut stream for a complete one.
+	if over && ch.Err() != nil {
 		flush()
-		select {
-		case sp, open := <-sub.C:
-			if !open {
-				// Every packet queued before the end has been flushed.
-				// End the response the way the broadcast ended: cleanly,
-				// or — when it broke off — with the connection aborted,
-				// so the viewer reads an unexpected EOF instead of taking
-				// a cut stream for a complete one.
-				if ch.Err() != nil {
-					panic(http.ErrAbortHandler)
-				}
-				return
-			}
-			batch = append(batch, sp)
-		case <-r.Context().Done():
-			return
-		}
+		panic(http.ErrAbortHandler)
 	}
 }

@@ -189,27 +189,21 @@ func TestChannelPublishSubscribe(t *testing.T) {
 		t.Fatal("channel header not marked live")
 	}
 
-	// Publish a keyframe + delta before anyone joins: it forms the backlog.
+	// A keyframe + delta before anyone joins: a join starts at the
+	// keyframe.
 	if err := ch.Publish(videoPacket(0, true, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.Publish(videoPacket(time.Second, false, 50)); err != nil {
 		t.Fatal(err)
 	}
-
 	sub, err := ch.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if len(sub.Backlog) != 2 {
-		t.Fatalf("backlog = %d packets, want 2", len(sub.Backlog))
-	}
-	if !sub.Backlog[0].Packet().Keyframe() {
-		t.Fatal("backlog does not start at a keyframe")
-	}
 
-	// New keyframe resets the backlog for later joiners.
+	// A new keyframe is where later joiners start.
 	if err := ch.Publish(videoPacket(2*time.Second, true, 100)); err != nil {
 		t.Fatal(err)
 	}
@@ -218,18 +212,23 @@ func TestChannelPublishSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub2.Close()
-	if len(sub2.Backlog) != 1 {
-		t.Fatalf("late joiner backlog = %d, want 1 (fresh keyframe)", len(sub2.Backlog))
-	}
 
-	// The first subscriber received the live packet.
-	select {
-	case p := <-sub.C:
-		if pts := p.Packet().PTS; pts != 2*time.Second {
-			t.Fatalf("live packet PTS %v", pts)
+	// The first subscriber reads the keyframe it joined at, the delta
+	// and the live keyframe; the late one the new keyframe alone.
+	for i, tc := range []struct {
+		sub  *Subscriber
+		want []time.Duration
+	}{{sub, []time.Duration{0, time.Second, 2 * time.Second}}, {sub2, []time.Duration{2 * time.Second}}} {
+		for k, want := range tc.want {
+			select {
+			case sp := <-tc.sub.C:
+				if p := sp.Packet(); p.PTS != want || (k == 0 && !p.Keyframe()) {
+					t.Fatalf("subscriber %d, packet %d: PTS %v keyframe %v; want PTS %v", i, k, p.PTS, p.Keyframe(), want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("subscriber %d: packet %d not delivered", i, k)
+			}
 		}
-	default:
-		t.Fatal("live packet not delivered")
 	}
 	if ch.ClientCount() != 2 {
 		t.Fatalf("clients = %d", ch.ClientCount())
@@ -239,28 +238,54 @@ func TestChannelPublishSubscribe(t *testing.T) {
 	}
 }
 
+// TestChannelSlowSubscriberDrops: a viewer the log has passed loses
+// whole GOPs, never single packets. It jumps to the log's tail, the
+// first seek point the log holds, and the packets it skipped count as
+// dropped and the jump as a resync, on the channel and in the server's
+// metrics.
 func TestChannelSlowSubscriberDrops(t *testing.T) {
 	srv := NewServer(nil)
 	ch, err := srv.CreateChannel("slow", liveHeader(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.SubscriberBuffer = 2
-	sub, err := ch.Subscribe()
+	cur, err := ch.join(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
-	for i := 0; i < 5; i++ {
-		if err := ch.Publish(videoPacket(time.Duration(i)*time.Second, false, 10)); err != nil {
+	defer ch.leave(cur)
+	const packets, gop = 1000, 10
+	for i := 0; i < packets; i++ {
+		if err := ch.Publish(videoPacket(time.Duration(i)*40*time.Millisecond, i%gop == 0, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ch.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", ch.Dropped())
+	// Publishing a GOP start cuts the log at the latest GOP start with
+	// logKeep packets behind it.
+	last := (packets - 1) / gop * gop
+	tail := (last + 1 - logKeep) / gop * gop
+	var batch []*asf.Shared
+	gone := make(chan struct{})
+	close(gone) // the viewer leaves once it has read what the log holds
+	ch.drain(cur, gone, func() error { return nil }, func(round []*asf.Shared) bool {
+		batch = append(batch, round...)
+		return true
+	})
+	if len(batch) != packets-tail {
+		t.Fatalf("the passed viewer reads %d packets; want the %d from the tail", len(batch), packets-tail)
 	}
-	if got := srv.Metrics().Status()["lod_channel_dropped_total"]; got != 3 {
-		t.Fatalf("lod_channel_dropped_total = %v, want 3", got)
+	if p := batch[0].Packet(); !p.Keyframe() || p.PTS != time.Duration(tail)*40*time.Millisecond {
+		t.Fatalf("the passed viewer resumes at PTS %v keyframe %v; want the GOP at packet %d", p.PTS, p.Keyframe(), tail)
+	}
+	if ch.Dropped() != int64(tail) || ch.Resyncs() != 1 {
+		t.Fatalf("dropped = %d, resyncs = %d; want %d, 1", ch.Dropped(), ch.Resyncs(), tail)
+	}
+	status := srv.Metrics().Status()
+	if got := status["lod_channel_dropped_total"]; got != float64(tail) {
+		t.Fatalf("lod_channel_dropped_total = %v, want %d", got, tail)
+	}
+	if got := status["lod_channel_resyncs_total"]; got != 1 {
+		t.Fatalf("lod_channel_resyncs_total = %v, want 1", got)
 	}
 }
 
