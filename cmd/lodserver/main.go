@@ -153,9 +153,7 @@ func run(args []string) error {
 
 	srv := streaming.NewServer(nil)
 	srv.Pacing = c.pacing
-	if c.capacity > 0 {
-		srv.Admission = streaming.NewAdmission(c.capacity)
-	}
+	srv.CapacityBps = c.capacity
 
 	for name, path := range c.assets {
 		f, err := os.Open(path)

@@ -70,6 +70,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 	"time"
 
@@ -215,6 +216,7 @@ func (h Header) Validate() error {
 		return fmt.Errorf("asf: negative duration %v", h.Duration)
 	}
 	seen := make(map[media.StreamID]bool, len(h.Streams))
+	var rate int64 // the streams' summed bit rate: a session's QoS
 	for _, s := range h.Streams {
 		if seen[s.ID] {
 			return fmt.Errorf("asf: duplicate stream id %d", s.ID)
@@ -226,6 +228,10 @@ func (h Header) Validate() error {
 		if s.BitsPerSecond < 0 {
 			return fmt.Errorf("asf: stream %d has negative bit rate", s.ID)
 		}
+		if s.BitsPerSecond > math.MaxInt64-rate {
+			return fmt.Errorf("%w: summed bit rate overflows at stream %d", ErrLimit, s.ID)
+		}
+		rate += s.BitsPerSecond
 	}
 	for i, sc := range h.Scripts {
 		if sc.At < 0 {

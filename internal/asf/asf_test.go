@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -106,6 +107,24 @@ func TestHeaderValidate(t *testing.T) {
 	negDur.Duration = -time.Second
 	if err := negDur.Validate(); err == nil {
 		t.Error("negative duration accepted")
+	}
+	negRate := sampleHeader()
+	negRate.Streams[0].BitsPerSecond = -1
+	if err := negRate.Validate(); err == nil {
+		t.Error("negative bit rate accepted")
+	}
+	// Each rate is in range, their sum is not: a server summing them
+	// would book a negative bandwidth.
+	overflow := sampleHeader()
+	overflow.Streams[0].BitsPerSecond = 1 << 62
+	overflow.Streams[1].BitsPerSecond = 1 << 62
+	if err := overflow.Validate(); !errors.Is(err, ErrLimit) {
+		t.Errorf("summed bit rate past int64 = %v, want ErrLimit", err)
+	}
+	exact := sampleHeader()
+	exact.Streams[0].BitsPerSecond = math.MaxInt64 - exact.Streams[1].BitsPerSecond
+	if err := exact.Validate(); err != nil {
+		t.Errorf("summed bit rate of exactly MaxInt64 refused: %v", err)
 	}
 }
 

@@ -117,10 +117,6 @@ func (s *Slab) NewShared(p Packet) (*Shared, error) {
 	return sp, nil
 }
 
-// Copy returns sp's image copied into the slab: the same bytes, carved
-// behind the image before it, so that the two leave in one run.
-func (s *Slab) Copy(sp *Shared) *Shared { return s.own(sp.pkt, sp.wire) }
-
 // own copies a validated wire image, and p its decoded view, into the
 // slab.
 func (s *Slab) own(p Packet, wire []byte) *Shared {

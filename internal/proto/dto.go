@@ -20,10 +20,10 @@ type NodeInfo struct {
 // NodeStats is the load snapshot a node reports on each heartbeat.
 type NodeStats struct {
 	ActiveClients int64 `json:"activeClients"`
-	ReservedBps   int64 `json:"reservedBps"`
-	CapacityBps   int64 `json:"capacityBps"`
-	PacketsSent   int64 `json:"packetsSent"`
-	BytesSent     int64 `json:"bytesSent"`
+	// CapacityBps is the node's admission capacity (0: none set).
+	CapacityBps int64 `json:"capacityBps"`
+	PacketsSent int64 `json:"packetsSent"`
+	BytesSent   int64 `json:"bytesSent"`
 	// InFlightBps is the summed declared bandwidth of the node's active
 	// sessions — the primary balancing signal, since one rich DSL
 	// session costs the uplink more than several modem sessions.
@@ -37,7 +37,7 @@ type NodeStats struct {
 // registry adds per unheartbeated redirect); nodes that report no
 // in-flight bandwidth fall back to their raw session count. Either
 // way, a node enforcing an admission capacity adds the fraction of
-// that capacity reserved, so of two otherwise-equal nodes the one
+// that capacity in flight, so of two otherwise-equal nodes the one
 // closer to its budget ranks as more loaded.
 func (s NodeStats) Load() float64 {
 	var load float64
@@ -47,7 +47,7 @@ func (s NodeStats) Load() float64 {
 		load = float64(s.ActiveClients)
 	}
 	if s.CapacityBps > 0 {
-		load += float64(s.ReservedBps) / float64(s.CapacityBps)
+		load += float64(s.InFlightBps) / float64(s.CapacityBps)
 	}
 	return load
 }

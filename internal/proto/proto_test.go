@@ -205,7 +205,7 @@ func TestNodeStatsLoad(t *testing.T) {
 	if got := (NodeStats{ActiveClients: 3, InFlightBps: 2_000_000}).Load(); got != 2 {
 		t.Fatalf("bytes-in-flight load = %v", got)
 	}
-	if got := (NodeStats{ReservedBps: 500, CapacityBps: 1000}).Load(); got != 0.5 {
+	if got := (NodeStats{InFlightBps: 500_000, CapacityBps: 1_000_000}).Load(); got != 1 { // 0.5 Mbit/s + half the capacity
 		t.Fatalf("capacity-fraction load = %v", got)
 	}
 }

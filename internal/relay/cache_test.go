@@ -211,7 +211,7 @@ func TestEdgeCachePinsStreamingAsset(t *testing.T) {
 			pkts++
 		}
 	}()
-	testutil.WaitUntil(t, 10*time.Second, func() bool { return edgeSrv.AssetActiveSessions("hot") > 0 },
+	testutil.WaitUntil(t, 10*time.Second, func() bool { return edgeSrv.Stats().ActiveClients > 0 },
 		"session on hot never started")
 
 	// Two more mirrors exceed the budget while "hot" is mid-stream. The

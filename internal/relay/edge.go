@@ -52,16 +52,9 @@ type Edge struct {
 	cache  *edgecache.Cache
 	inst   edgeInstruments
 
-	mu sync.Mutex
-	// demand counts the /vod/ requests currently between mirror and
-	// serve for each asset, pinning them so eviction cannot win the race
-	// against a session that is about to start.
-	demand map[string]int
-
 	// catMu guards the edge's view of the cluster catalog: the last
 	// synced version and the per-entry revisions SyncCatalog diffs
-	// against to find stale mirrors. Separate from mu — a catalog sync
-	// calls RemoveAsset and budget accounting, which take mu themselves.
+	// against to find stale mirrors.
 	catMu      sync.Mutex
 	catVersion uint64
 	catAssets  map[string]uint64 // name → Rev at last sync
@@ -99,7 +92,6 @@ func NewEdge(origin string, srv *streaming.Server) *Edge {
 		Origin: strings.TrimSuffix(origin, "/"),
 		Server: srv,
 		cache:  edgecache.New(edgecache.Config{}),
-		demand: make(map[string]int),
 		inst: edgeInstruments{
 			hits:          reg.Counter("lod_edge_cache_hits_total", "Mirror demands served from already-cached content."),
 			misses:        reg.Counter("lod_edge_cache_misses_total", "Mirror demands that required an origin pull."),
@@ -256,33 +248,13 @@ func (e *Edge) dropVictims(victims []string, counter *metrics.Counter) {
 	}
 }
 
-// pinDemand pins an asset for the duration of one demand; the returned
-// func releases the pin and must be deferred.
-func (e *Edge) pinDemand(name string) func() {
-	e.mu.Lock()
-	e.demand[name]++
-	e.mu.Unlock()
-	return func() {
-		e.mu.Lock()
-		if e.demand[name]--; e.demand[name] <= 0 {
-			delete(e.demand, name)
-		}
-		e.mu.Unlock()
-	}
-}
-
 // pinned reports whether an asset must survive eviction: it is being
-// streamed or demanded right now, or a mirrored rate group references
-// it (groups hold direct asset pointers, so dropping a variant would
-// leave the group serving content the cache no longer accounts for).
+// streamed or demanded right now (streaming.Server.Pin), or a mirrored
+// rate group references it (groups hold direct asset pointers, so
+// dropping a variant would leave the group serving content the cache no
+// longer accounts for).
 func (e *Edge) pinned(name string) bool {
-	e.mu.Lock()
-	demanded := e.demand[name] > 0
-	e.mu.Unlock()
-	if demanded {
-		return true
-	}
-	if e.Server.AssetActiveSessions(name) > 0 {
+	if e.Server.Pinned(name) {
 		return true
 	}
 	for _, g := range e.Server.Groups() {
@@ -353,7 +325,7 @@ func (e *Edge) fetchGroup(name string) error {
 	// budget a later variant's pull could otherwise evict an earlier one,
 	// registering a permanently incomplete group.
 	for _, v := range variants {
-		defer e.pinDemand(v)()
+		defer e.Server.Pin(v)()
 	}
 	for _, v := range variants {
 		if err := e.MirrorAsset(v); err != nil {
@@ -463,7 +435,10 @@ func (e *Edge) Handler() http.Handler {
 	mux.Handle("/", base)
 	proto.Handle(mux, proto.PrefixVOD, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name := proto.StreamName(r.URL.Path, proto.StreamVOD)
-		defer e.pinDemand(name)()
+		// The demand pins the asset from before the mirror until the
+		// session's own pin (admit) takes over, so eviction cannot win
+		// the race against a session about to start.
+		defer e.Server.Pin(name)()
 		// An eviction decided before our pin landed can still remove the
 		// asset after MirrorAsset sees it present; with the pin now held,
 		// one re-mirror is stable.

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/asf"
 	"repro/internal/proto"
 	"repro/internal/streaming"
 	"repro/internal/testutil"
@@ -107,10 +109,10 @@ func TestRegistryCapacityFractionBreaksTies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := g.Heartbeat("near-full", NodeStats{ActiveClients: 1, ReservedBps: 900, CapacityBps: 1000}); err != nil {
+	if err := g.Heartbeat("near-full", NodeStats{ActiveClients: 1, InFlightBps: 900, CapacityBps: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Heartbeat("roomy", NodeStats{ActiveClients: 1, ReservedBps: 100, CapacityBps: 1000}); err != nil {
+	if err := g.Heartbeat("roomy", NodeStats{ActiveClients: 1, InFlightBps: 100, CapacityBps: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := g.PickFor("")
@@ -354,20 +356,37 @@ func TestHeartbeatsSurviveRegistryRestart(t *testing.T) {
 	}
 }
 
+// TestSnapshotStats reads a node's load off a session its server
+// admitted: the bandwidth in flight is the session's declared rate, and
+// Load adds its fraction of the capacity admission checks it against.
 func TestSnapshotStats(t *testing.T) {
-	srv := streaming.NewServer(nil)
-	srv.Admission = streaming.NewAdmission(1_000_000)
-	token, err := srv.Admission.Reserve(300_000)
+	srv := streaming.NewServer(vclock.NewVirtual()) // pacing parks the session
+	srv.CapacityBps = 1_000_000
+	data := encodeTestLecture(t, 6*time.Second, false)
+	a, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Admission.Release(token)
-	st := SnapshotStats(srv)
-	if st.ReservedBps != 300_000 || st.CapacityBps != 1_000_000 {
-		t.Fatalf("snapshot = %+v", st)
+	var rate int64
+	for _, st := range a.Header.Streams {
+		rate += st.BitsPerSecond
 	}
-	if got := st.Load(); got != 0.3 {
-		t.Fatalf("Load() = %v, want 0.3", got)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session status %d", resp.StatusCode)
+	}
+	st := SnapshotStats(srv)
+	if st.ActiveClients != 1 || st.InFlightBps != rate || st.CapacityBps != 1_000_000 {
+		t.Fatalf("snapshot = %+v, want one session of %d bits/s against 1000000", st, rate)
+	}
+	if got, want := st.Load(), float64(rate)/1e6+float64(rate)/1_000_000; got != want {
+		t.Fatalf("Load() = %v, want %v", got, want)
 	}
 	if !strings.Contains(ErrNoNodes.Error(), "relay") {
 		t.Fatal("error missing package prefix")

@@ -73,21 +73,18 @@ type (
 	NodeStatus = proto.NodeStatus
 )
 
-// SnapshotStats reads a node's current load off its streaming server,
-// including admission reservations when configured.
+// SnapshotStats reads a node's current load off its streaming server:
+// the bandwidth in flight and the capacity admission checks it against,
+// so the registry judges a node full by the node's own numbers.
 func SnapshotStats(srv *streaming.Server) NodeStats {
 	st := srv.Stats()
-	ns := NodeStats{
+	return NodeStats{
 		ActiveClients: st.ActiveClients,
+		CapacityBps:   srv.CapacityBps,
 		PacketsSent:   st.PacketsSent,
 		BytesSent:     st.BytesSent,
 		InFlightBps:   st.InFlightBps,
 	}
-	if adm := srv.Admission; adm != nil {
-		ns.ReservedBps = adm.Reserved()
-		ns.CapacityBps = adm.CapacityBps
-	}
-	return ns
 }
 
 // httpError reports a non-2xx registry response with its status code, so

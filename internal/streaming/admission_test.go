@@ -2,7 +2,6 @@ package streaming
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,57 +14,9 @@ import (
 	"repro/internal/vclock"
 )
 
-func TestAdmissionReserveRelease(t *testing.T) {
-	a := NewAdmission(100_000)
-	t1, err := a.Reserve(60_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Reserved() != 60_000 || a.Sessions() != 1 {
-		t.Fatalf("reserved=%d sessions=%d", a.Reserved(), a.Sessions())
-	}
-	// Second reservation exceeds capacity.
-	if _, err := a.Reserve(60_000); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over-capacity reserve = %v", err)
-	}
-	if a.Rejected() != 1 {
-		t.Fatalf("rejected = %d", a.Rejected())
-	}
-	// A smaller one fits.
-	t2, err := a.Reserve(40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Release(t1)
-	if a.Reserved() != 40_000 {
-		t.Fatalf("reserved after release = %d", a.Reserved())
-	}
-	a.Release(t1) // idempotent
-	a.Release(t2)
-	if a.Reserved() != 0 || a.Sessions() != 0 {
-		t.Fatalf("not empty after releases: %d/%d", a.Reserved(), a.Sessions())
-	}
-}
-
-func TestAdmissionZeroCapacityAdmitsAll(t *testing.T) {
-	var a Admission
-	for i := 0; i < 100; i++ {
-		if _, err := a.Reserve(1 << 30); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestAdmissionNegativeBandwidth(t *testing.T) {
-	a := NewAdmission(1000)
-	if _, err := a.Reserve(-1); err == nil {
-		t.Fatal("negative bandwidth accepted")
-	}
-}
-
 // TestVODAdmissionControl verifies the paper-style call admission: with
 // capacity for two modem sessions, the third concurrent VOD request gets
-// 503 and no session leaks its reservation.
+// 503 and no session leaks its booked bandwidth.
 func TestVODAdmissionControl(t *testing.T) {
 	clk := vclock.NewVirtual() // pacing stalls sessions so they stay active
 	srv := NewServer(clk)
@@ -75,7 +26,7 @@ func TestVODAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	rate := headerRate(asset.Header)
-	srv.Admission = NewAdmission(2 * rate)
+	srv.CapacityBps = 2 * rate
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -92,9 +43,9 @@ func TestVODAdmissionControl(t *testing.T) {
 			t.Fatalf("session %d header: %v", i, err)
 		}
 	}
-	// Wait until both reservations are in place.
-	testutil.WaitUntil(t, 5*time.Second, func() bool { return srv.Admission.Sessions() >= 2 },
-		"both admitted sessions never reserved bandwidth")
+	// Wait until both sessions are booked.
+	testutil.WaitUntil(t, 5*time.Second, func() bool { return srv.Stats().ActiveClients >= 2 },
+		"both admitted sessions were never booked")
 	// Third is refused.
 	resp3, err := ts.Client().Get(ts.URL + "/v1/vod/lec")
 	if err != nil {
@@ -107,12 +58,12 @@ func TestVODAdmissionControl(t *testing.T) {
 	if srv.Stats().RejectedJoins != 1 {
 		t.Fatalf("rejected joins = %d", srv.Stats().RejectedJoins)
 	}
-	// Hang up the admitted sessions; reservations drain.
+	// Hang up the admitted sessions; their bandwidth is given back.
 	for _, resp := range resps {
 		resp.Body.Close()
 	}
-	testutil.WaitUntil(t, 5*time.Second, func() bool { return srv.Admission.Sessions() == 0 },
-		"reservations leaked after sessions hung up")
+	testutil.WaitUntil(t, 5*time.Second, func() bool { return srv.Stats().InFlightBps == 0 },
+		"bandwidth leaked after sessions hung up")
 }
 
 // TestLiveAdmissionControl mirrors the check for live channels.
@@ -122,7 +73,7 @@ func TestLiveAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Admission = NewAdmission(headerRate(ch.Header())) // room for one
+	srv.CapacityBps = headerRate(ch.Header()) // room for one
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -161,4 +112,71 @@ func TestLiveAdmissionControl(t *testing.T) {
 	}
 	ch.Close()
 	wg.Wait()
+}
+
+// TestAdmissionContention races n joins for room for k sessions: the
+// capacity check and the booking are one step, so exactly k are
+// admitted however the joins interleave, every other one is a 503
+// counted in lod_admission_rejects_total, and the bandwidth in flight
+// goes back to 0 once the admitted sessions leave.
+func TestAdmissionContention(t *testing.T) {
+	const n, k = 24, 5
+	clk := vclock.NewVirtual() // pacing parks the admitted sessions
+	srv := NewServer(clk)
+	data := encodeTestAsset(t, 5*time.Second)
+	asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate := headerRate(asset.Header)
+	srv.CapacityBps = k * rate
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Every join's response stays open until the race is over, so no
+	// admitted session leaves room behind for a later one.
+	start := make(chan struct{})
+	resps := make([]*http.Response, n)
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := ts.Client().Get(ts.URL + "/v1/vod/lec")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resps[i] = resp
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	admitted, refused := 0, 0
+	for _, resp := range resps {
+		if resp == nil {
+			t.FailNow() // its join failed
+		}
+		defer resp.Body.Close()
+		switch code := resp.StatusCode; code {
+		case http.StatusOK:
+			admitted++
+		case http.StatusServiceUnavailable:
+			refused++
+		default:
+			t.Errorf("join status %d", code)
+		}
+	}
+	if admitted != k || refused != n-k {
+		t.Fatalf("admitted %d and refused %d of %d joins, want %d and %d", admitted, refused, n, k, n-k)
+	}
+	if st := srv.Stats(); st.RejectedJoins != n-k || st.InFlightBps != k*rate {
+		t.Fatalf("rejects %d, in flight %d bits/s; want %d and %d", st.RejectedJoins, st.InFlightBps, n-k, k*rate)
+	}
+	for _, resp := range resps { // every admitted session leaves
+		resp.Body.Close()
+	}
+	testutil.WaitUntil(t, 5*time.Second, func() bool { return srv.Stats().InFlightBps == 0 },
+		"bandwidth still in flight after every session left")
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,12 +34,10 @@ func benchHeader() asf.Header {
 	}
 }
 
-// benchShared builds one pre-encoded keyframe video packet (~1 KiB
-// payload), the shape the origin's live pump publishes in steady state.
-func benchShared(b testing.TB) *asf.Shared {
-	b.Helper()
-	payload := bytes.Repeat([]byte{0xAB}, 1024)
-	sp, err := asf.NewShared(asf.Packet{
+// benchPacket is one keyframe video packet (~1 KiB payload), the shape
+// the origin's live pump publishes in steady state.
+func benchPacket() asf.Packet {
+	return asf.Packet{
 		Stream:  1,
 		Kind:    media.KindVideo,
 		Flags:   asf.PacketKeyframe,
@@ -46,18 +45,14 @@ func benchShared(b testing.TB) *asf.Shared {
 		Dur:     66 * time.Millisecond,
 		SendAt:  time.Second,
 		Seq:     7,
-		Payload: payload,
-	})
-	if err != nil {
-		b.Fatal(err)
+		Payload: bytes.Repeat([]byte{0xAB}, 1024),
 	}
-	return sp
 }
 
 // BenchmarkChannelPublish measures the live fan-out hot path: one
-// PublishShared against 1, 100, and 10000 attached subscribers, each
-// drained by its own goroutine. A publish copies the image into the
-// channel's slab once and logs it, whatever the subscriber count, so
+// Publish against 1, 100, and 10000 attached subscribers, each drained
+// by its own goroutine. A publish encodes the packet into the channel's
+// slab once and logs it, whatever the subscriber count, so
 // allocs/op is a share of a slab buffer and a header chunk (the
 // subscribers pin the channel's buffers: none is reused) and does not
 // grow with the subscribers.
@@ -81,15 +76,15 @@ func BenchmarkChannelPublish(b *testing.B) {
 					}
 				}()
 			}
-			sp := benchShared(b)
+			p := benchPacket()
 			// Warm the backlog slice so capacity reuse is in effect.
-			if err := ch.PublishShared(sp); err != nil {
+			if err := ch.Publish(p); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ch.PublishShared(sp); err != nil {
+				if err := ch.Publish(p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -100,15 +95,35 @@ func BenchmarkChannelPublish(b *testing.B) {
 	}
 }
 
-// TestChannelPublishSharedAllocFree pins the fan-out allocation
-// contract: after warm-up, publishing a pre-encoded packet to 100
-// subscribers makes fewer heap allocations than packets — the image is
-// copied once into the channel's slab, whose buffers and header chunks
-// each take dozens of packets. A regression here (a per-subscriber copy,
+// BenchmarkAdmit times starting and ending a session against a set
+// capacity (DESIGN.md's E15): the capacity check and booking under one
+// lock, the asset pin, and the session gauges, from every P at once.
+func BenchmarkAdmit(b *testing.B) {
+	srv := NewServer(nil)
+	srv.CapacityBps = 1 << 40
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		w := httptest.NewRecorder() // written only by a refusal
+		for pb.Next() {
+			_, end := srv.admit(w, srv.inst.vod, "lec", 48_000, time.Time{})
+			if end == nil {
+				b.Error("admit refused a session under capacity")
+				return
+			}
+			end()
+		}
+	})
+}
+
+// TestChannelFanOutAllocFree pins the fan-out allocation contract:
+// after warm-up, publishing a packet to 100 subscribers makes fewer heap
+// allocations than packets — the packet is encoded once into the
+// channel's slab, whose buffers and header chunks each take dozens of
+// packets. A regression here (a per-subscriber copy,
 // a log reallocation, a boxed send) is the first symptom of losing the
 // zero-copy property, so it fails loudly rather than only showing up as
 // a slow benchmark.
-func TestChannelPublishSharedAllocFree(t *testing.T) {
+func TestChannelFanOutAllocFree(t *testing.T) {
 	ch, err := NewChannel("allocs", benchHeader())
 	if err != nil {
 		t.Fatal(err)
@@ -125,17 +140,17 @@ func TestChannelPublishSharedAllocFree(t *testing.T) {
 			}
 		}()
 	}
-	sp := benchShared(t)
-	if err := ch.PublishShared(sp); err != nil { // warm-up: size the backlog
+	p := benchPacket()
+	if err := ch.Publish(p); err != nil { // warm-up: size the backlog
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := ch.PublishShared(sp); err != nil {
+		if err := ch.Publish(p); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("PublishShared allocates %.2f times per packet with %d subscribers; want 0", avg, subs)
+		t.Fatalf("Publish allocates %.2f times per packet with %d subscribers; want 0", avg, subs)
 	}
 }
 
@@ -159,7 +174,7 @@ func TestChannelPublishAllocs(t *testing.T) {
 			}
 		}()
 	}
-	p := benchShared(t).Packet()
+	p := benchPacket()
 	avg := testing.AllocsPerRun(200, func() {
 		if err := ch.Publish(p); err != nil {
 			t.Fatal(err)

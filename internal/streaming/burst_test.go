@@ -19,8 +19,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// burstPackets builds n pre-encoded video packets of about 1 KB, the
-// first a keyframe, the way a relaying edge publishes what it reads.
+// burstPackets builds n video packets of about 1 KB, the first a
+// keyframe, with the wire images a viewer must receive for them.
 func burstPackets(t testing.TB, n int) []*asf.Shared {
 	t.Helper()
 	out := make([]*asf.Shared, n)
@@ -152,7 +152,7 @@ func TestLiveBurstLeavesInFewChunksOverHTTP(t *testing.T) {
 	testutil.WaitUntil(t, 5*time.Second, func() bool { return ch.ClientCount() == 1 }, "the viewer never attached")
 	packets := burstPackets(t, 64)
 	for _, sp := range packets {
-		if err := ch.PublishShared(sp); err != nil {
+		if err := ch.Publish(sp.Packet()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +235,7 @@ func TestLiveBurstAllocsOverHTTP(t *testing.T) {
 		// The first packet is a keyframe, so the channel's backlog
 		// restarts each run and reuses its capacity.
 		for _, sp := range packets {
-			if err := ch.PublishShared(sp); err != nil {
+			if err := ch.Publish(sp.Packet()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -279,7 +279,7 @@ func TestLiveBurstEnds(t *testing.T) {
 			testutil.WaitUntil(t, 5*time.Second, func() bool { return ch.ClientCount() == 1 }, "the viewer never attached")
 			packets := burstPackets(t, 64)
 			for _, sp := range packets {
-				if err := ch.PublishShared(sp); err != nil {
+				if err := ch.Publish(sp.Packet()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -320,7 +320,7 @@ func TestLiveLonePacketFlushedAtOnce(t *testing.T) {
 		t.Fatalf("first chunk: %d bytes, %v; want the header", len(data), err)
 	}
 	for i, sp := range burstPackets(t, 3) {
-		if err := ch.PublishShared(sp); err != nil {
+		if err := ch.Publish(sp.Packet()); err != nil {
 			t.Fatal(err)
 		}
 		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {

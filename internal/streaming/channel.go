@@ -121,13 +121,6 @@ func (c *Channel) Publish(p asf.Packet) error {
 	return c.publish(func(s *asf.Slab) (*asf.Shared, error) { return s.NewShared(p) })
 }
 
-// PublishShared logs a copy of a pre-encoded packet's wire image, made
-// in the channel's slab behind the image published before it, so that
-// the two leave in one run.
-func (c *Channel) PublishShared(sp *asf.Shared) error {
-	return c.publish(func(s *asf.Slab) (*asf.Shared, error) { return s.Copy(sp), nil })
-}
-
 // Relay publishes every packet r reads, its wire image copied as it
 // arrived (asf.Reader.ReadTo), until a read fails (io.EOF at a clean
 // end) or the channel closes (ErrChanClosed), and returns that error.

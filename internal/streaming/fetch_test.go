@@ -76,7 +76,7 @@ func TestFetchRoundTripsWholeContainer(t *testing.T) {
 
 func TestFetchBypassesAdmission(t *testing.T) {
 	srv := NewServer(nil)
-	srv.Admission = NewAdmission(1) // too small for any client session
+	srv.CapacityBps = 1 // too small for any client session
 	data := encodeTestAsset(t, time.Second)
 	if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
 		t.Fatal(err)

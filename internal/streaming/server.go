@@ -38,12 +38,12 @@
 // Every body is the encoded header followed by wire images: one loop
 // (sendStored) writes a stored one — VOD, group or mirror fetch — and a
 // viewer's cursor drains a live one from the channel's log. Every
-// VOD/live session is started in one step (admit): when
-// Server.Admission is configured it first reserves its declared stream
-// bandwidth (XOCPN channel set-up), and over-capacity requests receive
-// 503. Edge nodes built on this server (see internal/relay) join
-// /v1/live/{channel} and mirror assets through /v1/fetch/{asset} to
-// re-serve both locally.
+// VOD/live session is started in one step (admit), which books its
+// declared stream bandwidth in flight (lod_inflight_bps); when
+// Server.CapacityBps is set, a session that would take that sum past it
+// is refused with 503 (XOCPN channel set-up). Edge nodes built on this
+// server (see internal/relay) join /v1/live/{channel} and mirror assets
+// through /v1/fetch/{asset} to re-serve both locally.
 //
 // Every server owns a metrics registry (Metrics) counting sessions
 // started and active, packets and bytes sent, packets delayed by
@@ -218,9 +218,15 @@ type Server struct {
 	// counted, so that lod_channel_dropped_total and
 	// lod_channel_resyncs_total never go down.
 	droppedRemoved, resyncsRemoved int64
-	// assetSessions counts the sessions currently streaming each asset,
-	// so cache eviction (relay.Edge) can pin assets that are in use.
-	assetSessions map[string]int
+
+	// pins counts, per asset, the sessions streaming it and the demands
+	// about to (Pin). It has its own lock, so a pin never waits behind a
+	// catalog lookup.
+	pinMu sync.Mutex
+	pins  map[string]int
+	// admitMu makes admit's capacity check and its booking of the
+	// session's rate one step.
+	admitMu sync.Mutex
 
 	metrics *metrics.Registry
 	inst    serverInstruments
@@ -234,9 +240,10 @@ type Server struct {
 	// Pacing controls whether VOD sessions honor packet send times; when
 	// false packets are written as fast as possible (the pacing ablation).
 	Pacing bool
-	// Admission, when set, performs XOCPN-style bandwidth reservation
-	// before every VOD/live session; over-capacity requests get 503.
-	Admission *Admission
+	// CapacityBps is the uplink budget, bits/s, that the declared rates
+	// of the VOD/live sessions in flight may sum to; a session that would
+	// pass it gets 503 (XOCPN-style admission). Zero admits every session.
+	CapacityBps int64
 }
 
 // NewServer creates a server on the given clock (nil = real clock).
@@ -245,13 +252,13 @@ func NewServer(clock vclock.Clock) *Server {
 		clock = vclock.Real{}
 	}
 	s := &Server{
-		clock:         clock,
-		pacer:         vclock.NewWheel(clock, vclock.DefaultGranularity),
-		assets:        make(map[string]*Asset),
-		channels:      make(map[string]*Channel),
-		assetSessions: make(map[string]int),
-		metrics:       metrics.NewRegistry(),
-		Pacing:        true,
+		clock:    clock,
+		pacer:    vclock.NewWheel(clock, vclock.DefaultGranularity),
+		assets:   make(map[string]*Asset),
+		channels: make(map[string]*Channel),
+		pins:     make(map[string]int),
+		metrics:  metrics.NewRegistry(),
+		Pacing:   true,
 	}
 	s.inst = newServerInstruments(s.metrics)
 	// A removed channel's counts stay in the sums, so they only grow.
@@ -435,13 +442,28 @@ func (s *Server) RemoveAsset(name string) bool {
 	return true
 }
 
-// AssetActiveSessions returns how many sessions are currently streaming
-// the named asset — the pin signal keeping hot assets out of cache
-// eviction.
-func (s *Server) AssetActiveSessions(name string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.assetSessions[name]
+// Pin marks the named asset in use until unpin is called: a session
+// streaming it holds a pin (admit), and so does a demand about to start
+// one (relay.Edge). Cache eviction keeps a pinned asset.
+func (s *Server) Pin(name string) (unpin func()) {
+	s.pin(name, 1)
+	return func() { s.pin(name, -1) }
+}
+
+// Pinned reports whether the named asset holds a pin.
+func (s *Server) Pinned(name string) bool {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	return s.pins[name] > 0
+}
+
+// pin adds n to the asset's pin count.
+func (s *Server) pin(name string, n int) {
+	s.pinMu.Lock()
+	if s.pins[name] += n; s.pins[name] <= 0 {
+		delete(s.pins, name)
+	}
+	s.pinMu.Unlock()
 }
 
 // AssetNames returns registered asset names, sorted.
@@ -541,44 +563,61 @@ type session struct {
 }
 
 // admit starts a session of the given kind on a stream of rate bits/s
-// whose request arrived at arrived. It reserves rate with the admission
-// controller — a refusal is booked as a reject and answered with 503,
-// and admit returns a nil end — then books the session started, active
-// and in flight and, for a stored asset, in use, which pins the asset
-// against cache eviction. The returned end undoes all but the start and
-// must be deferred.
+// whose request arrived at arrived. It books rate in flight — unless
+// that would pass CapacityBps: a refusal is booked as a reject and
+// answered with 503, and admit returns a nil end — then books the
+// session started and active and, for a stored asset, pins it against
+// cache eviction. The returned end undoes all but the start and must be
+// deferred.
 func (s *Server) admit(w http.ResponseWriter, kind kindInstruments, asset string, rate int64, arrived time.Time) (ss session, end func()) {
-	var token string
-	if s.Admission != nil {
-		var err error
-		if token, err = s.Admission.Reserve(rate); err != nil {
-			s.reject()
-			proto.WriteError(w, http.StatusServiceUnavailable, err.Error())
-			return session{}, nil
-		}
+	if !s.book(rate) {
+		s.reject()
+		proto.WriteError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("streaming: %d bits/s more would pass the server's capacity of %d", rate, s.CapacityBps))
+		return session{}, nil
 	}
 	if asset != "" {
-		s.mu.Lock()
-		s.assetSessions[asset]++
-		s.mu.Unlock()
+		s.pin(asset, 1)
 	}
 	kind.started.Inc()
 	s.inst.active.Inc()
-	s.inst.inFlightBps.Add(rate)
 	return session{s: s, arrived: arrived, first: kind.firstPacket}, func() {
 		if asset != "" {
-			s.mu.Lock()
-			if s.assetSessions[asset]--; s.assetSessions[asset] <= 0 {
-				delete(s.assetSessions, asset)
-			}
-			s.mu.Unlock()
+			s.pin(asset, -1)
 		}
 		s.inst.active.Dec()
 		s.inst.inFlightBps.Add(-rate)
-		if token != "" {
-			s.Admission.Release(token)
-		}
 	}
+}
+
+// book adds rate to the bandwidth in flight and reports true, unless
+// that would pass a set CapacityBps. The check and the booking are one
+// step, so two sessions cannot both take the last room; giving rate back
+// needs no lock, since it only makes room.
+func (s *Server) book(rate int64) bool {
+	if s.CapacityBps <= 0 {
+		s.inst.inFlightBps.Add(rate)
+		return true
+	}
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if rate > s.CapacityBps-s.inst.inFlightBps.Value() {
+		return false
+	}
+	s.inst.inFlightBps.Add(rate)
+	return true
+}
+
+// headerRate sums a header's declared per-stream bit rates — the
+// session's QoS requirement used for admission, and the rate a
+// multi-rate group ranks its variants by. asf.Header.Validate refuses a
+// header whose sum would overflow.
+func headerRate(h asf.Header) int64 {
+	var total int64
+	for _, st := range h.Streams {
+		total += st.BitsPerSecond
+	}
+	return total
 }
 
 // firstPacket records, the first time it is called, how long the
