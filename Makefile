@@ -91,11 +91,12 @@ benchmark-smoke:
 		case "$$line" in '{"correct":true,'*) ;; *) echo "$$w: operations failed"; exit 1 ;; esac; \
 	done
 
-# Non-test Go lines per internal package and for the root module (the
-# nested benchmark module and its build directory excluded): the size
-# figure ROADMAP.md and CHANGES.md quote.
+# Non-test Go lines per internal package and for the root module, then
+# the root module's test lines (the nested benchmark module and its build
+# directory excluded): the size figures ROADMAP.md and CHANGES.md quote.
 lines:
 	@for d in internal/*/; do \
 		printf '%-22s %6d\n' "$${d%/}" "$$(find "$$d" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
 	done
 	@printf '%-22s %6d\n' "root module" "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
+	@printf '%-22s %6d\n' "root module tests" "$$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"

@@ -212,8 +212,9 @@ type Writer struct {
 	closed  bool
 }
 
-// NewWriter creates a Writer; the header is written on the first call to
-// WritePacket or Flush so callers may construct writers cheaply.
+// NewWriter creates a Writer; the header is written by the first
+// WritePacket, WriteShared or Close, so callers may construct writers
+// cheaply.
 func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
@@ -237,15 +238,6 @@ func (w *Writer) ensureHeader() error {
 	}
 	w.started = true
 	return nil
-}
-
-// WriteHeader forces the header object out immediately. Without it the
-// header is written lazily on the first packet or on Close.
-func (w *Writer) WriteHeader() error {
-	if w.closed {
-		return ErrClosed
-	}
-	return w.ensureHeader()
 }
 
 // WritePacket assigns the packet its sequence number and writes it out.

@@ -21,15 +21,16 @@ import (
 // each packet.
 func windowFile(t testing.TB, n int, sizes ...int) ([]byte, []Packet, []int) {
 	t.Helper()
+	header, err := EncodeHeader(sampleHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, sampleHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteHeader(); err != nil {
-		t.Fatal(err)
-	}
-	bounds := []int{buf.Len()}
+	bounds := []int{len(header)}
 	packets := make([]Packet, n)
 	for i := range packets {
 		p := Packet{

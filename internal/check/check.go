@@ -6,16 +6,106 @@ package check
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/asf"
 )
 
-// ErrBody is the error a body that breaks its invariant is reported
-// with.
+// ErrBody is the error a body that breaks its invariant, or differs from
+// the one it must be, is reported with.
 var ErrBody = errors.New("check: body breaks its invariant")
+
+// StoredBody returns the body a stored session of container must receive,
+// derived from the container's bytes alone: its header, encoded again
+// (asf.EncodeHeader), then the packets from the last seek point
+// (asf.Header.SeekPoint) at or before start on, each as asf.EncodePacket
+// encodes it. A start of 0 is a request with no ?start, the whole body,
+// as client.Spec.Target sends it; so is a start before every seek point.
+// A legacy index trailer is skipped, as the reader skips it. A Range
+// resume from byte n must receive StoredBody(container, start)[n:].
+func StoredBody(container []byte, start time.Duration) ([]byte, error) {
+	r := asf.NewReader(bytes.NewReader(container))
+	h, err := r.ReadHeader()
+	if err != nil {
+		return nil, fmt.Errorf("check: stored header: %w", err)
+	}
+	body, err := asf.EncodeHeader(h)
+	if err != nil {
+		return nil, fmt.Errorf("check: stored header: %w", err)
+	}
+	header := len(body)
+	for i := 0; ; i++ {
+		p, err := r.ReadPacket()
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("check: stored packet %d: %w", i, err)
+		}
+		if start > 0 && p.PTS <= start && h.SeekPoint(p) {
+			body = body[:header] // a later seek point at or before start
+		}
+		wire, err := asf.EncodePacket(p)
+		if err != nil {
+			return nil, fmt.Errorf("check: stored packet %d: %w", i, err)
+		}
+		body = append(body, wire...)
+	}
+}
+
+// Body reads got to its end and checks that it is want, byte for byte.
+// The first byte that differs is reported with ErrBody, together with the
+// object of want it falls in (the header, or a packet by position and
+// sequence number), found by walking want's own framing. A body that ends
+// short of want is io.ErrUnexpectedEOF, one that runs past it ErrBody,
+// and an error reading got is returned as it came.
+func Body(got io.Reader, want []byte) error {
+	body, err := io.ReadAll(got)
+	for i := 0; i < min(len(body), len(want)); i++ {
+		if body[i] != want[i] {
+			return fmt.Errorf("%w: byte %d is %#02x, want %#02x, in %s", ErrBody, i, body[i], want[i], object(want, i))
+		}
+	}
+	switch {
+	case len(body) > len(want):
+		return fmt.Errorf("%w: the body runs past its %d bytes", ErrBody, len(want))
+	case err != nil:
+		return fmt.Errorf("check: body after %d bytes: %w", len(body), err)
+	case len(body) < len(want):
+		return fmt.Errorf("check: the body ends after %d of its %d bytes, in %s: %w",
+			len(body), len(want), object(want, len(body)), io.ErrUnexpectedEOF)
+	}
+	return nil
+}
+
+// object names the object of body that byte off falls in, walking body's
+// framing (asf's wire layout): a header object's size follows its 4-byte
+// magic, and a packet's 42-byte fixed part holds its sequence number at
+// byte 30 and its payload's length at byte 38.
+func object(body []byte, off int) string {
+	const headerPrefix, packetFixed, seqAt, lenAt = 8, 42, 30, 38
+	if len(body) < headerPrefix {
+		return "the header"
+	}
+	end := headerPrefix + int(binary.LittleEndian.Uint32(body[4:]))
+	if off < end {
+		return "the header"
+	}
+	for i := 0; end+packetFixed <= len(body); i++ {
+		fixed := body[end : end+packetFixed]
+		next := end + packetFixed + int(binary.LittleEndian.Uint32(fixed[lenAt:]))
+		if off < next {
+			return fmt.Sprintf("packet %d (sequence number %d, bytes %d to %d)",
+				i, binary.LittleEndian.Uint32(fixed[seqAt:]), end, next)
+		}
+		end = next
+	}
+	return fmt.Sprintf("no packet: the framing ends at byte %d", end)
+}
 
 // LiveBody checks the invariant every live viewer's body keeps, whatever
 // it lost to lag or failover: it is the channel's encoded header, then

@@ -21,8 +21,8 @@ import (
 
 // newLoneServer serves one stored asset from a streaming.Server with no
 // registry in front of it — what `lodplay -url` at a lone lodserver
-// talks to.
-func newLoneServer(t *testing.T, asset string, dur time.Duration, pacing bool) (*streaming.Server, *httptest.Server) {
+// talks to — and returns the container it published.
+func newLoneServer(t *testing.T, asset string, dur time.Duration, pacing bool) (*streaming.Server, *httptest.Server, []byte) {
 	t.Helper()
 	srv := streaming.NewServer(nil)
 	srv.Pacing = pacing
@@ -32,13 +32,13 @@ func newLoneServer(t *testing.T, asset string, dur time.Duration, pacing bool) (
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts
+	return srv, ts, data
 }
 
 // TestPlayDirectNode: a 200 on the first leg means the base URL is
 // itself a serving node, and the session plays there.
 func TestPlayDirectNode(t *testing.T) {
-	srv, ts := newLoneServer(t, "lec", 2*time.Second, false)
+	srv, ts, _ := newLoneServer(t, "lec", 2*time.Second, false)
 	asset, _ := srv.Asset("lec")
 	sess, err := New(ts.URL).Open(context.Background(), Spec{Kind: VOD, Name: "lec"})
 	if err != nil {
@@ -69,7 +69,7 @@ func TestPlayDirectNode(t *testing.T) {
 // TestCancelUnblocksDirectBody: cancelling the session's context aborts
 // a body read that is blocked on a paced server, and the error says so.
 func TestCancelUnblocksDirectBody(t *testing.T) {
-	_, ts := newLoneServer(t, "lec", 20*time.Second, true)
+	_, ts, _ := newLoneServer(t, "lec", 20*time.Second, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var read atomic.Int64
@@ -100,7 +100,7 @@ func TestCancelUnblocksDirectBody(t *testing.T) {
 // TestDirectNodeErrors: a missing stream and an unreachable node are
 // errors, not empty plays.
 func TestDirectNodeErrors(t *testing.T) {
-	_, ts := newLoneServer(t, "lec", time.Second, false)
+	_, ts, _ := newLoneServer(t, "lec", time.Second, false)
 	sess, err := New(ts.URL).Open(context.Background(), Spec{Kind: VOD, Name: "none", Failover: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/check"
 	"repro/internal/encoder"
 	"repro/internal/player"
 	"repro/internal/proto"
@@ -99,38 +100,32 @@ func playOn(t *testing.T, sess *Session, clk *vclock.Virtual) playResult {
 	return playResult{}
 }
 
-// wholeBody is what one uninterrupted GET of the stored stream returns.
-func wholeBody(t *testing.T, url string) []byte {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
-}
-
 // TestResumeIsByteExact cuts a 30 s lecture's body five times per seed
 // at random offsets — always one inside the header, one inside the last
 // packet and three among the packets before it — over 20 seeds. Each
-// session must read exactly the bytes of one uninterrupted response and
-// play the same frames as an uncut session: no frame is played twice,
-// none is broken.
+// session must read exactly the body check.StoredBody derives from the
+// published lecture and play the same frames as an uncut session: no
+// frame is played twice, none is broken.
 func TestResumeIsByteExact(t *testing.T) {
-	srv, ts := newLoneServer(t, "lec", 30*time.Second, false)
-	asset, _ := srv.Asset("lec")
-	whole := wholeBody(t, ts.URL+proto.Versioned(proto.StreamPath(VOD, "lec")))
-	header, err := asf.EncodeHeader(asset.Header)
+	_, ts, data := newLoneServer(t, "lec", 30*time.Second, false)
+	whole, err := check.StoredBody(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := asset.SharedPackets()
+	h, packets, _, err := asf.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := asf.EncodeHeader(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastWire, err := asf.EncodePacket(packets[len(packets)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, size := int64(len(header)), int64(len(whole))
-	last := size - int64(len(shared[len(shared)-1].Wire()))
+	last := size - int64(len(lastWire))
 	if last+1 >= size {
 		t.Fatal("stored stream's last packet is too short to cut inside")
 	}
@@ -178,8 +173,8 @@ func TestResumeIsByteExact(t *testing.T) {
 		if st := sess.Stats(); st.Failovers != 5 {
 			t.Fatalf("seed %d: stats %+v, want 5 failovers", seed, st)
 		}
-		if !bytes.Equal(got.Bytes(), whole) {
-			t.Fatalf("seed %d, cuts %v: read %d bytes that are not the %d-byte body", seed, cuts, got.Len(), size)
+		if err := check.Body(&got, whole); err != nil {
+			t.Fatalf("seed %d, cuts %v: %v", seed, cuts, err)
 		}
 		if res.m.VideoFrames != want.VideoFrames || res.m.BrokenFrames != 0 {
 			t.Fatalf("seed %d, cuts %v: played %d video frames (%d broken), want %d",
@@ -193,8 +188,11 @@ func TestResumeIsByteExact(t *testing.T) {
 // and the session ends with ErrStreamChanged, having passed on not one
 // byte of it.
 func TestRepublishEndsResume(t *testing.T) {
-	srv, ts := newLoneServer(t, "lec", 30*time.Second, false)
-	whole := wholeBody(t, ts.URL+proto.Versioned(proto.StreamPath(VOD, "lec")))
+	srv, ts, data := newLoneServer(t, "lec", 30*time.Second, false)
+	whole, err := check.StoredBody(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	next := encodeTestLecture(t, 20*time.Second, encoder.Config{})
 	cutAt := int64(len(whole) / 2)
 	clk := vclock.NewVirtual()
@@ -217,8 +215,8 @@ func TestRepublishEndsResume(t *testing.T) {
 	if !errors.Is(res.err, ErrStreamChanged) {
 		t.Fatalf("Play error = %v, want ErrStreamChanged", res.err)
 	}
-	if !bytes.Equal(got.Bytes(), whole[:cutAt]) {
-		t.Fatalf("player read %d bytes, want exactly the old body's first %d", got.Len(), cutAt)
+	if err := check.Body(&got, whole[:cutAt]); err != nil {
+		t.Fatalf("player read not exactly the old body's first %d bytes: %v", cutAt, err)
 	}
 	if st := sess.Stats(); st.Retries != 1 {
 		t.Fatalf("stats = %+v, want the one retry that found the stream changed", st)

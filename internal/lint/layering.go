@@ -6,13 +6,14 @@ import "strings"
 // code that opens a stream, the player only renders what it is handed,
 // and the server tier (internal/relay) holds no client code. It also
 // keeps the registry's decision core (internal/relay/membership) free
-// of HTTP, clocks, metrics and the durable store. A small
+// of HTTP, clocks, metrics and the durable store, and the body oracle
+// (internal/check) free of the code it judges. A small
 // table of imports each constrained package's non-test files may not
 // have; every other package, cmd/ and benchmark/ included, may import
 // what it likes.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "one client stack: relay imports no client code, player no net/http, client no server tier; the membership core no side effects",
+	Doc:  "one client stack: relay imports no client code, player no net/http, client no server tier; the membership core no side effects; the body oracle none of the code it judges",
 	Run:  runLayering,
 }
 
@@ -31,6 +32,8 @@ var layerRules = []struct {
 		"the player does no networking; internal/client opens streams and hands it the body"},
 	{"internal/client", []string{"internal/relay", "internal/streaming", "internal/edgecache", "internal/catalog"},
 		"the session SDK speaks the wire contract (internal/proto), not server-tier code"},
+	{"internal/check", []string{"internal/streaming", "internal/relay", "internal/client", "internal/edgecache"},
+		"the body oracle derives a correct body from the container format alone, not from a copy of the code it judges"},
 }
 
 func runLayering(pass *Pass) {

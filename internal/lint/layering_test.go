@@ -23,6 +23,10 @@ func TestLayeringFlagsMembership(t *testing.T) {
 	linttest.Run(t, lint.Layering, testdata("layering", "membership"), "repro/internal/relay/membership")
 }
 
+func TestLayeringFlagsCheck(t *testing.T) {
+	linttest.Run(t, lint.Layering, testdata("layering", "check"), "repro/internal/check")
+}
+
 func TestLayeringIgnoresUnconstrainedPackages(t *testing.T) {
 	for _, path := range []string{"repro/benchmark", "repro/cmd/lodplay", "repro/internal/relayx", "repro"} {
 		linttest.Run(t, lint.Layering, testdata("layering", "outside"), path)

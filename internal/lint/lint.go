@@ -27,7 +27,9 @@
 //   - layering: one client stack — internal/relay imports neither the
 //     player nor the SDK, internal/player does not import net/http, and
 //     internal/client imports no server-tier package; the registry's
-//     membership core imports no net/http, vclock, metrics or catalog.
+//     membership core imports no net/http, vclock, metrics or catalog;
+//     the body oracle, internal/check, imports none of the streaming,
+//     relay, client or edge cache code it judges.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic, testdata packages with `// want` expectations — see

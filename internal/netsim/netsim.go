@@ -2,23 +2,19 @@
 // bandwidth, latency, jitter, and loss deterministically on one machine,
 // substituting for the paper's campus network testbed.
 //
-// Four complementary tools:
+// Three complementary tools:
 //
 //   - Link: an analytic, stateful packet-delivery model (serialization
 //     delay + propagation latency + uniform jitter + Bernoulli loss) used
 //     by the synchronization and scalability experiments.
-//   - ThrottledWriter: an io.Writer wrapper that paces real byte streams to
-//     a configured bandwidth against any vclock.Clock, used on the HTTP
-//     streaming path.
-//   - LinkReader: the receive-side counterpart — an io.Reader that delays
-//     each chunk by a Link's modeled transit time, shaping a client's
-//     download the way ThrottledWriter shapes a server's upload.
+//   - LinkReader: an io.Reader that delays each chunk of a byte stream by
+//     a Link's modeled transit time against any vclock.Clock, shaping a
+//     client's download.
 //   - MemNet: an in-process network of named net.Listeners over net.Pipe,
 //     so cluster-scale load generation (benchmark/) runs thousands of
 //     concurrent HTTP sessions without consuming TCP ports.
 //
-// Concurrency: ThrottledWriter and MemNet are safe for concurrent use.
-// Link is NOT — it carries serialization-queue and RNG state, so each
+// Concurrency: MemNet is safe for concurrent use. Link is NOT — it carries serialization-queue and RNG state, so each
 // simulated flow must own its own Link (clone a shared prototype with
 // Link.Clone); LinkReader assumes exclusive ownership of its Link and,
 // like any io.Reader, confinement to a single goroutine.
@@ -26,12 +22,8 @@ package netsim
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"sync"
 	"time"
-
-	"repro/internal/vclock"
 )
 
 // Link is a deterministic single-queue network link model. The zero value
@@ -156,54 +148,3 @@ var (
 	// LinkLossyWiFi is a congested wireless link.
 	LinkLossyWiFi = Link{BitsPerSecond: 2_000_000, Latency: 20 * time.Millisecond, Jitter: 30 * time.Millisecond, LossRate: 0.05, Seed: 1}
 )
-
-// ThrottledWriter paces writes to an underlying writer at a fixed
-// bandwidth, sleeping on the supplied clock. It is safe for concurrent use.
-type ThrottledWriter struct {
-	mu            sync.Mutex
-	w             io.Writer
-	clock         vclock.Clock
-	bitsPerSecond int64
-	debt          time.Duration
-	last          time.Time
-	started       bool
-}
-
-// NewThrottledWriter wraps w at the given bandwidth. A nil clock uses the
-// real clock; bitsPerSecond <= 0 disables throttling.
-func NewThrottledWriter(w io.Writer, bitsPerSecond int64, clock vclock.Clock) *ThrottledWriter {
-	if clock == nil {
-		clock = vclock.Real{}
-	}
-	return &ThrottledWriter{w: w, clock: clock, bitsPerSecond: bitsPerSecond}
-}
-
-// Write implements io.Writer, sleeping as needed so the long-run rate does
-// not exceed the configured bandwidth.
-func (t *ThrottledWriter) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.bitsPerSecond <= 0 {
-		return t.w.Write(p)
-	}
-	now := t.clock.Now()
-	if !t.started {
-		t.started = true
-		t.last = now
-	}
-	// Pay down debt with elapsed time.
-	elapsed := now.Sub(t.last)
-	t.last = now
-	t.debt -= elapsed
-	if t.debt < 0 {
-		t.debt = 0
-	}
-	n, err := t.w.Write(p)
-	t.debt += time.Duration(float64(n*8) / float64(t.bitsPerSecond) * float64(time.Second))
-	if t.debt > 0 {
-		t.clock.Sleep(t.debt)
-		t.last = t.clock.Now()
-		t.debt = 0
-	}
-	return n, err
-}

@@ -1,12 +1,9 @@
 package netsim
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/vclock"
 )
 
 func TestLinkValidate(t *testing.T) {
@@ -123,68 +120,5 @@ func TestPresetsValid(t *testing.T) {
 		if err := l.Validate(); err != nil {
 			t.Errorf("preset invalid: %v", err)
 		}
-	}
-}
-
-func TestThrottledWriterPacesOnVirtualClock(t *testing.T) {
-	clk := vclock.NewVirtual()
-	var buf bytes.Buffer
-	// 8000 bps = 1000 bytes per second.
-	tw := NewThrottledWriter(&buf, 8000, clk)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 4; i++ {
-			if _, err := tw.Write(make([]byte, 500)); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-		}
-	}()
-	// Drive the clock until the writer goroutine finishes (it sleeps once
-	// more after its final write; each 500B write costs 500 ms of virtual
-	// time).
-	deadline := time.Now().Add(10 * time.Second)
-drive:
-	for time.Now().Before(deadline) {
-		select {
-		case <-done:
-			break drive
-		default:
-			if clk.PendingWaiters() > 0 {
-				clk.Advance(500 * time.Millisecond)
-			} else {
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
-	select {
-	case <-done:
-	default:
-		t.Fatal("writer goroutine did not finish")
-	}
-	if buf.Len() != 2000 {
-		t.Fatalf("wrote %d bytes, want 2000", buf.Len())
-	}
-	// The virtual clock must have advanced ≈2 s of serialization time.
-	elapsed := clk.Now().Sub(vclock.Epoch)
-	if elapsed < 1500*time.Millisecond {
-		t.Fatalf("virtual time advanced only %v; throttling not applied", elapsed)
-	}
-}
-
-func TestThrottledWriterUnlimited(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewThrottledWriter(&buf, 0, nil)
-	start := time.Now()
-	if _, err := tw.Write(make([]byte, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("unthrottled write slept")
-	}
-	if buf.Len() != 1<<20 {
-		t.Fatalf("wrote %d", buf.Len())
 	}
 }

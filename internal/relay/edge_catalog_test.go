@@ -19,7 +19,7 @@ func syncCat(e *Edge, version uint64, assets []proto.CatalogAsset, groups []prot
 // republished asset must drop out of the edge's mirror so the next open
 // re-fetches fresh bytes, while untouched mirrors stay resident.
 func TestEdgeSyncCatalogInvalidatesStaleMirrors(t *testing.T) {
-	_, originTS := newOriginWithAsset(t, "lec-a")
+	_, originTS, _ := newOriginWithAsset(t, "lec-a")
 	data := encodeTestLecture(t, 2*time.Second, false)
 	edgeSrv := streaming.NewServer(nil)
 	edgeSrv.Pacing = false
@@ -81,7 +81,7 @@ func TestEdgeSyncCatalogInvalidatesStaleMirrors(t *testing.T) {
 // drops its mirrored variants — unless another live entry still wants
 // them.
 func TestEdgeSyncCatalogDropsRemovedGroups(t *testing.T) {
-	origin, originTS := newOriginWithAsset(t, "grp-1-lean")
+	origin, originTS, _ := newOriginWithAsset(t, "grp-1-lean")
 	data := encodeTestLecture(t, 2*time.Second, false)
 	rich, err := origin.RegisterAsset("grp-1-rich", asf.NewReader(bytes.NewReader(data)))
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/asf"
 	"repro/internal/capture"
+	"repro/internal/check"
 	"repro/internal/codec"
 	"repro/internal/encoder"
 	"repro/internal/streaming"
@@ -40,8 +41,8 @@ func encodeTestLecture(t *testing.T, dur time.Duration, live bool) []byte {
 }
 
 // newOriginWithAsset builds an origin server holding one stored asset and
-// returns it with its test listener.
-func newOriginWithAsset(t *testing.T, name string) (*streaming.Server, *httptest.Server) {
+// returns it with its test listener and the container it published.
+func newOriginWithAsset(t *testing.T, name string) (*streaming.Server, *httptest.Server, []byte) {
 	t.Helper()
 	origin := streaming.NewServer(nil)
 	origin.Pacing = false
@@ -53,7 +54,23 @@ func newOriginWithAsset(t *testing.T, name string) (*streaming.Server, *httptest
 	}
 	ts := httptest.NewServer(origin.Handler())
 	t.Cleanup(ts.Close)
-	return origin, ts
+	return origin, ts, data
+}
+
+// getBody checks that GET url answers 200 with the body want.
+func getBody(t *testing.T, url string, want []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := check.Body(resp.Body, want); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
 }
 
 func readStream(t *testing.T, url string) (asf.Header, []asf.Packet) {
@@ -86,21 +103,18 @@ func readStream(t *testing.T, url string) (asf.Header, []asf.Packet) {
 }
 
 func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
-	origin, originTS := newOriginWithAsset(t, "lec")
+	origin, originTS, data := newOriginWithAsset(t, "lec")
 	edgeSrv := streaming.NewServer(nil)
 	edgeSrv.Pacing = false
 	edge := NewEdge(originTS.URL, edgeSrv)
 	edgeTS := httptest.NewServer(edge.Handler())
 	defer edgeTS.Close()
 
-	_, direct := readStream(t, originTS.URL+"/v1/vod/lec")
-	hdr, mirrored := readStream(t, edgeTS.URL+"/v1/vod/lec")
-	if len(mirrored) != len(direct) {
-		t.Fatalf("edge served %d packets, origin %d", len(mirrored), len(direct))
+	whole, err := check.StoredBody(data, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hdr.Title != "relay test" {
-		t.Fatalf("edge header title = %q", hdr.Title)
-	}
+	getBody(t, edgeTS.URL+"/v1/vod/lec", whole)
 	mirror, ok := edgeSrv.Asset("lec")
 	if !ok {
 		t.Fatal("asset not cached on the edge")
@@ -139,18 +153,17 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 	if got := origin.Stats().MirrorFetches; got != 1 {
 		t.Fatalf("origin mirror fetches = %d, want 1", got)
 	}
-	if _, again := readStream(t, edgeTS.URL+"/v1/vod/lec"); len(again) != len(direct) {
-		t.Fatal("cached replay differs")
-	}
+	getBody(t, edgeTS.URL+"/v1/vod/lec", whole)
 	if got := origin.Stats().MirrorFetches; got != 1 {
 		t.Fatalf("origin mirror fetches after cached replay = %d, want 1", got)
 	}
 
-	// Seeks work against the mirrored copy.
-	_, seeked := readStream(t, edgeTS.URL+"/v1/vod/lec?start=5s")
-	if len(seeked) == 0 || len(seeked) >= len(direct) {
-		t.Fatalf("seeked mirror served %d packets, full %d", len(seeked), len(direct))
+	// Seeks work against the mirrored copy, past the first GOP.
+	seeked, err := check.StoredBody(data, 5*time.Second)
+	if err != nil || len(seeked) >= len(whole) {
+		t.Fatalf("a seek to 5s: %d of the %d bytes, %v; want a strict tail", len(seeked), len(whole), err)
 	}
+	getBody(t, edgeTS.URL+"/v1/vod/lec?start=5s", seeked)
 
 	// Unknown assets are the client's 404, not a relay error.
 	resp, err := http.Get(edgeTS.URL + "/v1/vod/nope")
@@ -164,7 +177,7 @@ func TestEdgeMirrorsAssetOnDemand(t *testing.T) {
 }
 
 func TestEdgeConcurrentDemandsShareOneFetch(t *testing.T) {
-	origin, originTS := newOriginWithAsset(t, "lec")
+	origin, originTS, _ := newOriginWithAsset(t, "lec")
 	edgeSrv := streaming.NewServer(nil)
 	edgeSrv.Pacing = false
 	edge := NewEdge(originTS.URL, edgeSrv)
@@ -273,7 +286,7 @@ func encodeRichLecture(t *testing.T, dur time.Duration) []byte {
 }
 
 func TestEdgeMirrorOriginDown(t *testing.T) {
-	_, originTS := newOriginWithAsset(t, "lec")
+	_, originTS, _ := newOriginWithAsset(t, "lec")
 	originTS.Close()
 	edge := NewEdge(originTS.URL, nil)
 	err := edge.MirrorAsset("lec")
@@ -294,12 +307,6 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 
 	origin := streaming.NewServer(nil)
 	originCh, err := origin.CreateChannel("lecture", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A subscriber on the origin itself, to compare the edge's output
-	// with; a Subscriber loses nothing.
-	direct, err := originCh.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +347,8 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 	}, "edge never created the relayed channel")
 	testutil.WaitUntil(t, 10*time.Second, func() bool { return edgeCh.ClientCount() >= 1 },
 		"client never attached to the relayed channel")
-	if originCh.ClientCount() != 2 {
-		t.Fatalf("origin has %d subscribers, want the edge and the direct one", originCh.ClientCount())
+	if originCh.ClientCount() != 1 {
+		t.Fatalf("origin has %d subscribers, want the edge alone", originCh.ClientCount())
 	}
 
 	for _, p := range packets {
@@ -355,25 +362,21 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	// The edge's viewer receives the origin's wire images byte for byte,
-	// sequence numbers as published: relaying re-encodes nothing.
-	want, err := asf.EncodeHeader(edgeCh.Header())
+	// The edge's viewer receives the published header and packets byte
+	// for byte, sequence numbers as published: relaying re-encodes nothing.
+	want, err := asf.EncodeHeader(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for sp := range direct.C {
-		if seq := sp.Packet().Seq; seq != packets[n].Seq {
-			t.Fatalf("origin packet %d carries seq %d, published as %d", n, seq, packets[n].Seq)
+	for _, p := range packets {
+		wire, err := asf.EncodePacket(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want = append(want, sp.Wire()...)
-		n++
+		want = append(want, wire...)
 	}
-	if n != len(packets) {
-		t.Fatalf("origin subscriber received %d packets, published %d", n, len(packets))
-	}
-	if !bytes.Equal(res.body, want) {
-		t.Fatalf("edge viewer's stream (%d bytes) is not the origin's wire images (%d bytes)", len(res.body), len(want))
+	if err := check.Body(bytes.NewReader(res.body), want); err != nil {
+		t.Fatalf("edge viewer's stream against the published header and packets: %v", err)
 	}
 	// The origin's broadcast end propagates: the edge channel closes too.
 	testutil.WaitUntil(t, 10*time.Second, edgeCh.Closed,
@@ -408,7 +411,7 @@ func TestEdgeRelaysLiveChannel(t *testing.T) {
 // asset.
 func TestEdgeMirrorsEscapedAssetName(t *testing.T) {
 	const name = "lecture 1% ?#&"
-	origin, originTS := newOriginWithAsset(t, name)
+	origin, originTS, data := newOriginWithAsset(t, name)
 	edgeSrv := streaming.NewServer(nil)
 	edgeSrv.Pacing = false
 	edge := NewEdge(originTS.URL, edgeSrv)
@@ -424,14 +427,11 @@ func TestEdgeMirrorsEscapedAssetName(t *testing.T) {
 
 	// Through the registry: the 307 preserves the escaped path, the edge
 	// decodes it, and the edge's origin pull re-escapes it.
-	_, direct := readStream(t, originTS.URL+"/v1/vod/"+url.PathEscape(name))
-	hdr, mirrored := readStream(t, regTS.URL+"/v1/vod/"+url.PathEscape(name))
-	if len(mirrored) == 0 || len(mirrored) != len(direct) {
-		t.Fatalf("mirrored %d packets through registry+edge, origin serves %d", len(mirrored), len(direct))
+	whole, err := check.StoredBody(data, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hdr.Title != "relay test" {
-		t.Fatalf("mirrored header title = %q", hdr.Title)
-	}
+	getBody(t, regTS.URL+"/v1/vod/"+url.PathEscape(name), whole)
 	if _, ok := edgeSrv.Asset(name); !ok {
 		t.Fatalf("edge cached under wrong name: have %v", edgeSrv.AssetNames())
 	}
@@ -463,6 +463,10 @@ func TestEdgeRelaysEscapedChannelName(t *testing.T) {
 	edgeTS := httptest.NewServer(edge.Handler())
 	defer edgeTS.Close()
 
+	header, err := asf.EncodeHeader(h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	resc := make(chan error, 1)
 	go func() {
 		resp, err := http.Get(edgeTS.URL + "/v1/live/" + url.PathEscape(name))
@@ -471,17 +475,7 @@ func TestEdgeRelaysEscapedChannelName(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		r := asf.NewReader(resp.Body)
-		if _, err := r.ReadHeader(); err != nil {
-			resc <- err
-			return
-		}
-		for {
-			if _, err := r.ReadPacket(); err != nil {
-				resc <- nil
-				return
-			}
-		}
+		resc <- check.LiveBody(header, resp.Body)
 	}()
 
 	// Wait for the whole relay chain to attach, as the unescaped live
@@ -607,7 +601,7 @@ func TestEdgeRelayBrokenUpstream(t *testing.T) {
 // pulling anything for it — no mirror of the asset or of the group's
 // variants, no standing relay of the channel.
 func TestDrainingEdgePullsNothing(t *testing.T) {
-	origin, originTS := newOriginWithAsset(t, "lec")
+	origin, originTS, _ := newOriginWithAsset(t, "lec")
 	lec, _ := origin.Asset("lec")
 	group, err := origin.CreateRateGroup("course")
 	if err != nil {

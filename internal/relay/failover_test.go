@@ -61,7 +61,7 @@ func (l *queryLog) seen() []string {
 
 func newFailoverCluster(t *testing.T) *failoverCluster {
 	t.Helper()
-	_, originTS := newOriginWithAsset(t, "lec")
+	_, originTS, _ := newOriginWithAsset(t, "lec")
 	c := &failoverCluster{g: NewRegistry(nil), excludes: &queryLog{}, liveReqs: &queryLog{}, ranges: &queryLog{}}
 	reg := httptest.NewServer(c.excludes.wrap(c.g.Handler(),
 		func(r *http.Request) string { return r.Header.Get(proto.ExcludeHeader) }))

@@ -22,7 +22,7 @@ func TestPlaysAndPullsShareBuffers(t *testing.T) {
 		plays   = 3
 		pulls   = 12
 	)
-	origin, ts := newOriginWithAsset(t, "lec")
+	origin, ts, _ := newOriginWithAsset(t, "lec")
 	want, _ := origin.Asset("lec")
 	url := ts.URL + "/v1/vod/lec"
 	play := func() (*player.Metrics, error) {

@@ -73,28 +73,24 @@ func (h *Heartbeats) Run(ctx context.Context) error {
 	}
 	var lastCatalog uint64
 	h.beat(ctx, &lastCatalog)
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-clock.After(interval):
-			err := h.beat(ctx, &lastCatalog)
-			// Rejoin only while the node is actually staying up: once ctx
-			// is cancelled the node is shutting down, and a heartbeat that
-			// raced a deliberate Deregister must not resurrect the entry.
-			if errors.Is(err, ErrUnknownNode) && ctx.Err() == nil {
-				// The registry restarted without its durable state (or
-				// pruned us); rejoin so the cluster keeps routing clients
-				// here, with an immediate snapshot for the same
-				// score-from-real-load reason as at startup. Transport
-				// failures here retry on the next tick rather than
-				// blocking the beat cadence in a backoff sleep.
-				if RegisterWith(ctx, h.Client, h.Registry, h.Info) == nil {
-					_ = h.beat(ctx, &lastCatalog)
-				}
+	for vclock.SleepCtx(ctx, clock, interval) {
+		err := h.beat(ctx, &lastCatalog)
+		// Rejoin only while the node is actually staying up: once ctx is
+		// cancelled the node is shutting down, and a heartbeat that raced
+		// a deliberate Deregister must not resurrect the entry.
+		if errors.Is(err, ErrUnknownNode) && ctx.Err() == nil {
+			// The registry restarted without its durable state (or pruned
+			// us); rejoin so the cluster keeps routing clients here, with
+			// an immediate snapshot for the same score-from-real-load
+			// reason as at startup. Transport failures here retry on the
+			// next tick rather than blocking the beat cadence in a
+			// backoff sleep.
+			if RegisterWith(ctx, h.Client, h.Registry, h.Info) == nil {
+				_ = h.beat(ctx, &lastCatalog)
 			}
 		}
 	}
+	return ctx.Err()
 }
 
 // register announces the node, retrying transport failures with bounded

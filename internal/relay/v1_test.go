@@ -21,7 +21,7 @@ import (
 // serves reaches its handler and that of one it does not serve is the
 // plain 404 too, and the registry's 307 points at the edge's /v1 path.
 func TestRoutesMountedOnceUnderV1(t *testing.T) {
-	origin, originTS := newOriginWithAsset(t, "lec")
+	origin, originTS, _ := newOriginWithAsset(t, "lec")
 	edgeSrv := streaming.NewServer(nil)
 	edgeSrv.Pacing = false
 	edge := NewEdge(originTS.URL, edgeSrv)

@@ -154,37 +154,6 @@ func TestChannelFanOutAllocFree(t *testing.T) {
 	}
 }
 
-// TestChannelPublishAllocs pins the origin's half: Publish encodes into
-// the channel's slab, so a packet costs only its share of a slab buffer
-// and a header chunk — 61 of these packets fill a buffer, 64 a chunk —
-// and the fan-out after it nothing.
-func TestChannelPublishAllocs(t *testing.T) {
-	ch, err := NewChannel("allocs", benchHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ch.Close()
-	for i := 0; i < 100; i++ {
-		sub, err := ch.Subscribe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for range sub.C {
-			}
-		}()
-	}
-	p := benchPacket()
-	avg := testing.AllocsPerRun(200, func() {
-		if err := ch.Publish(p); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 0.1 {
-		t.Fatalf("Publish allocates %.2f times per packet; want at most 0.1", avg)
-	}
-}
-
 // TestParseAssetAllocs pins what registering a stored lecture costs: its
 // packets are carved from the reader's slab, so the allocations are per
 // asset — 64 KB slab buffers, header chunks, the reader's window, the

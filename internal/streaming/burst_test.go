@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/check"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/testutil"
@@ -34,27 +35,6 @@ func burstPackets(t testing.TB, n int) []*asf.Shared {
 		out[i] = sp
 	}
 	return out
-}
-
-// liveBody is what an asf.Writer writes for the channel's header and
-// packets: the body a viewer attached before they were published must
-// receive, byte for byte.
-func liveBody(t *testing.T, ch *Channel, packets []*asf.Shared) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := asf.NewWriter(&buf, ch.Header())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteHeader(); err != nil {
-		t.Fatal(err)
-	}
-	for _, sp := range packets {
-		if err := w.WriteShared(sp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
 }
 
 // serveOnMem serves h as host origin.lod on a fresh netsim.MemNet until
@@ -156,7 +136,10 @@ func TestLiveBurstLeavesInFewChunksOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := liveBody(t, ch, packets)
+	want := bytes.Clone(ch.wireHeader)
+	for _, sp := range packets {
+		want = append(want, sp.Wire()...)
+	}
 
 	br := bufio.NewReader(conn)
 	readChunkedHead(t, br)
@@ -185,8 +168,8 @@ func TestLiveBurstLeavesInFewChunksOverHTTP(t *testing.T) {
 	if len(sizes) > 4 {
 		t.Fatalf("a %d-byte burst left in %d chunks %v; want at most 4", len(want)-len(ch.wireHeader), len(sizes), sizes)
 	}
-	if got := bytes.Join(chunks, nil); !bytes.Equal(got, want) {
-		t.Fatalf("de-chunked body (%d bytes) differs from header + wire images (%d bytes)", len(got), len(want))
+	if err := check.Body(bytes.NewReader(bytes.Join(chunks, nil)), want); err != nil {
+		t.Fatalf("de-chunked body against header + wire images: %v", err)
 	}
 	t.Logf("64 packets, %d bytes, in chunks of %v", len(want)-len(ch.wireHeader), sizes)
 }
@@ -230,7 +213,10 @@ func TestLiveBurstAllocsOverHTTP(t *testing.T) {
 	}
 
 	packets := burstPackets(t, 64)
-	burstBytes := len(liveBody(t, ch, packets)) - len(ch.wireHeader)
+	burstBytes := 0
+	for _, sp := range packets {
+		burstBytes += len(sp.Wire())
+	}
 	drain := func() {
 		// The first packet is a keyframe, so the channel's backlog
 		// restarts each run and reuses its capacity.
@@ -289,10 +275,13 @@ func TestLiveBurstEnds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := bytes.Clone(ch.wireHeader)
+			for _, sp := range packets {
+				want = append(want, sp.Wire()...)
+			}
 			got, err := io.ReadAll(resp.Body) // a clean end reads as a nil error
-			want := liveBody(t, ch, packets)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("viewer read %d bytes; want the header and all 64 queued packets, %d bytes", len(got), len(want))
+			if err := check.Body(bytes.NewReader(got), want); err != nil {
+				t.Fatalf("viewer's body against the header and all 64 queued packets: %v", err)
 			}
 			if !errors.Is(err, tc.want) || (tc.want != nil && err == nil) {
 				t.Fatalf("after the queued packets: %v; want %v", err, tc.want)
@@ -341,11 +330,11 @@ func TestLiveLonePacketFlushedAtOnce(t *testing.T) {
 // to their responses.
 func TestFetchPullsOutnumberingWriters(t *testing.T) {
 	srv := NewServer(nil)
-	a, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(encodeTestAsset(t, 16*time.Second))))
-	if err != nil {
+	data := encodeTestAsset(t, 16*time.Second)
+	if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
 		t.Fatal(err)
 	}
-	want := writerBytes(t, a, 0)
+	want := storedBody(t, data, 0)
 	if len(want) < 64<<10 {
 		t.Fatalf("a %d-byte asset is one run; the pulls would not overlap", len(want))
 	}
@@ -373,10 +362,10 @@ func TestFetchPullsOutnumberingWriters(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		got, err := io.ReadAll(resp.Body)
+		err := check.Body(resp.Body, want)
 		resp.Body.Close()
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("pull %d: %d bytes, %v; want the asset's %d bytes exactly", i, len(got), err, len(want))
+		if err != nil {
+			t.Fatalf("pull %d: %v", i, err)
 		}
 	}
 }

@@ -340,15 +340,8 @@ func (c *Channel) PublishPaced(ctx context.Context, clock vclock.Clock, packets 
 	}
 	start := clock.Now()
 	for _, p := range packets {
-		if wait := start.Add(p.SendAt).Sub(clock.Now()); wait > 0 {
-			select {
-			case <-clock.After(wait):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
+		if !vclock.SleepCtx(ctx, clock, start.Add(p.SendAt).Sub(clock.Now())) || ctx.Err() != nil {
+			return ctx.Err()
 		}
 		if err := c.Publish(p); err != nil {
 			return err

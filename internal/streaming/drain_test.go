@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/check"
 	"repro/internal/testutil"
 )
 
@@ -25,7 +26,9 @@ func TestDrainRefusesNewSessionsAndWaits(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// One session in flight, paced over ~2s of presentation.
+	// One session in flight, paced over ~2s of presentation, served to
+	// the end despite the drain.
+	want := storedBody(t, data, 0)
 	done := make(chan error, 1)
 	go func() {
 		resp, err := http.Get(ts.URL + "/v1/vod/lec")
@@ -34,17 +37,7 @@ func TestDrainRefusesNewSessionsAndWaits(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		r := asf.NewReader(resp.Body)
-		if _, err := r.ReadHeader(); err != nil {
-			done <- err
-			return
-		}
-		for {
-			if _, err := r.ReadPacket(); err != nil {
-				done <- nil // EOF: served to the end despite the drain
-				return
-			}
-		}
+		done <- check.Body(resp.Body, want)
 	}()
 	testutil.WaitUntil(t, 5*time.Second, func() bool { return srv.Stats().ActiveClients > 0 },
 		"session never started")

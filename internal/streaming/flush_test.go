@@ -359,10 +359,11 @@ func (d discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (d discardResponse) Flush()                      {}
 
 // TestVODSessionAllocsIndependentOfLength pins the per-session half of
-// the zero-copy contract (asf's TestWriteSharedAllocFree pins the
-// per-packet half): what the server allocates to serve a stored lecture
-// does not grow with the lecture's packet count. The header is encoded
-// once per asset, so a session collects nothing as it goes.
+// the zero-copy contract (an asf test pins the per-packet half, a shared
+// wire image written with no allocation): what the server allocates to
+// serve a stored lecture does not grow with the lecture's packet count.
+// The header is encoded once per asset, so a session collects nothing as
+// it goes.
 func TestVODSessionAllocsIndependentOfLength(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/check"
 	"repro/internal/codec"
 	"repro/internal/media"
 	"repro/internal/player"
@@ -46,19 +47,17 @@ func TestLateJoinDecodesCleanly(t *testing.T) {
 	}
 	ch.Close()
 
-	// Assemble the student's byte stream: the header, then what the
-	// subscriber was handed — the catch-up from its join, then live.
-	var stream bytes.Buffer
-	w, err := asf.NewWriter(&stream, ch.Header())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Assemble the student's byte stream: the channel's header, then the
+	// wire image of each packet the subscriber was handed — the catch-up
+	// from its join, then live.
+	stream := bytes.Clone(ch.wireHeader)
 	var received []asf.Packet
-	for p := range sub.C {
-		received = append(received, p.Packet())
-		if err := w.WriteShared(p); err != nil {
-			t.Fatal(err)
-		}
+	for sp := range sub.C {
+		received = append(received, sp.Packet())
+		stream = append(stream, sp.Wire()...)
+	}
+	if err := check.LiveBody(ch.wireHeader, bytes.NewReader(stream)); err != nil {
+		t.Fatal(err)
 	}
 
 	if len(received) <= len(packets)-half {
@@ -72,7 +71,7 @@ func TestLateJoinDecodesCleanly(t *testing.T) {
 
 	// Play the joined-late stream: zero broken frames (the chain starts at
 	// an I-frame) and at least the remaining slide flips.
-	m, err := player.New(player.Options{}).Play(bytes.NewReader(stream.Bytes()))
+	m, err := player.New(player.Options{}).Play(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}

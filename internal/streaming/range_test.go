@@ -12,41 +12,33 @@ import (
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/check"
 	"repro/internal/media"
 	"repro/internal/proto"
 )
 
-// writerBytes is what an asf.Writer writes for the asset's packets from
-// position from on: its header and their wire images.
-func writerBytes(t *testing.T, a *Asset, from int) []byte {
+// storedBody is check.StoredBody, failing the test on an error.
+func storedBody(t *testing.T, container []byte, start time.Duration) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := asf.NewWriter(&buf, a.Header)
+	body, err := check.StoredBody(container, start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sp := range a.SharedPackets()[from:] {
-		if err := w.WriteShared(sp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return body
 }
 
 // TestStoredResponseIsExactRange: every stored response — a mirror
 // fetch, a VOD session from the top or from any seek point, a group
 // session — declares its length, arrives unchunked, and is byte for byte
-// what an asf.Writer given the same packets writes. Under the asset's
-// ETag, a VOD or group request for bytes=n- gets exactly that body's
-// tail from byte n, wherever n falls; any other range, and any range of
-// a mirror fetch, gets the whole body.
+// the body check.StoredBody derives from the published container. Under
+// the asset's ETag, a VOD or group request for bytes=n- gets exactly that
+// body's tail from byte n, wherever n falls; any other range, and any
+// range of a mirror fetch, gets the whole body.
 func TestStoredResponseIsExactRange(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false
-	asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(encodeSlidesAsset(t, 6*time.Second, 3))))
+	data := encodeSlidesAsset(t, 6*time.Second, 3)
+	asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,45 +59,64 @@ func TestStoredResponseIsExactRange(t *testing.T) {
 	}
 	type request struct {
 		path string
-		from int // position in SharedPackets the body starts at
+		at   time.Duration // the start the body is derived from
 	}
 	requests := []request{
 		{proto.Versioned(proto.StreamPath(proto.StreamFetch, "lec")), 0},
 		{proto.Versioned(proto.StreamPath(proto.StreamGroup, "course")), 0},
 		{vod, 0},
-		{seek(0), asset.SeekIndex(0)},
-		{seek(99 * time.Hour), asset.SeekIndex(99 * time.Hour)},
+		{seek(0), 0},
+		{seek(99 * time.Hour), 99 * time.Hour},
+	}
+	h, packets, _, err := asf.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
 	}
 	seen := map[time.Duration]bool{}
 	midGOP := false
-	for i, sp := range asset.SharedPackets() {
-		switch p := sp.Packet(); {
+	var gop time.Duration // the latest seek point's time
+	for _, p := range packets {
+		if h.SeekPoint(p) {
+			gop = p.PTS
+		}
+		switch {
 		case p.Keyframe() && !seen[p.PTS]:
 			seen[p.PTS] = true
-			requests = append(requests, request{seek(p.PTS), asset.SeekIndex(p.PTS)})
-		case !midGOP && !p.Keyframe() && p.Kind == media.KindVideo:
-			// A time inside a group of pictures lands on an earlier packet.
-			if from := asset.SeekIndex(p.PTS); from > 0 && from < i {
-				midGOP = true
-				requests = append(requests, request{seek(p.PTS), from})
-			}
+			requests = append(requests, request{seek(p.PTS), p.PTS})
+		case !midGOP && gop > 0 && !p.Keyframe() && p.Kind == media.KindVideo:
+			// A time inside a later group of pictures lands on an earlier
+			// packet, its keyframe.
+			midGOP = true
+			requests = append(requests, request{seek(p.PTS), p.PTS})
 		}
 	}
 	if !midGOP || len(seen) < 3 {
 		t.Fatalf("lecture has %d keyframe times and no mid-GOP seek: too small to cover the seek points", len(seen))
 	}
 
+	// Every body starts with the header and ends with the lecture's last
+	// packet; a packet's fixed part alone is 42 bytes.
+	header, err := asf.EncodeHeader(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastWire, err := asf.EncodePacket(packets[len(packets)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, lastSize := int64(len(header)), int64(len(lastWire))
+	whole := storedBody(t, data, 0)
 	suffixes := 0
 	for _, rq := range requests {
+		want := storedBody(t, data, rq.at)
 		full, resp := get(t, ts, rq.path, nil)
 		if len(resp.TransferEncoding) != 0 {
 			t.Fatalf("GET %s: Transfer-Encoding %v, want a declared length", rq.path, resp.TransferEncoding)
 		}
-		if want := writerBytes(t, asset, rq.from); !bytes.Equal(full, want) {
-			t.Fatalf("GET %s: %d-byte body differs from the writer's %d bytes from packet %d",
-				rq.path, len(full), len(want), rq.from)
+		if err := check.Body(bytes.NewReader(full), want); err != nil {
+			t.Fatalf("GET %s: %v", rq.path, err)
 		}
-		if rq.from > 0 {
+		if len(want) < len(whole) {
 			suffixes++
 		}
 		etag := resp.Header.Get("Etag")
@@ -115,12 +126,7 @@ func TestStoredResponseIsExactRange(t *testing.T) {
 		ranged := func(n int64) http.Header {
 			return http.Header{"Range": {proto.FormatRange(n)}, "If-Range": {etag}}
 		}
-		// The body's boundaries: the first packet's first byte and its
-		// middle, the last packet's first byte and its middle.
-		size := int64(len(full))
-		first := int64(len(asset.header))
-		shared := asset.SharedPackets()
-		last := size - int64(len(shared[len(shared)-1].Wire()))
+		size := int64(len(want))
 		fullOnly := []http.Header{
 			{"Range": {proto.FormatRange(1)}},                          // no If-Range
 			{"Range": {proto.FormatRange(1)}, "If-Range": {`"stale"`}}, // another asset's tag
@@ -132,8 +138,10 @@ func TestStoredResponseIsExactRange(t *testing.T) {
 		if strings.HasPrefix(rq.path, proto.Versioned(proto.PrefixFetch)) {
 			fullOnly = append(fullOnly, ranged(1)) // a mirror pull takes the whole body
 		} else {
-			wire0 := int64(len(shared[rq.from].Wire()))
-			for _, n := range []int64{1, first - 1, first, first + wire0/2, last - 1, last, (last + size) / 2, size - 1} {
+			// The first packet's first byte and one inside it, the last
+			// packet's first byte and its middle.
+			last := size - lastSize
+			for _, n := range []int64{1, first - 1, first, first + 21, last - 1, last, last + lastSize/2, size - 1} {
 				body, resp := get(t, ts, rq.path, ranged(n))
 				if resp.StatusCode != http.StatusPartialContent {
 					t.Fatalf("GET %s from byte %d: status %d, want 206", rq.path, n, resp.StatusCode)
@@ -141,15 +149,18 @@ func TestStoredResponseIsExactRange(t *testing.T) {
 				if got, want := resp.Header.Get("Content-Range"), fmt.Sprintf("bytes %d-%d/%d", n, size-1, size); got != want {
 					t.Fatalf("GET %s from byte %d: Content-Range %q, want %q", rq.path, n, got, want)
 				}
-				if !bytes.Equal(body, full[n:]) {
-					t.Fatalf("GET %s from byte %d: %d-byte body is not the %d-byte tail", rq.path, n, len(body), size-n)
+				if err := check.Body(io.MultiReader(bytes.NewReader(want[:n]), bytes.NewReader(body)), want); err != nil {
+					t.Fatalf("GET %s from byte %d: %v", rq.path, n, err)
 				}
 			}
 		}
 		for _, h := range fullOnly {
 			body, resp := get(t, ts, rq.path, h)
-			if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Range") != "" || !bytes.Equal(body, full) {
-				t.Fatalf("GET %s with %v: status %d, %d bytes; want the whole %d-byte body", rq.path, h, resp.StatusCode, len(body), size)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Range") != "" {
+				t.Fatalf("GET %s with %v: status %d, Content-Range %q; want the whole body", rq.path, h, resp.StatusCode, resp.Header.Get("Content-Range"))
+			}
+			if err := check.Body(bytes.NewReader(body), want); err != nil {
+				t.Fatalf("GET %s with %v: %v", rq.path, h, err)
 			}
 		}
 	}
@@ -187,7 +198,7 @@ func get(t *testing.T, ts *httptest.Server, path string, h http.Header) ([]byte,
 }
 
 // TestStoredResponseLeavesInRuns: an unpaced stored response — a VOD
-// session, a mirror fetch — is the bytes an asf.Writer writes, and it
+// session, a mirror fetch — is the body check.StoredBody derives, and it
 // leaves in a few connection writes: at most two for the response head,
 // the header and the start of the body (a first packet or run larger
 // than the connection's 4 KB buffer is split there), then one per run of
@@ -198,7 +209,8 @@ func get(t *testing.T, ts *httptest.Server, path string, h http.Header) ([]byte,
 func TestStoredResponseLeavesInRuns(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Pacing = false
-	asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(encodeDSLAsset(t))))
+	data := encodeDSLAsset(t)
+	asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +236,7 @@ func TestStoredResponseLeavesInRuns(t *testing.T) {
 	mem, counted := serveCounted(t, srv.Handler())
 	client := mem.Client()
 	defer client.CloseIdleConnections()
-	want := writerBytes(t, asset, 0)
+	want := storedBody(t, data, 0)
 	for _, stream := range []proto.StreamKind{proto.StreamVOD, proto.StreamFetch} {
 		url := "http://origin.lod" + proto.Versioned(proto.StreamPath(stream, "lec"))
 		before := counted.writes.Load()
@@ -232,10 +244,10 @@ func TestStoredResponseLeavesInRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := io.ReadAll(resp.Body)
+		err = check.Body(resp.Body, want)
 		resp.Body.Close()
-		if err != nil || !bytes.Equal(body, want) {
-			t.Fatalf("GET %s: %d bytes, %v; want the writer's %d bytes", url, len(body), err, len(want))
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
 		}
 		// Every write has happened once the last byte is read: on MemNet a
 		// write returns when its bytes are read.

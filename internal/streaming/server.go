@@ -501,17 +501,13 @@ func (s *Server) Draining() bool {
 // a kill — simply severs connections and lets clients fail over.
 func (s *Server) Drain(ctx context.Context) error {
 	s.SetDraining(true)
-	for {
-		if s.Stats().ActiveClients == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
+	for s.Stats().ActiveClients != 0 {
+		if !vclock.SleepCtx(ctx, s.clock, 10*time.Millisecond) {
 			return fmt.Errorf("streaming: drain: %d sessions still active: %w",
 				s.Stats().ActiveClients, ctx.Err())
-		case <-s.clock.After(10 * time.Millisecond):
 		}
 	}
+	return nil
 }
 
 // refuseDraining answers a streaming request with 503 when the server

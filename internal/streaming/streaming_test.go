@@ -5,15 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/asf"
 	"repro/internal/capture"
+	"repro/internal/check"
 	"repro/internal/codec"
 	"repro/internal/encoder"
 	"repro/internal/media"
@@ -95,30 +94,13 @@ func TestVODEndpointUnpaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	r := asf.NewReader(resp.Body)
-	h, err := r.ReadHeader()
-	if err != nil {
+	if err := check.Body(resp.Body, storedBody(t, data, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if h.Title != "stream test" {
-		t.Fatalf("title = %q", h.Title)
-	}
-	n := 0
-	for {
-		if _, err := r.ReadPacket(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
 	asset, _ := srv.Asset("lec1")
-	if n != len(asset.SharedPackets()) {
-		t.Fatalf("received %d packets, asset has %d", n, len(asset.SharedPackets()))
-	}
 	st := srv.Stats()
-	if st.VODSessions != 1 || st.PacketsSent != int64(n) {
-		t.Fatalf("stats = %+v", st)
+	if st.VODSessions != 1 || st.PacketsSent != int64(len(asset.SharedPackets())) {
+		t.Fatalf("stats = %+v, want one session and the asset's %d packets", st, len(asset.SharedPackets()))
 	}
 }
 
@@ -356,49 +338,35 @@ func TestLiveEndpointEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Client joins and reads in a goroutine.
-	var wg sync.WaitGroup
-	received := make(chan int, 1)
-	wg.Add(1)
+	// Client joins and reads in a goroutine: the channel's header, then
+	// every packet published after it attached.
+	packets := burstPackets(t, 10)
+	want := bytes.Clone(ch.wireHeader)
+	for _, sp := range packets {
+		want = append(want, sp.Wire()...)
+	}
+	received := make(chan error, 1)
 	go func() {
-		defer wg.Done()
 		resp, err := ts.Client().Get(ts.URL + "/v1/live/class")
 		if err != nil {
-			t.Errorf("join: %v", err)
-			received <- -1
+			received <- err
 			return
 		}
 		defer resp.Body.Close()
-		r := asf.NewReader(resp.Body)
-		if _, err := r.ReadHeader(); err != nil {
-			t.Errorf("live header: %v", err)
-			received <- -1
-			return
-		}
-		n := 0
-		for {
-			_, err := r.ReadPacket()
-			if err != nil {
-				break // EOF when channel closes
-			}
-			n++
-		}
-		received <- n
+		received <- check.Body(resp.Body, want) // EOF when the channel closes
 	}()
 
 	// Wait for the subscriber to attach, then publish and close.
 	testutil.WaitUntil(t, 5*time.Second, func() bool { return ch.ClientCount() > 0 },
 		"live subscriber never attached")
-	for i := 0; i < 10; i++ {
-		if err := ch.Publish(videoPacket(time.Duration(i)*100*time.Millisecond, i == 0, 64)); err != nil {
+	for _, sp := range packets {
+		if err := ch.Publish(sp.Packet()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ch.Close()
-	wg.Wait()
-
-	if n := <-received; n != 10 {
-		t.Fatalf("client received %d packets, want 10", n)
+	if err := <-received; err != nil {
+		t.Fatal(err)
 	}
 	st := srv.Stats()
 	if st.LiveSessions != 1 {
