@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -452,8 +451,17 @@ func BenchmarkRelayFanOut(b *testing.B) {
 			b.SetBytes(int64(len(packets[0].Payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// Wait for credit, sleeping so as not to take the CPU the
+				// relay needs; a relay that stops fails the benchmark.
+				var deadline time.Time
 				for int64(i)-edgeCh.Published() >= relayWindow {
-					runtime.Gosched()
+					if deadline.IsZero() {
+						deadline = time.Now().Add(30 * time.Second)
+					}
+					if edgeCh.Closed() || !time.Now().Before(deadline) {
+						b.Fatalf("relay stopped after %d of %d packets", edgeCh.Published(), i)
+					}
+					time.Sleep(10 * time.Microsecond)
 				}
 				if err := originCh.Publish(packets[i%len(packets)]); err != nil {
 					b.Fatal(err)

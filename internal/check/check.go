@@ -6,7 +6,6 @@ package check
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -83,28 +82,30 @@ func Body(got io.Reader, want []byte) error {
 }
 
 // object names the object of body that byte off falls in, walking body's
-// framing (asf's wire layout): a header object's size follows its 4-byte
-// magic, and a packet's 42-byte fixed part holds its sequence number at
-// byte 30 and its payload's length at byte 38.
+// own framing with asf.Reader: the header, as asf.EncodeHeader encodes
+// it, then each packet's wire image as it arrived.
 func object(body []byte, off int) string {
-	const headerPrefix, packetFixed, seqAt, lenAt = 8, 42, 30, 38
-	if len(body) < headerPrefix {
+	r := asf.NewReader(bytes.NewReader(body))
+	h, err := r.ReadHeader()
+	if err != nil {
 		return "the header"
 	}
-	end := headerPrefix + int(binary.LittleEndian.Uint32(body[4:]))
-	if off < end {
+	header, err := asf.EncodeHeader(h)
+	if err != nil || off < len(header) {
 		return "the header"
 	}
-	for i := 0; end+packetFixed <= len(body); i++ {
-		fixed := body[end : end+packetFixed]
-		next := end + packetFixed + int(binary.LittleEndian.Uint32(fixed[lenAt:]))
+	end := len(header)
+	for i := 0; ; i++ {
+		sp, err := r.ReadShared()
+		if err != nil {
+			return fmt.Sprintf("no packet: the framing ends at byte %d", end)
+		}
+		next := end + len(sp.Wire())
 		if off < next {
-			return fmt.Sprintf("packet %d (sequence number %d, bytes %d to %d)",
-				i, binary.LittleEndian.Uint32(fixed[seqAt:]), end, next)
+			return fmt.Sprintf("packet %d (sequence number %d, bytes %d to %d)", i, sp.Packet().Seq, end, next)
 		}
 		end = next
 	}
-	return fmt.Sprintf("no packet: the framing ends at byte %d", end)
 }
 
 // LiveBody checks the invariant every live viewer's body keeps, whatever

@@ -327,9 +327,18 @@ func TestLegacyTrailerIgnored(t *testing.T) {
 		at   time.Duration // the start the body is derived from
 	}
 	requests := []request{{"/v1/fetch/old", 0}, {"/v1/vod/old", 0}}
-	seeks := []time.Duration{2500 * time.Millisecond, 5 * time.Second, 7 * time.Second, 11 * time.Second}
+	seeks := []time.Duration{0, 2500 * time.Millisecond, 5 * time.Second, 7 * time.Second, 11 * time.Second}
 	for _, at := range seeks {
-		requests = append(requests, request{"/v1/vod/old?start=" + at.String(), at})
+		from := at
+		if at == 0 {
+			// StoredBody's start 0 is the plain request, the whole body;
+			// the server answers ?start=0s from the seek point at 0 s, so
+			// the slide script packet before it is not sent, a difference
+			// CHANGES.md records against streamAsset. Pin that answer
+			// until it changes.
+			from = time.Nanosecond
+		}
+		requests = append(requests, request{"/v1/vod/old?start=" + at.String(), from})
 	}
 	for _, rq := range requests {
 		resp, err := ts.Client().Get(ts.URL + rq.path)
