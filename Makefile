@@ -44,9 +44,10 @@ lint:
 	$(GO) run ./cmd/lodlint ./...
 
 # Short seeded fuzz passes over every parser of bytes from outside the
-# process: the proto request parsers, the catalog snapshot, and the asf
-# container and script-packet readers. Minutes-long fuzzing is for
-# `go test -fuzz=... <package>` by hand; this is the CI smoke tier.
+# process: the proto request parsers, the catalog snapshot and its
+# restore, and the asf container and script-packet readers.
+# Minutes-long fuzzing is for `go test -fuzz=... <package>` by hand;
+# this is the CI smoke tier.
 fuzz-smoke:
 	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzStreamNameRoundTrip -fuzztime=5s
 	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzParseStart -fuzztime=5s
@@ -54,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzParseRange -fuzztime=5s
 	$(GO) test ./internal/proto -run='^$$' -fuzz=FuzzSplitExclude -fuzztime=5s
 	$(GO) test ./internal/catalog -run='^$$' -fuzz=FuzzStateRoundTrip -fuzztime=5s
+	$(GO) test ./internal/catalog -run='^$$' -fuzz=FuzzRestore -fuzztime=5s
 	$(GO) test ./internal/asf -run='^$$' -fuzz=FuzzReader -fuzztime=5s
 	$(GO) test ./internal/asf -run='^$$' -fuzz=FuzzScriptPacket -fuzztime=5s
 

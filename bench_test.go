@@ -479,7 +479,9 @@ func BenchmarkRelayFanOut(b *testing.B) {
 			b.StopTimer()
 			relayed := edgeCh.Published()
 			b.ReportMetric(float64(relayed)/float64(b.N), "relayed-frac")
-			b.ReportMetric(float64(edgeCh.Dropped())/float64(b.N), "edge-drop-frac")
+			// The share of the packets each viewer should have read that
+			// the log passed under it, over all viewers.
+			b.ReportMetric(float64(edgeCh.Dropped())/float64(int64(clients)*relayed), "edge-drop-frac")
 			originCh.Close() // the relay ends, and with it every viewer's body
 			viewers.Wait()
 		})

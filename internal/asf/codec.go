@@ -222,9 +222,6 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	return &Writer{w: w, header: h}, nil
 }
 
-// Header returns the writer's header.
-func (w *Writer) Header() Header { return w.header }
-
 func (w *Writer) ensureHeader() error {
 	if w.started {
 		return nil
@@ -507,11 +504,6 @@ func (r *Reader) ReadTo(s *Slab) (*Shared, error) {
 	}
 	return s.own(p, wire), nil
 }
-
-// SlabTail is the bytes the reader's slab allocated for ReadShared and
-// never filled: what the packets it returned hold beyond their wire
-// images.
-func (r *Reader) SlabTail() int { return r.slab.tail() }
 
 // next validates the next packet in place and consumes it; the returned
 // wire image, and the packet's Payload in its tail, alias the window. The

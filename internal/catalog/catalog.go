@@ -3,16 +3,16 @@
 // an immutable versioned State that is snapshotted to an on-disk
 // history and restored on start.
 //
-// The design follows the contentserver pattern named in ROADMAP item 3.
-// A Store owns the current *State behind an atomic pointer; every
-// mutation is funneled through one update goroutine that clones the
-// state aside, applies the mutation, persists the successor
-// (state-<version>.json plus a `current` pointer file, both written
-// tmp+rename), and only then swaps the pointer — readers never see a
-// partially applied or partially persisted state, and a persist failure
-// rejects the mutation outright. Open restores the newest history entry
-// on start, walking back to the previous one when the newest file is
-// corrupt or truncated (the rollback path FuzzStateRoundTrip guards).
+// A Store owns the current *State behind an atomic pointer; mutations
+// serialize on one mutex, and each clones the state aside, applies the
+// mutation, persists the successor as state-<version>.json (tmp file
+// plus rename, no fsync), and only then swaps the pointer — readers
+// never see a partially applied or partially persisted state, and a
+// persist failure rejects the mutation outright. The rename is the only
+// commit: Open restores the newest entry that decodes and whose body
+// carries the version its name does, walking back past a corrupt,
+// truncated or misnamed newest file (FuzzStateRoundTrip and FuzzRestore
+// guard that path).
 // The catalog listing served over HTTP is pre-marshaled at swap time so
 // the serving path hands out stored bytes with zero re-marshaling.
 package catalog
@@ -46,8 +46,8 @@ type NodeRecord struct {
 }
 
 // State is one immutable version of the control-plane state. Values are
-// only ever constructed by the Store's update goroutine (or decoded
-// from disk); everyone else reads.
+// only ever constructed by Store.Apply (or decoded from disk); everyone
+// else reads.
 type State struct {
 	Schema  string `json:"schema"`
 	Version uint64 `json:"version"`

@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -43,6 +45,45 @@ func FuzzStateRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(st, st2) {
 			t.Fatalf("round trip not a fixed point:\n got %+v\nwant %+v", st2, st)
+		}
+	})
+}
+
+// FuzzRestore makes arbitrary bytes the newest history entry on top of
+// a valid older one: Open restores exactly one of the two — the fuzzed
+// entry when it is a valid version-2 state, else the older — and never
+// a third state.
+func FuzzRestore(f *testing.F) {
+	older := State{Schema: StateSchema, Version: 1, SavedAt: "2026-01-01T00:00:00Z",
+		Assets: []proto.CatalogAsset{{Name: "lec-1", Rev: 1}}}
+	newer := EncodeState(State{Schema: StateSchema, Version: 2,
+		Assets: []proto.CatalogAsset{{Name: "lec-2", Rev: 2}}})
+	f.Add(newer)
+	f.Add(newer[:len(newer)/2])
+	f.Add(EncodeState(State{Schema: StateSchema, Version: 5}))
+	f.Add(EncodeState(older))
+	f.Add([]byte(`{}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, stateFileName(1)), EncodeState(older), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, stateFileName(2)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		got := s.State()
+		want := older
+		if st, err := DecodeState(data); err == nil && st.Version == 2 {
+			want = st
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("restored %+v, want %+v", got, want)
 		}
 	})
 }

@@ -16,11 +16,9 @@ import (
 	"repro/internal/proto"
 )
 
-// currentFile is the pointer file naming the history entry to restore;
-// stateFilePrefix/-Suffix frame the entries themselves
+// stateFilePrefix/-Suffix frame the history entries
 // (state-<version>.json).
 const (
-	currentFile     = "current"
 	stateFilePrefix = "state-"
 	stateFileSuffix = ".json"
 )
@@ -52,45 +50,24 @@ type Snapshot struct {
 
 // Store owns the durable control-plane state. Readers load the current
 // Snapshot from an atomic pointer (lock-free, always fully consistent);
-// writers funnel through Apply, which hands the mutation to the single
-// update goroutine.
+// writers serialize on mu in Apply.
 type Store struct {
 	dir  string // "" = memory-only (tests, registries run without -state-dir)
 	keep int
 
-	cur  atomic.Pointer[Snapshot]
-	reqs chan applyReq
+	cur atomic.Pointer[Snapshot]
 
-	closeOnce sync.Once
-	closed    chan struct{} // closed by Close; loop drains and exits
-	done      chan struct{} // closed when the loop has exited
+	mu     sync.Mutex // serializes Apply and Close
+	closed bool
 }
 
-type applyReq struct {
-	mut  func(*State)
-	resp chan applyResp
-}
-
-type applyResp struct {
-	st  State
-	err error
-}
-
-// Open restores a store from dir, creating the directory if needed. The
-// `current` pointer names the entry to load; if it is missing,
-// unreadable, or names a corrupt/truncated file, Open walks the history
-// newest-version-first and restores the first entry that decodes — and
-// starts fresh only when none do. dir == "" opens a memory-only store
-// with no persistence (every Apply still versions and swaps
-// atomically).
+// Open restores a store from dir, creating the directory if needed. It
+// walks the history newest-version-first and restores the first entry
+// that is valid (see loadEntry), starting fresh only when none is. dir
+// == "" opens a memory-only store with no persistence (every Apply
+// still versions and swaps atomically).
 func Open(dir string) (*Store, error) {
-	s := &Store{
-		dir:    dir,
-		keep:   defaultKeepHistory,
-		reqs:   make(chan applyReq),
-		closed: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	s := &Store{dir: dir, keep: defaultKeepHistory}
 	st := State{Schema: StateSchema}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -99,7 +76,6 @@ func Open(dir string) (*Store, error) {
 		st = restore(dir)
 	}
 	s.cur.Store(newSnapshot(st))
-	go s.loop()
 	return s, nil
 }
 
@@ -119,40 +95,32 @@ func marshalCatalog(st State) []byte {
 	return append(data, '\n')
 }
 
-// restore loads the best available history entry from dir; see Open.
+// restore loads the newest valid history entry from dir; see Open.
 func restore(dir string) State {
-	if name := readCurrent(dir); name != "" {
-		if st, err := loadStateFile(filepath.Join(dir, name)); err == nil {
-			return st
-		}
-	}
 	for _, v := range historyVersions(dir) {
-		if st, err := loadStateFile(filepath.Join(dir, stateFileName(v))); err == nil {
+		if st, err := loadEntry(dir, v); err == nil {
 			return st
 		}
 	}
 	return State{Schema: StateSchema}
 }
 
-func readCurrent(dir string) string {
-	b, err := os.ReadFile(filepath.Join(dir, currentFile))
-	if err != nil {
-		return ""
-	}
-	name := strings.TrimSpace(string(b))
-	// The pointer names a file in dir, nothing else.
-	if name == "" || name != filepath.Base(name) {
-		return ""
-	}
-	return name
-}
-
-func loadStateFile(path string) (State, error) {
-	b, err := os.ReadFile(path)
+// loadEntry reads the history entry of version from dir. An entry is
+// valid when it decodes and its body's Version is the one its file name
+// carries: the rename that gives it that name is the commit.
+func loadEntry(dir string, version uint64) (State, error) {
+	b, err := os.ReadFile(filepath.Join(dir, stateFileName(version)))
 	if err != nil {
 		return State{}, err
 	}
-	return DecodeState(b)
+	st, err := DecodeState(b)
+	if err != nil {
+		return State{}, err
+	}
+	if st.Version != version {
+		return State{}, fmt.Errorf("catalog: %s holds version %d", stateFileName(version), st.Version)
+	}
+	return st, nil
 }
 
 // historyVersions lists the state-file versions present in dir, newest
@@ -192,35 +160,26 @@ func parseStateFileName(name string) (uint64, bool) {
 	return v, true
 }
 
-// Apply runs one mutation through the update goroutine and returns the
-// state it produced. The goroutine clones the current state, bumps the
-// version, applies mut to the clone (so mut sees the successor's
-// Version — catalog revs stamp from it), persists it, and swaps it in.
-// A mutation that changes nothing is a no-op: no version bump, no disk
-// write, and the returned state is the current one. A persist failure
-// rejects the mutation — the returned error — and keeps the current
-// state.
+// Apply runs one mutation under the store's lock and returns the state
+// it produced. It clones the current state, bumps the version, applies
+// mut to the clone (so mut sees the successor's Version — catalog revs
+// stamp from it), persists it, and swaps it in. A mutation that changes
+// nothing is a no-op: no version bump, no disk write, and the returned
+// state is the current one. A persist failure rejects the mutation —
+// the returned error — and keeps the current state. mut must not call
+// back into the store.
 func (s *Store) Apply(mut func(*State)) (State, error) {
-	req := applyReq{mut: mut, resp: make(chan applyResp, 1)}
-	select {
-	case s.reqs <- req:
-	case <-s.closed:
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return State{}, ErrClosed
 	}
-	select {
-	case resp := <-req.resp:
-		return resp.st, resp.err
-	case <-s.closed:
-		// The loop drains racing requests after Close and answers them
-		// with ErrClosed, so the response still arrives.
-		resp := <-req.resp
-		return resp.st, resp.err
-	}
+	return s.apply(mut)
 }
 
 // Rollback restores the published content (assets and groups) of a
-// retained on-disk snapshot, applied as a regular mutation through the
-// update goroutine: node membership is preserved — live nodes would be
+// retained on-disk snapshot, applied as a regular mutation through
+// Apply: node membership is preserved — live nodes would be
 // stale the moment an old snapshot resurrected them — and the catalog
 // version keeps growing, so consumers never see the version header move
 // backwards. Rolling back to content identical to the current state is
@@ -230,8 +189,8 @@ func (s *Store) Rollback(version uint64) (State, error) {
 	if s.dir == "" {
 		return State{}, fmt.Errorf("%w %d: store has no history directory", ErrNoSnapshot, version)
 	}
-	old, err := loadStateFile(filepath.Join(s.dir, stateFileName(version)))
-	if err != nil || old.Version != version {
+	old, err := loadEntry(s.dir, version)
+	if err != nil {
 		return State{}, fmt.Errorf("%w %d", ErrNoSnapshot, version)
 	}
 	return s.Apply(func(st *State) {
@@ -258,39 +217,18 @@ func (s *Store) Version() uint64 { return s.cur.Load().State.Version }
 // it verbatim and must not mutate it.
 func (s *Store) CatalogJSON() []byte { return s.cur.Load().CatalogJSON }
 
-// Dir returns the history directory ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
-
-// Close stops the update goroutine; subsequent Applys return ErrClosed.
-// It does not remove the history — a successor Open(dir) restores it.
+// Close waits for an Apply in progress; subsequent Applys return
+// ErrClosed. It does not remove the history — a successor Open(dir)
+// restores it.
 func (s *Store) Close() {
-	s.closeOnce.Do(func() { close(s.closed) })
-	<-s.done
-}
-
-func (s *Store) loop() {
-	defer close(s.done)
-	for {
-		select {
-		case req := <-s.reqs:
-			req.resp <- s.apply(req.mut)
-		case <-s.closed:
-			// Answer senders that won the race against Close, then exit.
-			for {
-				select {
-				case req := <-s.reqs:
-					req.resp <- applyResp{err: ErrClosed}
-				default:
-					return
-				}
-			}
-		}
-	}
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 }
 
 // apply builds the successor state aside, persists it, and swaps it in.
-// Runs only on the update goroutine.
-func (s *Store) apply(mut func(*State)) applyResp {
+// The caller holds s.mu.
+func (s *Store) apply(mut func(*State)) (State, error) {
 	cur := s.cur.Load()
 	next := cur.State.Clone()
 	next.Version++
@@ -300,28 +238,23 @@ func (s *Store) apply(mut func(*State)) applyResp {
 	mut(&next)
 	next.Schema = StateSchema
 	if next.sameContent(cur.State) {
-		return applyResp{st: cur.State}
+		return cur.State, nil
 	}
 	if s.dir != "" {
 		if err := s.persist(next); err != nil {
-			return applyResp{err: err}
+			return State{}, err
 		}
 	}
 	s.cur.Store(newSnapshot(next))
-	return applyResp{st: next}
+	return next, nil
 }
 
-// persist writes the successor to the history: the state file first,
-// then the `current` pointer, both atomically via tmp+rename, then
-// prunes entries older than the keep window. Failing before the pointer
-// flip leaves `current` naming the previous good entry.
+// persist writes the successor to the history atomically via tmp+rename
+// — the rename is the commit — then prunes entries older than the keep
+// window. Failing before the rename leaves the previous entry newest.
 func (s *Store) persist(st State) error {
-	name := stateFileName(st.Version)
-	if err := writeFileAtomic(filepath.Join(s.dir, name), EncodeState(st)); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, stateFileName(st.Version)), EncodeState(st)); err != nil {
 		return fmt.Errorf("catalog: persist state %d: %w", st.Version, err)
-	}
-	if err := writeFileAtomic(filepath.Join(s.dir, currentFile), []byte(name+"\n")); err != nil {
-		return fmt.Errorf("catalog: persist current pointer: %w", err)
 	}
 	for _, v := range historyVersions(s.dir) {
 		if st.Version-v >= uint64(s.keep) {

@@ -3,10 +3,14 @@ package catalog
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/proto"
 )
 
 func mustApply(t *testing.T, s *Store, mut func(*State)) State {
@@ -93,9 +97,6 @@ func TestStoreStartsFreshWhenWholeHistoryCorrupt(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, stateFileName(1)), []byte("{garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, currentFile), []byte(stateFileName(1)+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +104,105 @@ func TestStoreStartsFreshWhenWholeHistoryCorrupt(t *testing.T) {
 	defer s.Close()
 	if v := s.Version(); v != 0 {
 		t.Fatalf("version = %d, want fresh 0", v)
+	}
+}
+
+// A `current` pointer file left by an older store names an entry
+// behind the newest; the names of the entries are the only record of
+// what committed, so it is ignored.
+func TestStoreIgnoresStalePointer(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"lec-1", "lec-2", "lec-3"} {
+		mustApply(t, s, func(st *State) { st.PublishAsset(name) })
+	}
+	want := s.State()
+	s.Close()
+	if err := os.WriteFile(filepath.Join(dir, "current"), []byte(stateFileName(1)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.State(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state = %+v, want newest %+v", got, want)
+	}
+}
+
+// An entry whose body carries another version than its name was never
+// committed under that name: restore skips it.
+func TestStoreSkipsMisnamedEntry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, s, func(st *State) { st.PublishAsset("lec-1") })
+	want := mustApply(t, s, func(st *State) { st.PublishAsset("lec-2") })
+	s.Close()
+	misnamed := EncodeState(State{Schema: StateSchema, Version: 3,
+		Assets: []proto.CatalogAsset{{Name: "lec-9", Rev: 3}}})
+	if err := os.WriteFile(filepath.Join(dir, stateFileName(9)), misnamed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.State(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state = %+v, want %+v", got, want)
+	}
+	if _, err := s2.Rollback(9); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("rollback to misnamed entry err = %v, want ErrNoSnapshot", err)
+	}
+}
+
+// Concurrent writers each commit exactly once: the versions count the
+// publishes, none is lost, and pruning keeps the history bounded.
+func TestStoreConcurrentApply(t *testing.T) {
+	const writers, each = 8, 50
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				name := fmt.Sprintf("lec-%d-%d", w, i)
+				if _, err := s.Apply(func(st *State) { st.PublishAsset(name) }); err != nil {
+					t.Errorf("Apply %s: %v", name, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := s.State()
+	if st.Version != writers*each || len(st.Assets) != writers*each {
+		t.Fatalf("version/assets = %d/%d, want %d/%d", st.Version, len(st.Assets), writers*each, writers*each)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) > s.keep {
+		t.Fatalf("%d files in history dir, want at most %d", len(entries), s.keep)
+	}
+	if v := historyVersions(dir); len(v) == 0 || v[0] != writers*each {
+		t.Fatalf("history versions = %v, want newest %d", v, writers*each)
 	}
 }
 
@@ -169,9 +269,6 @@ func TestStorePrunesHistory(t *testing.T) {
 	want := []uint64{6, 5, 4}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("history versions = %v, want %v", got, want)
-	}
-	if name := readCurrent(dir); name != stateFileName(6) {
-		t.Fatalf("current = %q, want %q", name, stateFileName(6))
 	}
 }
 

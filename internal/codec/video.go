@@ -50,9 +50,6 @@ func NewVideoEncoder(p Profile, seed int64) (*VideoEncoder, error) {
 	}, nil
 }
 
-// Profile returns the encoder's profile.
-func (e *VideoEncoder) Profile() Profile { return e.profile }
-
 // frameBudget returns the byte budget for the frame at the given GOP
 // position: the GOP's byte budget split into iWeight units for the I-frame
 // and 1 unit per P-frame.

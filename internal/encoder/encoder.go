@@ -82,15 +82,6 @@ func (s Stats) BitsPerSecond() int64 {
 	return int64(float64(s.Bytes*8) / s.Duration.Seconds())
 }
 
-// MediaBitsPerSecond returns the achieved audio+video bit rate, the figure
-// the codec rate control targets (images and scripts ride on top).
-func (s Stats) MediaBitsPerSecond() int64 {
-	if s.Duration <= 0 {
-		return 0
-	}
-	return int64(float64((s.VideoBytes+s.AudioBytes)*8) / s.Duration.Seconds())
-}
-
 // Session is one configured encode. Construct with New, add sources, then
 // run with EncodeTo.
 type Session struct {

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"net/http"
+	"slices"
 
 	"repro/internal/proto"
 )
@@ -89,8 +90,10 @@ func (e *Edge) SyncCatalog(cat proto.Catalog) []string {
 }
 
 // dropMirror removes one stale mirrored asset: out of the cache
-// accounting, off the edge server. Assets the cache never tracked were
-// not mirrored by this edge (direct registrations) and are left alone.
+// accounting, off the edge server, and with every local group that
+// lists it, which would otherwise select it into a 404 — the next group
+// demand re-mirrors the group. Assets the cache never tracked were not
+// mirrored by this edge (direct registrations) and are left alone.
 func (e *Edge) dropMirror(name string) bool {
 	if !e.cache.Remove(name) {
 		return false
@@ -98,6 +101,11 @@ func (e *Edge) dropMirror(name string) bool {
 	e.Server.RemoveAsset(name)
 	e.inst.invalidations.Inc()
 	e.inst.cacheBytes.Set(e.cache.Bytes())
+	for _, g := range e.Server.Groups() {
+		if slices.Contains(g.Variants, name) && e.Server.RemoveRateGroup(g.Name) {
+			e.inst.invalidations.Inc()
+		}
+	}
 	return true
 }
 

@@ -2,10 +2,12 @@ package relay
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/asf"
+	"repro/internal/check"
 	"repro/internal/proto"
 	"repro/internal/streaming"
 )
@@ -121,5 +123,52 @@ func TestEdgeSyncCatalogDropsRemovedGroups(t *testing.T) {
 	}
 	if _, ok := edgeSrv.Asset("grp-1-rich"); ok {
 		t.Fatal("orphaned variant still resident")
+	}
+}
+
+// TestEdgeSyncCatalogDropsGroupOfRepublishedVariant: a variant
+// republished under an unchanged group entry loses its mirror, and the
+// local group that lists it goes with it — otherwise every demand that
+// selects the variant answers 404. The next demand re-mirrors the group.
+func TestEdgeSyncCatalogDropsGroupOfRepublishedVariant(t *testing.T) {
+	origin, originTS, _ := newOriginWithAsset(t, "grp-1-lean")
+	data := encodeTestLecture(t, 2*time.Second, false)
+	rich, err := origin.RegisterAsset("grp-1-rich", asf.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lean, _ := origin.Asset("grp-1-lean")
+	g, err := origin.CreateRateGroup("grp-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AddVariant(lean)
+	g.AddVariant(rich)
+	want, err := check.StoredBody(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	edgeSrv := streaming.NewServer(nil)
+	edgeSrv.Pacing = false
+	edge := NewEdge(originTS.URL, edgeSrv)
+	edgeTS := httptest.NewServer(edge.Handler())
+	t.Cleanup(edgeTS.Close)
+	// The variants' rates tie, so Select takes the last one: grp-1-rich.
+	url := edgeTS.URL + "/v1/group/grp-1?bw=5000000"
+
+	group := []proto.CatalogGroup{{Name: "grp-1", Variants: []string{"grp-1-lean", "grp-1-rich"}, Rev: 1}}
+	syncCat(edge, 1, []proto.CatalogAsset{{Name: "grp-1-lean", Rev: 1}, {Name: "grp-1-rich", Rev: 1}}, group)
+	getBody(t, url, want)
+
+	before := edge.inst.invalidations.Value()
+	inv := syncCat(edge, 2, []proto.CatalogAsset{{Name: "grp-1-lean", Rev: 1}, {Name: "grp-1-rich", Rev: 2}}, group)
+	if len(inv) != 1 || inv[0] != "grp-1-rich" {
+		t.Fatalf("invalidated %v, want [grp-1-rich]", inv)
+	}
+	getBody(t, url, want)
+	getBody(t, url, want)
+	if got := edge.inst.invalidations.Value() - before; got != 2 {
+		t.Fatalf("invalidations = %d, want 2 (the variant and its group)", got)
 	}
 }

@@ -130,7 +130,7 @@ func (g *Registry) Metrics() *metrics.Registry { return g.metrics }
 // registry already forgot. A pruned node that was merely partitioned
 // re-registers on its next heartbeat's ErrUnknownNode, exactly like
 // after a registry restart. Callers hold g.mu; Apply under it is safe,
-// since the store goroutine takes no registry locks.
+// since the store's lock is innermost: a mutation takes no registry lock.
 func (g *Registry) pruneLocked() {
 	pruned := g.members.Prune(g.clock.Now())
 	if pruned == nil {
@@ -316,7 +316,7 @@ func (g *Registry) UnpublishGroup(name string) (uint64, bool, error) {
 }
 
 // RollbackCatalog restores the published content of a retained catalog
-// snapshot through the store's apply goroutine and returns the catalog
+// snapshot through the store's Apply and returns the catalog
 // version carrying the restore. Node membership is untouched and the
 // version keeps growing; catalog.ErrNoSnapshot reports an unknown or
 // pruned version.

@@ -175,14 +175,12 @@ func TestParseAssetAllocs(t *testing.T) {
 
 // BenchmarkRegisterAsset measures building the benchmark of record's
 // stored lecture from its container, the step every origin registration
-// and edge mirror pull takes: per packet, the slab bytes the asset holds
-// beyond its wire images (tail-B/asset), which is what carving from
-// slabs adds to a resident asset's heap, and the process's minor page
-// faults (faults/packet), which is what the slab's buffer size costs in
-// fresh pages.
+// and edge mirror pull takes: per packet, its time, its allocations and
+// the process's minor page faults (faults/packet), which is what the
+// slab's buffer size costs in fresh pages.
 func BenchmarkRegisterAsset(b *testing.B) {
 	data := encodeDSLAsset(b)
-	var packets, tail int
+	var packets int
 	var before, after runtime.MemStats
 	var ruBefore, ruAfter syscall.Rusage
 	b.ReportAllocs()
@@ -191,12 +189,11 @@ func BenchmarkRegisterAsset(b *testing.B) {
 	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ruBefore) // cannot fail for RUSAGE_SELF
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := asf.NewReader(bytes.NewReader(data))
-		a, err := parseAsset("lec", r)
+		a, err := parseAsset("lec", asf.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		packets, tail = len(a.SharedPackets()), r.SlabTail()
+		packets = len(a.SharedPackets())
 	}
 	b.StopTimer()
 	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ruAfter)
@@ -204,7 +201,6 @@ func BenchmarkRegisterAsset(b *testing.B) {
 	all := float64(b.N) * float64(packets)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/all, "ns/packet")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/all, "allocs/packet")
-	b.ReportMetric(float64(tail), "tail-B/asset")
 	b.ReportMetric(float64(ruAfter.Minflt-ruBefore.Minflt)/all, "faults/packet")
 }
 

@@ -849,14 +849,16 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		proto.WriteError(w, http.StatusNotFound, "streaming: unknown asset "+name)
 		return
 	}
-	var from seekPoint
+	var from seekPoint // a start of 0 is the plain request: the whole body
 	if raw := r.URL.Query().Get(proto.ParamStart); raw != "" {
 		at, err := proto.ParseStart(raw)
 		if err != nil {
 			proto.WriteErr(w, err)
 			return
 		}
-		from = asset.seek(at)
+		if at > 0 {
+			from = asset.seek(at)
+		}
 	}
 	ss, end := s.admit(w, s.inst.vod, asset.Name, headerRate(asset.Header), arrived)
 	if end == nil {
