@@ -2,7 +2,7 @@ GO ?= go
 
 RACE_PKGS := ./...
 
-.PHONY: all build test test-poison vet fmt-check lint fuzz-smoke race bench bench-smoke benchmark-check benchmark-smoke lines
+.PHONY: all build test test-poison race-poison vet fmt-check lint fuzz-smoke race bench bench-smoke benchmark-check benchmark-smoke lines
 
 all: build test vet fmt-check lint bench-smoke benchmark-check
 
@@ -61,6 +61,14 @@ fuzz-smoke:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The packages whose owners carve slab buffers again (a live channel by
+# position, a stored asset by reference) under the race detector and the
+# asfpoison build at once: a write still reading a buffer handed back
+# shows both as a data race against the 0xDB fill and as poison bytes in
+# the body.
+race-poison:
+	$(GO) test -race -tags asfpoison ./internal/streaming ./internal/relay
 
 # The root package's end-to-end benchmarks plus the write-path
 # (internal/streaming), read-path (internal/asf), player

@@ -47,10 +47,11 @@
 //     may be held and written to any number of connections for as long
 //     as anyone references it, and while it is referenced it pins its
 //     slab. ReadTo copies into a slab the caller gives instead: a live
-//     channel's, which takes a buffer back once no one will read its
-//     packets again (Slab.Renew). A packet that has no wire image yet
-//     is encoded into a slab the same way (Slab.NewShared), or alone
-//     into an exactly sized buffer (NewShared).
+//     channel's or a stored asset's, which takes a buffer back once no
+//     one will read its packets again (Slab.Renew). A packet that has
+//     no wire image yet is encoded into a slab the same way
+//     (Slab.NewShared), or alone into an exactly sized buffer
+//     (NewShared).
 //
 // A window starts at 16 KB and grows to the largest object the stream
 // carried (at most 64 KB; a larger one gets a buffer of its own). A

@@ -87,10 +87,11 @@ const (
 // packet. A packet pins the buffer its image lies in, and the chunk its
 // header lies in, for as long as anyone references it, and the garbage
 // collector frees both once none of their packets is referenced. Only
-// an owner that knows when no one will read a buffer's packets again —
-// a live channel, which knows where its log ends and where every viewer
-// is — takes a buffer back for reuse (Renew). The zero Slab is ready to
-// use; it is not safe for concurrent use.
+// an owner that knows when no one will read a buffer's packets again
+// takes a buffer back for reuse (Renew): a live channel, which knows
+// where its log ends and where every viewer is, and a stored asset, which
+// counts who reads it. The zero Slab is ready to use; it is not safe for
+// concurrent use.
 type Slab struct {
 	buf    []byte   // current buffer: len is carved, cap-len is free
 	shared []Shared // current header chunk: len is handed out
@@ -158,6 +159,11 @@ func (s *Slab) renew() []byte {
 	}
 	return make([]byte, 0, slabSize)
 }
+
+// Buffer returns the buffer the slab carves now, nil before its first:
+// with the buffers it handed Renew, every slab buffer its images lie in,
+// for an owner that takes them all back at once (a stored asset).
+func (s *Slab) Buffer() []byte { return s.buf }
 
 // nextShared returns a zeroed Shared from the current chunk.
 func (s *Slab) nextShared() *Shared {

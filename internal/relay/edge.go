@@ -250,9 +250,8 @@ func (e *Edge) dropVictims(victims []string, counter *metrics.Counter) {
 
 // pinned reports whether an asset must survive eviction: it is being
 // streamed or demanded right now (streaming.Server.Pin), or a mirrored
-// rate group references it (groups hold direct asset pointers, so
-// dropping a variant would leave the group serving content the cache no
-// longer accounts for).
+// rate group lists it (dropping a variant would leave the group short of
+// an encoding it was mirrored with).
 func (e *Edge) pinned(name string) bool {
 	if e.Server.Pinned(name) {
 		return true

@@ -98,14 +98,15 @@ func (e *Edge) dropMirror(name string) bool {
 	if !e.cache.Remove(name) {
 		return false
 	}
-	e.Server.RemoveAsset(name)
-	e.inst.invalidations.Inc()
-	e.inst.cacheBytes.Set(e.cache.Bytes())
+	// A group lists only its registered variants, so the groups go first.
 	for _, g := range e.Server.Groups() {
 		if slices.Contains(g.Variants, name) && e.Server.RemoveRateGroup(g.Name) {
 			e.inst.invalidations.Inc()
 		}
 	}
+	e.Server.RemoveAsset(name)
+	e.inst.invalidations.Inc()
+	e.inst.cacheBytes.Set(e.cache.Bytes())
 	return true
 }
 

@@ -160,9 +160,10 @@ func TestChannelFanOutAllocFree(t *testing.T) {
 // asset's slices and seek map growing — not per packet.
 func TestParseAssetAllocs(t *testing.T) {
 	data := encodeDSLAsset(t)
+	srv := NewServer(nil)
 	var packets int
 	avg := testing.AllocsPerRun(10, func() {
-		a, err := parseAsset("lec", asf.NewReader(bytes.NewReader(data)))
+		a, err := srv.parseAsset("lec", asf.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,23 +174,104 @@ func TestParseAssetAllocs(t *testing.T) {
 	}
 }
 
+// TestRecycledRegisterAllocsNoBuffer registers a lecture right after
+// removing one of the same size, the edge's miss path once its cache is
+// full: every 64 KB slab buffer the new copy is carved in must come off
+// the free list. A fresh parse allocates one per buffer, so the recycled
+// registration must allocate that many bytes less; the half buffer of
+// slack absorbs what other goroutines allocate meanwhile, and one 64 KB
+// buffer more would still exceed it.
+func TestRecycledRegisterAllocsNoBuffer(t *testing.T) {
+	data := encodeDSLAsset(t)
+	srv := NewServer(nil)
+	var fresh *Asset
+	freshBytes := allocBytes(func() {
+		var err error
+		if fresh, err = srv.parseAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
+		t.Fatal(err)
+	}
+	reused := srv.inst.reused.Value()
+	recycledBytes := allocBytes(func() {
+		srv.RemoveAsset("lec")
+		if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bufs := len(fresh.bufs)
+	if got, runs := srv.inst.reused.Value()-reused, allocRuns+1; got != int64(runs*bufs) {
+		t.Errorf("%d registrations reused %d buffers, want all %d of each", runs, got, bufs)
+	}
+	if saved := freshBytes - recycledBytes; saved < float64(bufs*64<<10-32<<10) {
+		t.Fatalf("a recycled registration allocates %.0f B, a fresh parse %.0f B: %.0f B less, want its %d buffers' %d B",
+			recycledBytes, freshBytes, saved, bufs, bufs*64<<10)
+	}
+	t.Logf("%d buffers; fresh parse %.0f B, recycled registration %.0f B", bufs, freshBytes, recycledBytes)
+}
+
+// allocRuns is how many times allocBytes runs its function.
+const allocRuns = 10
+
+// allocBytes returns the bytes f allocates per run, over allocRuns runs
+// after one to warm up.
+func allocBytes(f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < allocRuns; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / allocRuns
+}
+
 // BenchmarkRegisterAsset measures building the benchmark of record's
 // stored lecture from its container, the step every origin registration
 // and edge mirror pull takes: per packet, its time, its allocations and
-// the process's minor page faults (faults/packet), which is what the
-// slab's buffer size costs in fresh pages.
+// bytes, and the process's minor page faults (faults/packet), which is
+// what fresh slab buffers cost in fresh pages. The fresh case parses
+// into new buffers; the recycled case removes the lecture and registers
+// it again, carving the buffers the removal freed, as an edge's miss
+// path does once its cache is full.
 func BenchmarkRegisterAsset(b *testing.B) {
 	data := encodeDSLAsset(b)
+	register := func(srv *Server) (*Asset, error) {
+		return srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data)))
+	}
+	b.Run("fresh", func(b *testing.B) {
+		srv := NewServer(nil)
+		benchRegister(b, len(data), func() (*Asset, error) {
+			return srv.parseAsset("lec", asf.NewReader(bytes.NewReader(data)))
+		})
+	})
+	b.Run("recycled", func(b *testing.B) {
+		srv := NewServer(nil)
+		if _, err := register(srv); err != nil {
+			b.Fatal(err)
+		}
+		benchRegister(b, len(data), func() (*Asset, error) {
+			srv.RemoveAsset("lec")
+			return register(srv)
+		})
+	})
+}
+
+// benchRegister runs BenchmarkRegisterAsset's case: b.N registrations
+// of a container of size bytes.
+func benchRegister(b *testing.B, size int, register func() (*Asset, error)) {
 	var packets int
 	var before, after runtime.MemStats
 	var ruBefore, ruAfter syscall.Rusage
 	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(int64(size))
 	runtime.ReadMemStats(&before)
 	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ruBefore) // cannot fail for RUSAGE_SELF
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := parseAsset("lec", asf.NewReader(bytes.NewReader(data)))
+		a, err := register()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,6 +283,7 @@ func BenchmarkRegisterAsset(b *testing.B) {
 	all := float64(b.N) * float64(packets)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/all, "ns/packet")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/all, "allocs/packet")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/all, "B/packet")
 	b.ReportMetric(float64(ruAfter.Minflt-ruBefore.Minflt)/all, "faults/packet")
 }
 

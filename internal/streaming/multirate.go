@@ -12,47 +12,69 @@ import (
 // RateGroup bundles encodings of the same presentation at several
 // bandwidth profiles — the server side of §2.5's "different bandwidth
 // profile selection window". A client requests the group with its link
-// bandwidth and receives the richest variant that fits.
+// bandwidth and receives the richest variant that fits. A group holds
+// its variants by name: it ranks, and hands out, the asset registered
+// under each name now, so a republished variant counts at its new rate
+// and the copy it replaced is no longer held. Create one with
+// Server.CreateRateGroup.
 type RateGroup struct {
 	Name string
 
+	srv      *Server
 	mu       sync.RWMutex
-	variants []*Asset // sorted ascending by total bit rate
+	variants []string // in the order they were added
 }
 
-// AddVariant registers one encoding in the group.
+// AddVariant adds an encoding to the group, by its name.
 func (g *RateGroup) AddVariant(a *Asset) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.variants = append(g.variants, a)
-	sort.SliceStable(g.variants, func(i, j int) bool {
-		return headerRate(g.variants[i].Header) < headerRate(g.variants[j].Header)
-	})
+	g.variants = append(g.variants, a.Name)
 }
 
-// Select returns the richest variant whose rate fits within the given
-// bandwidth, falling back to the smallest variant; false when empty.
-func (g *RateGroup) Select(bitsPerSecond int64) (*Asset, bool) {
+// each calls f with the asset registered under each variant name, in
+// the order they were added; a name with none is passed over.
+func (g *RateGroup) each(f func(*Asset)) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if len(g.variants) == 0 {
-		return nil, false
+		return
 	}
-	best := g.variants[0]
-	for _, v := range g.variants {
-		if headerRate(v.Header) <= bitsPerSecond {
-			best = v
+	g.srv.mu.RLock()
+	defer g.srv.mu.RUnlock()
+	for _, name := range g.variants {
+		if a, ok := g.srv.assets[name]; ok {
+			f(a)
 		}
 	}
-	return best, true
 }
 
-// Variants returns the group's assets in ascending rate order.
+// Select returns the richest variant whose rate fits within the given
+// bandwidth, falling back to the smallest variant; false when none is
+// registered. Of variants at the same rate, the later added is the
+// richer.
+func (g *RateGroup) Select(bitsPerSecond int64) (*Asset, bool) {
+	var best, least *Asset
+	g.each(func(a *Asset) {
+		rate := headerRate(a.Header)
+		if least == nil || rate < headerRate(least.Header) {
+			least = a
+		}
+		if rate <= bitsPerSecond && (best == nil || rate >= headerRate(best.Header)) {
+			best = a
+		}
+	})
+	if best == nil {
+		best = least
+	}
+	return best, best != nil
+}
+
+// Variants returns the group's registered assets in ascending rate order.
 func (g *RateGroup) Variants() []*Asset {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]*Asset, len(g.variants))
-	copy(out, g.variants)
+	var out []*Asset
+	g.each(func(a *Asset) { out = append(out, a) })
+	sort.SliceStable(out, func(i, j int) bool { return headerRate(out[i].Header) < headerRate(out[j].Header) })
 	return out
 }
 
@@ -66,7 +88,7 @@ func (s *Server) CreateRateGroup(name string) (*RateGroup, error) {
 	if _, ok := s.groups[name]; ok {
 		return nil, fmt.Errorf("%w: group %q", ErrDuplicate, name)
 	}
-	g := &RateGroup{Name: name}
+	g := &RateGroup{Name: name, srv: s}
 	s.groups[name] = g
 	return g, nil
 }

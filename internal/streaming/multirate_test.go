@@ -77,6 +77,35 @@ func TestRateGroupSelect(t *testing.T) {
 	}
 }
 
+// TestRateGroupRanksRepublishedVariant republishes the leanest variant
+// at a rate above the others: the group must rank it by its new header
+// and hand out the new copy, never the one it replaced, whose buffers
+// the server carves again once no body reads them.
+func TestRateGroupRanksRepublishedVariant(t *testing.T) {
+	srv, g := setupGroup(t)
+	old, _ := srv.Asset("lecture-modem-28k")
+	republished, err := srv.PublishAsset("lecture-modem-28k", asf.NewReader(bytes.NewReader(encodeAtProfile(t, "lan-1.5m"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := g.Select(10_000_000); a != republished {
+		t.Errorf("Select(10000000) = %s at %d bps, want the republished lecture-modem-28k at %d bps",
+			a.Name, headerRate(a.Header), headerRate(republished.Header))
+	}
+	if a, _ := g.Select(10_000); a.Name != "lecture-isdn-128k" {
+		t.Errorf("Select(10000) = %s, want lecture-isdn-128k, now the leanest", a.Name)
+	}
+	vs := g.Variants()
+	for _, a := range vs {
+		if a == old {
+			t.Fatal("Variants returned the replaced copy of lecture-modem-28k")
+		}
+	}
+	if len(vs) != 3 || vs[2] != republished {
+		t.Fatalf("Variants = %d assets, last %s; want 3, the republished lecture-modem-28k last", len(vs), vs[len(vs)-1].Name)
+	}
+}
+
 func TestRateGroupEmptySelect(t *testing.T) {
 	g := &RateGroup{Name: "empty"}
 	if _, ok := g.Select(1000); ok {

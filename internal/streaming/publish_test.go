@@ -145,7 +145,7 @@ func TestPublishReplaceUnderTraffic(t *testing.T) {
 	}
 	wantPackets := map[string]int{}
 	for title, raw := range map[string][]byte{"gen-1": gen1, "gen-2": gen2} {
-		a, err := parseAsset(title, asf.NewReader(bytes.NewReader(raw)))
+		a, err := NewServer(nil).parseAsset(title, asf.NewReader(bytes.NewReader(raw)))
 		if err != nil {
 			t.Fatal(err)
 		}

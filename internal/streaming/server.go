@@ -68,6 +68,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/asf"
@@ -91,13 +92,21 @@ type Asset struct {
 	Header asf.Header
 	// Packets are the asset's packets in send order, as views over
 	// SharedPackets: each Payload aliases its wire image's tail, so it is
-	// read-only. They are built once the container is read, in one slice
+	// read-only, and valid while the asset is registered or a body holds
+	// it (refs). They are built once the container is read, in one slice
 	// of exactly their number. The serving path never reads them; the
-	// benchmark module verifies sessions against them.
+	// benchmark module verifies sessions against origin assets, which no
+	// workload removes.
 	Packets []asf.Packet
 
 	shared []*asf.Shared // what every session and mirror fetch writes
 	bytes  int64         // total payload size
+
+	// refs counts who may still read the asset's slab buffers: its
+	// registration, and each body written from it (Server.open). The last
+	// to let go puts bufs on the server's free list (Server.release).
+	refs atomic.Int32
+	bufs [][]byte // the 64 KB slab buffers the images lie in
 
 	// points are the asset's seek points (asf.Header.SeekPoint), derived
 	// from its packets, in send order.
@@ -125,7 +134,9 @@ type seekPoint struct {
 
 // SharedPackets returns the asset's packets as the validated wire images
 // they were read in (asf.Shared), written as-is by every session and
-// mirror fetch.
+// mirror fetch. Like Packets they are valid while the asset is
+// registered or a body holds it: after that their buffers are carved
+// again for the next asset registered.
 func (a *Asset) SharedPackets() []*asf.Shared { return a.shared }
 
 // Bytes returns the total payload size.
@@ -211,7 +222,7 @@ type Server struct {
 	pacer *vclock.Wheel
 
 	mu       sync.RWMutex
-	assets   map[string]*Asset
+	assets   map[string]*Asset // each holds its registration's reference
 	channels map[string]*Channel
 	groups   map[string]*RateGroup
 	// droppedRemoved and resyncsRemoved are what removed channels had
@@ -227,6 +238,10 @@ type Server struct {
 	// admitMu makes admit's capacity check and its booking of the
 	// session's rate one step.
 	admitMu sync.Mutex
+	// free holds the slab buffers of stored assets no one reads any more,
+	// at most retiredMax, for the next parse to carve (parseAsset).
+	freeMu sync.Mutex
+	free   [][]byte
 
 	metrics *metrics.Registry
 	inst    serverInstruments
@@ -286,6 +301,8 @@ type serverInstruments struct {
 	flushes *metrics.Counter
 	rejects *metrics.Counter
 	mirrors *metrics.Counter
+	// reused counts the stored assets' slab buffers carved again.
+	reused *metrics.Counter
 	// pacingLag records how far behind its scheduled send time a paced
 	// VOD packet was written: a slept-for packet against the reading on
 	// waking, an overdue one against the session's last clock reading;
@@ -328,6 +345,8 @@ func newServerInstruments(reg *metrics.Registry) serverInstruments {
 		rejects: reg.Counter("lod_admission_rejects_total", "Sessions refused by admission control or closed channels."),
 		mirrors: reg.Counter("lod_mirror_fetches_total",
 			"Whole-container transfers served from "+proto.PrefixFetch+" (edge mirror pulls)."),
+		reused: reg.Counter("lod_stored_buffers_reused_total",
+			"64 KB slab buffers of stored assets no one read any more, carved again by a registration."),
 	}
 	inst.vod.firstPacket = reg.Histogram("lod_first_packet_seconds", firstPacket, firstPacketBuckets, kind("vod"))
 	inst.live.firstPacket = reg.Histogram("lod_first_packet_seconds", firstPacket, firstPacketBuckets, kind("live"))
@@ -344,29 +363,53 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
 // parseAsset reads a whole stored container into a ready-to-serve
 // Asset in one pass, before any server lock is taken — registration
-// under traffic never parses inside the lock. A container with any
-// packet the reader refuses is refused whole. The seek points are
-// derived on the way; an index an older writer closed the container with
-// is skipped by the reader, so one written under another rule serves the
-// same seeks, and is never served.
-func parseAsset(name string, r *asf.Reader) (*Asset, error) {
-	h, err := r.ReadHeader()
+// under traffic never parses inside the lock. The images are carved from
+// buffers off the free list while it has any. The asset holds its
+// registration's reference. A container with any packet the reader
+// refuses is refused whole, and its buffers go back at once. The seek
+// points are derived on the way; an index an older writer closed the
+// container with is skipped by the reader, so one written under another
+// rule serves the same seeks, and is never served.
+func (s *Server) parseAsset(name string, r *asf.Reader) (*Asset, error) {
+	a := &Asset{Name: name}
+	a.refs.Store(1)
+	slab := asf.Slab{Renew: func(left []byte) []byte {
+		if left != nil {
+			a.bufs = append(a.bufs, left)
+		}
+		return s.reuse()
+	}}
+	err := a.parse(r, &slab)
+	if buf := slab.Buffer(); buf != nil {
+		a.bufs = append(a.bufs, buf)
+	}
 	if err != nil {
+		s.release(a)
 		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 	}
-	a := &Asset{Name: name, Header: h}
+	return a, nil
+}
+
+// parse is parseAsset's pass over the container, the images copied into
+// slab.
+func (a *Asset) parse(r *asf.Reader, slab *asf.Slab) error {
+	h, err := r.ReadHeader()
+	if err != nil {
+		return err
+	}
+	a.Header = h
 	if a.header, err = asf.EncodeHeader(h); err != nil {
-		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
+		return err
 	}
 	tag := fnv.New64a()
 	tag.Write(a.header)
 	for {
-		sp, err := r.ReadShared()
+		sp, err := r.ReadTo(slab)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				break
 			}
-			return nil, fmt.Errorf("streaming: register %q: %w", name, err)
+			return err
 		}
 		p := sp.Packet()
 		if h.SeekPoint(p) {
@@ -382,7 +425,36 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 	for i, sp := range a.shared {
 		a.Packets[i] = sp.Packet()
 	}
-	return a, nil
+	return nil
+}
+
+// reuse is a stored asset's slab's Renew: a buffer off the free list, or
+// nil for a new one.
+func (s *Server) reuse() []byte {
+	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return nil
+	}
+	buf := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	s.inst.reused.Inc()
+	return buf
+}
+
+// release drops one of a's references. The last one dropped puts a's
+// buffers on the free list, as many as it has room for; the rest go to
+// the collector with the asset.
+func (s *Server) release(a *Asset) {
+	if a.refs.Add(-1) != 0 {
+		return
+	}
+	s.freeMu.Lock()
+	n := min(len(a.bufs), retiredMax-len(s.free))
+	s.free = append(s.free, a.bufs[:n]...)
+	s.freeMu.Unlock()
 }
 
 // RegisterAsset parses a stored container and registers it by name. An
@@ -390,16 +462,20 @@ func parseAsset(name string, r *asf.Reader) (*Asset, error) {
 // path must not clobber a copy that raced it; live replacement is
 // PublishAsset.
 func (s *Server) RegisterAsset(name string, r *asf.Reader) (*Asset, error) {
-	a, err := parseAsset(name, r)
+	a, err := s.parseAsset(name, r)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.assets[name]; ok {
+	_, dup := s.assets[name]
+	if !dup {
+		s.assets[name] = a
+	}
+	s.mu.Unlock()
+	if dup {
+		s.release(a)
 		return nil, fmt.Errorf("%w: asset %q", ErrDuplicate, name)
 	}
-	s.assets[name] = a
 	return a, nil
 }
 
@@ -407,20 +483,26 @@ func (s *Server) RegisterAsset(name string, r *asf.Reader) (*Asset, error) {
 // replacing any existing asset — the live publish path. The new copy is
 // built fully aside and swapped in under the lock, so concurrent opens
 // see either the old asset or the new one, never a partial state;
-// sessions already streaming the old copy hold their own reference and
-// finish on the old bytes.
+// bodies already written from the old copy hold their own reference and
+// finish on the old bytes, whose buffers are carved again after the last.
 func (s *Server) PublishAsset(name string, r *asf.Reader) (*Asset, error) {
-	a, err := parseAsset(name, r)
+	a, err := s.parseAsset(name, r)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
+	old := s.assets[name]
 	s.assets[name] = a
 	s.mu.Unlock()
+	if old != nil {
+		s.release(old)
+	}
 	return a, nil
 }
 
-// Asset returns a registered asset.
+// Asset returns a registered asset. The caller takes no reference: what
+// it reads of the asset's packets is valid while the asset stays
+// registered (Asset.Packets).
 func (s *Server) Asset(name string) (*Asset, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -428,18 +510,33 @@ func (s *Server) Asset(name string) (*Asset, bool) {
 	return a, ok
 }
 
+// open is Asset for a body about to be written from the asset: it takes
+// a reference under the lock that registration changes under, so a
+// removal cannot free the buffers between lookup and reference. The
+// caller releases it once the body's last write has returned.
+func (s *Server) open(name string) (*Asset, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	a, ok := s.assets[name]
+	if ok {
+		a.refs.Add(1)
+	}
+	return a, ok
+}
+
 // RemoveAsset unregisters an asset, reporting whether it was present.
-// Sessions already streaming it keep their reference and finish
+// Bodies already written from it keep their reference and finish
 // normally; only new lookups miss. This is the eviction hook of the
 // edge's bounded mirror cache (relay.Edge).
 func (s *Server) RemoveAsset(name string) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.assets[name]; !ok {
-		return false
-	}
+	a, ok := s.assets[name]
 	delete(s.assets, name)
-	return true
+	s.mu.Unlock()
+	if ok {
+		s.release(a)
+	}
+	return ok
 }
 
 // Pin marks the named asset in use until unpin is called: a session
@@ -730,7 +827,8 @@ func (s *Server) handleUnpublish(w http.ResponseWriter, r *http.Request) {
 // GroupInfo describes one multi-rate group in the /groups listing.
 type GroupInfo struct {
 	Name string `json:"name"`
-	// Variants are the group's asset names in ascending rate order.
+	// Variants are the names of the group's registered assets in ascending
+	// rate order.
 	Variants []string `json:"variants"`
 }
 
@@ -773,11 +871,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 // pull an asset once and then serve it to their own clients.
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	name := proto.StreamName(r.URL.Path, proto.StreamFetch)
-	asset, ok := s.Asset(name)
+	asset, ok := s.open(name)
 	if !ok {
 		proto.WriteError(w, http.StatusNotFound, "streaming: unknown asset "+name)
 		return
 	}
+	defer s.release(asset)
 	s.inst.mirrors.Inc()
 	header, _, packets := asset.storedRange(w, nil, seekPoint{})
 	s.sendStored(w, r.Context(), nil, header, 0, packets)
@@ -842,13 +941,14 @@ func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
 // first packet it sends.
 func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string) {
 	arrived := s.clock.Now()
-	asset, ok := s.Asset(name)
+	asset, ok := s.open(name)
 	if !ok {
 		// proto.Error body, not a bare text 404: an unpublished asset's
 		// rejections are part of the /v1 contract like any other error.
 		proto.WriteError(w, http.StatusNotFound, "streaming: unknown asset "+name)
 		return
 	}
+	defer s.release(asset)
 	var from seekPoint // a start of 0 is the plain request: the whole body
 	if raw := r.URL.Query().Get(proto.ParamStart); raw != "" {
 		at, err := proto.ParseStart(raw)
