@@ -1,14 +1,15 @@
 package main
 
 import (
+	"context"
 	"sync"
 	"time"
 
 	"repro/internal/vclock"
 )
 
-// skipClock is a virtual clock that never blocks: Sleep and After move
-// its time forward by the wait and return at once. The example's
+// skipClock is a virtual clock that never blocks: SleepUntil moves its
+// time forward to the instant and returns at once. The example's
 // broadcast and the degraded student's realtime player therefore finish
 // immediately while running the paced code paths, and the student's
 // stalls and skew are measured in the lecture's own time.
@@ -25,28 +26,24 @@ func (c *skipClock) Now() time.Time {
 	return c.now
 }
 
-func (c *skipClock) After(d time.Duration) <-chan time.Time {
-	c.Sleep(d)
-	ch := make(chan time.Time, 1)
-	ch <- c.Now()
-	return ch
-}
-
-func (c *skipClock) Sleep(d time.Duration) {
+func (c *skipClock) SleepUntil(ctx context.Context, t time.Time) bool {
 	c.mu.Lock()
-	c.now = c.now.Add(max(d, 0))
+	if t.After(c.now) {
+		c.now = t
+	}
 	c.mu.Unlock()
+	return ctx.Err() == nil
 }
 
-// AfterFunc runs f at once in its own goroutine, as a zero-length
-// time.AfterFunc would; Reset runs it again the same way.
-func (*skipClock) AfterFunc(_ time.Duration, f func()) vclock.Timer {
+// AfterFunc runs f at once in its own goroutine, as time.AfterFunc
+// does for an instant already reached; Reset runs it again the same way.
+func (*skipClock) AfterFunc(_ time.Time, f func()) vclock.Timer {
 	t := instantTimer{f}
-	t.Reset(0)
+	t.Reset(time.Time{})
 	return t
 }
 
 type instantTimer struct{ f func() }
 
-func (t instantTimer) Reset(time.Duration) bool { go t.f(); return false }
-func (instantTimer) Stop() bool                 { return false }
+func (t instantTimer) Reset(time.Time) bool { go t.f(); return false }
+func (instantTimer) Stop() bool             { return false }

@@ -222,7 +222,7 @@ func (s *Session) retry(err error) error {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	if !vclock.SleepCtx(s.ctx, clock, vclock.Backoff(failoverBackoff, attempt)) {
+	if !clock.SleepUntil(s.ctx, clock.Now().Add(vclock.Backoff(failoverBackoff, attempt))) {
 		return err
 	}
 	return nil

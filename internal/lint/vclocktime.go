@@ -31,6 +31,8 @@ var vclockPackages = []string{
 	"internal/netsim",
 	"internal/catalog",
 	"internal/edgecache",
+	"internal/client",
+	"internal/session",
 }
 
 // vclockForbidden are the time-package members that read or schedule on

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -97,7 +98,8 @@ func (lr *LinkReader) Read(p []byte) (int, error) {
 		d = lr.link.Transmit(d.DepartedAt, n)
 	}
 	if wait := d.ArrivedAt - now; wait > 0 {
-		lr.clock.Sleep(wait)
+		//lodlint:allow bare-ctx Read takes no context; the modeled transit is not cancellable
+		lr.clock.SleepUntil(context.TODO(), lr.start.Add(d.ArrivedAt))
 		lr.slept += wait
 	}
 	return n, err

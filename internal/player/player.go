@@ -11,6 +11,7 @@
 package player
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -352,7 +353,8 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 			// Wait until the item is due; arriving late beyond the
 			// tolerance counts as a stall.
 			if wait := pkt.PTS - present(); wait > 0 {
-				clock.Sleep(wait)
+				//lodlint:allow bare-ctx Play takes no context; its caller ends it by closing the source
+				clock.SleepUntil(context.TODO(), start.Add(pkt.PTS-ptsBase))
 			} else if wait < 0 && -wait > p.opts.StallTolerance {
 				m.Stalls++
 				m.StallTime += -wait

@@ -2,6 +2,7 @@ package player
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"reflect"
 	"sort"
@@ -83,7 +84,7 @@ func (s *slowReader) Read(p []byte) (int, error) {
 	}
 	// Every chunk boundary costs one wait on the clock.
 	if s.pos > 0 && s.pos%s.chunk < len(p) {
-		s.clk.Sleep(s.perWait)
+		s.clk.SleepUntil(context.Background(), s.clk.Now().Add(s.perWait))
 	}
 	n := copy(p, s.data[s.pos:])
 	if n > s.chunk {
@@ -198,7 +199,7 @@ func TestRealtimePlaybackCountsStallsOnStarvedSource(t *testing.T) {
 }
 
 // countingClock counts its readings. Each reading moves it on by step,
-// and Sleep moves it on by the time slept without blocking, so a
+// and SleepUntil moves it on to the instant without blocking, so a
 // realtime play runs on the caller's goroutine.
 type countingClock struct {
 	*vclock.Virtual
@@ -206,8 +207,11 @@ type countingClock struct {
 	reads int
 }
 
-func (c *countingClock) Now() time.Time        { c.reads++; return c.Advance(c.step) }
-func (c *countingClock) Sleep(d time.Duration) { c.Advance(d) }
+func (c *countingClock) Now() time.Time { c.reads++; return c.Advance(c.step) }
+func (c *countingClock) SleepUntil(_ context.Context, t time.Time) bool {
+	c.AdvanceTo(t)
+	return true
+}
 
 // readLog hands its data out at most chunk bytes a Read, counts the
 // Reads, and records the offset each Read that delivered ended at.

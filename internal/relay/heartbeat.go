@@ -73,7 +73,7 @@ func (h *Heartbeats) Run(ctx context.Context) error {
 	}
 	var lastCatalog uint64
 	h.beat(ctx, &lastCatalog)
-	for vclock.SleepCtx(ctx, clock, interval) {
+	for clock.SleepUntil(ctx, clock.Now().Add(interval)) {
 		err := h.beat(ctx, &lastCatalog)
 		// Rejoin only while the node is actually staying up: once ctx is
 		// cancelled the node is shutting down, and a heartbeat that raced
@@ -106,7 +106,7 @@ func (h *Heartbeats) register(ctx context.Context, clock vclock.Clock) error {
 		if errors.As(err, &he) && he.Status >= 400 && he.Status < 500 {
 			return err
 		}
-		if !vclock.SleepCtx(ctx, clock, vclock.Backoff(registerBackoff, attempt)) {
+		if !clock.SleepUntil(ctx, clock.Now().Add(vclock.Backoff(registerBackoff, attempt))) {
 			return ctx.Err()
 		}
 	}

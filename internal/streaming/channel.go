@@ -341,7 +341,7 @@ func (c *Channel) PublishPaced(ctx context.Context, clock vclock.Clock, packets 
 	}
 	start := clock.Now()
 	for _, p := range packets {
-		if !vclock.SleepCtx(ctx, clock, start.Add(p.SendAt).Sub(clock.Now())) || ctx.Err() != nil {
+		if !clock.SleepUntil(ctx, start.Add(p.SendAt)) || ctx.Err() != nil {
 			return ctx.Err()
 		}
 		if err := c.Publish(p); err != nil {

@@ -36,8 +36,8 @@ func TestVODClientDisconnectMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read the header, then hang up. The server is parked in clock.After
-	// for the next paced packet; cancellation must unblock it.
+	// Read the header, then hang up. The server is parked on its pacing
+	// wheel for the next paced packet; cancellation must unblock it.
 	r := asf.NewReader(resp.Body)
 	if _, err := r.ReadHeader(); err != nil {
 		t.Fatal(err)

@@ -85,9 +85,9 @@ func vodSession(ctx context.Context, srv *Server, name string, rec *flushRecorde
 	return done
 }
 
-// awaitParked blocks until the session is parked in pacer.Sleep — its
-// slot's timer is registered with the virtual clock — and reports true,
-// or reports false once the handler has returned. The handler touches
+// awaitParked blocks until the session is parked in pacer.SleepUntil —
+// its slot's timer is registered with the virtual clock — and reports
+// true, or reports false once the handler has returned. The handler touches
 // the recorder only before it asks the wheel for a slot, so what state
 // returns after a true is what the session slept on.
 func awaitParked(t *testing.T, clk *vclock.Virtual, done <-chan struct{}) bool {
@@ -203,20 +203,24 @@ func TestVODFlushBatchesWhenNotWaiting(t *testing.T) {
 	})
 
 	t.Run("behind schedule", func(t *testing.T) {
-		clk := vclock.NewVirtual()
+		// The clock jumps an hour as the session first waits, so the
+		// whole lecture is overdue when it wakes. (Parking the session
+		// and then advancing an hour wakes it at its slot's instant,
+		// and what it then sees depends on whether the Advance has
+		// finished.)
+		clk := &jumpClock{Virtual: vclock.NewVirtual()}
 		srv := NewServer(clk)
 		asset, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := newFlushRecorder(asset.SharedPackets())
-		done := vodSession(context.Background(), srv, "lec", rec)
-		if !awaitParked(t, clk, done) {
+		var before []int
+		clk.onJump = func() { _, _, before = rec.state() }
+		<-vodSession(context.Background(), srv, "lec", rec)
+		if clk.Now().Sub(vclock.Epoch) != time.Hour {
 			t.Fatal("paced session never waited")
 		}
-		_, _, before := rec.state()
-		clk.Advance(time.Hour) // the whole lecture is now overdue
-		<-done
 		written, _, batches := rec.state()
 		if written != len(asset.SharedPackets()) {
 			t.Fatalf("wrote %d of %d packets", written, len(asset.SharedPackets()))

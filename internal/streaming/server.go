@@ -599,7 +599,7 @@ func (s *Server) Draining() bool {
 func (s *Server) Drain(ctx context.Context) error {
 	s.SetDraining(true)
 	for s.Stats().ActiveClients != 0 {
-		if !vclock.SleepCtx(ctx, s.clock, 10*time.Millisecond) {
+		if !s.clock.SleepUntil(ctx, s.clock.Now().Add(10*time.Millisecond)) {
 			return fmt.Errorf("streaming: drain: %d sessions still active: %w",
 				s.Stats().ActiveClients, ctx.Err())
 		}
@@ -1021,7 +1021,7 @@ func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *sess
 				// other paced session's. The reading after the wake
 				// records the slept packet's lateness (the wheel's
 				// rounding included) and serves the packets behind it.
-				if err := s.pacer.Sleep(ctx, wait); err != nil {
+				if !s.pacer.SleepUntil(ctx, due) {
 					return
 				}
 				now = s.clock.Now()

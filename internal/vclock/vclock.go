@@ -4,6 +4,11 @@
 // to. All time-dependent components in this repository accept a vclock.Clock
 // rather than calling time.Now directly.
 //
+// Every wait is to an instant, never for a duration: a duration comes
+// from an earlier reading, and a clock that moves before the wait
+// begins would leave the sleeper past its instant. A wait for an
+// instant the clock has already reached ends at once.
+//
 // The usual test idiom is a driver loop: goroutines under test sleep on a
 // Virtual clock while the test advances it to each next deadline —
 //
@@ -28,22 +33,20 @@ import (
 type Clock interface {
 	// Now returns the current instant on this clock.
 	Now() time.Time
-	// After returns a channel that delivers the clock's time once that time
-	// is at or past d from now.
-	After(d time.Duration) <-chan time.Time
-	// Sleep blocks until d has elapsed on this clock.
-	Sleep(d time.Duration)
-	// AfterFunc calls f once the clock's time is at or past d from now
-	// and returns a Timer that can stop or re-arm the call. It holds no
-	// goroutine while it waits.
-	AfterFunc(d time.Duration, f func()) Timer
+	// SleepUntil blocks until the clock reads t and reports true, or
+	// reports false once ctx ends first.
+	SleepUntil(ctx context.Context, t time.Time) bool
+	// AfterFunc calls f once the clock reads t, in its own goroutine if
+	// it already does, and returns a Timer that can stop or re-arm the
+	// call. It holds no goroutine while it waits.
+	AfterFunc(t time.Time, f func()) Timer
 }
 
-// Timer is a pending AfterFunc call. Reset re-arms it for d from now and
+// Timer is a pending AfterFunc call. Reset re-arms it for instant t and
 // Stop cancels it; each reports whether the call was still pending, as
 // *time.Timer's methods do.
 type Timer interface {
-	Reset(d time.Duration) bool
+	Reset(t time.Time) bool
 	Stop() bool
 }
 
@@ -55,30 +58,34 @@ var _ Clock = Real{}
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-// AfterFunc implements Clock with time.AfterFunc: f runs in its own
-// goroutine when the timer fires.
-func (Real) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
-
-// SleepCtx waits for d on clock or until ctx is cancelled, reporting
-// whether the full wait elapsed — the one cancellable wait every retry
-// and backoff loop uses, so each rides whatever clock it was handed.
-func SleepCtx(ctx context.Context, clock Clock, d time.Duration) bool {
-	if d <= 0 {
+// SleepUntil implements Clock. A context that never ends (its Done is
+// nil, as context.TODO's is) and a reached t need no timer.
+func (Real) SleepUntil(ctx context.Context, t time.Time) bool {
+	d := time.Until(t)
+	if ctx.Done() == nil || d <= 0 {
+		time.Sleep(d)
 		return ctx.Err() == nil
 	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
 	select {
-	case <-clock.After(d):
-		return true
+	case <-timer.C:
+		return ctx.Err() == nil
 	case <-ctx.Done():
 		return false
 	}
 }
+
+// AfterFunc implements Clock with time.AfterFunc.
+func (Real) AfterFunc(t time.Time, f func()) Timer {
+	return realTimer{time.AfterFunc(time.Until(t), f)}
+}
+
+// realTimer re-arms a *time.Timer for an instant.
+type realTimer struct{ *time.Timer }
+
+// Reset implements Timer.
+func (t realTimer) Reset(at time.Time) bool { return t.Timer.Reset(time.Until(at)) }
 
 // maxBackoff caps Backoff: a retrying node or client rejoins within
 // human reaction time rather than minutes.
@@ -86,8 +93,8 @@ const maxBackoff = 2 * time.Second
 
 // Backoff returns the delay before retry attempt n (1-based) of a loop
 // backing off from base: bounded exponential, base·2^(n-1), capped at
-// maxBackoff. Heartbeat registration and client failover both wait it
-// out with SleepCtx.
+// maxBackoff. Heartbeat registration and client failover both sleep
+// until that long after their clock's current instant.
 func Backoff(base time.Duration, attempt int) time.Duration {
 	d := base << uint(attempt-1)
 	if d > maxBackoff || d <= 0 {
@@ -97,12 +104,14 @@ func Backoff(base time.Duration, attempt int) time.Duration {
 }
 
 // Virtual is a deterministic, manually advanced clock: Now stands still
-// until Advance or AdvanceTo moves it, and sleepers wake exactly at their
-// deadline in deadline order (ties broken by wait registration order, so
-// runs are reproducible). The zero value is not usable; construct with
-// NewVirtual or NewVirtualAt. Virtual is safe for concurrent use, but the
-// advancing side must be driven by the test or simulation — a Sleep with
-// no one advancing blocks forever.
+// until Advance or AdvanceTo moves it, and waits end exactly at their
+// instant in instant order (ties broken by registration order, so runs
+// are reproducible). A wait for an instant already reached ends at once:
+// SleepUntil returns, and AfterFunc or Reset makes its call in its own
+// goroutine, so a clock that moved past a caller's reading strands no
+// one. The zero value is not usable; construct with NewVirtual or
+// NewVirtualAt. Virtual is safe for concurrent use, but the advancing
+// side must be driven by the test or simulation.
 type Virtual struct {
 	mu      sync.Mutex
 	now     time.Time
@@ -112,14 +121,14 @@ type Virtual struct {
 
 var _ Clock = (*Virtual)(nil)
 
-// waiter is one pending wait: an After channel to send on, or an
-// AfterFunc call to make.
+// waiter is one AfterFunc call, pending while it sits in the heap; its
+// heap index lets Stop and Reset take it out.
 type waiter struct {
+	v     *Virtual
 	at    time.Time
-	ch    chan time.Time // After's channel; nil for an AfterFunc entry
-	f     func()         // AfterFunc's call; nil for an After entry
-	seq   int            // tiebreaker for deterministic ordering
-	index int            // position in the heap; -1 once fired or stopped
+	f     func()
+	seq   int // tiebreaker for deterministic ordering
+	index int // position in the heap; -1 once made or stopped
 }
 
 type waiterHeap []*waiter
@@ -170,97 +179,78 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// After implements Clock. The returned channel fires when Advance moves the
-// clock to or past now+d. A non-positive d fires on the next Advance call
-// (or immediately at the current time if d <= 0).
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
+// SleepUntil implements Clock. The sleeper is an AfterFunc call that
+// closes its channel; a sleep whose context ends stops the call and
+// leaves no waiter behind.
+func (v *Virtual) SleepUntil(ctx context.Context, t time.Time) bool {
+	if !t.After(v.Now()) {
+		return ctx.Err() == nil
+	}
+	woke := make(chan struct{})
+	timer := v.AfterFunc(t, func() { close(woke) })
+	select {
+	case <-woke:
+		return ctx.Err() == nil
+	case <-ctx.Done():
+		timer.Stop()
+		return false
+	}
+}
+
+// AfterFunc implements Clock. PendingWaiters and NextDeadline count the
+// call, and Advance makes it (see there).
+func (v *Virtual) AfterFunc(t time.Time, f func()) Timer {
+	w := &waiter{v: v, f: f, index: -1}
+	w.Reset(t)
+	return w
+}
+
+// Reset implements Timer: the call is re-armed for t, queued behind
+// every wait already registered for t, or made at once in its own
+// goroutine when the clock has reached t.
+func (w *waiter) Reset(t time.Time) bool {
+	v := w.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- v.now
-		return ch
+	pending := w.index >= 0
+	if pending {
+		heap.Remove(&v.waiters, w.index)
+	}
+	if !t.After(v.now) {
+		go w.f()
+		return pending
 	}
 	v.seq++
-	heap.Push(&v.waiters, &waiter{at: v.now.Add(d), ch: ch, seq: v.seq})
-	return ch
-}
-
-// Sleep implements Clock. Sleep on a Virtual clock blocks until another
-// goroutine advances the clock far enough; callers coordinate via Advance.
-func (v *Virtual) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	<-v.After(d)
-}
-
-// AfterFunc implements Clock. The call waits in the same deadline order
-// as After's channels, so PendingWaiters and NextDeadline count it, and
-// Advance makes it (see there). A non-positive d is due at the current
-// instant: the next Advance or AdvanceTo makes the call, even a zero one.
-func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	t := &virtualTimer{v: v, waiter: waiter{f: f, index: -1}}
-	t.Reset(d)
-	return t
-}
-
-// virtualTimer is an AfterFunc entry; its heap index lets Stop and Reset
-// remove or move it in place.
-type virtualTimer struct {
-	v *Virtual
-	waiter
-}
-
-// Reset implements Timer: the call is re-armed for d after the clock's
-// current instant and queued behind every wait already due then.
-func (t *virtualTimer) Reset(d time.Duration) bool {
-	v := t.v
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	t.at = v.now.Add(d)
-	v.seq++
-	t.seq = v.seq
-	if t.index >= 0 {
-		heap.Fix(&v.waiters, t.index)
-		return true
-	}
-	heap.Push(&v.waiters, &t.waiter)
-	return false
+	w.at, w.seq = t, v.seq
+	heap.Push(&v.waiters, w)
+	return pending
 }
 
 // Stop implements Timer.
-func (t *virtualTimer) Stop() bool {
-	v := t.v
+func (w *waiter) Stop() bool {
+	v := w.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if t.index < 0 {
+	if w.index < 0 {
 		return false
 	}
-	heap.Remove(&v.waiters, t.index)
+	heap.Remove(&v.waiters, w.index)
 	return true
 }
 
-// Advance moves the clock forward by d, firing every waiter whose deadline
-// falls inside the window in deadline order; while a waiter is being fired
-// Now reports that waiter's deadline, so code running at wake-up observes a
-// consistent instant. An AfterFunc call runs in the advancing goroutine
-// with the clock unlocked, so it may call Now, AfterFunc or its own
-// Timer's methods; what it schedules inside the window fires in this same
-// Advance. It returns the new current time.
+// Advance moves the clock forward by d, making every call whose instant
+// falls inside the window in instant order; while a call is made Now
+// reports its instant, so code running at wake-up observes a consistent
+// instant. A call runs in the advancing goroutine with the clock
+// unlocked, so it may call Now, AfterFunc or its own Timer's methods;
+// what it schedules inside the window runs in this same Advance. It
+// returns the new current time.
 func (v *Virtual) Advance(d time.Duration) time.Time {
 	v.mu.Lock()
 	target := v.now.Add(d)
 	for v.waiters.Len() > 0 && !v.waiters[0].at.After(target) {
 		w := heap.Pop(&v.waiters).(*waiter)
 		v.now = w.at
-		if w.f == nil {
-			w.ch <- w.at
-			continue
-		}
 		v.mu.Unlock()
 		w.f()
 		v.mu.Lock()
@@ -275,9 +265,8 @@ func (v *Virtual) Advance(d time.Duration) time.Time {
 	return now
 }
 
-// AdvanceTo moves the clock to instant t, firing what is due by then. A t
-// before now is a no-op; t equal to now fires what is already due, so a
-// driver advancing to NextDeadline always makes progress.
+// AdvanceTo moves the clock to instant t, making what is due by then. A
+// t before now is a no-op.
 func (v *Virtual) AdvanceTo(t time.Time) {
 	v.mu.Lock()
 	d := t.Sub(v.now)
@@ -287,7 +276,7 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 	}
 }
 
-// PendingWaiters reports how many After, Sleep and AfterFunc waits are
+// PendingWaiters reports how many SleepUntil and AfterFunc waits are
 // still pending.
 func (v *Virtual) PendingWaiters() int {
 	v.mu.Lock()

@@ -5,7 +5,23 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
+
+// at is an AfterFunc call that sends the clock's reading on the returned
+// channel, a test's non-blocking view of a wait for instant t.
+func at(v *Virtual, t time.Time) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	v.AfterFunc(t, func() { ch <- v.Now() })
+	return ch
+}
+
+// awaitWaiters blocks until n waits are pending on v.
+func awaitWaiters(t *testing.T, v *Virtual, n int) {
+	t.Helper()
+	testutil.WaitUntil(t, 5*time.Second, func() bool { return v.PendingWaiters() == n }, "no %d waits pending", n)
+}
 
 func TestVirtualNowStartsAtEpoch(t *testing.T) {
 	v := NewVirtual()
@@ -28,8 +44,8 @@ func TestVirtualAdvance(t *testing.T) {
 
 func TestVirtualAfterFiresInOrder(t *testing.T) {
 	v := NewVirtual()
-	c2 := v.After(2 * time.Second)
-	c1 := v.After(1 * time.Second)
+	c2 := at(v, Epoch.Add(2*time.Second))
+	c1 := at(v, Epoch.Add(1*time.Second))
 	v.Advance(5 * time.Second)
 
 	t1 := <-c1
@@ -42,31 +58,39 @@ func TestVirtualAfterFiresInOrder(t *testing.T) {
 	}
 }
 
+// TestVirtualAfterNonPositiveFiresImmediately: a wait for an instant
+// the clock has reached ends without an Advance — SleepUntil returns,
+// and the AfterFunc call is made in its own goroutine.
 func TestVirtualAfterNonPositiveFiresImmediately(t *testing.T) {
 	v := NewVirtual()
-	select {
-	case got := <-v.After(0):
-		if !got.Equal(Epoch) {
-			t.Fatalf("After(0) delivered %v, want %v", got, Epoch)
+	ctx := context.Background()
+	for _, when := range []time.Time{Epoch, Epoch.Add(-time.Second)} {
+		if !v.SleepUntil(ctx, when) {
+			t.Fatalf("SleepUntil(%v) on a live context reported cancelled", when.Sub(Epoch))
 		}
-	default:
-		t.Fatal("After(0) did not fire immediately")
+		select {
+		case got := <-at(v, when):
+			if !got.Equal(Epoch) {
+				t.Fatalf("call for %v read %v, want %v", when.Sub(Epoch), got, Epoch)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("AfterFunc(%v) was not called without an Advance", when.Sub(Epoch))
+		}
+	}
+	if got := v.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d after waits for reached instants", got)
 	}
 }
 
 func TestVirtualAfterNotEarly(t *testing.T) {
 	v := NewVirtual()
-	ch := v.After(10 * time.Second)
+	ch := at(v, Epoch.Add(10*time.Second))
 	v.Advance(9 * time.Second)
-	select {
-	case <-ch:
+	if fired(ch) {
 		t.Fatal("waiter fired before its deadline")
-	default:
 	}
 	v.Advance(1 * time.Second)
-	select {
-	case <-ch:
-	default:
+	if !fired(ch) {
 		t.Fatal("waiter did not fire at its deadline")
 	}
 }
@@ -78,51 +102,61 @@ func TestVirtualSleepWakesOnAdvance(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v.Sleep(time.Second)
+		v.SleepUntil(context.Background(), Epoch.Add(time.Second))
 		close(woke)
 	}()
-	// Wait until the sleeper registered.
-	for v.PendingWaiters() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiters(t, v, 1)
 	v.Advance(time.Second)
 	select {
 	case <-woke:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Sleep did not wake after Advance")
+		t.Fatal("SleepUntil did not wake after Advance")
 	}
 	wg.Wait()
 }
 
-func TestSleepCtx(t *testing.T) {
+func TestVirtualSleepUntil(t *testing.T) {
 	v := NewVirtual()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	if !SleepCtx(ctx, v, 0) {
-		t.Fatal("zero wait on a live context reported cancelled")
-	}
-
 	done := make(chan bool, 1)
-	go func() { done <- SleepCtx(ctx, v, time.Second) }()
-	for v.PendingWaiters() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	go func() { done <- v.SleepUntil(ctx, Epoch.Add(time.Second)) }()
+	awaitWaiters(t, v, 1)
 	v.Advance(time.Second)
 	if !<-done {
 		t.Fatal("wait that elapsed on the clock reported cancelled")
 	}
 
-	go func() { done <- SleepCtx(ctx, v, time.Hour) }()
-	for v.PendingWaiters() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	go func() { done <- v.SleepUntil(ctx, v.Now().Add(time.Hour)) }()
+	awaitWaiters(t, v, 1)
 	cancel()
 	if <-done {
 		t.Fatal("cancelled wait reported elapsed")
 	}
-	if SleepCtx(ctx, v, 0) {
-		t.Fatal("zero wait on a cancelled context reported elapsed")
+	if v.SleepUntil(ctx, v.Now()) {
+		t.Fatal("wait for a reached instant on a cancelled context reported elapsed")
+	}
+}
+
+// TestVirtualCancelledSleepLeavesNoWaiter: a SleepUntil whose context
+// ends takes its wait off the clock, so a driver advancing to
+// NextDeadline is not sent an hour ahead for a sleeper that is gone.
+func TestVirtualCancelledSleepLeavesNoWaiter(t *testing.T) {
+	v := NewVirtual()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan bool, 1)
+	go func() { done <- v.SleepUntil(ctx, Epoch.Add(time.Hour)) }()
+	awaitWaiters(t, v, 1)
+	cancel()
+	if <-done {
+		t.Fatal("cancelled wait reported elapsed")
+	}
+	if got := v.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d after the only sleeper was cancelled, want 0", got)
+	}
+	if dl, ok := v.NextDeadline(); ok {
+		t.Fatalf("NextDeadline = +%v, a deadline nothing waits for", dl.Sub(Epoch))
 	}
 }
 
@@ -148,8 +182,8 @@ func TestVirtualNextDeadline(t *testing.T) {
 	if _, ok := v.NextDeadline(); ok {
 		t.Fatal("NextDeadline reported a waiter on an empty clock")
 	}
-	v.After(5 * time.Second)
-	v.After(2 * time.Second)
+	at(v, Epoch.Add(5*time.Second))
+	at(v, Epoch.Add(2*time.Second))
 	dl, ok := v.NextDeadline()
 	if !ok {
 		t.Fatal("NextDeadline found no waiter")
@@ -175,19 +209,15 @@ func TestVirtualAdvanceTo(t *testing.T) {
 
 func TestVirtualSameDeadlineFIFO(t *testing.T) {
 	v := NewVirtual()
-	a := v.After(time.Second)
-	b := v.After(time.Second)
-	v.Advance(time.Second)
-	// Both fire at the same instant; both channels must be ready.
-	select {
-	case <-a:
-	default:
-		t.Fatal("first waiter not fired")
+	var order []int
+	for i := 0; i < 2; i++ {
+		i := i
+		v.AfterFunc(Epoch.Add(time.Second), func() { order = append(order, i) })
 	}
-	select {
-	case <-b:
-	default:
-		t.Fatal("second waiter not fired")
+	v.Advance(time.Second)
+	// Both fire at the same instant, in registration order.
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("calls for one instant ran in order %v, want [0 1]", order)
 	}
 }
 
@@ -198,39 +228,46 @@ func TestRealClockBasics(t *testing.T) {
 	if now.Before(before.Add(-time.Minute)) {
 		t.Fatal("Real.Now is implausibly far in the past")
 	}
-	start := time.Now()
-	c.Sleep(time.Millisecond)
-	if time.Since(start) < time.Millisecond {
-		t.Fatal("Real.Sleep returned too early")
+	ctx, cancel := context.WithCancel(context.Background())
+	for _, ctx := range []context.Context{context.Background(), ctx} {
+		start := time.Now()
+		if !c.SleepUntil(ctx, start.Add(time.Millisecond)) {
+			t.Fatal("Real.SleepUntil on a live context reported cancelled")
+		}
+		if time.Since(start) < time.Millisecond {
+			t.Fatal("Real.SleepUntil returned too early")
+		}
 	}
+	cancel()
+	if c.SleepUntil(ctx, time.Now().Add(time.Hour)) {
+		t.Fatal("Real.SleepUntil on a cancelled context reported elapsed")
+	}
+	fired := make(chan struct{})
+	timer := c.AfterFunc(time.Now().Add(time.Hour), func() { close(fired) })
+	if !timer.Reset(time.Now()) {
+		t.Fatal("Reset of a pending call reported it was not pending")
+	}
+	<-fired
 }
 
 // TestVirtualAfterFuncFiresInDeadlineOrder: AfterFunc calls wait in one
-// deadline order with After's channels, each made with Now reporting
+// deadline order with every other wait, each made with Now reporting
 // its own instant.
 func TestVirtualAfterFuncFiresInDeadlineOrder(t *testing.T) {
 	v := NewVirtual()
 	var order []string
-	ready := func(ch <-chan time.Time) bool {
-		select {
-		case <-ch:
-			return true
-		default:
-			return false
-		}
-	}
-	late := v.After(3 * time.Second)
-	v.AfterFunc(2*time.Second, func() {
-		if !ready(late) {
+	late := at(v, Epoch.Add(3*time.Second))
+	v.AfterFunc(Epoch.Add(2*time.Second), func() {
+		if !fired(late) {
 			order = append(order, "f2")
 		}
 		if got, want := v.Now(), Epoch.Add(2*time.Second); !got.Equal(want) {
 			t.Errorf("Now inside the 2s call = %v, want %v", got, want)
 		}
 	})
-	early := v.After(time.Second)
-	v.AfterFunc(time.Second, func() {
-		if ready(early) {
+	early := at(v, Epoch.Add(time.Second))
+	v.AfterFunc(Epoch.Add(time.Second), func() {
+		if fired(early) {
 			order = append(order, "f1") // registered after early, so behind it
 		}
 	})
@@ -238,16 +275,16 @@ func TestVirtualAfterFuncFiresInDeadlineOrder(t *testing.T) {
 	if want := []string{"f1", "f2"}; len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
 		t.Fatalf("calls saw order %v, want %v", order, want)
 	}
-	if !ready(late) {
-		t.Fatal("the 3s After waiter did not fire")
+	if !fired(late) {
+		t.Fatal("the 3s waiter did not fire")
 	}
 }
 
 func TestVirtualAfterFuncCountedAndStopped(t *testing.T) {
 	v := NewVirtual()
 	calls := 0
-	timer := v.AfterFunc(time.Second, func() { calls++ })
-	v.After(5 * time.Second)
+	timer := v.AfterFunc(Epoch.Add(time.Second), func() { calls++ })
+	at(v, Epoch.Add(5*time.Second))
 	if got := v.PendingWaiters(); got != 2 {
 		t.Fatalf("PendingWaiters = %d, want 2", got)
 	}
@@ -272,20 +309,20 @@ func TestVirtualAfterFuncCountedAndStopped(t *testing.T) {
 func TestVirtualAfterFuncReset(t *testing.T) {
 	v := NewVirtual()
 	var at []time.Duration
-	timer := v.AfterFunc(5*time.Second, func() { at = append(at, v.Now().Sub(Epoch)) })
-	if !timer.Reset(2 * time.Second) { // earlier
+	timer := v.AfterFunc(Epoch.Add(5*time.Second), func() { at = append(at, v.Now().Sub(Epoch)) })
+	if !timer.Reset(Epoch.Add(2 * time.Second)) { // earlier
 		t.Fatal("Reset of a pending call reported it was not pending")
 	}
 	if dl, _ := v.NextDeadline(); !dl.Equal(Epoch.Add(2 * time.Second)) {
 		t.Fatalf("NextDeadline after moving earlier = %v", dl)
 	}
-	timer.Reset(4 * time.Second) // later
+	timer.Reset(Epoch.Add(4 * time.Second)) // later
 	v.Advance(3 * time.Second)
 	if len(at) != 0 {
 		t.Fatalf("call ran at %v, before its moved 4s deadline", at)
 	}
 	v.Advance(time.Second)
-	if timer.Reset(time.Second) { // re-arms a spent call
+	if timer.Reset(Epoch.Add(5 * time.Second)) { // re-arms a spent call
 		t.Fatal("Reset of a spent call reported it pending")
 	}
 	v.Advance(time.Second)
@@ -297,6 +334,26 @@ func TestVirtualAfterFuncReset(t *testing.T) {
 	}
 }
 
+// TestVirtualResetToReachedInstant: a pending call re-armed for an
+// instant the clock has reached leaves the heap and is made at once,
+// without an Advance.
+func TestVirtualResetToReachedInstant(t *testing.T) {
+	v := NewVirtual()
+	called := make(chan struct{})
+	timer := v.AfterFunc(Epoch.Add(time.Hour), func() { close(called) })
+	if !timer.Reset(Epoch) {
+		t.Fatal("Reset of a pending call reported it was not pending")
+	}
+	select {
+	case <-called:
+	case <-time.After(5 * time.Second):
+		t.Fatal("call re-armed for a reached instant was not made")
+	}
+	if got := v.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d after the call was made", got)
+	}
+}
+
 // TestVirtualAfterFuncReentrant: a call may use its own clock — Now,
 // its Timer's Reset, a fresh AfterFunc — and what it schedules inside
 // the window runs in the same Advance.
@@ -304,12 +361,12 @@ func TestVirtualAfterFuncReentrant(t *testing.T) {
 	v := NewVirtual()
 	var ticks, nested int
 	var timer Timer
-	timer = v.AfterFunc(time.Second, func() {
+	timer = v.AfterFunc(Epoch.Add(time.Second), func() {
 		ticks++
 		if ticks < 3 {
-			timer.Reset(time.Second)
+			timer.Reset(v.Now().Add(time.Second))
 		}
-		v.AfterFunc(time.Duration(ticks)*time.Millisecond, func() { nested++ })
+		v.AfterFunc(v.Now().Add(time.Duration(ticks)*time.Millisecond), func() { nested++ })
 		_ = v.Now()
 	})
 	done := make(chan struct{})

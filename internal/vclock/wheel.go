@@ -13,14 +13,13 @@ import (
 // per-session timers into a handful of slots.
 const DefaultGranularity = time.Millisecond
 
-// Wheel batches many sleepers onto shared slots: each deadline is
-// rounded up to the wheel's granularity and every sleeper landing in
-// the same slot shares one broadcast channel. The wheel owns one clock
-// timer (Clock.AfterFunc), armed for its earliest pending slot; the
-// timer's call closes every slot the clock has reached and re-arms for
-// the next. N paced sessions therefore cost one channel per active slot
-// and one timer per wheel instead of a timer per packet per session —
-// the batched replacement for per-session clock.After pacing loops.
+// Wheel batches many sleepers onto shared slots: each instant is
+// rounded up to the wheel's granularity and every sleeper landing in the
+// same slot shares one broadcast channel. The wheel owns one clock timer
+// (Clock.AfterFunc), armed for the instant of its earliest pending slot;
+// the timer's call closes every slot the clock has reached and re-arms
+// for the next. N paced sessions therefore cost one channel per active
+// slot and one timer per wheel instead of a timer per packet per session.
 //
 // Slots still wake straight off the clock's timer rather than through a
 // central scheduler goroutine: on a loaded box such a goroutine becomes
@@ -29,12 +28,16 @@ const DefaultGranularity = time.Millisecond
 // costs its channel alone; an idle Wheel holds no goroutine, arms no
 // timer and needs no Stop.
 //
-// A Wheel never fires a sleeper early: After(d) closes its channel
-// between d and d+granularity after the call (plus wakeup latency), and
-// a timer call that comes early closes nothing. A Wheel on a Virtual
-// clock participates in the usual NextDeadline/AdvanceTo driver idiom
-// through its underlying clock, where its timer is a single waiter and
-// slots fire inside Advance.
+// Sleepers and the timer both wait for instants, never for durations
+// from a reading, so a clock that moves between a caller's reading and
+// its SleepUntil cannot strand it: a slot whose instant is already
+// reached has its timer call made at once (Clock.AfterFunc's rule). A
+// Wheel never wakes a sleeper early: SleepUntil(ctx, t) returns between
+// t and t+granularity (plus wakeup latency), and a timer call that comes
+// early closes nothing. A Wheel on a Virtual clock participates in the
+// usual NextDeadline/AdvanceTo driver idiom through its underlying
+// clock, where its timer is a single waiter and slots fire inside
+// Advance.
 type Wheel struct {
 	clock Clock
 	gran  time.Duration
@@ -66,13 +69,6 @@ func NewWheel(clock Clock, gran time.Duration) *Wheel {
 	}
 }
 
-// closedSlot serves every non-positive wait without touching the wheel.
-var closedSlot = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
 // slotOf rounds an absolute instant up to its slot index.
 func (w *Wheel) slotOf(t time.Time) int64 {
 	g := int64(w.gran)
@@ -80,53 +76,57 @@ func (w *Wheel) slotOf(t time.Time) int64 {
 	return (n + g - 1) / g
 }
 
-// After returns a channel that is closed once the wheel's clock reaches
-// now+d, rounded up to the wheel's granularity. The channel is shared
-// by every sleeper in the same slot; it carries no value — closing is
-// the broadcast.
-func (w *Wheel) After(d time.Duration) <-chan struct{} {
-	if d <= 0 {
-		return closedSlot
+// SleepUntil blocks until the wheel's clock reaches t, rounded up to the
+// wheel's granularity, and reports true, or reports false once ctx ends
+// first. A context that has already ended reports false at once and
+// opens no slot.
+func (w *Wheel) SleepUntil(ctx context.Context, t time.Time) bool {
+	if ctx.Err() != nil {
+		return false
 	}
+	select {
+	case <-w.after(t):
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// Sleep is SleepUntil for d past the clock's current instant, returning
+// ctx's error.
+func (w *Wheel) Sleep(ctx context.Context, d time.Duration) error {
+	w.SleepUntil(ctx, w.clock.Now().Add(d))
+	return ctx.Err()
+}
+
+// after returns the broadcast channel of the slot t rounds up to,
+// opening the slot, and arming the timer when it is the earliest, if no
+// sleeper holds it yet. The channel carries no value — closing is the
+// broadcast.
+func (w *Wheel) after(t time.Time) <-chan struct{} {
+	slot := w.slotOf(t)
 	w.mu.Lock()
-	now := w.clock.Now()
-	slot := w.slotOf(now.Add(d))
+	defer w.mu.Unlock()
 	ch, ok := w.slots[slot]
 	if !ok {
 		ch = make(chan struct{})
 		w.slots[slot] = ch
 		w.push(slot)
 		if slot < w.armed {
-			w.arm(slot, now)
+			w.arm(slot)
 		}
 	}
-	w.mu.Unlock()
 	return ch
-}
-
-// Sleep blocks until d has elapsed on the wheel (rounded up to the
-// granularity) or ctx is done, returning ctx's error in that case. A
-// context that is already done returns at once and opens no slot.
-func (w *Wheel) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil || d <= 0 {
-		return err
-	}
-	select {
-	case <-w.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // arm sets the wheel's timer for slot's instant, creating the timer on
 // the first call. The caller holds w.mu.
-func (w *Wheel) arm(slot int64, now time.Time) {
-	d := time.Unix(0, slot*int64(w.gran)).Sub(now)
+func (w *Wheel) arm(slot int64) {
+	at := time.Unix(0, slot*int64(w.gran))
 	if w.timer == nil {
-		w.timer = w.clock.AfterFunc(d, w.fire)
+		w.timer = w.clock.AfterFunc(at, w.fire)
 	} else {
-		w.timer.Reset(d)
+		w.timer.Reset(at)
 	}
 	w.armed = slot
 }
@@ -140,8 +140,7 @@ func (w *Wheel) arm(slot int64, now time.Time) {
 func (w *Wheel) fire() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	now := w.clock.Now()
-	reached := now.UnixNano()
+	reached := w.clock.Now().UnixNano()
 	g := int64(w.gran)
 	w.armed = noSlot
 	for len(w.due) > 0 && w.due[0]*g <= reached {
@@ -150,7 +149,7 @@ func (w *Wheel) fire() {
 		delete(w.slots, slot)
 	}
 	if len(w.due) > 0 {
-		w.arm(w.due[0], now)
+		w.arm(w.due[0])
 	}
 }
 

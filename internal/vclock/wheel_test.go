@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,10 +10,10 @@ import (
 	"time"
 )
 
-// fired reports, without blocking, whether a wheel channel is closed. On
+// fired reports, without blocking, whether a wait's channel is ready. On
 // a Virtual clock the wheel's timer call runs inside Advance, so a slot
 // that is due has fired by the time Advance returns.
-func fired(ch <-chan struct{}) bool {
+func fired[T any](ch <-chan T) bool {
 	select {
 	case <-ch:
 		return true
@@ -21,16 +22,64 @@ func fired(ch <-chan struct{}) bool {
 	}
 }
 
+// epoch is the instant d past Epoch, where every test's virtual clock
+// starts.
+func epoch(d time.Duration) time.Time { return Epoch.Add(d) }
+
+// TestWheelNonPositiveWaitFiresImmediately: a sleeper for an instant
+// the clock has reached is woken by the timer call the clock makes at
+// once, with no Advance.
 func TestWheelNonPositiveWaitFiresImmediately(t *testing.T) {
 	w := NewWheel(NewVirtual(), time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	for _, d := range []time.Duration{0, -time.Second} {
-		if !fired(w.After(d)) {
-			t.Fatalf("After(%v) not already fired", d)
+		if !w.SleepUntil(ctx, epoch(d)) {
+			t.Fatalf("SleepUntil(%v) was not woken without an Advance", d)
 		}
 	}
-	if err := w.Sleep(context.Background(), 0); err != nil {
-		t.Fatal(err)
+	if err := w.Sleep(ctx, 0); err != nil {
+		t.Fatalf("Sleep(0) was not woken without an Advance: %v", err)
 	}
+}
+
+// TestWheelClockJumpAfterReading: the clock jumps an hour right after
+// the caller's reading. The sleeper's instant is then long reached, so
+// it wakes with nobody advancing, and the timer is left armed for
+// nothing.
+func TestWheelClockJumpAfterReading(t *testing.T) {
+	clk := &jumpClock{Virtual: NewVirtual(), jump: time.Hour}
+	w := NewWheel(clk, time.Millisecond)
+	woke := make(chan bool, 1)
+	go func() { woke <- w.SleepUntil(context.Background(), clk.Now().Add(10*time.Millisecond)) }()
+	select {
+	case ok := <-woke:
+		if !ok {
+			t.Fatal("SleepUntil on a live context reported cancelled")
+		}
+	case <-time.After(5 * time.Second):
+		dl, _ := clk.NextDeadline()
+		t.Fatalf("sleeper still open with the clock at +%v; the wheel's timer is armed for +%v",
+			clk.Virtual.Now().Sub(Epoch), dl.Sub(Epoch))
+	}
+	if got := w.PendingSlots() + clk.PendingWaiters(); got != 0 {
+		t.Fatalf("%d slots or waiters left after the sleeper woke", got)
+	}
+}
+
+// jumpClock is a Virtual clock that advances by jump right after its
+// first reading: the clock moving between a caller's reading and its
+// wait.
+type jumpClock struct {
+	*Virtual
+	jump time.Duration
+	once sync.Once
+}
+
+func (c *jumpClock) Now() time.Time {
+	now := c.Virtual.Now()
+	c.once.Do(func() { c.Virtual.Advance(c.jump) })
+	return now
 }
 
 func TestWheelNeverFiresEarlyAndRoundsUp(t *testing.T) {
@@ -38,7 +87,7 @@ func TestWheelNeverFiresEarlyAndRoundsUp(t *testing.T) {
 	w := NewWheel(clk, time.Millisecond)
 
 	// 2.5 ms rounds up to the 3 ms slot: not fired at 2 ms, nor at 2.999.
-	ch := w.After(2500 * time.Microsecond)
+	ch := w.after(epoch(2500 * time.Microsecond))
 	clk.Advance(2 * time.Millisecond)
 	if fired(ch) {
 		t.Fatal("fired before the deadline")
@@ -59,7 +108,7 @@ func TestWheelNeverFiresEarlyAndRoundsUp(t *testing.T) {
 func TestWheelEarlyCallClosesNothing(t *testing.T) {
 	clk := NewVirtual()
 	w := NewWheel(clk, time.Millisecond)
-	ch := w.After(2 * time.Millisecond)
+	ch := w.after(epoch(2 * time.Millisecond))
 	clk.Advance(time.Millisecond)
 	w.fire()
 	if fired(ch) {
@@ -78,15 +127,15 @@ func TestWheelSharesSlotChannels(t *testing.T) {
 	clk := NewVirtual()
 	w := NewWheel(clk, time.Millisecond)
 	// Same slot after rounding: one channel, one pending slot.
-	a := w.After(400 * time.Microsecond)
-	b := w.After(900 * time.Microsecond)
+	a := w.after(epoch(400 * time.Microsecond))
+	b := w.after(epoch(900 * time.Microsecond))
 	if a != b {
 		t.Fatal("sleepers in one slot got distinct channels")
 	}
 	if got := w.PendingSlots(); got != 1 {
 		t.Fatalf("PendingSlots = %d, want 1", got)
 	}
-	c := w.After(5 * time.Millisecond)
+	c := w.after(epoch(5 * time.Millisecond))
 	if c == a {
 		t.Fatal("distinct slots share a channel")
 	}
@@ -104,8 +153,8 @@ func TestWheelSharesSlotChannels(t *testing.T) {
 func TestWheelEarlierSlotPreemptsSleep(t *testing.T) {
 	clk := NewVirtual()
 	w := NewWheel(clk, time.Millisecond)
-	far := w.After(time.Hour)
-	near := w.After(2 * time.Millisecond)
+	far := w.after(epoch(time.Hour))
+	near := w.after(epoch(2 * time.Millisecond))
 	if dl, _ := clk.NextDeadline(); !dl.Equal(Epoch.Add(2 * time.Millisecond)) {
 		t.Fatalf("timer armed for %v, want the near slot", dl.Sub(Epoch))
 	}
@@ -128,12 +177,12 @@ func TestWheelAdvancePastManySlots(t *testing.T) {
 	w := NewWheel(clk, time.Millisecond)
 	var chans []<-chan struct{}
 	for _, d := range []time.Duration{3, 1, 4, 2} {
-		chans = append(chans, w.After(d*time.Millisecond))
+		chans = append(chans, w.after(epoch(d*time.Millisecond)))
 	}
 	// Probes between the slots count what has fired so far.
 	var seen []int
 	for _, d := range []time.Duration{1500, 2500, 3500} {
-		clk.AfterFunc(d*time.Microsecond, func() {
+		clk.AfterFunc(epoch(d*time.Microsecond), func() {
 			n := 0
 			for _, ch := range chans {
 				if fired(ch) {
@@ -157,11 +206,11 @@ func TestWheelAdvancePastManySlots(t *testing.T) {
 func TestWheelSleepCancellation(t *testing.T) {
 	w := NewWheel(NewVirtual(), time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- w.Sleep(ctx, time.Hour) }()
+	done := make(chan bool, 1)
+	go func() { done <- w.SleepUntil(ctx, epoch(time.Hour)) }()
 	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("Sleep returned %v, want context.Canceled", err)
+	if <-done {
+		t.Fatal("cancelled SleepUntil reported the instant reached")
 	}
 }
 
@@ -172,8 +221,8 @@ func TestWheelSleepCancelledOpensNoSlot(t *testing.T) {
 	w := NewWheel(clk, time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := w.Sleep(ctx, time.Second); err != context.Canceled {
-		t.Fatalf("Sleep returned %v, want context.Canceled", err)
+	if w.SleepUntil(ctx, epoch(time.Second)) {
+		t.Fatal("SleepUntil on a cancelled context reported the instant reached")
 	}
 	if got := w.PendingSlots(); got != 0 {
 		t.Fatalf("PendingSlots = %d, want 0", got)
@@ -189,7 +238,7 @@ func TestWheelDrainsAndRestarts(t *testing.T) {
 	clk := NewVirtual()
 	w := NewWheel(clk, time.Millisecond)
 	for round := 0; round < 3; round++ {
-		ch := w.After(time.Millisecond)
+		ch := w.after(clk.Now().Add(time.Millisecond))
 		clk.Advance(time.Millisecond)
 		if !fired(ch) {
 			t.Fatalf("round %d: slot not fired", round)
@@ -212,7 +261,7 @@ func TestWheelPendingSlotsHoldNoGoroutine(t *testing.T) {
 	chans := make([]<-chan struct{}, 1000)
 	for i := range chans {
 		// Latest first, so each new slot re-arms the timer earlier.
-		chans[i] = w.After(time.Duration(len(chans)-i) * time.Millisecond)
+		chans[i] = w.after(epoch(time.Duration(len(chans)-i) * time.Millisecond))
 	}
 	if got := w.PendingSlots(); got != len(chans) {
 		t.Fatalf("PendingSlots = %d, want %d", got, len(chans))
@@ -235,24 +284,25 @@ func TestWheelPendingSlotsHoldNoGoroutine(t *testing.T) {
 }
 
 // TestWheelAllocs pins the cost of a paced wait on the real clock: a
-// Sleep that opens a slot allocates its channel and nothing else, and
-// one that joins a pending slot allocates nothing.
+// SleepUntil that opens a slot allocates its channel and nothing else,
+// and one that joins a pending slot allocates nothing.
 func TestWheelAllocs(t *testing.T) {
 	w := NewWheel(Real{}, time.Millisecond)
 	ctx := context.Background()
-	// Each Sleep finds the slot before it fired, so it opens its own.
-	open := testing.AllocsPerRun(50, func() { _ = w.Sleep(ctx, time.Millisecond) })
-	// After opens a slot and the Sleep right behind it joins it.
+	// Each SleepUntil finds the slot before it fired, so it opens its own.
+	open := testing.AllocsPerRun(50, func() { w.SleepUntil(ctx, time.Now().Add(time.Millisecond)) })
+	// after opens a slot and the SleepUntil right behind it joins it.
 	openJoin := testing.AllocsPerRun(50, func() {
-		w.After(2 * time.Millisecond)
-		_ = w.Sleep(ctx, 2*time.Millisecond)
+		due := time.Now().Add(2 * time.Millisecond)
+		w.after(due)
+		w.SleepUntil(ctx, due)
 	})
-	t.Logf("allocs per Sleep: %v opening a slot, %v opening one and joining it", open, openJoin)
+	t.Logf("allocs per SleepUntil: %v opening a slot, %v opening one and joining it", open, openJoin)
 	if open > 1 {
-		t.Errorf("a Sleep that opens a slot allocates %v times, want at most 1", open)
+		t.Errorf("a SleepUntil that opens a slot allocates %v times, want at most 1", open)
 	}
 	if join := openJoin - open; join > 0 {
-		t.Errorf("a Sleep that joins a pending slot allocates %v times, want 0", join)
+		t.Errorf("a SleepUntil that joins a pending slot allocates %v times, want 0", join)
 	}
 }
 
@@ -269,8 +319,8 @@ func TestWheelManyConcurrentSleepers(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			d := time.Duration(n%8+1) * time.Millisecond
-			if err := w.Sleep(context.Background(), d); err != nil {
-				errs <- err
+			if !w.SleepUntil(context.Background(), time.Now().Add(d)) {
+				errs <- fmt.Errorf("sleeper %d: SleepUntil on a live context reported cancelled", n)
 			}
 		}(i)
 	}
@@ -296,8 +346,8 @@ func BenchmarkWheelSleep(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		d := time.Duration(sleepers.Add(1)%4+1) * time.Millisecond
 		for pb.Next() {
-			if err := w.Sleep(ctx, d); err != nil {
-				b.Error(err)
+			if !w.SleepUntil(ctx, time.Now().Add(d)) {
+				b.Error("SleepUntil on a live context reported cancelled")
 				return
 			}
 		}
