@@ -3,6 +3,12 @@
 // an immutable versioned State that is snapshotted to an on-disk
 // history and restored on start.
 //
+// Each record list in a State — nodes by ID, assets and groups by name —
+// is sorted by its key, and the keys strictly increase. The mutations
+// keep that rule through one helper (find, upsert, remove), and
+// DecodeState refuses a list that breaks it, so a restored state is one
+// the mutations' binary search can work on.
+//
 // A Store owns the current *State behind an atomic pointer; mutations
 // serialize on one mutex, and each clones the state aside, applies the
 // mutation, persists the successor as state-<version>.json (tmp file
@@ -22,7 +28,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/proto"
 )
@@ -79,42 +86,17 @@ func (st State) Clone() State {
 // nothing (a re-register with unchanged URL, a periodic prune that
 // pruned nobody).
 func (st State) sameContent(other State) bool {
-	if len(st.Nodes) != len(other.Nodes) || len(st.Assets) != len(other.Assets) || len(st.Groups) != len(other.Groups) {
-		return false
-	}
-	for i, n := range st.Nodes {
-		if n != other.Nodes[i] {
-			return false
-		}
-	}
-	for i, a := range st.Assets {
-		if a != other.Assets[i] {
-			return false
-		}
-	}
-	for i, g := range st.Groups {
-		o := other.Groups[i]
-		if g.Name != o.Name || g.Rev != o.Rev || len(g.Variants) != len(o.Variants) {
-			return false
-		}
-		for j, v := range g.Variants {
-			if v != o.Variants[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(st.Nodes, other.Nodes) && slices.Equal(st.Assets, other.Assets) &&
+		slices.EqualFunc(st.Groups, other.Groups, func(a, b proto.CatalogGroup) bool {
+			return a.Name == b.Name && a.Rev == b.Rev && slices.Equal(a.Variants, b.Variants)
+		})
 }
 
 // Catalog renders the published-content view of the state as the wire
 // DTO. Slices are non-nil so the listing marshals as [] rather than
 // null.
 func (st State) Catalog() proto.Catalog {
-	c := proto.Catalog{
-		Version: st.Version,
-		Assets:  st.Assets,
-		Groups:  st.Groups,
-	}
+	c := proto.Catalog{Version: st.Version, Assets: st.Assets, Groups: st.Groups}
 	if c.Assets == nil {
 		c.Assets = []proto.CatalogAsset{}
 	}
@@ -124,93 +106,81 @@ func (st State) Catalog() proto.Catalog {
 	return c
 }
 
-// UpsertNode inserts or updates a node record (sorted by ID), clearing
-// any draining mark — registration is the one act that revives a
-// drained node.
-func (st *State) UpsertNode(rec NodeRecord) {
-	i := sort.Search(len(st.Nodes), func(i int) bool { return st.Nodes[i].ID >= rec.ID })
-	if i < len(st.Nodes) && st.Nodes[i].ID == rec.ID {
-		st.Nodes[i] = rec
-		return
-	}
-	st.Nodes = append(st.Nodes, NodeRecord{})
-	copy(st.Nodes[i+1:], st.Nodes[i:])
-	st.Nodes[i] = rec
+// The keys the record lists are sorted by (the package doc's rule).
+func nodeID(n NodeRecord) string            { return n.ID }
+func assetName(a proto.CatalogAsset) string { return a.Name }
+func groupName(g proto.CatalogGroup) string { return g.Name }
+
+// find returns the index of key in list, or where it would go, and
+// whether it is there.
+func find[T any](list []T, key string, keyOf func(T) string) (int, bool) {
+	return slices.BinarySearchFunc(list, key, func(e T, k string) int { return strings.Compare(keyOf(e), k) })
 }
 
-// RemoveNode deletes a node record, reporting whether it existed.
-func (st *State) RemoveNode(id string) bool {
-	i := sort.Search(len(st.Nodes), func(i int) bool { return st.Nodes[i].ID >= id })
-	if i >= len(st.Nodes) || st.Nodes[i].ID != id {
-		return false
+// upsert replaces the record with rec's key, or inserts rec in order.
+func upsert[T any](list []T, rec T, keyOf func(T) string) []T {
+	i, ok := find(list, keyOf(rec), keyOf)
+	if ok {
+		list[i] = rec
+		return list
 	}
-	st.Nodes = append(st.Nodes[:i], st.Nodes[i+1:]...)
-	return true
+	return slices.Insert(list, i, rec)
+}
+
+// remove deletes the record with key, reporting whether it existed.
+func remove[T any](list []T, key string, keyOf func(T) string) ([]T, bool) {
+	i, ok := find(list, key, keyOf)
+	if !ok {
+		return list, false
+	}
+	return slices.Delete(list, i, i+1), true
+}
+
+// UpsertNode inserts or updates a node record, clearing any draining
+// mark — registration is the one act that revives a drained node.
+func (st *State) UpsertNode(rec NodeRecord) { st.Nodes = upsert(st.Nodes, rec, nodeID) }
+
+// RemoveNode deletes a node record, reporting whether it existed.
+func (st *State) RemoveNode(id string) (ok bool) {
+	st.Nodes, ok = remove(st.Nodes, id, nodeID)
+	return ok
 }
 
 // SetNodeDraining marks or clears the durable draining flag of a node,
 // reporting whether the node exists.
 func (st *State) SetNodeDraining(id string, draining bool) bool {
-	i := sort.Search(len(st.Nodes), func(i int) bool { return st.Nodes[i].ID >= id })
-	if i >= len(st.Nodes) || st.Nodes[i].ID != id {
-		return false
+	i, ok := find(st.Nodes, id, nodeID)
+	if ok {
+		st.Nodes[i].Draining = draining
 	}
-	st.Nodes[i].Draining = draining
-	return true
+	return ok
 }
 
-// PublishAsset inserts or replaces an asset entry (sorted by name),
-// stamping it with the state's version as its revision — the successor
-// state's version, since mutations run after the bump.
+// PublishAsset inserts or replaces an asset entry, stamping it with the
+// state's version as its revision — the successor state's version,
+// since mutations run after the bump.
 func (st *State) PublishAsset(name string) {
-	rec := proto.CatalogAsset{Name: name, Rev: st.Version}
-	i := sort.Search(len(st.Assets), func(i int) bool { return st.Assets[i].Name >= name })
-	if i < len(st.Assets) && st.Assets[i].Name == name {
-		st.Assets[i] = rec
-		return
-	}
-	st.Assets = append(st.Assets, proto.CatalogAsset{})
-	copy(st.Assets[i+1:], st.Assets[i:])
-	st.Assets[i] = rec
+	st.Assets = upsert(st.Assets, proto.CatalogAsset{Name: name, Rev: st.Version}, assetName)
 }
 
 // UnpublishAsset removes an asset entry, reporting whether it existed.
-func (st *State) UnpublishAsset(name string) bool {
-	i := sort.Search(len(st.Assets), func(i int) bool { return st.Assets[i].Name >= name })
-	if i >= len(st.Assets) || st.Assets[i].Name != name {
-		return false
-	}
-	st.Assets = append(st.Assets[:i], st.Assets[i+1:]...)
-	return true
+func (st *State) UnpublishAsset(name string) (ok bool) {
+	st.Assets, ok = remove(st.Assets, name, assetName)
+	return ok
 }
 
-// PublishGroup inserts or replaces a rate-group entry (sorted by name)
-// with the given variant list, stamped like PublishAsset.
+// PublishGroup inserts or replaces a rate-group entry with the given
+// variant list, stamped like PublishAsset.
 func (st *State) PublishGroup(name string, variants []string) {
-	rec := proto.CatalogGroup{
-		Name:     name,
-		Variants: append([]string(nil), variants...),
-		Rev:      st.Version,
-	}
-	i := sort.Search(len(st.Groups), func(i int) bool { return st.Groups[i].Name >= name })
-	if i < len(st.Groups) && st.Groups[i].Name == name {
-		st.Groups[i] = rec
-		return
-	}
-	st.Groups = append(st.Groups, proto.CatalogGroup{})
-	copy(st.Groups[i+1:], st.Groups[i:])
-	st.Groups[i] = rec
+	rec := proto.CatalogGroup{Name: name, Variants: append([]string(nil), variants...), Rev: st.Version}
+	st.Groups = upsert(st.Groups, rec, groupName)
 }
 
 // UnpublishGroup removes a rate-group entry, reporting whether it
 // existed.
-func (st *State) UnpublishGroup(name string) bool {
-	i := sort.Search(len(st.Groups), func(i int) bool { return st.Groups[i].Name >= name })
-	if i >= len(st.Groups) || st.Groups[i].Name != name {
-		return false
-	}
-	st.Groups = append(st.Groups[:i], st.Groups[i+1:]...)
-	return true
+func (st *State) UnpublishGroup(name string) (ok bool) {
+	st.Groups, ok = remove(st.Groups, name, groupName)
+	return ok
 }
 
 // EncodeState serializes a state for the on-disk history.
@@ -243,35 +213,27 @@ func DecodeState(data []byte) (State, error) {
 	if st.Version == 0 {
 		return State{}, errors.New("catalog: decode state: version 0")
 	}
-	seenNodes := make(map[string]bool, len(st.Nodes))
-	for _, n := range st.Nodes {
-		if n.ID == "" || n.URL == "" {
-			return State{}, errors.New("catalog: decode state: node record missing id or url")
-		}
-		if seenNodes[n.ID] {
-			return State{}, fmt.Errorf("catalog: decode state: duplicate node %q", n.ID)
-		}
-		seenNodes[n.ID] = true
+	if slices.ContainsFunc(st.Nodes, func(n NodeRecord) bool { return n.URL == "" }) {
+		return State{}, errors.New("catalog: decode state: node record missing url")
 	}
-	seenAssets := make(map[string]bool, len(st.Assets))
-	for _, a := range st.Assets {
-		if a.Name == "" {
-			return State{}, errors.New("catalog: decode state: asset record missing name")
-		}
-		if seenAssets[a.Name] {
-			return State{}, fmt.Errorf("catalog: decode state: duplicate asset %q", a.Name)
-		}
-		seenAssets[a.Name] = true
-	}
-	seenGroups := make(map[string]bool, len(st.Groups))
-	for _, g := range st.Groups {
-		if g.Name == "" {
-			return State{}, errors.New("catalog: decode state: group record missing name")
-		}
-		if seenGroups[g.Name] {
-			return State{}, fmt.Errorf("catalog: decode state: duplicate group %q", g.Name)
-		}
-		seenGroups[g.Name] = true
+	err := errors.Join(checkKeys("node", st.Nodes, nodeID), checkKeys("asset", st.Assets, assetName),
+		checkKeys("group", st.Groups, groupName))
+	if err != nil {
+		return State{}, err
 	}
 	return st, nil
+}
+
+// checkKeys enforces the order rule on a decoded list: a missing key, a
+// duplicate and an unsorted pair all fail k <= prev.
+func checkKeys[T any](kind string, list []T, keyOf func(T) string) error {
+	prev := ""
+	for i, e := range list {
+		k := keyOf(e)
+		if k <= prev {
+			return fmt.Errorf("catalog: decode state: %s %d key %q does not follow %q", kind, i, k, prev)
+		}
+		prev = k
+	}
+	return nil
 }

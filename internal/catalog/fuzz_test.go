@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/proto"
@@ -11,10 +12,12 @@ import (
 
 // FuzzStateRoundTrip guards the restore path's strictness: any input
 // DecodeState accepts must re-encode and decode to the identical state
-// (the history is a fixed point of the codec), and obviously damaged
-// documents — truncations, trailing garbage, wrong schema — must be
-// rejected so Open walks back to the previous history entry instead of
-// restoring a half-read state.
+// (the history is a fixed point of the codec) and keep the order rule —
+// each list's keys strictly increase, so unpublishing a listed asset
+// unlists it — and obviously damaged documents — truncations, trailing
+// garbage, wrong schema, lists out of order — must be rejected so Open
+// walks back to the previous history entry instead of restoring a
+// half-read state.
 func FuzzStateRoundTrip(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
@@ -29,6 +32,7 @@ func FuzzStateRoundTrip(f *testing.F) {
 	f.Add(append(append([]byte{}, seed...), '{'))         // trailing data
 	f.Add([]byte(`{"schema":"lod-state/0","version":1}`)) // wrong schema
 	f.Add([]byte(`{"schema":"lod-state/1","version":1,"bogus":true}`))
+	f.Add([]byte(`{"schema":"lod-state/1","version":2,"assets":[{"name":"b","rev":1},{"name":"a","rev":2}]}`)) // out of order
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeState(data)
@@ -46,7 +50,29 @@ func FuzzStateRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(st, st2) {
 			t.Fatalf("round trip not a fixed point:\n got %+v\nwant %+v", st2, st)
 		}
+		for _, a := range st.Assets {
+			after := st.Clone()
+			if !after.UnpublishAsset(a.Name) {
+				t.Fatalf("unpublish of listed %q reported false", a.Name)
+			}
+			if slices.ContainsFunc(after.Assets, func(b proto.CatalogAsset) bool { return b.Name == a.Name }) {
+				t.Fatalf("%q still listed after unpublish: %+v", a.Name, after.Assets)
+			}
+		}
+		assertIncreasing(t, st.Nodes, nodeID)
+		assertIncreasing(t, st.Assets, assetName)
+		assertIncreasing(t, st.Groups, groupName)
 	})
+}
+
+// assertIncreasing fails unless the keys of list strictly increase.
+func assertIncreasing[T any](t *testing.T, list []T, keyOf func(T) string) {
+	t.Helper()
+	for i := 1; i < len(list); i++ {
+		if keyOf(list[i-1]) >= keyOf(list[i]) {
+			t.Fatalf("accepted keys out of order at %d: %q then %q", i, keyOf(list[i-1]), keyOf(list[i]))
+		}
+	}
 }
 
 // FuzzRestore makes arbitrary bytes the newest history entry on top of

@@ -145,19 +145,10 @@ func stateFileName(version uint64) string {
 }
 
 func parseStateFileName(name string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(name, stateFilePrefix)
-	if !ok {
-		return 0, false
-	}
-	rest, ok = strings.CutSuffix(rest, stateFileSuffix)
-	if !ok {
-		return 0, false
-	}
+	rest, prefixed := strings.CutPrefix(name, stateFilePrefix)
+	rest, suffixed := strings.CutSuffix(rest, stateFileSuffix)
 	v, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil || v == 0 {
-		return 0, false
-	}
-	return v, true
+	return v, prefixed && suffixed && err == nil && v != 0
 }
 
 // Apply runs one mutation under the store's lock and returns the state
@@ -193,14 +184,9 @@ func (s *Store) Rollback(version uint64) (State, error) {
 	if err != nil {
 		return State{}, fmt.Errorf("%w %d", ErrNoSnapshot, version)
 	}
-	return s.Apply(func(st *State) {
-		st.Assets = append([]proto.CatalogAsset(nil), old.Assets...)
-		st.Groups = make([]proto.CatalogGroup, len(old.Groups))
-		for i, g := range old.Groups {
-			g.Variants = append([]string(nil), g.Variants...)
-			st.Groups[i] = g
-		}
-	})
+	// old was decoded here and nothing else holds it, so its lists pass
+	// to the successor without a copy.
+	return s.Apply(func(st *State) { st.Assets, st.Groups = old.Assets, old.Groups })
 }
 
 // Current returns the current snapshot: the state plus its
@@ -270,18 +256,15 @@ func writeFileAtomic(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return err
 	}
-	return nil
+	return err
 }

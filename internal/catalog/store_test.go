@@ -165,6 +165,36 @@ func TestStoreSkipsMisnamedEntry(t *testing.T) {
 	}
 }
 
+// An entry whose assets are out of order breaks the rule the mutations'
+// binary search relies on (republishing "a" over [b a] would list it
+// twice): restore walks back past it and rollback refuses it.
+func TestStoreRefusesUnsortedEntry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustApply(t, s, func(st *State) { st.PublishAsset("a") })
+	s.Close()
+	unsorted := EncodeState(State{Schema: StateSchema, Version: 2,
+		Assets: []proto.CatalogAsset{{Name: "b", Rev: 2}, {Name: "a", Rev: 2}}})
+	if err := os.WriteFile(filepath.Join(dir, stateFileName(2)), unsorted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.State(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state = %+v, want older %+v", got, want)
+	}
+	if _, err := s2.Rollback(2); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("rollback to unsorted entry err = %v, want ErrNoSnapshot", err)
+	}
+}
+
 // Concurrent writers each commit exactly once: the versions count the
 // publishes, none is lost, and pruning keeps the history bounded.
 func TestStoreConcurrentApply(t *testing.T) {

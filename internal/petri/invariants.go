@@ -2,6 +2,7 @@ package petri
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -204,7 +205,7 @@ func (n *Net) TInvariants() []map[TransitionID]int {
 		for t, w := range inv {
 			parts = append(parts, fmt.Sprintf("%s:%d", t, w))
 		}
-		sortStrings(parts)
+		slices.Sort(parts)
 		key := strings.Join(parts, ",")
 		if !seen[key] {
 			seen[key] = true
@@ -239,16 +240,8 @@ func invKey(inv map[PlaceID]int) string {
 		parts = append(parts, fmt.Sprintf("%s:%d", p, w))
 	}
 	// Order-independent key.
-	sortStrings(parts)
+	slices.Sort(parts)
 	return strings.Join(parts, ",")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // reduceRow divides both vectors by the gcd of all their entries.

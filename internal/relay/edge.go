@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 
@@ -182,6 +183,7 @@ func (e *Edge) mirrorAsset(ctx context.Context, name string) error {
 }
 
 func (e *Edge) fetchAsset(name string) error {
+	landed := e.landing(e.assetRev, name)
 	// The name came off a decoded request path; proto.StreamPath
 	// re-escapes it so assets named like "lecture 1%" or containing ?/#
 	// survive the origin URL. The origin handler's decode of its request
@@ -208,6 +210,8 @@ func (e *Edge) fetchAsset(name string) error {
 	// demand to win a later duel.
 	e.cache.RecordPull(name)
 	e.trackAsset(name)
+	// Dropped, the mirror is absent again: the demand's next try pulls.
+	landed(func() { e.dropMirror(name) })
 	return nil
 }
 
@@ -253,17 +257,8 @@ func (e *Edge) dropVictims(victims []string, counter *metrics.Counter) {
 // rate group lists it (dropping a variant would leave the group short of
 // an encoding it was mirrored with).
 func (e *Edge) pinned(name string) bool {
-	if e.Server.Pinned(name) {
-		return true
-	}
-	for _, g := range e.Server.Groups() {
-		for _, v := range g.Variants {
-			if v == name {
-				return true
-			}
-		}
-	}
-	return false
+	return e.Server.Pinned(name) || slices.ContainsFunc(e.Server.Groups(),
+		func(g streaming.GroupInfo) bool { return slices.Contains(g.Variants, name) })
 }
 
 // countBytes wraps an origin response body so every byte pulled from
@@ -296,6 +291,7 @@ func (e *Edge) mirrorGroup(ctx context.Context, name string) error {
 }
 
 func (e *Edge) fetchGroup(name string) error {
+	landed := e.landing(e.groupRev, name)
 	resp, err := e.client().Get(e.Origin + proto.Versioned(proto.PathGroups))
 	if err != nil {
 		return fmt.Errorf("relay: group %q: %w", name, err)
@@ -308,17 +304,11 @@ func (e *Edge) fetchGroup(name string) error {
 	if err := json.NewDecoder(e.countBytes(resp.Body)).Decode(&groups); err != nil {
 		return fmt.Errorf("relay: group %q: %w", name, err)
 	}
-	var variants []string
-	found := false
-	for _, g := range groups {
-		if g.Name == name {
-			variants, found = g.Variants, true
-			break
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(groups, func(g streaming.GroupInfo) bool { return g.Name == name })
+	if i < 0 {
 		return fmt.Errorf("%w: origin group %q", streaming.ErrNotFound, name)
 	}
+	variants := groups[i].Variants
 	// Pin every variant for the whole group mirror: until CreateRateGroup
 	// runs, the variants have no group membership, and under a tight
 	// budget a later variant's pull could otherwise evict an earlier one,
@@ -329,6 +319,9 @@ func (e *Edge) fetchGroup(name string) error {
 	for _, v := range variants {
 		if err := e.MirrorAsset(v); err != nil {
 			return fmt.Errorf("relay: group %q variant: %w", name, err)
+		}
+		if _, ok := e.Server.Asset(v); !ok { // pinned: only its landing check drops it
+			return fmt.Errorf("relay: group %q: variant %q moved during the pull", name, v)
 		}
 	}
 	g, err := e.Server.CreateRateGroup(name)
@@ -343,6 +336,11 @@ func (e *Edge) fetchGroup(name string) error {
 			g.AddVariant(a)
 		}
 	}
+	landed(func() {
+		if e.Server.RemoveRateGroup(name) {
+			e.inst.invalidations.Inc()
+		}
+	})
 	return nil
 }
 

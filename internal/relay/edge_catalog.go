@@ -89,6 +89,31 @@ func (e *Edge) SyncCatalog(cat proto.Catalog) []string {
 	return invalidated
 }
 
+// assetRev and groupRev read the synced catalog's Rev for name: 0 when
+// it is not listed, since a listed entry's Rev is the catalog version
+// that published it. The caller holds catMu.
+func (e *Edge) assetRev(name string) uint64 { return e.catAssets[name] }
+func (e *Edge) groupRev(name string) uint64 { return e.catGroups[name].rev }
+
+// landing reads rev(name) as a pull of name begins and returns the check
+// for when it lands: drop runs if the name was listed then and its entry
+// has moved since, as the landed bytes may be of the revision the edge
+// synced past. That is SyncCatalog's rule (it drops only what its last
+// catalog listed), and a sync holds catMu for its whole diff, so a sync
+// before the check and one after it end the same.
+func (e *Edge) landing(rev func(string) uint64, name string) (check func(drop func())) {
+	e.catMu.Lock()
+	before := rev(name)
+	e.catMu.Unlock()
+	return func(drop func()) {
+		e.catMu.Lock()
+		defer e.catMu.Unlock()
+		if before != 0 && rev(name) != before {
+			drop()
+		}
+	}
+}
+
 // dropMirror removes one stale mirrored asset: out of the cache
 // accounting, off the edge server, and with every local group that
 // lists it, which would otherwise select it into a 404 — the next group

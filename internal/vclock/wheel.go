@@ -26,7 +26,8 @@ const DefaultGranularity = time.Millisecond
 // a serialization point (every slot's lateness includes the scheduler's
 // own wait for CPU), and that design was rejected for it. A pending slot
 // costs its channel alone; an idle Wheel holds no goroutine, arms no
-// timer and needs no Stop.
+// timer and needs no Stop. A slot whose every sleeper was cancelled is
+// idle too: the last to leave closes it and moves the timer on.
 //
 // Sleepers and the timer both wait for instants, never for durations
 // from a reading, so a clock that moves between a caller's reading and
@@ -43,10 +44,16 @@ type Wheel struct {
 	gran  time.Duration
 
 	mu    sync.Mutex
-	slots map[int64]chan struct{} // pending slot index → its broadcast channel
-	due   []int64                 // min-heap of the pending slot indices
-	timer Timer                   // nil until the first slot opens
-	armed int64                   // slot the timer is armed for; noSlot when none
+	slots map[int64]slot // pending slot index → its channel and sleepers
+	due   []int64        // min-heap of slot indices; a closed slot's may linger
+	timer Timer          // nil until the first slot opens
+	armed int64          // slot the timer is armed for; noSlot when none
+}
+
+// slot is one pending broadcast and how many sleepers wait on it.
+type slot struct {
+	ch       chan struct{}
+	sleepers int
 }
 
 // noSlot marks an unarmed timer: every slot is earlier.
@@ -61,12 +68,7 @@ func NewWheel(clock Clock, gran time.Duration) *Wheel {
 	if gran <= 0 {
 		gran = DefaultGranularity
 	}
-	return &Wheel{
-		clock: clock,
-		gran:  gran,
-		slots: make(map[int64]chan struct{}),
-		armed: noSlot,
-	}
+	return &Wheel{clock: clock, gran: gran, slots: make(map[int64]slot), armed: noSlot}
 }
 
 // slotOf rounds an absolute instant up to its slot index.
@@ -79,15 +81,17 @@ func (w *Wheel) slotOf(t time.Time) int64 {
 // SleepUntil blocks until the wheel's clock reaches t, rounded up to the
 // wheel's granularity, and reports true, or reports false once ctx ends
 // first. A context that has already ended reports false at once and
-// opens no slot.
+// opens no slot; one that ends during the wait leaves its slot.
 func (w *Wheel) SleepUntil(ctx context.Context, t time.Time) bool {
 	if ctx.Err() != nil {
 		return false
 	}
+	ch := w.after(t)
 	select {
-	case <-w.after(t):
+	case <-ch:
 		return true
 	case <-ctx.Done():
+		w.leave(w.slotOf(t), ch)
 		return false
 	}
 }
@@ -99,24 +103,43 @@ func (w *Wheel) Sleep(ctx context.Context, d time.Duration) error {
 	return ctx.Err()
 }
 
-// after returns the broadcast channel of the slot t rounds up to,
+// after joins the slot t rounds up to and returns its broadcast channel,
 // opening the slot, and arming the timer when it is the earliest, if no
 // sleeper holds it yet. The channel carries no value — closing is the
 // broadcast.
-func (w *Wheel) after(t time.Time) <-chan struct{} {
-	slot := w.slotOf(t)
+func (w *Wheel) after(t time.Time) chan struct{} {
+	i := w.slotOf(t)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ch, ok := w.slots[slot]
+	s, ok := w.slots[i]
 	if !ok {
-		ch = make(chan struct{})
-		w.slots[slot] = ch
-		w.push(slot)
-		if slot < w.armed {
-			w.arm(slot)
+		s.ch = make(chan struct{})
+		w.push(i)
+		if i < w.armed {
+			w.arm(i)
 		}
 	}
-	return ch
+	s.sleepers++
+	w.slots[i] = s
+	return s.ch
+}
+
+// leave withdraws one sleeper from slot i, handed ch by after; the last
+// to leave closes the slot unfired. A slot that fired meanwhile (and
+// perhaps opened afresh, with another channel) is left alone.
+func (w *Wheel) leave(i int64, ch chan struct{}) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	s := w.slots[i]
+	if s.ch != ch {
+		return
+	}
+	if s.sleepers--; s.sleepers > 0 {
+		w.slots[i] = s
+		return
+	}
+	delete(w.slots, i)
+	w.rearm()
 }
 
 // arm sets the wheel's timer for slot's instant, creating the timer on
@@ -142,15 +165,31 @@ func (w *Wheel) fire() {
 	defer w.mu.Unlock()
 	reached := w.clock.Now().UnixNano()
 	g := int64(w.gran)
-	w.armed = noSlot
 	for len(w.due) > 0 && w.due[0]*g <= reached {
-		slot := w.pop()
-		close(w.slots[slot])
-		delete(w.slots, slot)
+		i := w.pop()
+		if ch := w.slots[i].ch; ch != nil {
+			close(ch)
+			delete(w.slots, i)
+		}
+	}
+	w.rearm()
+}
+
+// rearm pops the heap's leading entries of slots that closed unfired,
+// then arms the timer for the earliest open slot, or stops it when none
+// is open. The caller holds w.mu.
+func (w *Wheel) rearm() {
+	for len(w.due) > 0 && w.slots[w.due[0]].ch == nil {
+		w.pop()
 	}
 	if len(w.due) > 0 {
 		w.arm(w.due[0])
+		return
 	}
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	w.armed = noSlot
 }
 
 // push adds slot to the heap of pending slots. The caller holds w.mu.

@@ -214,6 +214,49 @@ func TestWheelSleepCancellation(t *testing.T) {
 	}
 }
 
+// TestWheelCancelledSleeperClosesItsSlot: the only sleeper of a slot an
+// hour ahead is cancelled. Its slot closes and the timer stops, so
+// NextDeadline does not report an hour nobody waits for. Under a slot
+// another sleeper holds, the timer moves on to that slot.
+func TestWheelCancelledSleeperClosesItsSlot(t *testing.T) {
+	clk := NewVirtual()
+	w := NewWheel(clk, time.Millisecond)
+	cancelSleeper(t, w, epoch(time.Hour))
+	if got := w.PendingSlots(); got != 0 {
+		t.Fatalf("PendingSlots = %d after the only sleeper was cancelled, want 0", got)
+	}
+	if at, ok := clk.NextDeadline(); ok {
+		t.Fatalf("NextDeadline = %v after the only sleeper was cancelled, want none", at)
+	}
+
+	held := w.after(epoch(2 * time.Hour))
+	cancelSleeper(t, w, epoch(time.Hour))
+	if at, _ := clk.NextDeadline(); !at.Equal(epoch(2 * time.Hour)) {
+		t.Fatalf("NextDeadline = %v, want the held slot's %v", at, epoch(2*time.Hour))
+	}
+	clk.AdvanceTo(epoch(2 * time.Hour))
+	if !fired(held) || w.PendingSlots() != 0 {
+		t.Fatalf("held slot fired %v, PendingSlots = %d; want fired and none left", fired(held), w.PendingSlots())
+	}
+}
+
+// cancelSleeper puts one sleeper for at on w, cancels it once its slot
+// is open, and waits for it to return.
+func cancelSleeper(t *testing.T, w *Wheel, at time.Time) {
+	t.Helper()
+	before := w.PendingSlots()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan bool, 1)
+	go func() { done <- w.SleepUntil(ctx, at) }()
+	for w.PendingSlots() == before {
+		runtime.Gosched()
+	}
+	cancel()
+	if <-done {
+		t.Fatal("cancelled SleepUntil reported the instant reached")
+	}
+}
+
 // TestWheelSleepCancelledOpensNoSlot: a session that is already gone
 // gets its error back without a slot or a timer.
 func TestWheelSleepCancelledOpensNoSlot(t *testing.T) {
