@@ -60,7 +60,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("lodplay", flag.ContinueOnError)
 	in := fs.String("in", "", "stored container to play")
 	rawURL := fs.String("url", "", "HTTP URL to play (e.g. http://host:8080/v1/vod/name)")
-	realtime := fs.Bool("realtime", false, "present at PTS on the wall clock")
+	realtime := fs.Bool("realtime", false, "present at PTS on the wall clock, counted from the first packet")
 	jitter := fs.Int("jitter-buffer", 0, "jitter buffer depth in packets")
 	drm := fs.Bool("license", false, "hold a DRM playback license")
 	verbose := fs.Bool("v", false, "print every slide flip and annotation")
@@ -86,10 +86,14 @@ func run(args []string) error {
 		return fmt.Errorf("-start requires -url")
 	}
 
+	// A realtime play starts its schedule at the first packet, so a
+	// seeked tail or a live join presents at once instead of first
+	// sleeping through the presentation time it skipped.
 	opts := player.Options{
-		Realtime:          *realtime,
-		JitterBufferDepth: *jitter,
-		LicenseDRM:        *drm,
+		Realtime:            *realtime,
+		AnchorToFirstPacket: *realtime,
+		JitterBufferDepth:   *jitter,
+		LicenseDRM:          *drm,
 	}
 
 	var m *player.Metrics

@@ -19,14 +19,14 @@ import (
 	"repro/internal/streaming"
 )
 
-func encodeTemp(t *testing.T) string {
+func encodeTemp(t *testing.T, dur time.Duration) string {
 	t.Helper()
 	p, err := codec.ByName("modem-56k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lec, err := capture.NewLecture(capture.LectureConfig{
-		Title: "cli play", Duration: 2 * time.Second, Profile: p, SlideCount: 2, Seed: 5,
+		Title: "cli play", Duration: dur, Profile: p, SlideCount: 2, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func encodeTemp(t *testing.T) string {
 }
 
 func TestPlayFile(t *testing.T) {
-	if err := run([]string{"-in", encodeTemp(t), "-v"}); err != nil {
+	if err := run([]string{"-in", encodeTemp(t, 2*time.Second), "-v"}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -127,7 +127,7 @@ func TestSpecFromURL(t *testing.T) {
 // are both played through the SDK, with and without -failover, and
 // -server-status reads the node that served the stream.
 func TestURLPlaysThroughOnePath(t *testing.T) {
-	data, err := os.ReadFile(encodeTemp(t))
+	data, err := os.ReadFile(encodeTemp(t, 2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,5 +164,50 @@ func TestURLPlaysThroughOnePath(t *testing.T) {
 	}
 	if got := edgeSrv.Stats().VODSessions; got != 3 {
 		t.Fatalf("edge VOD sessions = %d, want the 3 registry plays", got)
+	}
+}
+
+// TestRealtimeSeekPlaysOnlyTheTail: -realtime counts the presentation
+// schedule from the first packet, so a seeked stream presents its tail
+// in about the tail's length instead of first sleeping through the
+// presentation time the seek skipped.
+func TestRealtimeSeekPlaysOnlyTheTail(t *testing.T) {
+	data, err := os.ReadFile(encodeTemp(t, 6*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := streaming.NewServer(nil)
+	srv.Pacing = false
+	if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The body runs from the last seek point at or before the start to
+	// the lecture's last packet.
+	const start = 5 * time.Second
+	h, packets, _, err := asf.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var from, last time.Duration
+	for _, p := range packets {
+		if p.PTS <= start && h.SeekPoint(p) {
+			from = p.PTS
+		}
+		last = max(last, p.PTS)
+	}
+	if from == 0 {
+		t.Fatal("no seek point past the lecture's start")
+	}
+	tail := last - from
+
+	began := time.Now()
+	if err := run([]string{"-url", ts.URL + "/v1/vod/lec", "-start", start.String(), "-realtime"}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took > tail+500*time.Millisecond {
+		t.Fatalf("a %v tail from %v took %v to play", tail, from, took)
 	}
 }

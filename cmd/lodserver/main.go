@@ -27,12 +27,12 @@
 // (JSON snapshot) on its listener; the registry listener exposes its own
 // counters the same way. See internal/metrics.
 //
-// On SIGINT/SIGTERM the server shuts down gracefully: a node registered
+// On SIGINT/SIGTERM the server exits along one path: a node registered
 // with a registry deregisters first (so no new client is redirected at
-// it), then refuses new sessions and drains in-flight ones for up to
-// -drain before closing its listeners and exiting. Clients of a node
-// that dies without draining fail over through the registry instead
-// (see internal/relay).
+// it), then its listeners stop accepting connections and in-flight
+// responses get up to -drain to finish before the rest are closed.
+// Clients cut off then, like those of a node that dies, fail over
+// through the registry (see internal/client).
 //
 // Both listeners drop a connection that has not sent its request headers
 // within 10 s and close keep-alive connections idle for 2 min; responses
@@ -49,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -113,7 +114,7 @@ func parseConfig(args []string) (*config, error) {
 	fs.DurationVar(&c.heartbeat, "heartbeat", 5*time.Second, "registry heartbeat interval")
 	fs.BoolVar(&c.pprofOn, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the main listener (profile a live node without restarting it)")
 	fs.Int64Var(&c.cacheBytes, "cache-bytes", 0, "edge mirror cache capacity in payload bytes (0 = unbounded; requires -origin)")
-	fs.DurationVar(&c.drain, "drain", 10*time.Second, "how long to let in-flight sessions finish on SIGINT/SIGTERM before exiting")
+	fs.DurationVar(&c.drain, "drain", 10*time.Second, "how long in-flight responses may run on SIGINT/SIGTERM before the rest are closed (0 = close at once)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -256,7 +257,8 @@ func run(args []string) error {
 		return err
 	case <-sigCtx.Done():
 	}
-	return shutdown(c, srv, servers)
+	shutdown(c, servers)
+	return nil
 }
 
 // Connection limits every listener runs under. There is deliberately no
@@ -269,7 +271,7 @@ const (
 	// idleTimeout closes keep-alive connections no request has used.
 	idleTimeout = 2 * time.Minute
 	// deregisterTimeout bounds telling the registry about a shutdown, so
-	// a registry that stopped answering cannot hold up the drain.
+	// a registry that stopped answering cannot hold up the exit.
 	deregisterTimeout = 5 * time.Second
 )
 
@@ -282,11 +284,13 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// shutdown is the graceful exit: tell the registry first so no new
-// client is redirected here, then refuse new sessions and let in-flight
-// ones finish, then close the listeners and idle connections. Clients
-// cut off anyway (drain deadline passed) fail over through the registry.
-func shutdown(c *config, srv *streaming.Server, servers []*http.Server) error {
+// shutdown is a node's one exit. It tells the registry first, so no new
+// client is redirected here. Then every listener stops at once: it
+// accepts no new connection, closes its idle ones, and gives in-flight
+// responses up to -drain to finish; whatever is still busy after that is
+// closed. A viewer cut off at the close fails over through the registry,
+// and a stored body continues from the byte it reached.
+func shutdown(c *config, servers []*http.Server) {
 	if c.registry != "" && !c.hostsRegistry() {
 		fmt.Printf("deregistering %s from registry %s\n", c.edgeURL, c.registry)
 		ctx, cancel := context.WithTimeout(context.Background(), deregisterTimeout)
@@ -296,23 +300,21 @@ func shutdown(c *config, srv *streaming.Server, servers []*http.Server) error {
 			fmt.Fprintln(os.Stderr, "lodserver: deregister:", err)
 		}
 	}
-	if c.drain <= 0 {
-		return nil
-	}
-	fmt.Printf("draining sessions for up to %v\n", c.drain)
+	fmt.Printf("draining for up to %v\n", c.drain)
 	ctx, cancel := context.WithTimeout(context.Background(), c.drain)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "lodserver:", err)
-	}
-	// Mirror fetches and listings are not sessions; they get what is left
-	// of the drain time, and exiting severs the rest.
+	var wg sync.WaitGroup
 	for _, hs := range servers {
-		if err := hs.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "lodserver: shutdown %s: %v\n", hs.Addr, err)
-		}
+		wg.Add(1)
+		go func(hs *http.Server) {
+			defer wg.Done()
+			if err := hs.Shutdown(ctx); err != nil {
+				fmt.Fprintf(os.Stderr, "lodserver: %s: closing what is still busy: %v\n", hs.Addr, err)
+			}
+			hs.Close()
+		}(hs)
 	}
-	return nil
+	wg.Wait()
 }
 
 func registerDemo(srv *streaming.Server) error {

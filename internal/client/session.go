@@ -294,8 +294,8 @@ func (s *Session) openEdge(u *url.URL) (*http.Response, string, error) {
 	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusPartialContent:
 		return resp, u.Host, nil
 	case resp.StatusCode >= 500:
-		// Refused but reachable (draining, over capacity, origin pull
-		// failed): exclude it for this session without declaring it dead.
+		// Refused but reachable (over capacity, origin pull failed):
+		// exclude it for this session without declaring it dead.
 		s.excludeHost(u.Host)
 		return nil, u.Host, &fetchError{edge: u.Host, retry: true, err: proto.ReadError(resp)}
 	default:

@@ -201,9 +201,6 @@ type Options struct {
 	StallTolerance time.Duration
 	// LicenseDRM, when true, simulates holding a playback license.
 	LicenseDRM bool
-	// IgnoreHeaderScripts drops the header script table, relying only on
-	// in-band script packets (the script-placement ablation).
-	IgnoreHeaderScripts bool
 }
 
 // Player plays one container stream.
@@ -281,11 +278,8 @@ func (p *Player) Play(r io.Reader) (*Metrics, error) {
 	}
 
 	// Pending header scripts sorted by time.
-	var scripts []asf.ScriptCommand
-	if !p.opts.IgnoreHeaderScripts {
-		scripts = append(scripts, h.Scripts...)
-		sort.SliceStable(scripts, func(i, j int) bool { return scripts[i].At < scripts[j].At })
-	}
+	scripts := append([]asf.ScriptCommand(nil), h.Scripts...)
+	sort.SliceStable(scripts, func(i, j int) bool { return scripts[i].At < scripts[j].At })
 	execScripts := func(upTo time.Duration) {
 		for len(scripts) > 0 && scripts[0].At <= upTo {
 			cmd := scripts[0]

@@ -104,30 +104,6 @@ func TestDRMEnforcement(t *testing.T) {
 	}
 }
 
-func TestIgnoreHeaderScriptsAblation(t *testing.T) {
-	// Stored encode puts scripts only in the header; ignoring the header
-	// table must lose all slide flips.
-	data, _ := testLectureBytes(t, 2*time.Second, encoder.Config{})
-	pl := New(Options{IgnoreHeaderScripts: true})
-	m, err := pl.Play(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SlidesShown != 0 {
-		t.Fatalf("header-script-blind player showed %d slides", m.SlidesShown)
-	}
-
-	// A live encode carries scripts in-band, surviving the ablation.
-	liveData, lec := testLectureBytes(t, 2*time.Second, encoder.Config{Live: true})
-	m2, err := pl.Play(bytes.NewReader(liveData))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.SlidesShown != len(lec.Slides) {
-		t.Fatalf("in-band slides shown = %d, want %d", m2.SlidesShown, len(lec.Slides))
-	}
-}
-
 func TestJitterBufferDepthConsumesAll(t *testing.T) {
 	data, lec := testLectureBytes(t, 2*time.Second, encoder.Config{})
 	for _, depth := range []int{0, 1, 16, 10_000} {

@@ -157,10 +157,10 @@ func (e *Edge) MirrorAsset(name string) error {
 }
 
 // detached is the wait context of the exported, context-free forms
-// (MirrorAsset, MirrorGroup, RelayChannel, SyncCatalogFrom): their
-// callers — a prewarm, a group pull mirroring its variants, a catalog
-// version callback — have no request to abandon, so the wait runs until
-// the call resolves.
+// (MirrorAsset, RelayChannel, SyncCatalogFrom): their callers — a
+// prewarm, a group pull mirroring its variants, a relay started ahead of
+// its viewers, a catalog version callback — have no request to abandon,
+// so the wait runs until the call resolves.
 func detached() context.Context {
 	//lodlint:allow bare-ctx the exported forms keep their context-free signature; nothing upstream to cancel
 	return context.TODO()
@@ -278,13 +278,9 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// MirrorGroup ensures the named multi-rate group exists on the edge's
+// mirrorGroup ensures the named multi-rate group exists on the edge's
 // server, mirroring every variant asset from the origin on first demand.
 // A group the origin doesn't have returns streaming.ErrNotFound.
-func (e *Edge) MirrorGroup(name string) error {
-	return e.mirrorGroup(detached(), name)
-}
-
 func (e *Edge) mirrorGroup(ctx context.Context, name string) error {
 	present := func() bool { _, ok := e.Server.RateGroup(name); return ok }
 	return e.ensure(ctx, "group/"+name, present, func() error { return e.fetchGroup(name) })
@@ -424,8 +420,7 @@ func (e *Edge) endRelay(ch *streaming.Channel, err error) {
 // asset, and a demand whose request context dies while attached to a
 // shared pull gives up without cancelling the pull. Everything else
 // (listings, /v1/fetch/, the server's metrics and status) is served from
-// the edge's local state only, and so is every request to a draining
-// edge: it pulls nothing for a viewer it refuses.
+// the edge's local state only.
 func (e *Edge) Handler() http.Handler {
 	base := e.Server.Handler()
 	mux := http.NewServeMux()
@@ -466,13 +461,7 @@ func (e *Edge) Handler() http.Handler {
 		}
 		base.ServeHTTP(w, r)
 	}))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if e.Server.Draining() {
-			base.ServeHTTP(w, r)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})
+	return mux
 }
 
 // pullError maps an origin pull failure onto the client response: a

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -105,7 +106,7 @@ func TestEdgeSyncCatalogDropsRemovedGroups(t *testing.T) {
 	edge := NewEdge(originTS.URL, edgeSrv)
 
 	syncCat(edge, 1, nil, []proto.CatalogGroup{{Name: "grp-1", Variants: []string{"grp-1-lean", "grp-1-rich"}, Rev: 1}})
-	if err := edge.MirrorGroup("grp-1"); err != nil {
+	if err := edge.mirrorGroup(context.Background(), "grp-1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := edgeSrv.RateGroup("grp-1"); !ok {
@@ -306,7 +307,7 @@ func TestEdgeGroupPullAcrossRecut(t *testing.T) {
 	assets := []proto.CatalogAsset{{Name: "grp-1-lean", Rev: 1}, {Name: "grp-1-rich", Rev: 1}}
 	initial := proto.Catalog{Version: 1, Assets: assets,
 		Groups: []proto.CatalogGroup{{Name: "grp-1", Variants: []string{"grp-1-lean", "grp-1-rich"}, Rev: 1}}}
-	edge, _ := pullAcross(t, origin, initial, func(e *Edge) error { return e.MirrorGroup("grp-1") }, func() proto.Catalog {
+	edge, _ := pullAcross(t, origin, initial, func(e *Edge) error { return e.mirrorGroup(context.Background(), "grp-1") }, func() proto.Catalog {
 		return proto.Catalog{Version: 2, Assets: assets,
 			Groups: []proto.CatalogGroup{{Name: "grp-1", Variants: []string{"grp-1-lean"}, Rev: 2}}}
 	})
@@ -341,7 +342,7 @@ func TestEdgeGroupPullAcrossVariantRepublish(t *testing.T) {
 	initial := proto.Catalog{Version: 1, Groups: group,
 		Assets: []proto.CatalogAsset{{Name: "grp-1-lean", Rev: 1}, {Name: "grp-1-rich", Rev: 1}}}
 	edge, edgeTS := pullAcross(t, origin, initial, func(e *Edge) error {
-		_ = e.MirrorGroup("grp-1") // fails when a variant's pull is dropped
+		_ = e.mirrorGroup(context.Background(), "grp-1") // fails when a variant's pull is dropped
 		return nil
 	}, func() proto.Catalog {
 		for name, data := range fresh {
@@ -353,7 +354,7 @@ func TestEdgeGroupPullAcrossVariantRepublish(t *testing.T) {
 		return proto.Catalog{Version: 2, Groups: group,
 			Assets: []proto.CatalogAsset{{Name: "grp-1-lean", Rev: 2}, {Name: "grp-1-rich", Rev: 2}}}
 	})
-	if err := edge.MirrorGroup("grp-1"); err != nil {
+	if err := edge.mirrorGroup(context.Background(), "grp-1"); err != nil {
 		t.Fatal(err)
 	}
 	mirrored, ok := edge.Server.RateGroup("grp-1")

@@ -596,47 +596,3 @@ func TestEdgeRelayBrokenUpstream(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDrainingEdgePullsNothing: a draining edge refuses a viewer before
-// pulling anything for it — no mirror of the asset or of the group's
-// variants, no standing relay of the channel.
-func TestDrainingEdgePullsNothing(t *testing.T) {
-	origin, originTS, _ := newOriginWithAsset(t, "lec")
-	lec, _ := origin.Asset("lec")
-	group, err := origin.CreateRateGroup("course")
-	if err != nil {
-		t.Fatal(err)
-	}
-	group.AddVariant(lec)
-	ch, err := origin.CreateChannel("class", lec.Header)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ch.Close()
-
-	edgeSrv := streaming.NewServer(nil)
-	edge := NewEdge(originTS.URL, edgeSrv)
-	edgeTS := httptest.NewServer(edge.Handler())
-	defer edgeTS.Close()
-	edgeSrv.SetDraining(true)
-
-	for _, path := range []string{"/v1/vod/lec", "/v1/group/course", "/v1/live/class"} {
-		resp, err := http.Get(edgeTS.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s on a draining edge: status %d, want 503", path, resp.StatusCode)
-		}
-	}
-	if got := edge.inst.originBytes.Value(); got != 0 {
-		t.Fatalf("a draining edge pulled %d bytes from the origin", got)
-	}
-	if st := origin.Stats(); st.MirrorFetches != 0 || st.LiveSessions != 0 {
-		t.Fatalf("origin served a draining edge: %d fetches, %d live sessions", st.MirrorFetches, st.LiveSessions)
-	}
-	if got := edgeSrv.Stats().RejectedJoins; got != 3 {
-		t.Fatalf("edge rejects = %d, want 3", got)
-	}
-}

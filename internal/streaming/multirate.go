@@ -118,9 +118,6 @@ func (s *Server) RemoveRateGroup(name string) bool {
 // handleGroup serves /v1/group/{name}?bw=<bits per second>: it selects
 // the best-fitting variant and streams it exactly like a VOD session.
 func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
 	name := proto.StreamName(r.URL.Path, proto.StreamGroup)
 	g, ok := s.RateGroup(name)
 	if !ok {

@@ -25,8 +25,8 @@
 //	GET /v1/fetch/{asset}      — whole-container transfer (header and
 //	                             packets) as fast as the link allows; the
 //	                             origin→edge mirror path used by the relay
-//	                             tier (internal/relay), exempt from pacing,
-//	                             draining and admission control
+//	                             tier (internal/relay), exempt from pacing
+//	                             and admission control
 //	GET /v1/assets             — JSON list of stored assets
 //	GET /v1/channels           — JSON list of live channels
 //	GET /v1/groups             — JSON list of multi-rate groups and their
@@ -245,12 +245,6 @@ type Server struct {
 
 	metrics *metrics.Registry
 	inst    serverInstruments
-
-	// draining, when set, refuses new VOD/live/group sessions with 503
-	// so the node can finish its in-flight sessions and shut down; see
-	// SetDraining and Drain. Mirror fetches and listings stay served —
-	// draining stops accepting viewers, not cluster housekeeping.
-	draining bool
 
 	// Pacing controls whether VOD sessions honor packet send times; when
 	// false packets are written as fast as possible (the pacing ablation).
@@ -575,49 +569,6 @@ func (s *Server) AssetNames() []string {
 	return names
 }
 
-// SetDraining switches refusal of new streaming sessions: while
-// draining, /vod/, /live/ and /group/ answer 503 (counted as rejects)
-// and in-flight sessions run to completion. A node going down cleanly
-// deregisters from its registry, sets draining, and waits with Drain.
-func (s *Server) SetDraining(v bool) {
-	s.mu.Lock()
-	s.draining = v
-	s.mu.Unlock()
-}
-
-// Draining reports whether new sessions are being refused.
-func (s *Server) Draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining
-}
-
-// Drain marks the server draining and blocks until every active session
-// has finished or ctx expires (returning ctx's error with sessions
-// still live). It is the graceful half of edge churn: the abrupt half —
-// a kill — simply severs connections and lets clients fail over.
-func (s *Server) Drain(ctx context.Context) error {
-	s.SetDraining(true)
-	for s.Stats().ActiveClients != 0 {
-		if !s.clock.SleepUntil(ctx, s.clock.Now().Add(10*time.Millisecond)) {
-			return fmt.Errorf("streaming: drain: %d sessions still active: %w",
-				s.Stats().ActiveClients, ctx.Err())
-		}
-	}
-	return nil
-}
-
-// refuseDraining answers a streaming request with 503 when the server
-// is draining, reporting whether it did.
-func (s *Server) refuseDraining(w http.ResponseWriter) bool {
-	if !s.Draining() {
-		return false
-	}
-	s.reject()
-	proto.WriteError(w, http.StatusServiceUnavailable, "streaming: server draining")
-	return true
-}
-
 // Stats returns a snapshot of the server counters, read off the same
 // instruments GET /v1/metrics serves. Each field is read atomically; the
 // snapshot as a whole is not.
@@ -866,9 +817,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // handleFetch transfers a whole stored container through the stored loop
-// from byte 0, unpaced and unobserved, with no draining check, admission
-// or session. It is the origin-side mirror path of the relay tier: edges
-// pull an asset once and then serve it to their own clients.
+// from byte 0, unpaced and unobserved, with no admission or session. It
+// is the origin-side mirror path of the relay tier: edges pull an asset
+// once and then serve it to their own clients.
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	name := proto.StreamName(r.URL.Path, proto.StreamFetch)
 	asset, ok := s.open(name)
@@ -923,9 +874,6 @@ func (s *Server) handleChannels(w http.ResponseWriter, _ *http.Request) {
 
 // handleVOD streams the stored asset its path names (streamAsset).
 func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
 	s.streamAsset(w, r, proto.StreamName(r.URL.Path, proto.StreamVOD))
 }
 
@@ -1075,9 +1023,6 @@ func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *sess
 // channel's header, then the log from the viewer's cursor on.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	arrived := s.clock.Now()
-	if s.refuseDraining(w) {
-		return
-	}
 	name := proto.StreamName(r.URL.Path, proto.StreamLive)
 	ch, ok := s.Channel(name)
 	if !ok {
