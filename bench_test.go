@@ -1,6 +1,6 @@
 // Benchmarks of the packages behind the paper's figures, named by
 // DESIGN.md's experiment index where one row has a cost worth timing
-// (E7 and E11 are checked by tests only; E12's fan-out is
+// (E7 and E11 are checked by tests only, E13 is retired; E12's fan-out is
 // internal/streaming's BenchmarkChannelPublish and E15's admission its
 // BenchmarkAdmit), plus the ablation benches DESIGN.md calls out. Run
 // with: go test -bench=. -benchmem
@@ -485,30 +485,6 @@ func BenchmarkRelayFanOut(b *testing.B) {
 			originCh.Close() // the relay ends, and with it every viewer's body
 			viewers.Wait()
 		})
-	}
-}
-
-// BenchmarkE13Session measures interactive-session evaluation cost.
-func BenchmarkE13Session(b *testing.B) {
-	lec := benchLecture(b, "modem-56k", 10*time.Second, 4)
-	var buf bytes.Buffer
-	if _, err := encoder.EncodeLecture(lec, encoder.Config{}, &buf); err != nil {
-		b.Fatal(err)
-	}
-	header, packets, _, err := asf.ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	controls := []player.Control{
-		{Kind: player.CtlPause, At: 3 * time.Second},
-		{Kind: player.CtlResume, At: 5 * time.Second},
-		{Kind: player.CtlSeek, At: 8 * time.Second, Target: 2 * time.Second},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := player.RunSession(header, packets, controls); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -204,12 +204,9 @@ func TestFullDistributedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	group, err := server.CreateRateGroup("integration-group")
-	if err != nil {
+	if _, err := server.CreateRateGroup("integration-group", baseAsset, richAsset); err != nil {
 		t.Fatal(err)
 	}
-	group.AddVariant(baseAsset)
-	group.AddVariant(richAsset)
 
 	// --- Serve over a real socket. ---
 	ts := httptest.NewServer(server.Handler())

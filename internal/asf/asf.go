@@ -72,7 +72,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/media"
@@ -301,13 +300,6 @@ type IndexEntry struct {
 // Index is a stream's seek points in send order, derived from its
 // packets (ReadAll).
 type Index []IndexEntry
-
-// Locate returns the position in ix of the last entry at or before pts,
-// and false when the index has no entry that early.
-func (ix Index) Locate(pts time.Duration) (int, bool) {
-	i := sort.Search(len(ix), func(i int) bool { return ix[i].PTS > pts })
-	return i - 1, i > 0
-}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 

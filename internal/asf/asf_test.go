@@ -197,13 +197,6 @@ func TestFileRoundTrip(t *testing.T) {
 	if end, _ := EncodePacket(last); !bytes.HasSuffix(buf.Bytes(), end) {
 		t.Fatal("stored stream does not end with its last packet")
 	}
-	// Locate returns the last seek point at or before the requested time.
-	if i, ok := ix.Locate(50 * time.Millisecond); !ok || ix[i].Seq != 0 {
-		t.Fatalf("Locate(50ms) = %d,%v; want the entry of seq 0", i, ok)
-	}
-	if i, ok := ix.Locate(90 * time.Millisecond); !ok || ix[i].Seq != 3 {
-		t.Fatalf("Locate(90ms) = %d,%v; want the entry of seq 3", i, ok)
-	}
 }
 
 // TestSeekPoint: a stream starts at a video keyframe, or at an audio
@@ -232,13 +225,6 @@ func TestSeekPoint(t *testing.T) {
 		if got := audioOnly.SeekPoint(p); got != tc.audio {
 			t.Errorf("%v flags %d without video: SeekPoint = %v", tc.kind, tc.flags, got)
 		}
-	}
-}
-
-func TestIndexLocateBeforeFirst(t *testing.T) {
-	ix := Index{{PTS: 10 * time.Second, Seq: 5}}
-	if _, ok := ix.Locate(5 * time.Second); ok {
-		t.Fatal("Locate before first entry must fail")
 	}
 }
 

@@ -8,8 +8,8 @@
 // Given an audience's available time and link bandwidth, the planner picks
 // the deepest content-tree level that fits the time budget and the richest
 // bandwidth profile that fits the link, and compiles the level extraction
-// into an interactive control timeline (seeks over the stored asset) that
-// plays exactly the selected segments.
+// into the ranges of the stored asset that play: exactly the selected
+// segments, in play order.
 package dynamic
 
 import (
@@ -21,7 +21,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/codec"
 	"repro/internal/contenttree"
-	"repro/internal/player"
 )
 
 // Audience describes one viewer's constraints.
@@ -34,8 +33,8 @@ type Audience struct {
 }
 
 // Plan is a per-audience presentation: which abstraction level plays,
-// which segments that includes, at which encoding profile, and the control
-// timeline realizing it over the full stored asset.
+// which segments that includes, at which encoding profile, and the ranges
+// of the full stored asset that realize it.
 type Plan struct {
 	// Level is the chosen content-tree level.
 	Level int
@@ -45,8 +44,14 @@ type Plan struct {
 	SegmentIDs []string
 	// Duration is the planned presentation time.
 	Duration time.Duration
-	// Controls seek the stored asset so only the selected segments play.
-	Controls []player.Control
+	// Ranges are the stored asset's media intervals that play, in play
+	// order; they are disjoint and sum to Duration.
+	Ranges []Range
+}
+
+// Range is one interval [Start, End) of the stored asset's media time.
+type Range struct {
+	Start, End time.Duration
 }
 
 // Errors.
@@ -54,11 +59,10 @@ var (
 	ErrNoFit = errors.New("dynamic: even the level-0 summary exceeds the available time")
 )
 
-// interval is one selected media range.
+// interval is one selected media range and the tree node it plays.
 type interval struct {
-	id    string
-	start time.Duration
-	end   time.Duration
+	id string
+	Range
 }
 
 // PlanFor fits a presentation to the audience: the deepest level whose
@@ -122,34 +126,15 @@ func PlanFor(tree *contenttree.Tree, slides []capture.Slide, total time.Duration
 		if !okS || !okE {
 			return nil, fmt.Errorf("dynamic: tree node %q has no media interval", id)
 		}
-		selected = append(selected, interval{id: id, start: s, end: e})
+		selected = append(selected, interval{id: id, Range: Range{Start: s, End: e}})
 	}
-	sort.SliceStable(selected, func(i, j int) bool { return selected[i].start < selected[j].start })
+	sort.SliceStable(selected, func(i, j int) bool { return selected[i].Start < selected[j].Start })
 
 	plan := &Plan{Level: level, Profile: profile}
 	for _, iv := range selected {
 		plan.SegmentIDs = append(plan.SegmentIDs, iv.id)
-		plan.Duration += iv.end - iv.start
-	}
-
-	// Compile to a control timeline: play each selected interval in order,
-	// seeking across the gaps. Wall time advances only through played
-	// intervals.
-	var wall time.Duration
-	var pos time.Duration // current media position
-	for _, iv := range selected {
-		if iv.start != pos {
-			plan.Controls = append(plan.Controls, player.Control{
-				Kind: player.CtlSeek, At: wall, Target: iv.start,
-			})
-		}
-		wall += iv.end - iv.start
-		pos = iv.end
-	}
-	// Stop at the end of the last selected interval (the stored asset may
-	// continue past it when the plan drops a tail segment).
-	if pos < total {
-		plan.Controls = append(plan.Controls, player.Control{Kind: player.CtlPause, At: wall})
+		plan.Ranges = append(plan.Ranges, iv.Range)
+		plan.Duration += iv.End - iv.Start
 	}
 	return plan, nil
 }

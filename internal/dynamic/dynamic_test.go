@@ -1,27 +1,20 @@
 package dynamic
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
 
-	"repro/internal/asf"
 	"repro/internal/capture"
 	"repro/internal/codec"
 	"repro/internal/contenttree"
-	"repro/internal/encoder"
-	"repro/internal/player"
 	"repro/internal/publish"
 )
 
-// fixture builds a 60 s, 9-slide lecture with its content tree and encoded
-// asset.
+// fixture builds a 60 s, 9-slide lecture with its content tree.
 type fixture struct {
-	lec     *capture.Lecture
-	tree    *contenttree.Tree
-	header  asf.Header
-	packets []asf.Packet
+	lec  *capture.Lecture
+	tree *contenttree.Tree
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -41,15 +34,28 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := encoder.EncodeLecture(lec, encoder.Config{}, &buf); err != nil {
-		t.Fatal(err)
+	return &fixture{lec: lec, tree: tree}
+}
+
+// slideRange is the media interval of the slide backing a tree node: the
+// root plays the first slide's interval.
+func (fx *fixture) slideRange(t *testing.T, id string) Range {
+	t.Helper()
+	if id == fx.tree.Root().ID {
+		id = fx.lec.Slides[0].Name
 	}
-	h, pkts, _, err := asf.ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	for i, s := range fx.lec.Slides {
+		if s.Name != id {
+			continue
+		}
+		end := fx.lec.Duration
+		if i+1 < len(fx.lec.Slides) {
+			end = fx.lec.Slides[i+1].At
+		}
+		return Range{Start: s.At, End: end}
 	}
-	return &fixture{lec: lec, tree: tree, header: h, packets: pkts}
+	t.Fatalf("no slide backs tree node %q", id)
+	return Range{}
 }
 
 func TestPlanUnconstrainedWatchesEverything(t *testing.T) {
@@ -64,8 +70,16 @@ func TestPlanUnconstrainedWatchesEverything(t *testing.T) {
 	if plan.Duration != fx.lec.Duration {
 		t.Fatalf("duration = %v, want %v", plan.Duration, fx.lec.Duration)
 	}
-	if len(plan.Controls) != 0 {
-		t.Fatalf("full watch needs no controls, got %v", plan.Controls)
+	// The ranges tile the whole asset.
+	var at time.Duration
+	for _, r := range plan.Ranges {
+		if r.Start != at {
+			t.Fatalf("ranges %v leave a gap at %v", plan.Ranges, at)
+		}
+		at = r.End
+	}
+	if at != fx.lec.Duration {
+		t.Fatalf("ranges %v end at %v, want %v", plan.Ranges, at, fx.lec.Duration)
 	}
 }
 
@@ -114,60 +128,29 @@ func TestPlanReplayPlaysExactlySelectedIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := player.RunSession(fx.header, fx.packets, plan.Controls)
-	if err != nil {
-		t.Fatal(err)
+	if len(plan.Ranges) != len(plan.SegmentIDs) {
+		t.Fatalf("%d ranges for %d segments", len(plan.Ranges), len(plan.SegmentIDs))
 	}
-	if !res.EventsInWallOrder() {
-		t.Fatal("replay out of wall order")
-	}
-	// The session ends within the plan's duration (seeks snap to
-	// keyframes, which can only start intervals earlier, never extend the
-	// wall timeline beyond the budget).
-	if res.EndedAt > plan.Duration {
-		t.Fatalf("replay ran %v, plan budget %v", res.EndedAt, plan.Duration)
-	}
-	// Media outside the selected intervals must not be presented. Build
-	// the selected set from the plan's segment IDs.
-	selected := map[string][2]time.Duration{}
-	for i, s := range fx.lec.Slides {
-		end := fx.lec.Duration
-		if i+1 < len(fx.lec.Slides) {
-			end = fx.lec.Slides[i+1].At
+	var sum time.Duration
+	for i, r := range plan.Ranges {
+		if want := fx.slideRange(t, plan.SegmentIDs[i]); r != want {
+			t.Fatalf("range %d = %v, want segment %q's interval %v", i, r, plan.SegmentIDs[i], want)
 		}
-		selected[s.Name] = [2]time.Duration{s.At, end}
-	}
-	inPlan := func(pts time.Duration) bool {
-		for _, id := range plan.SegmentIDs {
-			key := id
-			if id == fx.tree.Root().ID {
-				key = fx.lec.Slides[0].Name
-			}
-			iv := selected[key]
-			if pts >= iv[0] && pts < iv[1] {
-				return true
-			}
+		if r.End <= r.Start {
+			t.Fatalf("range %d = %v is empty", i, r)
 		}
-		return false
-	}
-	// A seek snaps back to the video keyframe at or before its target, so
-	// it may pull in up to one GOP before an interval's start, never more.
-	p, err := codec.ByName("modem-56k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gop := time.Duration(p.GOPFrames) * time.Second / time.Duration(p.FrameRate)
-	late := 0
-	for _, e := range res.Events {
-		if inPlan(e.PTS) {
-			continue
+		if i > 0 && r.Start < plan.Ranges[i-1].End {
+			t.Fatalf("range %d = %v overlaps or precedes %v", i, r, plan.Ranges[i-1])
 		}
-		if !inPlan(e.PTS + gop) {
-			t.Fatalf("event at %v is outside the plan by more than a %v GOP", e.PTS, gop)
-		}
-		late++
+		sum += r.End - r.Start
 	}
-	t.Logf("%d of %d presented events lie in the GOP before a selected interval", late, len(res.Events))
+	if sum != plan.Duration {
+		t.Fatalf("ranges sum to %v, plan duration %v", sum, plan.Duration)
+	}
+	// The summary skips material: the ranges leave gaps in the asset.
+	if plan.Duration >= fx.lec.Duration {
+		t.Fatalf("level-1 plan runs %v of a %v lecture", plan.Duration, fx.lec.Duration)
+	}
 }
 
 func TestPlanErrorsOnEmptyTree(t *testing.T) {

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -258,5 +259,55 @@ func TestEdgeCachePinsStreamingAsset(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("pinned session never finished")
+	}
+}
+
+// TestEdgeCachePinsGroupVariants: a mirrored rate group pins its
+// variants, so budget pressure from another mirror cannot take one; once
+// the group is removed they are evictable like any mirror.
+func TestEdgeCachePinsGroupVariants(t *testing.T) {
+	origin := streaming.NewServer(nil)
+	origin.Pacing = false
+	for _, name := range []string{"lean", "rich", "other"} {
+		registerTestAsset(t, origin, name)
+	}
+	lean, _ := origin.Asset("lean")
+	rich, _ := origin.Asset("rich")
+	if _, err := origin.CreateRateGroup("course", lean, rich); err != nil {
+		t.Fatal(err)
+	}
+	originTS := httptest.NewServer(origin.Handler())
+	defer originTS.Close()
+
+	edgeSrv := streaming.NewServer(nil)
+	edge := NewEdge(originTS.URL, edgeSrv)
+	edge.CacheBytes = lean.Bytes() // room for one of the three
+	if err := edge.mirrorGroup(context.Background(), "course"); err != nil {
+		t.Fatal(err)
+	}
+	if err := edge.MirrorAsset("other"); err != nil {
+		t.Fatal(err)
+	}
+	edge.enforceBudget("") // the pressure every later demand applies
+	for _, v := range []string{"lean", "rich"} {
+		if _, ok := edgeSrv.Asset(v); !ok {
+			t.Fatalf("variant %s of a mirrored group was evicted", v)
+		}
+	}
+	if _, ok := edgeSrv.Asset("other"); ok {
+		t.Fatal("the unpinned mirror survived while the edge was over budget")
+	}
+
+	if !edgeSrv.RemoveRateGroup("course") {
+		t.Fatal("the edge holds no group course")
+	}
+	edge.enforceBudget("")
+	if got := edge.cache.Bytes(); got > edge.CacheBytes {
+		t.Fatalf("cache holds %d bytes over a %d budget after the group left", got, edge.CacheBytes)
+	}
+	_, leanKept := edgeSrv.Asset("lean")
+	_, richKept := edgeSrv.Asset("rich")
+	if leanKept && richKept {
+		t.Fatal("both variants survived budget pressure after their group was removed")
 	}
 }

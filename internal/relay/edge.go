@@ -30,9 +30,10 @@ import (
 // window and must beat the main segment's coldest resident on
 // sketch-estimated frequency to displace it, so one-hit wonders churn
 // through the window without evicting hot mirrors. Assets with active
-// sessions, an in-flight demand, or a rate-group membership are pinned
-// and never dropped, so capacity pressure cannot fail an in-flight
-// stream; a dropped asset is simply re-mirrored on its next demand.
+// sessions, an in-flight demand, or a rate-group membership hold a pin
+// on the server (streaming.Server.Pin) and are never dropped, so
+// capacity pressure cannot fail an in-flight stream; a dropped asset is
+// simply re-mirrored on its next demand.
 // Concurrent demands for the same uncached asset coalesce onto a single
 // origin pull. Cache traffic (hits, misses, evictions, admission
 // rejects, coalesced pulls, resident bytes, origin bytes pulled, pulls
@@ -232,7 +233,7 @@ func (e *Edge) trackAsset(name string) {
 // that gained a pin between the cache's decision and this removal (a
 // demand raced in) is reinstated instead of removed.
 func (e *Edge) enforceBudget(except string) {
-	evicted, rejected := e.cache.Enforce(e.CacheBytes, except, e.pinned)
+	evicted, rejected := e.cache.Enforce(e.CacheBytes, except, e.Server.Pinned)
 	e.dropVictims(evicted, e.inst.evictions)
 	e.dropVictims(rejected, e.inst.rejects)
 	e.inst.cacheBytes.Set(e.cache.Bytes())
@@ -240,7 +241,7 @@ func (e *Edge) enforceBudget(except string) {
 
 func (e *Edge) dropVictims(victims []string, counter *metrics.Counter) {
 	for _, victim := range victims {
-		if e.pinned(victim) {
+		if e.Server.Pinned(victim) {
 			if a, ok := e.Server.Asset(victim); ok {
 				e.cache.Add(victim, a.Bytes())
 				continue
@@ -250,15 +251,6 @@ func (e *Edge) dropVictims(victims []string, counter *metrics.Counter) {
 			counter.Inc()
 		}
 	}
-}
-
-// pinned reports whether an asset must survive eviction: it is being
-// streamed or demanded right now (streaming.Server.Pin), or a mirrored
-// rate group lists it (dropping a variant would leave the group short of
-// an encoding it was mirrored with).
-func (e *Edge) pinned(name string) bool {
-	return e.Server.Pinned(name) || slices.ContainsFunc(e.Server.Groups(),
-		func(g streaming.GroupInfo) bool { return slices.Contains(g.Variants, name) })
 }
 
 // countBytes wraps an origin response body so every byte pulled from
@@ -306,31 +298,29 @@ func (e *Edge) fetchGroup(name string) error {
 	}
 	variants := groups[i].Variants
 	// Pin every variant for the whole group mirror: until CreateRateGroup
-	// runs, the variants have no group membership, and under a tight
-	// budget a later variant's pull could otherwise evict an earlier one,
-	// registering a permanently incomplete group.
+	// runs, no group pins them, and under a tight budget a later
+	// variant's pull could otherwise evict an earlier one, registering a
+	// permanently incomplete group.
 	for _, v := range variants {
 		defer e.Server.Pin(v)()
 	}
-	for _, v := range variants {
+	assets := make([]*streaming.Asset, len(variants))
+	for i, v := range variants {
 		if err := e.MirrorAsset(v); err != nil {
 			return fmt.Errorf("relay: group %q variant: %w", name, err)
 		}
-		if _, ok := e.Server.Asset(v); !ok { // pinned: only its landing check drops it
+		a, ok := e.Server.Asset(v)
+		if !ok { // pinned: only its landing check drops it
 			return fmt.Errorf("relay: group %q: variant %q moved during the pull", name, v)
 		}
+		assets[i] = a
 	}
-	g, err := e.Server.CreateRateGroup(name)
-	if err != nil {
+	// Registered whole, with its variants: a lookup never finds it empty.
+	if _, err := e.Server.CreateRateGroup(name, assets...); err != nil {
 		if errors.Is(err, streaming.ErrDuplicate) {
 			return nil // raced with a direct registration
 		}
 		return err
-	}
-	for _, v := range variants {
-		if a, ok := e.Server.Asset(v); ok {
-			g.AddVariant(a)
-		}
 	}
 	landed(func() {
 		if e.Server.RemoveRateGroup(name) {

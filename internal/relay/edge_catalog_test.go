@@ -94,12 +94,9 @@ func TestEdgeSyncCatalogDropsRemovedGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	lean, _ := origin.Asset("grp-1-lean")
-	g, err := origin.CreateRateGroup("grp-1")
-	if err != nil {
+	if _, err := origin.CreateRateGroup("grp-1", lean, rich); err != nil {
 		t.Fatal(err)
 	}
-	g.AddVariant(lean)
-	g.AddVariant(rich)
 
 	edgeSrv := streaming.NewServer(nil)
 	edgeSrv.Pacing = false
@@ -142,12 +139,9 @@ func TestEdgeSyncCatalogDropsGroupOfRepublishedVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	lean, _ := origin.Asset("grp-1-lean")
-	g, err := origin.CreateRateGroup("grp-1")
-	if err != nil {
+	if _, err := origin.CreateRateGroup("grp-1", lean, rich); err != nil {
 		t.Fatal(err)
 	}
-	g.AddVariant(lean)
-	g.AddVariant(rich)
 	want, err := check.StoredBody(data, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -298,12 +292,9 @@ func TestEdgeGroupPullAcrossRecut(t *testing.T) {
 		t.Fatal(err)
 	}
 	lean, _ := origin.Asset("grp-1-lean")
-	g, err := origin.CreateRateGroup("grp-1")
-	if err != nil {
+	if _, err := origin.CreateRateGroup("grp-1", lean, rich); err != nil {
 		t.Fatal(err)
 	}
-	g.AddVariant(lean)
-	g.AddVariant(rich)
 	assets := []proto.CatalogAsset{{Name: "grp-1-lean", Rev: 1}, {Name: "grp-1-rich", Rev: 1}}
 	initial := proto.Catalog{Version: 1, Assets: assets,
 		Groups: []proto.CatalogGroup{{Name: "grp-1", Variants: []string{"grp-1-lean", "grp-1-rich"}, Rev: 1}}}
@@ -328,12 +319,9 @@ func TestEdgeGroupPullAcrossVariantRepublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	lean, _ := origin.Asset("grp-1-lean")
-	g, err := origin.CreateRateGroup("grp-1")
-	if err != nil {
+	if _, err := origin.CreateRateGroup("grp-1", lean, rich); err != nil {
 		t.Fatal(err)
 	}
-	g.AddVariant(lean)
-	g.AddVariant(rich)
 	fresh := map[string][]byte{
 		"grp-1-lean": encodeTestLecture(t, 3*time.Second, false),
 		"grp-1-rich": encodeTestLecture(t, 4*time.Second, false),

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -216,12 +217,9 @@ func TestEdgeMirrorsRateGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	group, err := origin.CreateRateGroup("lecture")
-	if err != nil {
+	if _, err := origin.CreateRateGroup("lecture", lean, rich); err != nil {
 		t.Fatal(err)
 	}
-	group.AddVariant(lean)
-	group.AddVariant(rich)
 	originTS := httptest.NewServer(origin.Handler())
 	defer originTS.Close()
 
@@ -263,6 +261,62 @@ func TestEdgeMirrorsRateGroup(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown group status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestEdgeRegistersMirroredGroupWhole: a lookup of a group on an edge
+// that is mirroring it finds the group absent or with its variants, never
+// registered and empty — which a /v1/group demand would answer with 404.
+// One goroutine looks the group up while fresh edges mirror it.
+func TestEdgeRegistersMirroredGroupWhole(t *testing.T) {
+	origin := streaming.NewServer(nil)
+	origin.Pacing = false
+	lean, err := origin.RegisterAsset("lean", asf.NewReader(bytes.NewReader(encodeTestLecture(t, time.Second, false))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rich, err := origin.RegisterAsset("rich", asf.NewReader(bytes.NewReader(encodeRichLecture(t, time.Second))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := origin.CreateRateGroup("lecture", lean, rich); err != nil {
+		t.Fatal(err)
+	}
+	originTS := httptest.NewServer(origin.Handler())
+	defer originTS.Close()
+
+	const rounds = 500
+	var empty atomic.Int64
+	for round := 0; round < rounds; round++ {
+		edgeSrv := streaming.NewServer(nil)
+		edge := NewEdge(originTS.URL, edgeSrv)
+		done := make(chan struct{})
+		var looker sync.WaitGroup
+		looker.Add(1)
+		go func() {
+			defer looker.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if g, ok := edgeSrv.RateGroup("lecture"); ok {
+					if _, ok := g.Select(60_000); !ok {
+						empty.Add(1)
+					}
+				}
+			}
+		}()
+		err := edge.mirrorGroup(context.Background(), "lecture")
+		close(done)
+		looker.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := empty.Load(); n > 0 {
+		t.Fatalf("%d lookups over %d mirrors found the group registered without a variant", n, rounds)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/vclock"
 )
 
@@ -102,8 +103,8 @@ func (h *Heartbeats) register(ctx context.Context, clock vclock.Clock) error {
 		if err == nil {
 			return nil
 		}
-		var he *httpError
-		if errors.As(err, &he) && he.Status >= 400 && he.Status < 500 {
+		var perr *proto.Error
+		if errors.As(err, &perr) && perr.Status >= 400 && perr.Status < 500 {
 			return err
 		}
 		if !clock.SleepUntil(ctx, clock.Now().Add(vclock.Backoff(registerBackoff, attempt))) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -247,6 +248,8 @@ func TestRegistryCatalogHTTPRoundTrip(t *testing.T) {
 		t.Fatal("unpublishing unknown asset succeeded")
 	} else if !IsNotFound(err) {
 		t.Fatalf("unknown unpublish = %v, want a recognizable 404", err)
+	} else if msg := err.Error(); !strings.Contains(msg, ts.URL) || !strings.Contains(msg, "status 404") {
+		t.Fatalf("unknown unpublish = %q, want it to name the URL and the status", msg)
 	}
 }
 

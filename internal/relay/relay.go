@@ -87,30 +87,18 @@ func SnapshotStats(srv *streaming.Server) NodeStats {
 	}
 }
 
-// httpError reports a non-2xx registry response with its status code, so
-// callers can react to specific protocol statuses.
-type httpError struct {
-	URL    string
-	Status int
-	Msg    string
-}
-
-func (e *httpError) Error() string {
-	return fmt.Sprintf("relay: %s: status %d: %s", e.URL, e.Status, e.Msg)
-}
-
 // IsNotFound reports whether err is a server answer saying the named
 // thing does not exist (HTTP 404) — as opposed to a transport failure
 // or a rejection. Unpublish tooling uses it to treat "already gone" as
 // a skippable condition rather than a hard stop.
 func IsNotFound(err error) bool {
-	var he *httpError
-	return errors.As(err, &he) && he.Status == http.StatusNotFound
+	var perr *proto.Error
+	return errors.As(err, &perr) && perr.Status == http.StatusNotFound
 }
 
 // call sends one control-plane request and returns the answer's
 // catalog version header (0 when absent — non-registry targets). Any
-// answer but 200 or 204 is an *httpError carrying the proto.Error body;
+// answer but 200 or 204 is an error wrapping its *proto.Error body;
 // a 200's JSON body is decoded into out when out is non-nil. A nil
 // client uses proto.DefaultClient.
 func call(ctx context.Context, client *http.Client, method, url, contentType string, body io.Reader, out any) (uint64, error) {
@@ -129,8 +117,7 @@ func call(ctx context.Context, client *http.Client, method, url, contentType str
 		return 0, err
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		perr := proto.ReadError(resp) // closes the body
-		return 0, &httpError{URL: url, Status: perr.Status, Msg: perr.Message}
+		return 0, fmt.Errorf("relay: %s: %w", url, proto.ReadError(resp)) // closes the body
 	}
 	defer resp.Body.Close()
 	if out != nil {

@@ -15,14 +15,16 @@ import (
 // bandwidth and receives the richest variant that fits. A group holds
 // its variants by name: it ranks, and hands out, the asset registered
 // under each name now, so a republished variant counts at its new rate
-// and the copy it replaced is no longer held. Create one with
-// Server.CreateRateGroup.
+// and the copy it replaced is no longer held. While registered, a group
+// pins each variant name against cache eviction (Server.Pin). Create one
+// with Server.CreateRateGroup.
 type RateGroup struct {
 	Name string
 
 	srv      *Server
 	mu       sync.RWMutex
 	variants []string // in the order they were added
+	removed  bool     // RemoveRateGroup dropped its pins
 }
 
 // AddVariant adds an encoding to the group, by its name.
@@ -30,6 +32,9 @@ func (g *RateGroup) AddVariant(a *Asset) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.variants = append(g.variants, a.Name)
+	if !g.removed {
+		g.srv.pin(a.Name, 1)
+	}
 }
 
 // each calls f with the asset registered under each variant name, in
@@ -78,8 +83,13 @@ func (g *RateGroup) Variants() []*Asset {
 	return out
 }
 
-// CreateRateGroup registers an empty multi-rate group on the server.
-func (s *Server) CreateRateGroup(name string) (*RateGroup, error) {
+// CreateRateGroup registers a multi-rate group holding the given
+// variants, in that order: a lookup finds the group whole or not at all.
+func (s *Server) CreateRateGroup(name string, variants ...*Asset) (*RateGroup, error) {
+	g := &RateGroup{Name: name, srv: s, variants: make([]string, len(variants))}
+	for i, a := range variants {
+		g.variants[i] = a.Name
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.groups == nil {
@@ -88,7 +98,9 @@ func (s *Server) CreateRateGroup(name string) (*RateGroup, error) {
 	if _, ok := s.groups[name]; ok {
 		return nil, fmt.Errorf("%w: group %q", ErrDuplicate, name)
 	}
-	g := &RateGroup{Name: name, srv: s}
+	for _, v := range g.variants {
+		s.pin(v, 1)
+	}
 	s.groups[name] = g
 	return g, nil
 }
@@ -103,15 +115,24 @@ func (s *Server) RateGroup(name string) (*RateGroup, bool) {
 
 // RemoveRateGroup unregisters a multi-rate group, reporting whether it
 // was present. Its variant assets stay registered (they may be served
-// directly or belong to other groups); sessions streaming a variant
-// finish normally. The unpublish/catalog-invalidation hook.
+// directly or belong to other groups), no longer pinned by it; sessions
+// streaming a variant finish normally. The unpublish/catalog-invalidation
+// hook.
 func (s *Server) RemoveRateGroup(name string) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.groups[name]; !ok {
+	g, ok := s.groups[name]
+	delete(s.groups, name)
+	s.mu.Unlock()
+	if !ok {
 		return false
 	}
-	delete(s.groups, name)
+	// After s.mu: the lock order is g.mu, then s.mu (each).
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.removed = true
+	for _, v := range g.variants {
+		s.pin(v, -1)
+	}
 	return true
 }
 

@@ -37,17 +37,18 @@ func setupGroup(t *testing.T) (*Server, *RateGroup) {
 	t.Helper()
 	srv := NewServer(nil)
 	srv.Pacing = false
-	g, err := srv.CreateRateGroup("lecture")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var variants []*Asset
 	for _, name := range []string{"modem-28k", "isdn-128k", "dsl-768k"} {
 		data := encodeAtProfile(t, name)
 		a, err := srv.RegisterAsset("lecture-"+name, asf.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.AddVariant(a)
+		variants = append(variants, a)
+	}
+	g, err := srv.CreateRateGroup("lecture", variants...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return srv, g
 }
@@ -110,6 +111,42 @@ func TestRateGroupEmptySelect(t *testing.T) {
 	g := &RateGroup{Name: "empty"}
 	if _, ok := g.Select(1000); ok {
 		t.Fatal("empty group selected a variant")
+	}
+}
+
+// TestRateGroupPinsItsVariants: a registered group holds one pin per
+// variant name, taken by CreateRateGroup and AddVariant and dropped by
+// RemoveRateGroup; a variant added after the removal takes none.
+func TestRateGroupPinsItsVariants(t *testing.T) {
+	srv, g := setupGroup(t)
+	extra, err := srv.RegisterAsset("lecture-extra", asf.NewReader(bytes.NewReader(encodeAtProfile(t, "modem-28k"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AddVariant(extra)
+	names := []string{"lecture-modem-28k", "lecture-isdn-128k", "lecture-dsl-768k", "lecture-extra"}
+	for _, name := range names {
+		if !srv.Pinned(name) {
+			t.Fatalf("%s is in a registered group but holds no pin", name)
+		}
+	}
+	unpin := srv.Pin("lecture-dsl-768k") // a session's pin outlives the group's
+	defer unpin()
+	if !srv.RemoveRateGroup("lecture") {
+		t.Fatal("RemoveRateGroup found no group")
+	}
+	for _, name := range names {
+		if want := name == "lecture-dsl-768k"; srv.Pinned(name) != want {
+			t.Fatalf("after the group's removal %s pinned = %v, want %v", name, !want, want)
+		}
+	}
+	late, err := srv.RegisterAsset("lecture-late", asf.NewReader(bytes.NewReader(encodeAtProfile(t, "modem-28k"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AddVariant(late)
+	if srv.Pinned("lecture-late") {
+		t.Fatal("a variant added to a removed group holds a pin")
 	}
 }
 

@@ -45,11 +45,9 @@ func TestStoredResponseIsExactRange(t *testing.T) {
 	if got := len(asset.Header.Scripts); got < 3 {
 		t.Fatalf("lecture has %d script commands, want a slide flip for each of 3 slides", got)
 	}
-	g, err := srv.CreateRateGroup("course")
-	if err != nil {
+	if _, err := srv.CreateRateGroup("course", asset); err != nil {
 		t.Fatal(err)
 	}
-	g.AddVariant(asset)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

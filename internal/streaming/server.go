@@ -230,9 +230,10 @@ type Server struct {
 	// lod_channel_resyncs_total never go down.
 	droppedRemoved, resyncsRemoved int64
 
-	// pins counts, per asset, the sessions streaming it and the demands
-	// about to (Pin). It has its own lock, so a pin never waits behind a
-	// catalog lookup.
+	// pins counts, per asset name, the sessions streaming it, the demands
+	// about to (Pin) and the registered rate groups listing it: the one
+	// ledger of what cache eviction must keep. It has its own lock, so a
+	// pin never waits behind a catalog lookup.
 	pinMu sync.Mutex
 	pins  map[string]int
 	// admitMu makes admit's capacity check and its booking of the
@@ -534,8 +535,9 @@ func (s *Server) RemoveAsset(name string) bool {
 }
 
 // Pin marks the named asset in use until unpin is called: a session
-// streaming it holds a pin (admit), and so does a demand about to start
-// one (relay.Edge). Cache eviction keeps a pinned asset.
+// streaming it holds a pin (admit), so does a demand about to start one
+// (relay.Edge), and so does each registered rate group listing it. Cache
+// eviction keeps a pinned asset.
 func (s *Server) Pin(name string) (unpin func()) {
 	s.pin(name, 1)
 	return func() { s.pin(name, -1) }
