@@ -498,11 +498,11 @@ func (r *Reader) ReadShared() (*Shared, error) { return r.ReadTo(&r.slab) }
 // own slab: for a caller whose slab takes its buffers back (a live
 // channel's, see Slab.Renew).
 func (r *Reader) ReadTo(s *Slab) (*Shared, error) {
-	p, wire, err := r.next()
+	_, wire, err := r.next()
 	if err != nil {
 		return nil, err
 	}
-	return s.own(p, wire), nil
+	return s.own(wire), nil
 }
 
 // next validates the next packet in place and consumes it; the returned

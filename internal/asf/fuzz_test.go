@@ -15,13 +15,13 @@ import (
 // differently — ReadShared over the whole input, ReadPacket over a source
 // that yields at most chunk bytes a read, so objects straddle its fills:
 // the borrowed packet, compared before the next read overwrites it, and
-// the owned one agree on every field and payload byte, both refuse the
-// rest with the same error, and every accepted wire image is the
-// canonical encoding of its packet — what a relay forwards is what an
-// encoder would have written. The owned packets are kept until the stream
-// ends and checked again then: no later read into the same slab wrote
-// over one, and split into runs (Run) they write the same bytes as one
-// by one.
+// the owned one's view, decoded from its image, agree on every field and
+// payload byte (viewDiff), both refuse the rest with the same error, and
+// every accepted wire image is the canonical encoding of its packet —
+// what a relay forwards is what an encoder would have written. The owned
+// packets are kept until the stream ends and checked again then: no
+// later read into the same slab wrote over one, and split into runs
+// (Run) they write the same bytes as one by one.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid small file.
 	var buf bytes.Buffer
@@ -76,8 +76,8 @@ func FuzzReader(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if !reflect.DeepEqual(p, sp.Packet()) {
-				t.Fatalf("packet %d: ReadPacket %+v, ReadShared %+v", i, p, sp.Packet())
+			if d := viewDiff(sp, p); d != "" {
+				t.Fatalf("packet %d: ReadShared against ReadPacket: %s", i, d)
 			}
 			canon, err := EncodePacket(sp.Packet())
 			if err != nil {

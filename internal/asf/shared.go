@@ -1,8 +1,11 @@
 package asf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
+
+	"repro/internal/media"
 )
 
 // Fixed wire sizes.
@@ -20,14 +23,14 @@ const (
 	indexEntrySize = 8 + 4
 )
 
-// Shared is an immutable packet in wire form: the bytes (header, CRC,
-// payload) come into being exactly once — encoded by NewShared or
-// Slab.NewShared at the origin, or read and validated off a stream by
-// Reader.ReadShared — and every consumer — each live subscriber, each
-// VOD session, each edge re-fan-out — writes the same underlying buffer.
-// This is the zero-copy half of the serving path: fan-out to N
-// subscribers costs N writes of one buffer, not N re-encodes and N CRC
-// passes.
+// Shared is an immutable packet in wire form, and nothing else: the
+// bytes (header, CRC, payload) come into being exactly once — encoded by
+// NewShared or Slab.NewShared at the origin, or read and validated off a
+// stream by Reader.ReadShared — and every consumer — each live
+// subscriber, each VOD session, each edge re-fan-out — writes the same
+// underlying buffer. This is the zero-copy half of the serving path:
+// fan-out to N subscribers costs N writes of one buffer, not N
+// re-encodes and N CRC passes.
 //
 // Ownership rules (enforced by construction, checked by the race suite):
 //
@@ -40,13 +43,31 @@ const (
 //     being written to other subscribers' connections. Both are
 //     capacity-clipped to the packet, so even an append cannot reach the
 //     packet next to it in a slab.
+//
+// A Shared holds no decoded copy of its packet: Packet, SendAt and
+// PayloadLen read the fields from the image's fixed header, which was
+// validated (and its payload CRC-checked) when the image was made, so a
+// Shared is one slice header and a read is a few loads from bytes the
+// write is about to send.
 type Shared struct {
 	// wire is the full wire image — fixed header and payload — whose
 	// capacity runs to the end of the buffer it was carved from, so that
 	// Run can tell the image carved behind it in the same buffer.
 	wire []byte
-	pkt  Packet // decoded view; Payload aliases wire's tail
 }
+
+// Offsets of the fixed header's fields in a wire image, as appendPacket
+// writes them: "PK" magic, stream, kind, flags, PTS, Dur, SendAt, seq,
+// crc, length.
+const (
+	offStream = 2
+	offKind   = 4
+	offFlags  = 5
+	offPTS    = 6
+	offDur    = 14
+	offSendAt = 22
+	offSeq    = 30
+)
 
 // NewShared validates p and encodes it once, payload copied in, into a
 // buffer of exactly its size: the one-off form of Slab.NewShared. The
@@ -57,16 +78,7 @@ func NewShared(p Packet) (*Shared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sp := &Shared{wire: appendPacket(make([]byte, 0, packetWireSize+len(p.Payload)), p)}
-	sp.setPacket(p)
-	return sp, nil
-}
-
-// setPacket makes p, its Payload pointed at the wire image's tail, the
-// Shared's decoded view.
-func (s *Shared) setPacket(p Packet) {
-	s.pkt = p
-	s.pkt.Payload = s.Wire()[packetWireSize:]
+	return &Shared{wire: appendPacket(make([]byte, 0, packetWireSize+len(p.Payload)), p)}, nil
 }
 
 // A slab's wire images are carved from buffers of slabSize and its
@@ -114,17 +126,14 @@ func (s *Slab) NewShared(p Packet) (*Shared, error) {
 	}
 	sp := s.nextShared()
 	sp.wire = appendPacket(s.bytes(packetWireSize + len(p.Payload))[:0], p)
-	sp.setPacket(p)
 	return sp, nil
 }
 
-// own copies a validated wire image, and p its decoded view, into the
-// slab.
-func (s *Slab) own(p Packet, wire []byte) *Shared {
+// own copies a validated wire image into the slab.
+func (s *Slab) own(wire []byte) *Shared {
 	sp := s.nextShared()
 	sp.wire = s.bytes(len(wire))
 	copy(sp.wire, wire)
-	sp.setPacket(p)
 	return sp
 }
 
@@ -178,9 +187,22 @@ func (s *Slab) nextShared() *Shared {
 // carved: what its packets hold beyond their wire images.
 func (s *Slab) tail() int { return s.left + cap(s.buf) - len(s.buf) }
 
-// Packet returns the decoded view of the shared packet. The view's
-// Payload aliases the shared wire image: treat it as read-only.
-func (s *Shared) Packet() Packet { return s.pkt }
+// Packet decodes the shared packet from its wire image. The view's
+// Payload aliases the image's tail, capacity-clipped to it: treat it as
+// read-only.
+func (s *Shared) Packet() Packet {
+	w := s.Wire()
+	return Packet{
+		Stream:  media.StreamID(binary.LittleEndian.Uint16(w[offStream:])),
+		Kind:    media.Kind(w[offKind]),
+		Flags:   w[offFlags],
+		PTS:     time.Duration(binary.LittleEndian.Uint64(w[offPTS:])),
+		Dur:     time.Duration(binary.LittleEndian.Uint64(w[offDur:])),
+		SendAt:  s.SendAt(),
+		Seq:     s.seq(),
+		Payload: w[packetWireSize:],
+	}
+}
 
 // Wire returns the complete wire encoding (header + CRC + payload).
 // The buffer is shared with every other consumer: never modify it.
@@ -208,10 +230,15 @@ func Run(sps []*Shared) (wire []byte, n int) {
 }
 
 // PayloadLen is the payload size in bytes.
-func (s *Shared) PayloadLen() int { return len(s.pkt.Payload) }
+func (s *Shared) PayloadLen() int { return len(s.wire) - packetWireSize }
 
 // SendAt is the packet's transmission deadline.
-func (s *Shared) SendAt() time.Duration { return s.pkt.SendAt }
+func (s *Shared) SendAt() time.Duration {
+	return time.Duration(binary.LittleEndian.Uint64(s.wire[offSendAt:]))
+}
+
+// seq is the packet's sequence number.
+func (s *Shared) seq() uint32 { return binary.LittleEndian.Uint32(s.wire[offSeq:]) }
 
 // WriteShared writes a pre-encoded packet: the shared wire image goes
 // out as-is — no re-encode, no CRC pass, no re-sequencing — so every
@@ -226,8 +253,8 @@ func (w *Writer) WriteShared(sp *Shared) error {
 		return err
 	}
 	if _, err := w.w.Write(sp.Wire()); err != nil {
-		return fmt.Errorf("asf: write packet %d: %w", sp.pkt.Seq, err)
+		return fmt.Errorf("asf: write packet %d: %w", sp.seq(), err)
 	}
-	w.seq = sp.pkt.Seq + 1
+	w.seq = sp.seq() + 1
 	return nil
 }

@@ -2,12 +2,90 @@ package asf
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/media"
 )
+
+// viewDiff says how sp's decoded view falls short of want, or "" when
+// it does not: Packet must equal want field for field, and its Payload
+// must be the wire image's tail, its capacity ending where the image
+// does.
+func viewDiff(sp *Shared, want Packet) string {
+	got, wire := sp.Packet(), sp.Wire()
+	switch {
+	case !reflect.DeepEqual(got, want):
+		return fmt.Sprintf("view %+v, want %+v", got, want)
+	case len(got.Payload) != len(wire)-packetWireSize || cap(got.Payload) != len(got.Payload):
+		return fmt.Sprintf("payload len %d cap %d of a %d-byte image", len(got.Payload), cap(got.Payload), len(wire))
+	case len(got.Payload) > 0 && &got.Payload[0] != &wire[packetWireSize]:
+		return "payload does not alias the image's tail"
+	}
+	return ""
+}
+
+// A Shared is its wire image and nothing more: one slice header, whose
+// decoded view equals the packet it was made from, whichever way it was
+// made — encoded once (NewShared), carved from a slab (Slab.NewShared)
+// or read off a stream (Reader.ReadShared).
+func TestSharedIsItsImage(t *testing.T) {
+	if got, want := unsafe.Sizeof(Shared{}), unsafe.Sizeof([]byte(nil)); got != want {
+		t.Fatalf("a Shared is %d bytes, want one slice header's %d", got, want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pkts := samplePackets()
+	for i := 0; i < 200; i++ {
+		p := randomPacket(rng)
+		p.Seq = rng.Uint32()
+		pkts = append(pkts, p)
+	}
+	var slab Slab
+	var stream bytes.Buffer
+	w, err := NewWriter(&stream, sampleHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pkts {
+		one, err := NewShared(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carved, err := slab.NewShared(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for form, sp := range map[string]*Shared{"NewShared": one, "Slab.NewShared": carved} {
+			if d := viewDiff(sp, p); d != "" {
+				t.Fatalf("packet %d from %s: %s", i, form, d)
+			}
+		}
+		if _, err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&stream)
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pkts {
+		sp, err := r.ReadShared()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Seq = uint32(i) // the writer sequences what it writes
+		if d := viewDiff(sp, p); d != "" {
+			t.Fatalf("packet %d from ReadShared: %s", i, d)
+		}
+	}
+}
 
 // Owned packets are carved back to back from one slab buffer, each
 // capacity-clipped: an append to one packet's Wire or Payload — which no

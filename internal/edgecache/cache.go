@@ -141,41 +141,11 @@ func (c *Cache) Remove(name string) bool {
 	return true
 }
 
-// Contains reports whether an asset is booked as resident.
-func (c *Cache) Contains(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[name]
-	return ok
-}
-
 // Bytes returns the summed size of resident entries.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.window.bytes + c.main.bytes
-}
-
-// Len returns the resident entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Names returns resident names, most recent first, window segment
-// before main.
-func (c *Cache) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.entries))
-	for e := c.window.front; e != nil; e = e.next {
-		out = append(out, e.name)
-	}
-	for e := c.main.front; e != nil; e = e.next {
-		out = append(out, e.name)
-	}
-	return out
 }
 
 // Enforce brings the cache toward the byte budget and returns the names

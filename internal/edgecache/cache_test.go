@@ -2,8 +2,26 @@ package edgecache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// names returns the resident names, most recent first, window segment
+// before main.
+func (c *Cache) names() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for _, l := range []*entryList{&c.window, &c.main} {
+		for e := l.front; e != nil; e = e.next {
+			out = append(out, e.name)
+		}
+	}
+	return out
+}
+
+// resident reports whether name is booked as resident.
+func (c *Cache) resident(name string) bool { return slices.Contains(c.names(), name) }
 
 // With nothing promoted yet the window gives ground in recency order.
 func TestWindowEvictsByRecency(t *testing.T) {
@@ -20,7 +38,7 @@ func TestWindowEvictsByRecency(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != "b" {
 		t.Fatalf("evicted %v, want [b]", evicted)
 	}
-	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "c" {
+	if got := c.names(); len(got) != 2 || got[0] != "a" || got[1] != "c" {
 		t.Fatalf("names = %v, want [a c]", got)
 	}
 }
@@ -33,11 +51,8 @@ func TestReAddRefreshesSize(t *testing.T) {
 	if got := c.Bytes(); got != 5 {
 		t.Fatalf("bytes = %d, want 5", got)
 	}
-	if got := c.Len(); got != 2 {
-		t.Fatalf("len = %d, want 2", got)
-	}
-	if got := c.Names(); got[0] != "a" {
-		t.Fatalf("names = %v, want a first after re-add", got)
+	if got := c.names(); len(got) != 2 || got[0] != "a" {
+		t.Fatalf("names = %v, want 2 with a first after re-add", got)
 	}
 }
 
@@ -57,8 +72,8 @@ func TestPinnedSurvival(t *testing.T) {
 			t.Fatal("pinned asset a was evicted")
 		}
 	}
-	if !c.Contains("a") || c.Bytes() != 1 {
-		t.Fatalf("want only pinned a resident, have %v", c.Names())
+	if !c.resident("a") || c.Bytes() != 1 {
+		t.Fatalf("want only pinned a resident, have %v", c.names())
 	}
 }
 
@@ -97,7 +112,7 @@ func TestAdmissionRejectsOneHitWonder(t *testing.T) {
 	if len(rejected) != 1 || rejected[0] != "one" {
 		t.Fatalf("rejected %v, want [one]", rejected)
 	}
-	if !c.Contains("hot") {
+	if !c.resident("hot") {
 		t.Fatal("hot asset lost residency to a one-hit wonder")
 	}
 }
@@ -127,8 +142,8 @@ func TestAdmissionEvictsColderVictim(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != "cold" {
 		t.Fatalf("evicted %v, want [cold]", evicted)
 	}
-	if !c.Contains("rising") || !c.Contains("warm") {
-		t.Fatalf("resident %v, want rising and warm", c.Names())
+	if !c.resident("rising") || !c.resident("warm") {
+		t.Fatalf("resident %v, want rising and warm", c.names())
 	}
 }
 
@@ -143,7 +158,7 @@ func TestEnforceNeverDropsExcept(t *testing.T) {
 			t.Fatal("except asset was dropped")
 		}
 	}
-	if !c.Contains("demanded") {
+	if !c.resident("demanded") {
 		t.Fatal("except asset lost residency")
 	}
 }
@@ -203,10 +218,10 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 		if got := c.Bytes(); got != want {
 			t.Fatalf("step %d: bytes = %d, want %d", step, got, want)
 		}
-		if got := c.Len(); got != len(sizes) {
-			t.Fatalf("step %d: len = %d, want %d", step, got, len(sizes))
+		if got := len(c.entries); got != len(sizes) {
+			t.Fatalf("step %d: %d entries, want %d", step, got, len(sizes))
 		}
-		if got := len(c.Names()); got != len(sizes) {
+		if got := len(c.names()); got != len(sizes) {
 			t.Fatalf("step %d: names = %d entries, want %d", step, got, len(sizes))
 		}
 	}

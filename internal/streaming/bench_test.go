@@ -291,12 +291,18 @@ func benchRegister(b *testing.B, size int, register func() (*Asset, error)) {
 // dsl-300k × 20 s, 703 packets.
 func encodeDSLAsset(t testing.TB) []byte {
 	t.Helper()
+	return encodeDSLLecture(t, 20*time.Second)
+}
+
+// encodeDSLLecture is encodeDSLAsset dur long.
+func encodeDSLLecture(t testing.TB, dur time.Duration) []byte {
+	t.Helper()
 	p, err := codec.ByName("dsl-300k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lec, err := capture.NewLecture(capture.LectureConfig{
-		Title: "vod bench", Duration: 20 * time.Second, Profile: p, SlideCount: 3, Seed: 1,
+		Title: "vod bench", Duration: dur, Profile: p, SlideCount: 3, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

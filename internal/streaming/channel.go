@@ -13,7 +13,6 @@ import (
 // A channel's log keeps at least logKeep packets and the span since its
 // latest seek point, and a drain round takes at most logKeep packets;
 // its slab keeps at most retiredMax buffers (1 MB), spares of them free.
-// A server's free list of stored assets' buffers holds retiredMax too.
 const (
 	logKeep    = 128
 	retiredMax = 16

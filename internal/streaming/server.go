@@ -240,9 +240,14 @@ type Server struct {
 	// session's rate one step.
 	admitMu sync.Mutex
 	// free holds the slab buffers of stored assets no one reads any more,
-	// at most retiredMax, for the next parse to carve (parseAsset).
-	freeMu sync.Mutex
-	free   [][]byte
+	// for the next parse to carve (parseAsset). held counts the buffers
+	// of parsed assets not yet released, peak the most held ever: free
+	// grows only while held and free together stay within peak, so idle
+	// buffers never take the server's slab memory past what it has
+	// already held at once.
+	freeMu     sync.Mutex
+	free       [][]byte
+	held, peak int
 
 	metrics *metrics.Registry
 	inst    serverInstruments
@@ -378,6 +383,10 @@ func (s *Server) parseAsset(name string, r *asf.Reader) (*Asset, error) {
 	if buf := slab.Buffer(); buf != nil {
 		a.bufs = append(a.bufs, buf)
 	}
+	s.freeMu.Lock()
+	s.held += len(a.bufs)
+	s.peak = max(s.peak, s.held)
+	s.freeMu.Unlock()
 	if err != nil {
 		s.release(a)
 		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
@@ -440,14 +449,17 @@ func (s *Server) reuse() []byte {
 }
 
 // release drops one of a's references. The last one dropped puts a's
-// buffers on the free list, as many as it has room for; the rest go to
-// the collector with the asset.
+// buffers on the free list, as many as keep held and free within peak;
+// the rest go to the collector with the asset. Parses in flight hold
+// buffers off the free list that neither count, so the room can be
+// below zero: then none go.
 func (s *Server) release(a *Asset) {
 	if a.refs.Add(-1) != 0 {
 		return
 	}
 	s.freeMu.Lock()
-	n := min(len(a.bufs), retiredMax-len(s.free))
+	s.held -= len(a.bufs)
+	n := min(len(a.bufs), max(s.peak-s.held-len(s.free), 0))
 	s.free = append(s.free, a.bufs[:n]...)
 	s.freeMu.Unlock()
 }
