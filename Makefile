@@ -62,14 +62,15 @@ fuzz-smoke:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# The packages whose owners carve slab buffers again (a live channel by
-# position, a stored asset by reference), and the slab itself, whose
-# tests hand buffers back through Renew, under the race detector and the
-# asfpoison build at once: a write still reading a buffer handed back
-# shows both as a data race against the 0xDB fill and as poison bytes in
-# the body, and a packet view decoded from such a buffer as wrong fields.
+# The packages whose slab buffers go back to one pool and are carved
+# again (asf's Pool, a server's stored assets and live channels, an
+# edge's evicted mirrors, and the root package, where edges evict under
+# traffic), under the race detector and the asfpoison build at once: a
+# write still reading a buffer given back shows both as a data race
+# against the 0xDB fill and as poison bytes in the body, and a packet
+# view decoded from such a buffer as wrong fields.
 race-poison:
-	$(GO) test -race -tags asfpoison ./internal/asf ./internal/streaming ./internal/relay
+	$(GO) test -race -tags asfpoison . ./internal/asf ./internal/streaming ./internal/relay
 
 # The root package's end-to-end benchmarks plus the write-path
 # (internal/streaming), read-path (internal/asf), player

@@ -798,7 +798,7 @@ func TestCatalogHotSwap(t *testing.T) {
 	// Two edges on the full production wiring: heartbeat loops whose
 	// answers carry the catalog version, re-syncing on every advance.
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	var beating sync.WaitGroup
 	type node struct {
 		edge *relay.Edge
 		ts   *httptest.Server
@@ -822,8 +822,18 @@ func TestCatalogHotSwap(t *testing.T) {
 				}
 			},
 		}
-		go func() { _ = hb.Run(ctx) }()
+		beating.Add(1)
+		go func() {
+			defer beating.Done()
+			_ = hb.Run(ctx)
+		}()
 	}
+	// Deferred after every server's Close, so it runs before them: no
+	// beat, and no OnCatalog log, outlives a server or the test.
+	defer func() {
+		cancel()
+		beating.Wait()
+	}()
 	testutil.WaitUntil(t, 10*time.Second, func() bool {
 		return len(registry.Nodes()) == 2
 	}, "edges never registered")

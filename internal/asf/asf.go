@@ -47,11 +47,12 @@
 //     may be held and written to any number of connections for as long
 //     as anyone references it, and while it is referenced it pins its
 //     slab. ReadTo copies into a slab the caller gives instead: a live
-//     channel's or a stored asset's, which takes a buffer back once no
-//     one will read its packets again (Slab.Renew). A packet that has
-//     no wire image yet is encoded into a slab the same way
-//     (Slab.NewShared), or alone into an exactly sized buffer
-//     (NewShared).
+//     channel's or a stored asset's, whose buffers come from a node's one
+//     Pool and go back to it once no one will read their packets again
+//     (Slab.Renew); the pool lists at most two free buffers for each
+//     one held. A packet that has no wire image yet is encoded into a
+//     slab the same way (Slab.NewShared), or alone into an exactly sized
+//     buffer (NewShared).
 //
 // A window starts at 16 KB and grows to the largest object the stream
 // carried (at most 64 KB; a larger one gets a buffer of its own). A
@@ -265,9 +266,6 @@ type Packet struct {
 
 // Keyframe reports whether the packet is a decoder entry point.
 func (p Packet) Keyframe() bool { return p.Flags&PacketKeyframe != 0 }
-
-// Last reports whether the packet ends its stream.
-func (p Packet) Last() bool { return p.Flags&PacketLast != 0 }
 
 // Clone returns p with a Payload of its own: what a caller that keeps a
 // packet lent by Reader.ReadPacket holds instead.

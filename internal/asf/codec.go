@@ -495,8 +495,8 @@ func (r *Reader) ReadPacket() (Packet, error) {
 func (r *Reader) ReadShared() (*Shared, error) { return r.ReadTo(&r.slab) }
 
 // ReadTo is ReadShared with the image copied into s, not the reader's
-// own slab: for a caller whose slab takes its buffers back (a live
-// channel's, see Slab.Renew).
+// own slab: for a caller whose slab takes its buffers from a Pool and
+// gives them back (a live channel's or a stored asset's, see Slab.Renew).
 func (r *Reader) ReadTo(s *Slab) (*Shared, error) {
 	_, wire, err := r.next()
 	if err != nil {

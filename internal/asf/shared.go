@@ -3,6 +3,7 @@ package asf
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/media"
@@ -81,7 +82,7 @@ func NewShared(p Packet) (*Shared, error) {
 	return &Shared{wire: appendPacket(make([]byte, 0, packetWireSize+len(p.Payload)), p)}, nil
 }
 
-// A slab's wire images are carved from buffers of slabSize and its
+// A slab's wire images are carved from buffers of SlabSize and its
 // Shared headers from chunks of sharedChunk. An image that does not fit
 // in what is left of the current buffer gets a new one, unless it is at
 // least a quarter of the buffer size: then it gets a buffer of its own
@@ -90,7 +91,7 @@ func NewShared(p Packet) (*Shared, error) {
 // buffers mean few allocations and long runs of images that leave in one
 // write (Run).
 const (
-	slabSize    = 64 << 10
+	SlabSize    = 64 << 10
 	sharedChunk = 64
 )
 
@@ -100,22 +101,21 @@ const (
 // header lies in, for as long as anyone references it, and the garbage
 // collector frees both once none of their packets is referenced. Only
 // an owner that knows when no one will read a buffer's packets again
-// takes a buffer back for reuse (Renew): a live channel, which knows
-// where its log ends and where every viewer is, and a stored asset, which
-// counts who reads it. The zero Slab is ready to use; it is not safe for
-// concurrent use.
+// takes its buffers from a Pool and gives them back (Renew): a live
+// channel, which knows where its log ends and where every viewer is, and
+// a stored asset, which counts who reads it. The zero Slab is ready to
+// use; it is not safe for concurrent use.
 type Slab struct {
 	buf    []byte   // current buffer: len is carved, cap-len is free
 	shared []Shared // current header chunk: len is handed out
-	left   int      // free bytes of the buffers already left behind
 	// Renew, when set, is called each time the slab leaves its buffer
 	// for a new one, with the buffer it leaves (nil the first time). It
-	// returns a buffer the owner took back through an earlier call, to
-	// be carved next in place of a new one, or nil. It may return a
-	// buffer only once no one will read a packet carved in it again.
-	// Under asfpoison the slab overwrites a returned buffer with 0xDB
-	// before it carves it, so a reader that was wrongly let go of reads
-	// poison, not another packet's bytes.
+	// returns the buffer to carve next, or nil for a new one: an owner
+	// takes it from its Pool, and gives the buffers the slab leaves back
+	// once no one will read a packet carved in them again. Under
+	// asfpoison the slab overwrites a returned buffer with 0xDB before it
+	// carves it, so a reader that was wrongly let go of reads poison, not
+	// another packet's bytes.
 	Renew func(left []byte) []byte
 }
 
@@ -142,17 +142,16 @@ func (s *Slab) own(wire []byte) *Shared {
 func (s *Slab) bytes(n int) []byte {
 	off := len(s.buf)
 	if n > cap(s.buf)-off {
-		if n >= slabSize/4 {
+		if n >= SlabSize/4 {
 			return make([]byte, n)
 		}
-		s.left += cap(s.buf) - off
 		s.buf, off = s.renew(), 0
 	}
 	s.buf = s.buf[:off+n]
 	return s.buf[off:]
 }
 
-// renew returns the slab's next buffer, empty: one Renew hands back, or
+// renew returns the slab's next buffer, empty: the one Renew returns, or
 // a new one.
 func (s *Slab) renew() []byte {
 	if s.Renew != nil {
@@ -166,13 +165,70 @@ func (s *Slab) renew() []byte {
 			return buf[:0]
 		}
 	}
-	return make([]byte, 0, slabSize)
+	return make([]byte, 0, SlabSize)
 }
 
-// Buffer returns the buffer the slab carves now, nil before its first:
-// with the buffers it handed Renew, every slab buffer its images lie in,
-// for an owner that takes them all back at once (a stored asset).
-func (s *Slab) Buffer() []byte { return s.buf }
+// Pool is a node's one free list of slab buffers: its owners take every
+// buffer from it and give each back (Slab.Renew), so a buffer a stored
+// asset gave back may be carved next by a live channel, and the other
+// way round. A buffer is held from Get until its owner gives it back
+// (Put) or forgets it (Forget): a parse in flight is held from its first
+// buffer. The pool lists at most two free buffers for each one held, and
+// trims its list to that at every give-back, so its idle memory falls as
+// held memory falls and is none once nothing is held. Two, not one: an
+// edge past its cache holds about three mirrors between bursts of five
+// pulls, and a list no longer than what it holds sends the last two to
+// fresh memory. The zero Pool is ready to use; it is safe for concurrent
+// use.
+type Pool struct {
+	mu     sync.Mutex
+	free   [][]byte
+	held   int
+	reused int64
+}
+
+// Get hands out a buffer of SlabSize, a listed one if the pool has any.
+func (p *Pool) Get() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.held++
+	n := len(p.free)
+	if n == 0 {
+		return make([]byte, 0, SlabSize)
+	}
+	buf := p.free[n-1]
+	p.free[n-1], p.free = nil, p.free[:n-1]
+	p.reused++
+	return buf
+}
+
+// Put gives back buffers Get handed out that no one will read again.
+func (p *Pool) Put(bufs ...[]byte) { p.giveBack(len(bufs), bufs) }
+
+// Forget gives back n buffers Get handed out that a reader may still
+// hold: they are left to the collector.
+func (p *Pool) Forget(n int) { p.giveBack(n, nil) }
+
+// giveBack counts n buffers given back, lists bufs, and trims the list to
+// twice what the pool still holds.
+func (p *Pool) giveBack(n int, bufs [][]byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.held -= n
+	p.free = append(p.free, bufs...)
+	if keep := 2 * p.held; len(p.free) > keep {
+		clear(p.free[keep:])
+		p.free = p.free[:keep]
+	}
+}
+
+// Stats returns the buffers the pool holds and lists, and how many listed
+// buffers it has handed out again.
+func (p *Pool) Stats() (held, free int, reused int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.held, len(p.free), p.reused
+}
 
 // nextShared returns a zeroed Shared from the current chunk.
 func (s *Slab) nextShared() *Shared {
@@ -182,10 +238,6 @@ func (s *Slab) nextShared() *Shared {
 	s.shared = s.shared[:len(s.shared)+1]
 	return &s.shared[len(s.shared)-1]
 }
-
-// tail is the bytes of the slab's buffers that were allocated and never
-// carved: what its packets hold beyond their wire images.
-func (s *Slab) tail() int { return s.left + cap(s.buf) - len(s.buf) }
 
 // Packet decodes the shared packet from its wire image. The view's
 // Payload aliases the image's tail, capacity-clipped to it: treat it as

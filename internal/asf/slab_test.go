@@ -124,8 +124,8 @@ func TestSlabAppendCannotReachNeighbour(t *testing.T) {
 // fills — yields owned packets that all still equal what was written, and
 // encode to their own wire images, once the reader is drained.
 func TestSlabPacketsSurviveTheStream(t *testing.T) {
-	data, want, _ := windowFile(t, 64, 1200, 37, 0, 1399, 20<<10, 1200, slabSize+5, 3000)
-	if len(data) < 8*slabSize {
+	data, want, _ := windowFile(t, 64, 1200, 37, 0, 1399, 20<<10, 1200, SlabSize+5, 3000)
+	if len(data) < 8*SlabSize {
 		t.Fatalf("stream of %d bytes spans too few slab buffers", len(data))
 	}
 	r := NewReader(chunkReader{bytes.NewReader(data), 977})
@@ -169,7 +169,7 @@ func TestSlabBufferRule(t *testing.T) {
 	for _, tc := range []struct {
 		h    Header
 		size int
-	}{{stored, slabSize}, {live, slabSize}} {
+	}{{stored, SlabSize}, {live, SlabSize}} {
 		enc, err := EncodeHeader(tc.h)
 		if err != nil {
 			t.Fatal(err)
@@ -194,20 +194,20 @@ func TestSlabBufferRule(t *testing.T) {
 			t.Fatalf("size %d: the image after a large one did not go behind the one before it", size)
 		}
 		free := ownMin - 1 - 100
-		if got := s.tail(); got != free {
-			t.Fatalf("size %d: tail %d, want the open buffer's %d free bytes", size, got, free)
+		if got := cap(s.buf) - len(s.buf); got != free {
+			t.Fatalf("size %d: %d bytes free in the open buffer, want %d", size, got, free)
 		}
 		c := s.bytes(free + 1)
 		if &s.buf[0] != &c[0] {
 			t.Fatalf("size %d: a small image that does not fit did not start a new buffer", size)
 		}
-		if got, want := s.tail(), free+size-len(c); got != want {
-			t.Fatalf("size %d: tail %d, want %d", size, got, want)
+		if got, want := cap(s.buf)-len(s.buf), size-len(c); got != want {
+			t.Fatalf("size %d: %d bytes free in the new buffer, want %d", size, got, want)
 		}
 	}
 	var zero Slab
-	if got := cap(zero.bytes(1)); got != slabSize {
-		t.Fatalf("the zero Slab carves %d-byte buffers, want %d", got, slabSize)
+	if got := cap(zero.bytes(1)); got != SlabSize {
+		t.Fatalf("the zero Slab carves %d-byte buffers, want %d", got, SlabSize)
 	}
 }
 
@@ -293,19 +293,21 @@ func TestRunBoundaries(t *testing.T) {
 	}
 }
 
-// A slab hands Renew each buffer it leaves (nil before its first) and
-// carves the buffer Renew hands back next, from its start, in place of a
-// new one. Under asfpoison the rest of a handed-back buffer reads 0xDB,
-// not the images carved in it before.
+// A slab hands Renew each buffer it leaves (nil before its first), and
+// an owner that gives it back to its pool and takes the next from there
+// has the slab carve it again, from its start, in place of a new one.
+// Under asfpoison the rest of a buffer carved again reads 0xDB, not the
+// images carved in it before.
 func TestSlabRenew(t *testing.T) {
+	var pool Pool
+	pool.Get() // another owner's, so the pool lists what the slab gives back
 	var left [][]byte
-	var back bool
 	s := Slab{Renew: func(buf []byte) []byte {
 		left = append(left, buf)
-		if back {
-			return buf
+		if buf != nil {
+			pool.Put(buf)
 		}
-		return nil
+		return pool.Get()
 	}}
 	carve := func(fill byte) *Shared {
 		sp, err := s.NewShared(runPacket(15000, fill))
@@ -321,18 +323,48 @@ func TestSlabRenew(t *testing.T) {
 	if len(left) != 1 || left[0] != nil {
 		t.Fatalf("Renew saw %d buffers before the first was full; want only the nil before the first", len(left))
 	}
-	back = true
 	again := carve(5)
 	if len(left) != 2 || &left[1][0] != &first.Wire()[0] || len(left[1]) != 4*len(first.Wire()) {
 		t.Fatal("Renew was not handed the full buffer the slab left")
 	}
 	if &again.Wire()[0] != &first.Wire()[0] {
-		t.Fatal("the image after a renewal was not carved at the start of the buffer Renew handed back")
+		t.Fatal("the image after a renewal was not carved at the start of the buffer the pool handed back")
+	}
+	if held, free, reused := pool.Stats(); held != 2 || free != 0 || reused != 1 {
+		t.Fatalf("the pool holds %d, lists %d and reused %d; want 2, 0 and 1", held, free, reused)
 	}
 	if want, _ := EncodePacket(runPacket(15000, 5)); !bytes.Equal(again.Wire(), want) {
 		t.Fatal("the image carved in a renewed buffer is not its encoding")
 	}
 	if rest := left[1][len(again.Wire()):cap(left[1])]; poisonLent && bytes.Count(rest, []byte{0xDB}) != len(rest) {
 		t.Fatal("a renewed buffer was not poisoned before it was carved again")
+	}
+}
+
+// A pool lists a buffer given back only while it lists at most two for
+// each one it holds, and trims its list at every give-back, a forgotten
+// buffer's too: with nothing held it lists nothing.
+func TestPoolListsTwiceWhatItHolds(t *testing.T) {
+	var pool Pool
+	bufs := make([][]byte, 4)
+	for i := range bufs {
+		bufs[i] = pool.Get()
+	}
+	for _, step := range []struct {
+		give             func()
+		held, free, used int
+	}{
+		{func() { pool.Put(bufs[0]) }, 3, 1, 0},
+		{func() { pool.Put(bufs[1], bufs[2]) }, 1, 2, 0},
+		{func() { bufs[0] = pool.Get() }, 2, 1, 1},
+		{func() { pool.Put(bufs[0]) }, 1, 2, 1},
+		{func() { pool.Forget(1) }, 0, 0, 1},
+		{func() { pool.Get() }, 1, 0, 1},
+	} {
+		step.give()
+		if held, free, reused := pool.Stats(); held != step.held || free != step.free || reused != int64(step.used) {
+			t.Fatalf("the pool holds %d, lists %d and reused %d; want %d, %d and %d",
+				held, free, reused, step.held, step.free, step.used)
+		}
 	}
 }

@@ -267,7 +267,7 @@ func TestLastPacketFlags(t *testing.T) {
 		if lastSeen[p.Stream] {
 			t.Fatalf("packet after PacketLast on stream %d", p.Stream)
 		}
-		if p.Last() {
+		if p.Flags&asf.PacketLast != 0 {
 			lastSeen[p.Stream] = true
 		}
 	}

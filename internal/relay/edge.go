@@ -47,7 +47,10 @@ type Edge struct {
 	// Client performs origin requests; nil means proto.DefaultClient.
 	Client *http.Client
 	// CacheBytes bounds the summed payload bytes of mirrored assets;
-	// 0 mirrors without limit. Set before serving traffic.
+	// 0 mirrors without limit. Set before serving traffic. The slab
+	// buffers an evicted mirror gives back stay on the server's pool only
+	// while it lists at most two for each one held, so the edge's idle
+	// slab memory is at most twice what it holds.
 	CacheBytes int64
 
 	flight edgecache.Flight

@@ -78,8 +78,9 @@ func (s stallingReader) Read(p []byte) (int, error) {
 // while the origin republishes lectures and the edge drops each
 // republished mirror (SyncCatalog) — both while bodies are being written
 // from the copies they retire. Viewers walk the lectures with seeks,
-// Range resumes and stalled reads. Retired copies' slab buffers are
-// carved again for the next pull (lod_stored_buffers_reused_total), and
+// Range resumes and stalled reads. Retired copies' slab buffers go back
+// to the edge's pool and are carved again for the next pull
+// (lod_slab_buffers_reused_total), and
 // every body must still be exactly what its container says
 // (check.StoredBody): a buffer carved again while a body still reads it
 // shows as another lecture's bytes, and under asfpoison as 0xDB.
@@ -183,12 +184,12 @@ func TestStoredReuseUnderChurn(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	reused := edgeSrv.Metrics().Snapshot().Get("lod_stored_buffers_reused_total")
+	reused := edgeSrv.Metrics().Snapshot().Get("lod_slab_buffers_reused_total")
 	if reused == 0 {
 		t.Fatal("the edge never reused a stored asset's slab buffer")
 	}
 	t.Logf("buffers reused: %.0f at the edge, %.0f at the origin; %d evictions, %d invalidations",
-		reused, origin.Metrics().Snapshot().Get("lod_stored_buffers_reused_total"),
+		reused, origin.Metrics().Snapshot().Get("lod_slab_buffers_reused_total"),
 		edge.inst.evictions.Value(), edge.inst.invalidations.Value())
 }
 

@@ -177,10 +177,12 @@ func TestParseAssetAllocs(t *testing.T) {
 // TestRecycledRegisterAllocsNoBuffer registers a lecture right after
 // removing one of the same size, the edge's miss path once its cache is
 // full: every 64 KB slab buffer the new copy is carved in must come off
-// the free list. A fresh parse allocates one per buffer, so the recycled
-// registration must allocate that many bytes less; the half buffer of
-// slack absorbs what other goroutines allocate meanwhile, and one 64 KB
-// buffer more would still exceed it.
+// the pool's list. The fresh parse below stays held, as the cache's other
+// mirrors would, so the pool lists each removed copy whole. A fresh parse
+// allocates one per buffer, so the recycled registration must allocate
+// that many bytes less; the half buffer of slack absorbs what other
+// goroutines allocate meanwhile, and one 64 KB buffer more would still
+// exceed it.
 func TestRecycledRegisterAllocsNoBuffer(t *testing.T) {
 	data := encodeDSLAsset(t)
 	srv := NewServer(nil)
@@ -194,7 +196,7 @@ func TestRecycledRegisterAllocsNoBuffer(t *testing.T) {
 	if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
 		t.Fatal(err)
 	}
-	reused := srv.inst.reused.Value()
+	_, _, reused := srv.pool.Stats()
 	recycledBytes := allocBytes(func() {
 		srv.RemoveAsset("lec")
 		if _, err := srv.RegisterAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
@@ -202,7 +204,8 @@ func TestRecycledRegisterAllocsNoBuffer(t *testing.T) {
 		}
 	})
 	bufs := len(fresh.bufs)
-	if got, runs := srv.inst.reused.Value()-reused, allocRuns+1; got != int64(runs*bufs) {
+	_, _, after := srv.pool.Stats()
+	if got, runs := after-reused, allocRuns+1; got != int64(runs*bufs) {
 		t.Errorf("%d registrations reused %d buffers, want all %d of each", runs, got, bufs)
 	}
 	if saved := freshBytes - recycledBytes; saved < float64(bufs*64<<10-32<<10) {

@@ -3,6 +3,7 @@ package streaming
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -11,12 +12,12 @@ import (
 )
 
 // A channel's log keeps at least logKeep packets and the span since its
-// latest seek point, and a drain round takes at most logKeep packets;
-// its slab keeps at most retiredMax buffers (1 MB), spares of them free.
+// latest seek point, and a drain round takes at most logKeep packets; it
+// tracks at most retiredMax buffers (1 MB) that lagging viewers still
+// read.
 const (
 	logKeep    = 128
 	retiredMax = 16
-	spares     = 2
 )
 
 // Channel is one live broadcast: an encoder publishes packets into a log
@@ -30,11 +31,12 @@ const (
 type Channel struct {
 	Name string
 
-	// pub serializes publishers and guards slab and retired, the buffers
-	// the slab has left, oldest first; it is taken before mu.
-	pub     sync.Mutex
-	slab    asf.Slab
-	retired []retiredBuffer
+	// pub serializes publishers and guards slab; it is taken before mu.
+	pub  sync.Mutex
+	slab asf.Slab
+	// pool is where the slab's buffers come from and go back to: the
+	// server's, or the channel's own for one made by NewChannel.
+	pool *asf.Pool
 
 	mu     sync.Mutex
 	header asf.Header
@@ -46,8 +48,12 @@ type Channel struct {
 	latest     int64 // the latest seek point; -1 before the first
 	cursors    []*cursor
 	waiting    []*cursor // the cursors that found nothing to read
+	// retired are the pool's buffers the slab has left, oldest first, and
+	// carving says it carves one of the pool's now.
+	retired []retiredBuffer
+	carving bool
 	// pinned is set once a Subscriber attached: its receivers may keep
-	// what they were handed, so no buffer is reused again.
+	// what they were handed, so no buffer goes back to the pool again.
 	pinned  bool
 	closed  bool
 	err     error // why the broadcast ended; nil while open or for a clean end
@@ -71,14 +77,15 @@ type cursor struct {
 }
 
 // NewChannel creates a live channel with the stream header clients will be
-// sent on join. The header's live flag is forced on.
+// sent on join. The header's live flag is forced on. Its slab buffers
+// come from a pool of its own.
 func NewChannel(name string, h asf.Header) (*Channel, error) {
 	h.Flags |= asf.FlagLive
 	wire, err := asf.EncodeHeader(h) // validates h
 	if err != nil {
 		return nil, err
 	}
-	c := &Channel{Name: name, header: h, wireHeader: wire, latest: -1}
+	c := &Channel{Name: name, header: h, wireHeader: wire, latest: -1, pool: new(asf.Pool)}
 	c.slab.Renew = c.renew
 	return c, nil
 }
@@ -178,38 +185,62 @@ func (c *Channel) wakeWaiting() {
 	c.waiting = c.waiting[:0]
 }
 
-// renew is the slab's Renew, under c.pub; every packet in left is logged.
-// A retired buffer is free once all its packets lie below the tail and
-// every cursor: no viewer reads it again, and no write is reading it,
-// since a cursor passes a packet only once its write returned. renew
-// hands back the oldest free buffer and keeps at most spares more. A
-// buffer still read when the list is full leaves it: a stalled viewer
-// costs memory the collector reclaims, never a stalled or corrupt
-// broadcast.
+// renew is the slab's Renew, under c.pub; every packet in left is logged,
+// or refused by a closed channel. It retires left, gives back what no
+// one reads any more and takes the next buffer from the pool; once the
+// channel has ended (end), a publish racing the end carves a buffer of
+// its own.
 func (c *Channel) renew(left []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.pinned {
-		c.retired = nil
+	if c.closed && len(c.cursors) == 0 {
 		return nil
 	}
 	if left != nil {
 		c.retired = append(c.retired, retiredBuffer{buf: left, end: c.tail + int64(len(c.log))})
 	}
-	low, free := c.tail, 0
+	c.giveBack()
+	c.carving = true
+	return c.pool.Get()
+}
+
+// giveBack, under c.mu, gives the pool the retired buffers no one reads
+// again: those whose packets all lie below every cursor and, while
+// viewers may still join, below the tail. No write is reading one, since
+// a cursor passes a packet only once its write returned. Of the rest it
+// tracks at most retiredMax and forgets the oldest beyond, so a stalled
+// viewer costs memory the collector reclaims, never a stalled or corrupt
+// broadcast. A pinned channel forgets every one.
+func (c *Channel) giveBack() {
+	low, keep := c.tail, retiredMax
+	switch {
+	case c.pinned:
+		low, keep = math.MinInt64, 0
+	case c.closed:
+		low = math.MaxInt64
+	}
 	for _, cur := range c.cursors {
 		low = min(low, cur.pos)
 	}
-	for free < len(c.retired) && c.retired[free].end <= low {
-		free++
+	free := 0
+	for ; free < len(c.retired) && c.retired[free].end <= low; free++ {
+		c.pool.Put(c.retired[free].buf)
 	}
-	var buf []byte
-	drop := max(free-spares, len(c.retired)-retiredMax, 0)
-	if free > 0 {
-		buf, drop = c.retired[0].buf, max(drop, 1)
+	forget := max(len(c.retired)-free-keep, 0)
+	c.pool.Forget(forget)
+	c.retired = slices.Delete(c.retired, 0, free+forget)
+}
+
+// end, under c.mu, gives back what the channel holds once the broadcast
+// is over and its last viewer has left: its retired buffers, and the one
+// its slab carves, forgotten, since a publish racing the end may still
+// carve in it.
+func (c *Channel) end() {
+	if c.closed && len(c.cursors) == 0 && c.carving {
+		c.giveBack()
+		c.pool.Forget(1)
+		c.carving = false
 	}
-	c.retired = slices.Delete(c.retired, 0, drop)
-	return buf
 }
 
 // join attaches a viewer at the latest seek point, or at the tail of a
@@ -233,6 +264,7 @@ func (c *Channel) leave(cur *cursor) {
 	if i := slices.Index(c.cursors, cur); i >= 0 {
 		c.cursors = slices.Delete(c.cursors, i, i+1)
 	}
+	c.end()
 }
 
 // drain hands write what the log holds from cur on, a round at a time,
@@ -280,7 +312,8 @@ func (c *Channel) drain(cur *cursor, done <-chan struct{}, idle func() error, wr
 // latest seek point on and is closed at its end or by Close. It loses
 // nothing: the log is not cut past what it has yet to read. A receiver
 // may keep what it is handed, so a channel that ever had a Subscriber
-// reuses no slab buffer again.
+// gives no slab buffer back to its pool again. It leaves once C is
+// closed.
 type Subscriber struct {
 	C     <-chan *asf.Shared
 	close func()
@@ -296,6 +329,7 @@ func (c *Channel) Subscribe() (*Subscriber, error) {
 	send := make(chan *asf.Shared)
 	go func() {
 		defer close(send)
+		defer c.leave(cur)
 		c.drain(cur, ctx.Done(), func() error { return nil }, func(batch []*asf.Shared) bool {
 			for _, sp := range batch {
 				select {
@@ -328,6 +362,7 @@ func (c *Channel) CloseWithError(err error) {
 	if !c.closed {
 		c.closed, c.err = true, err
 		c.wakeWaiting()
+		c.end()
 	}
 }
 
@@ -350,12 +385,14 @@ func (c *Channel) PublishPaced(ctx context.Context, clock vclock.Clock, packets 
 	return nil
 }
 
-// CreateChannel registers a new live channel on the server.
+// CreateChannel registers a new live channel on the server, its slab
+// buffers taken from the server's pool.
 func (s *Server) CreateChannel(name string, h asf.Header) (*Channel, error) {
 	ch, err := NewChannel(name, h)
 	if err != nil {
 		return nil, err
 	}
+	ch.pool = &s.pool
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.channels[name]; ok {

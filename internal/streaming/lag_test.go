@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,15 +191,6 @@ func churn(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reused atomic.Int64
-	renew := ch.slab.Renew
-	ch.slab.Renew = func(left []byte) []byte {
-		buf := renew(left)
-		if buf != nil {
-			reused.Add(1)
-		}
-		return buf
-	}
 	client := serveOnMem(t, srv.Handler()).Client()
 	url := "http://origin.lod" + proto.Versioned(proto.StreamPath(proto.StreamLive, "churn"))
 
@@ -249,8 +239,9 @@ func churn(t *testing.T, seed int64) {
 			t.Errorf("viewer %d (%+v): %v", i, plan[i], err)
 		}
 	}
-	if reused.Load() == 0 {
+	_, _, reused := srv.pool.Stats()
+	if reused == 0 {
 		t.Fatal("the channel never reused a slab buffer")
 	}
-	t.Logf("%d buffers reused; viewers skipped %d packets in %d resyncs", reused.Load(), ch.Dropped(), ch.Resyncs())
+	t.Logf("%d buffers reused; viewers skipped %d packets in %d resyncs", reused, ch.Dropped(), ch.Resyncs())
 }

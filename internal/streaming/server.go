@@ -104,7 +104,7 @@ type Asset struct {
 
 	// refs counts who may still read the asset's slab buffers: its
 	// registration, and each body written from it (Server.open). The last
-	// to let go puts bufs on the server's free list (Server.release).
+	// to let go gives bufs back to the server's pool (Server.release).
 	refs atomic.Int32
 	bufs [][]byte // the 64 KB slab buffers the images lie in
 
@@ -239,15 +239,9 @@ type Server struct {
 	// admitMu makes admit's capacity check and its booking of the
 	// session's rate one step.
 	admitMu sync.Mutex
-	// free holds the slab buffers of stored assets no one reads any more,
-	// for the next parse to carve (parseAsset). held counts the buffers
-	// of parsed assets not yet released, peak the most held ever: free
-	// grows only while held and free together stay within peak, so idle
-	// buffers never take the server's slab memory past what it has
-	// already held at once.
-	freeMu     sync.Mutex
-	free       [][]byte
-	held, peak int
+	// pool is where every slab buffer of the server's stored assets and
+	// live channels comes from and goes back to.
+	pool asf.Pool
 
 	metrics *metrics.Registry
 	inst    serverInstruments
@@ -283,6 +277,17 @@ func NewServer(clock vclock.Clock) *Server {
 	s.metrics.GaugeFunc("lod_channel_resyncs_total",
 		"Jumps to a seek point by live viewers the channel's log had passed, summed over the server's channels.",
 		func() float64 { return s.channelTotal(&s.resyncsRemoved, (*Channel).Resyncs) })
+	for i, state := range []string{"held", "free"} {
+		s.metrics.GaugeFunc("lod_slab_bytes",
+			"Bytes of the server's 64 KB slab buffers, by state: held by stored assets, parses and live channels, or listed free.",
+			func() float64 {
+				held, free, _ := s.pool.Stats()
+				return float64([]int{held, free}[i] * asf.SlabSize)
+			}, metrics.Label{Key: "state", Value: state})
+	}
+	s.metrics.GaugeFunc("lod_slab_buffers_reused_total",
+		"64 KB slab buffers given back to the server's pool and carved again, by a stored asset or a live channel.",
+		func() float64 { _, _, n := s.pool.Stats(); return float64(n) })
 	return s
 }
 
@@ -301,8 +306,6 @@ type serverInstruments struct {
 	flushes *metrics.Counter
 	rejects *metrics.Counter
 	mirrors *metrics.Counter
-	// reused counts the stored assets' slab buffers carved again.
-	reused *metrics.Counter
 	// pacingLag records how far behind its scheduled send time a paced
 	// VOD packet was written: a slept-for packet against the reading on
 	// waking, an overdue one against the session's last clock reading;
@@ -345,8 +348,6 @@ func newServerInstruments(reg *metrics.Registry) serverInstruments {
 		rejects: reg.Counter("lod_admission_rejects_total", "Sessions refused by admission control or closed channels."),
 		mirrors: reg.Counter("lod_mirror_fetches_total",
 			"Whole-container transfers served from "+proto.PrefixFetch+" (edge mirror pulls)."),
-		reused: reg.Counter("lod_stored_buffers_reused_total",
-			"64 KB slab buffers of stored assets no one read any more, carved again by a registration."),
 	}
 	inst.vod.firstPacket = reg.Histogram("lod_first_packet_seconds", firstPacket, firstPacketBuckets, kind("vod"))
 	inst.live.firstPacket = reg.Histogram("lod_first_packet_seconds", firstPacket, firstPacketBuckets, kind("live"))
@@ -364,30 +365,20 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // parseAsset reads a whole stored container into a ready-to-serve
 // Asset in one pass, before any server lock is taken — registration
 // under traffic never parses inside the lock. The images are carved from
-// buffers off the free list while it has any. The asset holds its
-// registration's reference. A container with any packet the reader
-// refuses is refused whole, and its buffers go back at once. The seek
-// points are derived on the way; an index an older writer closed the
-// container with is skipped by the reader, so one written under another
-// rule serves the same seeks, and is never served.
+// buffers of the server's pool, each recorded in bufs as it is taken.
+// The asset holds its registration's reference. A container with any
+// packet the reader refuses is refused whole, and its buffers go back at
+// once. The seek points are derived on the way; an index an older writer
+// closed the container with is skipped by the reader, so one written
+// under another rule serves the same seeks, and is never served.
 func (s *Server) parseAsset(name string, r *asf.Reader) (*Asset, error) {
 	a := &Asset{Name: name}
 	a.refs.Store(1)
-	slab := asf.Slab{Renew: func(left []byte) []byte {
-		if left != nil {
-			a.bufs = append(a.bufs, left)
-		}
-		return s.reuse()
+	slab := asf.Slab{Renew: func([]byte) []byte {
+		a.bufs = append(a.bufs, s.pool.Get())
+		return a.bufs[len(a.bufs)-1]
 	}}
-	err := a.parse(r, &slab)
-	if buf := slab.Buffer(); buf != nil {
-		a.bufs = append(a.bufs, buf)
-	}
-	s.freeMu.Lock()
-	s.held += len(a.bufs)
-	s.peak = max(s.peak, s.held)
-	s.freeMu.Unlock()
-	if err != nil {
+	if err := a.parse(r, &slab); err != nil {
 		s.release(a)
 		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 	}
@@ -432,36 +423,12 @@ func (a *Asset) parse(r *asf.Reader, slab *asf.Slab) error {
 	return nil
 }
 
-// reuse is a stored asset's slab's Renew: a buffer off the free list, or
-// nil for a new one.
-func (s *Server) reuse() []byte {
-	s.freeMu.Lock()
-	defer s.freeMu.Unlock()
-	n := len(s.free)
-	if n == 0 {
-		return nil
-	}
-	buf := s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
-	s.inst.reused.Inc()
-	return buf
-}
-
-// release drops one of a's references. The last one dropped puts a's
-// buffers on the free list, as many as keep held and free within peak;
-// the rest go to the collector with the asset. Parses in flight hold
-// buffers off the free list that neither count, so the room can be
-// below zero: then none go.
+// release drops one of a's references. The last one dropped gives a's
+// buffers back to the pool.
 func (s *Server) release(a *Asset) {
-	if a.refs.Add(-1) != 0 {
-		return
+	if a.refs.Add(-1) == 0 {
+		s.pool.Put(a.bufs...)
 	}
-	s.freeMu.Lock()
-	s.held -= len(a.bufs)
-	n := min(len(a.bufs), max(s.peak-s.held-len(s.free), 0))
-	s.free = append(s.free, a.bufs[:n]...)
-	s.freeMu.Unlock()
 }
 
 // RegisterAsset parses a stored container and registers it by name. An

@@ -14,11 +14,16 @@ import (
 	"repro/internal/testutil"
 )
 
-// freeBuffers is the length of the server's free list.
-func (s *Server) freeBuffers() int {
-	s.freeMu.Lock()
-	defer s.freeMu.Unlock()
-	return len(s.free)
+// ledger is the server pool's buffers held out and listed free.
+func (s *Server) ledger() (held, free int) {
+	held, free, _ = s.pool.Stats()
+	return held, free
+}
+
+// reused is how many listed buffers the server's pool handed out again.
+func (s *Server) reused() int64 {
+	_, _, n := s.pool.Stats()
+	return n
 }
 
 // sharesBuffer reports whether a and b were carved from a common slab
@@ -38,7 +43,7 @@ func sharesBuffer(a, b *Asset) bool {
 // from it is held mid-stream by a reader that stopped, and registers a
 // lecture of the same size at once. The body holds a reference, so the
 // new lecture is carved from fresh buffers, the body finishes byte for
-// byte, and the removed lecture's buffers reach the free list only once
+// byte, and the removed lecture's buffers go back to the pool only once
 // the body has ended; the registration after that carves them.
 func TestRemovedAssetFinishesItsBody(t *testing.T) {
 	data := encodeDSLAsset(t)
@@ -72,11 +77,11 @@ func TestRemovedAssetFinishesItsBody(t *testing.T) {
 	if !s.RemoveAsset("lec") {
 		t.Fatal("lec was not registered")
 	}
-	if n := s.freeBuffers(); n != 0 {
-		t.Fatalf("%d buffers of the removed lecture went on the free list while a body reads them", n)
+	if held, free := s.ledger(); held != len(first.bufs) || free != 0 {
+		t.Fatalf("with a body reading the removed lecture: %d buffers held, %d free; want its %d and none", held, free, len(first.bufs))
 	}
 	second := register("lec-2")
-	if n := s.inst.reused.Value(); n != 0 || sharesBuffer(first, second) {
+	if n := s.reused(); n != 0 || sharesBuffer(first, second) {
 		t.Fatalf("the next lecture reused %d buffers, shared with the one a body reads: %t", n, sharesBuffer(first, second))
 	}
 
@@ -88,35 +93,29 @@ func TestRemovedAssetFinishesItsBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	bufs := len(first.bufs)
-	testutil.WaitUntil(t, 5*time.Second, func() bool { return s.freeBuffers() == bufs },
-		"the removed lecture's buffers never reached the free list after its body ended")
+	testutil.WaitUntil(t, 5*time.Second, func() bool { _, free := s.ledger(); return free == bufs },
+		"the removed lecture's buffers were never listed after its body ended")
 	third := register("lec-3")
-	if n := s.inst.reused.Value(); n != int64(bufs) || !sharesBuffer(first, third) || sharesBuffer(second, third) {
+	if n := s.reused(); n != int64(bufs) || !sharesBuffer(first, third) || sharesBuffer(second, third) {
 		t.Fatalf("the lecture after the body reused %d buffers, want the removed lecture's %d", n, bufs)
 	}
 }
 
-// freeState is the server's free-list ledger: free buffers, buffers
-// held by parsed assets, and the most ever held.
-func (s *Server) freeState() (free, held, peak int) {
-	s.freeMu.Lock()
-	defer s.freeMu.Unlock()
-	return len(s.free), s.held, s.peak
-}
-
 // TestChurnRecyclesWholeMirrors is an edge's miss path once its cache is
 // full: lecture k is registered while the four before it stay and
-// lecture k−5 has just been removed. After the first round every 64 KB
-// buffer a parse carves comes off the free list, however many there are
-// (lod_stored_buffers_reused_total rises by each asset's count), and
-// buffers held and free together never pass the most ever held.
+// lecture k−5 has just been removed. The four held keep room for a whole
+// lecture on the pool's list, so after the first round every 64 KB buffer
+// a parse carves comes off it, however many there are
+// (lod_slab_buffers_reused_total rises by each asset's count), and the
+// list never holds more than twice what the lectures do. Once every
+// lecture is removed nothing is held, and nothing stays listed.
 func TestChurnRecyclesWholeMirrors(t *testing.T) {
 	const keep, lectures = 4, 12
 	data := encodeDSLLecture(t, 40*time.Second)
 	s := NewServer(nil)
 	name := func(k int) string { return fmt.Sprint("lec-", k) }
 	reused := func() int {
-		return int(s.Metrics().Snapshot().Get("lod_stored_buffers_reused_total"))
+		return int(s.Metrics().Snapshot().Get("lod_slab_buffers_reused_total"))
 	}
 	for k := 0; k < lectures; k++ {
 		if k > keep && !s.RemoveAsset(name(k-keep-1)) {
@@ -133,104 +132,91 @@ func TestChurnRecyclesWholeMirrors(t *testing.T) {
 			t.Fatalf("the lecture spans %d slab buffers; want more than 16", len(a.bufs))
 		}
 		if got := reused() - before; k > keep && got != len(a.bufs) {
-			t.Fatalf("registration %d carved %d of its %d buffers off the free list, want all", k, got, len(a.bufs))
+			t.Fatalf("registration %d carved %d of its %d buffers off the pool's list, want all", k, got, len(a.bufs))
 		}
-		if free, held, peak := s.freeState(); held+free > peak {
-			t.Fatalf("after registration %d: %d buffers held and %d free pass the most ever held, %d", k, held, free, peak)
+		if held, free := s.ledger(); held != min(k+1, keep+1)*len(a.bufs) || free > 2*held {
+			t.Fatalf("after registration %d: %d buffers held, %d free", k, held, free)
 		}
 	}
 
-	// Removing every lecture lists their buffers up to the most held, and
-	// no further.
 	for k := lectures - keep - 1; k < lectures; k++ {
 		s.RemoveAsset(name(k))
-		if free, held, peak := s.freeState(); held+free > peak {
-			t.Fatalf("after removing %s: %d buffers held and %d free pass the most ever held, %d", name(k), held, free, peak)
+		if held, free := s.ledger(); free > 2*held {
+			t.Fatalf("after removing %s: %d buffers free, more than twice the %d held", name(k), free, held)
 		}
 	}
-	if free, held, peak := s.freeState(); held != 0 || free != peak {
-		t.Fatalf("with no lecture registered: %d buffers held, %d free; want 0 and the most ever held, %d", held, free, peak)
+	if held, free := s.ledger(); held != 0 || free != 0 {
+		t.Fatalf("with no lecture registered: %d buffers held, %d free; want none of either", held, free)
 	}
 }
 
-// gateReader serves data, then, at the first read that asks for more,
-// closes waiting and blocks until resume is closed before it reports
-// io.EOF. An asf.Reader reads no further than the object it parses, so
-// by then every packet in data is carved.
-type gateReader struct {
-	data            []byte
-	waiting, resume chan struct{}
-	passed          bool
-}
-
-func (g *gateReader) Read(p []byte) (int, error) {
-	if len(g.data) == 0 {
-		if !g.passed {
-			close(g.waiting)
-			<-g.resume
-			g.passed = true
-		}
-		return 0, io.EOF
-	}
-	n := copy(p, g.data)
-	g.data = g.data[n:]
-	return n, nil
-}
-
-// A parse in flight holds buffers the ledger does not count yet, so once
-// it lands, held and free together can pass the most ever held, and the
-// room a release computes goes below zero. Here a lecture parses into
-// fresh buffers while the one before it is removed and listed whole; the
-// parse then lands, a one-buffer lecture takes a listed buffer, and its
-// removal finds no room: it lists nothing, and the next registration
-// still carves listed buffers.
-func TestReleaseWithoutRoomListsNothing(t *testing.T) {
+// TestParseInFlightIsHeld registers a lecture whose container arrives in
+// two parts, and stops it after the first part: its first packet is
+// carved, so the parse holds one buffer from the pool before it lands.
+// Removing a registered lecture then lists only twice as many of its
+// buffers as that leaves held, two, and the parse, once the rest arrives,
+// carves them.
+func TestParseInFlightIsHeld(t *testing.T) {
 	data := encodeDSLAsset(t)
 	s := NewServer(nil)
-	register := func(name string, r io.Reader) *Asset {
-		t.Helper()
-		a, err := s.RegisterAsset(name, asf.NewReader(r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
+	first, err := s.RegisterAsset("first", asf.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := register("first", bytes.NewReader(data))
+	// cut is the end of the first packet carved from a slab buffer: the
+	// first whose image is under a quarter of one.
+	r := asf.NewReader(bytes.NewReader(data))
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	var images []int
+	for {
+		sp, err := r.ReadShared()
+		if err != nil {
+			break
+		}
+		images = append(images, len(sp.Wire()))
+	}
+	cut := len(data)
+	for _, n := range images {
+		cut -= n
+	}
+	for _, n := range images {
+		cut += n
+		if n < asf.SlabSize/4 {
+			break
+		}
+	}
 
-	gate := &gateReader{data: data, waiting: make(chan struct{}), resume: make(chan struct{})}
-	landed := make(chan *Asset)
+	pr, pw := io.Pipe()
+	landed := make(chan *Asset, 1)
 	go func() {
-		a, err := s.RegisterAsset("second", asf.NewReader(gate))
+		a, err := s.RegisterAsset("second", asf.NewReader(pr))
 		if err != nil {
 			t.Error(err)
 		}
 		landed <- a
 	}()
-	<-gate.waiting // every packet of the second lecture is carved
+	if _, err := pw.Write(data[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	bufs := len(first.bufs)
+	testutil.WaitUntil(t, 5*time.Second, func() bool { held, _ := s.ledger(); return held == bufs+1 },
+		"the parse in flight never counted its first buffer as held")
 	s.RemoveAsset("first")
-	if free := s.freeBuffers(); free != len(first.bufs) {
-		t.Fatalf("the removed lecture listed %d of its %d buffers", free, len(first.bufs))
+	if held, free := s.ledger(); held != 1 || free != 2 {
+		t.Fatalf("after the removal: %d buffers held, %d free; want the parse's 1 and 2", held, free)
 	}
-	close(gate.resume)
-	if second := <-landed; second == nil || sharesBuffer(first, second) {
-		t.Fatal("the lecture parsed in flight did not land in buffers of its own")
+	if _, err := pw.Write(data[cut:]); err != nil {
+		t.Fatal(err)
 	}
-
-	small := register("small", bytes.NewReader(encodeTestAsset(t, time.Second)))
-	if len(small.bufs) != 1 {
-		t.Fatalf("the small lecture spans %d buffers, want 1", len(small.bufs))
+	pw.Close()
+	second := <-landed
+	if second == nil {
+		t.FailNow()
 	}
-	free, held, peak := s.freeState()
-	if room := peak - (held - 1) - free; room >= 0 {
-		t.Fatalf("%d held, %d free, %d most held: the small lecture's release has room %d, want below zero", held, free, peak, room)
-	}
-	s.RemoveAsset("small")
-	if got, _, _ := s.freeState(); got != free {
-		t.Fatalf("a release without room listed %d buffers", got-free)
-	}
-	before := s.inst.reused.Value()
-	register("third", bytes.NewReader(data))
-	if got := s.inst.reused.Value() - before; got != int64(free) {
-		t.Fatalf("the next registration carved %d listed buffers, want %d", got, free)
+	if held, free := s.ledger(); held != len(second.bufs) || free != 0 || s.reused() != 2 || !sharesBuffer(first, second) {
+		t.Fatalf("after the parse landed: %d buffers held, %d free, %d reused; want its %d, none and the two listed",
+			held, free, s.reused(), len(second.bufs))
 	}
 }
