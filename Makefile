@@ -2,7 +2,7 @@ GO ?= go
 
 RACE_PKGS := ./...
 
-.PHONY: all build test test-poison race-poison vet fmt-check lint fuzz-smoke race bench bench-smoke benchmark-check benchmark-smoke lines
+.PHONY: all build test test-poison race-poison race-stress vet fmt-check lint fuzz-smoke race bench bench-smoke benchmark-check benchmark-smoke lines
 
 all: build test vet fmt-check lint bench-smoke benchmark-check
 
@@ -71,6 +71,14 @@ race:
 # view decoded from such a buffer as wrong fields.
 race-poison:
 	$(GO) test -race -tags asfpoison . ./internal/asf ./internal/streaming ./internal/relay
+
+# The tests of a mirror served while its pull lands (a pull gated after
+# its first GOP, a pull cut mid-way, a seek and a Range resume into a
+# pull in flight), fifty times each under the race detector and the
+# asfpoison build: bodies, listings and the parse share a growing asset,
+# and their interleavings differ run to run.
+race-stress:
+	$(GO) test -race -tags asfpoison -count=50 -run 'Growing' ./internal/streaming ./internal/relay
 
 # The root package's end-to-end benchmarks plus the write-path
 # (internal/streaming), read-path (internal/asf), player

@@ -440,6 +440,17 @@ func (r *Reader) fill(n int) error {
 	return nil
 }
 
+// Ready reports whether the next packet lies whole in the reader's
+// window, so that reading it reads nothing from the source: for a caller
+// that takes what has already arrived before it waits on the source.
+func (r *Reader) Ready() bool {
+	b := r.buf[r.pos:r.end]
+	if len(b) < packetWireSize || !bytes.Equal(b[:len(packetMagic)], packetMagic[:]) {
+		return false
+	}
+	return len(b)-packetWireSize >= int(binary.LittleEndian.Uint32(b[packetWireSize-4:]))
+}
+
 // ReadHeader parses the header object.
 func (r *Reader) ReadHeader() (Header, error) {
 	if r.hasHeader {

@@ -590,3 +590,39 @@ func TestReaderChecksumBothForms(t *testing.T) {
 		}
 	}
 }
+
+// Ready says whether the next packet lies whole in the window: a source
+// cut inside the third packet makes it true for the first two and false
+// for the third, and reading those two reads nothing more from the
+// source.
+func TestReaderReadyOnlyForWholePackets(t *testing.T) {
+	data, _, bounds := windowFile(t, 4, 300)
+	cut := bounds[2] + 10 // inside the third packet
+	src := newCutSource(data, []int{cut})
+	r := NewReader(src)
+	if r.Ready() {
+		t.Fatal("Ready before the first read")
+	}
+	if _, err := r.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if !r.Ready() {
+			t.Fatalf("packet %d lies whole in the window, but Ready is false", i)
+		}
+		if _, err := r.ReadPacket(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reads := len(src.rooms); reads != 1 || r.Ready() {
+		t.Fatalf("after two whole packets: %d source reads, Ready %v; want 1, false", reads, r.Ready())
+	}
+	for i := 2; i < 4; i++ {
+		if _, err := r.ReadPacket(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.ReadPacket(); !errors.Is(err, io.EOF) || r.Ready() {
+		t.Fatalf("at the end: %v, Ready %v", err, r.Ready())
+	}
+}

@@ -20,20 +20,26 @@ import (
 
 // Edge is one edge node of the relay tier: a streaming.Server whose
 // missing content is pulled through from an origin on first demand.
-// Stored assets are mirrored whole via the origin's /v1/fetch endpoint
-// and cached for every later client; live channels are subscribed once
-// via /v1/live and re-fanned-out through a local Channel, so the origin carries
-// one session per edge instead of one per viewer.
+// Stored assets are mirrored via the origin's /v1/fetch endpoint and
+// cached for every later client. A mirror is registered as soon as the
+// origin's header has arrived (streaming.Server.RegisterGrowing), and its
+// viewers are served the packets as they land, so a cold viewer starts at
+// the pull's first packet instead of after its last; MirrorAsset still
+// returns once the mirror is whole. Live channels are subscribed once via
+// /v1/live and re-fanned-out through a local Channel, so the origin
+// carries one session per edge instead of one per viewer.
 //
 // The mirror cache is bounded when CacheBytes is set. Residency is
-// decided by edgecache: a freshly pulled asset sits in a small recency
-// window and must beat the main segment's coldest resident on
-// sketch-estimated frequency to displace it, so one-hit wonders churn
-// through the window without evicting hot mirrors. Assets with active
-// sessions, an in-flight demand, or a rate-group membership hold a pin
-// on the server (streaming.Server.Pin) and are never dropped, so
-// capacity pressure cannot fail an in-flight stream; a dropped asset is
-// simply re-mirrored on its next demand.
+// decided by edgecache once a pull has landed whole: a freshly pulled
+// asset sits in a small recency window and must beat the main segment's
+// coldest resident on sketch-estimated frequency to displace it, so
+// one-hit wonders churn through the window without evicting hot mirrors.
+// Assets with active sessions, an in-flight demand, or a rate-group
+// membership hold a pin on the server (streaming.Server.Pin) and are
+// never dropped, so capacity pressure cannot fail an in-flight stream; a
+// dropped asset is simply re-mirrored on its next demand. A pull that
+// breaks off unregisters its mirror, and its viewers' bodies end short,
+// which the client SDK resumes by Range on another edge or this one.
 // Concurrent demands for the same uncached asset coalesce onto a single
 // origin pull. Cache traffic (hits, misses, evictions, admission
 // rejects, coalesced pulls, resident bytes, origin bytes pulled, pulls
@@ -57,6 +63,11 @@ type Edge struct {
 	cache  *edgecache.Cache
 	inst   edgeInstruments
 
+	// growing holds, per asset name, the pull whose mirror is registered
+	// and still growing.
+	growingMu sync.Mutex
+	growing   map[string]*pull
+
 	// catMu guards the edge's view of the cluster catalog: the last
 	// synced version and the per-entry revisions SyncCatalog diffs
 	// against to find stale mirrors.
@@ -64,6 +75,14 @@ type Edge struct {
 	catVersion uint64
 	catAssets  map[string]uint64 // name → Rev at last sync
 	catGroups  map[string]catGroupRec
+}
+
+// pull is one origin pull of an asset past its header: done closes once
+// it has ended — the mirror whole and booked into the cache, or
+// unregistered with err.
+type pull struct {
+	done chan struct{}
+	err  error
 }
 
 // catGroupRec is the edge's remembered view of one cataloged group.
@@ -94,9 +113,10 @@ func NewEdge(origin string, srv *streaming.Server) *Edge {
 	}
 	reg := srv.Metrics()
 	e := &Edge{
-		Origin: strings.TrimSuffix(origin, "/"),
-		Server: srv,
-		cache:  edgecache.New(edgecache.Config{}),
+		Origin:  strings.TrimSuffix(origin, "/"),
+		Server:  srv,
+		cache:   edgecache.New(edgecache.Config{}),
+		growing: make(map[string]*pull),
 		inst: edgeInstruments{
 			hits:          reg.Counter("lod_edge_cache_hits_total", "Mirror demands served from already-cached content."),
 			misses:        reg.Counter("lod_edge_cache_misses_total", "Mirror demands that required an origin pull."),
@@ -130,11 +150,7 @@ func (e *Edge) ensure(ctx context.Context, key string, present func() bool, fetc
 		if present() {
 			return nil
 		}
-		shared, err := e.flight.Do(ctx, key, func() error {
-			e.inst.pulls.Inc()
-			defer e.inst.pulls.Dec()
-			return fetch()
-		})
+		shared, err := e.flight.Do(ctx, key, fetch)
 		if !shared {
 			return err
 		}
@@ -150,14 +166,25 @@ func (e *Edge) ensure(ctx context.Context, key string, present func() bool, fetc
 	}
 }
 
-// MirrorAsset ensures the named asset is registered on the edge's server,
-// fetching it from the origin on first demand (pull-through cache) and
-// booking it into the admission-controlled mirror cache. Concurrent
-// callers share one origin transfer; a demand for cached content counts
-// as a hit and refreshes its recency and frequency. A missing origin
-// asset returns streaming.ErrNotFound.
+// MirrorAsset ensures the named asset is registered on the edge's server
+// and whole, fetching it from the origin on first demand (pull-through
+// cache) and booking it into the admission-controlled mirror cache.
+// Concurrent callers share one origin transfer; a demand for cached
+// content counts as a hit and refreshes its recency and frequency. A
+// missing origin asset returns streaming.ErrNotFound, and a pull that
+// breaks off its error.
 func (e *Edge) MirrorAsset(name string) error {
-	return e.mirrorAsset(detached(), name)
+	if err := e.mirrorAsset(detached(), name); err != nil {
+		return err
+	}
+	e.growingMu.Lock()
+	p := e.growing[name]
+	e.growingMu.Unlock()
+	if p == nil {
+		return nil
+	}
+	<-p.done
+	return p.err
 }
 
 // detached is the wait context of the exported, context-free forms
@@ -186,48 +213,103 @@ func (e *Edge) mirrorAsset(ctx context.Context, name string) error {
 	return e.ensure(ctx, "asset/"+name, present, func() error { return e.fetchAsset(name) })
 }
 
+// fetchAsset pulls the named asset from the origin and returns once its
+// mirror is registered, at the origin's header; the rest of the pull
+// lands on a goroutine of the edge's, which books the mirror into the
+// cache once it is whole.
 func (e *Edge) fetchAsset(name string) error {
+	e.inst.pulls.Inc()
 	landed := e.landing(e.assetRev, name)
+	resp, err := e.openFetch(name)
+	if err != nil {
+		e.inst.pulls.Dec()
+		return err
+	}
+	// Listed before the mirror is, so a demand that finds the mirror finds
+	// its pull.
+	p := &pull{done: make(chan struct{})}
+	e.growingMu.Lock()
+	e.growing[name] = p
+	e.growingMu.Unlock()
+	rest, err := e.Server.RegisterGrowing(name, e.countBytes(resp.Body), resp.ContentLength, resp.Header.Get("Etag"))
+	if err != nil {
+		resp.Body.Close()
+		e.inst.pulls.Dec()
+		if errors.Is(err, streaming.ErrDuplicate) {
+			// We raced a direct registration: the asset is resident now and
+			// must be under cache accounting.
+			var bytes int64
+			if a, ok := e.Server.Asset(name); ok {
+				bytes = a.Bytes()
+			}
+			e.book(name, bytes, landed)
+			err = nil
+		}
+		e.endPull(name, p, err)
+		return err
+	}
+	go func() {
+		// Booked before its viewers have the last packets, so a viewer
+		// that has read the whole body finds the mirror in the cache.
+		err := rest(func(bytes int64) { e.book(name, bytes, landed) })
+		resp.Body.Close()
+		e.endPull(name, p, err)
+		e.inst.pulls.Dec()
+	}()
+	return nil
+}
+
+// openFetch requests the named asset's whole stored body from the origin,
+// which must declare its length and ETag.
+func (e *Edge) openFetch(name string) (*http.Response, error) {
 	// The name came off a decoded request path; proto.StreamPath
 	// re-escapes it so assets named like "lecture 1%" or containing ?/#
 	// survive the origin URL. The origin handler's decode of its request
 	// path is the symmetric inverse.
 	resp, err := e.client().Get(e.Origin + proto.Versioned(proto.StreamPath(proto.StreamFetch, name)))
 	if err != nil {
-		return fmt.Errorf("relay: mirror %q: %w", name, err)
+		return nil, fmt.Errorf("relay: mirror %q: %w", name, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%w: origin asset %q", streaming.ErrNotFound, name)
+	switch {
+	case resp.StatusCode == http.StatusNotFound:
+		err = fmt.Errorf("%w: origin asset %q", streaming.ErrNotFound, name)
+	case resp.StatusCode != http.StatusOK:
+		err = fmt.Errorf("relay: mirror %q: origin status %s", name, resp.Status)
+	case resp.ContentLength < 0 || resp.Header.Get("Etag") == "":
+		err = fmt.Errorf("relay: mirror %q: the origin declared no length or ETag", name)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("relay: mirror %q: origin status %s", name, resp.Status)
+	if err != nil {
+		resp.Body.Close()
+		return nil, err
 	}
-	_, err = e.Server.RegisterAsset(name, asf.NewReader(e.countBytes(resp.Body)))
-	if err != nil && !errors.Is(err, streaming.ErrDuplicate) {
-		return err
-	}
-	// Duplicate means we raced a direct registration; either way the
-	// asset is resident now and must be under cache accounting. The pull
-	// itself is a frequency observation — without it an asset that is
-	// always admission-rejected could never accumulate enough estimated
-	// demand to win a later duel.
-	e.cache.RecordPull(name)
-	e.trackAsset(name)
-	// Dropped, the mirror is absent again: the demand's next try pulls.
-	landed(func() { e.dropMirror(name) })
-	return nil
+	return resp, nil
 }
 
-// trackAsset books a resident mirror into the cache and applies the
-// byte budget.
-func (e *Edge) trackAsset(name string) {
-	a, ok := e.Server.Asset(name)
-	if !ok {
-		return
+// book runs what follows a pull that has landed whole, bytes of payload:
+// the pull is a frequency observation — without it an asset that is
+// always admission-rejected could never accumulate enough estimated
+// demand to win a later duel — the mirror, if still registered, is booked
+// into the cache under its byte budget, and the landing check drops it if
+// its catalog entry moved during the pull: the mirror is absent again,
+// and the next demand pulls.
+func (e *Edge) book(name string, bytes int64, landed func(drop func())) {
+	e.cache.RecordPull(name)
+	if _, ok := e.Server.Asset(name); ok {
+		e.cache.Add(name, bytes)
+		e.enforceBudget(name)
 	}
-	e.cache.Add(name, a.Bytes())
-	e.enforceBudget(name)
+	landed(func() { e.dropMirror(name) })
+}
+
+// endPull ends pull p of name with err and unlists it.
+func (e *Edge) endPull(name string, p *pull, err error) {
+	p.err = err
+	e.growingMu.Lock()
+	if e.growing[name] == p {
+		delete(e.growing, name)
+	}
+	e.growingMu.Unlock()
+	close(p.done)
 }
 
 // enforceBudget drops over-budget mirrors (never `except`, never pinned
@@ -282,6 +364,8 @@ func (e *Edge) mirrorGroup(ctx context.Context, name string) error {
 }
 
 func (e *Edge) fetchGroup(name string) error {
+	e.inst.pulls.Inc()
+	defer e.inst.pulls.Dec()
 	landed := e.landing(e.groupRev, name)
 	resp, err := e.client().Get(e.Origin + proto.Versioned(proto.PathGroups))
 	if err != nil {
@@ -350,6 +434,8 @@ func (e *Edge) relayChannel(ctx context.Context, name string) error {
 }
 
 func (e *Edge) startRelay(name string) error {
+	e.inst.pulls.Inc()
+	defer e.inst.pulls.Dec()
 	// Escape like fetchAsset: the channel name is a decoded path segment.
 	resp, err := e.client().Get(e.Origin + proto.Versioned(proto.StreamPath(proto.StreamLive, name)))
 	if err != nil {

@@ -3,7 +3,6 @@ package relay
 import (
 	"fmt"
 	"net/http"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -63,13 +62,23 @@ func TestPlaysAndPullsShareBuffers(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < pulls; j++ {
+			// fetchAsset returns at the origin's header; MirrorAsset then
+			// waits for the pull to land whole.
 			if err := edge.fetchAsset("lec"); err != nil {
 				errc <- err
 				return
 			}
+			if err := edge.MirrorAsset("lec"); err != nil {
+				errc <- err
+				return
+			}
 			got, ok := edge.Server.Asset("lec")
-			if !ok || !reflect.DeepEqual(got.Packets, want.Packets) {
-				errc <- fmt.Errorf("pull %d: the mirror differs from the origin", j)
+			if !ok {
+				errc <- fmt.Errorf("pull %d: no mirror", j)
+				return
+			}
+			if err := sameImages(got, want); err != nil {
+				errc <- fmt.Errorf("pull %d: %w", j, err)
 				return
 			}
 			edge.Server.RemoveAsset("lec")

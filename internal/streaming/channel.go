@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/asf"
 	"repro/internal/vclock"
@@ -54,8 +55,10 @@ type Channel struct {
 	carving bool
 	// pinned is set once a Subscriber attached: its receivers may keep
 	// what they were handed, so no buffer goes back to the pool again.
-	pinned  bool
-	closed  bool
+	pinned bool
+	// closed is set under mu; publish reads it without mu before it
+	// carves.
+	closed  atomic.Bool
 	err     error // why the broadcast ended; nil while open or for a clean end
 	dropped int64 // packets skipped by viewers the log passed
 	resyncs int64 // the jumps that skipped them
@@ -104,7 +107,7 @@ func locked[T any](c *Channel, f func() T) T {
 func (c *Channel) ClientCount() int { return locked(c, func() int { return len(c.cursors) }) }
 
 // Closed reports whether the broadcast has ended.
-func (c *Channel) Closed() bool { return locked(c, func() bool { return c.closed }) }
+func (c *Channel) Closed() bool { return c.closed.Load() }
 
 // Err returns the error the broadcast was closed with: nil while it runs
 // and after a clean end.
@@ -139,19 +142,23 @@ func (c *Channel) Relay(r *asf.Reader) error {
 	}
 }
 
-// publish logs the packet carve makes in the channel's slab. Logging a
-// seek point cuts the log at the latest seek point with logKeep packets
-// behind it, but not past a lossless cursor.
+// publish logs the packet carve makes in the channel's slab. A publish
+// to an ended channel carves nothing. Logging a seek point cuts the log at
+// the latest seek point with logKeep packets behind it, but not past a
+// lossless cursor.
 func (c *Channel) publish(carve func(*asf.Slab) (*asf.Shared, error)) error {
 	c.pub.Lock()
 	defer c.pub.Unlock()
+	if c.closed.Load() {
+		return ErrChanClosed
+	}
 	sp, err := carve(&c.slab)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrChanClosed
 	}
 	c.log = append(c.log, sp)
@@ -187,13 +194,13 @@ func (c *Channel) wakeWaiting() {
 
 // renew is the slab's Renew, under c.pub; every packet in left is logged,
 // or refused by a closed channel. It retires left, gives back what no
-// one reads any more and takes the next buffer from the pool; once the
-// channel has ended (end), a publish racing the end carves a buffer of
-// its own.
+// one reads any more and takes the next buffer from the pool. A carve
+// that raced the channel's end is refused whatever it carves in, so it
+// gets a buffer outside the pool.
 func (c *Channel) renew(left []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed && len(c.cursors) == 0 {
+	if c.closed.Load() {
 		return nil
 	}
 	if left != nil {
@@ -216,7 +223,7 @@ func (c *Channel) giveBack() {
 	switch {
 	case c.pinned:
 		low, keep = math.MinInt64, 0
-	case c.closed:
+	case c.closed.Load():
 		low = math.MaxInt64
 	}
 	for _, cur := range c.cursors {
@@ -236,7 +243,7 @@ func (c *Channel) giveBack() {
 // its slab carves, forgotten, since a publish racing the end may still
 // carve in it.
 func (c *Channel) end() {
-	if c.closed && len(c.cursors) == 0 && c.carving {
+	if c.closed.Load() && len(c.cursors) == 0 && c.carving {
 		c.giveBack()
 		c.pool.Forget(1)
 		c.carving = false
@@ -248,7 +255,7 @@ func (c *Channel) end() {
 func (c *Channel) join(lossless bool) (*cursor, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil, ErrChanClosed
 	}
 	c.pinned = c.pinned || lossless
@@ -285,7 +292,7 @@ func (c *Channel) drain(cur *cursor, done <-chan struct{}, idle func() error, wr
 		}
 		from := c.log[cur.pos-c.tail:]
 		batch = append(batch[:0], from[:min(len(from), logKeep)]...)
-		closed := c.closed
+		closed := c.closed.Load()
 		if len(batch) == 0 && !closed {
 			c.waiting = append(c.waiting, cur)
 		}
@@ -359,8 +366,9 @@ func (c *Channel) Close() { c.CloseWithError(nil) }
 func (c *Channel) CloseWithError(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed, c.err = true, err
+	if !c.closed.Load() {
+		c.closed.Store(true)
+		c.err = err
 		c.wakeWaiting()
 		c.end()
 	}

@@ -27,7 +27,8 @@
 //	                             origin→edge mirror path used by the relay
 //	                             tier (internal/relay), exempt from pacing
 //	                             and admission control
-//	GET /v1/assets             — JSON list of stored assets
+//	GET /v1/assets             — JSON list of stored assets (a mirror
+//	                             being pulled with what has landed)
 //	GET /v1/channels           — JSON list of live channels
 //	GET /v1/groups             — JSON list of multi-rate groups and their
 //	                             variant asset names (used by edges to
@@ -62,6 +63,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -84,43 +86,57 @@ var (
 	ErrChanClosed = errors.New("streaming: channel closed")
 )
 
-// Asset is one stored container registered with the server. It is
-// built once by parseAsset and never changes afterwards; its bytes are
-// held once, as the wire images the container arrived in.
+// Asset is one stored container registered with the server; its bytes
+// are held once, as the wire images the container arrived in. One
+// registered whole (RegisterAsset, PublishAsset) never changes. A mirror
+// being pulled (RegisterGrowing) is registered at its header and grows
+// while its pull lands packets: every reader of an asset sees what has
+// landed — SharedPackets, Bytes, the /v1/assets listing and every body —
+// and a body waits for what it needs next.
 type Asset struct {
 	Name   string
 	Header asf.Header
 	// Packets are the asset's packets in send order, as views over
 	// SharedPackets: each Payload aliases its wire image's tail, so it is
 	// read-only, and valid while the asset is registered or a body holds
-	// it (refs). They are built once the container is read, in one slice
-	// of exactly their number. The serving path never reads them; the
-	// benchmark module verifies sessions against origin assets, which no
-	// workload removes.
+	// it (refs). RegisterAsset and PublishAsset build them once the
+	// container is read, in one slice of exactly their number; a mirror
+	// (RegisterGrowing) builds none. The serving path never reads them;
+	// the benchmark module verifies sessions against origin assets, which
+	// no workload removes.
 	Packets []asf.Packet
 
-	shared []*asf.Shared // what every session and mirror fetch writes
-	bytes  int64         // total payload size
-
 	// refs counts who may still read the asset's slab buffers: its
-	// registration, and each body written from it (Server.open). The last
-	// to let go gives bufs back to the server's pool (Server.release).
+	// registration, a pull still landing packets, and each body written
+	// from it (Server.open). The last to let go gives bufs back to the
+	// server's pool (Server.release).
 	refs atomic.Int32
 	bufs [][]byte // the 64 KB slab buffers the images lie in
 
-	// points are the asset's seek points (asf.Header.SeekPoint), derived
-	// from its packets, in send order.
-	points []seekPoint
-
 	// A stored response is the encoded header and the wire images from its
-	// seek point on (storedRange). The header is encoded here once, so a
-	// session knows its length before its first write.
+	// seek point on (storedRange). The header is encoded once, and wire is
+	// known before the first packet is served, so a body declares its
+	// length before its first write.
 	header []byte // the encoded header
-	wire   int64  // wire bytes of every packet
+	wire   int64  // wire bytes of every packet, landed or not
 	// etag is the asset's strong ETag header: a hash of the encoded
 	// header and of each wire image's fixed header, whose CRC covers its
 	// payload, so every node holding the same bytes sends the same tag.
 	etag []string
+
+	// mu guards what has landed. The asset is whole once end == wire.
+	mu     sync.Mutex
+	shared []*asf.Shared // what every session and mirror fetch writes
+	// points are the seek points (asf.Header.SeekPoint) among the landed
+	// packets, in send order.
+	points []seekPoint
+	bytes  int64 // landed payload bytes
+	end    int64 // landed wire bytes
+	// err is why a pull ended short of wire: the asset never grows again.
+	err error
+	// waiting are the bodies' one-token channels that found too little
+	// landed; each land hands every one a token.
+	waiting []chan struct{}
 }
 
 // seekPoint is where a stored response starts: the presentation time of
@@ -132,22 +148,35 @@ type seekPoint struct {
 	off int64
 }
 
-// SharedPackets returns the asset's packets as the validated wire images
-// they were read in (asf.Shared), written as-is by every session and
-// mirror fetch. Like Packets they are valid while the asset is
+// SharedPackets returns the asset's landed packets as the validated wire
+// images they were read in (asf.Shared), written as-is by every session
+// and mirror fetch. Like Packets they are valid while the asset is
 // registered or a body holds it: after that their buffers are carved
 // again for the next asset registered.
-func (a *Asset) SharedPackets() []*asf.Shared { return a.shared }
+func (a *Asset) SharedPackets() []*asf.Shared {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.shared
+}
 
-// Bytes returns the total payload size.
-func (a *Asset) Bytes() int64 { return a.bytes }
+// Bytes returns the landed payload size: the total once the asset is
+// whole.
+func (a *Asset) Bytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.bytes
+}
 
-// SeekIndex returns the position in Packets of the last seek point at or
-// before the given presentation time, or 0 when there is none that early
-// (play from the beginning).
-func (a *Asset) SeekIndex(at time.Duration) int { return a.seek(at).pos }
+// SeekIndex returns the position in Packets of the last landed seek point
+// at or before the given presentation time, or 0 when there is none that
+// early (play from the beginning).
+func (a *Asset) SeekIndex(at time.Duration) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.seek(at).pos
+}
 
-// seek is SeekIndex's seek point.
+// seek is SeekIndex's seek point, under a.mu.
 func (a *Asset) seek(at time.Duration) seekPoint {
 	i := sort.Search(len(a.points), func(i int) bool { return a.points[i].pts > at })
 	if i == 0 {
@@ -156,41 +185,94 @@ func (a *Asset) seek(at time.Duration) seekPoint {
 	return a.points[i-1]
 }
 
-// storedRange declares on w the status, length and type of the stored
-// response that starts at p, and returns what it carries: the header and
-// the packets whose wire images follow it — the bytes an asf.Writer given
-// those packets writes. With its length declared, net/http sends the body
-// as is, not in chunks, and a client reads a body cut short as an
-// unexpected EOF.
+// await waits, with *wake as the body's token (made at its first wait),
+// until ready holds under a.mu or the asset is whole. It runs idle before
+// each wait and returns the error the pull ended with, or ctx's once ctx
+// ends. A registered whole asset returns at once.
+func (a *Asset) await(ctx context.Context, wake *chan struct{}, idle func(), ready func() bool) error {
+	for {
+		a.mu.Lock()
+		if ready() || a.end == a.wire {
+			a.mu.Unlock()
+			return nil
+		}
+		if err := a.err; err != nil {
+			a.mu.Unlock()
+			return err
+		}
+		if *wake == nil {
+			*wake = make(chan struct{}, 1)
+		}
+		a.waiting = append(a.waiting, *wake)
+		a.mu.Unlock()
+		idle()
+		select {
+		case <-*wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// seekAt waits until the seek point for at is final — a landed seek point
+// lies past at, or the asset is whole — and returns it.
+func (a *Asset) seekAt(ctx context.Context, wake *chan struct{}, at time.Duration) (seekPoint, error) {
+	err := a.await(ctx, wake, func() {}, func() bool {
+		n := len(a.points)
+		return n > 0 && a.points[n-1].pts > at
+	})
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.seek(at), err
+}
+
+// storedRange waits until the first packet of the stored response that
+// starts at p has landed, then declares on w the response's status,
+// length and type, and returns what it carries: the header, and the
+// position in SharedPackets of its first packet, whose first skip bytes
+// are left out — the bytes an asf.Writer given those packets writes. With
+// its length declared, net/http sends the body as is, not in chunks, and
+// a client reads a body cut short as an unexpected EOF. A pull that ends
+// short first is its error, and nothing is declared.
 //
 // Request headers rh (nil for a mirror fetch) with Range: bytes=n-, n
 // inside the body, and If-Range: the asset's ETag get a 206 and the body
-// from byte n on, the first skip bytes of packets[0]'s image left out;
-// any other request gets the whole body (proto's doc, "Ranges").
-func (a *Asset) storedRange(w http.ResponseWriter, rh http.Header, p seekPoint) (header []byte, skip int, packets []*asf.Shared) {
-	header, packets = a.header, a.shared[p.pos:]
+// from byte n on; any other request gets the whole body (proto's doc,
+// "Ranges").
+func (a *Asset) storedRange(ctx context.Context, wake *chan struct{}, w http.ResponseWriter, rh http.Header, p seekPoint) (header []byte, pos, skip int, err error) {
+	header = a.header
 	size := int64(len(header)) + a.wire - p.off
+	n, ok := proto.ParseRange(rh.Get("Range"))
+	partial := ok && n < size && rh.Get("If-Range") == a.etag[0]
+	if !partial {
+		n = 0
+	}
+	// The body's byte n lies in a packet at least n-len(header) wire bytes
+	// past p: it has landed once more than that has.
+	need := max(n-int64(len(header)), 0)
+	if err := a.await(ctx, wake, func() {}, func() bool { return a.end-p.off > need }); err != nil {
+		return nil, 0, 0, err
+	}
 	h := w.Header()
 	h["Etag"] = a.etag
 	h.Set("Content-Type", "application/x-wmp-stream")
-	n, ok := proto.ParseRange(rh.Get("Range"))
-	if !ok || n >= size || rh.Get("If-Range") != a.etag[0] {
+	if !partial {
 		h.Set("Content-Length", strconv.FormatInt(size, 10))
-		return header, 0, packets
+		return header, p.pos, 0, nil
 	}
 	h.Set("Content-Length", strconv.FormatInt(size-n, 10))
 	h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", n, size-1, size))
 	w.WriteHeader(http.StatusPartialContent)
 	if n < int64(len(header)) {
-		return header[n:], 0, packets
+		return header[n:], p.pos, 0, nil
 	}
-	// n is short of the body's end, so it falls inside a packet.
-	n -= int64(len(header))
-	i := 0
-	for ; n >= int64(len(packets[i].Wire())); i++ {
-		n -= int64(len(packets[i].Wire()))
+	// n is short of the body's end, so it falls inside a landed packet.
+	packets := a.SharedPackets()
+	pos = p.pos
+	for n -= int64(len(header)); n >= int64(len(packets[pos].Wire())); pos++ {
+		n -= int64(len(packets[pos].Wire()))
 	}
-	return nil, int(n), packets[i:]
+	return nil, pos, int(n), nil
 }
 
 // ServerStats counts server activity: a snapshot of the server's
@@ -278,6 +360,7 @@ func NewServer(clock vclock.Clock) *Server {
 		"Jumps to a seek point by live viewers the channel's log had passed, summed over the server's channels.",
 		func() float64 { return s.channelTotal(&s.resyncsRemoved, (*Channel).Resyncs) })
 	for i, state := range []string{"held", "free"} {
+		i := i // under the module's go 1.21 every iteration shares one i
 		s.metrics.GaugeFunc("lod_slab_bytes",
 			"Bytes of the server's 64 KB slab buffers, by state: held by stored assets, parses and live channels, or listed free.",
 			func() float64 {
@@ -364,64 +447,137 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
 // parseAsset reads a whole stored container into a ready-to-serve
 // Asset in one pass, before any server lock is taken — registration
-// under traffic never parses inside the lock. The images are carved from
-// buffers of the server's pool, each recorded in bufs as it is taken.
-// The asset holds its registration's reference. A container with any
-// packet the reader refuses is refused whole, and its buffers go back at
-// once. The seek points are derived on the way; an index an older writer
-// closed the container with is skipped by the reader, so one written
-// under another rule serves the same seeks, and is never served.
+// under traffic never parses inside the lock. The asset holds its
+// registration's reference. A container with any packet the reader
+// refuses is refused whole, and its buffers go back at once. An index an
+// older writer closed the container with is skipped by the reader, so
+// one written under another rule serves the same seeks, and is never
+// served.
 func (s *Server) parseAsset(name string, r *asf.Reader) (*Asset, error) {
-	a := &Asset{Name: name}
-	a.refs.Store(1)
-	slab := asf.Slab{Renew: func([]byte) []byte {
-		a.bufs = append(a.bufs, s.pool.Get())
-		return a.bufs[len(a.bufs)-1]
-	}}
-	if err := a.parse(r, &slab); err != nil {
+	l := s.newLanding(name, 1, nil)
+	a := l.a
+	err := l.readHeader(r)
+	if err == nil {
+		err = l.parse(r, false)
+	}
+	if err != nil {
 		s.release(a)
 		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
 	}
-	return a, nil
-}
-
-// parse is parseAsset's pass over the container, the images copied into
-// slab.
-func (a *Asset) parse(r *asf.Reader, slab *asf.Slab) error {
-	h, err := r.ReadHeader()
-	if err != nil {
-		return err
-	}
-	a.Header = h
-	if a.header, err = asf.EncodeHeader(h); err != nil {
-		return err
-	}
-	tag := fnv.New64a()
-	tag.Write(a.header)
-	for {
-		sp, err := r.ReadTo(slab)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return err
-		}
-		p := sp.Packet()
-		if h.SeekPoint(p) {
-			a.points = append(a.points, seekPoint{pts: p.PTS, pos: len(a.shared), off: a.wire})
-		}
-		a.shared = append(a.shared, sp)
-		a.bytes += int64(len(p.Payload))
-		a.wire += int64(len(sp.Wire()))
-		tag.Write(sp.Wire()[:len(sp.Wire())-len(p.Payload)])
-	}
-	a.etag = []string{`"` + strconv.FormatUint(tag.Sum64(), 16) + `"`}
+	a.wire, a.etag = l.wire, []string{l.etag()}
+	l.land()
 	a.Packets = make([]asf.Packet, len(a.shared))
 	for i, sp := range a.shared {
 		a.Packets[i] = sp.Packet()
 	}
+	return a, nil
+}
+
+// A landing is one parse of a container into an asset: the one loop
+// (parse) that reads its packets, copies their images into buffers of the
+// server's pool, each recorded in the asset's bufs as it is taken, and
+// derives the seek points and the ETag on the way. What it has read lands
+// — becomes what the asset's readers see — in batches: for a pull
+// (RegisterGrowing), at registration (what arrived with the header),
+// whenever the parse has read every whole packet its reader holds and
+// must read the pull's body again, and at the end; for a container
+// registered whole, at the end only.
+type landing struct {
+	a    *Asset
+	slab asf.Slab
+	src  io.Reader // a pull's body, read through Read; nil for a whole container
+	tag  hash.Hash64
+
+	shared      []*asf.Shared
+	points      []seekPoint
+	bytes, wire int64
+	landed      int64 // wire at the last land
+}
+
+// newLanding starts the parse of an asset that holds refs references.
+func (s *Server) newLanding(name string, refs int32, src io.Reader) *landing {
+	a := &Asset{Name: name}
+	a.refs.Store(refs)
+	l := &landing{a: a, src: src, tag: fnv.New64a()}
+	l.slab.Renew = func([]byte) []byte {
+		a.bufs = append(a.bufs, s.pool.Get())
+		return a.bufs[len(a.bufs)-1]
+	}
+	return l
+}
+
+// Read is the pull's body as the parse's reader reads it: what has been
+// parsed lands first, so bodies have it while the pull waits for more.
+func (l *landing) Read(p []byte) (int, error) {
+	if l.wire > l.landed {
+		l.land()
+	}
+	return l.src.Read(p)
+}
+
+// land makes what the parse has read the asset's, and wakes every body
+// waiting for it.
+func (l *landing) land() {
+	a := l.a
+	a.mu.Lock()
+	a.shared, a.points, a.bytes, a.end = l.shared, l.points, l.bytes, l.wire
+	a.wakeWaiting()
+	a.mu.Unlock()
+	l.landed = l.wire
+}
+
+// wakeWaiting, under a.mu, hands every waiting body a token.
+func (a *Asset) wakeWaiting() {
+	for _, wake := range a.waiting {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}
+	clear(a.waiting)
+	a.waiting = a.waiting[:0]
+}
+
+// readHeader reads the container's header and encodes it once.
+func (l *landing) readHeader(r *asf.Reader) error {
+	h, err := r.ReadHeader()
+	if err != nil {
+		return err
+	}
+	a := l.a
+	a.Header = h
+	if a.header, err = asf.EncodeHeader(h); err != nil {
+		return err
+	}
+	l.tag.Write(a.header)
 	return nil
 }
+
+// parse reads the container's packets: to its end, or, with buffered,
+// only while the next one lies whole in r's window (asf.Reader.Ready).
+func (l *landing) parse(r *asf.Reader, buffered bool) error {
+	for !buffered || r.Ready() {
+		sp, err := r.ReadTo(&l.slab)
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
+		}
+		p := sp.Packet()
+		if l.a.Header.SeekPoint(p) {
+			l.points = append(l.points, seekPoint{pts: p.PTS, pos: len(l.shared), off: l.wire})
+		}
+		l.shared = append(l.shared, sp)
+		l.bytes += int64(len(p.Payload))
+		l.wire += int64(len(sp.Wire()))
+		l.tag.Write(sp.Wire()[:len(sp.Wire())-len(p.Payload)])
+	}
+	return nil
+}
+
+// etag is the strong ETag of what the parse has read.
+func (l *landing) etag() string { return `"` + strconv.FormatUint(l.tag.Sum64(), 16) + `"` }
 
 // release drops one of a's references. The last one dropped gives a's
 // buffers back to the pool.
@@ -431,26 +587,101 @@ func (s *Server) release(a *Asset) {
 	}
 }
 
+// register adds a under its name, unless the name is taken.
+func (s *Server) register(a *Asset) error {
+	s.mu.Lock()
+	_, dup := s.assets[a.Name]
+	if !dup {
+		s.assets[a.Name] = a
+	}
+	s.mu.Unlock()
+	if dup {
+		return fmt.Errorf("%w: asset %q", ErrDuplicate, a.Name)
+	}
+	return nil
+}
+
 // RegisterAsset parses a stored container and registers it by name. An
-// already-registered name is ErrDuplicate — the pull-through mirror
-// path must not clobber a copy that raced it; live replacement is
-// PublishAsset.
+// already-registered name is ErrDuplicate — a mirror must not clobber a
+// copy that raced it; live replacement is PublishAsset.
 func (s *Server) RegisterAsset(name string, r *asf.Reader) (*Asset, error) {
 	a, err := s.parseAsset(name, r)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	_, dup := s.assets[name]
-	if !dup {
-		s.assets[name] = a
-	}
-	s.mu.Unlock()
-	if dup {
+	if err := s.register(a); err != nil {
 		s.release(a)
-		return nil, fmt.Errorf("%w: asset %q", ErrDuplicate, name)
+		return nil, err
 	}
 	return a, nil
+}
+
+// RegisterGrowing registers the stored container src carries by name as
+// soon as its header is read: a mirror pull, whose source declared, before
+// the first byte, the container's size as a whole stored body and its
+// strong ETag (an origin's /v1/fetch answer, Content-Length and Etag). An
+// already-registered name is ErrDuplicate. Every body of the asset
+// declares its length and ETag from its first byte, and is written as the
+// pull lands the packets it needs.
+//
+// The caller runs rest once, on a goroutine of its own if it likes: it
+// reads src to its end and returns nil once the asset is whole. Before
+// the last packets land it calls whole, if not nil, with the asset's
+// payload bytes: a caller that books the asset there has booked it
+// before any body has all of it. A pull that breaks off or is refused —
+// a read fails, a packet is invalid, the size or the ETag is not the one
+// declared — returns that error; the asset is unregistered, and every
+// body of it stops short of its declared length, which a client reads as
+// an unexpected EOF. Its buffers go back to the pool once the last body
+// lets go.
+func (s *Server) RegisterGrowing(name string, src io.Reader, size int64, etag string) (rest func(whole func(bytes int64)) error, err error) {
+	l := s.newLanding(name, 2, src) // its registration's reference and the pull's
+	a := l.a
+	r := asf.NewReader(l)
+	if err := l.readHeader(r); err != nil {
+		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
+	}
+	if a.wire = size - int64(len(a.header)); a.wire < 0 {
+		return nil, fmt.Errorf("streaming: register %q: %d bytes declared, the header alone is %d", name, size, len(a.header))
+	}
+	a.etag = []string{etag}
+	// The packets that arrived with the header land with it, so the demand
+	// that pulls the mirror serves its first packet without waiting on the
+	// rest of the pull.
+	err = l.parse(r, true)
+	if err == nil {
+		l.land()
+		err = s.register(a)
+	}
+	if err != nil {
+		s.pool.Put(a.bufs...) // no one else has seen the asset
+		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
+	}
+	return func(whole func(int64)) error {
+		defer s.release(a)
+		err := l.parse(r, false)
+		switch {
+		case err != nil:
+		case l.wire != a.wire:
+			err = fmt.Errorf("%d wire bytes of packets, %d declared", l.wire, a.wire)
+		case l.etag() != etag:
+			err = fmt.Errorf("ETag %s, %s declared", l.etag(), etag)
+		}
+		if err != nil {
+			err = fmt.Errorf("streaming: register %q: %w", name, err)
+			a.mu.Lock()
+			a.err = err
+			a.wakeWaiting()
+			a.mu.Unlock()
+			s.remove(name, a)
+			return err
+		}
+		if whole != nil {
+			whole(l.bytes)
+		}
+		l.land()
+		return nil
+	}, nil
 }
 
 // PublishAsset parses a stored container and registers it by name,
@@ -474,9 +705,9 @@ func (s *Server) PublishAsset(name string, r *asf.Reader) (*Asset, error) {
 	return a, nil
 }
 
-// Asset returns a registered asset. The caller takes no reference: what
-// it reads of the asset's packets is valid while the asset stays
-// registered (Asset.Packets).
+// Asset returns a registered asset, a mirror being pulled included. The
+// caller takes no reference: what it reads of the asset's packets is
+// valid while the asset stays registered (Asset.Packets).
 func (s *Server) Asset(name string) (*Asset, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -502,13 +733,20 @@ func (s *Server) open(name string) (*Asset, bool) {
 // Bodies already written from it keep their reference and finish
 // normally; only new lookups miss. This is the eviction hook of the
 // edge's bounded mirror cache (relay.Edge).
-func (s *Server) RemoveAsset(name string) bool {
+func (s *Server) RemoveAsset(name string) bool { return s.remove(name, nil) }
+
+// remove unregisters the asset under name if it is a, or any asset for a
+// nil a, reporting whether it did.
+func (s *Server) remove(name string, a *Asset) bool {
 	s.mu.Lock()
-	a, ok := s.assets[name]
-	delete(s.assets, name)
+	got, ok := s.assets[name]
+	ok = ok && (a == nil || got == a)
+	if ok {
+		delete(s.assets, name)
+	}
 	s.mu.Unlock()
 	if ok {
-		s.release(a)
+		s.release(got)
 	}
 	return ok
 }
@@ -810,10 +1048,28 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release(asset)
 	s.inst.mirrors.Inc()
-	header, _, packets := asset.storedRange(w, nil, seekPoint{})
-	s.sendStored(w, r.Context(), nil, header, 0, packets)
+	var wake chan struct{}
+	header, pos, _, err := asset.storedRange(r.Context(), &wake, w, nil, seekPoint{})
+	if err != nil {
+		pullEnded(w, r, err)
+		return
+	}
+	s.sendStored(w, r.Context(), nil, asset, &wake, header, pos, 0)
 }
 
+// pullEnded answers a body that could not start because the pull of its
+// mirror ended short before the body's first packet landed: 502, as the
+// edge answers a pull that fails before registration. A client that went
+// away gets nothing.
+func pullEnded(w http.ResponseWriter, r *http.Request, err error) {
+	if r.Context().Err() == nil {
+		proto.WriteError(w, http.StatusBadGateway, err.Error())
+	}
+}
+
+// handleAssets lists every registered asset with what has landed of it:
+// a mirror being pulled is listed from its header on, its packets and
+// bytes growing until it is whole.
 func (s *Server) handleAssets(w http.ResponseWriter, _ *http.Request) {
 	type info struct {
 		Name        string  `json:"name"`
@@ -863,11 +1119,12 @@ func (s *Server) handleVOD(w http.ResponseWriter, r *http.Request) {
 // here. The asset is looked up by name at this point, so a variant
 // republished since its group was built serves its new bytes. A `start`
 // query parameter (Go duration, e.g. ?start=30s) seeks to the last seek
-// point at or before that presentation time (Asset.SeekIndex); a
-// malformed or negative value is answered with 400 and a proto.Error
-// body rather than silently played from the top. A Range request may
-// continue that body from a byte on (storedRange); pacing anchors on the
-// first packet it sends.
+// point at or before that presentation time (Asset.SeekIndex), once the
+// seek point is final: on a mirror being pulled, once a seek point past
+// it has landed or the asset is whole. A malformed or negative value is
+// answered with 400 and a proto.Error body rather than silently played
+// from the top. A Range request may continue that body from a byte on
+// (storedRange); pacing anchors on the first packet it sends.
 func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string) {
 	arrived := s.clock.Now()
 	asset, ok := s.open(name)
@@ -878,15 +1135,12 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		return
 	}
 	defer s.release(asset)
-	var from seekPoint // a start of 0 is the plain request: the whole body
+	var at time.Duration // a start of 0 is the plain request: the whole body
 	if raw := r.URL.Query().Get(proto.ParamStart); raw != "" {
-		at, err := proto.ParseStart(raw)
-		if err != nil {
+		var err error
+		if at, err = proto.ParseStart(raw); err != nil {
 			proto.WriteErr(w, err)
 			return
-		}
-		if at > 0 {
-			from = asset.seek(at)
 		}
 	}
 	ss, end := s.admit(w, s.inst.vod, asset.Name, headerRate(asset.Header), arrived)
@@ -894,17 +1148,33 @@ func (s *Server) streamAsset(w http.ResponseWriter, r *http.Request, name string
 		return
 	}
 	defer end()
-	header, skip, packets := asset.storedRange(w, r.Header, from)
-	s.sendStored(w, r.Context(), &ss, header, skip, packets)
+	var wake chan struct{}
+	var from seekPoint
+	var err error
+	if at > 0 {
+		from, err = asset.seekAt(r.Context(), &wake, at)
+	}
+	var header []byte
+	var pos, skip int
+	if err == nil {
+		header, pos, skip, err = asset.storedRange(r.Context(), &wake, w, r.Header, from)
+	}
+	if err != nil {
+		pullEnded(w, r, err)
+		return
+	}
+	s.sendStored(w, r.Context(), &ss, asset, &wake, header, pos, skip)
 }
 
 // sendStored is the one loop that writes a stored body: header, then
-// packets, the first skip bytes of packets[0]'s image left out. A
-// session's body (ss) is paced by send times when the server paces and
-// records its time to first packet; a mirror fetch's (ss nil) is neither.
-// The body stops short of its declared length when ctx ends: a client
-// that went away gets nothing more.
-func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *session, header []byte, skip int, packets []*asf.Shared) {
+// a's packets from position pos on, the first skip bytes of the first
+// image left out. A session's body (ss) is paced by send times when the
+// server paces and records its time to first packet; a mirror fetch's (ss
+// nil) is neither. On a mirror being pulled the loop writes what has
+// landed and then waits, with *wake as its token, for the pull to land
+// more. The body stops short of its declared length when ctx ends — a
+// client that went away gets nothing more — or when the pull ends short.
+func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *session, a *Asset, wake *chan struct{}, header []byte, pos, skip int) {
 	paced := ss != nil && s.Pacing
 	flusher, _ := w.(http.Flusher)
 	pending := false // bytes written since the last flush
@@ -917,9 +1187,10 @@ func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *sess
 	}
 
 	start := s.clock.Now()
+	packets := a.SharedPackets() // what has landed; storedRange waited for packets[pos]
 	var sendBase time.Duration
-	if len(packets) > 0 {
-		sendBase = packets[0].SendAt()
+	if pos < len(packets) {
+		sendBase = packets[pos].SendAt()
 	}
 	// The header goes out with the first packet, which is always due.
 	if _, err := w.Write(header); err != nil {
@@ -927,14 +1198,22 @@ func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *sess
 	}
 	// The flush follows the schedule: packets that are already due are
 	// written into the connection's buffers, and the loop flushes when it
-	// is about to wait for the next send time — so an on-schedule session
-	// still puts every packet on the wire at its send instant, and an
-	// unpaced or late one goes out in runs (asf.Run), a write each,
-	// straight to the response: past net/http's buffers, which a write
-	// larger than them skips once they are empty.
+	// is about to wait for the next send time or the next landing — so an
+	// on-schedule session still puts every packet on the wire at its send
+	// instant, and an unpaced or late one goes out in runs (asf.Run), a
+	// write each, straight to the response: past net/http's buffers,
+	// which a write larger than them skips once they are empty.
 	now := start // last clock reading
 	dueAt := func(sp *asf.Shared) time.Time { return start.Add(sp.SendAt() - sendBase) }
-	for i := 0; i < len(packets); {
+	for i := pos; ; {
+		if i == len(packets) {
+			if a.await(ctx, wake, flush, func() bool { return len(a.shared) > i }) != nil {
+				return
+			}
+			if packets = a.SharedPackets(); i == len(packets) {
+				break // whole
+			}
+		}
 		sp := packets[i]
 		if paced {
 			due := dueAt(sp)
@@ -965,7 +1244,7 @@ func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *sess
 		// The first packet leaves alone, behind the header; after it,
 		// sp's run, cut at the first packet not due at the last reading.
 		wire, n := sp.Wire()[skip:], 1
-		if i > 0 {
+		if i > pos {
 			wire, n = asf.Run(packets[i:])
 			if paced {
 				size := len(sp.Wire())
@@ -988,7 +1267,7 @@ func (s *Server) sendStored(w http.ResponseWriter, ctx context.Context, ss *sess
 		}
 		skip = 0
 		pending = true
-		if i == 0 {
+		if i == pos {
 			// Startup is the first stream byte: the header and first
 			// packet go out at once.
 			ss.firstPacket()
