@@ -63,11 +63,6 @@ type Edge struct {
 	cache  *edgecache.Cache
 	inst   edgeInstruments
 
-	// growing holds, per asset name, the pull whose mirror is registered
-	// and still growing.
-	growingMu sync.Mutex
-	growing   map[string]*pull
-
 	// catMu guards the edge's view of the cluster catalog: the last
 	// synced version and the per-entry revisions SyncCatalog diffs
 	// against to find stale mirrors.
@@ -75,14 +70,6 @@ type Edge struct {
 	catVersion uint64
 	catAssets  map[string]uint64 // name → Rev at last sync
 	catGroups  map[string]catGroupRec
-}
-
-// pull is one origin pull of an asset past its header: done closes once
-// it has ended — the mirror whole and booked into the cache, or
-// unregistered with err.
-type pull struct {
-	done chan struct{}
-	err  error
 }
 
 // catGroupRec is the edge's remembered view of one cataloged group.
@@ -113,10 +100,9 @@ func NewEdge(origin string, srv *streaming.Server) *Edge {
 	}
 	reg := srv.Metrics()
 	e := &Edge{
-		Origin:  strings.TrimSuffix(origin, "/"),
-		Server:  srv,
-		cache:   edgecache.New(edgecache.Config{}),
-		growing: make(map[string]*pull),
+		Origin: strings.TrimSuffix(origin, "/"),
+		Server: srv,
+		cache:  edgecache.New(edgecache.Config{}),
 		inst: edgeInstruments{
 			hits:          reg.Counter("lod_edge_cache_hits_total", "Mirror demands served from already-cached content."),
 			misses:        reg.Counter("lod_edge_cache_misses_total", "Mirror demands that required an origin pull."),
@@ -172,19 +158,18 @@ func (e *Edge) ensure(ctx context.Context, key string, present func() bool, fetc
 // Concurrent callers share one origin transfer; a demand for cached
 // content counts as a hit and refreshes its recency and frequency. A
 // missing origin asset returns streaming.ErrNotFound, and a pull that
-// breaks off its error.
+// breaks off its error. A mirror dropped again before the call looks —
+// by its landing check, an eviction, a catalog sync, or its pull ending
+// short — returns nil with the asset absent.
 func (e *Edge) MirrorAsset(name string) error {
 	if err := e.mirrorAsset(detached(), name); err != nil {
 		return err
 	}
-	e.growingMu.Lock()
-	p := e.growing[name]
-	e.growingMu.Unlock()
-	if p == nil {
+	a, ok := e.Server.Asset(name)
+	if !ok {
 		return nil
 	}
-	<-p.done
-	return p.err
+	return a.Wait(detached())
 }
 
 // detached is the wait context of the exported, context-free forms
@@ -200,7 +185,15 @@ func detached() context.Context {
 // mirrorAsset is MirrorAsset with a wait context: a request ctx lets
 // this demand abandon a shared pull when its client goes away.
 func (e *Edge) mirrorAsset(ctx context.Context, name string) error {
-	if _, ok := e.Server.Asset(name); ok {
+	if a, ok := e.Server.Asset(name); ok {
+		if !a.Whole() {
+			// The mirror is still being pulled: the demand attaches to that
+			// pull, as a miss that shares another demand's pull, and is no
+			// frequency observation of its own.
+			e.inst.misses.Inc()
+			e.inst.coalesced.Inc()
+			return nil
+		}
 		e.inst.hits.Inc()
 		e.cache.Touch(name)
 		// Re-apply the budget on hits too: pins may have forced the cache
@@ -225,13 +218,7 @@ func (e *Edge) fetchAsset(name string) error {
 		e.inst.pulls.Dec()
 		return err
 	}
-	// Listed before the mirror is, so a demand that finds the mirror finds
-	// its pull.
-	p := &pull{done: make(chan struct{})}
-	e.growingMu.Lock()
-	e.growing[name] = p
-	e.growingMu.Unlock()
-	rest, err := e.Server.RegisterGrowing(name, e.countBytes(resp.Body), resp.ContentLength, resp.Header.Get("Etag"))
+	mirror, rest, err := e.Server.RegisterGrowing(name, e.countBytes(resp.Body), resp.ContentLength, resp.Header.Get("Etag"))
 	if err != nil {
 		resp.Body.Close()
 		e.inst.pulls.Dec()
@@ -239,21 +226,20 @@ func (e *Edge) fetchAsset(name string) error {
 			// We raced a direct registration: the asset is resident now and
 			// must be under cache accounting.
 			var bytes int64
-			if a, ok := e.Server.Asset(name); ok {
+			a, ok := e.Server.Asset(name)
+			if ok {
 				bytes = a.Bytes()
 			}
-			e.book(name, bytes, landed)
+			e.book(name, a, bytes, landed)
 			err = nil
 		}
-		e.endPull(name, p, err)
 		return err
 	}
 	go func() {
 		// Booked before its viewers have the last packets, so a viewer
 		// that has read the whole body finds the mirror in the cache.
-		err := rest(func(bytes int64) { e.book(name, bytes, landed) })
+		_ = rest(func(bytes int64) { e.book(name, mirror, bytes, landed) })
 		resp.Body.Close()
-		e.endPull(name, p, err)
 		e.inst.pulls.Dec()
 	}()
 	return nil
@@ -285,31 +271,27 @@ func (e *Edge) openFetch(name string) (*http.Response, error) {
 	return resp, nil
 }
 
-// book runs what follows a pull that has landed whole, bytes of payload:
-// the pull is a frequency observation — without it an asset that is
-// always admission-rejected could never accumulate enough estimated
-// demand to win a later duel — the mirror, if still registered, is booked
-// into the cache under its byte budget, and the landing check drops it if
-// its catalog entry moved during the pull: the mirror is absent again,
-// and the next demand pulls.
-func (e *Edge) book(name string, bytes int64, landed func(drop func())) {
+// book runs what follows a pull of name that has landed whole as mirror,
+// bytes of payload: the pull is a frequency observation — without it an
+// asset that is always admission-rejected could never accumulate enough
+// estimated demand to win a later duel — the mirror, if still registered,
+// is booked into the cache under its byte budget, and the landing check
+// drops it if its catalog entry moved during the pull: the mirror is
+// absent again, and the next demand pulls. A mirror a catalog sync
+// dropped mid-pull is neither booked nor dropped, so the one a later
+// demand pulled under its name stays.
+func (e *Edge) book(name string, mirror *streaming.Asset, bytes int64, landed func(drop func())) {
 	e.cache.RecordPull(name)
-	if _, ok := e.Server.Asset(name); ok {
+	registered := func() bool { a, ok := e.Server.Asset(name); return ok && a == mirror }
+	if registered() {
 		e.cache.Add(name, bytes)
 		e.enforceBudget(name)
 	}
-	landed(func() { e.dropMirror(name) })
-}
-
-// endPull ends pull p of name with err and unlists it.
-func (e *Edge) endPull(name string, p *pull, err error) {
-	p.err = err
-	e.growingMu.Lock()
-	if e.growing[name] == p {
-		delete(e.growing, name)
-	}
-	e.growingMu.Unlock()
-	close(p.done)
+	landed(func() {
+		if registered() {
+			e.dropMirror(name)
+		}
+	})
 }
 
 // enforceBudget drops over-budget mirrors (never `except`, never pinned

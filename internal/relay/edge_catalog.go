@@ -117,11 +117,15 @@ func (e *Edge) landing(rev func(string) uint64, name string) (check func(drop fu
 // dropMirror removes one stale mirrored asset: out of the cache
 // accounting, off the edge server, and with every local group that
 // lists it, which would otherwise select it into a 404 — the next group
-// demand re-mirrors the group. Assets the cache never tracked were not
-// mirrored by this edge (direct registrations) and are left alone.
+// demand re-mirrors the group. A mirror still being pulled is not in the
+// cache's accounting yet, and goes too: a demand after the drop pulls
+// afresh. Whole assets the cache never tracked were not mirrored by this
+// edge (direct registrations) and are left alone.
 func (e *Edge) dropMirror(name string) bool {
 	if !e.cache.Remove(name) {
-		return false
+		if a, ok := e.Server.Asset(name); !ok || a.Whole() {
+			return false
+		}
 	}
 	// A group lists only its registered variants, so the groups go first.
 	for _, g := range e.Server.Groups() {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/asf"
 	"repro/internal/check"
 	"repro/internal/client"
 	"repro/internal/proto"
@@ -79,6 +80,7 @@ func (g *gateWriter) Write(p []byte) (int, error) {
 // growingEdge is an edge whose origin holds lec, a lecture of two GOPs,
 // and gates its first pull after the first GOP.
 type growingEdge struct {
+	server *streaming.Server // the origin's
 	origin *streaming.Asset
 	edge   *Edge
 	url    string // the edge's base URL
@@ -87,17 +89,23 @@ type growingEdge struct {
 	gopEnd int    // where the second GOP starts in whole
 }
 
-func newGrowingEdge(t *testing.T, gate func()) *growingEdge {
+// newGrowingEdge starts a growingEdge whose origin handler is wrapped by
+// wrap, if not nil, outside the gate.
+func newGrowingEdge(t *testing.T, gate func(), wrap func(http.Handler) http.Handler) *growingEdge {
 	t.Helper()
 	origin, _, data := newOriginWithAsset(t, "lec")
-	g := &growingEdge{}
+	g := &growingEdge{server: origin}
 	g.origin, _ = origin.Asset("lec")
 	var err error
 	if g.whole, err = check.StoredBody(data, 0); err != nil {
 		t.Fatal(err)
 	}
 	g.gop, g.gopEnd = firstGOP(t, g.origin, len(g.whole))
-	originTS := httptest.NewServer(gateFetchAt(origin.Handler(), g.gopEnd, gate))
+	h := gateFetchAt(origin.Handler(), g.gopEnd, gate)
+	if wrap != nil {
+		h = wrap(h)
+	}
+	originTS := httptest.NewServer(h)
 	t.Cleanup(originTS.Close)
 	edgeSrv := streaming.NewServer(nil)
 	edgeSrv.Pacing = false
@@ -162,10 +170,12 @@ func assetsListing(url string) (packets int, bytes int64, err error) {
 // once it arrives. While the pull waits, every reader of the mirror sees
 // what has landed (the rule Asset's doc states), MirrorAsset waits for
 // the whole mirror, and readers racing the rest of the pull see the
-// mirror grow to the origin's.
+// mirror grow to the origin's. The mirror is in the cache by the time
+// the viewer has read its body, and the demand made during the pull
+// counts as a coalesced miss, not a hit.
 func TestEdgeGrowingPullGated(t *testing.T) {
 	release := make(chan struct{})
-	g := newGrowingEdge(t, func() { <-release })
+	g := newGrowingEdge(t, func() { <-release }, nil)
 	defer func() {
 		select {
 		case <-release:
@@ -224,6 +234,9 @@ func TestEdgeGrowingPullGated(t *testing.T) {
 	if err := check.Body(io.MultiReader(bytes.NewReader(head), body), g.whole); err != nil {
 		t.Fatal(err)
 	}
+	if got := g.edge.cache.Bytes(); got != g.origin.Bytes() {
+		t.Fatalf("the cache holds %d bytes once the viewer has the whole body, want the mirror's %d", got, g.origin.Bytes())
+	}
 	if err := <-mirrored; err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +249,10 @@ func TestEdgeGrowingPullGated(t *testing.T) {
 	if n, b, err := assetsListing(g.url); err != nil || n != len(g.origin.SharedPackets()) || b != g.origin.Bytes() {
 		t.Fatalf("the whole mirror is listed with %d packets, %d bytes (%v); want the origin's %d, %d",
 			n, b, err, len(g.origin.SharedPackets()), g.origin.Bytes())
+	}
+	in := g.edge.inst
+	if h, m, c := in.hits.Value(), in.misses.Value(), in.coalesced.Value(); h != 0 || m != 2 || c != 1 {
+		t.Fatalf("%d hits, %d misses, %d coalesced; want the pull's miss and MirrorAsset's coalesced one: 0, 2, 1", h, m, c)
 	}
 }
 
@@ -257,7 +274,7 @@ func wireBefore(a *streaming.Asset, n int) int {
 // pool.
 func TestEdgeGrowingPullCut(t *testing.T) {
 	cut := make(chan struct{})
-	g := newGrowingEdge(t, func() { <-cut; panic(http.ErrAbortHandler) })
+	g := newGrowingEdge(t, func() { <-cut; panic(http.ErrAbortHandler) }, nil)
 	defer func() {
 		select {
 		case <-cut:
@@ -316,4 +333,90 @@ func TestEdgeGrowingPullCut(t *testing.T) {
 	g.edge.Server.RemoveAsset("lec")
 	testutil.WaitUntil(t, 5*time.Second, func() bool { return g.edge.Server.Metrics().Snapshot().Get(held) == 0 },
 		"%s = %v after the last body ended", held, g.edge.Server.Metrics().Snapshot().Get(held))
+}
+
+// TestEdgeGrowingPullRefused: the origin answers the edge's pull with
+// another ETag than its body's. A viewer that started on the mirror
+// after its first GOP reads an unexpected EOF, and by then the mirror is
+// unregistered and was never booked into the cache.
+func TestEdgeGrowingPullRefused(t *testing.T) {
+	release := make(chan struct{})
+	g := newGrowingEdge(t, func() { <-release }, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { h.ServeHTTP(etagWriter{w}, r) })
+	})
+	_, body := g.viewFirstGOP(t, 10*time.Second)
+	defer body.Close()
+	close(release)
+	if _, err := io.Copy(io.Discard, body); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("the viewer of a refused pull read to %v, want an unexpected EOF", err)
+	}
+	if _, ok := g.edge.Server.Asset("lec"); ok {
+		t.Fatal("the refused mirror is still registered")
+	}
+	if n := g.edge.cache.Bytes(); n != 0 {
+		t.Fatalf("the cache holds %d bytes of a refused pull", n)
+	}
+}
+
+// etagWriter sends every answer with an ETag no body has.
+type etagWriter struct{ http.ResponseWriter }
+
+func (w etagWriter) WriteHeader(code int) {
+	w.Header().Set("Etag", `"0"`)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w etagWriter) Write(p []byte) (int, error) {
+	w.Header().Set("Etag", `"0"`)
+	return w.ResponseWriter.Write(p)
+}
+
+func (w etagWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestEdgeGrowingPullAcrossRepublish: lec is republished while the edge's
+// mirror of it is registered and still being pulled, and the edge syncs
+// the new Rev. The sync drops the growing mirror, so the next demand
+// pulls the new revision, while the viewer already on the old mirror
+// finishes it; when the old pull ends, its booking and landing check
+// leave the new mirror alone.
+func TestEdgeGrowingPullAcrossRepublish(t *testing.T) {
+	release := make(chan struct{})
+	g := newGrowingEdge(t, func() { <-release }, nil)
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	g.edge.SyncCatalog(proto.Catalog{Version: 1, Assets: []proto.CatalogAsset{{Name: "lec", Rev: 1}}})
+	head, old := g.viewFirstGOP(t, 10*time.Second)
+	defer old.Close()
+
+	data := encodeTestLecture(t, 2*time.Second, false)
+	want, err := check.StoredBody(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.server.PublishAsset("lec", asf.NewReader(bytes.NewReader(data))); err != nil {
+		t.Fatal(err)
+	}
+	dropped := g.edge.SyncCatalog(proto.Catalog{Version: 2, Assets: []proto.CatalogAsset{{Name: "lec", Rev: 2}}})
+	if len(dropped) != 1 || dropped[0] != "lec" {
+		t.Fatalf("the sync dropped %v, want the growing mirror [lec]", dropped)
+	}
+	getBody(t, g.url+"/v1/vod/lec", want)
+
+	close(release)
+	if err := check.Body(io.MultiReader(bytes.NewReader(head), old), g.whole); err != nil {
+		t.Fatalf("the viewer of the old mirror: %v", err)
+	}
+	const pulls = "lod_edge_pulls_in_flight"
+	testutil.WaitUntil(t, 5*time.Second, func() bool { return g.edge.Server.Metrics().Snapshot().Get(pulls) == 0 },
+		"%s = %v after both pulls ended", pulls, g.edge.Server.Metrics().Snapshot().Get(pulls))
+	getBody(t, g.url+"/v1/vod/lec", want)
+	mirror, _ := g.edge.Server.Asset("lec")
+	if got := g.edge.cache.Bytes(); got != mirror.Bytes() {
+		t.Fatalf("the cache holds %d bytes, want the new mirror's %d", got, mirror.Bytes())
+	}
 }

@@ -176,6 +176,24 @@ func (a *Asset) SeekIndex(at time.Duration) int {
 	return a.seek(at).pos
 }
 
+// Whole reports whether every packet of the asset has landed: always
+// for an asset registered whole, and for a mirror once its pull has
+// passed its checks (RegisterGrowing).
+func (a *Asset) Whole() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.end == a.wire
+}
+
+// Wait waits until the asset is whole, and returns nil, or until its
+// pull has ended short, and returns why, or until ctx ends, and returns
+// ctx's error. A mirror is whole only after its pull's whole callback
+// has returned (RegisterGrowing).
+func (a *Asset) Wait(ctx context.Context) error {
+	var wake chan struct{}
+	return a.await(ctx, &wake, func() {}, func() bool { return false })
+}
+
 // seek is SeekIndex's seek point, under a.mu.
 func (a *Asset) seek(at time.Duration) seekPoint {
 	i := sort.Search(len(a.points), func(i int) bool { return a.points[i].pts > at })
@@ -480,8 +498,9 @@ func (s *Server) parseAsset(name string, r *asf.Reader) (*Asset, error) {
 // — becomes what the asset's readers see — in batches: for a pull
 // (RegisterGrowing), at registration (what arrived with the header),
 // whenever the parse has read every whole packet its reader holds and
-// must read the pull's body again, and at the end; for a container
-// registered whole, at the end only.
+// must read the pull's body again — each short of the declared end
+// (landShort) — and at the end, once the pull is checked; for a
+// container registered whole, at the end only.
 type landing struct {
 	a    *Asset
 	slab asf.Slab
@@ -509,10 +528,18 @@ func (s *Server) newLanding(name string, refs int32, src io.Reader) *landing {
 // Read is the pull's body as the parse's reader reads it: what has been
 // parsed lands first, so bodies have it while the pull waits for more.
 func (l *landing) Read(p []byte) (int, error) {
-	if l.wire > l.landed {
+	l.landShort()
+	return l.src.Read(p)
+}
+
+// landShort lands what the parse has read since the last land, if that
+// is short of the wire bytes the pull declared: the batch that makes the
+// asset whole lands only in RegisterGrowing's rest, once the pull has
+// passed its checks and been booked.
+func (l *landing) landShort() {
+	if l.landed < l.wire && l.wire < l.a.wire {
 		l.land()
 	}
-	return l.src.Read(p)
 }
 
 // land makes what the parse has read the asset's, and wakes every body
@@ -624,25 +651,27 @@ func (s *Server) RegisterAsset(name string, r *asf.Reader) (*Asset, error) {
 // declares its length and ETag from its first byte, and is written as the
 // pull lands the packets it needs.
 //
-// The caller runs rest once, on a goroutine of its own if it likes: it
-// reads src to its end and returns nil once the asset is whole. Before
-// the last packets land it calls whole, if not nil, with the asset's
-// payload bytes: a caller that books the asset there has booked it
-// before any body has all of it. A pull that breaks off or is refused —
-// a read fails, a packet is invalid, the size or the ETag is not the one
-// declared — returns that error; the asset is unregistered, and every
-// body of it stops short of its declared length, which a client reads as
-// an unexpected EOF. Its buffers go back to the pool once the last body
-// lets go.
-func (s *Server) RegisterGrowing(name string, src io.Reader, size int64, etag string) (rest func(whole func(bytes int64)) error, err error) {
+// It returns the registered asset, which tells the caller's mirror from a
+// later one under the same name, and rest, which the caller runs once, on
+// a goroutine of its own if it likes: it reads src to its end and returns
+// nil once the asset is whole. Once the pull has passed its checks, and
+// before the last packets land, it calls whole, if not nil, with the
+// asset's payload bytes: a caller that books the asset there has booked
+// it before any body has all of it (Asset.Wait). A pull that breaks off
+// or is refused — a read fails, a packet is invalid, the size or the ETag
+// is not the one declared — returns that error without calling whole;
+// the asset is unregistered, and every body of it stops short of its
+// declared length, which a client reads as an unexpected EOF. Its
+// buffers go back to the pool once the last body lets go.
+func (s *Server) RegisterGrowing(name string, src io.Reader, size int64, etag string) (a *Asset, rest func(whole func(bytes int64)) error, err error) {
 	l := s.newLanding(name, 2, src) // its registration's reference and the pull's
-	a := l.a
+	a = l.a
 	r := asf.NewReader(l)
 	if err := l.readHeader(r); err != nil {
-		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
+		return nil, nil, fmt.Errorf("streaming: register %q: %w", name, err)
 	}
 	if a.wire = size - int64(len(a.header)); a.wire < 0 {
-		return nil, fmt.Errorf("streaming: register %q: %d bytes declared, the header alone is %d", name, size, len(a.header))
+		return nil, nil, fmt.Errorf("streaming: register %q: %d bytes declared, the header alone is %d", name, size, len(a.header))
 	}
 	a.etag = []string{etag}
 	// The packets that arrived with the header land with it, so the demand
@@ -650,14 +679,14 @@ func (s *Server) RegisterGrowing(name string, src io.Reader, size int64, etag st
 	// rest of the pull.
 	err = l.parse(r, true)
 	if err == nil {
-		l.land()
+		l.landShort()
 		err = s.register(a)
 	}
 	if err != nil {
 		s.pool.Put(a.bufs...) // no one else has seen the asset
-		return nil, fmt.Errorf("streaming: register %q: %w", name, err)
+		return nil, nil, fmt.Errorf("streaming: register %q: %w", name, err)
 	}
-	return func(whole func(int64)) error {
+	return a, func(whole func(int64)) error {
 		defer s.release(a)
 		err := l.parse(r, false)
 		switch {
@@ -668,12 +697,14 @@ func (s *Server) RegisterGrowing(name string, src io.Reader, size int64, etag st
 			err = fmt.Errorf("ETag %s, %s declared", l.etag(), etag)
 		}
 		if err != nil {
+			// Unregistered before its bodies learn of it, so a viewer whose
+			// body ended short finds the mirror gone.
 			err = fmt.Errorf("streaming: register %q: %w", name, err)
+			s.remove(name, a)
 			a.mu.Lock()
 			a.err = err
 			a.wakeWaiting()
 			a.mu.Unlock()
-			s.remove(name, a)
 			return err
 		}
 		if whole != nil {
